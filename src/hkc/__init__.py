@@ -37,11 +37,11 @@ from .sphere3s import (
     TangentVector,
     ThreeSasakiStructure,
 )
+# hkc.curvature is the submodule; the operator is hkc.connections.curvature
 from .connections import (
     ConnectionKind,
     VectorField,
     cov_deriv,
-    curvature,
     curvature4,
     h_form_gap,
     lie_bracket,
@@ -106,7 +106,6 @@ __all__ = [
     "cor_xxx_data",
     "cov_deriv",
     "cross_check_rbar",
-    "curvature",
     "curvature4",
     "directional_derivative",
     "dot",

@@ -42,16 +42,15 @@ from .connections import (
     ConnectionKind,
     VectorField,
     _a_raw,
-    _cov_dir_raw,
+    _cov_raw,
     curvature,
     curvature4,
     sphere_curvature_oracle,
 )
-from .records import make_record
+from .records import make_record, worst_residuals
 
 __all__ = [
     "CurvatureSample",
-    "SectionalQuery",
     "rbar_algebraic",
     "rbar_difference_tensor",
     "rbar_quaternionic_projective",
@@ -61,11 +60,8 @@ __all__ = [
     "sectional",
     "holomorphic_sectional_bar",
     "sec_rela_data",
-    "verify_sec_rela",
     "cor_xxx_data",
-    "verify_cor_xxx",
     "theorem_sec_data",
-    "verify_theorem_sec",
     "verify_symmetries",
 ]
 
@@ -88,33 +84,18 @@ class CurvatureSample:
     residual: float
 
 
-@dataclass(frozen=True)
-class SectionalQuery:
-    """A plane spanned by a unit vector and its phi_alpha image."""
-
-    alpha: int
-    X: TangentVector
-
-    def __post_init__(self):
-        if self.alpha not in (1, 2, 3):
-            raise PreconditionError("alpha must be 1, 2, or 3")
-        if abs(float(np.dot(self.X.v, self.X.v)) - 1.0) > 1e-10:
-            raise PreconditionError("the spanning vector must have unit length")
-
-
 # ============================================================
 # the algebraic curvature route
 # ============================================================
 
 def rbar_algebraic(structure: ThreeSasakiStructure, X: TangentVector,
-                   Y: TangentVector, Z: TangentVector, R: TangentVector = None,
-                   sign=+1) -> TangentVector:
+                   Y: TangentVector, Z: TangentVector,
+                   R: TangentVector = None) -> TangentVector:
     """The stated closed-form expansion of the adapted curvature operator
     applied to (X, Y)Z, transcribed literally: three single-index blocks
     summed over a = 1..3 and four double-index blocks summed over ordered
     pairs a != b.  ``R`` is the round-metric curvature value R(X,Y)Z;
-    when omitted it comes from the constant-curvature closed form with
-    the given global sign.
+    when omitted it comes from the constant-curvature closed form.
 
     The expansion is exact for X, Y in H.  When X or Y carries Reeb
     components it is not the curvature of the adapted connection: it
@@ -123,7 +104,7 @@ def rbar_algebraic(structure: ThreeSasakiStructure, X: TangentVector,
     X._check_same_base(Y)
     X._check_same_base(Z)
     if R is None:
-        R = sphere_curvature_oracle(X, Y, Z, sign=sign)
+        R = sphere_curvature_oracle(X, Y, Z)
     else:
         X._check_same_base(R)
     s = structure
@@ -176,12 +157,11 @@ def rbar_difference_tensor(structure: ThreeSasakiStructure, X: TangentVector,
     R = sphere_curvature_oracle(X, Y, Z)
     s = structure
     y = X.base.x
-    lc = ConnectionKind.LEVI_CIVITA
 
     def nabla_A(U, V, W):
         Vf, Wf = s.extension_raw(V.v), s.extension_raw(W.v)
         field = lambda q: _a_raw(s, Vf(q), Wf(q), q)
-        return _cov_dir_raw(s, lc, U.v, field, y, EXACT_FORWARD)
+        return _cov_raw(s, LC, lambda q: U.v, field, y, EXACT_FORWARD)
 
     A = lambda u, w: _a_raw(s, u, w, y)
     out = (R.v + nabla_A(X, Y, Z) - nabla_A(Y, X, Z)
@@ -364,17 +344,6 @@ def sec_rela_data(structure, alpha, X: TangentVector, scheme=EXACT_FORWARD):
     return data
 
 
-def verify_sec_rela(structure, alpha, X: TangentVector, tol=1e-6,
-                    scheme=EXACT_FORWARD):
-    data = sec_rela_data(structure, alpha, X, scheme)
-    best = min(data["residual"], key=lambda c: data["residual"][c])
-    return make_record(
-        "sectional.sec_rela", suite="sectional", kind="check",
-        passed=bool(data["residual"][best] <= tol),
-        max_residual=data["residual"][best], tolerance=tol, samples=1,
-        details={"selected_convention": best, **data})
-
-
 def cor_xxx_data(structure, X: TangentVector, scheme=EXACT_FORWARD):
     """Both sides of the quadrilinear identity on (X, phi_1 X, phi_2 X,
     phi_3 X): the adapted and round-metric curvature forms agree there."""
@@ -383,15 +352,6 @@ def cor_xxx_data(structure, X: TangentVector, scheme=EXACT_FORWARD):
     lhs = curvature4(HC, Xf, f1, f2, f3, X.base, scheme)
     rhs = curvature4(LC, Xf, f1, f2, f3, X.base, scheme)
     return float(lhs), float(rhs)
-
-
-def verify_cor_xxx(structure, X: TangentVector, tol=1e-6, scheme=EXACT_FORWARD):
-    lhs, rhs = cor_xxx_data(structure, X, scheme)
-    return make_record(
-        "sectional.cor_xxx", suite="sectional", kind="check",
-        passed=bool(abs(lhs - rhs) <= tol), max_residual=abs(lhs - rhs),
-        tolerance=tol, samples=1,
-        details={"adapted": lhs, "round": rhs})
 
 
 def theorem_sec_data(structure, alpha, X: TangentVector, scheme=EXACT_FORWARD):
@@ -441,17 +401,6 @@ def theorem_sec_data(structure, alpha, X: TangentVector, scheme=EXACT_FORWARD):
     return data
 
 
-def verify_theorem_sec(structure, alpha, X: TangentVector, tol=1e-6,
-                       scheme=EXACT_FORWARD):
-    data = theorem_sec_data(structure, alpha, X, scheme)
-    best = min(data["residual"], key=lambda c: data["residual"][c])
-    return make_record(
-        "theorem_sec.sweep", suite="theorem-sec", kind="check",
-        passed=bool(data["residual"][best] <= tol),
-        max_residual=data["residual"][best], tolerance=tol, samples=1,
-        details={"best_combination": best, **data})
-
-
 def verify_symmetries(structure, quads, tol=1e-6, scheme=EXACT_FORWARD):
     """Residuals of the four quadrilinear symmetry families of the
     adapted curvature on distribution arguments.
@@ -459,26 +408,23 @@ def verify_symmetries(structure, quads, tol=1e-6, scheme=EXACT_FORWARD):
     ``quads`` is an iterable of (point, X, Y, Z, W) with all four tangent
     vectors in H.  Returns one record per family.
     """
-    worst = {"first_pair": 0.0, "last_pair": 0.0, "pair_swap": 0.0,
-             "bianchi": 0.0}
-    count = 0
-    for x, X, Y, Z, W in quads:
-        count += 1
+    quads = list(quads)
+
+    def residuals(x, X, Y, Z, W):
         fX, fY, fZ, fW = (VectorField.extension(structure, V)
                           for V in (X, Y, Z, W))
         r = lambda A, B, C, D: curvature4(HC, A, B, C, D, x, scheme)
-        worst["first_pair"] = max(worst["first_pair"],
-                                  abs(r(fX, fY, fZ, fW) + r(fY, fX, fZ, fW)))
-        worst["last_pair"] = max(worst["last_pair"],
-                                 abs(r(fX, fY, fZ, fW) + r(fX, fY, fW, fZ)))
-        worst["pair_swap"] = max(worst["pair_swap"],
-                                 abs(r(fX, fY, fZ, fW) - r(fZ, fW, fX, fY)))
-        worst["bianchi"] = max(worst["bianchi"],
-                               abs(r(fX, fY, fW, fZ) + r(fY, fZ, fW, fX)
-                                   + r(fZ, fX, fW, fY)))
+        yield "first_pair", abs(r(fX, fY, fZ, fW) + r(fY, fX, fZ, fW))
+        yield "last_pair", abs(r(fX, fY, fZ, fW) + r(fX, fY, fW, fZ))
+        yield "pair_swap", abs(r(fX, fY, fZ, fW) - r(fZ, fW, fX, fY))
+        yield "bianchi", abs(r(fX, fY, fW, fZ) + r(fY, fZ, fW, fX)
+                             + r(fZ, fX, fW, fY))
+
+    worst = worst_residuals((residuals(*q) for q in quads),
+                            ("first_pair", "last_pair", "pair_swap", "bianchi"))
     return [
         make_record(f"curvature.sym_{name}", suite="curvature", kind="check",
                     passed=bool(res <= tol), max_residual=res, tolerance=tol,
-                    samples=count)
+                    samples=len(quads))
         for name, res in worst.items()
     ]

@@ -46,7 +46,7 @@ from .numlin import (
     directional_derivative,
     dot,
 )
-from .records import SCHEMA, VerificationReport, make_record
+from .records import SCHEMA, VerificationReport, make_record, worst_residuals
 from .sphere3s import (
     EVEN_PERMUTATIONS,
     TangentVector,
@@ -174,8 +174,7 @@ def sample_unit_H(structure, x, rng):
     raise PreconditionError("could not draw a usable distribution direction")
 
 
-def _ext(structure, t):
-    return VectorField.extension(structure, t)
+_ext = VectorField.extension
 
 
 # ============================================================
@@ -249,62 +248,74 @@ def selected_plane_convention(conventions):
 # suites
 # ============================================================
 
+def _samples(cfg, suite, draw):
+    """``draw(rng, i)`` for each sample index i, on the suite's lane."""
+    return (draw(_suite_stream(cfg, suite, i), i) for i in range(cfg.points))
+
+
+def _drive(cfg, suite, sample, table):
+    """The suite driver: sample, keep the worst residuals, build records.
+
+    ``sample(rng, i)`` evaluates sample ``i`` and yields ``(key, residual)``
+    pairs.  ``table`` maps each record id, in report order, to its
+    tolerance or to :func:`make_record` fields that override the defaults
+    (the worst residual under the id, its verdict against the tolerance,
+    ``cfg.points`` samples).  A callable ``table`` gets the worst
+    residuals once sampling is done.
+    """
+    worst = worst_residuals(_samples(cfg, suite, sample))
+    if callable(table):
+        table = table(worst)
+    records = []
+    for rid, spec in table.items():
+        spec = spec if isinstance(spec, dict) else {"tolerance": spec}
+        fields = {"max_residual": worst.get(rid, 0.0), "samples": cfg.points,
+                  **spec}
+        if "passed" not in fields:
+            fields["passed"] = bool(fields["max_residual"] <= fields["tolerance"])
+        records.append(make_record(rid, suite=suite, **fields))
+    return records
+
+
 def _suite_axioms(s, cfg, conventions):
-    pts = []
-    for i in range(cfg.points):
-        rng = _suite_stream(cfg, "axioms", i)
+    def draw(rng, i):
         x = sample_point(s, rng)
-        pts.append((x, sample_unit_tangent(s, x, rng),
-                    sample_unit_tangent(s, x, rng)))
-    return s.check_structure_axioms(pts, tol=cfg.tol_first)
+        return x, sample_unit_tangent(s, x, rng), sample_unit_tangent(s, x, rng)
+
+    return s.check_structure_axioms(list(_samples(cfg, "axioms", draw)),
+                                    tol=cfg.tol_first)
 
 
 def _suite_sasaki(s, cfg, conventions):
-    d_def = d_cov = d_br = d_rr = 0.0
-    for i in range(cfg.points):
-        rng = _suite_stream(cfg, "sasaki", i)
+    def sample(rng, i):
         x = sample_point(s, rng)
         X = _ext(s, sample_unit_tangent(s, x, rng))
         Y = _ext(s, sample_unit_tangent(s, x, rng))
         for a in (1, 2, 3):
-            d_def = max(d_def, sasaki_defect(a, X, Y, x, cfg.scheme).norm())
+            yield "sasaki.defect", sasaki_defect(a, X, Y, x, cfg.scheme).norm()
             d = cov_deriv(LC, X, VectorField.reeb(s, a), x, cfg.scheme)
-            d_cov = max(d_cov, (d + s.phi(a, X.at(x))).norm())
+            yield "sasaki.reeb_covariant", (d + s.phi(a, X.at(x))).norm()
         for (a, b, c) in EVEN_PERMUTATIONS:
             xa, xb = VectorField.reeb(s, a), VectorField.reeb(s, b)
             br = lie_bracket(xa, xb, x, cfg.scheme)
-            d_br = max(d_br, (br - 2.0 * s.reeb(c, x)).norm())
+            yield "sasaki.reeb_bracket", (br - 2.0 * s.reeb(c, x)).norm()
             rr = cov_deriv(LC, xa, xb, x, cfg.scheme)
-            d_rr = max(d_rr, (rr - s.reeb(c, x)).norm())
-            d_rr = max(d_rr, cov_deriv(LC, xa, xa, x, cfg.scheme).norm())
-    conv_residual = max(v["residual"] for v in conventions.values())
-    return [
-        make_record("sasaki.defect", suite="sasaki",
-                    passed=bool(d_def <= cfg.tol_second),
-                    max_residual=d_def, tolerance=cfg.tol_second,
-                    samples=cfg.points),
-        make_record("sasaki.reeb_covariant", suite="sasaki",
-                    passed=bool(d_cov <= cfg.tol_first),
-                    max_residual=d_cov, tolerance=cfg.tol_first,
-                    samples=cfg.points),
-        make_record("sasaki.reeb_bracket", suite="sasaki",
-                    passed=bool(d_br <= cfg.tol_first),
-                    max_residual=d_br, tolerance=cfg.tol_first,
-                    samples=cfg.points),
-        make_record("sasaki.reeb_on_reeb", suite="sasaki",
-                    passed=bool(d_rr <= cfg.tol_first),
-                    max_residual=d_rr, tolerance=cfg.tol_first,
-                    samples=cfg.points),
-        make_record("sasaki.conventions", suite="sasaki", kind="info",
-                    passed=True, max_residual=conv_residual,
-                    samples=1, details=conventions),
-    ]
+            yield "sasaki.reeb_on_reeb", (rr - s.reeb(c, x)).norm()
+            yield "sasaki.reeb_on_reeb", cov_deriv(LC, xa, xa, x, cfg.scheme).norm()
+
+    return _drive(cfg, "sasaki", sample, {
+        "sasaki.defect": cfg.tol_second,
+        "sasaki.reeb_covariant": cfg.tol_first,
+        "sasaki.reeb_bracket": cfg.tol_first,
+        "sasaki.reeb_on_reeb": cfg.tol_first,
+        "sasaki.conventions": {
+            "kind": "info", "passed": True, "samples": 1, "details": conventions,
+            "max_residual": max(v["residual"] for v in conventions.values())},
+    })
 
 
 def _suite_connection(s, cfg, conventions):
-    d_forms = d_metric = d_reeb = d_hpres = d_br3 = d_phi = d_htab = 0.0
-    for i in range(cfg.points):
-        rng = _suite_stream(cfg, "connection", i)
+    def sample(rng, i):
         x = sample_point(s, rng)
         Xt = sample_unit_tangent(s, x, rng)
         Zt = sample_unit_tangent(s, x, rng)
@@ -312,71 +323,67 @@ def _suite_connection(s, cfg, conventions):
         Xh = _ext(s, sample_unit_H(s, x, rng)).project_H()
         Yh = _ext(s, sample_unit_H(s, x, rng)).project_H()
 
-        d_forms = max(d_forms, h_form_gap(X, Z, x, cfg.scheme))
+        yield "connection.two_forms_agree", h_form_gap(X, Z, x, cfg.scheme)
 
-        gfun = lambda y: dot(X(y), Z(y))
-        dg = directional_derivative(gfun, x.x, Xt.v, cfg.scheme)
         # metric compatibility of the adapted derivative along itself:
         # differentiate g(X, Z) along X and compare with the product rule
-        rhs = (s.metric(cov_deriv(HC, X, X, x, cfg.scheme), Zt)
-               + s.metric(Xt, cov_deriv(HC, X, Z, x, cfg.scheme)))
+        dg = directional_derivative(lambda y: dot(X(y), Z(y)), x.x, Xt.v,
+                                    cfg.scheme)
+        XX = cov_deriv(HC, X, X, x, cfg.scheme)
+        XZ = cov_deriv(HC, X, Z, x, cfg.scheme)
+        yield "connection.metricity", abs(float(dg) - (s.metric(XX, Zt)
+                                                       + s.metric(Xt, XZ)))
         dg2 = directional_derivative(lambda y: dot(X(y), X(y)), x.x, Zt.v,
                                      cfg.scheme)
-        rhs2 = 2.0 * s.metric(cov_deriv(HC, Z, X, x, cfg.scheme), Xt)
-        d_metric = max(d_metric, abs(float(dg) - rhs), abs(float(dg2) - rhs2))
+        ZX = cov_deriv(HC, Z, X, x, cfg.scheme)
+        yield "connection.metricity", abs(float(dg2) - 2.0 * s.metric(ZX, Xt))
 
         for a in (1, 2, 3):
-            d_reeb = max(d_reeb, cov_deriv(
-                HC, X, VectorField.reeb(s, a), x, cfg.scheme).norm())
+            yield "connection.reeb_parallel", cov_deriv(
+                HC, X, VectorField.reeb(s, a), x, cfg.scheme).norm()
 
         dY = cov_deriv(HC, X, Yh, x, cfg.scheme)
-        d_hpres = max(d_hpres, max(abs(s.eta(a, dY)) for a in (1, 2, 3)))
+        yield "connection.h_preserved", max(abs(s.eta(a, dY)) for a in (1, 2, 3))
 
         br = lie_bracket(X, Z, x, cfg.scheme)
-        rhs_br = (cov_deriv(HC, X, Z, x, cfg.scheme).v
-                  - cov_deriv(HC, Z, X, x, cfg.scheme).v)
+        rhs_br = XZ.v - ZX.v
         for a in (1, 2, 3):
             rhs_br = rhs_br - 2.0 * s.omega(a, Xt, Zt) * s.reeb(a, x).v
-        d_br3 = max(d_br3, float(np.linalg.norm(br.v - rhs_br)))
+        yield "connection.bracket3", float(np.linalg.norm(br.v - rhs_br))
 
         for a in (1, 2, 3):
-            d_phi = max(d_phi, nabla_bar_phi_defect(
-                a, Xh, Yh, x, cfg.scheme).norm())
+            yield "connection.phi_parallel", nabla_bar_phi_defect(
+                a, Xh, Yh, x, cfg.scheme).norm()
 
-        ht = Xt  # the comparison table is exact for any tangent argument
-        phis = {a: s.phi(a, ht) for a in (1, 2, 3)}
-        expect = {(1, 2): phis[3], (2, 1): -1.0 * phis[3],
-                  (2, 3): phis[1], (3, 2): -1.0 * phis[1],
-                  (3, 1): phis[2], (1, 3): -1.0 * phis[2]}
+        # the comparison table h_aa = 0, h_ab = phi_c = -h_ba for even
+        # (a, b, c) is exact for any tangent argument
         for a in (1, 2, 3):
-            d_htab = max(d_htab, s.h_tensor(a, a, ht, cfg.scheme).norm())
-        for (a, b), want in expect.items():
-            d_htab = max(d_htab,
-                         (s.h_tensor(a, b, ht, cfg.scheme) - want).norm())
+            yield "connection.h_tensor_table", s.h_tensor(
+                a, a, Xt, cfg.scheme).norm()
+        for (a, b, c) in EVEN_PERMUTATIONS:
+            phi_c = s.phi(c, Xt)
+            yield "connection.h_tensor_table", (
+                s.h_tensor(a, b, Xt, cfg.scheme) - phi_c).norm()
+            yield "connection.h_tensor_table", (
+                s.h_tensor(b, a, Xt, cfg.scheme) + phi_c).norm()
 
-    def rec(rid, res, tol):
-        return make_record(rid, suite="connection", passed=bool(res <= tol),
-                           max_residual=res, tolerance=tol, samples=cfg.points)
-
-    return [
-        rec("connection.two_forms_agree", d_forms, cfg.tol_first),
-        rec("connection.metricity", d_metric, cfg.tol_first),
-        rec("connection.reeb_parallel", d_reeb, cfg.tol_first),
-        rec("connection.h_preserved", d_hpres, cfg.tol_first),
-        rec("connection.bracket3", d_br3, cfg.tol_first),
-        rec("connection.phi_parallel", d_phi, cfg.tol_second),
-        rec("connection.h_tensor_table", d_htab, cfg.tol_first),
-    ]
+    return _drive(cfg, "connection", sample, {
+        "connection.two_forms_agree": cfg.tol_first,
+        "connection.metricity": cfg.tol_first,
+        "connection.reeb_parallel": cfg.tol_first,
+        "connection.h_preserved": cfg.tol_first,
+        "connection.bracket3": cfg.tol_first,
+        "connection.phi_parallel": cfg.tol_second,
+        "connection.h_tensor_table": cfg.tol_first,
+    })
 
 
 def _suite_torsion(s, cfg, conventions):
-    d_lc = d_h = d_mixed = d_pair = 0.0
-    for i in range(cfg.points):
-        rng = _suite_stream(cfg, "torsion", i)
+    def sample(rng, i):
         x = sample_point(s, rng)
         X = _ext(s, sample_unit_tangent(s, x, rng))
         Y = _ext(s, sample_unit_tangent(s, x, rng))
-        d_lc = max(d_lc, torsion(LC, X, Y, x, cfg.scheme).norm())
+        yield "torsion.lc_zero", torsion(LC, X, Y, x, cfg.scheme).norm()
 
         Xh_t = sample_unit_H(s, x, rng)
         Yh_t = sample_unit_H(s, x, rng)
@@ -385,34 +392,25 @@ def _suite_torsion(s, cfg, conventions):
         want = np.zeros(s.ambient_dim)
         for a in (1, 2, 3):
             want = want + 2.0 * s.omega(a, Xh_t, Yh_t) * s.reeb(a, x).v
-        d_h = max(d_h, float(np.linalg.norm(t.v - want)))
+        yield "torsion.h_pair", float(np.linalg.norm(t.v - want))
 
         for a in (1, 2, 3):
-            d_mixed = max(d_mixed, torsion(
-                HC, Xh, VectorField.reeb(s, a), x, cfg.scheme).norm())
+            yield "torsion.mixed", torsion(
+                HC, Xh, VectorField.reeb(s, a), x, cfg.scheme).norm()
         for (a, b, c) in EVEN_PERMUTATIONS:
             tp = torsion(HC, VectorField.reeb(s, a), VectorField.reeb(s, b),
                          x, cfg.scheme)
-            d_pair = max(d_pair, (tp + 2.0 * s.reeb(c, x)).norm())
+            yield "torsion.reeb_pair", (tp + 2.0 * s.reeb(c, x)).norm()
 
-    def rec(rid, res):
-        return make_record(rid, suite="torsion", passed=bool(res <= cfg.tol_first),
-                           max_residual=res, tolerance=cfg.tol_first,
-                           samples=cfg.points)
-
-    return [
-        rec("torsion.lc_zero", d_lc),
-        rec("torsion.h_pair", d_h),
-        rec("torsion.mixed", d_mixed),
-        rec("torsion.reeb_pair", d_pair),
-    ]
+    return _drive(cfg, "torsion", sample, dict.fromkeys(
+        ("torsion.lc_zero", "torsion.h_pair", "torsion.mixed",
+         "torsion.reeb_pair"), cfg.tol_first))
 
 
 def _suite_curvature(s, cfg, conventions):
-    d_gate = d_reeb = d_last = d_mid = d_pair = 0.0
     quads = []
-    for i in range(cfg.points):
-        rng = _suite_stream(cfg, "curvature", i)
+
+    def sample(rng, i):
         x = sample_point(s, rng)
         Xt = sample_unit_tangent(s, x, rng)
         Yt = sample_unit_tangent(s, x, rng)
@@ -421,40 +419,50 @@ def _suite_curvature(s, cfg, conventions):
 
         direct = curvature(LC, X, Y, Z, x, cfg.scheme)
         oracle = sphere_curvature_oracle(Xt, Yt, Zt)
-        d_gate = max(d_gate, (direct - oracle).norm())
+        yield "curvature.oracle_gate", (direct - oracle).norm()
 
         for a in (1, 2, 3):
             xi_f = VectorField.reeb(s, a)
             r_xi = curvature(LC, X, Y, xi_f, x, cfg.scheme)
             want = s.eta(a, Yt) * Xt + (-s.eta(a, Xt)) * Yt
-            d_reeb = max(d_reeb, (r_xi - want).norm())
-            d_last = max(d_last, curvature(HC, X, Y, xi_f, x, cfg.scheme).norm())
-            d_mid = max(d_mid, curvature(HC, X, xi_f, Z, x, cfg.scheme).norm())
+            yield "curvature.reeb_curvature_lc", (r_xi - want).norm()
+            yield "curvature.annihilation_last", curvature(
+                HC, X, Y, xi_f, x, cfg.scheme).norm()
+            yield "curvature.annihilation_middle", curvature(
+                HC, X, xi_f, Z, x, cfg.scheme).norm()
         for (a, b, c) in EVEN_PERMUTATIONS:
             xa, xb = VectorField.reeb(s, a), VectorField.reeb(s, b)
-            d_pair = max(d_pair, curvature(HC, xa, xb, Z, x, cfg.scheme).norm())
-            d_pair = max(d_pair, curvature(
-                HC, xa, xb, VectorField.reeb(s, c), x, cfg.scheme).norm())
+            yield "curvature.annihilation_pair", curvature(
+                HC, xa, xb, Z, x, cfg.scheme).norm()
+            yield "curvature.annihilation_pair", curvature(
+                HC, xa, xb, VectorField.reeb(s, c), x, cfg.scheme).norm()
 
         quads.append((x, *(sample_unit_H(s, x, rng) for _ in range(4))))
 
-    sym_records = verify_symmetries(s, quads, tol=cfg.tol_second,
-                                    scheme=cfg.scheme)
+    records = _drive(cfg, "curvature", sample, dict.fromkeys(
+        ("curvature.oracle_gate", "curvature.reeb_curvature_lc",
+         "curvature.annihilation_last", "curvature.annihilation_middle",
+         "curvature.annihilation_pair"), cfg.tol_second))
+    return records + verify_symmetries(s, quads, tol=cfg.tol_second,
+                                       scheme=cfg.scheme)
 
-    def rec(rid, res):
-        return make_record(rid, suite="curvature",
-                           passed=bool(res <= cfg.tol_second),
-                           max_residual=res, tolerance=cfg.tol_second,
-                           samples=cfg.points)
 
-    return [
-        rec("curvature.oracle_gate", d_gate),
-        rec("curvature.reeb_curvature_lc", d_reeb),
-        rec("curvature.annihilation_last", d_last),
-        rec("curvature.annihilation_middle", d_mid),
-        rec("curvature.annihilation_pair", d_pair),
-        *sym_records,
-    ]
+def _cross_check_draw(s, rng, i):
+    """Sample ``i`` of each cross-check family, as (point, X, Y, Z)."""
+    x = sample_point(s, rng)
+    Xh = sample_unit_H(s, x, rng)
+    Yh = sample_unit_H(s, x, rng)
+    Zh = sample_unit_H(s, x, rng)
+    a = 1 + (i % 3)
+    b = 1 + ((i + 1) % 3)
+    pair_tail = s.reeb(1 + ((i + 2) % 3), x) if i % 3 == 2 else Zh
+    return {
+        "pure_h": (x, Xh, Yh, Zh),
+        "reeb_last": (x, Xh, Yh, s.reeb(a, x)),
+        "reeb_pairs": (x, s.reeb(a, x), s.reeb(b, x), pair_tail),
+        "single_reeb": (x, Xh, s.reeb(a, x), Zh),
+        "generic": (x, *(sample_unit_tangent(s, x, rng) for _ in range(3))),
+    }
 
 
 def cross_check_families(s, cfg):
@@ -462,184 +470,135 @@ def cross_check_families(s, cfg):
     of ``cfg.points`` tuples (point, X, Y, Z) drawn from the suite's own
     sampling lane: ``pure_h``, ``reeb_last``, ``reeb_pairs``,
     ``single_reeb`` and ``generic``."""
-    families = {"pure_h": [], "reeb_last": [], "reeb_pairs": [],
-                "single_reeb": [], "generic": []}
-    for i in range(cfg.points):
-        rng = _suite_stream(cfg, "cross-check", i)
-        x = sample_point(s, rng)
-        Xh = sample_unit_H(s, x, rng)
-        Yh = sample_unit_H(s, x, rng)
-        Zh = sample_unit_H(s, x, rng)
-        a = 1 + (i % 3)
-        b = 1 + ((i + 1) % 3)
-        families["pure_h"].append((x, Xh, Yh, Zh))
-        families["reeb_last"].append((x, Xh, Yh, s.reeb(a, x)))
-        if i % 3 == 2:
-            families["reeb_pairs"].append(
-                (x, s.reeb(a, x), s.reeb(b, x), s.reeb(1 + ((i + 2) % 3), x)))
-        else:
-            families["reeb_pairs"].append((x, s.reeb(a, x), s.reeb(b, x), Zh))
-        families["single_reeb"].append((x, Xh, s.reeb(a, x), Zh))
-        families["generic"].append(
-            (x, sample_unit_tangent(s, x, rng),
-             sample_unit_tangent(s, x, rng),
-             sample_unit_tangent(s, x, rng)))
-    return families
+    draws = list(_samples(cfg, "cross-check",
+                          lambda rng, i: _cross_check_draw(s, rng, i)))
+    return {name: [d[name] for d in draws] for name in draws[0]}
 
 
 def _suite_cross_check(s, cfg, conventions):
-    families = cross_check_families(s, cfg)
-    worst = {}
-    gap_match = 0.0
-    for name, samples in families.items():
-        results = cross_check_rbar(s, samples, cfg.scheme)
-        worst[name] = max(r.residual for r in results)
-        for r in results:
-            X, Y, Z = r.args
-            gap = two_route_gap_form(s, X, Y, Z)
-            gap_match = max(gap_match, float(np.linalg.norm(
-                r.value_algebraic - r.value_direct - gap.v)))
+    def sample(rng, i):
+        draw = _cross_check_draw(s, rng, i)
+        for name, r in zip(draw, cross_check_rbar(s, draw.values(), cfg.scheme)):
+            yield f"cross_check.{name}", r.residual
+            gap = two_route_gap_form(s, *r.args)
+            yield "gap", float(np.linalg.norm(
+                r.value_algebraic - r.value_direct - gap.v))
 
-    def rec(rid, res):
-        return make_record(rid, suite="cross-check",
-                           passed=bool(res <= cfg.tol_second),
-                           max_residual=res, tolerance=cfg.tol_second,
-                           samples=cfg.points)
+    def table(worst):
+        family = {rid: res for rid, res in worst.items() if rid != "gap"}
+        return {**dict.fromkeys(family, cfg.tol_second),
+                "cross_check.gap_structure": {
+                    "kind": "info", "max_residual": worst["gap"],
+                    "tolerance": 1e-9, "samples": 5 * cfg.points,
+                    "details": {
+                        "family_residuals": {rid.split(".")[1]: float(res)
+                                             for rid, res in family.items()},
+                        "note": "the difference between the algebraic "
+                                "expansion and the differential evaluation "
+                                "is reproduced exactly by a closed-form "
+                                "tensor built from the Reeb components of "
+                                "the arguments; it vanishes when the first "
+                                "two arguments lie in H",
+                    }}}
 
-    info = make_record(
-        "cross_check.gap_structure", suite="cross-check", kind="info",
-        passed=bool(gap_match <= 1e-9), max_residual=gap_match,
-        tolerance=1e-9, samples=5 * cfg.points,
-        details={
-            "family_residuals": {k: float(v) for k, v in worst.items()},
-            "note": "the difference between the algebraic expansion and the "
-                    "differential evaluation is reproduced exactly by a "
-                    "closed-form tensor built from the Reeb components of "
-                    "the arguments; it vanishes when the first two "
-                    "arguments lie in H",
-        })
-    return [
-        rec("cross_check.pure_h", worst["pure_h"]),
-        rec("cross_check.reeb_last", worst["reeb_last"]),
-        rec("cross_check.reeb_pairs", worst["reeb_pairs"]),
-        rec("cross_check.single_reeb", worst["single_reeb"]),
-        rec("cross_check.generic", worst["generic"]),
-        info,
-    ]
+    return _drive(cfg, "cross-check", sample, table)
 
 
 def _suite_ricci(s, cfg, conventions):
     c_lc = float(4 * s.n + 2)
     c_claim = float(4 * s.n + 5)
-    d_lc = 0.0
-    d_claim = 0.0
-    hc_samples = []
-    for i in range(cfg.points):
-        rng = _suite_stream(cfg, "ricci", i)
+    measured = []  # the adapted trace of each sample; the first sets the factor
+
+    def sample(rng, i):
         x = sample_point(s, rng)
         Xt = sample_unit_tangent(s, x, rng)
         Yt = sample_unit_tangent(s, x, rng)
-        d_lc = max(d_lc, abs(ricci(s, LC, Xt, Xt, cfg.seed, cfg.scheme) - c_lc))
-        d_lc = max(d_lc, abs(ricci(s, LC, Xt, Yt, cfg.seed, cfg.scheme)
-                             - c_lc * s.metric(Xt, Yt)))
+        yield "ricci.einstein_lc", abs(
+            ricci(s, LC, Xt, Xt, cfg.seed, cfg.scheme) - c_lc)
+        yield "ricci.einstein_lc", abs(ricci(s, LC, Xt, Yt, cfg.seed, cfg.scheme)
+                                       - c_lc * s.metric(Xt, Yt))
         Xh = sample_unit_H(s, x, rng)
         Yh = sample_unit_H(s, x, rng)
         diag = ricci(s, HC, Xh, Xh, cfg.seed, cfg.scheme)
         off = ricci(s, HC, Xh, Yh, cfg.seed, cfg.scheme)
-        hc_samples.append((diag, off, s.metric(Xh, Yh)))
-        d_claim = max(d_claim, abs(diag - c_claim),
-                      abs(off - c_claim * s.metric(Xh, Yh)))
+        gxy = s.metric(Xh, Yh)
+        yield "ricci.h_connection", abs(diag - c_claim)
+        yield "ricci.h_connection", abs(off - c_claim * gxy)
+        measured.append(diag)
+        yield "ricci.h_connection_measured", abs(diag - measured[0])
+        yield "ricci.h_connection_measured", abs(off - measured[0] * gxy)
 
-    measured = hc_samples[0][0]
-    d_prop = 0.0
-    for diag, off, gxy in hc_samples:
-        d_prop = max(d_prop, abs(diag - measured), abs(off - measured * gxy))
-
-    return [
-        make_record("ricci.einstein_lc", suite="ricci",
-                    passed=bool(d_lc <= cfg.tol_second),
-                    max_residual=d_lc, tolerance=cfg.tol_second,
-                    samples=cfg.points,
-                    details={"constant": c_lc}),
-        make_record("ricci.h_connection", suite="ricci",
-                    passed=bool(d_claim <= cfg.tol_second),
-                    max_residual=d_claim, tolerance=cfg.tol_second,
-                    samples=cfg.points,
-                    details={"stated_constant": c_claim}),
-        make_record("ricci.h_connection_measured", suite="ricci", kind="info",
-                    passed=bool(d_prop <= cfg.tol_second),
-                    max_residual=d_prop, tolerance=cfg.tol_second,
-                    samples=cfg.points,
-                    details={
-                        "measured_constant": float(measured),
-                        "stated_constant": c_claim,
-                        "note": "the adapted trace on distribution arguments "
-                                "is proportional to the metric; the measured "
-                                "factor matches 4 n + 8, which exceeds the "
-                                "stated constant by 3",
-                    }),
-    ]
+    return _drive(cfg, "ricci", sample, lambda worst: {
+        "ricci.einstein_lc": {"tolerance": cfg.tol_second,
+                              "details": {"constant": c_lc}},
+        "ricci.h_connection": {"tolerance": cfg.tol_second,
+                               "details": {"stated_constant": c_claim}},
+        "ricci.h_connection_measured": {
+            "kind": "info", "tolerance": cfg.tol_second,
+            "details": {
+                "measured_constant": float(measured[0]),
+                "stated_constant": c_claim,
+                "note": "the adapted trace on distribution arguments "
+                        "is proportional to the metric; the measured "
+                        "factor matches 4 n + 8, which exceeds the "
+                        "stated constant by 3",
+            }},
+    })
 
 
 def _suite_sectional(s, cfg, conventions):
     sel = selected_plane_convention(conventions)
     sel_key = f"{sel:+d}"
-    d_sphere = d_inv = d_rela = d_holo = d_sum = d_tanno = d_third = d_cor = 0.0
-    for i in range(cfg.points):
-        rng = _suite_stream(cfg, "sectional", i)
+
+    def sample(rng, i):
         x = sample_point(s, rng)
         Xt = sample_unit_tangent(s, x, rng)
         Yt = sample_unit_tangent(s, x, rng)
         if abs(s.metric(Xt, Yt)) > 0.999:
-            continue
+            return
         k = sectional(s, Xt, Yt, convention=sel, scheme=cfg.scheme)
-        d_sphere = max(d_sphere, abs(k - 1.0))
+        yield "sectional.sphere_constant", abs(k - 1.0)
         coeffs = rng.standard_normal(4)
         while abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2]) < 0.1:
             coeffs = rng.standard_normal(4)
         U = float(coeffs[0]) * Xt + float(coeffs[1]) * Yt
         V = float(coeffs[2]) * Xt + float(coeffs[3]) * Yt
         k2 = sectional(s, U, V, convention=sel, scheme=cfg.scheme)
-        d_inv = max(d_inv, abs(k - k2))
+        yield "sectional.plane_invariance", abs(k - k2)
 
         Xh = sample_unit_H(s, x, rng)
         total = 0.0
         for a in (1, 2, 3):
             hval = holomorphic_sectional_bar(s, a, Xh, cfg.scheme)
             total += hval
-            d_holo = max(d_holo, abs(hval - 4.0))
+            yield "sectional.holomorphic_constant", abs(hval - 4.0)
             rela = sec_rela_data(s, a, Xh, cfg.scheme)
-            d_rela = max(d_rela, rela["residual"][sel_key])
-        d_sum = max(d_sum, abs(total - 12.0))
+            yield "sectional.sec_rela", rela["residual"][sel_key]
+        yield "sectional.holomorphic_sum", abs(total - 12.0)
 
         tanno = 0.0
         for a in (1, 2, 3):
             ka = sectional(s, Xh, s.phi(a, Xh), convention=sel,
                            scheme=cfg.scheme)
             tanno += ka
-            d_third = max(d_third, abs(ka - 1.0))
-        d_tanno = max(d_tanno, abs(tanno - 3.0))
+            yield "sectional.third_constant", abs(ka - 1.0)
+        yield "sectional.tanno_sum", abs(tanno - 3.0)
 
         lhs, rhs = cor_xxx_data(s, Xh, cfg.scheme)
-        d_cor = max(d_cor, abs(lhs - rhs))
+        yield "sectional.cor_xxx", abs(lhs - rhs)
 
-    def rec(rid, res, details=None):
-        return make_record(rid, suite="sectional",
-                           passed=bool(res <= cfg.tol_second),
-                           max_residual=res, tolerance=cfg.tol_second,
-                           samples=cfg.points, details=details or {})
-
-    conv_detail = {"selected_convention": sel_key}
-    return [
-        rec("sectional.sphere_constant", d_sphere, conv_detail),
-        rec("sectional.plane_invariance", d_inv),
-        rec("sectional.sec_rela", d_rela, conv_detail),
-        rec("sectional.holomorphic_constant", d_holo),
-        rec("sectional.holomorphic_sum", d_sum),
-        rec("sectional.tanno_sum", d_tanno, conv_detail),
-        rec("sectional.third_constant", d_third, conv_detail),
-        rec("sectional.cor_xxx", d_cor),
-    ]
+    conv = {"tolerance": cfg.tol_second,
+            "details": {"selected_convention": sel_key}}
+    return _drive(cfg, "sectional", sample, {
+        "sectional.sphere_constant": conv,
+        "sectional.plane_invariance": cfg.tol_second,
+        "sectional.sec_rela": conv,
+        "sectional.holomorphic_constant": cfg.tol_second,
+        "sectional.holomorphic_sum": cfg.tol_second,
+        "sectional.tanno_sum": conv,
+        "sectional.third_constant": conv,
+        "sectional.cor_xxx": cfg.tol_second,
+    })
 
 
 def _suite_theorem_sec(s, cfg, conventions):
@@ -647,72 +606,66 @@ def _suite_theorem_sec(s, cfg, conventions):
     combo_sel = f"{sel:+d}/{sel:+d}"
     alpha, axis = 1, 2
 
-    d_h = 0.0
-    for i in range(cfg.points):
-        rng = _suite_stream(cfg, "theorem-sec", i)
+    def sample(rng, i):
         x = sample_point(s, rng)
         u = sample_unit_H(s, x, rng)
         data = theorem_sec_data(s, alpha, u, cfg.scheme)
-        d_h = max(d_h, data["residual"][combo_sel])
+        yield "theorem_sec.h_case", data["residual"][combo_sel]
 
-    table = {}
-    best = {}
-    for label, theta in _SWEEP_ANGLES:
-        worst = {}
-        for i in range(cfg.points):
-            rng = _suite_stream(cfg, "theorem-sec", 1000 + i)
-            x = sample_point(s, rng)
-            u = sample_unit_H(s, x, rng)
+        # the sweep and the Reeb axis draw at sample indices 1000 + i and
+        # 2000 + i of the suite's lane; the sweep keys are (angle, combination)
+        rng = _suite_stream(cfg, "theorem-sec", 1000 + i)
+        x = sample_point(s, rng)
+        u = sample_unit_H(s, x, rng)
+        for label, theta in _SWEEP_ANGLES:
             co, si = float(np.cos(theta)), float(np.sin(theta))
             X = co * u + si * s.reeb(axis, x)
             X = TangentVector(x, X.v / np.linalg.norm(X.v))
             data = theorem_sec_data(s, alpha, X, cfg.scheme)
             for combo, res in data["residual"].items():
-                worst[combo] = max(worst.get(combo, 0.0), res)
-        table[label] = {combo: float(res) for combo, res in worst.items()}
-        best[label] = min(worst, key=lambda cmb: worst[cmb])
-    sweep_pass = all(min(table[label].values()) <= cfg.tol_second
-                     for label, _ in _SWEEP_ANGLES)
-    sweep_res = max(min(table[label].values()) for label, _ in _SWEEP_ANGLES)
+                yield (label, combo), res
 
-    d_reeb = 0.0
-    for i in range(cfg.points):
-        rng = _suite_stream(cfg, "theorem-sec", 2000 + i)
-        x = sample_point(s, rng)
+        x = sample_point(s, _suite_stream(cfg, "theorem-sec", 2000 + i))
         data = theorem_sec_data(s, alpha, s.reeb(axis, x), cfg.scheme)
-        d_reeb = max(d_reeb, data["residual"]["+1/+1"])
+        yield "theorem_sec.reeb_case", data["residual"]["+1/+1"]
 
-    return [
-        make_record("theorem_sec.h_case", suite="theorem-sec",
-                    passed=bool(d_h <= cfg.tol_second),
-                    max_residual=d_h, tolerance=cfg.tol_second,
-                    samples=cfg.points,
-                    details={"convention_combination": combo_sel}),
-        make_record("theorem_sec.sweep", suite="theorem-sec", kind="finding",
-                    passed=bool(sweep_pass), max_residual=sweep_res,
-                    tolerance=cfg.tol_second, samples=5 * cfg.points,
-                    details={
-                        "angles": [label for label, _ in _SWEEP_ANGLES],
-                        "residuals": table,
-                        "best_combination": best,
-                        "note": "for mixed directions the measured plane "
-                                "value follows 4 - 8 sin^2 t + 4 sin^4 t "
-                                "under the selected convention, while the "
-                                "prediction carries a 6 sin^4 t quartic "
-                                "term; no convention combination closes "
-                                "the gap away from the endpoints",
-                    }),
-        make_record("theorem_sec.reeb_case", suite="theorem-sec",
-                    kind="finding", passed=bool(d_reeb <= cfg.tol_second),
-                    max_residual=d_reeb, tolerance=cfg.tol_second,
-                    samples=cfg.points,
-                    details={
-                        "convention_combination": "+1/+1",
-                        "note": "along a pure Reeb axis the two sides agree "
-                                "only when both plane measures are taken "
-                                "with the unflipped factor",
-                    }),
-    ]
+    def table(worst):
+        sweep = {label: {} for label, _ in _SWEEP_ANGLES}
+        for key, res in worst.items():
+            if isinstance(key, tuple):
+                sweep[key[0]][key[1]] = float(res)
+        least = [min(row.values()) for row in sweep.values()]
+        return {
+            "theorem_sec.h_case": {
+                "tolerance": cfg.tol_second,
+                "details": {"convention_combination": combo_sel}},
+            "theorem_sec.sweep": {
+                "kind": "finding", "tolerance": cfg.tol_second,
+                "passed": all(m <= cfg.tol_second for m in least),
+                "max_residual": max(least), "samples": 5 * cfg.points,
+                "details": {
+                    "angles": list(sweep),
+                    "residuals": sweep,
+                    "best_combination": {label: min(row, key=row.get)
+                                         for label, row in sweep.items()},
+                    "note": "for mixed directions the measured plane "
+                            "value follows 4 - 8 sin^2 t + 4 sin^4 t "
+                            "under the selected convention, while the "
+                            "prediction carries a 6 sin^4 t quartic "
+                            "term; no convention combination closes "
+                            "the gap away from the endpoints",
+                }},
+            "theorem_sec.reeb_case": {
+                "kind": "finding", "tolerance": cfg.tol_second,
+                "details": {
+                    "convention_combination": "+1/+1",
+                    "note": "along a pure Reeb axis the two sides agree "
+                            "only when both plane measures are taken "
+                            "with the unflipped factor",
+                }},
+        }
+
+    return _drive(cfg, "theorem-sec", sample, table)
 
 
 _SUITE_FUNCS = {
@@ -727,6 +680,9 @@ _SUITE_FUNCS = {
     "theorem-sec": _suite_theorem_sec,
 }
 
+# a failing or errored foundation skips every later suite, for this reason
+_FOUNDATIONS = {"axioms": "structure axioms did not hold",
+                "sasaki": "first-derivative structure identities did not hold"}
 _ORACLE_GATED = ("cross-check", "ricci", "sectional", "theorem-sec")
 
 
@@ -763,22 +719,18 @@ def run_suites(config: RunConfig, structure=None) -> VerificationReport:
             results[name] = {"status": "errored", "records": [],
                              "reason": f"{type(exc).__name__}: {exc}"}
 
-        bad = results[name]["status"] in ("fail", "errored")
-        if name == "axioms" and bad:
+        status = results[name]["status"]
+        if name in _FOUNDATIONS and status in ("fail", "errored"):
             for later in order[order.index(name) + 1:]:
-                blocked.setdefault(later, "structure axioms did not hold")
-        if name == "sasaki" and bad:
-            for later in order[order.index(name) + 1:]:
-                blocked.setdefault(
-                    later, "first-derivative structure identities did not hold")
+                blocked.setdefault(later, _FOUNDATIONS[name])
         if name == "curvature":
             gate = next((r for r in results[name]["records"]
                          if r.id == "curvature.oracle_gate"), None)
             if gate is None or gate.passed is not True:
+                reason = ("the curvature suite errored" if status == "errored"
+                          else "the curvature oracle gate did not pass")
                 for later in _ORACLE_GATED:
-                    if later in order:
-                        blocked.setdefault(
-                            later, "the curvature oracle gate did not pass")
+                    blocked.setdefault(later, reason)
 
     overall = ("pass" if all(b["status"] in ("pass", "skipped")
                              for b in results.values()) else "fail")
@@ -876,6 +828,8 @@ def _cmd_verify(args) -> int:
         print(f"overall: {report.overall}")
     else:
         print(payload)
+    if any(body["status"] == "errored" for body in report.suites.values()):
+        return 2
     return 0 if report.overall == "pass" else 1
 
 
@@ -910,7 +864,3 @@ def main(argv=None) -> int:
     except (StructuralError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -221,6 +221,13 @@ def directional_derivative(f, x, v, scheme=EXACT_FORWARD):
     return out
 
 
+def bracket_raw(F, G, y, scheme=EXACT_FORWARD):
+    """Lie bracket [F, G](y) of two ambient field closures:
+    the derivative of G along F minus that of F along G."""
+    return (directional_derivative(G, y, F(y), scheme)
+            - directional_derivative(F, y, G(y), scheme))
+
+
 # ============================================================
 # orthonormalization
 # ============================================================

@@ -19,6 +19,7 @@ configuration produce byte-identical documents.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "VerificationReport",
     "IDENTITY_REGISTRY",
     "make_record",
+    "worst_residuals",
     "canonical_json",
     "registry_gaps",
 ]
@@ -152,6 +154,17 @@ def make_record(rec_id, suite, kind="check", passed=None, max_residual=None,
     )
 
 
+def worst_residuals(samples, keys=()):
+    """The largest residual under each key, over ``samples``: an iterable
+    of per-sample iterables of ``(key, residual)`` pairs.  ``keys`` come
+    first, in their order, and stay 0.0 if no residual names them."""
+    worst = dict.fromkeys(keys, 0.0)
+    for pairs in samples:
+        for key, res in pairs:
+            worst[key] = max(worst.get(key, 0.0), res)
+    return worst
+
+
 @dataclass
 class VerificationReport:
     schema: str
@@ -217,8 +230,7 @@ def canonical_json(obj, indent=0):
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        import json as _json
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         return canonical_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
@@ -231,8 +243,7 @@ def canonical_json(obj, indent=0):
             return "{}"
         items = []
         for k in sorted(obj):
-            import json as _json
-            items.append(inner + _json.dumps(str(k)) + ": "
+            items.append(inner + json.dumps(str(k)) + ": "
                          + canonical_json(obj[k], indent + 1))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot canonicalize value of type {type(obj).__name__}")

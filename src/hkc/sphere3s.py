@@ -29,14 +29,14 @@ from .numlin import (
     DegenerateInputError,
     PreconditionError,
     StructuralError,
-    directional_derivative,
+    bracket_raw,
     dot,
     gram_schmidt,
     matvec,
     norm,
     quaternion_structures,
 )
-from .records import make_record
+from .records import make_record, worst_residuals
 
 __all__ = [
     "UNIT_TOL",
@@ -266,12 +266,6 @@ class ThreeSasakiStructure:
         v = np.asarray(v, dtype=float)
         return lambda y: v - dot(v, y) * y
 
-    def _lie_raw(self, F, G, y, scheme=EXACT_FORWARD):
-        """[F, G](y) for raw field closures."""
-        dG = directional_derivative(G, y, F(y), scheme)
-        dF = directional_derivative(F, y, G(y), scheme)
-        return dG - dF
-
     def h_tensor(self, alpha, beta, X, scheme=EXACT_FORWARD):
         """Half the Lie derivative of phi_beta along xi_alpha, applied to X.
 
@@ -281,14 +275,14 @@ class ThreeSasakiStructure:
         xi_field = lambda y, a=alpha: self.reeb_raw(a, y)
         ext = self.extension_raw(X.v)
         phi_ext = lambda y, b=beta: self.phi_raw(b, ext(y), y)
-        lie_phi = self._lie_raw(xi_field, phi_ext, x.x, scheme)
-        lie_x = self._lie_raw(xi_field, ext, x.x, scheme)
+        lie_phi = bracket_raw(xi_field, phi_ext, x.x, scheme)
+        lie_x = bracket_raw(xi_field, ext, x.x, scheme)
         out = 0.5 * (lie_phi - self.phi_raw(beta, lie_x, x.x))
         return TangentVector(x, self.tangent_project_raw(out, x.x))
 
     # ---------------- axiom checking ----------------
 
-    def check_structure_axioms(self, points, tol=1e-9, suite="axioms"):
+    def check_structure_axioms(self, points, tol=1e-9):
         """Evaluate every pointwise structure axiom at the given sample
         points.  Returns one record per axiom family; failures are data,
         not exceptions.
@@ -296,11 +290,11 @@ class ThreeSasakiStructure:
         ``points`` is a list of (SpherePoint, TangentVector, TangentVector)
         triples supplying the point and two tangent directions.
         """
-        worst = {key: 0.0 for key in (
-            "quaternion_products", "unit_reeb", "phi_square", "eta_reeb",
-            "compat", "omega_skew", "reeb_cross", "phi_compose", "eta_phi",
-            "projection")}
-
+        worst = worst_residuals(
+            (self._axiom_residuals(*p) for p in points),
+            ("quaternion_products", "unit_reeb", "phi_square", "eta_reeb",
+             "compat", "omega_skew", "reeb_cross", "phi_compose", "eta_phi",
+             "projection"))
         # matrix-level relations, once
         I1, I2, I3 = self.triple.as_tuple()
         ident = np.eye(self.ambient_dim)
@@ -311,55 +305,43 @@ class ThreeSasakiStructure:
             *(float(np.max(np.abs(I @ I + ident))) for I in (I1, I2, I3)),
             *(float(np.max(np.abs(I.T + I))) for I in (I1, I2, I3)),
         )
-
-        for x, X, Y in points:
-            xs = [self.reeb(a, x) for a in (1, 2, 3)]
-            for a in (1, 2, 3):
-                xi = xs[a - 1]
-                worst["unit_reeb"] = max(
-                    worst["unit_reeb"],
-                    abs(self.metric(xi, xi) - 1.0),
-                    abs(float(np.dot(xi.v, x.x))))
-                fX = self.phi(a, X)
-                ffX = self.phi(a, fX)
-                res = ffX.v + X.v - self.eta(a, X) * xi.v
-                worst["phi_square"] = max(worst["phi_square"], norm(res))
-                for b in (1, 2, 3):
-                    dlt = 1.0 if a == b else 0.0
-                    worst["eta_reeb"] = max(
-                        worst["eta_reeb"], abs(self.eta(a, xs[b - 1]) - dlt))
-                worst["compat"] = max(
-                    worst["compat"],
-                    abs(self.metric(fX, self.phi(a, Y)) - self.metric(X, Y)
-                        + self.eta(a, X) * self.eta(a, Y)))
-                worst["omega_skew"] = max(
-                    worst["omega_skew"],
-                    abs(self.omega(a, X, X)),
-                    abs(self.omega(a, X, Y) + self.omega(a, Y, X)))
-            for beta, gamma, theta in EVEN_PERMUTATIONS:
-                worst["reeb_cross"] = max(
-                    worst["reeb_cross"],
-                    norm(self.phi(beta, xs[gamma - 1]).v - xs[theta - 1].v),
-                    norm(self.phi(gamma, xs[beta - 1]).v + xs[theta - 1].v))
-                comp = (self.phi(beta, self.phi(gamma, X)).v
-                        - self.eta(gamma, X) * xs[beta - 1].v)
-                worst["phi_compose"] = max(
-                    worst["phi_compose"], norm(comp - self.phi(theta, X).v))
-                worst["eta_phi"] = max(
-                    worst["eta_phi"],
-                    abs(self.eta(theta, X) - self.eta(beta, self.phi(gamma, X))),
-                    abs(self.eta(theta, X) + self.eta(gamma, self.phi(beta, X))))
-            pX = self.project_H(X)
-            worst["projection"] = max(
-                worst["projection"],
-                norm(self.project_H(pX).v - pX.v),
-                abs(self.metric(pX, Y) - self.metric(X, self.project_H(Y))),
-                *(abs(self.eta(a, pX)) for a in (1, 2, 3)))
-
-        n_samples = len(points)
         return [
-            make_record(f"axioms.{key}", suite=suite, kind="check",
+            make_record(f"axioms.{key}", suite="axioms", kind="check",
                         passed=bool(res <= tol), max_residual=res,
-                        tolerance=tol, samples=n_samples)
+                        tolerance=tol, samples=len(points))
             for key, res in worst.items()
         ]
+
+    def _axiom_residuals(self, x, X, Y):
+        """(axiom family, residual) pairs at one sample point."""
+        xs = [self.reeb(a, x) for a in (1, 2, 3)]
+        for a in (1, 2, 3):
+            xi = xs[a - 1]
+            yield "unit_reeb", abs(self.metric(xi, xi) - 1.0)
+            yield "unit_reeb", abs(float(np.dot(xi.v, x.x)))
+            fX = self.phi(a, X)
+            ffX = self.phi(a, fX)
+            yield "phi_square", norm(ffX.v + X.v - self.eta(a, X) * xi.v)
+            for b in (1, 2, 3):
+                dlt = 1.0 if a == b else 0.0
+                yield "eta_reeb", abs(self.eta(a, xs[b - 1]) - dlt)
+            yield "compat", abs(self.metric(fX, self.phi(a, Y)) - self.metric(X, Y)
+                                + self.eta(a, X) * self.eta(a, Y))
+            yield "omega_skew", abs(self.omega(a, X, X))
+            yield "omega_skew", abs(self.omega(a, X, Y) + self.omega(a, Y, X))
+        for beta, gamma, theta in EVEN_PERMUTATIONS:
+            yield "reeb_cross", norm(self.phi(beta, xs[gamma - 1]).v - xs[theta - 1].v)
+            yield "reeb_cross", norm(self.phi(gamma, xs[beta - 1]).v + xs[theta - 1].v)
+            comp = (self.phi(beta, self.phi(gamma, X)).v
+                    - self.eta(gamma, X) * xs[beta - 1].v)
+            yield "phi_compose", norm(comp - self.phi(theta, X).v)
+            yield "eta_phi", abs(self.eta(theta, X)
+                                 - self.eta(beta, self.phi(gamma, X)))
+            yield "eta_phi", abs(self.eta(theta, X)
+                                 + self.eta(gamma, self.phi(beta, X)))
+        pX = self.project_H(X)
+        yield "projection", norm(self.project_H(pX).v - pX.v)
+        yield "projection", abs(self.metric(pX, Y)
+                                - self.metric(X, self.project_H(Y)))
+        for a in (1, 2, 3):
+            yield "projection", abs(self.eta(a, pX))

@@ -217,7 +217,7 @@ def test_curvature_matches_sphere_oracle(struct, rng):
         x = rand_point(struct, rng)
         X, Y, Z = (rand_field(struct, x, rng) for _ in range(3))
         direct = curvature(LC, X, Y, Z, x)
-        closed = sphere_curvature_oracle(X.at(x), Y.at(x), Z.at(x), sign=+1)
+        closed = sphere_curvature_oracle(X.at(x), Y.at(x), Z.at(x))
         worst = max(worst, (direct - closed).norm())
     assert worst < 1e-12
 

@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import contextlib
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,7 +315,59 @@ def test_cli_curvature_rejects_trivial_distribution(capsys):
     assert "zero-dimensional" in capsys.readouterr().err
 
 
+def test_cli_errored_suites_exit_two(capsys):
+    # at n = 0 the distribution H is empty: the suites that draw from it
+    # error, and the suites behind the curvature gate say why they skipped
+    rc = main(["verify", "--n", "0", "--points", "1"])
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    statuses = {name: body["status"] for name, body in report["suites"].items()}
+    assert statuses == {
+        "axioms": "pass", "sasaki": "pass", "connection": "errored",
+        "torsion": "errored", "curvature": "errored",
+        "cross-check": "skipped", "ricci": "skipped", "sectional": "skipped",
+        "theorem-sec": "skipped"}
+    for name in ("cross-check", "ricci", "sectional", "theorem-sec"):
+        assert report["suites"][name]["reason"] == "the curvature suite errored"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hkc", "verify", "--suites", "axioms",
+         "--points", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["overall"] == "pass"
+
+
+def test_package_exports_are_not_modules():
+    import hkc
+    modules = [name for name in hkc.__all__
+               if isinstance(getattr(hkc, name), types.ModuleType)]
+    assert modules == []
+
+
 def test_text_format_lists_every_record(small_report):
     text = format_text(small_report)
     for r in small_report.iter_records():
         assert r.id in text
+
+
+# ============================================================
+# golden reports
+# ============================================================
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, cfg", [
+    ("report_n1_points4_seed0", RunConfig(n=1, points=4, seed=0)),
+    ("report_n16_points2_seed1", RunConfig(n=16, points=2, seed=1)),
+])
+def test_report_matches_golden_bytes(name, cfg):
+    # the reports were written by an earlier revision; any refactor must
+    # reproduce them byte for byte, every residual to the 17th digit
+    assert run_suites(cfg).to_json() == (GOLDEN / f"{name}.json").read_text()
