@@ -45,9 +45,10 @@ def unit_tangent():
 X = unit_h()
 Y = unit_h()
 
-# round sectional curvature: constant +1 under the selected convention
+# round sectional curvature: constant +1 under the selected normalization,
+# the sign -1 that multiplies sectional's -R4/gram
 print(f"round plane value         : "
-      f"{sectional(s, X, Y, convention=-1):+.12f} (expected +1)")
+      f"{-sectional(s, X, Y):+.12f} (expected +1)")
 
 # holomorphic plane values of the adapted connection
 print("adapted holomorphic values:")

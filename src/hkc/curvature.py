@@ -294,14 +294,18 @@ def _gram(X: TangentVector, Y: TangentVector):
             - float(np.dot(X.v, Y.v)) ** 2)
 
 
-def sectional(structure, X: TangentVector, Y: TangentVector, convention=+1,
-              scheme=EXACT_FORWARD) -> float:
-    """Sectional curvature of the round metric on span{X, Y}:
-    convention * (-R4(X,Y,X,Y)) / gram.
+def _signed(value):
+    """A plane value under each ``plane-normalization`` sign; negation
+    is exact in floating point."""
+    return {"+1": value, "-1": -value}
 
-    ``convention = -1`` flips the leading minus and is the orientation
-    under which the round sphere measures +1 (the globally selected
-    choice; see the conventions ledger in the report).
+
+def sectional(structure, X: TangentVector, Y: TangentVector,
+              scheme=EXACT_FORWARD) -> float:
+    """The round-metric plane value of span{X, Y}, taken literally:
+    -R4(X,Y,X,Y) / gram, which is -1 on every round plane.  Callers
+    multiply by the report's measured ``plane-normalization`` sign, the
+    one that makes round planes measure +1.
     """
     X._check_same_base(Y)
     g = _gram(X, Y)
@@ -310,14 +314,14 @@ def sectional(structure, X: TangentVector, Y: TangentVector, convention=+1,
             f"the two vectors do not span a plane (Gram determinant {g:.3e})")
     Xf = VectorField.extension(structure, X)
     Yf = VectorField.extension(structure, Y)
-    r4 = curvature4(LC, Xf, Yf, Xf, Yf, X.base, scheme)
-    return float(convention) * (-r4) / g
+    return -curvature4(LC, Xf, Yf, Xf, Yf, X.base, scheme) / g
 
 
 def holomorphic_sectional_bar(structure, alpha, X: TangentVector,
                               scheme=EXACT_FORWARD) -> float:
     """The adapted-connection curvature R4-bar(X, phi_a X, X, phi_a X)
-    for a unit distribution vector X."""
+    for a unit distribution vector X: the adapted plane value under the
+    selected normalization (-1), the unit Gram determinant left out."""
     if abs(X.norm() - 1.0) > 1e-10:
         raise PreconditionError("X must have unit length")
     if not structure.in_H(X):
@@ -332,16 +336,15 @@ def holomorphic_sectional_bar(structure, alpha, X: TangentVector,
 # ============================================================
 
 def sec_rela_data(structure, alpha, X: TangentVector, scheme=EXACT_FORWARD):
-    """Residuals of the 'adapted holomorphic value = plane value + 3'
-    relation under both sectional conventions."""
+    """The 'adapted holomorphic value = plane value + 3' relation on
+    span{X, phi_a X}.  ``"k"`` is :func:`holomorphic_sectional_bar`;
+    ``"K"`` maps each plane normalization (``"+1"``, ``"-1"``) to that
+    sign times :func:`sectional`, and ``"residual"`` to |k - 3 - K|.
+    """
     k = holomorphic_sectional_bar(structure, alpha, X, scheme)
-    P = structure.phi(alpha, X)
-    data = {"k": float(k), "K": {}, "residual": {}}
-    for conv in (+1, -1):
-        Kc = sectional(structure, X, P, convention=conv, scheme=scheme)
-        data["K"][f"{conv:+d}"] = float(Kc)
-        data["residual"][f"{conv:+d}"] = abs(k - 3.0 - Kc)
-    return data
+    K = _signed(sectional(structure, X, structure.phi(alpha, X), scheme))
+    return {"k": k, "K": K,
+            "residual": {c: abs(k - 3.0 - Kc) for c, Kc in K.items()}}
 
 
 def cor_xxx_data(structure, X: TangentVector, scheme=EXACT_FORWARD):
@@ -363,9 +366,11 @@ def theorem_sec_data(structure, alpha, X: TangentVector, scheme=EXACT_FORWARD):
         predicted = K + 3 + 4 (eta^b eta^c)^2
                       + 6 (eta^b^4 + eta^c^4) - 8 (eta^b^2 + eta^c^2)
 
-    with (b, c) the two structure indices other than a.  Both curvatures
-    are evaluated under both sign conventions; the result carries the
-    residual for every (adapted, round) convention combination.
+    with (b, c) the two structure indices other than a.  ``"kbar"``
+    (adapted) and ``"k"`` (round) map each plane normalization (``"+1"``,
+    ``"-1"``) to that sign times -R4(X,P,X,P)/gram, P = phi_a X;
+    ``"predicted"`` maps it to k plus the polynomial, and ``"residual"``
+    each combination ``"adapted/round"`` to |kbar - predicted|.
     """
     if abs(X.norm() - 1.0) > 1e-10:
         raise PreconditionError("X must have unit length")
@@ -381,24 +386,16 @@ def theorem_sec_data(structure, alpha, X: TangentVector, scheme=EXACT_FORWARD):
             - 8.0 * (eb ** 2 + ec ** 2))
     Xf = VectorField.extension(structure, X)
     Pf = VectorField.extension(structure, P)
-    r4_bar = curvature4(HC, Xf, Pf, Xf, Pf, X.base, scheme)
-    r4 = curvature4(LC, Xf, Pf, Xf, Pf, X.base, scheme)
-    data = {
+    plane = lambda kind: _signed(
+        -curvature4(kind, Xf, Pf, Xf, Pf, X.base, scheme) / g)
+    kbar, k = plane(HC), plane(LC)
+    predicted = {c: Kc + poly for c, Kc in k.items()}
+    return {
         "eta_components": [float(eb), float(ec)],
-        "kbar": {}, "k": {}, "predicted": {}, "residual": {},
+        "kbar": kbar, "k": k, "predicted": predicted,
+        "residual": {f"{cb}/{ck}": abs(kb - pk) for cb, kb in kbar.items()
+                     for ck, pk in predicted.items()},
     }
-    for cb in (+1, -1):
-        data["kbar"][f"{cb:+d}"] = float(cb) * (-r4_bar) / g
-    for ck in (+1, -1):
-        Kc = float(ck) * (-r4) / g
-        data["k"][f"{ck:+d}"] = Kc
-        data["predicted"][f"{ck:+d}"] = Kc + poly
-    for cb in (+1, -1):
-        for ck in (+1, -1):
-            key = f"{cb:+d}/{ck:+d}"
-            data["residual"][key] = abs(
-                data["kbar"][f"{cb:+d}"] - data["predicted"][f"{ck:+d}"])
-    return data
 
 
 def verify_symmetries(structure, quads, tol=1e-6, scheme=EXACT_FORWARD):
@@ -411,14 +408,16 @@ def verify_symmetries(structure, quads, tol=1e-6, scheme=EXACT_FORWARD):
     quads = list(quads)
 
     def residuals(x, X, Y, Z, W):
-        fX, fY, fZ, fW = (VectorField.extension(structure, V)
-                          for V in (X, Y, Z, W))
-        r = lambda A, B, C, D: curvature4(HC, A, B, C, D, x, scheme)
-        yield "first_pair", abs(r(fX, fY, fZ, fW) + r(fY, fX, fZ, fW))
-        yield "last_pair", abs(r(fX, fY, fZ, fW) + r(fX, fY, fW, fZ))
-        yield "pair_swap", abs(r(fX, fY, fZ, fW) - r(fZ, fW, fX, fY))
-        yield "bianchi", abs(r(fX, fY, fW, fZ) + r(fY, fZ, fW, fX)
-                             + r(fZ, fX, fW, fY))
+        f = dict(zip("XYZW", (VectorField.extension(structure, V)
+                              for V in (X, Y, Z, W))))
+        # the six distinct values the four families compare, each once:
+        # r["XYWZ"] is R4(X, Y, W, Z)
+        r = {key: curvature4(HC, *(f[c] for c in key), x, scheme)
+             for key in ("XYZW", "YXZW", "XYWZ", "ZWXY", "YZWX", "ZXWY")}
+        yield "first_pair", abs(r["XYZW"] + r["YXZW"])
+        yield "last_pair", abs(r["XYZW"] + r["XYWZ"])
+        yield "pair_swap", abs(r["XYZW"] - r["ZWXY"])
+        yield "bianchi", abs(r["XYWZ"] + r["YZWX"] + r["ZXWY"])
 
     worst = worst_residuals((residuals(*q) for q in quads),
                             ("first_pair", "last_pair", "pair_swap", "bianchi"))

@@ -121,18 +121,6 @@ class Dual:
     def __neg__(self):
         return Dual(-self.val, -self.dot)
 
-    def reciprocal(self):
-        r = self.val.reciprocal() if isinstance(self.val, Dual) else 1.0 / self.val
-        return Dual(r, -(self.dot * r) * r)
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            return self * other.reciprocal()
-        return Dual(self.val / other, self.dot / other)
-
-    def __rtruediv__(self, other):
-        return other * self.reciprocal()
-
 
 def dot(u, v):
     """Euclidean inner product, bilinear through any nesting of duals."""
@@ -181,8 +169,9 @@ class DiffScheme:
     def __post_init__(self):
         if self.kind not in ("exact-forward", "central-difference"):
             raise StructuralError(f"unknown differentiation scheme kind {self.kind!r}")
-        if self.kind == "central-difference" and not self.step > 0:
-            raise StructuralError("central-difference step must be positive")
+        if self.kind == "central-difference" and not 0 < self.step < np.inf:
+            raise StructuralError(
+                "central-difference step must be positive and finite")
 
 
 EXACT_FORWARD = DiffScheme("exact-forward")
@@ -235,21 +224,20 @@ def bracket_raw(F, G, y, scheme=EXACT_FORWARD):
 PIVOT_TOL = 1e-10
 
 
-def gram_schmidt(vectors, inner=None):
-    """Orthonormalize ``vectors`` with respect to the bilinear form ``inner``.
+def gram_schmidt(vectors):
+    """Orthonormalize ``vectors`` with respect to the Euclidean inner
+    product.
 
     Modified Gram-Schmidt.  Raises :class:`DegenerateInputError` naming
     the 1-based index of the first vector whose residual norm falls
     below ``PIVOT_TOL``.
     """
-    if inner is None:
-        inner = lambda u, w: float(np.dot(u, w))
     out = []
     for i, v in enumerate(vectors):
         w = np.array(v, dtype=float, copy=True)
         for u in out:
-            w = w - inner(u, w) * u
-        pivot = np.sqrt(max(inner(w, w), 0.0))
+            w = w - float(np.dot(u, w)) * u
+        pivot = norm(w)
         if pivot < PIVOT_TOL:
             raise DegenerateInputError(
                 f"vector {i + 1} is linearly dependent on its predecessors "
@@ -295,30 +283,6 @@ class ComplexStructureTriple:
 
     def as_tuple(self):
         return (self.I1, self.I2, self.I3)
-
-    def validate(self):
-        """Check orthogonality, skewness, squares, and the product cycle.
-
-        The matrices have entries in {-1, 0, 1}, so all checks are exact
-        in floating point; any nonzero residual raises.
-        """
-        ident = np.eye(self.dim)
-        for k, I in enumerate(self.as_tuple(), start=1):
-            if I.shape != (self.dim, self.dim):
-                raise StructuralError(f"structure {k} is not square of size {self.dim}")
-            if not np.array_equal(I.T, -I):
-                raise StructuralError(f"structure {k} is not skew-symmetric")
-            if not np.array_equal(I.T @ I, ident):
-                raise StructuralError(f"structure {k} is not orthogonal")
-            if not np.array_equal(I @ I, -ident):
-                raise StructuralError(f"structure {k} does not square to -identity")
-        I1, I2, I3 = self.as_tuple()
-        for name, lhs, rhs in (("I1@I2 = I3", I1 @ I2, I3),
-                               ("I2@I3 = I1", I2 @ I3, I1),
-                               ("I3@I1 = I2", I3 @ I1, I2)):
-            if not np.array_equal(lhs, rhs):
-                raise StructuralError(f"product relation {name} violated")
-        return True
 
 
 def quaternion_structures(n):

@@ -84,8 +84,8 @@ class SpherePoint:
     def dim(self):
         return self.x.shape[0]
 
-    def same_as(self, other, tol=UNIT_TOL):
-        return self.dim == other.dim and norm(self.x - other.x) <= tol
+    def same_as(self, other):
+        return self.dim == other.dim and norm(self.x - other.x) <= UNIT_TOL
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,6 @@ class TangentVector:
     def norm(self):
         return norm(self.v)
 
-    def unit(self):
-        r = self.norm()
-        if r < 1e-12:
-            raise DegenerateInputError("cannot normalize a zero tangent vector")
-        return TangentVector(self.base, self.v / r)
-
     def _check_same_base(self, other):
         if not self.base.same_as(other.base):
             raise StructuralError("tangent vectors live at different base points")
@@ -129,9 +123,6 @@ class TangentVector:
         return TangentVector(self.base, self.v * float(c))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return TangentVector(self.base, -self.v)
 
 
 @dataclass(frozen=True)
@@ -237,8 +228,8 @@ class ThreeSasakiStructure:
     def project_H(self, X):
         return TangentVector(X.base, self.project_h_raw(X.v, X.base.x))
 
-    def in_H(self, X, tol=TANGENT_TOL):
-        return max(abs(self.eta(a, X)) for a in (1, 2, 3)) <= tol
+    def in_H(self, X):
+        return max(abs(self.eta(a, X)) for a in (1, 2, 3)) <= TANGENT_TOL
 
     # ---------------- frames ----------------
 

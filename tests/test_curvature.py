@@ -276,16 +276,18 @@ def test_sphere_sectional_is_plus_one_under_flipped_convention(struct, rng):
     x = rand_point(struct, rng)
     fr = struct.frame_H(x, seed=4)
     X, Y = fr.vectors[0], fr.vectors[1]
-    assert sectional(struct, X, Y, convention=-1) == pytest.approx(1.0, abs=1e-10)
-    assert sectional(struct, X, Y, convention=+1) == pytest.approx(-1.0, abs=1e-10)
+    # -R4/gram is -1 on a round plane; the selected normalization (-1)
+    # flips it to +1
+    assert sectional(struct, X, Y) == pytest.approx(-1.0, abs=1e-10)
+    assert -sectional(struct, X, Y) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_sectional_plane_invariance(struct, rng):
     x = rand_point(struct, rng)
     X = rand_tv(struct, x, rng)
     Y = rand_tv(struct, x, rng)
-    k1 = sectional(struct, X, Y, convention=-1)
-    k2 = sectional(struct, 2.0 * X, X + Y, convention=-1)
+    k1 = sectional(struct, X, Y)
+    k2 = sectional(struct, 2.0 * X, X + Y)
     assert k1 == pytest.approx(k2, abs=1e-8)
 
 

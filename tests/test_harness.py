@@ -5,11 +5,16 @@ import subprocess
 import sys
 import contextlib
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hkc import connections, harness
+from hkc import curvature as curvature_module
+from hkc.connections import ConnectionKind
+from hkc.curvature import verify_symmetries
 from hkc.harness import (
     SUITE_ORDER,
     RunConfig,
@@ -30,6 +35,9 @@ from hkc.numlin import (
 )
 from hkc.records import registry_gaps
 from hkc.sphere3s import ThreeSasakiStructure
+
+LC = ConnectionKind.LEVI_CIVITA
+HC = ConnectionKind.H_CONNECTION
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +317,31 @@ def test_cli_curvature_subcommand():
     assert "expected +12" in out and "ok" in out
 
 
+@pytest.mark.parametrize("step", ["1e300", "inf"])
+def test_cli_overflowing_fd_step_exits_two(step, capsys):
+    # the sign conventions are resolved ahead of the suites, so an
+    # overflowing step must surface as a configuration error there, and
+    # numpy's overflow warnings must not add lines of their own
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "--scheme", "fd", "--fd-step", step,
+                   "--points", "1", "--suites", "axioms"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_cli_curvature_rejects_negative_seed(monkeypatch, capsys):
+    assert main(["curvature", "--seed", "-1"]) == 2
+    monkeypatch.setenv("HKC_SEED", "-1")
+    assert main(["curvature"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: seed must be a non-negative integer, got -1"] * 2
+
+
 def test_cli_curvature_rejects_trivial_distribution(capsys):
     rc = main(["curvature", "--n", "0"])
     assert rc == 2
@@ -348,6 +381,36 @@ def test_package_exports_are_not_modules():
     modules = [name for name in hkc.__all__
                if isinstance(getattr(hkc, name), types.ModuleType)]
     assert modules == []
+
+
+def test_each_curvature_value_is_evaluated_once(struct, monkeypatch):
+    conventions = resolve_conventions(struct, seed=0)
+    # count the nested curvature calls through every module binding
+    calls = []
+    original = connections.curvature
+
+    def counted(kind, *args, **kwargs):
+        calls.append(kind)
+        return original(kind, *args, **kwargs)
+
+    for module in (connections, curvature_module, harness):
+        monkeypatch.setattr(module, "curvature", counted)
+
+    # one sample: two round planes, then for each of the three structures
+    # the adapted holomorphic value and the round phi_a-plane value, then
+    # the two sides of the cross identity
+    harness._suite_sectional(struct, RunConfig(points=1), conventions)
+    assert calls.count(LC) == 6 and calls.count(HC) == 4
+
+    # six distinct quadrilinear values per quad
+    calls.clear()
+    rng = _stream(0, 62, 0)
+    quads = []
+    for _ in range(2):
+        x = sample_point(struct, rng)
+        quads.append((x, *(sample_unit_H(struct, x, rng) for _ in range(4))))
+    verify_symmetries(struct, quads)
+    assert calls == [HC] * 12
 
 
 def test_text_format_lists_every_record(small_report):

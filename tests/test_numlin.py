@@ -46,13 +46,6 @@ def test_dual_numpy_defers_to_reflected_ops():
     assert np.allclose(out.dot, [1.0, 0.0])
 
 
-def test_dual_reciprocal_rule():
-    d = Dual(4.0, 3.0)
-    r = 1.0 / d
-    assert r.val == 0.25
-    assert r.dot == pytest.approx(-3.0 / 16.0)
-
-
 def test_dot_is_bilinear_through_duals():
     u = Dual(np.array([1.0, 2.0]), np.array([0.5, 0.0]))
     v = np.array([3.0, -1.0])
@@ -183,26 +176,18 @@ def test_gram_schmidt_orthonormality_bound():
         assert np.max(np.abs(gram - np.eye(5))) < 1e-12
 
 
-def test_gram_schmidt_custom_inner():
-    w = np.array([1.0, 4.0, 9.0])
-    inner = lambda u, v: float(np.dot(u * w, v))
-    out = gram_schmidt([np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])],
-                       inner=inner)
-    assert abs(inner(out[0], out[0]) - 1.0) < 1e-12
-    assert abs(inner(out[0], out[1])) < 1e-12
-    assert abs(inner(out[1], out[1]) - 1.0) < 1e-12
-
-
 # ============================================================
 # quaternionic structure matrices
 # ============================================================
 
-def test_quaternion_products_exact_n0():
-    T = quaternion_structures(0)
+@pytest.mark.parametrize("n", [0, 1])
+def test_quaternion_products_exact(n):
+    T = quaternion_structures(n)
     assert np.array_equal(T.I1 @ T.I2, T.I3)
     assert np.array_equal(T.I2 @ T.I3, T.I1)
     assert np.array_equal(T.I3 @ T.I1, T.I2)
-    assert np.array_equal(T.I1 @ T.I1, -np.eye(4))
+    for I in T.as_tuple():
+        assert np.array_equal(I @ I, -np.eye(T.dim))
 
 
 def test_quaternion_block_structure_n1():
@@ -213,15 +198,6 @@ def test_quaternion_block_structure_n1():
         assert np.array_equal(I.T, -I)
         assert np.array_equal(I.T @ I, np.eye(8))
         assert set(np.unique(I)) <= {-1.0, 0.0, 1.0}
-    assert T.validate()
-
-
-def test_quaternion_validate_catches_sign_flip():
-    T = quaternion_structures(1)
-    from hkc.numlin import ComplexStructureTriple
-    broken = ComplexStructureTriple(I1=T.I1, I2=-T.I2, I3=T.I3)
-    with pytest.raises(StructuralError):
-        broken.validate()
 
 
 def test_negative_n_rejected():
