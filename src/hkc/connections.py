@@ -43,6 +43,7 @@ from .numlin import (
     directional_derivative,
     dot,
     norm,
+    value_and_derivative,
 )
 from .sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
 
@@ -130,26 +131,32 @@ def _common_structure(*fields):
 # ============================================================
 
 def _a_raw(s: ThreeSasakiStructure, u, w, y):
-    """The difference tensor A(u, w) at y, for ambient tangent values."""
+    """The difference tensor A(u, w) at y, for ambient tangent values
+    (either argument may be a stack of vectors)."""
     out = None
     for a in (1, 2, 3):
         xi = s.reeb_raw(a, y)
-        term = (dot(xi, u) * s.phi_raw(a, w, y)
+        phi_w = s.phi_raw(a, w, y)
+        # Omega^a(u, w) = g(u, phi_a w)
+        term = (dot(xi, u) * phi_w
                 + dot(xi, w) * s.phi_raw(a, u, y)
-                + s.omega_raw(a, u, w, y) * xi)
+                + dot(u, phi_w) * xi)
         out = term if out is None else out + term
     return out
 
 
 def _cov_raw(s, kind, Xf, Yf, y, scheme):
     """Covariant derivative of the field closure Yf along the field
-    closure Xf, at y.  Dual-generic in y.  The lower slot is tensorial,
-    so a fixed direction w enters as the constant closure ``lambda y: w``."""
-    d = directional_derivative(Yf, y, Xf(y), scheme)
-    lc = d - dot(d, y) * y
+    closure Xf, at y.  Dual-generic in y; Xf may return a stack of
+    directions, giving a stack of derivatives.  Each closure is
+    evaluated once.  The lower slot is tensorial, so a fixed direction w
+    enters as the constant closure ``lambda y: w``."""
+    Xv = Xf(y)
     if kind is ConnectionKind.LEVI_CIVITA:
-        return lc
-    return lc + _a_raw(s, Xf(y), Yf(y), y)
+        d = directional_derivative(Yf, y, Xv, scheme)
+        return d - dot(d, y) * y
+    Yv, d = value_and_derivative(Yf, y, Xv, scheme)
+    return d - dot(d, y) * y + _a_raw(s, Xv, Yv, y)
 
 
 def _h_definitional_raw(s, Xf, Yf, y, scheme):
@@ -241,19 +248,25 @@ def torsion(kind: ConnectionKind, X: VectorField, Y: VectorField,
     return TangentVector(x, s.tangent_project_raw(out, x.x))
 
 
+def _curvature_raw(s, kind, Xf, Yf, Zf, y, scheme):
+    """R(X,Y)Z at y as an ambient vector.  Dual-generic in y; Xf may
+    return a stack of directions, giving a stack of curvature values in
+    one nested pass."""
+    inner_YZ = lambda q: _cov_raw(s, kind, Yf, Zf, q, scheme)
+    inner_XZ = lambda q: _cov_raw(s, kind, Xf, Zf, q, scheme)
+    t1 = _cov_raw(s, kind, Xf, inner_YZ, y, scheme)
+    t2 = _cov_raw(s, kind, Yf, inner_XZ, y, scheme)
+    br = s.tangent_project_raw(bracket_raw(Xf, Yf, y, scheme), y)
+    t3 = _cov_raw(s, kind, lambda q: br, Zf, y, scheme)
+    return s.tangent_project_raw(t1 - t2 - t3, y)
+
+
 def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,
               Z: VectorField, x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
     evaluated by nesting dual numbers through the field closures."""
     s = _common_structure(X, Y, Z)
-    inner_YZ = lambda y: _cov_raw(s, kind, Y, Z, y, scheme)
-    inner_XZ = lambda y: _cov_raw(s, kind, X, Z, y, scheme)
-    t1 = _cov_raw(s, kind, X, inner_YZ, x.x, scheme)
-    t2 = _cov_raw(s, kind, Y, inner_XZ, x.x, scheme)
-    br = bracket_raw(X, Y, x.x, scheme)
-    br = s.tangent_project_raw(br, x.x)
-    t3 = _cov_raw(s, kind, lambda y: br, Z, x.x, scheme)
-    return TangentVector(x, s.tangent_project_raw(t1 - t2 - t3, x.x))
+    return TangentVector(x, _curvature_raw(s, kind, X, Y, Z, x.x, scheme))
 
 
 def curvature4(kind: ConnectionKind, X, Y, Z, W, x: SpherePoint,

@@ -43,6 +43,7 @@ from .connections import (
     VectorField,
     _a_raw,
     _cov_raw,
+    _curvature_raw,
     curvature,
     curvature4,
     sphere_curvature_oracle,
@@ -263,7 +264,12 @@ def cross_check_rbar(structure, samples, scheme=EXACT_FORWARD):
 def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
           seed=0, scheme=EXACT_FORWARD) -> float:
     """Trace of the curvature over an orthonormal basis (4n distribution
-    vectors from a seeded frame plus the three Reeb vectors)."""
+    vectors from a seeded frame plus the three Reeb vectors), in the slot
+    convention S(X,Y) = sum_i g(R(E_i, X) Y, E_i).
+
+    The basis enters as one stacked extension field, so a single nested
+    curvature evaluation gives R(E_i, X)Y for every i; the terms are
+    summed in basis order."""
     X._check_same_base(Y)
     x = X.base
     if kind is ConnectionKind.H_CONNECTION:
@@ -275,14 +281,13 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
     frame = structure.frame_H(x, seed)
     basis = [E.v for E in frame.vectors]
     basis += [structure.reeb_raw(a, x.x) for a in (1, 2, 3)]
-    Xf = VectorField.extension(structure, X)
-    Yf = VectorField.extension(structure, Y)
+    Ef = structure.extension_raw(np.array(basis))
+    R = _curvature_raw(structure, kind, Ef, structure.extension_raw(X.v),
+                       structure.extension_raw(Y.v), x.x, scheme)
     total = 0.0
-    for e in basis:
-        Ef = VectorField.extension(structure, TangentVector(x, e))
-        # slot convention: S(X,Y) = sum_i g(R(E_i, X) Y, E_i)
-        total += curvature4(kind, Ef, Xf, Ef, Yf, x, scheme)
-    return float(total)
+    for r, e in zip(R, Ef(x.x)):
+        total += float(np.dot(r, e))
+    return total
 
 
 # ============================================================

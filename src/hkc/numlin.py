@@ -6,6 +6,10 @@ function that itself takes directional derivatives is again computable
 with the same machinery.  That nesting is what makes curvature tensors
 (second covariant derivatives) evaluable to machine precision without
 finite-difference noise.
+
+A direction may also be a stack of vectors along a leading axis
+(vector-mode forward differentiation): ``dot`` and ``matvec`` act on the
+last axis, so one evaluation carries a derivative per stacked direction.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "EXACT_FORWARD",
     "CENTRAL_DIFFERENCE",
     "directional_derivative",
+    "value_and_derivative",
     "gram_schmidt",
     "ComplexStructureTriple",
     "quaternion_structures",
@@ -123,20 +128,28 @@ class Dual:
 
 
 def dot(u, v):
-    """Euclidean inner product, bilinear through any nesting of duals."""
+    """Euclidean inner product over the last axis, bilinear through any
+    nesting of duals.  Two 1-D (or scalar) leaves give a float; a stack
+    of vectors on either side gives shape ``(..., 1)``, which broadcasts
+    against vectors."""
     if isinstance(u, Dual):
         return Dual(dot(u.val, v.val if isinstance(v, Dual) else v),
                     dot(u.dot, v.val if isinstance(v, Dual) else v)
                     + (dot(u.val, v.dot) if isinstance(v, Dual) else 0.0))
     if isinstance(v, Dual):
         return Dual(dot(u, v.val), dot(u, v.dot))
+    if getattr(u, "ndim", 0) > 1 or getattr(v, "ndim", 0) > 1:
+        return np.matmul(u[..., None, :], v[..., :, None])[..., 0]
     return float(np.dot(u, v))
 
 
 def matvec(M, v):
-    """Apply a constant matrix to a vector or dual vector."""
+    """Apply a constant matrix to a vector, a stack of vectors (last
+    axis), or a dual of either."""
     if isinstance(v, Dual):
         return Dual(matvec(M, v.val), matvec(M, v.dot))
+    if v.ndim > 1:
+        return v @ M.T
     return M @ v
 
 
@@ -178,36 +191,66 @@ EXACT_FORWARD = DiffScheme("exact-forward")
 CENTRAL_DIFFERENCE = DiffScheme("central-difference", 1e-5)
 
 
+def _point_and_direction(x, v):
+    """Plain arrays for plain inputs; ``v`` may be a stack of directions
+    (its last axis matches the point)."""
+    if isinstance(x, Dual) or isinstance(v, Dual):
+        return x, v, False
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if x.shape[-1:] != v.shape[-1:]:
+        raise StructuralError(
+            f"point and direction shapes differ: {x.shape} vs {v.shape}")
+    return x, v, True
+
+
+def _central(f, x, v, step):
+    return (f(x + step * v) - f(x - step * v)) / (2.0 * step)
+
+
+def _checked(out, plain, x, v, scheme):
+    if plain and not _all_finite(out):
+        raise NumericError(
+            f"directional derivative produced non-finite values "
+            f"(scheme={scheme.kind}, |x|={norm(x):.3e}, "
+            f"|v|={norm(v.ravel()):.3e})")
+    return out
+
+
+def value_and_derivative(f, x, v, scheme=EXACT_FORWARD):
+    """``f(x)`` and the derivative of ``f`` at ``x`` along ``v``.
+
+    Under the exact-forward scheme both come out of one evaluation of
+    ``f`` on a dual input.  Under central difference the value costs one
+    evaluation more than the stencil.
+    """
+    x, v, plain = _point_and_direction(x, v)
+    if scheme.kind == "exact-forward":
+        out = f(Dual(x, v))
+        if isinstance(out, Dual):
+            value, out = out.val, out.dot
+        else:
+            # f ignored the dual part, i.e. it is locally constant
+            value, out = out, np.zeros_like(np.asarray(out, dtype=float))
+    else:
+        value, out = f(x), _central(f, x, v, scheme.step)
+    return value, _checked(out, plain, x, v, scheme)
+
+
 def directional_derivative(f, x, v, scheme=EXACT_FORWARD):
     """Derivative of ``f`` at ``x`` along ``v``: d/dt f(x + t v) at t = 0.
 
     ``f`` must accept dual inputs when the exact-forward scheme is used
     (all polynomial/rational closures built in this package do).  The
     call nests: ``x`` and ``v`` may themselves be duals, in which case
-    the result is a dual carrying the next derivative order.
+    the result is a dual carrying the next derivative order.  ``v`` may
+    be a stack of directions, one per leading index; the result is then
+    stacked the same way.
     """
-    plain = not isinstance(x, Dual) and not isinstance(v, Dual)
-    if plain:
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if x.shape != v.shape:
-            raise StructuralError(
-                f"point and direction shapes differ: {x.shape} vs {v.shape}")
     if scheme.kind == "exact-forward":
-        out = f(Dual(x, v))
-        if isinstance(out, Dual):
-            out = out.dot
-        else:
-            # f ignored the dual part, i.e. it is locally constant
-            out = np.zeros_like(np.asarray(out, dtype=float))
-    else:
-        h = scheme.step
-        out = (f(x + h * v) - f(x - h * v)) / (2.0 * h)
-    if plain and not _all_finite(out):
-        raise NumericError(
-            f"directional derivative produced non-finite values "
-            f"(scheme={scheme.kind}, |x|={norm(x):.3e}, |v|={norm(v):.3e})")
-    return out
+        return value_and_derivative(f, x, v, scheme)[1]
+    x, v, plain = _point_and_direction(x, v)
+    return _checked(_central(f, x, v, scheme.step), plain, x, v, scheme)
 
 
 def bracket_raw(F, G, y, scheme=EXACT_FORWARD):

@@ -158,6 +158,8 @@ class ThreeSasakiStructure:
             raise StructuralError(
                 f"structure matrices of size {self.triple.dim} do not match "
                 f"ambient dimension {4 * (self.n + 1)}")
+        self._matrices = dict(zip((1, 2, 3), self.triple.as_tuple()))
+        self._last_frame = None  # ((point bytes, seed), orthonormal H-basis)
 
     # ---------------- dimensions ----------------
 
@@ -176,9 +178,11 @@ class ThreeSasakiStructure:
     # ---------------- raw (dual-generic) layer ----------------
 
     def _I(self, alpha):
-        if alpha not in (1, 2, 3):
-            raise StructuralError(f"structure index must be 1, 2, or 3; got {alpha!r}")
-        return self.triple.as_tuple()[alpha - 1]
+        try:
+            return self._matrices[alpha]
+        except (KeyError, TypeError):
+            raise StructuralError(
+                f"structure index must be 1, 2, or 3; got {alpha!r}") from None
 
     def reeb_raw(self, alpha, y):
         return self.sign * matvec(self._I(alpha), y)
@@ -234,18 +238,29 @@ class ThreeSasakiStructure:
     # ---------------- frames ----------------
 
     def frame_H(self, x, seed):
-        """Deterministic orthonormal basis of H at ``x`` (4n vectors)."""
+        """Deterministic orthonormal basis of H at ``x`` (4n vectors).
+
+        The basis of the latest (point, seed) is kept, so repeated calls
+        there (one per trace in a Ricci sample) orthonormalize once; each
+        call returns fresh copies of its vectors.
+        """
         if self.n == 0:
             return HFrame(base=x, vectors=())
+        key = (x.x.tobytes(), int(seed))
+        if self._last_frame is None or self._last_frame[0] != key:
+            self._last_frame = (key, self._orthonormal_H(x, seed))
+        return HFrame(base=x, vectors=tuple(
+            TangentVector(x, v.copy()) for v in self._last_frame[1]))
+
+    def _orthonormal_H(self, x, seed):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
         for _ in range(10):
             raw = [self.project_h_raw(w, x.x)
                    for w in rng.standard_normal((self.h_dim, self.ambient_dim))]
             try:
-                ortho = gram_schmidt(raw)
+                return gram_schmidt(raw)
             except DegenerateInputError:
                 continue
-            return HFrame(base=x, vectors=tuple(TangentVector(x, v) for v in ortho))
         raise DegenerateInputError(
             "could not assemble an orthonormal H-basis after 10 attempts")
 

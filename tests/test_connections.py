@@ -3,6 +3,7 @@ import pytest
 
 from hkc.numlin import (
     CENTRAL_DIFFERENCE,
+    EXACT_FORWARD,
     InternalConsistencyError,
     directional_derivative,
     dot,
@@ -10,6 +11,7 @@ from hkc.numlin import (
 from hkc.connections import (
     ConnectionKind,
     VectorField,
+    _cov_raw,
     cov_deriv,
     curvature,
     curvature4,
@@ -120,6 +122,29 @@ def test_adapted_connection_forms_disagree_for_wrong_orientation(rng):
     Y = VectorField.extension(s, TangentVector(x, w / np.linalg.norm(w)))
     with pytest.raises(InternalConsistencyError):
         cov_deriv(HC, X, Y, x)
+
+
+@pytest.mark.parametrize("scheme, evaluations", [
+    (EXACT_FORWARD, {LC: (1, 1), HC: (1, 1)}),
+    # the stencil evaluates the lower field twice; the adapted
+    # connection needs its value too
+    (CENTRAL_DIFFERENCE, {LC: (1, 2), HC: (1, 3)}),
+])
+def test_covariant_derivative_evaluates_each_field_once(struct, rng, scheme,
+                                                        evaluations):
+    x = rand_point(struct, rng)
+    X, Y = rand_field(struct, x, rng), rand_field(struct, x, rng)
+    for kind, want in evaluations.items():
+        calls = {"X": 0, "Y": 0}
+
+        def counted(name, field):
+            def f(y):
+                calls[name] += 1
+                return field(y)
+            return f
+
+        _cov_raw(struct, kind, counted("X", X), counted("Y", Y), x.x, scheme)
+        assert (calls["X"], calls["Y"]) == want
 
 
 def test_metricity_of_both_connections(struct, rng):

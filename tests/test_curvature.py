@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hkc.numlin import DegenerateInputError, PreconditionError
-from hkc.connections import ConnectionKind, VectorField, curvature
+from hkc import sphere3s
+from hkc.connections import ConnectionKind, VectorField, curvature, curvature4
 from hkc.curvature import (
     cor_xxx_data,
     cross_check_rbar,
@@ -19,7 +20,7 @@ from hkc.curvature import (
     two_route_gap_form,
     verify_symmetries,
 )
-from hkc.harness import RunConfig, cross_check_families
+from hkc.harness import _SUITE_FUNCS, RunConfig, cross_check_families
 from hkc.sphere3s import TangentVector, ThreeSasakiStructure
 
 LC = ConnectionKind.LEVI_CIVITA
@@ -258,6 +259,43 @@ def test_adapted_trace_rejects_non_distribution_arguments(struct, rng):
     X = rand_tv(struct, x, rng, in_h=True)
     with pytest.raises(PreconditionError):
         ricci(struct, HC, struct.reeb(1, x), X)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_stacked_trace_equals_per_vector_sum(n):
+    # one nested pass over the stacked basis against one curvature4 call
+    # per basis vector, summed in the same order
+    s = ThreeSasakiStructure(n=n)
+    rng = np.random.default_rng(60 + n)
+    x = rand_point(s, rng)
+    X, Y = (rand_tv(s, x, rng, in_h=True) for _ in range(2))
+    basis = [*s.frame_H(x, 9).vectors, *(s.reeb(a, x) for a in (1, 2, 3))]
+    Xf, Yf = (VectorField.extension(s, V) for V in (X, Y))
+    for kind in (LC, HC):
+        per_vector = 0.0
+        for E in basis:
+            Ef = VectorField.extension(s, E)
+            per_vector += curvature4(kind, Ef, Xf, Ef, Yf, x)
+        assert ricci(s, kind, X, Y, seed=9) == pytest.approx(per_vector, abs=1e-12)
+
+
+def test_ricci_sample_orthonormalizes_once(monkeypatch):
+    # the four traces of one ricci sample share one point and one seed
+    calls = []
+    real = sphere3s.gram_schmidt
+    monkeypatch.setattr(sphere3s, "gram_schmidt",
+                        lambda vs: calls.append(1) or real(vs))
+    s = ThreeSasakiStructure(n=2)
+    records = _SUITE_FUNCS["ricci"](s, RunConfig(n=2, points=2, seed=4), {})
+    assert [r.id for r in records] == [
+        "ricci.einstein_lc", "ricci.h_connection", "ricci.h_connection_measured"]
+    assert len(calls) == 2
+    # a repeated call returns equal, fresh vectors
+    x = rand_point(s, np.random.default_rng(1))
+    f1, f2 = s.frame_H(x, 3), s.frame_H(x, 3)
+    assert len(calls) == 3
+    for a, b in zip(f1.vectors, f2.vectors):
+        assert np.array_equal(a.v, b.v) and a.v is not b.v
 
 
 def test_trace_is_basis_independent(struct, rng):

@@ -433,4 +433,56 @@ GOLDEN = Path(__file__).parent / "data"
 def test_report_matches_golden_bytes(name, cfg):
     # the reports were written by an earlier revision; any refactor must
     # reproduce them byte for byte, every residual to the 17th digit
-    assert run_suites(cfg).to_json() == (GOLDEN / f"{name}.json").read_text()
+    got = run_suites(cfg).to_json()
+    want = (GOLDEN / f"{name}.json").read_text()
+    if got != want:
+        diff = field_diff(json.loads(want), json.loads(got))
+        pytest.fail(f"{name}: report bytes differ in {len(diff)} field(s)\n"
+                    + "\n".join(diff or ["(layout only: same fields, other bytes)"]))
+
+
+def _leaves(obj, path=""):
+    """(path, value) for every leaf of a parsed report; list items with an
+    ``id`` are named by it."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            yield from _leaves(val, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list) and obj and all(
+            isinstance(item, dict) and "id" in item for item in obj):
+        for item in obj:
+            yield from _leaves(item, f"{path}[{item['id']}]")
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def field_diff(old, new):
+    """One line per leaf that differs: path, old value, new value and,
+    for two numbers, |delta|."""
+    old, new = dict(_leaves(old)), dict(_leaves(new))
+    lines = []
+    for path in [*old, *(p for p in new if p not in old)]:
+        a, b = old.get(path, "<absent>"), new.get(path, "<absent>")
+        if a == b and type(a) is type(b):
+            continue
+        numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                      for v in (a, b))
+        delta = f"  |delta| {abs(b - a):.3e}" if numeric else ""
+        lines.append(f"{path}: {a!r} -> {b!r}{delta}")
+    return lines
+
+
+def test_field_diff_names_each_moved_leaf():
+    old = {"overall": "fail", "suites": {"ricci": {"status": "fail", "records": [
+        {"id": "ricci.h_connection", "max_residual": 1.0, "passed": False}]}}}
+    new = json.loads(json.dumps(old))
+    new["suites"]["ricci"]["records"][0]["max_residual"] = 1.5
+    new["overall"] = "pass"
+    assert field_diff(old, old) == []
+    assert field_diff(old, new) == [
+        "overall: 'fail' -> 'pass'",
+        "suites.ricci.records[ricci.h_connection].max_residual: "
+        "1.0 -> 1.5  |delta| 5.000e-01",
+    ]

@@ -15,6 +15,7 @@ from hkc.numlin import (
     gram_schmidt,
     matvec,
     quaternion_structures,
+    value_and_derivative,
 )
 
 
@@ -62,6 +63,44 @@ def test_matvec_passes_through_duals():
     assert isinstance(out, Dual)
     assert np.allclose(out.val, [0.0, -1.0])
     assert np.allclose(out.dot, [2.0, 0.0])
+
+
+def test_dot_accepts_python_scalar_leaves():
+    u = Dual(Dual(1.0, 2.0), Dual(3.0, 4.0))
+    s = dot(u, u)
+    # (a + b e1 + c e2 + d e1 e2)^2 with a, b, c, d = 1, 2, 3, 4
+    assert (s.val.val, s.val.dot, s.dot.val, s.dot.dot) == (1.0, 4.0, 6.0, 20.0)
+    assert dot(2.0, 3.5) == 7.0
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_stacked_dot_and_matvec_match_rows(m):
+    # m = 8 equals the dimension: a stack mistaken for a matrix would
+    # still have a valid shape but give wrong rows
+    rng = np.random.default_rng(m)
+    d = 8
+    M = rng.standard_normal((d, d))
+    U = rng.standard_normal((m, d))
+    V = rng.standard_normal((m, d))
+    w = rng.standard_normal(d)
+    # unstacked operands keep their plain numpy evaluation
+    assert dot(w, w) == float(np.dot(w, w))
+    assert np.array_equal(matvec(M, w), M @ w)
+    for got, want in ((dot(U, w), [np.dot(u, w) for u in U]),
+                      (dot(w, U), [np.dot(w, u) for u in U]),
+                      (dot(U, V), [np.dot(u, v) for u, v in zip(U, V)])):
+        assert got.shape == (m, 1)
+        assert np.allclose(got[:, 0], want, rtol=0.0, atol=1e-14)
+    MU = matvec(M, U)
+    assert MU.shape == (m, d)
+    for row, u in zip(MU, U):
+        assert np.allclose(row, M @ u, rtol=0.0, atol=1e-14)
+    # stacked directions through a dual: rows are the per-row duals
+    out = dot(Dual(w, U), Dual(w, V))
+    for i in range(m):
+        row = dot(Dual(w, U[i]), Dual(w, V[i]))
+        assert out.val == row.val
+        assert out.dot[i, 0] == pytest.approx(row.dot, abs=1e-13)
 
 
 # ============================================================
@@ -125,6 +164,43 @@ def test_derivative_linear_in_direction(scale):
     rhs = (scale * directional_derivative(f, x, v)
            + directional_derivative(f, x, w))
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def test_stacked_directions_give_stacked_derivatives():
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal(5)
+    f = lambda y: dot(y, a) * dot(y, y) * y
+    x = rng.standard_normal(5)
+    V = rng.standard_normal((5, 5))
+    for scheme in (EXACT_FORWARD, CENTRAL_DIFFERENCE):
+        out = directional_derivative(f, x, V, scheme)
+        assert out.shape == (5, 5)
+        for row, v in zip(out, V):
+            assert np.allclose(row, directional_derivative(f, x, v, scheme),
+                               rtol=0.0, atol=1e-9)
+
+
+def test_value_and_derivative_is_one_evaluation():
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal(4)
+    calls = []
+
+    def f(y):
+        calls.append(y)
+        return dot(y, a) * y
+
+    x, v = rng.standard_normal((2, 4))
+    value, deriv = value_and_derivative(f, x, v)
+    assert len(calls) == 1
+    assert np.array_equal(value, f(x))
+    assert np.array_equal(deriv, directional_derivative(f, x, v))
+    # the stencil needs no value: one evaluation more for the pair
+    calls.clear()
+    value, deriv = value_and_derivative(f, x, v, CENTRAL_DIFFERENCE)
+    assert len(calls) == 3
+    calls.clear()
+    directional_derivative(f, x, v, CENTRAL_DIFFERENCE)
+    assert len(calls) == 2
 
 
 def test_derivative_shape_mismatch_raises():

@@ -157,6 +157,9 @@ def test_alpha_index_validated(struct, rng):
         struct.reeb(0, x)
     with pytest.raises(StructuralError):
         struct.reeb(4, x)
+    for bad in ("1", None, [1], 1.5):
+        with pytest.raises(StructuralError):
+            struct.phi(bad, struct.reeb(1, x))
 
 
 # ============================================================
