@@ -96,10 +96,11 @@ class VectorField:
     # ----- constructors -----
 
     @classmethod
-    def extension(cls, structure, X: TangentVector):
-        """Canonical global extension of a single tangent vector:
-        y -> v - <v, y> y."""
-        return cls(structure, structure.extension_raw(X.v))
+    def extension(cls, structure, X):
+        """Canonical global extension y -> v - <v, y> y of a tangent vector,
+        or of a sequence of them: a field with one row per vector."""
+        v = X.v if isinstance(X, TangentVector) else [V.v for V in X]
+        return cls(structure, structure.extension_raw(v))
 
     @classmethod
     def reeb(cls, structure, alpha):
@@ -262,19 +263,28 @@ def _curvature_raw(s, kind, Xf, Yf, Zf, y, scheme):
 
 
 def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,
-              Z: VectorField, x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
+              Z: VectorField, x, scheme=EXACT_FORWARD):
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
-    evaluated by nesting dual numbers through the field closures."""
+    evaluated by nesting dual numbers through the field closures.  For a
+    sequence of points, with fields of one row per point, one nested pass
+    gives one tangent vector per point."""
     s = _common_structure(X, Y, Z)
-    return TangentVector(x, _curvature_raw(s, kind, X, Y, Z, x.x, scheme))
+    if isinstance(x, SpherePoint):
+        return TangentVector(x, _curvature_raw(s, kind, X, Y, Z, x.x, scheme))
+    y = np.array([p.x for p in x])
+    R = _curvature_raw(s, kind, X, Y, Z, y, scheme) if len(x) else ()
+    return [TangentVector(p, r) for p, r in zip(x, R)]
 
 
-def curvature4(kind: ConnectionKind, X, Y, Z, W, x: SpherePoint,
-               scheme=EXACT_FORWARD) -> float:
-    """Quadrilinear curvature with slot convention g(R(X,Y)W, Z)."""
-    s = _common_structure(X, Y, Z, W)
+def curvature4(kind: ConnectionKind, X, Y, Z, W, x, scheme=EXACT_FORWARD):
+    """Quadrilinear curvature with slot convention g(R(X,Y)W, Z); one
+    value per point for a sequence of points, as in :func:`curvature`."""
+    _common_structure(X, Y, Z, W)
     R = curvature(kind, X, Y, W, x, scheme)
-    return float(dot(R.v, Z(x.x)))
+    if isinstance(x, SpherePoint):
+        return float(dot(R.v, Z(x.x)))
+    Zv = Z(np.array([p.x for p in x])) if len(x) else ()
+    return [float(dot(r.v, z)) for r, z in zip(R, Zv)]
 
 
 def nabla_bar_phi_defect(alpha, X: VectorField, Y: VectorField,

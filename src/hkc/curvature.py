@@ -23,6 +23,14 @@ from the curvature by an exact eta-trilinear tensor,
 :func:`two_route_gap_form`.  ``cross_check_rbar`` measures that split
 between the differential route and the stated expansion (see the README
 findings section).
+
+The closed forms, plane values and verifiers take a tangent vector per
+vector argument, or equal-length sequences of them (one row each, at its
+own point) and then return a list, one result per row.  Each nested
+curvature value they need is one pass of ``connections.curvature`` over
+all rows, and each row has the bits of its one-row call;
+:func:`cross_check_rbar` and :func:`verify_symmetries` stack all their
+samples this way.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .numlin import (
     EXACT_FORWARD,
     DegenerateInputError,
     PreconditionError,
+    dot,
     norm,
 )
 from .sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
@@ -89,9 +98,29 @@ class CurvatureSample:
 # the algebraic curvature route
 # ============================================================
 
-def rbar_algebraic(structure: ThreeSasakiStructure, X: TangentVector,
-                   Y: TangentVector, Z: TangentVector,
-                   R: TangentVector = None) -> TangentVector:
+def _rows(X):
+    """One tangent vector as a row, or a sequence of them as rows, and
+    whether it was a sequence (the result is then a list, one per row)."""
+    return ([X], False) if isinstance(X, TangentVector) else (list(X), True)
+
+
+def _stacked(kernel, structure, *args):
+    """Apply ``kernel(structure, y, *arrays)``, a closed form over stacked
+    ambient arrays, to tangent vectors at one base point, or row by row to
+    equal-length sequences of them."""
+    (first, many), *rest = (_rows(V) for V in args)
+    rows = list(zip(first, *(r for r, _ in rest)))
+    for row in rows:
+        for V in row[1:]:
+            row[0]._check_same_base(V)
+    bases = [row[0].base for row in rows]
+    arrays = (np.array([V.v for V in col]) for col in zip(*rows))
+    out = kernel(structure, np.array([b.x for b in bases]), *arrays) if rows else []
+    out = [TangentVector(b, r) for b, r in zip(bases, out)]
+    return out if many else out[0]
+
+
+def rbar_algebraic(structure: ThreeSasakiStructure, X, Y, Z, R=None):
     """The stated closed-form expansion of the adapted curvature operator
     applied to (X, Y)Z, transcribed literally: three single-index blocks
     summed over a = 1..3 and four double-index blocks summed over ordered
@@ -102,23 +131,19 @@ def rbar_algebraic(structure: ThreeSasakiStructure, X: TangentVector,
     components it is not the curvature of the adapted connection: it
     exceeds :func:`rbar_difference_tensor` by exactly
     :func:`two_route_gap_form`."""
-    X._check_same_base(Y)
-    X._check_same_base(Z)
-    if R is None:
-        R = sphere_curvature_oracle(X, Y, Z)
-    else:
-        X._check_same_base(R)
-    s = structure
-    y = X.base.x
-    Xv, Yv, Zv = X.v, Y.v, Z.v
+    return _stacked(_rbar_algebraic_raw, structure, X, Y, Z,
+                    *(() if R is None else (R,)))
+
+
+def _rbar_algebraic_raw(s, y, Xv, Yv, Zv, Rv=None):
     et = lambda a, w: s.eta_raw(a, w, y)
     om = lambda a, u, w: s.omega_raw(a, u, w, y)
     phi = lambda a, w: s.phi_raw(a, w, y)
     xi = lambda a: s.reeb_raw(a, y)
-    gXZ = float(np.dot(Xv, Zv))
-    gYZ = float(np.dot(Yv, Zv))
+    gXZ = dot(Xv, Zv)
+    gYZ = dot(Yv, Zv)
 
-    out = np.array(R.v, dtype=float)
+    out = gYZ * Xv - gXZ * Yv if Rv is None else Rv
     for a in (1, 2, 3):
         out = out - 2.0 * om(a, Yv, Xv) * phi(a, Zv) \
                   - om(a, Zv, Xv) * phi(a, Yv) \
@@ -136,7 +161,7 @@ def rbar_algebraic(structure: ThreeSasakiStructure, X: TangentVector,
                   + et(a, Zv) * et(b, phi(a, Yv)) * phi(b, Xv)
         out = out - et(a, Xv) * et(b, phi(a, Zv)) * phi(b, Yv) \
                   - et(a, Zv) * et(b, phi(a, Xv)) * phi(b, Yv)
-    return TangentVector(X.base, s.tangent_project_raw(out, y))
+    return s.tangent_project_raw(out, y)
 
 
 def rbar_difference_tensor(structure: ThreeSasakiStructure, X: TangentVector,
@@ -202,8 +227,7 @@ def rbar_quaternionic_projective(structure: ThreeSasakiStructure,
     return TangentVector(X.base, out)
 
 
-def two_route_gap_form(structure: ThreeSasakiStructure, X: TangentVector,
-                       Y: TangentVector, Z: TangentVector) -> TangentVector:
+def two_route_gap_form(structure: ThreeSasakiStructure, X, Y, Z):
     """The closed form of (stated expansion - adapted curvature).
 
     On the round model :func:`rbar_algebraic` minus the adapted curvature
@@ -217,21 +241,23 @@ def two_route_gap_form(structure: ThreeSasakiStructure, X: TangentVector,
     triple-Reeb argument families, which is exactly where the two routes
     agree.
     """
-    s = structure
-    y = X.base.x
+    return _stacked(_two_route_gap_raw, structure, X, Y, Z)
+
+
+def _two_route_gap_raw(s, y, Xv, Yv, Zv):
     et = lambda a, w: s.eta_raw(a, w, y)
     xi = lambda a: s.reeb_raw(a, y)
-    gXZ = float(np.dot(X.v, Z.v))
-    gYZ = float(np.dot(Y.v, Z.v))
+    gXZ = dot(Xv, Zv)
+    gYZ = dot(Yv, Zv)
     out = np.zeros_like(y)
     for a in (1, 2, 3):
-        out = out + (et(a, Y.v) * gXZ - et(a, X.v) * gYZ) * xi(a)
+        out = out + (et(a, Yv) * gXZ - et(a, Xv) * gYZ) * xi(a)
     for a, b in _PAIRS:
-        out = out + et(a, Y.v) * et(b, X.v) * (et(a, Z.v) * xi(b)
-                                               + et(b, Z.v) * xi(a))
-        out = out + et(a, Z.v) * (et(b, Y.v) * et(a, X.v)
-                                  + et(a, Y.v) * et(b, X.v)) * xi(b)
-    return TangentVector(X.base, out)
+        out = out + et(a, Yv) * et(b, Xv) * (et(a, Zv) * xi(b)
+                                             + et(b, Zv) * xi(a))
+        out = out + et(a, Zv) * (et(b, Yv) * et(a, Xv)
+                                 + et(a, Yv) * et(b, Xv)) * xi(b)
+    return out
 
 
 def cross_check_rbar(structure, samples, scheme=EXACT_FORWARD):
@@ -242,19 +268,16 @@ def cross_check_rbar(structure, samples, scheme=EXACT_FORWARD):
     comes from the differential pipeline, so the comparison does not
     assume the constant-curvature closed form.
     """
-    out = []
-    for x, X, Y, Z in samples:
-        Xf = VectorField.extension(structure, X)
-        Yf = VectorField.extension(structure, Y)
-        Zf = VectorField.extension(structure, Z)
-        direct = curvature(HC, Xf, Yf, Zf, x, scheme)
-        R_lc = curvature(LC, Xf, Yf, Zf, x, scheme)
-        algebraic = rbar_algebraic(structure, X, Y, Z, R=R_lc)
-        out.append(CurvatureSample(
-            point=x, args=(X, Y, Z),
-            value_direct=direct.v, value_algebraic=algebraic.v,
-            residual=norm(direct.v - algebraic.v)))
-    return out
+    samples = list(samples)
+    points = [t[0] for t in samples]
+    X, Y, Z = ([t[k] for t in samples] for k in (1, 2, 3))
+    fields = [VectorField.extension(structure, V) for V in (X, Y, Z)]
+    direct = curvature(HC, *fields, points, scheme)
+    R_lc = curvature(LC, *fields, points, scheme)
+    algebraic = rbar_algebraic(structure, X, Y, Z, R=R_lc)
+    return [CurvatureSample(point=t[0], args=tuple(t[1:]), value_direct=d.v,
+                            value_algebraic=a.v, residual=norm(d.v - a.v))
+            for t, d, a in zip(samples, direct, algebraic)]
 
 
 # ============================================================
@@ -305,64 +328,82 @@ def _signed(value):
     return {"+1": value, "-1": -value}
 
 
-def sectional(structure, X: TangentVector, Y: TangentVector,
-              scheme=EXACT_FORWARD) -> float:
+def _plane_values(structure, kind, Xs, Ys, scheme):
+    """-R4(X,Y,X,Y) / gram for each pair of rows, from one nested pass of
+    the connection ``kind`` over the extensions of the vectors."""
+    grams = []
+    for U, V in zip(Xs, Ys):
+        U._check_same_base(V)
+        g = _gram(U, V)
+        if g <= 1e-10:
+            raise DegenerateInputError(
+                f"the two vectors do not span a plane (Gram determinant {g:.3e})")
+        grams.append(g)
+    Xf = VectorField.extension(structure, Xs)
+    Yf = VectorField.extension(structure, Ys)
+    R4 = curvature4(kind, Xf, Yf, Xf, Yf, [U.base for U in Xs], scheme)
+    return [-r / g for r, g in zip(R4, grams)]
+
+
+def sectional(structure, X, Y, scheme=EXACT_FORWARD):
     """The round-metric plane value of span{X, Y}, taken literally:
     -R4(X,Y,X,Y) / gram, which is -1 on every round plane.  Callers
     multiply by the report's measured ``plane-normalization`` sign, the
     one that makes round planes measure +1.
     """
-    X._check_same_base(Y)
-    g = _gram(X, Y)
-    if g <= 1e-10:
-        raise DegenerateInputError(
-            f"the two vectors do not span a plane (Gram determinant {g:.3e})")
-    Xf = VectorField.extension(structure, X)
-    Yf = VectorField.extension(structure, Y)
-    return -curvature4(LC, Xf, Yf, Xf, Yf, X.base, scheme) / g
+    Xs, many = _rows(X)
+    out = _plane_values(structure, LC, Xs, _rows(Y)[0], scheme)
+    return out if many else out[0]
 
 
-def holomorphic_sectional_bar(structure, alpha, X: TangentVector,
-                              scheme=EXACT_FORWARD) -> float:
+def holomorphic_sectional_bar(structure, alpha, X, scheme=EXACT_FORWARD):
     """The adapted-connection curvature R4-bar(X, phi_a X, X, phi_a X)
     for a unit distribution vector X: the adapted plane value under the
     selected normalization (-1), the unit Gram determinant left out."""
-    if abs(X.norm() - 1.0) > 1e-10:
-        raise PreconditionError("X must have unit length")
-    if not structure.in_H(X):
-        raise PreconditionError("X must lie in the distribution H")
-    Xf = VectorField.extension(structure, X)
+    Xs, many = _rows(X)
+    for U in Xs:
+        if abs(U.norm() - 1.0) > 1e-10:
+            raise PreconditionError("X must have unit length")
+        if not structure.in_H(U):
+            raise PreconditionError("X must lie in the distribution H")
+    Xf = VectorField.extension(structure, Xs)
     Pf = Xf.phi(alpha)
-    return curvature4(HC, Xf, Pf, Xf, Pf, X.base, scheme)
+    out = curvature4(HC, Xf, Pf, Xf, Pf, [U.base for U in Xs], scheme)
+    return out if many else out[0]
 
 
 # ============================================================
 # verifiers
 # ============================================================
 
-def sec_rela_data(structure, alpha, X: TangentVector, scheme=EXACT_FORWARD):
+def sec_rela_data(structure, alpha, X, scheme=EXACT_FORWARD):
     """The 'adapted holomorphic value = plane value + 3' relation on
     span{X, phi_a X}.  ``"k"`` is :func:`holomorphic_sectional_bar`;
     ``"K"`` maps each plane normalization (``"+1"``, ``"-1"``) to that
     sign times :func:`sectional`, and ``"residual"`` to |k - 3 - K|.
     """
-    k = holomorphic_sectional_bar(structure, alpha, X, scheme)
-    K = _signed(sectional(structure, X, structure.phi(alpha, X), scheme))
-    return {"k": k, "K": K,
+    Xs, many = _rows(X)
+    ks = holomorphic_sectional_bar(structure, alpha, Xs, scheme)
+    Ks = sectional(structure, Xs, [structure.phi(alpha, U) for U in Xs], scheme)
+    out = [{"k": k, "K": K,
             "residual": {c: abs(k - 3.0 - Kc) for c, Kc in K.items()}}
+           for k, K in zip(ks, map(_signed, Ks))]
+    return out if many else out[0]
 
 
-def cor_xxx_data(structure, X: TangentVector, scheme=EXACT_FORWARD):
+def cor_xxx_data(structure, X, scheme=EXACT_FORWARD):
     """Both sides of the quadrilinear identity on (X, phi_1 X, phi_2 X,
     phi_3 X): the adapted and round-metric curvature forms agree there."""
-    Xf = VectorField.extension(structure, X)
+    Xs, many = _rows(X)
+    Xf = VectorField.extension(structure, Xs)
     f1, f2, f3 = (Xf.phi(a) for a in (1, 2, 3))
-    lhs = curvature4(HC, Xf, f1, f2, f3, X.base, scheme)
-    rhs = curvature4(LC, Xf, f1, f2, f3, X.base, scheme)
-    return float(lhs), float(rhs)
+    points = [U.base for U in Xs]
+    out = list(zip(curvature4(HC, Xf, f1, f2, f3, points, scheme),
+                   curvature4(LC, Xf, f1, f2, f3, points, scheme)))
+    return out if many else out[0]
 
 
-def theorem_sec_data(structure, alpha, X: TangentVector, scheme=EXACT_FORWARD):
+def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     """Residual table for the plane-comparison polynomial on the plane
     span{X, phi_a X} for a unit vector X (arbitrary Reeb content).
 
@@ -377,30 +418,28 @@ def theorem_sec_data(structure, alpha, X: TangentVector, scheme=EXACT_FORWARD):
     ``"predicted"`` maps it to k plus the polynomial, and ``"residual"``
     each combination ``"adapted/round"`` to |kbar - predicted|.
     """
-    if abs(X.norm() - 1.0) > 1e-10:
-        raise PreconditionError("X must have unit length")
-    P = structure.phi(alpha, X)
-    g = _gram(X, P)
-    if g <= 1e-10:
-        raise DegenerateInputError(
-            f"the plane degenerates (Gram determinant {g:.3e})")
-    others = [b for b in (1, 2, 3) if b != alpha]
-    eb = structure.eta(others[0], X)
-    ec = structure.eta(others[1], X)
-    poly = (3.0 + 4.0 * (eb * ec) ** 2 + 6.0 * (eb ** 4 + ec ** 4)
-            - 8.0 * (eb ** 2 + ec ** 2))
-    Xf = VectorField.extension(structure, X)
-    Pf = VectorField.extension(structure, P)
-    plane = lambda kind: _signed(
-        -curvature4(kind, Xf, Pf, Xf, Pf, X.base, scheme) / g)
-    kbar, k = plane(HC), plane(LC)
-    predicted = {c: Kc + poly for c, Kc in k.items()}
-    return {
-        "eta_components": [float(eb), float(ec)],
-        "kbar": kbar, "k": k, "predicted": predicted,
-        "residual": {f"{cb}/{ck}": abs(kb - pk) for cb, kb in kbar.items()
-                     for ck, pk in predicted.items()},
-    }
+    Xs, many = _rows(X)
+    for U in Xs:
+        if abs(U.norm() - 1.0) > 1e-10:
+            raise PreconditionError("X must have unit length")
+    Ps = [structure.phi(alpha, U) for U in Xs]
+    kbars, ks = (_plane_values(structure, kind, Xs, Ps, scheme)
+                 for kind in (HC, LC))
+    b, c = (i for i in (1, 2, 3) if i != alpha)
+    out = []
+    for U, kbar, k in zip(Xs, kbars, ks):
+        eb, ec = structure.eta(b, U), structure.eta(c, U)
+        poly = (3.0 + 4.0 * (eb * ec) ** 2 + 6.0 * (eb ** 4 + ec ** 4)
+                - 8.0 * (eb ** 2 + ec ** 2))
+        kbar, k = _signed(kbar), _signed(k)
+        predicted = {ck: Kc + poly for ck, Kc in k.items()}
+        out.append({
+            "eta_components": [float(eb), float(ec)],
+            "kbar": kbar, "k": k, "predicted": predicted,
+            "residual": {f"{cb}/{ck}": abs(kb - pk) for cb, kb in kbar.items()
+                         for ck, pk in predicted.items()},
+        })
+    return out if many else out[0]
 
 
 def verify_symmetries(structure, quads, tol=1e-6, scheme=EXACT_FORWARD):
@@ -411,20 +450,21 @@ def verify_symmetries(structure, quads, tol=1e-6, scheme=EXACT_FORWARD):
     vectors in H.  Returns one record per family.
     """
     quads = list(quads)
+    points = [q[0] for q in quads]
+    f = {c: VectorField.extension(structure, [q[k] for q in quads])
+         for k, c in enumerate("XYZW", 1)}
+    # r["XYWZ"][i] is R4(X, Y, W, Z) on quad i
+    r = {key: curvature4(HC, *(f[c] for c in key), points, scheme)
+         for key in ("XYZW", "YXZW", "XYWZ", "ZWXY", "YZWX", "ZXWY")}
 
-    def residuals(x, X, Y, Z, W):
-        f = dict(zip("XYZW", (VectorField.extension(structure, V)
-                              for V in (X, Y, Z, W))))
-        # the six distinct values the four families compare, each once:
-        # r["XYWZ"] is R4(X, Y, W, Z)
-        r = {key: curvature4(HC, *(f[c] for c in key), x, scheme)
-             for key in ("XYZW", "YXZW", "XYWZ", "ZWXY", "YZWX", "ZXWY")}
-        yield "first_pair", abs(r["XYZW"] + r["YXZW"])
-        yield "last_pair", abs(r["XYZW"] + r["XYWZ"])
-        yield "pair_swap", abs(r["XYZW"] - r["ZWXY"])
-        yield "bianchi", abs(r["XYWZ"] + r["YZWX"] + r["ZXWY"])
+    def residuals(i):
+        q = {key: values[i] for key, values in r.items()}
+        yield "first_pair", abs(q["XYZW"] + q["YXZW"])
+        yield "last_pair", abs(q["XYZW"] + q["XYWZ"])
+        yield "pair_swap", abs(q["XYZW"] - q["ZWXY"])
+        yield "bianchi", abs(q["XYWZ"] + q["YZWX"] + q["ZXWY"])
 
-    worst = worst_residuals((residuals(*q) for q in quads),
+    worst = worst_residuals(map(residuals, range(len(quads))),
                             ("first_pair", "last_pair", "pair_swap", "bianchi"))
     return [
         make_record(f"curvature.sym_{name}", suite="curvature", kind="check",

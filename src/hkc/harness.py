@@ -4,7 +4,9 @@ Runs the identity suites against a freshly built structure, collects the
 residuals into a machine-readable report, and resolves the three sign
 conventions empirically before any curvature suite is interpreted.  All
 sampling is driven by counter-keyed seed sequences, so a report is a pure
-function of its configuration.
+function of its configuration.  The four suites of nested curvature
+(curvature, cross-check, sectional, theorem-sec) draw all their samples
+first, then run one stacked pass per connection and slot pattern.
 """
 
 import argparse
@@ -253,17 +255,17 @@ def _samples(cfg, suite, draw):
     return (draw(_suite_stream(cfg, suite, i), i) for i in range(cfg.points))
 
 
-def _drive(cfg, suite, sample, table):
-    """The suite driver: sample, keep the worst residuals, build records.
+def _drive(cfg, suite, samples, table):
+    """The suite driver: keep the worst residuals, build records.
 
-    ``sample(rng, i)`` evaluates sample ``i`` and yields ``(key, residual)``
+    ``samples`` yields, for each sample in order, its ``(key, residual)``
     pairs.  ``table`` maps each record id, in report order, to its
     tolerance or to :func:`make_record` fields that override the defaults
     (the worst residual under the id, its verdict against the tolerance,
     ``cfg.points`` samples).  A callable ``table`` gets the worst
     residuals once sampling is done.
     """
-    worst = worst_residuals(_samples(cfg, suite, sample))
+    worst = worst_residuals(samples)
     if callable(table):
         table = table(worst)
     records = []
@@ -303,7 +305,7 @@ def _suite_sasaki(s, cfg, conventions):
             yield "sasaki.reeb_on_reeb", (rr - s.reeb(c, x)).norm()
             yield "sasaki.reeb_on_reeb", cov_deriv(LC, xa, xa, x, cfg.scheme).norm()
 
-    return _drive(cfg, "sasaki", sample, {
+    return _drive(cfg, "sasaki", _samples(cfg, "sasaki", sample), {
         "sasaki.defect": cfg.tol_second,
         "sasaki.reeb_covariant": cfg.tol_first,
         "sasaki.reeb_bracket": cfg.tol_first,
@@ -367,7 +369,7 @@ def _suite_connection(s, cfg, conventions):
             yield "connection.h_tensor_table", (
                 s.h_tensor(b, a, Xt, cfg.scheme) + phi_c).norm()
 
-    return _drive(cfg, "connection", sample, {
+    return _drive(cfg, "connection", _samples(cfg, "connection", sample), {
         "connection.two_forms_agree": cfg.tol_first,
         "connection.metricity": cfg.tol_first,
         "connection.reeb_parallel": cfg.tol_first,
@@ -402,44 +404,45 @@ def _suite_torsion(s, cfg, conventions):
                          x, cfg.scheme)
             yield "torsion.reeb_pair", (tp + 2.0 * s.reeb(c, x)).norm()
 
-    return _drive(cfg, "torsion", sample, dict.fromkeys(
+    return _drive(cfg, "torsion", _samples(cfg, "torsion", sample), dict.fromkeys(
         ("torsion.lc_zero", "torsion.h_pair", "torsion.mixed",
          "torsion.reeb_pair"), cfg.tol_first))
 
 
 def _suite_curvature(s, cfg, conventions):
-    quads = []
-
-    def sample(rng, i):
+    def draw(rng, i):
         x = sample_point(s, rng)
-        Xt = sample_unit_tangent(s, x, rng)
-        Yt = sample_unit_tangent(s, x, rng)
-        Zt = sample_unit_tangent(s, x, rng)
-        X, Y, Z = _ext(s, Xt), _ext(s, Yt), _ext(s, Zt)
+        XYZ = [sample_unit_tangent(s, x, rng) for _ in range(3)]
+        return x, XYZ, (x, *(sample_unit_H(s, x, rng) for _ in range(4)))
 
-        direct = curvature(LC, X, Y, Z, x, cfg.scheme)
+    points, XYZ, quads = zip(*_samples(cfg, "curvature", draw))
+    X, Y, Z = (_ext(s, col) for col in zip(*XYZ))
+    xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
+
+    # one nested pass per connection and slot pattern, over all samples
+    R = lambda kind, *fields: curvature(kind, *fields, points, cfg.scheme)
+    direct = R(LC, X, Y, Z)
+    lc = {a: R(LC, X, Y, xi[a]) for a in xi}
+    last = {a: R(HC, X, Y, xi[a]) for a in xi}
+    middle = {a: R(HC, X, xi[a], Z) for a in xi}
+    pair = [(R(HC, xi[a], xi[b], Z), R(HC, xi[a], xi[b], xi[c]))
+            for a, b, c in EVEN_PERMUTATIONS]
+
+    def sample(i):
+        Xt, Yt, Zt = XYZ[i]
         oracle = sphere_curvature_oracle(Xt, Yt, Zt)
-        yield "curvature.oracle_gate", (direct - oracle).norm()
-
+        yield "curvature.oracle_gate", (direct[i] - oracle).norm()
         for a in (1, 2, 3):
-            xi_f = VectorField.reeb(s, a)
-            r_xi = curvature(LC, X, Y, xi_f, x, cfg.scheme)
             want = s.eta(a, Yt) * Xt + (-s.eta(a, Xt)) * Yt
-            yield "curvature.reeb_curvature_lc", (r_xi - want).norm()
-            yield "curvature.annihilation_last", curvature(
-                HC, X, Y, xi_f, x, cfg.scheme).norm()
-            yield "curvature.annihilation_middle", curvature(
-                HC, X, xi_f, Z, x, cfg.scheme).norm()
-        for (a, b, c) in EVEN_PERMUTATIONS:
-            xa, xb = VectorField.reeb(s, a), VectorField.reeb(s, b)
-            yield "curvature.annihilation_pair", curvature(
-                HC, xa, xb, Z, x, cfg.scheme).norm()
-            yield "curvature.annihilation_pair", curvature(
-                HC, xa, xb, VectorField.reeb(s, c), x, cfg.scheme).norm()
+            yield "curvature.reeb_curvature_lc", (lc[a][i] - want).norm()
+            yield "curvature.annihilation_last", last[a][i].norm()
+            yield "curvature.annihilation_middle", middle[a][i].norm()
+        for with_z, with_xi in pair:
+            yield "curvature.annihilation_pair", with_z[i].norm()
+            yield "curvature.annihilation_pair", with_xi[i].norm()
 
-        quads.append((x, *(sample_unit_H(s, x, rng) for _ in range(4))))
-
-    records = _drive(cfg, "curvature", sample, dict.fromkeys(
+    records = _drive(cfg, "curvature", map(sample, range(cfg.points)),
+                     dict.fromkeys(
         ("curvature.oracle_gate", "curvature.reeb_curvature_lc",
          "curvature.annihilation_last", "curvature.annihilation_middle",
          "curvature.annihilation_pair"), cfg.tol_second))
@@ -447,40 +450,42 @@ def _suite_curvature(s, cfg, conventions):
                                        scheme=cfg.scheme)
 
 
-def _cross_check_draw(s, rng, i):
-    """Sample ``i`` of each cross-check family, as (point, X, Y, Z)."""
-    x = sample_point(s, rng)
-    Xh = sample_unit_H(s, x, rng)
-    Yh = sample_unit_H(s, x, rng)
-    Zh = sample_unit_H(s, x, rng)
-    a = 1 + (i % 3)
-    b = 1 + ((i + 1) % 3)
-    pair_tail = s.reeb(1 + ((i + 2) % 3), x) if i % 3 == 2 else Zh
-    return {
-        "pure_h": (x, Xh, Yh, Zh),
-        "reeb_last": (x, Xh, Yh, s.reeb(a, x)),
-        "reeb_pairs": (x, s.reeb(a, x), s.reeb(b, x), pair_tail),
-        "single_reeb": (x, Xh, s.reeb(a, x), Zh),
-        "generic": (x, *(sample_unit_tangent(s, x, rng) for _ in range(3))),
-    }
-
-
 def cross_check_families(s, cfg):
     """The five argument families of the cross-check suite, each a list
     of ``cfg.points`` tuples (point, X, Y, Z) drawn from the suite's own
     sampling lane: ``pure_h``, ``reeb_last``, ``reeb_pairs``,
     ``single_reeb`` and ``generic``."""
-    draws = list(_samples(cfg, "cross-check",
-                          lambda rng, i: _cross_check_draw(s, rng, i)))
+    def draw(rng, i):
+        x = sample_point(s, rng)
+        Xh = sample_unit_H(s, x, rng)
+        Yh = sample_unit_H(s, x, rng)
+        Zh = sample_unit_H(s, x, rng)
+        a = 1 + (i % 3)
+        b = 1 + ((i + 1) % 3)
+        pair_tail = s.reeb(1 + ((i + 2) % 3), x) if i % 3 == 2 else Zh
+        return {
+            "pure_h": (x, Xh, Yh, Zh),
+            "reeb_last": (x, Xh, Yh, s.reeb(a, x)),
+            "reeb_pairs": (x, s.reeb(a, x), s.reeb(b, x), pair_tail),
+            "single_reeb": (x, Xh, s.reeb(a, x), Zh),
+            "generic": (x, *(sample_unit_tangent(s, x, rng) for _ in range(3))),
+        }
+
+    draws = list(_samples(cfg, "cross-check", draw))
     return {name: [d[name] for d in draws] for name in draws[0]}
 
 
 def _suite_cross_check(s, cfg, conventions):
-    def sample(rng, i):
-        draw = _cross_check_draw(s, rng, i)
-        for name, r in zip(draw, cross_check_rbar(s, draw.values(), cfg.scheme)):
+    families = cross_check_families(s, cfg)
+    # sample-major rows: the five families of sample 0, then of sample 1...
+    rows = [t for sample in zip(*families.values()) for t in sample]
+    results = cross_check_rbar(s, rows, cfg.scheme)
+    gaps = two_route_gap_form(s, *([t[k] for t in rows] for k in (1, 2, 3)))
+
+    def sample(i):
+        at = slice(len(families) * i, len(families) * (i + 1))
+        for name, r, gap in zip(families, results[at], gaps[at]):
             yield f"cross_check.{name}", r.residual
-            gap = two_route_gap_form(s, *r.args)
             yield "gap", float(np.linalg.norm(
                 r.value_algebraic - r.value_direct - gap.v))
 
@@ -501,7 +506,7 @@ def _suite_cross_check(s, cfg, conventions):
                                 "two arguments lie in H",
                     }}}
 
-    return _drive(cfg, "cross-check", sample, table)
+    return _drive(cfg, "cross-check", map(sample, range(cfg.points)), table)
 
 
 def _suite_ricci(s, cfg, conventions):
@@ -528,7 +533,7 @@ def _suite_ricci(s, cfg, conventions):
         yield "ricci.h_connection_measured", abs(diag - measured[0])
         yield "ricci.h_connection_measured", abs(off - measured[0] * gxy)
 
-    return _drive(cfg, "ricci", sample, lambda worst: {
+    return _drive(cfg, "ricci", _samples(cfg, "ricci", sample), lambda worst: {
         "ricci.einstein_lc": {"tolerance": cfg.tol_second,
                               "details": {"constant": c_lc}},
         "ricci.h_connection": {"tolerance": cfg.tol_second,
@@ -550,43 +555,49 @@ def _suite_sectional(s, cfg, conventions):
     sel = selected_plane_convention(conventions)
     sel_key = f"{sel:+d}"
 
-    def sample(rng, i):
+    def draw(rng, i):
         x = sample_point(s, rng)
         Xt = sample_unit_tangent(s, x, rng)
         Yt = sample_unit_tangent(s, x, rng)
         if abs(s.metric(Xt, Yt)) > 0.999:
-            return
-        k = sel * sectional(s, Xt, Yt, cfg.scheme)
-        yield "sectional.sphere_constant", abs(k - 1.0)
+            return None
         coeffs = rng.standard_normal(4)
         while abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2]) < 0.1:
             coeffs = rng.standard_normal(4)
         U = float(coeffs[0]) * Xt + float(coeffs[1]) * Yt
         V = float(coeffs[2]) * Xt + float(coeffs[3]) * Yt
-        k2 = sel * sectional(s, U, V, cfg.scheme)
-        yield "sectional.plane_invariance", abs(k - k2)
+        return (Xt, U), (Yt, V), sample_unit_H(s, x, rng)
 
-        # one sec_rela_data call gives both the adapted holomorphic value
-        # and the round phi_a-plane value of Xh
-        Xh = sample_unit_H(s, x, rng)
+    draws = [d for d in _samples(cfg, "sectional", draw) if d is not None]
+    # planes alternates span{Xt, Yt} and span{U, V}; one sec_rela_data call
+    # per structure gives the holomorphic and phi_a-plane values of each Xh
+    planes = sectional(s, [X for d in draws for X in d[0]],
+                       [Y for d in draws for Y in d[1]], cfg.scheme)
+    Xh = [d[2] for d in draws]
+    rela = {a: sec_rela_data(s, a, Xh, cfg.scheme) for a in (1, 2, 3)}
+    cor = cor_xxx_data(s, Xh, cfg.scheme)
+
+    def sample(i):
+        k, k2 = sel * planes[2 * i], sel * planes[2 * i + 1]
+        yield "sectional.sphere_constant", abs(k - 1.0)
+        yield "sectional.plane_invariance", abs(k - k2)
         total = tanno = 0.0
         for a in (1, 2, 3):
-            rela = sec_rela_data(s, a, Xh, cfg.scheme)
-            ka = rela["K"][sel_key]
-            total += rela["k"]
+            r = rela[a][i]
+            ka = r["K"][sel_key]
+            total += r["k"]
             tanno += ka
-            yield "sectional.holomorphic_constant", abs(rela["k"] - 4.0)
-            yield "sectional.sec_rela", rela["residual"][sel_key]
+            yield "sectional.holomorphic_constant", abs(r["k"] - 4.0)
+            yield "sectional.sec_rela", r["residual"][sel_key]
             yield "sectional.third_constant", abs(ka - 1.0)
         yield "sectional.holomorphic_sum", abs(total - 12.0)
         yield "sectional.tanno_sum", abs(tanno - 3.0)
-
-        lhs, rhs = cor_xxx_data(s, Xh, cfg.scheme)
+        lhs, rhs = cor[i]
         yield "sectional.cor_xxx", abs(lhs - rhs)
 
     conv = {"tolerance": cfg.tol_second,
             "details": {"selected_convention": sel_key}}
-    return _drive(cfg, "sectional", sample, {
+    return _drive(cfg, "sectional", map(sample, range(len(draws))), {
         "sectional.sphere_constant": conv,
         "sectional.plane_invariance": cfg.tol_second,
         "sectional.sec_rela": conv,
@@ -603,28 +614,34 @@ def _suite_theorem_sec(s, cfg, conventions):
     combo_sel = f"{sel:+d}/{sel:+d}"
     alpha, axis = 1, 2
 
-    def sample(rng, i):
+    def draw(rng, i):
+        # the H case, the five sweep angles and the Reeb axis; the sweep
+        # and the axis draw at sample indices 1000 + i and 2000 + i
         x = sample_point(s, rng)
-        u = sample_unit_H(s, x, rng)
-        data = theorem_sec_data(s, alpha, u, cfg.scheme)
-        yield "theorem_sec.h_case", data["residual"][combo_sel]
-
-        # the sweep and the Reeb axis draw at sample indices 1000 + i and
-        # 2000 + i of the suite's lane; the sweep keys are (angle, combination)
+        h_case = sample_unit_H(s, x, rng)
         rng = _suite_stream(cfg, "theorem-sec", 1000 + i)
         x = sample_point(s, rng)
         u = sample_unit_H(s, x, rng)
-        for label, theta in _SWEEP_ANGLES:
+        sweep = []
+        for _, theta in _SWEEP_ANGLES:
             co, si = float(np.cos(theta)), float(np.sin(theta))
             X = co * u + si * s.reeb(axis, x)
-            X = TangentVector(x, X.v / np.linalg.norm(X.v))
-            data = theorem_sec_data(s, alpha, X, cfg.scheme)
-            for combo, res in data["residual"].items():
-                yield (label, combo), res
-
+            sweep.append(TangentVector(x, X.v / np.linalg.norm(X.v)))
         x = sample_point(s, _suite_stream(cfg, "theorem-sec", 2000 + i))
-        data = theorem_sec_data(s, alpha, s.reeb(axis, x), cfg.scheme)
-        yield "theorem_sec.reeb_case", data["residual"]["+1/+1"]
+        return [h_case, *sweep, s.reeb(axis, x)]
+
+    data = theorem_sec_data(
+        s, alpha, [X for d in _samples(cfg, "theorem-sec", draw) for X in d],
+        cfg.scheme)
+
+    def sample(i):
+        h_case, *sweep, reeb_case = data[7 * i:7 * (i + 1)]
+        yield "theorem_sec.h_case", h_case["residual"][combo_sel]
+        # the sweep keys are (angle, combination)
+        for (label, _), row in zip(_SWEEP_ANGLES, sweep):
+            for combo, res in row["residual"].items():
+                yield (label, combo), res
+        yield "theorem_sec.reeb_case", reeb_case["residual"]["+1/+1"]
 
     def table(worst):
         sweep = {label: {} for label, _ in _SWEEP_ANGLES}
@@ -662,7 +679,7 @@ def _suite_theorem_sec(s, cfg, conventions):
                 }},
         }
 
-    return _drive(cfg, "theorem-sec", sample, table)
+    return _drive(cfg, "theorem-sec", map(sample, range(cfg.points)), table)
 
 
 _SUITE_FUNCS = {

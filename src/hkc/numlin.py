@@ -145,11 +145,12 @@ def dot(u, v):
 
 def matvec(M, v):
     """Apply a constant matrix to a vector, a stack of vectors (last
-    axis), or a dual of either."""
+    axis), or a dual of either.  A stack is one matrix-vector product per
+    row, so each row has the bits of ``M @ row``."""
     if isinstance(v, Dual):
         return Dual(matvec(M, v.val), matvec(M, v.dot))
     if v.ndim > 1:
-        return v @ M.T
+        return np.matmul(M, v[..., None])[..., 0]
     return M @ v
 
 
@@ -212,7 +213,7 @@ def _checked(out, plain, x, v, scheme):
     if plain and not _all_finite(out):
         raise NumericError(
             f"directional derivative produced non-finite values "
-            f"(scheme={scheme.kind}, |x|={norm(x):.3e}, "
+            f"(scheme={scheme.kind}, |x|={norm(x.ravel()):.3e}, "
             f"|v|={norm(v.ravel()):.3e})")
     return out
 

@@ -440,3 +440,65 @@ def test_symmetry_families_on_h(struct, rng):
     for r in recs:
         assert r.passed, (r.id, r.max_residual)
         assert r.max_residual < 1e-10
+
+
+# ============================================================
+# stacked evaluation
+# ============================================================
+
+def _sweep_vectors(s, count, rng):
+    # cos(t) u + sin(t) xi_2 at fresh points, t running over [0, pi/2]
+    out = []
+    for k in range(count):
+        x = rand_point(s, rng)
+        u = rand_tv(s, x, rng, in_h=True)
+        t = k * np.pi / (2.0 * (count - 1))
+        X = float(np.cos(t)) * u + float(np.sin(t)) * s.reeb(2, x)
+        out.append(TangentVector(x, X.v / np.linalg.norm(X.v)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_rows_equal_one_at_a_time_calls(n):
+    # every row of a stacked evaluation has the bits of the call on that
+    # row alone; each family includes a batch as long as the ambient
+    # dimension d, where a stack mistaken for a matrix keeps a valid shape
+    s = ThreeSasakiStructure(n=n)
+    d = s.ambient_dim
+    rng = np.random.default_rng(70 + n)
+
+    families = cross_check_families(s, RunConfig(n=n, points=3))
+    triples = [t for rows in families.values() for t in rows]
+    assert len(triples) > d
+    for batch in (triples, triples[:d]):
+        gaps = two_route_gap_form(s, *([t[k] for t in batch] for k in (1, 2, 3)))
+        for t, row, gap in zip(batch, cross_check_rbar(s, batch), gaps):
+            (alone,) = cross_check_rbar(s, [t])
+            assert np.array_equal(row.value_direct, alone.value_direct)
+            assert np.array_equal(row.value_algebraic, alone.value_algebraic)
+            assert row.residual == alone.residual
+            assert np.array_equal(gap.v, two_route_gap_form(s, *t[1:]).v)
+
+    sweep = _sweep_vectors(s, d, rng)
+    for X, row in zip(sweep, theorem_sec_data(s, 1, sweep)):
+        assert row == theorem_sec_data(s, 1, X)
+
+    Xh = [rand_tv(s, rand_point(s, rng), rng, in_h=True) for _ in range(d)]
+    rela = sec_rela_data(s, 2, Xh)
+    for X, row, cor in zip(Xh, rela, cor_xxx_data(s, Xh)):
+        assert row == sec_rela_data(s, 2, X)
+        assert cor == cor_xxx_data(s, X)
+
+    quads = []
+    for _ in range(d):
+        x = rand_point(s, rng)
+        quads.append((x, *(rand_tv(s, x, rng, in_h=True) for _ in range(4))))
+    fields = [VectorField.extension(s, [q[k] for q in quads]) for k in (1, 2, 3)]
+    stacked = curvature(HC, *fields, [q[0] for q in quads])
+    together = verify_symmetries(s, quads)
+    alone = [verify_symmetries(s, [q]) for q in quads]
+    for i, (x, X, Y, Z, _) in enumerate(quads):
+        want = curvature(HC, *(VectorField.extension(s, V) for V in (X, Y, Z)), x)
+        assert np.array_equal(stacked[i].v, want.v)
+    for k, record in enumerate(together):
+        assert record.max_residual == max(a[k].max_residual for a in alone)

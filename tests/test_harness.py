@@ -30,11 +30,12 @@ from hkc.harness import (
 from hkc.numlin import (
     CENTRAL_DIFFERENCE,
     ComplexStructureTriple,
+    DiffScheme,
     PreconditionError,
     StructuralError,
 )
 from hkc.records import registry_gaps
-from hkc.sphere3s import ThreeSasakiStructure
+from hkc.sphere3s import SpherePoint, ThreeSasakiStructure
 
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
@@ -383,34 +384,62 @@ def test_package_exports_are_not_modules():
     assert modules == []
 
 
-def test_each_curvature_value_is_evaluated_once(struct, monkeypatch):
-    conventions = resolve_conventions(struct, seed=0)
-    # count the nested curvature calls through every module binding
-    calls = []
+def _count_curvature(monkeypatch):
+    """Count the nested curvature passes (calls) through every module
+    binding, and the values they carry per kind (one per point)."""
+    passes, rows = [], {LC: 0, HC: 0}
     original = connections.curvature
 
-    def counted(kind, *args, **kwargs):
-        calls.append(kind)
-        return original(kind, *args, **kwargs)
+    def counted(kind, X, Y, Z, x, *args, **kwargs):
+        passes.append(kind)
+        rows[kind] += 1 if isinstance(x, SpherePoint) else len(x)
+        return original(kind, X, Y, Z, x, *args, **kwargs)
 
     for module in (connections, curvature_module, harness):
         monkeypatch.setattr(module, "curvature", counted)
+    return passes, rows
 
-    # one sample: two round planes, then for each of the three structures
+
+def test_each_curvature_value_is_evaluated_once(struct, monkeypatch):
+    conventions = resolve_conventions(struct, seed=0)
+    passes, rows = _count_curvature(monkeypatch)
+
+    # per sample: two round planes, then for each of the three structures
     # the adapted holomorphic value and the round phi_a-plane value, then
     # the two sides of the cross identity
-    harness._suite_sectional(struct, RunConfig(points=1), conventions)
-    assert calls.count(LC) == 6 and calls.count(HC) == 4
+    harness._suite_sectional(struct, RunConfig(points=2), conventions)
+    assert rows == {LC: 2 * 6, HC: 2 * 4}
 
-    # six distinct quadrilinear values per quad
-    calls.clear()
+    # six distinct quadrilinear values per quad, all quads in each pass
+    passes.clear()
+    rows.update({LC: 0, HC: 0})
     rng = _stream(0, 62, 0)
     quads = []
     for _ in range(2):
         x = sample_point(struct, rng)
         quads.append((x, *(sample_unit_H(struct, x, rng) for _ in range(4))))
     verify_symmetries(struct, quads)
-    assert calls == [HC] * 12
+    assert passes == [HC] * 6
+    assert rows == {LC: 0, HC: 2 * 6}
+
+
+@pytest.mark.parametrize("suite, lc, hc", [
+    ("curvature", 4, 12 + 6),
+    ("cross-check", 1, 1),
+    ("sectional", 5, 4),
+    ("theorem-sec", 1, 1),
+])
+def test_nested_passes_do_not_grow_with_points(struct, monkeypatch, suite,
+                                               lc, hc):
+    # one stacked pass per connection and slot pattern, whatever the
+    # number of sample points
+    conventions = resolve_conventions(struct, seed=0)
+    passes, _ = _count_curvature(monkeypatch)
+    for points in (1, 4):
+        passes.clear()
+        harness._SUITE_FUNCS[suite](struct, RunConfig(points=points),
+                                    conventions)
+        assert (passes.count(LC), passes.count(HC)) == (lc, hc), points
 
 
 def test_text_format_lists_every_record(small_report):
@@ -429,6 +458,9 @@ GOLDEN = Path(__file__).parent / "data"
 @pytest.mark.parametrize("name, cfg", [
     ("report_n1_points4_seed0", RunConfig(n=1, points=4, seed=0)),
     ("report_n16_points2_seed1", RunConfig(n=16, points=2, seed=1)),
+    ("report_n1_points3_seed0_fd1e-4", RunConfig(
+        n=1, points=3, seed=0,
+        scheme=DiffScheme("central-difference", 1e-4))),
 ])
 def test_report_matches_golden_bytes(name, cfg):
     # the reports were written by an earlier revision; any refactor must

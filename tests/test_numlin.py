@@ -86,15 +86,17 @@ def test_stacked_dot_and_matvec_match_rows(m):
     # unstacked operands keep their plain numpy evaluation
     assert dot(w, w) == float(np.dot(w, w))
     assert np.array_equal(matvec(M, w), M @ w)
+    # each stacked row has the bits of its unstacked evaluation, also for
+    # a dense matrix, where the summation order shows in the last bits
     for got, want in ((dot(U, w), [np.dot(u, w) for u in U]),
                       (dot(w, U), [np.dot(w, u) for u in U]),
                       (dot(U, V), [np.dot(u, v) for u, v in zip(U, V)])):
         assert got.shape == (m, 1)
-        assert np.allclose(got[:, 0], want, rtol=0.0, atol=1e-14)
+        assert np.array_equal(got[:, 0], want)
     MU = matvec(M, U)
     assert MU.shape == (m, d)
     for row, u in zip(MU, U):
-        assert np.allclose(row, M @ u, rtol=0.0, atol=1e-14)
+        assert np.array_equal(row, M @ u)
     # stacked directions through a dual: rows are the per-row duals
     out = dot(Dual(w, U), Dual(w, V))
     for i in range(m):
@@ -211,6 +213,16 @@ def test_derivative_shape_mismatch_raises():
 def test_derivative_nonfinite_raises():
     with pytest.raises(NumericError):
         directional_derivative(lambda y: y * np.inf, np.ones(3), np.ones(3))
+
+
+@pytest.mark.parametrize("scheme", [EXACT_FORWARD, CENTRAL_DIFFERENCE])
+def test_stacked_point_nonfinite_raises(scheme):
+    # a stack of points (one row per sample) reports the size of the whole
+    # stack instead of failing to format a row-by-row inner product
+    with pytest.raises(NumericError, match=r"\|x\|=4\.899e\+00"), \
+            np.errstate(invalid="ignore"):
+        directional_derivative(lambda y: y * np.inf, np.ones((3, 8)),
+                               np.ones((3, 8)), scheme)
 
 
 def test_scheme_validation():
