@@ -12,6 +12,7 @@ import numpy as np
 
 from hkc import (
     ConnectionKind,
+    SpherePoint,
     TangentVector,
     ThreeSasakiStructure,
     cross_check_rbar,
@@ -29,7 +30,7 @@ HC = ConnectionKind.H_CONNECTION
 s = ThreeSasakiStructure(n=1)
 rng = np.random.default_rng(23)
 v = rng.standard_normal(s.ambient_dim)
-x = s.point(v / np.linalg.norm(v))
+x = SpherePoint.normalized(v / np.linalg.norm(v))
 
 
 def unit_h():

@@ -9,6 +9,7 @@ import numpy as np
 
 from hkc import (
     ConnectionKind,
+    SpherePoint,
     TangentVector,
     ThreeSasakiStructure,
     VectorField,
@@ -23,7 +24,7 @@ HC = ConnectionKind.H_CONNECTION
 s = ThreeSasakiStructure(n=1)
 rng = np.random.default_rng(11)
 v = rng.standard_normal(s.ambient_dim)
-x = s.point(v / np.linalg.norm(v))
+x = SpherePoint.normalized(v / np.linalg.norm(v))
 
 
 def unit_h(seed_vec):
@@ -50,7 +51,7 @@ Yh = Y.project_H()
 d = cov_deriv(HC, X, Yh, x)
 print("\nADAPTED derivative of an H-valued field:")
 print("  eta components:",
-      ", ".join(f"{s.eta(a, d):+.1e}" for a in (1, 2, 3)))
+      ", ".join(f"{s.eta_raw(a, d.v, x.x):+.1e}" for a in (1, 2, 3)))
 
 # the structure tensors are parallel along H for the adapted connection
 print("\nstructure-tensor parallelism on H-pairs:")
@@ -64,11 +65,11 @@ print(f"  round, generic pair       : {torsion(LC, X, Y, x).norm():.2e}")
 t = torsion(HC, X.project_H(), Yh, x)
 want = np.zeros(s.ambient_dim)
 for a in (1, 2, 3):
-    want = want + 2.0 * s.omega(a, Xt, Yt) * s.reeb(a, x).v
+    want = want + 2.0 * s.omega_raw(a, Xt.v, Yt.v, x.x) * s.reeb_raw(a, x.x)
 print(f"  adapted, H pair           : |T| = {t.norm():.6f}   "
       f"|T - 2 Omega^a xi_a| = {np.linalg.norm(t.v - want):.2e}")
 t12 = torsion(HC, VectorField.reeb(s, 1), VectorField.reeb(s, 2), x)
 print(f"  adapted, Reeb pair (1,2)  : |T + 2 xi_3| = "
-      f"{(t12 + 2.0 * s.reeb(3, x)).norm():.2e}")
+      f"{np.linalg.norm(t12.v + 2.0 * s.reeb_raw(3, x.x)):.2e}")
 t_mix = torsion(HC, X.project_H(), VectorField.reeb(s, 1), x)
 print(f"  adapted, mixed pair       : |T| = {t_mix.norm():.2e}")

@@ -32,7 +32,6 @@ from .records import (
     registry_gaps,
 )
 from .sphere3s import (
-    HFrame,
     SpherePoint,
     TangentVector,
     ThreeSasakiStructure,
@@ -90,7 +89,6 @@ __all__ = [
     "DegenerateInputError",
     "DiffScheme",
     "Dual",
-    "HFrame",
     "InternalConsistencyError",
     "NumericError",
     "PreconditionError",

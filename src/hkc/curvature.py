@@ -46,7 +46,7 @@ from .numlin import (
     dot,
     norm,
 )
-from .sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
+from .sphere3s import TANGENT_TOL, SpherePoint, TangentVector, ThreeSasakiStructure
 from .connections import (
     ConnectionKind,
     VectorField,
@@ -102,6 +102,10 @@ def _rows(X):
     """One tangent vector as a row, or a sequence of them as rows, and
     whether it was a sequence (the result is then a list, one per row)."""
     return ([X], False) if isinstance(X, TangentVector) else (list(X), True)
+
+
+def _in_H(s, U):
+    return max(abs(s.eta_raw(a, U.v, U.base.x)) for a in (1, 2, 3)) <= TANGENT_TOL
 
 
 def _stacked(kernel, structure, *args):
@@ -295,14 +299,12 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
     summed in basis order."""
     X._check_same_base(Y)
     x = X.base
-    if kind is ConnectionKind.H_CONNECTION:
-        for a in (1, 2, 3):
-            if abs(structure.eta(a, X)) > 1e-10 or abs(structure.eta(a, Y)) > 1e-10:
-                raise PreconditionError(
-                    "the adapted-connection trace is defined for arguments "
-                    "inside the distribution H")
-    frame = structure.frame_H(x, seed)
-    basis = [E.v for E in frame.vectors]
+    if kind is ConnectionKind.H_CONNECTION and not all(
+            _in_H(structure, V) for V in (X, Y)):
+        raise PreconditionError(
+            "the adapted-connection trace is defined for arguments "
+            "inside the distribution H")
+    basis = [E.v for E in structure.frame_H(x, seed)]
     basis += [structure.reeb_raw(a, x.x) for a in (1, 2, 3)]
     Ef = structure.extension_raw(np.array(basis))
     R = _curvature_raw(structure, kind, Ef, structure.extension_raw(X.v),
@@ -364,7 +366,7 @@ def holomorphic_sectional_bar(structure, alpha, X, scheme=EXACT_FORWARD):
     for U in Xs:
         if abs(U.norm() - 1.0) > 1e-10:
             raise PreconditionError("X must have unit length")
-        if not structure.in_H(U):
+        if not _in_H(structure, U):
             raise PreconditionError("X must lie in the distribution H")
     Xf = VectorField.extension(structure, Xs)
     Pf = Xf.phi(alpha)
@@ -384,7 +386,9 @@ def sec_rela_data(structure, alpha, X, scheme=EXACT_FORWARD):
     """
     Xs, many = _rows(X)
     ks = holomorphic_sectional_bar(structure, alpha, Xs, scheme)
-    Ks = sectional(structure, Xs, [structure.phi(alpha, U) for U in Xs], scheme)
+    Ps = [TangentVector(U.base, structure.phi_raw(alpha, U.v, U.base.x))
+          for U in Xs]
+    Ks = sectional(structure, Xs, Ps, scheme)
     out = [{"k": k, "K": K,
             "residual": {c: abs(k - 3.0 - Kc) for c, Kc in K.items()}}
            for k, K in zip(ks, map(_signed, Ks))]
@@ -422,13 +426,14 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     for U in Xs:
         if abs(U.norm() - 1.0) > 1e-10:
             raise PreconditionError("X must have unit length")
-    Ps = [structure.phi(alpha, U) for U in Xs]
+    Ps = [TangentVector(U.base, structure.phi_raw(alpha, U.v, U.base.x))
+          for U in Xs]
     kbars, ks = (_plane_values(structure, kind, Xs, Ps, scheme)
                  for kind in (HC, LC))
     b, c = (i for i in (1, 2, 3) if i != alpha)
     out = []
     for U, kbar, k in zip(Xs, kbars, ks):
-        eb, ec = structure.eta(b, U), structure.eta(c, U)
+        eb, ec = (structure.eta_raw(i, U.v, U.base.x) for i in (b, c))
         poly = (3.0 + 4.0 * (eb * ec) ** 2 + 6.0 * (eb ** 4 + ec ** 4)
                 - 8.0 * (eb ** 2 + ec ** 2))
         kbar, k = _signed(kbar), _signed(k)

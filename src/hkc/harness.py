@@ -48,10 +48,12 @@ from .numlin import (
     StructuralError,
     directional_derivative,
     dot,
+    norm,
 )
 from .records import SCHEMA, VerificationReport, make_record, worst_residuals
 from .sphere3s import (
     EVEN_PERMUTATIONS,
+    SpherePoint,
     TangentVector,
     ThreeSasakiStructure,
 )
@@ -151,7 +153,7 @@ def sample_point(structure, rng):
         v = rng.standard_normal(structure.ambient_dim)
         nv = float(np.linalg.norm(v))
         if nv > 1e-6:
-            return structure.point(v / nv)
+            return SpherePoint.normalized(v / nv)
     raise PreconditionError("could not draw a usable ambient direction")
 
 
@@ -198,9 +200,9 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
 
     # (1) orientation of the Reeb first-derivative law
     d_xi = cov_deriv(LC, Xf, VectorField.reeb(structure, 1), x, scheme)
-    phi_u = structure.phi(1, u)
-    r_minus = (d_xi + phi_u).norm()
-    r_plus = (d_xi - phi_u).norm()
+    phi_u = structure.phi_raw(1, u.v, x.x)
+    r_minus = norm(d_xi.v + phi_u)
+    r_plus = norm(d_xi.v - phi_u)
     reeb_val = "-1" if r_minus <= r_plus else "+1"
 
     # (2) sign of the round curvature operator, probed on an orthonormal
@@ -209,8 +211,8 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
     w = v.v - float(np.dot(v.v, u.v)) * u.v
     v = TangentVector(x, w / np.linalg.norm(w))
     RXYY = curvature(LC, Xf, _ext(structure, v), _ext(structure, v), x, scheme)
-    c_plus = (RXYY - u).norm()
-    c_minus = (RXYY + u).norm()
+    c_plus = norm(RXYY.v - u.v)
+    c_minus = norm(RXYY.v + u.v)
     curv_val = "+1" if c_plus <= c_minus else "-1"
 
     # (3) plane normalization: the factor for which round planes measure +1
@@ -296,13 +298,13 @@ def _suite_sasaki(s, cfg, conventions):
         for a in (1, 2, 3):
             yield "sasaki.defect", sasaki_defect(a, X, Y, x, cfg.scheme).norm()
             d = cov_deriv(LC, X, VectorField.reeb(s, a), x, cfg.scheme)
-            yield "sasaki.reeb_covariant", (d + s.phi(a, X.at(x))).norm()
+            yield "sasaki.reeb_covariant", norm(d.v + s.phi_raw(a, X(x.x), x.x))
         for (a, b, c) in EVEN_PERMUTATIONS:
             xa, xb = VectorField.reeb(s, a), VectorField.reeb(s, b)
             br = lie_bracket(xa, xb, x, cfg.scheme)
-            yield "sasaki.reeb_bracket", (br - 2.0 * s.reeb(c, x)).norm()
+            yield "sasaki.reeb_bracket", norm(br.v - 2.0 * s.reeb_raw(c, x.x))
             rr = cov_deriv(LC, xa, xb, x, cfg.scheme)
-            yield "sasaki.reeb_on_reeb", (rr - s.reeb(c, x)).norm()
+            yield "sasaki.reeb_on_reeb", norm(rr.v - s.reeb_raw(c, x.x))
             yield "sasaki.reeb_on_reeb", cov_deriv(LC, xa, xa, x, cfg.scheme).norm()
 
     return _drive(cfg, "sasaki", _samples(cfg, "sasaki", sample), {
@@ -333,24 +335,25 @@ def _suite_connection(s, cfg, conventions):
                                     cfg.scheme)
         XX = cov_deriv(HC, X, X, x, cfg.scheme)
         XZ = cov_deriv(HC, X, Z, x, cfg.scheme)
-        yield "connection.metricity", abs(float(dg) - (s.metric(XX, Zt)
-                                                       + s.metric(Xt, XZ)))
+        yield "connection.metricity", abs(float(dg) - (dot(XX.v, Zt.v)
+                                                       + dot(Xt.v, XZ.v)))
         dg2 = directional_derivative(lambda y: dot(X(y), X(y)), x.x, Zt.v,
                                      cfg.scheme)
         ZX = cov_deriv(HC, Z, X, x, cfg.scheme)
-        yield "connection.metricity", abs(float(dg2) - 2.0 * s.metric(ZX, Xt))
+        yield "connection.metricity", abs(float(dg2) - 2.0 * dot(ZX.v, Xt.v))
 
         for a in (1, 2, 3):
             yield "connection.reeb_parallel", cov_deriv(
                 HC, X, VectorField.reeb(s, a), x, cfg.scheme).norm()
 
         dY = cov_deriv(HC, X, Yh, x, cfg.scheme)
-        yield "connection.h_preserved", max(abs(s.eta(a, dY)) for a in (1, 2, 3))
+        yield "connection.h_preserved", max(abs(s.eta_raw(a, dY.v, x.x))
+                                            for a in (1, 2, 3))
 
         br = lie_bracket(X, Z, x, cfg.scheme)
         rhs_br = XZ.v - ZX.v
         for a in (1, 2, 3):
-            rhs_br = rhs_br - 2.0 * s.omega(a, Xt, Zt) * s.reeb(a, x).v
+            rhs_br = rhs_br - 2.0 * s.omega_raw(a, Xt.v, Zt.v, x.x) * s.reeb_raw(a, x.x)
         yield "connection.bracket3", float(np.linalg.norm(br.v - rhs_br))
 
         for a in (1, 2, 3):
@@ -363,11 +366,11 @@ def _suite_connection(s, cfg, conventions):
             yield "connection.h_tensor_table", s.h_tensor(
                 a, a, Xt, cfg.scheme).norm()
         for (a, b, c) in EVEN_PERMUTATIONS:
-            phi_c = s.phi(c, Xt)
-            yield "connection.h_tensor_table", (
-                s.h_tensor(a, b, Xt, cfg.scheme) - phi_c).norm()
-            yield "connection.h_tensor_table", (
-                s.h_tensor(b, a, Xt, cfg.scheme) + phi_c).norm()
+            phi_c = s.phi_raw(c, Xt.v, x.x)
+            yield "connection.h_tensor_table", norm(
+                s.h_tensor(a, b, Xt, cfg.scheme).v - phi_c)
+            yield "connection.h_tensor_table", norm(
+                s.h_tensor(b, a, Xt, cfg.scheme).v + phi_c)
 
     return _drive(cfg, "connection", _samples(cfg, "connection", sample), {
         "connection.two_forms_agree": cfg.tol_first,
@@ -393,7 +396,8 @@ def _suite_torsion(s, cfg, conventions):
         t = torsion(HC, Xh, Yh, x, cfg.scheme)
         want = np.zeros(s.ambient_dim)
         for a in (1, 2, 3):
-            want = want + 2.0 * s.omega(a, Xh_t, Yh_t) * s.reeb(a, x).v
+            want = want + (2.0 * s.omega_raw(a, Xh_t.v, Yh_t.v, x.x)
+                           * s.reeb_raw(a, x.x))
         yield "torsion.h_pair", float(np.linalg.norm(t.v - want))
 
         for a in (1, 2, 3):
@@ -402,7 +406,7 @@ def _suite_torsion(s, cfg, conventions):
         for (a, b, c) in EVEN_PERMUTATIONS:
             tp = torsion(HC, VectorField.reeb(s, a), VectorField.reeb(s, b),
                          x, cfg.scheme)
-            yield "torsion.reeb_pair", (tp + 2.0 * s.reeb(c, x)).norm()
+            yield "torsion.reeb_pair", norm(tp.v + 2.0 * s.reeb_raw(c, x.x))
 
     return _drive(cfg, "torsion", _samples(cfg, "torsion", sample), dict.fromkeys(
         ("torsion.lc_zero", "torsion.h_pair", "torsion.mixed",
@@ -431,10 +435,11 @@ def _suite_curvature(s, cfg, conventions):
     def sample(i):
         Xt, Yt, Zt = XYZ[i]
         oracle = sphere_curvature_oracle(Xt, Yt, Zt)
-        yield "curvature.oracle_gate", (direct[i] - oracle).norm()
+        yield "curvature.oracle_gate", norm(direct[i].v - oracle.v)
+        y = points[i].x
         for a in (1, 2, 3):
-            want = s.eta(a, Yt) * Xt + (-s.eta(a, Xt)) * Yt
-            yield "curvature.reeb_curvature_lc", (lc[a][i] - want).norm()
+            want = s.eta_raw(a, Yt.v, y) * Xt.v - s.eta_raw(a, Xt.v, y) * Yt.v
+            yield "curvature.reeb_curvature_lc", norm(lc[a][i].v - want)
             yield "curvature.annihilation_last", last[a][i].norm()
             yield "curvature.annihilation_middle", middle[a][i].norm()
         for with_z, with_xi in pair:
@@ -460,14 +465,15 @@ def cross_check_families(s, cfg):
         Xh = sample_unit_H(s, x, rng)
         Yh = sample_unit_H(s, x, rng)
         Zh = sample_unit_H(s, x, rng)
+        xi = lambda c: TangentVector(x, s.reeb_raw(c, x.x))
         a = 1 + (i % 3)
         b = 1 + ((i + 1) % 3)
-        pair_tail = s.reeb(1 + ((i + 2) % 3), x) if i % 3 == 2 else Zh
+        pair_tail = xi(1 + ((i + 2) % 3)) if i % 3 == 2 else Zh
         return {
             "pure_h": (x, Xh, Yh, Zh),
-            "reeb_last": (x, Xh, Yh, s.reeb(a, x)),
-            "reeb_pairs": (x, s.reeb(a, x), s.reeb(b, x), pair_tail),
-            "single_reeb": (x, Xh, s.reeb(a, x), Zh),
+            "reeb_last": (x, Xh, Yh, xi(a)),
+            "reeb_pairs": (x, xi(a), xi(b), pair_tail),
+            "single_reeb": (x, Xh, xi(a), Zh),
             "generic": (x, *(sample_unit_tangent(s, x, rng) for _ in range(3))),
         }
 
@@ -521,12 +527,12 @@ def _suite_ricci(s, cfg, conventions):
         yield "ricci.einstein_lc", abs(
             ricci(s, LC, Xt, Xt, cfg.seed, cfg.scheme) - c_lc)
         yield "ricci.einstein_lc", abs(ricci(s, LC, Xt, Yt, cfg.seed, cfg.scheme)
-                                       - c_lc * s.metric(Xt, Yt))
+                                       - c_lc * dot(Xt.v, Yt.v))
         Xh = sample_unit_H(s, x, rng)
         Yh = sample_unit_H(s, x, rng)
         diag = ricci(s, HC, Xh, Xh, cfg.seed, cfg.scheme)
         off = ricci(s, HC, Xh, Yh, cfg.seed, cfg.scheme)
-        gxy = s.metric(Xh, Yh)
+        gxy = dot(Xh.v, Yh.v)
         yield "ricci.h_connection", abs(diag - c_claim)
         yield "ricci.h_connection", abs(off - c_claim * gxy)
         measured.append(diag)
@@ -559,13 +565,13 @@ def _suite_sectional(s, cfg, conventions):
         x = sample_point(s, rng)
         Xt = sample_unit_tangent(s, x, rng)
         Yt = sample_unit_tangent(s, x, rng)
-        if abs(s.metric(Xt, Yt)) > 0.999:
+        if abs(dot(Xt.v, Yt.v)) > 0.999:
             return None
         coeffs = rng.standard_normal(4)
         while abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2]) < 0.1:
             coeffs = rng.standard_normal(4)
-        U = float(coeffs[0]) * Xt + float(coeffs[1]) * Yt
-        V = float(coeffs[2]) * Xt + float(coeffs[3]) * Yt
+        U = TangentVector(x, float(coeffs[0]) * Xt.v + float(coeffs[1]) * Yt.v)
+        V = TangentVector(x, float(coeffs[2]) * Xt.v + float(coeffs[3]) * Yt.v)
         return (Xt, U), (Yt, V), sample_unit_H(s, x, rng)
 
     draws = [d for d in _samples(cfg, "sectional", draw) if d is not None]
@@ -625,10 +631,10 @@ def _suite_theorem_sec(s, cfg, conventions):
         sweep = []
         for _, theta in _SWEEP_ANGLES:
             co, si = float(np.cos(theta)), float(np.sin(theta))
-            X = co * u + si * s.reeb(axis, x)
-            sweep.append(TangentVector(x, X.v / np.linalg.norm(X.v)))
+            X = co * u.v + si * s.reeb_raw(axis, x.x)
+            sweep.append(TangentVector(x, X / np.linalg.norm(X)))
         x = sample_point(s, _suite_stream(cfg, "theorem-sec", 2000 + i))
-        return [h_case, *sweep, s.reeb(axis, x)]
+        return [h_case, *sweep, TangentVector(x, s.reeb_raw(axis, x.x))]
 
     data = theorem_sec_data(
         s, alpha, [X for d in _samples(cfg, "theorem-sec", draw) for X in d],

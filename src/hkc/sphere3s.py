@@ -11,11 +11,13 @@ structures I_alpha (block right quaternion multiplication) induce
 with g the round metric (ambient dot product).  The 4n-dimensional
 distribution H is the joint kernel of the three eta^alpha.
 
-Every structure operation has a ``*_raw`` form acting on plain ambient
-arrays *or* dual numbers; those raw forms are what vector-field closures
-and nested differentiation consume.  The typed layer
-(:class:`SpherePoint` / :class:`TangentVector`) validates its inputs and
-is what user code normally touches.
+Each structure map has one form, ``*_raw``, acting on plain ambient
+arrays, stacks of them (one row per vector) or dual numbers; vector-field
+closures, nested differentiation and the suites all call it.  Validation
+happens where a value enters: :class:`SpherePoint` and
+:class:`TangentVector` check unit length and tangency on construction,
+and the typed operations of ``connections`` and ``curvature`` take and
+return them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from .numlin import (
     EXACT_FORWARD,
     DegenerateInputError,
-    PreconditionError,
     StructuralError,
     bracket_raw,
     dot,
@@ -43,7 +44,6 @@ __all__ = [
     "TANGENT_TOL",
     "SpherePoint",
     "TangentVector",
-    "HFrame",
     "ThreeSasakiStructure",
     "EVEN_PERMUTATIONS",
 ]
@@ -111,26 +111,6 @@ class TangentVector:
         if not self.base.same_as(other.base):
             raise StructuralError("tangent vectors live at different base points")
 
-    def __add__(self, other):
-        self._check_same_base(other)
-        return TangentVector(self.base, self.v + other.v)
-
-    def __sub__(self, other):
-        self._check_same_base(other)
-        return TangentVector(self.base, self.v - other.v)
-
-    def __mul__(self, c):
-        return TangentVector(self.base, self.v * float(c))
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class HFrame:
-    """An orthonormal basis of the distribution H at one point."""
-
-    base: SpherePoint
-    vectors: tuple
 
 
 # ============================================================
@@ -175,7 +155,7 @@ class ThreeSasakiStructure:
     def h_dim(self):
         return 4 * self.n
 
-    # ---------------- raw (dual-generic) layer ----------------
+    # ---------------- structure maps ----------------
 
     def _I(self, alpha):
         try:
@@ -207,50 +187,22 @@ class ThreeSasakiStructure:
             out = out - dot(xi, out) * xi
         return out
 
-    # ---------------- typed layer ----------------
-
-    def point(self, coords):
-        return SpherePoint.normalized(coords)
-
-    def metric(self, X, Y):
-        X._check_same_base(Y)
-        return float(np.dot(X.v, Y.v))
-
-    def reeb(self, alpha, x):
-        return TangentVector(x, self.reeb_raw(alpha, x.x))
-
-    def phi(self, alpha, X):
-        return TangentVector(X.base, self.phi_raw(alpha, X.v, X.base.x))
-
-    def eta(self, alpha, X):
-        return float(self.eta_raw(alpha, X.v, X.base.x))
-
-    def omega(self, alpha, X, Y):
-        X._check_same_base(Y)
-        return float(self.omega_raw(alpha, X.v, Y.v, X.base.x))
-
-    def project_H(self, X):
-        return TangentVector(X.base, self.project_h_raw(X.v, X.base.x))
-
-    def in_H(self, X):
-        return max(abs(self.eta(a, X)) for a in (1, 2, 3)) <= TANGENT_TOL
-
     # ---------------- frames ----------------
 
     def frame_H(self, x, seed):
-        """Deterministic orthonormal basis of H at ``x`` (4n vectors).
+        """Deterministic orthonormal basis of H at ``x``: a tuple of 4n
+        tangent vectors.
 
         The basis of the latest (point, seed) is kept, so repeated calls
         there (one per trace in a Ricci sample) orthonormalize once; each
         call returns fresh copies of its vectors.
         """
         if self.n == 0:
-            return HFrame(base=x, vectors=())
+            return ()
         key = (x.x.tobytes(), int(seed))
         if self._last_frame is None or self._last_frame[0] != key:
             self._last_frame = (key, self._orthonormal_H(x, seed))
-        return HFrame(base=x, vectors=tuple(
-            TangentVector(x, v.copy()) for v in self._last_frame[1]))
+        return tuple(TangentVector(x, v.copy()) for v in self._last_frame[1])
 
     def _orthonormal_H(self, x, seed):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
@@ -320,34 +272,33 @@ class ThreeSasakiStructure:
 
     def _axiom_residuals(self, x, X, Y):
         """(axiom family, residual) pairs at one sample point."""
-        xs = [self.reeb(a, x) for a in (1, 2, 3)]
+        y, Xv, Yv = x.x, X.v, Y.v
+        phi = lambda a, w: self.phi_raw(a, w, y)
+        eta = lambda a, w: self.eta_raw(a, w, y)
+        xs = [self.reeb_raw(a, y) for a in (1, 2, 3)]
         for a in (1, 2, 3):
             xi = xs[a - 1]
-            yield "unit_reeb", abs(self.metric(xi, xi) - 1.0)
-            yield "unit_reeb", abs(float(np.dot(xi.v, x.x)))
-            fX = self.phi(a, X)
-            ffX = self.phi(a, fX)
-            yield "phi_square", norm(ffX.v + X.v - self.eta(a, X) * xi.v)
+            yield "unit_reeb", abs(dot(xi, xi) - 1.0)
+            yield "unit_reeb", abs(dot(xi, y))
+            fX = phi(a, Xv)
+            yield "phi_square", norm(phi(a, fX) + Xv - eta(a, Xv) * xi)
             for b in (1, 2, 3):
                 dlt = 1.0 if a == b else 0.0
-                yield "eta_reeb", abs(self.eta(a, xs[b - 1]) - dlt)
-            yield "compat", abs(self.metric(fX, self.phi(a, Y)) - self.metric(X, Y)
-                                + self.eta(a, X) * self.eta(a, Y))
-            yield "omega_skew", abs(self.omega(a, X, X))
-            yield "omega_skew", abs(self.omega(a, X, Y) + self.omega(a, Y, X))
+                yield "eta_reeb", abs(eta(a, xs[b - 1]) - dlt)
+            yield "compat", abs(dot(fX, phi(a, Yv)) - dot(Xv, Yv)
+                                + eta(a, Xv) * eta(a, Yv))
+            yield "omega_skew", abs(self.omega_raw(a, Xv, Xv, y))
+            yield "omega_skew", abs(self.omega_raw(a, Xv, Yv, y)
+                                    + self.omega_raw(a, Yv, Xv, y))
         for beta, gamma, theta in EVEN_PERMUTATIONS:
-            yield "reeb_cross", norm(self.phi(beta, xs[gamma - 1]).v - xs[theta - 1].v)
-            yield "reeb_cross", norm(self.phi(gamma, xs[beta - 1]).v + xs[theta - 1].v)
-            comp = (self.phi(beta, self.phi(gamma, X)).v
-                    - self.eta(gamma, X) * xs[beta - 1].v)
-            yield "phi_compose", norm(comp - self.phi(theta, X).v)
-            yield "eta_phi", abs(self.eta(theta, X)
-                                 - self.eta(beta, self.phi(gamma, X)))
-            yield "eta_phi", abs(self.eta(theta, X)
-                                 + self.eta(gamma, self.phi(beta, X)))
-        pX = self.project_H(X)
-        yield "projection", norm(self.project_H(pX).v - pX.v)
-        yield "projection", abs(self.metric(pX, Y)
-                                - self.metric(X, self.project_H(Y)))
+            yield "reeb_cross", norm(phi(beta, xs[gamma - 1]) - xs[theta - 1])
+            yield "reeb_cross", norm(phi(gamma, xs[beta - 1]) + xs[theta - 1])
+            comp = phi(beta, phi(gamma, Xv)) - eta(gamma, Xv) * xs[beta - 1]
+            yield "phi_compose", norm(comp - phi(theta, Xv))
+            yield "eta_phi", abs(eta(theta, Xv) - eta(beta, phi(gamma, Xv)))
+            yield "eta_phi", abs(eta(theta, Xv) + eta(gamma, phi(beta, Xv)))
+        pX = self.project_h_raw(Xv, y)
+        yield "projection", norm(self.project_h_raw(pX, y) - pX)
+        yield "projection", abs(dot(pX, Yv) - dot(Xv, self.project_h_raw(Yv, y)))
         for a in (1, 2, 3):
-            yield "projection", abs(self.eta(a, pX))
+            yield "projection", abs(eta(a, pX))

@@ -154,7 +154,7 @@ def test_c06_two_route_agreement():
             r.value_direct - rbar_difference_tensor(s, X, Y, Z).v))
         d_closed = max(d_closed, np.linalg.norm(
             r.value_direct - rbar_quaternionic_projective(s, X, Y, Z).v))
-        reeb_content.append(max(abs(s.eta(a, V))
+        reeb_content.append(max(abs(s.eta_raw(a, V.v, V.base.x))
                                 for a in (1, 2, 3) for V in (X, Y)))
     ok = record_criterion(
         6, "two-route curvature agreement below 1e-6 on 50 mixed triples",

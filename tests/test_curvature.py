@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hkc.numlin import DegenerateInputError, PreconditionError
+from hkc.numlin import DegenerateInputError, PreconditionError, dot, norm
 from hkc import sphere3s
 from hkc.connections import ConnectionKind, VectorField, curvature, curvature4
 from hkc.curvature import (
@@ -21,7 +21,7 @@ from hkc.curvature import (
     verify_symmetries,
 )
 from hkc.harness import _SUITE_FUNCS, RunConfig, cross_check_families
-from hkc.sphere3s import TangentVector, ThreeSasakiStructure
+from hkc.sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
 
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
@@ -38,7 +38,15 @@ def rng():
 
 
 def rand_point(s, rng):
-    return s.point(rng.standard_normal(s.ambient_dim))
+    return SpherePoint.normalized(rng.standard_normal(s.ambient_dim))
+
+
+def reeb_tv(s, a, x):
+    return TangentVector(x, s.reeb_raw(a, x.x))
+
+
+def phi_tv(s, a, X):
+    return TangentVector(X.base, s.phi_raw(a, X.v, X.base.x))
 
 
 def rand_tv(s, x, rng, in_h=False, unit=True):
@@ -57,7 +65,7 @@ def test_algebraic_h_plane_value(struct, rng):
     # X unit in H, Y = Z = phi_1 X: the X-component of the expansion is 4
     x = rand_point(struct, rng)
     X = rand_tv(struct, x, rng, in_h=True)
-    P = struct.phi(1, X)
+    P = phi_tv(struct, 1, X)
     out = rbar_algebraic(struct, X, P, P)
     assert float(np.dot(out.v, X.v)) == pytest.approx(4.0, abs=1e-12)
 
@@ -67,7 +75,7 @@ def test_algebraic_matches_direct_zero_on_reeb_last_slot(struct, rng):
     X = rand_tv(struct, x, rng, in_h=True)
     Y = rand_tv(struct, x, rng, in_h=True)
     for a in (1, 2, 3):
-        out = rbar_algebraic(struct, X, Y, struct.reeb(a, x))
+        out = rbar_algebraic(struct, X, Y, reeb_tv(struct, a, x))
         assert out.norm() < 1e-12
 
 
@@ -87,7 +95,7 @@ def test_algebraic_repeated_mixed_argument_equals_gap_form(struct, rng):
     out = rbar_algebraic(struct, X, X, Z)
     gap = two_route_gap_form(struct, X, X, Z)
     assert out.norm() > 1e-3
-    assert (out - gap).norm() < 1e-12
+    assert norm(out.v - gap.v) < 1e-12
 
 
 # ============================================================
@@ -114,7 +122,7 @@ def test_routes_agree_on_reeb_tail_and_reeb_pairs(struct, rng):
         x = rand_point(struct, rng)
         X = rand_tv(struct, x, rng, in_h=True)
         Y = rand_tv(struct, x, rng, in_h=True)
-        xi = [struct.reeb(a, x) for a in (1, 2, 3)]
+        xi = [reeb_tv(struct, a, x) for a in (1, 2, 3)]
         samples += [(x, X, Y, xi[0]),
                     (x, xi[0], xi[1], X),
                     (x, xi[0], xi[1], xi[2])]
@@ -129,7 +137,7 @@ def test_routes_disagree_on_single_reeb_slot_by_exact_gap(struct, rng):
         x = rand_point(struct, rng)
         X = rand_tv(struct, x, rng, in_h=True)
         Z = rand_tv(struct, x, rng, in_h=True)
-        xi1 = struct.reeb(1, x)
+        xi1 = reeb_tv(struct, 1, x)
         (sample,) = _cross(struct, [(x, X, xi1, Z)])
         seen_disagreement = max(seen_disagreement, sample.residual)
         gap = two_route_gap_form(struct, X, xi1, Z)
@@ -157,8 +165,8 @@ def test_gap_form_n0_reeb_triple():
     # ambient dimension 4: H is trivial; the repeated-Reeb triple
     # (xi_1, xi_2, xi_1) gives a gap of norm exactly 3
     s = ThreeSasakiStructure(n=0)
-    x = s.point(np.array([0.5, -0.5, 0.5, 0.5]))
-    xi1, xi2 = s.reeb(1, x), s.reeb(2, x)
+    x = SpherePoint.normalized(np.array([0.5, -0.5, 0.5, 0.5]))
+    xi1, xi2 = reeb_tv(s, 1, x), reeb_tv(s, 2, x)
     (sample,) = cross_check_rbar(s, [(x, xi1, xi2, xi1)])
     assert np.linalg.norm(sample.value_direct) < 1e-12
     assert sample.residual == pytest.approx(3.0, abs=1e-12)
@@ -176,7 +184,7 @@ def _route_triples(s, n):
         rng = np.random.default_rng(3)
         points = [rand_point(s, rng) for _ in range(2)]
         return [(x, *args) for x in points for args in
-                itertools.product([s.reeb(a, x) for a in (1, 2, 3)],
+                itertools.product([reeb_tv(s, a, x) for a in (1, 2, 3)],
                                   repeat=3)]
     # the five cross-check families, Reeb content in every slot
     families = cross_check_families(s, RunConfig(n=n, points=3, seed=7))
@@ -192,7 +200,7 @@ def test_routes_match_nested_curvature(n):
         nested = curvature(
             HC, *(VectorField.extension(s, V) for V in (X, Y, Z)), x)
         for route in (rbar_difference_tensor, rbar_quaternionic_projective):
-            gap = (route(s, X, Y, Z) - nested).norm()
+            gap = norm(route(s, X, Y, Z).v - nested.v)
             assert gap <= 1e-12, (route.__name__, gap)
 
 
@@ -203,11 +211,11 @@ def test_stated_expansion_is_difference_tensor_route_plus_gap(struct):
     for _ in range(6):
         x = rand_point(struct, rng)
         X, Y, Z = (rand_tv(struct, x, rng) for _ in range(3))
-        for args in ((X, Y, Z), (X, struct.reeb(2, x), Z)):
+        for args in ((X, Y, Z), (X, reeb_tv(struct, 2, x), Z)):
             stated = rbar_algebraic(struct, *args)
             third = rbar_difference_tensor(struct, *args)
             gap = two_route_gap_form(struct, *args)
-            assert (stated - gap - third).norm() <= 1e-12
+            assert norm(stated.v - gap.v - third.v) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -223,11 +231,11 @@ def test_difference_tensor_trace_is_four_n_plus_eight(n):
         return float(np.dot(rbar_difference_tensor(s, E, U, V).v, E.v))
 
     for U, V in ((X, X), (X, Y)):
-        h_part = sum(term(E, U, V) for E in s.frame_H(x, 5).vectors)
-        reeb = [term(s.reeb(a, x), U, V) for a in (1, 2, 3)]
+        h_part = sum(term(E, U, V) for E in s.frame_H(x, 5))
+        reeb = [term(reeb_tv(s, a, x), U, V) for a in (1, 2, 3)]
         assert max(abs(r) for r in reeb) <= 1e-12
         trace = h_part + sum(reeb)
-        assert trace == pytest.approx((4 * n + 8) * s.metric(U, V), abs=1e-12)
+        assert trace == pytest.approx((4 * n + 8) * dot(U.v, V.v), abs=1e-12)
         assert trace == pytest.approx(ricci(s, HC, U, V, seed=5), abs=1e-12)
 
 
@@ -240,7 +248,7 @@ def test_round_metric_trace_is_six_g(struct, rng):
     X = rand_tv(struct, x, rng)
     assert ricci(struct, LC, X, X, seed=2) == pytest.approx(6.0, abs=1e-10)
     Y = rand_tv(struct, x, rng)
-    gXY = struct.metric(X, Y)
+    gXY = dot(X.v, Y.v)
     assert ricci(struct, LC, X, Y, seed=2) == pytest.approx(6.0 * gXY, abs=1e-10)
 
 
@@ -250,7 +258,7 @@ def test_adapted_trace_measures_twelve_g(struct, rng):
     X = rand_tv(struct, x, rng, in_h=True)
     assert ricci(struct, HC, X, X, seed=2) == pytest.approx(12.0, abs=1e-10)
     Y = rand_tv(struct, x, rng, in_h=True)
-    gXY = struct.metric(X, Y)
+    gXY = dot(X.v, Y.v)
     assert ricci(struct, HC, X, Y, seed=2) == pytest.approx(12.0 * gXY, abs=1e-10)
 
 
@@ -258,7 +266,7 @@ def test_adapted_trace_rejects_non_distribution_arguments(struct, rng):
     x = rand_point(struct, rng)
     X = rand_tv(struct, x, rng, in_h=True)
     with pytest.raises(PreconditionError):
-        ricci(struct, HC, struct.reeb(1, x), X)
+        ricci(struct, HC, reeb_tv(struct, 1, x), X)
 
 
 @pytest.mark.parametrize("n", [1, 2, 16])
@@ -269,7 +277,7 @@ def test_stacked_trace_equals_per_vector_sum(n):
     rng = np.random.default_rng(60 + n)
     x = rand_point(s, rng)
     X, Y = (rand_tv(s, x, rng, in_h=True) for _ in range(2))
-    basis = [*s.frame_H(x, 9).vectors, *(s.reeb(a, x) for a in (1, 2, 3))]
+    basis = [*s.frame_H(x, 9), *(reeb_tv(s, a, x) for a in (1, 2, 3))]
     Xf, Yf = (VectorField.extension(s, V) for V in (X, Y))
     for kind in (LC, HC):
         per_vector = 0.0
@@ -294,7 +302,7 @@ def test_ricci_sample_orthonormalizes_once(monkeypatch):
     x = rand_point(s, np.random.default_rng(1))
     f1, f2 = s.frame_H(x, 3), s.frame_H(x, 3)
     assert len(calls) == 3
-    for a, b in zip(f1.vectors, f2.vectors):
+    for a, b in zip(f1, f2):
         assert np.array_equal(a.v, b.v) and a.v is not b.v
 
 
@@ -313,7 +321,7 @@ def test_trace_is_basis_independent(struct, rng):
 def test_sphere_sectional_is_plus_one_under_flipped_convention(struct, rng):
     x = rand_point(struct, rng)
     fr = struct.frame_H(x, seed=4)
-    X, Y = fr.vectors[0], fr.vectors[1]
+    X, Y = fr[0], fr[1]
     # -R4/gram is -1 on a round plane; the selected normalization (-1)
     # flips it to +1
     assert sectional(struct, X, Y) == pytest.approx(-1.0, abs=1e-10)
@@ -325,7 +333,7 @@ def test_sectional_plane_invariance(struct, rng):
     X = rand_tv(struct, x, rng)
     Y = rand_tv(struct, x, rng)
     k1 = sectional(struct, X, Y)
-    k2 = sectional(struct, 2.0 * X, X + Y)
+    k2 = sectional(struct, TangentVector(x, 2.0 * X.v), TangentVector(x, X.v + Y.v))
     assert k1 == pytest.approx(k2, abs=1e-8)
 
 
@@ -349,9 +357,9 @@ def test_holomorphic_preconditions(struct, rng):
     x = rand_point(struct, rng)
     X = rand_tv(struct, x, rng, in_h=True)
     with pytest.raises(PreconditionError):
-        holomorphic_sectional_bar(struct, 1, 2.0 * X)
+        holomorphic_sectional_bar(struct, 1, TangentVector(x, 2.0 * X.v))
     with pytest.raises(PreconditionError):
-        holomorphic_sectional_bar(struct, 1, struct.reeb(2, x))
+        holomorphic_sectional_bar(struct, 1, reeb_tv(struct, 2, x))
 
 
 # ============================================================
@@ -396,7 +404,8 @@ def test_theorem_sec_mixed_angle_fails_all_combinations(struct, rng):
     x = rand_point(struct, rng)
     u = rand_tv(struct, x, rng, in_h=True)
     t = np.pi / 4.0
-    X = float(np.cos(t)) * u + float(np.sin(t)) * struct.reeb(2, x)
+    X = TangentVector(x, float(np.cos(t)) * u.v
+                      + float(np.sin(t)) * struct.reeb_raw(2, x.x))
     data = theorem_sec_data(struct, 1, X)
     assert data["kbar"]["-1"] == pytest.approx(1.0, abs=1e-10)
     assert data["predicted"]["-1"] == pytest.approx(1.5, abs=1e-10)
@@ -409,7 +418,7 @@ def test_theorem_sec_pure_reeb_direction(struct, rng):
     # X = xi_2 on the alpha = 1 plane: the adapted value is 0; only the
     # unflipped round convention reproduces it (predicted = K + 1 = 0)
     x = rand_point(struct, rng)
-    X = struct.reeb(2, x)
+    X = reeb_tv(struct, 2, x)
     data = theorem_sec_data(struct, 1, X)
     assert data["kbar"]["+1"] == pytest.approx(0.0, abs=1e-10)
     assert data["residual"]["+1/+1"] < 1e-10
@@ -422,7 +431,8 @@ def test_measured_mixed_plane_curve(struct, rng):
     x = rand_point(struct, rng)
     u = rand_tv(struct, x, rng, in_h=True)
     for t in (np.pi / 6.0, np.pi / 3.0):
-        X = float(np.cos(t)) * u + float(np.sin(t)) * struct.reeb(2, x)
+        X = TangentVector(x, float(np.cos(t)) * u.v
+                          + float(np.sin(t)) * struct.reeb_raw(2, x.x))
         data = theorem_sec_data(struct, 1, X)
         s2 = float(np.sin(t)) ** 2
         want = 4.0 - 8.0 * s2 + 4.0 * s2 ** 2
@@ -453,8 +463,8 @@ def _sweep_vectors(s, count, rng):
         x = rand_point(s, rng)
         u = rand_tv(s, x, rng, in_h=True)
         t = k * np.pi / (2.0 * (count - 1))
-        X = float(np.cos(t)) * u + float(np.sin(t)) * s.reeb(2, x)
-        out.append(TangentVector(x, X.v / np.linalg.norm(X.v)))
+        X = float(np.cos(t)) * u.v + float(np.sin(t)) * s.reeb_raw(2, x.x)
+        out.append(TangentVector(x, X / np.linalg.norm(X)))
     return out
 
 

@@ -1,6 +1,10 @@
-"""The demo scripts run to the end without writing to stderr."""
+"""The demo scripts run to the end without writing to stderr, and so does
+the README's library quickstart."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +29,11 @@ def test_demo_runs_cleanly(demo, tmp_path):
                            "TMPDIR": str(tmp_path)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(block, "README.md quickstart", "exec"), {})

@@ -111,7 +111,7 @@ def test_samplers_contract(struct):
     h = sample_unit_H(struct, x, rng)
     assert abs(h.norm() - 1.0) < 1e-12
     for a in (1, 2, 3):
-        assert abs(struct.eta(a, h)) < 1e-12
+        assert abs(struct.eta_raw(a, h.v, x.x)) < 1e-12
 
 
 def test_sampler_determinism(struct):
@@ -249,6 +249,18 @@ def test_broken_structure_gates_downstream():
         assert body["status"] == "skipped", name
         assert body["records"] == []
         assert "axioms" in body["reason"]
+
+
+def test_wrong_reeb_orientation_fails_two_forms_agree():
+    # with the opposite Reeb orientation the two forms of the adapted
+    # connection split apart; the suite records the gap instead of raising
+    s = ThreeSasakiStructure(n=1, sign=+1)
+    rep = run_suites(RunConfig(n=1, points=2, suites=("connection",)),
+                     structure=s)
+    body = rep.suites["connection"]
+    assert body["status"] == "fail"
+    recs = {r.id: r for r in body["records"]}
+    assert recs["connection.two_forms_agree"].passed is False
 
 
 # ============================================================
@@ -440,6 +452,30 @@ def test_nested_passes_do_not_grow_with_points(struct, monkeypatch, suite,
         harness._SUITE_FUNCS[suite](struct, RunConfig(points=points),
                                     conventions)
         assert (passes.count(LC), passes.count(HC)) == (lc, hc), points
+
+
+def test_definitional_form_is_evaluated_once_per_connection_sample(monkeypatch):
+    # one evaluation of the definitional form of the adapted derivative
+    # takes seven Levi-Civita derivatives: nabla_X Y, and nabla_X xi_a and
+    # nabla_Y xi_a for a = 1, 2, 3.  Nothing else in the connection suite
+    # takes one, so the Levi-Civita derivatives that the suite adds to a
+    # run count its evaluations of that form.
+    kinds = []
+    original = connections._cov_raw
+
+    def counted(s, kind, *args):
+        kinds.append(kind)
+        return original(s, kind, *args)
+
+    monkeypatch.setattr(connections, "_cov_raw", counted)
+    for points in (1, 3):
+        lc = []
+        for suites in (("axioms", "sasaki"), ("axioms", "sasaki", "connection")):
+            kinds.clear()
+            rep = run_suites(RunConfig(points=points, suites=suites))
+            assert {b["status"] for b in rep.suites.values()} == {"pass"}
+            lc.append(kinds.count(LC))
+        assert lc[1] - lc[0] == 7 * points
 
 
 def test_text_format_lists_every_record(small_report):

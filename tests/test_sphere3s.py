@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hkc.numlin import ComplexStructureTriple, DegenerateInputError, StructuralError
+from hkc.numlin import ComplexStructureTriple, StructuralError, dot, norm
 from hkc.sphere3s import (
     EVEN_PERMUTATIONS,
     SpherePoint,
@@ -11,7 +11,7 @@ from hkc.sphere3s import (
 
 
 def rand_point(struct, rng):
-    return struct.point(rng.standard_normal(struct.ambient_dim))
+    return SpherePoint.normalized(rng.standard_normal(struct.ambient_dim))
 
 
 def rand_tangent(struct, x, rng, in_h=False):
@@ -28,6 +28,30 @@ def struct():
 @pytest.fixture(scope="module")
 def rng():
     return np.random.default_rng(20240816)
+
+
+@pytest.fixture(scope="module")
+def stack(struct):
+    """d sample rows, d the ambient dimension (a stack mistaken for a
+    matrix keeps a valid shape there): points y, tangent vectors w and u,
+    and distribution vectors h, one per point."""
+    rng = np.random.default_rng(5)
+    y, w, u, h = [], [], [], []
+    for _ in range(struct.ambient_dim):
+        x = rand_point(struct, rng)
+        y.append(x.x)
+        w.append(rand_tangent(struct, x, rng).v)
+        u.append(rand_tangent(struct, x, rng).v)
+        h.append(rand_tangent(struct, x, rng, in_h=True).v)
+    return {k: np.array(v) for k, v in zip("ywuh", (y, w, u, h))}
+
+
+def assert_rows_match(f, *stacks):
+    """f on stacked rows gives, row for row, the bits of f on each row."""
+    out = f(*stacks)
+    assert len(out) == len(stacks[0])
+    for i, row in enumerate(out):
+        assert np.array_equal(row, np.reshape(f(*(a[i] for a in stacks)), -1))
 
 
 # ============================================================
@@ -49,17 +73,6 @@ def test_tangent_vector_must_be_orthogonal():
     assert t.norm() == pytest.approx(2.0)
 
 
-def test_tangent_arithmetic_checks_base():
-    p = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
-    q = SpherePoint(np.array([0.0, 1.0, 0.0, 0.0]))
-    a = TangentVector(p, np.array([0.0, 1.0, 0.0, 0.0]))
-    b = TangentVector(q, np.array([1.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(StructuralError):
-        a + b
-    c = a + a
-    assert c.norm() == pytest.approx(2.0)
-
-
 # ============================================================
 # the structure tensors
 # ============================================================
@@ -69,97 +82,137 @@ def test_reeb_hand_value_plus_sign_n0():
     # column of the first structure matrix: (0, -1, 0, 0)
     s = ThreeSasakiStructure(n=0, sign=+1)
     x = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
-    xi = s.reeb(1, x)
-    assert np.allclose(xi.v, [0.0, -1.0, 0.0, 0.0], atol=1e-15)
+    xi = s.reeb_raw(1, x.x)
+    assert np.allclose(xi, [0.0, -1.0, 0.0, 0.0], atol=1e-15)
+    # stacked over the d basis points e_i: row i is the i-th column
+    E = np.eye(s.ambient_dim)
+    assert_rows_match(lambda y: s.reeb_raw(1, y), E)
+    assert np.array_equal(s.reeb_raw(1, E)[0], xi)
 
 
-def test_reeb_tangency_and_unit_norm(struct, rng):
+def test_reeb_tangency_and_unit_norm(struct, rng, stack):
     for _ in range(5):
         x = rand_point(struct, rng)
         for a in (1, 2, 3):
-            xi = struct.reeb(a, x)
-            assert abs(np.dot(xi.v, x.x)) < 1e-14
-            assert struct.metric(xi, xi) == pytest.approx(1.0, abs=1e-14)
+            xi = struct.reeb_raw(a, x.x)
+            assert abs(np.dot(xi, x.x)) < 1e-14
+            assert dot(xi, xi) == pytest.approx(1.0, abs=1e-14)
+    for a in (1, 2, 3):
+        assert_rows_match(lambda y: struct.reeb_raw(a, y), stack["y"])
+        xi = struct.reeb_raw(a, stack["y"])
+        assert np.max(np.abs(dot(xi, stack["y"]))) < 1e-14
+        assert np.max(np.abs(dot(xi, xi) - 1.0)) < 1e-14
 
 
-def test_phi_kills_its_own_reeb(struct, rng):
+def test_phi_kills_its_own_reeb(struct, rng, stack):
     x = rand_point(struct, rng)
     for a in (1, 2, 3):
-        assert struct.phi(a, struct.reeb(a, x)).norm() < 1e-14
+        assert norm(struct.phi_raw(a, struct.reeb_raw(a, x.x), x.x)) < 1e-14
+        killed = lambda y: struct.phi_raw(a, struct.reeb_raw(a, y), y)
+        assert_rows_match(killed, stack["y"])
+        assert np.max(np.abs(killed(stack["y"]))) < 1e-14
 
 
-def test_phi_cycles_reeb_fields(struct, rng):
+def test_phi_cycles_reeb_fields(struct, rng, stack):
     x = rand_point(struct, rng)
-    xs = {a: struct.reeb(a, x) for a in (1, 2, 3)}
     for beta, gamma, theta in EVEN_PERMUTATIONS:
-        assert (struct.phi(beta, xs[gamma]) - xs[theta]).norm() < 1e-14
+        cycled = lambda y: (struct.phi_raw(beta, struct.reeb_raw(gamma, y), y)
+                            - struct.reeb_raw(theta, y))
+        assert norm(cycled(x.x)) < 1e-14
+        assert_rows_match(cycled, stack["y"])
 
 
-def test_phi_square_identity(struct, rng):
+def test_phi_square_identity(struct, rng, stack):
+    def residual(a, w, y):
+        return (struct.phi_raw(a, struct.phi_raw(a, w, y), y) + w
+                - struct.eta_raw(a, w, y) * struct.reeb_raw(a, y))
+
     for _ in range(5):
         x = rand_point(struct, rng)
         X = rand_tangent(struct, x, rng)
         for a in (1, 2, 3):
-            res = (struct.phi(a, struct.phi(a, X)) + X
-                   - struct.eta(a, X) * struct.reeb(a, x))
-            assert res.norm() < 1e-13
+            assert norm(residual(a, X.v, x.x)) < 1e-13
+    for a in (1, 2, 3):
+        assert_rows_match(lambda w, y: residual(a, w, y), stack["w"], stack["y"])
+        assert_rows_match(lambda w, y: struct.eta_raw(a, w, y),
+                          stack["w"], stack["y"])
 
 
-def test_phi_composition_even_permutations(struct, rng):
+def test_phi_composition_even_permutations(struct, rng, stack):
     x = rand_point(struct, rng)
     X = rand_tangent(struct, x, rng, in_h=True)
     for beta, gamma, theta in EVEN_PERMUTATIONS:
-        res = struct.phi(beta, struct.phi(gamma, X)) - struct.phi(theta, X)
-        assert res.norm() < 1e-13
+        def residual(w, y):
+            return (struct.phi_raw(beta, struct.phi_raw(gamma, w, y), y)
+                    - struct.phi_raw(theta, w, y))
+        assert norm(residual(X.v, x.x)) < 1e-13
+        assert_rows_match(residual, stack["h"], stack["y"])
 
 
-def test_metric_compatibility(struct, rng):
+def test_metric_compatibility(struct, rng, stack):
     x = rand_point(struct, rng)
     X = rand_tangent(struct, x, rng)
     Y = rand_tangent(struct, x, rng)
     for a in (1, 2, 3):
-        lhs = struct.metric(struct.phi(a, X), struct.phi(a, Y))
-        rhs = struct.metric(X, Y) - struct.eta(a, X) * struct.eta(a, Y)
-        assert lhs == pytest.approx(rhs, abs=1e-13)
+        def lhs(w, u, y):
+            return dot(struct.phi_raw(a, w, y), struct.phi_raw(a, u, y))
+
+        def rhs(w, u, y):
+            return dot(w, u) - struct.eta_raw(a, w, y) * struct.eta_raw(a, u, y)
+
+        assert lhs(X.v, Y.v, x.x) == pytest.approx(rhs(X.v, Y.v, x.x), abs=1e-13)
+        for f in (lhs, rhs):
+            assert_rows_match(f, stack["w"], stack["u"], stack["y"])
 
 
-def test_eta_through_phi(struct, rng):
+def test_eta_through_phi(struct, rng, stack):
     x = rand_point(struct, rng)
     X = rand_tangent(struct, x, rng)
     for beta, gamma, theta in EVEN_PERMUTATIONS:
-        assert struct.eta(theta, X) == pytest.approx(
-            struct.eta(beta, struct.phi(gamma, X)), abs=1e-13)
+        assert struct.eta_raw(theta, X.v, x.x) == pytest.approx(
+            struct.eta_raw(beta, struct.phi_raw(gamma, X.v, x.x), x.x), abs=1e-13)
+        assert_rows_match(
+            lambda w, y: struct.eta_raw(beta, struct.phi_raw(gamma, w, y), y),
+            stack["w"], stack["y"])
 
 
-def test_omega_values_on_h(struct, rng):
+def test_omega_values_on_h(struct, rng, stack):
     x = rand_point(struct, rng)
-    X = rand_tangent(struct, x, rng, in_h=True)
+    X, y = rand_tangent(struct, x, rng, in_h=True).v, x.x
     for a in (1, 2, 3):
-        assert struct.omega(a, X, X) == pytest.approx(0.0, abs=1e-14)
-        assert struct.omega(a, X, struct.phi(a, X)) == pytest.approx(-1.0, abs=1e-13)
-    assert struct.omega(1, struct.phi(1, X), X) == pytest.approx(1.0, abs=1e-13)
+        PX = struct.phi_raw(a, X, y)
+        assert struct.omega_raw(a, X, X, y) == pytest.approx(0.0, abs=1e-14)
+        assert struct.omega_raw(a, X, PX, y) == pytest.approx(-1.0, abs=1e-13)
+        assert_rows_match(lambda w, u, y: struct.omega_raw(a, w, u, y),
+                          stack["h"], stack["u"], stack["y"])
+    PX = struct.phi_raw(1, X, y)
+    assert struct.omega_raw(1, PX, X, y) == pytest.approx(1.0, abs=1e-13)
 
 
-def test_projection_to_h(struct, rng):
+def test_projection_to_h(struct, rng, stack):
     x = rand_point(struct, rng)
-    assert struct.project_H(struct.reeb(2, x)).norm() < 1e-14
+    y = x.x
+    assert norm(struct.project_h_raw(struct.reeb_raw(2, y), y)) < 1e-14
     X = rand_tangent(struct, x, rng, in_h=True)
-    assert (struct.project_H(X) - X).norm() < 1e-13
+    assert norm(struct.project_h_raw(X.v, y) - X.v) < 1e-13
     Y = rand_tangent(struct, x, rng)
-    pY = struct.project_H(Y)
+    pY = struct.project_h_raw(Y.v, y)
     for a in (1, 2, 3):
-        assert abs(struct.eta(a, pY)) < 1e-13
+        assert abs(struct.eta_raw(a, pY, y)) < 1e-13
+    assert_rows_match(struct.project_h_raw, stack["w"], stack["y"])
+    assert_rows_match(struct.tangent_project_raw, stack["w"], stack["y"])
 
 
-def test_alpha_index_validated(struct, rng):
+def test_alpha_index_validated(struct, rng, stack):
     x = rand_point(struct, rng)
-    with pytest.raises(StructuralError):
-        struct.reeb(0, x)
-    with pytest.raises(StructuralError):
-        struct.reeb(4, x)
-    for bad in ("1", None, [1], 1.5):
+    for y in (x.x, stack["y"]):
         with pytest.raises(StructuralError):
-            struct.phi(bad, struct.reeb(1, x))
+            struct.reeb_raw(0, y)
+        with pytest.raises(StructuralError):
+            struct.reeb_raw(4, y)
+        for bad in ("1", None, [1], 1.5):
+            with pytest.raises(StructuralError):
+                struct.phi_raw(bad, struct.reeb_raw(1, y), y)
 
 
 # ============================================================
@@ -169,27 +222,28 @@ def test_alpha_index_validated(struct, rng):
 def test_frame_h_contract(struct, rng):
     x = rand_point(struct, rng)
     fr = struct.frame_H(x, seed=5)
-    assert len(fr.vectors) == 4
-    for i, Ei in enumerate(fr.vectors):
+    assert len(fr) == 4
+    for i, Ei in enumerate(fr):
+        assert Ei.base is x
         for a in (1, 2, 3):
-            assert abs(struct.eta(a, Ei)) < 1e-10
-        for j, Ej in enumerate(fr.vectors):
+            assert abs(struct.eta_raw(a, Ei.v, x.x)) < 1e-10
+        for j, Ej in enumerate(fr):
             want = 1.0 if i == j else 0.0
-            assert struct.metric(Ei, Ej) == pytest.approx(want, abs=1e-10)
+            assert dot(Ei.v, Ej.v) == pytest.approx(want, abs=1e-10)
 
 
 def test_frame_h_deterministic(struct, rng):
     x = rand_point(struct, rng)
     f1 = struct.frame_H(x, seed=77)
     f2 = struct.frame_H(x, seed=77)
-    for a, b in zip(f1.vectors, f2.vectors):
+    for a, b in zip(f1, f2):
         assert np.array_equal(a.v, b.v)
 
 
 def test_frame_h_empty_for_n0():
     s = ThreeSasakiStructure(n=0)
-    x = s.point(np.array([0.5, 0.5, 0.5, 0.5]))
-    assert s.frame_H(x, seed=1).vectors == ()
+    x = SpherePoint.normalized(np.array([0.5, 0.5, 0.5, 0.5]))
+    assert s.frame_H(x, seed=1) == ()
 
 
 # ============================================================
@@ -201,7 +255,7 @@ def test_h_tensor_table(struct, rng):
     # h_{23} = +phi1 = -h_{32}, h_{31} = +phi2 = -h_{13}
     x = rand_point(struct, rng)
     X = rand_tangent(struct, x, rng)
-    phi = {a: struct.phi(a, X) for a in (1, 2, 3)}
+    phi = {a: struct.phi_raw(a, X.v, x.x) for a in (1, 2, 3)}
     for a in (1, 2, 3):
         assert struct.h_tensor(a, a, X).norm() < 1e-9
     table = {(1, 2): phi[3], (2, 1): -1.0 * phi[3],
@@ -209,7 +263,7 @@ def test_h_tensor_table(struct, rng):
              (3, 1): phi[2], (1, 3): -1.0 * phi[2]}
     for (a, b), want in table.items():
         got = struct.h_tensor(a, b, X)
-        assert (got - want).norm() < 1e-9, (a, b)
+        assert norm(got.v - want) < 1e-9, (a, b)
 
 
 # ============================================================
