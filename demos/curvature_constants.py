@@ -72,10 +72,10 @@ print(f"adapted trace on (X, X)   : {hc:+.12f} (derived 4n+8 = 12, "
 # the stated expansion against the curvature: equal on H, split by an
 # exact tensor otherwise
 Z = unit_h()
-(sample,) = cross_check_rbar(s, [(x, X, Y, Z)])
+sample = cross_check_rbar(s, (x, X, Y, Z))
 print(f"\ntwo-route residual, H triple      : {sample.residual:.3e}")
 mixed = (x, unit_tangent(), unit_tangent(), unit_tangent())
-(sample,) = cross_check_rbar(s, [mixed])
+sample = cross_check_rbar(s, mixed)
 gap = two_route_gap_form(s, *mixed[1:])
 rec = np.linalg.norm(sample.value_algebraic - sample.value_direct - gap.v)
 print(f"two-route residual, mixed triple  : {sample.residual:.6f}")

@@ -27,6 +27,11 @@ by pushing nested dual numbers through the field closures.  The
 quadrilinear form uses the slot convention
 
     R4(X, Y, Z, W) := g(R(X, Y)W, Z).
+
+Every typed operation takes a point that is one row or a stack of rows,
+with fields of the same shape, and gives one value per row in one pass:
+a tangent vector of that shape, or floats of shape ``(P, 1)`` for a
+stack.
 """
 
 from __future__ import annotations
@@ -91,10 +96,9 @@ class VectorField:
 
     @classmethod
     def extension(cls, structure, X):
-        """Canonical global extension y -> v - <v, y> y of a tangent vector,
-        or of a sequence of them: a field with one row per vector."""
-        v = X.v if isinstance(X, TangentVector) else [V.v for V in X]
-        return cls(structure, structure.extension_raw(v))
+        """Canonical global extension y -> v - <v, y> y of a tangent vector;
+        a stack gives a field with one row per vector."""
+        return cls(structure, structure.extension_raw(X.v))
 
     @classmethod
     def reeb(cls, structure, alpha):
@@ -162,11 +166,12 @@ def lie_bracket(X: VectorField, Y: VectorField, x: SpherePoint,
                 scheme=EXACT_FORWARD) -> TangentVector:
     s = _common_structure(X, Y)
     raw = bracket_raw(X, Y, x.x, scheme)
-    drift = abs(float(np.dot(raw, x.x)))
-    if drift >= BRACKET_TANGENCY_TOL:
+    drift = np.abs(np.ravel(dot(raw, x.x)))
+    bad = drift >= BRACKET_TANGENCY_TOL
+    if bad.any():
         raise InternalConsistencyError(
             f"bracket of tangent fields drifted off the tangent space "
-            f"by {drift:.3e}")
+            f"by {drift[bad][0]:.3e}")
     return TangentVector(x, s.tangent_project_raw(raw, x.x))
 
 
@@ -181,7 +186,7 @@ def cov_deriv(kind: ConnectionKind, X: VectorField, Y: VectorField,
 
 
 def h_form_gap(X: VectorField, Y: VectorField, x: SpherePoint,
-               scheme=EXACT_FORWARD) -> float:
+               scheme=EXACT_FORWARD):
     """Disagreement between the substituted and the definitional forms of
     the adapted covariant derivative at x (zero when the structure's
     first-derivative identities hold).  The definitional form writes the
@@ -200,7 +205,7 @@ def h_form_gap(X: VectorField, Y: VectorField, x: SpherePoint,
                 - s.eta_raw(a, Xv, y) * d_xi_Y
                 - s.eta_raw(a, Yv, y) * d_xi_X
                 + s.omega_raw(a, Xv, Yv, y) * s.reeb_raw(a, y))
-    return float(norm(sub - defn))
+    return norm(sub - defn)
 
 
 def sasaki_defect(alpha, X: VectorField, Y: VectorField, x: SpherePoint,
@@ -241,28 +246,18 @@ def _curvature_raw(s, kind, Xf, Yf, Zf, y, scheme):
 
 
 def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,
-              Z: VectorField, x, scheme=EXACT_FORWARD):
+              Z: VectorField, x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
-    evaluated by nesting dual numbers through the field closures.  For a
-    sequence of points, with fields of one row per point, one nested pass
-    gives one tangent vector per point."""
+    evaluated by nesting dual numbers through the field closures; one
+    nested pass for a stack of points."""
     s = _common_structure(X, Y, Z)
-    if isinstance(x, SpherePoint):
-        return TangentVector(x, _curvature_raw(s, kind, X, Y, Z, x.x, scheme))
-    y = np.array([p.x for p in x])
-    R = _curvature_raw(s, kind, X, Y, Z, y, scheme) if len(x) else ()
-    return [TangentVector(p, r) for p, r in zip(x, R)]
+    return TangentVector(x, _curvature_raw(s, kind, X, Y, Z, x.x, scheme))
 
 
 def curvature4(kind: ConnectionKind, X, Y, Z, W, x, scheme=EXACT_FORWARD):
-    """Quadrilinear curvature with slot convention g(R(X,Y)W, Z); one
-    value per point for a sequence of points, as in :func:`curvature`."""
+    """Quadrilinear curvature with slot convention g(R(X,Y)W, Z)."""
     _common_structure(X, Y, Z, W)
-    R = curvature(kind, X, Y, W, x, scheme)
-    if isinstance(x, SpherePoint):
-        return float(dot(R.v, Z(x.x)))
-    Zv = Z(np.array([p.x for p in x])) if len(x) else ()
-    return [float(dot(r.v, z)) for r, z in zip(R, Zv)]
+    return dot(curvature(kind, X, Y, W, x, scheme).v, Z(x.x))
 
 
 def nabla_bar_phi_defect(alpha, X: VectorField, Y: VectorField,
@@ -283,7 +278,5 @@ def sphere_curvature_oracle(X: TangentVector, Y: TangentVector,
     R(X,Y)Z = g(Y,Z) X - g(X,Z) Y, in the convention of :func:`curvature`
     (the report's ``curvature-sign`` entry measures that convention).
     """
-    X._check_same_base(Y)
-    X._check_same_base(Z)
-    out = float(np.dot(Y.v, Z.v)) * X.v - float(np.dot(X.v, Z.v)) * Y.v
-    return TangentVector(X.base, out)
+    X._check_same_base(Y, Z)
+    return TangentVector(X.base, dot(Y.v, Z.v) * X.v - dot(X.v, Z.v) * Y.v)

@@ -24,13 +24,12 @@ from the curvature by an exact eta-trilinear tensor,
 between the differential route and the stated expansion (see the README
 findings section).
 
-The closed forms, plane values and verifiers take a tangent vector per
-vector argument, or equal-length sequences of them (one row each, at its
-own point) and then return a list, one result per row.  Each nested
-curvature value they need is one pass of ``connections.curvature`` over
-all rows, and each row has the bits of its one-row call;
-:func:`cross_check_rbar` and :func:`verify_symmetries` stack all their
-samples this way.
+The closed forms, plane values and verifiers take tangent vectors that
+are one row or a stack of rows (each at its own point), and give one
+value per row: a stack in gives a stack out.  Each nested curvature value
+they need is one pass of ``connections.curvature`` over all rows, and
+each row has the bits of its one-row call.  :func:`ricci` alone takes one
+point per call; its stack axis is the trace basis.
 """
 
 from __future__ import annotations
@@ -43,10 +42,11 @@ from .numlin import (
     EXACT_FORWARD,
     DegenerateInputError,
     PreconditionError,
+    StructuralError,
     dot,
     norm,
 )
-from .sphere3s import TANGENT_TOL, SpherePoint, TangentVector, ThreeSasakiStructure
+from .sphere3s import TANGENT_TOL, TangentVector, ThreeSasakiStructure
 from .connections import (
     ConnectionKind,
     VectorField,
@@ -87,41 +87,22 @@ _PAIRS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
 
 @dataclass
 class CurvatureSample:
-    point: SpherePoint
-    args: tuple
+    """Both curvature routes on one argument triple, or on a stack of them
+    (one row each)."""
+
     value_direct: np.ndarray
     value_algebraic: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
 
 # ============================================================
 # the algebraic curvature route
 # ============================================================
 
-def _rows(X):
-    """One tangent vector as a row, or a sequence of them as rows, and
-    whether it was a sequence (the result is then a list, one per row)."""
-    return ([X], False) if isinstance(X, TangentVector) else (list(X), True)
-
-
 def _in_H(s, U):
-    return max(abs(s.eta_raw(a, U.v, U.base.x)) for a in (1, 2, 3)) <= TANGENT_TOL
-
-
-def _stacked(kernel, structure, *args):
-    """Apply ``kernel(structure, y, *arrays)``, a closed form over stacked
-    ambient arrays, to tangent vectors at one base point, or row by row to
-    equal-length sequences of them."""
-    (first, many), *rest = (_rows(V) for V in args)
-    rows = list(zip(first, *(r for r, _ in rest)))
-    for row in rows:
-        for V in row[1:]:
-            row[0]._check_same_base(V)
-    bases = [row[0].base for row in rows]
-    arrays = (np.array([V.v for V in col]) for col in zip(*rows))
-    out = kernel(structure, np.array([b.x for b in bases]), *arrays) if rows else []
-    out = [TangentVector(b, r) for b, r in zip(bases, out)]
-    return out if many else out[0]
+    """Whether every row of U lies in the distribution H."""
+    eta = [s.eta_raw(a, U.v, U.base.x) for a in (1, 2, 3)]
+    return bool(np.all(np.abs(eta) <= TANGENT_TOL))
 
 
 def rbar_algebraic(structure: ThreeSasakiStructure, X, Y, Z, R=None):
@@ -135,11 +116,8 @@ def rbar_algebraic(structure: ThreeSasakiStructure, X, Y, Z, R=None):
     components it is not the curvature of the adapted connection: it
     exceeds :func:`rbar_difference_tensor` by exactly
     :func:`two_route_gap_form`."""
-    return _stacked(_rbar_algebraic_raw, structure, X, Y, Z,
-                    *(() if R is None else (R,)))
-
-
-def _rbar_algebraic_raw(s, y, Xv, Yv, Zv, Rv=None):
+    X._check_same_base(Y, Z, *(() if R is None else (R,)))
+    s, y, Xv, Yv, Zv = structure, X.base.x, X.v, Y.v, Z.v
     et = lambda a, w: s.eta_raw(a, w, y)
     om = lambda a, u, w: s.omega_raw(a, u, w, y)
     phi = lambda a, w: s.phi_raw(a, w, y)
@@ -147,7 +125,7 @@ def _rbar_algebraic_raw(s, y, Xv, Yv, Zv, Rv=None):
     gXZ = dot(Xv, Zv)
     gYZ = dot(Yv, Zv)
 
-    out = gYZ * Xv - gXZ * Yv if Rv is None else Rv
+    out = gYZ * Xv - gXZ * Yv if R is None else R.v
     for a in (1, 2, 3):
         out = out - 2.0 * om(a, Yv, Xv) * phi(a, Zv) \
                   - om(a, Zv, Xv) * phi(a, Yv) \
@@ -165,7 +143,7 @@ def _rbar_algebraic_raw(s, y, Xv, Yv, Zv, Rv=None):
                   + et(a, Zv) * et(b, phi(a, Yv)) * phi(b, Xv)
         out = out - et(a, Xv) * et(b, phi(a, Zv)) * phi(b, Yv) \
                   - et(a, Zv) * et(b, phi(a, Xv)) * phi(b, Yv)
-    return s.tangent_project_raw(out, y)
+    return TangentVector(X.base, s.tangent_project_raw(out, y))
 
 
 def rbar_difference_tensor(structure: ThreeSasakiStructure, X: TangentVector,
@@ -218,16 +196,14 @@ def rbar_quaternionic_projective(structure: ThreeSasakiStructure,
 
     with X, Y, Z replaced by their H-parts.
     """
-    X._check_same_base(Y)
-    X._check_same_base(Z)
-    s = structure
-    y = X.base.x
+    X._check_same_base(Y, Z)
+    s, y = structure, X.base.x
     Xv, Yv, Zv = (s.project_h_raw(V.v, y) for V in (X, Y, Z))
-    out = float(np.dot(Yv, Zv)) * Xv - float(np.dot(Xv, Zv)) * Yv
+    out = dot(Yv, Zv) * Xv - dot(Xv, Zv) * Yv
     for a in (1, 2, 3):
         pX, pY, pZ = (s.phi_raw(a, w, y) for w in (Xv, Yv, Zv))
-        out = out + (float(np.dot(Zv, pY)) * pX - float(np.dot(Zv, pX)) * pY
-                     + 2.0 * float(np.dot(Xv, pY)) * pZ)
+        out = out + (dot(Zv, pY) * pX - dot(Zv, pX) * pY
+                     + 2.0 * dot(Xv, pY) * pZ)
     return TangentVector(X.base, out)
 
 
@@ -245,10 +221,8 @@ def two_route_gap_form(structure: ThreeSasakiStructure, X, Y, Z):
     triple-Reeb argument families, which is exactly where the two routes
     agree.
     """
-    return _stacked(_two_route_gap_raw, structure, X, Y, Z)
-
-
-def _two_route_gap_raw(s, y, Xv, Yv, Zv):
+    X._check_same_base(Y, Z)
+    s, y, Xv, Yv, Zv = structure, X.base.x, X.v, Y.v, Z.v
     et = lambda a, w: s.eta_raw(a, w, y)
     xi = lambda a: s.reeb_raw(a, y)
     gXZ = dot(Xv, Zv)
@@ -261,27 +235,24 @@ def _two_route_gap_raw(s, y, Xv, Yv, Zv):
                                              + et(b, Zv) * xi(a))
         out = out + et(a, Zv) * (et(b, Yv) * et(a, Xv)
                                  + et(a, Yv) * et(b, Xv)) * xi(b)
-    return out
+    return TangentVector(X.base, out)
 
 
-def cross_check_rbar(structure, samples, scheme=EXACT_FORWARD):
+def cross_check_rbar(structure, sample, scheme=EXACT_FORWARD):
     """Compare the differential and algebraic curvature routes.
 
-    ``samples`` is an iterable of (point, X, Y, Z) with tangent vectors
-    at the point.  The round-metric curvature fed to the algebraic route
-    comes from the differential pipeline, so the comparison does not
-    assume the constant-curvature closed form.
+    ``sample`` is a (point, X, Y, Z) tuple with tangent vectors at the
+    point, one row or a stack.  The round-metric curvature fed to the
+    algebraic route comes from the differential pipeline, so the
+    comparison does not assume the constant-curvature closed form.
     """
-    samples = list(samples)
-    points = [t[0] for t in samples]
-    X, Y, Z = ([t[k] for t in samples] for k in (1, 2, 3))
-    fields = [VectorField.extension(structure, V) for V in (X, Y, Z)]
-    direct = curvature(HC, *fields, points, scheme)
-    R_lc = curvature(LC, *fields, points, scheme)
-    algebraic = rbar_algebraic(structure, X, Y, Z, R=R_lc)
-    return [CurvatureSample(point=t[0], args=tuple(t[1:]), value_direct=d.v,
-                            value_algebraic=a.v, residual=norm(d.v - a.v))
-            for t, d, a in zip(samples, direct, algebraic)]
+    x, *args = sample
+    fields = [VectorField.extension(structure, V) for V in args]
+    direct = curvature(HC, *fields, x, scheme)
+    R_lc = curvature(LC, *fields, x, scheme)
+    algebraic = rbar_algebraic(structure, *args, R=R_lc)
+    return CurvatureSample(value_direct=direct.v, value_algebraic=algebraic.v,
+                           residual=norm(direct.v - algebraic.v))
 
 
 # ============================================================
@@ -296,9 +267,13 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
 
     The basis enters as one stacked extension field, so a single nested
     curvature evaluation gives R(E_i, X)Y for every i; the terms are
-    summed in basis order."""
+    summed in basis order.  ``X`` and ``Y`` are one row each: a stack
+    raises :class:`StructuralError`."""
     X._check_same_base(Y)
     x = X.base
+    if x.x.ndim != 1:
+        raise StructuralError(
+            "the trace takes one point per call; its stack axis is the basis")
     if kind is ConnectionKind.H_CONNECTION and not all(
             _in_H(structure, V) for V in (X, Y)):
         raise PreconditionError(
@@ -311,7 +286,7 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
                        structure.extension_raw(Y.v), x.x, scheme)
     total = 0.0
     for r, e in zip(R, Ef(x.x)):
-        total += float(np.dot(r, e))
+        total += dot(r, e)
     return total
 
 
@@ -320,8 +295,9 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
 # ============================================================
 
 def _gram(X: TangentVector, Y: TangentVector):
-    return (float(np.dot(X.v, X.v)) * float(np.dot(Y.v, Y.v))
-            - float(np.dot(X.v, Y.v)) ** 2)
+    # np.float_power has the bits of Python's float power on every row
+    # (numpy's ``**`` differs in the last bit on some values)
+    return dot(X.v, X.v) * dot(Y.v, Y.v) - np.float_power(dot(X.v, Y.v), 2)
 
 
 def _signed(value):
@@ -330,21 +306,19 @@ def _signed(value):
     return {"+1": value, "-1": -value}
 
 
-def _plane_values(structure, kind, Xs, Ys, scheme):
-    """-R4(X,Y,X,Y) / gram for each pair of rows, from one nested pass of
-    the connection ``kind`` over the extensions of the vectors."""
-    grams = []
-    for U, V in zip(Xs, Ys):
-        U._check_same_base(V)
-        g = _gram(U, V)
-        if g <= 1e-10:
-            raise DegenerateInputError(
-                f"the two vectors do not span a plane (Gram determinant {g:.3e})")
-        grams.append(g)
-    Xf = VectorField.extension(structure, Xs)
-    Yf = VectorField.extension(structure, Ys)
-    R4 = curvature4(kind, Xf, Yf, Xf, Yf, [U.base for U in Xs], scheme)
-    return [-r / g for r, g in zip(R4, grams)]
+def _plane_values(structure, kind, X, Y, scheme):
+    """-R4(X,Y,X,Y) / gram on each row, from one nested pass of the
+    connection ``kind`` over the extensions of the vectors."""
+    X._check_same_base(Y)
+    g = _gram(X, Y)
+    gs = np.ravel(g)
+    bad = gs <= 1e-10
+    if bad.any():
+        raise DegenerateInputError(
+            f"the two vectors do not span a plane (Gram determinant {gs[bad][0]:.3e})")
+    Xf = VectorField.extension(structure, X)
+    Yf = VectorField.extension(structure, Y)
+    return -curvature4(kind, Xf, Yf, Xf, Yf, X.base, scheme) / g
 
 
 def sectional(structure, X, Y, scheme=EXACT_FORWARD):
@@ -353,25 +327,20 @@ def sectional(structure, X, Y, scheme=EXACT_FORWARD):
     multiply by the report's measured ``plane-normalization`` sign, the
     one that makes round planes measure +1.
     """
-    Xs, many = _rows(X)
-    out = _plane_values(structure, LC, Xs, _rows(Y)[0], scheme)
-    return out if many else out[0]
+    return _plane_values(structure, LC, X, Y, scheme)
 
 
 def holomorphic_sectional_bar(structure, alpha, X, scheme=EXACT_FORWARD):
     """The adapted-connection curvature R4-bar(X, phi_a X, X, phi_a X)
     for a unit distribution vector X: the adapted plane value under the
     selected normalization (-1), the unit Gram determinant left out."""
-    Xs, many = _rows(X)
-    for U in Xs:
-        if abs(U.norm() - 1.0) > 1e-10:
-            raise PreconditionError("X must have unit length")
-        if not _in_H(structure, U):
-            raise PreconditionError("X must lie in the distribution H")
-    Xf = VectorField.extension(structure, Xs)
+    if np.any(np.abs(X.norm() - 1.0) > 1e-10):
+        raise PreconditionError("X must have unit length")
+    if not _in_H(structure, X):
+        raise PreconditionError("X must lie in the distribution H")
+    Xf = VectorField.extension(structure, X)
     Pf = Xf.phi(alpha)
-    out = curvature4(HC, Xf, Pf, Xf, Pf, [U.base for U in Xs], scheme)
-    return out if many else out[0]
+    return curvature4(HC, Xf, Pf, Xf, Pf, X.base, scheme)
 
 
 # ============================================================
@@ -384,27 +353,20 @@ def sec_rela_data(structure, alpha, X, scheme=EXACT_FORWARD):
     ``"K"`` maps each plane normalization (``"+1"``, ``"-1"``) to that
     sign times :func:`sectional`, and ``"residual"`` to |k - 3 - K|.
     """
-    Xs, many = _rows(X)
-    ks = holomorphic_sectional_bar(structure, alpha, Xs, scheme)
-    Ps = [TangentVector(U.base, structure.phi_raw(alpha, U.v, U.base.x))
-          for U in Xs]
-    Ks = sectional(structure, Xs, Ps, scheme)
-    out = [{"k": k, "K": K,
+    k = holomorphic_sectional_bar(structure, alpha, X, scheme)
+    P = TangentVector(X.base, structure.phi_raw(alpha, X.v, X.base.x))
+    K = _signed(sectional(structure, X, P, scheme))
+    return {"k": k, "K": K,
             "residual": {c: abs(k - 3.0 - Kc) for c, Kc in K.items()}}
-           for k, K in zip(ks, map(_signed, Ks))]
-    return out if many else out[0]
 
 
 def cor_xxx_data(structure, X, scheme=EXACT_FORWARD):
     """Both sides of the quadrilinear identity on (X, phi_1 X, phi_2 X,
     phi_3 X): the adapted and round-metric curvature forms agree there."""
-    Xs, many = _rows(X)
-    Xf = VectorField.extension(structure, Xs)
+    Xf = VectorField.extension(structure, X)
     f1, f2, f3 = (Xf.phi(a) for a in (1, 2, 3))
-    points = [U.base for U in Xs]
-    out = list(zip(curvature4(HC, Xf, f1, f2, f3, points, scheme),
-                   curvature4(LC, Xf, f1, f2, f3, points, scheme)))
-    return out if many else out[0]
+    return (curvature4(HC, Xf, f1, f2, f3, X.base, scheme),
+            curvature4(LC, Xf, f1, f2, f3, X.base, scheme))
 
 
 def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
@@ -422,58 +384,50 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     ``"predicted"`` maps it to k plus the polynomial, and ``"residual"``
     each combination ``"adapted/round"`` to |kbar - predicted|.
     """
-    Xs, many = _rows(X)
-    for U in Xs:
-        if abs(U.norm() - 1.0) > 1e-10:
-            raise PreconditionError("X must have unit length")
-    Ps = [TangentVector(U.base, structure.phi_raw(alpha, U.v, U.base.x))
-          for U in Xs]
-    kbars, ks = (_plane_values(structure, kind, Xs, Ps, scheme)
-                 for kind in (HC, LC))
+    if np.any(np.abs(X.norm() - 1.0) > 1e-10):
+        raise PreconditionError("X must have unit length")
+    P = TangentVector(X.base, structure.phi_raw(alpha, X.v, X.base.x))
+    kbar, k = (_signed(_plane_values(structure, kind, X, P, scheme))
+               for kind in (HC, LC))
     b, c = (i for i in (1, 2, 3) if i != alpha)
-    out = []
-    for U, kbar, k in zip(Xs, kbars, ks):
-        eb, ec = (structure.eta_raw(i, U.v, U.base.x) for i in (b, c))
-        poly = (3.0 + 4.0 * (eb * ec) ** 2 + 6.0 * (eb ** 4 + ec ** 4)
-                - 8.0 * (eb ** 2 + ec ** 2))
-        kbar, k = _signed(kbar), _signed(k)
-        predicted = {ck: Kc + poly for ck, Kc in k.items()}
-        out.append({
-            "eta_components": [float(eb), float(ec)],
-            "kbar": kbar, "k": k, "predicted": predicted,
-            "residual": {f"{cb}/{ck}": abs(kb - pk) for cb, kb in kbar.items()
-                         for ck, pk in predicted.items()},
-        })
-    return out if many else out[0]
+    eb, ec = (structure.eta_raw(i, X.v, X.base.x) for i in (b, c))
+    # float powers as in _gram
+    poly = (3.0 + 4.0 * np.float_power(eb * ec, 2)
+            + 6.0 * (np.float_power(eb, 4) + np.float_power(ec, 4))
+            - 8.0 * (np.float_power(eb, 2) + np.float_power(ec, 2)))
+    predicted = {ck: Kc + poly for ck, Kc in k.items()}
+    return {
+        "eta_components": [eb, ec],
+        "kbar": kbar, "k": k, "predicted": predicted,
+        "residual": {f"{cb}/{ck}": abs(kb - pk) for cb, kb in kbar.items()
+                     for ck, pk in predicted.items()},
+    }
 
 
-def verify_symmetries(structure, quads, tol=1e-6, scheme=EXACT_FORWARD):
+def verify_symmetries(structure, quad, tol=1e-6, scheme=EXACT_FORWARD):
     """Residuals of the four quadrilinear symmetry families of the
     adapted curvature on distribution arguments.
 
-    ``quads`` is an iterable of (point, X, Y, Z, W) with all four tangent
-    vectors in H.  Returns one record per family.
+    ``quad`` is a (point, X, Y, Z, W) tuple with all four tangent vectors
+    in H, one row or a stack.  Returns one record per family.
     """
-    quads = list(quads)
-    points = [q[0] for q in quads]
-    f = {c: VectorField.extension(structure, [q[k] for q in quads])
-         for k, c in enumerate("XYZW", 1)}
-    # r["XYWZ"][i] is R4(X, Y, W, Z) on quad i
-    r = {key: curvature4(HC, *(f[c] for c in key), points, scheme)
+    x, *args = quad
+    f = {c: VectorField.extension(structure, V) for c, V in zip("XYZW", args)}
+    # q["XYWZ"] is R4(X, Y, W, Z)
+    q = {key: curvature4(HC, *(f[c] for c in key), x, scheme)
          for key in ("XYZW", "YXZW", "XYWZ", "ZWXY", "YZWX", "ZXWY")}
 
-    def residuals(i):
-        q = {key: values[i] for key, values in r.items()}
+    def residuals():
         yield "first_pair", abs(q["XYZW"] + q["YXZW"])
         yield "last_pair", abs(q["XYZW"] + q["XYWZ"])
         yield "pair_swap", abs(q["XYZW"] - q["ZWXY"])
         yield "bianchi", abs(q["XYWZ"] + q["YZWX"] + q["ZXWY"])
 
-    worst = worst_residuals(map(residuals, range(len(quads))),
+    worst = worst_residuals(residuals(),
                             ("first_pair", "last_pair", "pair_swap", "bianchi"))
     return [
         make_record(f"curvature.sym_{name}", suite="curvature", kind="check",
                     passed=bool(res <= tol), max_residual=res, tolerance=tol,
-                    samples=len(quads))
+                    samples=len(np.atleast_2d(x.x)))
         for name, res in worst.items()
     ]

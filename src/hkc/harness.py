@@ -4,9 +4,11 @@ Runs the identity suites against a freshly built structure, collects the
 residuals into a machine-readable report, and resolves the three sign
 conventions empirically before any curvature suite is interpreted.  All
 sampling is driven by counter-keyed seed sequences, so a report is a pure
-function of its configuration.  The four suites of nested curvature
-(curvature, cross-check, sectional, theorem-sec) draw all their samples
-first, then run one stacked pass per connection and slot pattern.
+function of its configuration.  Each suite draws all its samples first,
+on its own lane, and stacks them; its checks then run once over the
+stack (one nested pass per connection and slot pattern for curvature)
+and yield one residual per sample row.  The ricci suite alone draws and
+traces one point at a time, since the trace's stack axis is its basis.
 """
 
 import argparse
@@ -151,7 +153,7 @@ def _suite_stream(cfg, suite, index):
 def sample_point(structure, rng):
     for _ in range(10):
         v = rng.standard_normal(structure.ambient_dim)
-        nv = float(np.linalg.norm(v))
+        nv = norm(v)
         if nv > 1e-6:
             return SpherePoint.normalized(v / nv)
     raise PreconditionError("could not draw a usable ambient direction")
@@ -160,7 +162,7 @@ def sample_point(structure, rng):
 def sample_unit_tangent(structure, x, rng):
     for _ in range(10):
         w = structure.tangent_project_raw(rng.standard_normal(structure.ambient_dim), x.x)
-        nw = float(np.linalg.norm(w))
+        nw = norm(w)
         if nw > 1e-6:
             return TangentVector(x, w / nw)
     raise PreconditionError("could not draw a usable tangent direction")
@@ -173,7 +175,7 @@ def sample_unit_H(structure, x, rng):
             "no unit direction can be drawn from it")
     for _ in range(10):
         w = structure.project_h_raw(rng.standard_normal(structure.ambient_dim), x.x)
-        nw = float(np.linalg.norm(w))
+        nw = norm(w)
         if nw > 1e-6:
             return TangentVector(x, w / nw)
     raise PreconditionError("could not draw a usable distribution direction")
@@ -208,8 +210,8 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
     # (2) sign of the round curvature operator, probed on an orthonormal
     # tangent pair via R(X, Y)Y
     v = sample_unit_tangent(structure, x, rng)
-    w = v.v - float(np.dot(v.v, u.v)) * u.v
-    v = TangentVector(x, w / np.linalg.norm(w))
+    w = v.v - dot(v.v, u.v) * u.v
+    v = TangentVector(x, w / norm(w))
     RXYY = curvature(LC, Xf, _ext(structure, v), _ext(structure, v), x, scheme)
     c_plus = norm(RXYY.v - u.v)
     c_minus = norm(RXYY.v + u.v)
@@ -257,17 +259,41 @@ def _samples(cfg, suite, draw):
     return (draw(_suite_stream(cfg, suite, i), i) for i in range(cfg.points))
 
 
-def _drive(cfg, suite, samples, table):
+def _stack(*vectors):
+    """One stack of the rows of tangent vectors (each one row or a stack),
+    in order, every row at its own base point."""
+    x = SpherePoint(np.vstack([V.base.x for V in vectors]))
+    return TangentVector(x, np.vstack([V.v for V in vectors]))
+
+
+def _stacks(rows):
+    """Per-sample tuples of tangent vectors, stacked by tuple position."""
+    return [_stack(*col) for col in zip(*rows)]
+
+
+def _draws(s, cfg, suite, tangents, distribution=0):
+    """The suite's samples, stacked: at each sample point, ``tangents``
+    unit tangent vectors, then ``distribution`` unit vectors of H."""
+    def draw(rng, i):
+        x = sample_point(s, rng)
+        return (*(sample_unit_tangent(s, x, rng) for _ in range(tangents)),
+                *(sample_unit_H(s, x, rng) for _ in range(distribution)))
+
+    return _stacks(_samples(cfg, suite, draw))
+
+
+def _drive(cfg, suite, pairs, table):
     """The suite driver: keep the worst residuals, build records.
 
-    ``samples`` yields, for each sample in order, its ``(key, residual)``
-    pairs.  ``table`` maps each record id, in report order, to its
+    ``pairs`` yields ``(key, residuals)``, one residual per sample row, in
+    the order of one sample's checks; the maxima are taken sample by
+    sample.  ``table`` maps each record id, in report order, to its
     tolerance or to :func:`make_record` fields that override the defaults
     (the worst residual under the id, its verdict against the tolerance,
     ``cfg.points`` samples).  A callable ``table`` gets the worst
     residuals once sampling is done.
     """
-    worst = worst_residuals(samples)
+    worst = worst_residuals(pairs)
     if callable(table):
         table = table(worst)
     records = []
@@ -282,19 +308,15 @@ def _drive(cfg, suite, samples, table):
 
 
 def _suite_axioms(s, cfg, conventions):
-    def draw(rng, i):
-        x = sample_point(s, rng)
-        return x, sample_unit_tangent(s, x, rng), sample_unit_tangent(s, x, rng)
-
-    return s.check_structure_axioms(list(_samples(cfg, "axioms", draw)),
-                                    tol=cfg.tol_first)
+    X, Y = _draws(s, cfg, "axioms", 2)
+    return s.check_structure_axioms((X.base, X, Y), tol=cfg.tol_first)
 
 
 def _suite_sasaki(s, cfg, conventions):
-    def sample(rng, i):
-        x = sample_point(s, rng)
-        X = _ext(s, sample_unit_tangent(s, x, rng))
-        Y = _ext(s, sample_unit_tangent(s, x, rng))
+    Xt, Yt = _draws(s, cfg, "sasaki", 2)
+    x, X, Y = Xt.base, _ext(s, Xt), _ext(s, Yt)
+
+    def residuals():
         for a in (1, 2, 3):
             yield "sasaki.defect", sasaki_defect(a, X, Y, x, cfg.scheme).norm()
             d = cov_deriv(LC, X, VectorField.reeb(s, a), x, cfg.scheme)
@@ -307,7 +329,7 @@ def _suite_sasaki(s, cfg, conventions):
             yield "sasaki.reeb_on_reeb", norm(rr.v - s.reeb_raw(c, x.x))
             yield "sasaki.reeb_on_reeb", cov_deriv(LC, xa, xa, x, cfg.scheme).norm()
 
-    return _drive(cfg, "sasaki", _samples(cfg, "sasaki", sample), {
+    return _drive(cfg, "sasaki", residuals(), {
         "sasaki.defect": cfg.tol_second,
         "sasaki.reeb_covariant": cfg.tol_first,
         "sasaki.reeb_bracket": cfg.tol_first,
@@ -319,14 +341,12 @@ def _suite_sasaki(s, cfg, conventions):
 
 
 def _suite_connection(s, cfg, conventions):
-    def sample(rng, i):
-        x = sample_point(s, rng)
-        Xt = sample_unit_tangent(s, x, rng)
-        Zt = sample_unit_tangent(s, x, rng)
-        X, Z = _ext(s, Xt), _ext(s, Zt)
-        Xh = _ext(s, sample_unit_H(s, x, rng)).project_H()
-        Yh = _ext(s, sample_unit_H(s, x, rng)).project_H()
+    Xt, Zt, Xh_t, Yh_t = _draws(s, cfg, "connection", 2, 2)
+    x, X, Z = Xt.base, _ext(s, Xt), _ext(s, Zt)
+    # nabla_bar_phi_defect projects its fields onto H itself
+    Xh, Yh = _ext(s, Xh_t), _ext(s, Yh_t)
 
+    def residuals():
         yield "connection.two_forms_agree", h_form_gap(X, Z, x, cfg.scheme)
 
         # metric compatibility of the adapted derivative along itself:
@@ -335,26 +355,28 @@ def _suite_connection(s, cfg, conventions):
                                     cfg.scheme)
         XX = cov_deriv(HC, X, X, x, cfg.scheme)
         XZ = cov_deriv(HC, X, Z, x, cfg.scheme)
-        yield "connection.metricity", abs(float(dg) - (dot(XX.v, Zt.v)
-                                                       + dot(Xt.v, XZ.v)))
+        yield "connection.metricity", abs(dg - (dot(XX.v, Zt.v)
+                                                + dot(Xt.v, XZ.v)))
         dg2 = directional_derivative(lambda y: dot(X(y), X(y)), x.x, Zt.v,
                                      cfg.scheme)
         ZX = cov_deriv(HC, Z, X, x, cfg.scheme)
-        yield "connection.metricity", abs(float(dg2) - 2.0 * dot(ZX.v, Xt.v))
+        yield "connection.metricity", abs(dg2 - 2.0 * dot(ZX.v, Xt.v))
 
         for a in (1, 2, 3):
             yield "connection.reeb_parallel", cov_deriv(
                 HC, X, VectorField.reeb(s, a), x, cfg.scheme).norm()
 
-        dY = cov_deriv(HC, X, Yh, x, cfg.scheme)
-        yield "connection.h_preserved", max(abs(s.eta_raw(a, dY.v, x.x))
-                                            for a in (1, 2, 3))
+        # the worst of the three components on each row, by Python's max
+        dY = cov_deriv(HC, X, Yh.project_H(), x, cfg.scheme)
+        eta = (np.ravel(abs(s.eta_raw(a, dY.v, x.x))).tolist()
+               for a in (1, 2, 3))
+        yield "connection.h_preserved", [max(row) for row in zip(*eta)]
 
         br = lie_bracket(X, Z, x, cfg.scheme)
         rhs_br = XZ.v - ZX.v
         for a in (1, 2, 3):
             rhs_br = rhs_br - 2.0 * s.omega_raw(a, Xt.v, Zt.v, x.x) * s.reeb_raw(a, x.x)
-        yield "connection.bracket3", float(np.linalg.norm(br.v - rhs_br))
+        yield "connection.bracket3", norm(br.v - rhs_br)
 
         for a in (1, 2, 3):
             yield "connection.phi_parallel", nabla_bar_phi_defect(
@@ -372,7 +394,7 @@ def _suite_connection(s, cfg, conventions):
             yield "connection.h_tensor_table", norm(
                 s.h_tensor(b, a, Xt, cfg.scheme).v + phi_c)
 
-    return _drive(cfg, "connection", _samples(cfg, "connection", sample), {
+    return _drive(cfg, "connection", residuals(), {
         "connection.two_forms_agree": cfg.tol_first,
         "connection.metricity": cfg.tol_first,
         "connection.reeb_parallel": cfg.tol_first,
@@ -384,21 +406,19 @@ def _suite_connection(s, cfg, conventions):
 
 
 def _suite_torsion(s, cfg, conventions):
-    def sample(rng, i):
-        x = sample_point(s, rng)
-        X = _ext(s, sample_unit_tangent(s, x, rng))
-        Y = _ext(s, sample_unit_tangent(s, x, rng))
+    Xt, Yt, Xh_t, Yh_t = _draws(s, cfg, "torsion", 2, 2)
+    x, X, Y = Xt.base, _ext(s, Xt), _ext(s, Yt)
+    Xh, Yh = _ext(s, Xh_t).project_H(), _ext(s, Yh_t).project_H()
+
+    def residuals():
         yield "torsion.lc_zero", torsion(LC, X, Y, x, cfg.scheme).norm()
 
-        Xh_t = sample_unit_H(s, x, rng)
-        Yh_t = sample_unit_H(s, x, rng)
-        Xh, Yh = _ext(s, Xh_t).project_H(), _ext(s, Yh_t).project_H()
         t = torsion(HC, Xh, Yh, x, cfg.scheme)
         want = np.zeros(s.ambient_dim)
         for a in (1, 2, 3):
             want = want + (2.0 * s.omega_raw(a, Xh_t.v, Yh_t.v, x.x)
                            * s.reeb_raw(a, x.x))
-        yield "torsion.h_pair", float(np.linalg.norm(t.v - want))
+        yield "torsion.h_pair", norm(t.v - want)
 
         for a in (1, 2, 3):
             yield "torsion.mixed", torsion(
@@ -408,57 +428,47 @@ def _suite_torsion(s, cfg, conventions):
                          x, cfg.scheme)
             yield "torsion.reeb_pair", norm(tp.v + 2.0 * s.reeb_raw(c, x.x))
 
-    return _drive(cfg, "torsion", _samples(cfg, "torsion", sample), dict.fromkeys(
+    return _drive(cfg, "torsion", residuals(), dict.fromkeys(
         ("torsion.lc_zero", "torsion.h_pair", "torsion.mixed",
          "torsion.reeb_pair"), cfg.tol_first))
 
 
 def _suite_curvature(s, cfg, conventions):
-    def draw(rng, i):
-        x = sample_point(s, rng)
-        XYZ = [sample_unit_tangent(s, x, rng) for _ in range(3)]
-        return x, XYZ, (x, *(sample_unit_H(s, x, rng) for _ in range(4)))
-
-    points, XYZ, quads = zip(*_samples(cfg, "curvature", draw))
-    X, Y, Z = (_ext(s, col) for col in zip(*XYZ))
+    Xt, Yt, Zt, *quad = _draws(s, cfg, "curvature", 3, 4)
+    x, y = Xt.base, Xt.base.x
+    X, Y, Z = (_ext(s, V) for V in (Xt, Yt, Zt))
     xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
 
-    # one nested pass per connection and slot pattern, over all samples
-    R = lambda kind, *fields: curvature(kind, *fields, points, cfg.scheme)
-    direct = R(LC, X, Y, Z)
-    lc = {a: R(LC, X, Y, xi[a]) for a in xi}
-    last = {a: R(HC, X, Y, xi[a]) for a in xi}
-    middle = {a: R(HC, X, xi[a], Z) for a in xi}
-    pair = [(R(HC, xi[a], xi[b], Z), R(HC, xi[a], xi[b], xi[c]))
-            for a, b, c in EVEN_PERMUTATIONS]
-
-    def sample(i):
-        Xt, Yt, Zt = XYZ[i]
+    def residuals():
+        # one nested pass per connection and slot pattern, over all samples
         oracle = sphere_curvature_oracle(Xt, Yt, Zt)
-        yield "curvature.oracle_gate", norm(direct[i].v - oracle.v)
-        y = points[i].x
+        yield "curvature.oracle_gate", norm(
+            curvature(LC, X, Y, Z, x, cfg.scheme).v - oracle.v)
         for a in (1, 2, 3):
             want = s.eta_raw(a, Yt.v, y) * Xt.v - s.eta_raw(a, Xt.v, y) * Yt.v
-            yield "curvature.reeb_curvature_lc", norm(lc[a][i].v - want)
-            yield "curvature.annihilation_last", last[a][i].norm()
-            yield "curvature.annihilation_middle", middle[a][i].norm()
-        for with_z, with_xi in pair:
-            yield "curvature.annihilation_pair", with_z[i].norm()
-            yield "curvature.annihilation_pair", with_xi[i].norm()
+            yield "curvature.reeb_curvature_lc", norm(
+                curvature(LC, X, Y, xi[a], x, cfg.scheme).v - want)
+            yield "curvature.annihilation_last", curvature(
+                HC, X, Y, xi[a], x, cfg.scheme).norm()
+            yield "curvature.annihilation_middle", curvature(
+                HC, X, xi[a], Z, x, cfg.scheme).norm()
+        for a, b, c in EVEN_PERMUTATIONS:
+            for last in (Z, xi[c]):
+                yield "curvature.annihilation_pair", curvature(
+                    HC, xi[a], xi[b], last, x, cfg.scheme).norm()
 
-    records = _drive(cfg, "curvature", map(sample, range(cfg.points)),
-                     dict.fromkeys(
+    records = _drive(cfg, "curvature", residuals(), dict.fromkeys(
         ("curvature.oracle_gate", "curvature.reeb_curvature_lc",
          "curvature.annihilation_last", "curvature.annihilation_middle",
          "curvature.annihilation_pair"), cfg.tol_second))
-    return records + verify_symmetries(s, quads, tol=cfg.tol_second,
+    return records + verify_symmetries(s, (x, *quad), tol=cfg.tol_second,
                                        scheme=cfg.scheme)
 
 
 def cross_check_families(s, cfg):
-    """The five argument families of the cross-check suite, each a list
-    of ``cfg.points`` tuples (point, X, Y, Z) drawn from the suite's own
-    sampling lane: ``pure_h``, ``reeb_last``, ``reeb_pairs``,
+    """The five argument families of the cross-check suite, each a stacked
+    (point, X, Y, Z) tuple of ``cfg.points`` rows drawn from the suite's
+    own sampling lane: ``pure_h``, ``reeb_last``, ``reeb_pairs``,
     ``single_reeb`` and ``generic``."""
     def draw(rng, i):
         x = sample_point(s, rng)
@@ -469,31 +479,34 @@ def cross_check_families(s, cfg):
         a = 1 + (i % 3)
         b = 1 + ((i + 1) % 3)
         pair_tail = xi(1 + ((i + 2) % 3)) if i % 3 == 2 else Zh
-        return {
-            "pure_h": (x, Xh, Yh, Zh),
-            "reeb_last": (x, Xh, Yh, xi(a)),
-            "reeb_pairs": (x, xi(a), xi(b), pair_tail),
-            "single_reeb": (x, Xh, xi(a), Zh),
-            "generic": (x, *(sample_unit_tangent(s, x, rng) for _ in range(3))),
-        }
+        return (Xh, Yh, Zh, xi(a), xi(b), pair_tail,
+                *(sample_unit_tangent(s, x, rng) for _ in range(3)))
 
-    draws = list(_samples(cfg, "cross-check", draw))
-    return {name: [d[name] for d in draws] for name in draws[0]}
+    Xh, Yh, Zh, xa, xb, tail, *generic = _stacks(
+        _samples(cfg, "cross-check", draw))
+    x = Xh.base
+    return {
+        "pure_h": (x, Xh, Yh, Zh),
+        "reeb_last": (x, Xh, Yh, xa),
+        "reeb_pairs": (x, xa, xb, tail),
+        "single_reeb": (x, Xh, xa, Zh),
+        "generic": (x, *generic),
+    }
 
 
 def _suite_cross_check(s, cfg, conventions):
     families = cross_check_families(s, cfg)
-    # sample-major rows: the five families of sample 0, then of sample 1...
-    rows = [t for sample in zip(*families.values()) for t in sample]
-    results = cross_check_rbar(s, rows, cfg.scheme)
-    gaps = two_route_gap_form(s, *([t[k] for t in rows] for k in (1, 2, 3)))
+    # one stack of all families: rows k*P .. (k+1)*P - 1 are family k
+    X, Y, Z = (_stack(*(t[k] for t in families.values())) for k in (1, 2, 3))
+    r = cross_check_rbar(s, (X.base, X, Y, Z), cfg.scheme)
+    gap = norm(r.value_algebraic - r.value_direct
+               - two_route_gap_form(s, X, Y, Z).v)
 
-    def sample(i):
-        at = slice(len(families) * i, len(families) * (i + 1))
-        for name, r, gap in zip(families, results[at], gaps[at]):
-            yield f"cross_check.{name}", r.residual
-            yield "gap", float(np.linalg.norm(
-                r.value_algebraic - r.value_direct - gap.v))
+    def residuals():
+        for k, name in enumerate(families):
+            at = slice(k * cfg.points, (k + 1) * cfg.points)
+            yield f"cross_check.{name}", r.residual[at]
+            yield "gap", gap[at]
 
     def table(worst):
         family = {rid: res for rid, res in worst.items() if rid != "gap"}
@@ -512,34 +525,38 @@ def _suite_cross_check(s, cfg, conventions):
                                 "two arguments lie in H",
                     }}}
 
-    return _drive(cfg, "cross-check", map(sample, range(cfg.points)), table)
+    return _drive(cfg, "cross-check", residuals(), table)
 
 
 def _suite_ricci(s, cfg, conventions):
     c_lc = float(4 * s.n + 2)
     c_claim = float(4 * s.n + 5)
-    measured = []  # the adapted trace of each sample; the first sets the factor
 
+    # ricci takes one point per call (its stack axis is the trace basis),
+    # so each sample is drawn and traced in turn
     def sample(rng, i):
         x = sample_point(s, rng)
         Xt = sample_unit_tangent(s, x, rng)
         Yt = sample_unit_tangent(s, x, rng)
-        yield "ricci.einstein_lc", abs(
-            ricci(s, LC, Xt, Xt, cfg.seed, cfg.scheme) - c_lc)
-        yield "ricci.einstein_lc", abs(ricci(s, LC, Xt, Yt, cfg.seed, cfg.scheme)
-                                       - c_lc * dot(Xt.v, Yt.v))
+        lc = [ricci(s, LC, Xt, U, cfg.seed, cfg.scheme) for U in (Xt, Yt)]
         Xh = sample_unit_H(s, x, rng)
         Yh = sample_unit_H(s, x, rng)
-        diag = ricci(s, HC, Xh, Xh, cfg.seed, cfg.scheme)
-        off = ricci(s, HC, Xh, Yh, cfg.seed, cfg.scheme)
-        gxy = dot(Xh.v, Yh.v)
+        hc = [ricci(s, HC, Xh, U, cfg.seed, cfg.scheme) for U in (Xh, Yh)]
+        return (*lc, *hc, dot(Xt.v, Yt.v), dot(Xh.v, Yh.v))
+
+    lc_diag, lc_off, diag, off, gxy_t, gxy = np.array(
+        list(_samples(cfg, "ricci", sample))).T
+    measured = diag[0]  # the adapted trace of the first sample sets the factor
+
+    def residuals():
+        yield "ricci.einstein_lc", abs(lc_diag - c_lc)
+        yield "ricci.einstein_lc", abs(lc_off - c_lc * gxy_t)
         yield "ricci.h_connection", abs(diag - c_claim)
         yield "ricci.h_connection", abs(off - c_claim * gxy)
-        measured.append(diag)
-        yield "ricci.h_connection_measured", abs(diag - measured[0])
-        yield "ricci.h_connection_measured", abs(off - measured[0] * gxy)
+        yield "ricci.h_connection_measured", abs(diag - measured)
+        yield "ricci.h_connection_measured", abs(off - measured * gxy)
 
-    return _drive(cfg, "ricci", _samples(cfg, "ricci", sample), lambda worst: {
+    return _drive(cfg, "ricci", residuals(), {
         "ricci.einstein_lc": {"tolerance": cfg.tol_second,
                               "details": {"constant": c_lc}},
         "ricci.h_connection": {"tolerance": cfg.tol_second,
@@ -547,7 +564,7 @@ def _suite_ricci(s, cfg, conventions):
         "ricci.h_connection_measured": {
             "kind": "info", "tolerance": cfg.tol_second,
             "details": {
-                "measured_constant": float(measured[0]),
+                "measured_constant": float(measured),
                 "stated_constant": c_claim,
                 "note": "the adapted trace on distribution arguments "
                         "is proportional to the metric; the measured "
@@ -572,38 +589,11 @@ def _suite_sectional(s, cfg, conventions):
             coeffs = rng.standard_normal(4)
         U = TangentVector(x, float(coeffs[0]) * Xt.v + float(coeffs[1]) * Yt.v)
         V = TangentVector(x, float(coeffs[2]) * Xt.v + float(coeffs[3]) * Yt.v)
-        return (Xt, U), (Yt, V), sample_unit_H(s, x, rng)
-
-    draws = [d for d in _samples(cfg, "sectional", draw) if d is not None]
-    # planes alternates span{Xt, Yt} and span{U, V}; one sec_rela_data call
-    # per structure gives the holomorphic and phi_a-plane values of each Xh
-    planes = sectional(s, [X for d in draws for X in d[0]],
-                       [Y for d in draws for Y in d[1]], cfg.scheme)
-    Xh = [d[2] for d in draws]
-    rela = {a: sec_rela_data(s, a, Xh, cfg.scheme) for a in (1, 2, 3)}
-    cor = cor_xxx_data(s, Xh, cfg.scheme)
-
-    def sample(i):
-        k, k2 = sel * planes[2 * i], sel * planes[2 * i + 1]
-        yield "sectional.sphere_constant", abs(k - 1.0)
-        yield "sectional.plane_invariance", abs(k - k2)
-        total = tanno = 0.0
-        for a in (1, 2, 3):
-            r = rela[a][i]
-            ka = r["K"][sel_key]
-            total += r["k"]
-            tanno += ka
-            yield "sectional.holomorphic_constant", abs(r["k"] - 4.0)
-            yield "sectional.sec_rela", r["residual"][sel_key]
-            yield "sectional.third_constant", abs(ka - 1.0)
-        yield "sectional.holomorphic_sum", abs(total - 12.0)
-        yield "sectional.tanno_sum", abs(tanno - 3.0)
-        lhs, rhs = cor[i]
-        yield "sectional.cor_xxx", abs(lhs - rhs)
+        return Xt, Yt, U, V, sample_unit_H(s, x, rng)
 
     conv = {"tolerance": cfg.tol_second,
             "details": {"selected_convention": sel_key}}
-    return _drive(cfg, "sectional", map(sample, range(len(draws))), {
+    table = {
         "sectional.sphere_constant": conv,
         "sectional.plane_invariance": cfg.tol_second,
         "sectional.sec_rela": conv,
@@ -612,7 +602,36 @@ def _suite_sectional(s, cfg, conventions):
         "sectional.tanno_sum": conv,
         "sectional.third_constant": conv,
         "sectional.cor_xxx": cfg.tol_second,
-    })
+    }
+    rows = [d for d in _samples(cfg, "sectional", draw) if d is not None]
+    if not rows:
+        return _drive(cfg, "sectional", (), table)
+    Xt, Yt, U, V, Xh = _stacks(rows)
+    # the two spans of each sample in one round pass, then one
+    # sec_rela_data call per structure for the holomorphic and phi_a-plane
+    # values of each Xh
+    planes = sel * sectional(s, _stack(Xt, U), _stack(Yt, V), cfg.scheme)
+    rela = {a: sec_rela_data(s, a, Xh, cfg.scheme) for a in (1, 2, 3)}
+    lhs, rhs = cor_xxx_data(s, Xh, cfg.scheme)
+
+    def residuals():
+        k, k2 = planes[:len(rows)], planes[len(rows):]
+        yield "sectional.sphere_constant", abs(k - 1.0)
+        yield "sectional.plane_invariance", abs(k - k2)
+        total = tanno = 0.0
+        for a in (1, 2, 3):
+            r = rela[a]
+            ka = r["K"][sel_key]
+            total += r["k"]
+            tanno += ka
+            yield "sectional.holomorphic_constant", abs(r["k"] - 4.0)
+            yield "sectional.sec_rela", r["residual"][sel_key]
+            yield "sectional.third_constant", abs(ka - 1.0)
+        yield "sectional.holomorphic_sum", abs(total - 12.0)
+        yield "sectional.tanno_sum", abs(tanno - 3.0)
+        yield "sectional.cor_xxx", abs(lhs - rhs)
+
+    return _drive(cfg, "sectional", residuals(), table)
 
 
 def _suite_theorem_sec(s, cfg, conventions):
@@ -632,22 +651,24 @@ def _suite_theorem_sec(s, cfg, conventions):
         for _, theta in _SWEEP_ANGLES:
             co, si = float(np.cos(theta)), float(np.sin(theta))
             X = co * u.v + si * s.reeb_raw(axis, x.x)
-            sweep.append(TangentVector(x, X / np.linalg.norm(X)))
+            sweep.append(TangentVector(x, X / norm(X)))
         x = sample_point(s, _suite_stream(cfg, "theorem-sec", 2000 + i))
-        return [h_case, *sweep, TangentVector(x, s.reeb_raw(axis, x.x))]
+        return h_case, *sweep, TangentVector(x, s.reeb_raw(axis, x.x))
 
+    # all seven directions of every sample in one stack: rows k*P ..
+    # (k+1)*P - 1 are direction k
     data = theorem_sec_data(
-        s, alpha, [X for d in _samples(cfg, "theorem-sec", draw) for X in d],
+        s, alpha, _stack(*_stacks(_samples(cfg, "theorem-sec", draw))),
         cfg.scheme)
+    at = [slice(k * cfg.points, (k + 1) * cfg.points) for k in range(7)]
 
-    def sample(i):
-        h_case, *sweep, reeb_case = data[7 * i:7 * (i + 1)]
-        yield "theorem_sec.h_case", h_case["residual"][combo_sel]
+    def residuals():
+        yield "theorem_sec.h_case", data["residual"][combo_sel][at[0]]
         # the sweep keys are (angle, combination)
-        for (label, _), row in zip(_SWEEP_ANGLES, sweep):
-            for combo, res in row["residual"].items():
-                yield (label, combo), res
-        yield "theorem_sec.reeb_case", reeb_case["residual"]["+1/+1"]
+        for (label, _), rows in zip(_SWEEP_ANGLES, at[1:6]):
+            for combo, res in data["residual"].items():
+                yield (label, combo), res[rows]
+        yield "theorem_sec.reeb_case", data["residual"]["+1/+1"][at[6]]
 
     def table(worst):
         sweep = {label: {} for label, _ in _SWEEP_ANGLES}
@@ -685,7 +706,7 @@ def _suite_theorem_sec(s, cfg, conventions):
                 }},
         }
 
-    return _drive(cfg, "theorem-sec", map(sample, range(cfg.points)), table)
+    return _drive(cfg, "theorem-sec", residuals(), table)
 
 
 _SUITE_FUNCS = {

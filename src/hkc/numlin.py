@@ -7,9 +7,10 @@ with the same machinery.  That nesting is what makes curvature tensors
 (second covariant derivatives) evaluable to machine precision without
 finite-difference noise.
 
-A direction may also be a stack of vectors along a leading axis
-(vector-mode forward differentiation): ``dot`` and ``matvec`` act on the
-last axis, so one evaluation carries a derivative per stacked direction.
+A point or a direction may also be a stack of vectors along a leading
+axis (vector-mode forward differentiation): ``dot``, ``norm`` and
+``matvec`` act on the last axis, so one evaluation carries a value and a
+derivative per stacked row, each with the bits of its one-row call.
 """
 
 from __future__ import annotations
@@ -155,7 +156,10 @@ def matvec(M, v):
 
 
 def norm(u):
-    return float(np.sqrt(np.dot(u, u)))
+    """Euclidean length over the last axis, per row as in :func:`dot`: a
+    float for one vector, shape ``(..., 1)`` for a stack."""
+    sq = dot(u, u)
+    return np.sqrt(sq) if isinstance(sq, np.ndarray) else float(np.sqrt(sq))
 
 
 def _all_finite(obj):
@@ -280,7 +284,7 @@ def gram_schmidt(vectors):
     for i, v in enumerate(vectors):
         w = np.array(v, dtype=float, copy=True)
         for u in out:
-            w = w - float(np.dot(u, w)) * u
+            w = w - dot(u, w) * u
         pivot = norm(w)
         if pivot < PIVOT_TOL:
             raise DegenerateInputError(

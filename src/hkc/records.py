@@ -154,13 +154,15 @@ def make_record(rec_id, suite, kind="check", passed=None, max_residual=None,
     )
 
 
-def worst_residuals(samples, keys=()):
-    """The largest residual under each key, over ``samples``: an iterable
-    of per-sample iterables of ``(key, residual)`` pairs.  ``keys`` come
-    first, in their order, and stay 0.0 if no residual names them."""
+def worst_residuals(pairs, keys=()):
+    """The largest residual under each key.  ``pairs`` yields ``(key,
+    residuals)``, one residual per sample row (a float for one sample);
+    the maxima run sample by sample, through the pairs in order.  ``keys``
+    come first, in their order, and stay 0.0 if no residual names them."""
     worst = dict.fromkeys(keys, 0.0)
-    for pairs in samples:
-        for key, res in pairs:
+    pairs = [(key, np.ravel(res).tolist()) for key, res in pairs]
+    for row in zip(*(res for _, res in pairs)):
+        for (key, _), res in zip(pairs, row):
             worst[key] = max(worst.get(key, 0.0), res)
     return worst
 

@@ -15,9 +15,10 @@ Each structure map has one form, ``*_raw``, acting on plain ambient
 arrays, stacks of them (one row per vector) or dual numbers; vector-field
 closures, nested differentiation and the suites all call it.  Validation
 happens where a value enters: :class:`SpherePoint` and
-:class:`TangentVector` check unit length and tangency on construction,
-and the typed operations of ``connections`` and ``curvature`` take and
-return them.
+:class:`TangentVector` hold one row ``(d,)`` or a stack ``(P, d)`` and
+check unit length and tangency of every row on construction.  The typed
+operations of ``connections`` and ``curvature`` take and return them; a
+stack in gives a stack out, row for row with the bits of one-row calls.
 """
 
 from __future__ import annotations
@@ -61,36 +62,36 @@ EVEN_PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """A unit vector in the ambient space."""
+    """A unit vector in the ambient space, or a stack of them (one per
+    row)."""
 
     x: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        r = norm(self.x)
-        if abs(r - 1.0) > UNIT_TOL:
-            raise StructuralError(
-                f"point norm {r!r} deviates from 1 by more than {UNIT_TOL:g}")
+        r = np.ravel(norm(self.x))
+        bad = np.abs(r - 1.0) > UNIT_TOL  # an error names the first bad row
+        if bad.any():
+            raise StructuralError(f"point norm {float(r[bad][0])!r} deviates "
+                                  f"from 1 by more than {UNIT_TOL:g}")
 
     @classmethod
     def normalized(cls, coords):
         coords = np.asarray(coords, dtype=float)
         r = norm(coords)
-        if r < 1e-12:
+        if np.any(r < 1e-12):
             raise DegenerateInputError("cannot normalize the zero vector")
         return cls(coords / r)
 
-    @property
-    def dim(self):
-        return self.x.shape[0]
-
     def same_as(self, other):
-        return self.dim == other.dim and norm(self.x - other.x) <= UNIT_TOL
+        return (self.x.shape == other.x.shape
+                and bool(np.all(norm(self.x - other.x) <= UNIT_TOL)))
 
 
 @dataclass(frozen=True)
 class TangentVector:
-    """An ambient vector attached to a point and orthogonal to it."""
+    """An ambient vector attached to a point and orthogonal to it, or a
+    stack of them attached to a stack of points, row for row."""
 
     base: SpherePoint
     v: np.ndarray
@@ -99,18 +100,18 @@ class TangentVector:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         if self.v.shape != self.base.x.shape:
             raise StructuralError("tangent vector has wrong ambient dimension")
-        r = abs(float(np.dot(self.v, self.base.x)))
-        if r > TANGENT_TOL:
-            raise StructuralError(
-                f"vector is not tangent: <v, x> = {r:.3e} exceeds {TANGENT_TOL:g}")
+        r = np.abs(np.ravel(dot(self.v, self.base.x)))
+        bad = r > TANGENT_TOL
+        if bad.any():
+            raise StructuralError(f"vector is not tangent: <v, x> = "
+                                  f"{r[bad][0]:.3e} exceeds {TANGENT_TOL:g}")
 
     def norm(self):
         return norm(self.v)
 
-    def _check_same_base(self, other):
-        if not self.base.same_as(other.base):
+    def _check_same_base(self, *others):
+        if not all(self.base.same_as(V.base) for V in others):
             raise StructuralError("tangent vectors live at different base points")
-
 
 
 # ============================================================
@@ -240,16 +241,18 @@ class ThreeSasakiStructure:
 
     # ---------------- axiom checking ----------------
 
-    def check_structure_axioms(self, points, tol=1e-9):
+    def check_structure_axioms(self, sample, tol=1e-9):
         """Evaluate every pointwise structure axiom at the given sample
         points.  Returns one record per axiom family; failures are data,
         not exceptions.
 
-        ``points`` is a list of (SpherePoint, TangentVector, TangentVector)
-        triples supplying the point and two tangent directions.
+        ``sample`` is a (SpherePoint, TangentVector, TangentVector) triple
+        supplying the points and two tangent directions at each, one row
+        or a stack.
         """
+        x, X, Y = sample
         worst = worst_residuals(
-            (self._axiom_residuals(*p) for p in points),
+            self._axiom_residuals(x, X, Y),
             ("quaternion_products", "unit_reeb", "phi_square", "eta_reeb",
              "compat", "omega_skew", "reeb_cross", "phi_compose", "eta_phi",
              "projection"))
@@ -266,12 +269,12 @@ class ThreeSasakiStructure:
         return [
             make_record(f"axioms.{key}", suite="axioms", kind="check",
                         passed=bool(res <= tol), max_residual=res,
-                        tolerance=tol, samples=len(points))
+                        tolerance=tol, samples=len(np.atleast_2d(x.x)))
             for key, res in worst.items()
         ]
 
     def _axiom_residuals(self, x, X, Y):
-        """(axiom family, residual) pairs at one sample point."""
+        """(axiom family, residuals) pairs, one residual per sample row."""
         y, Xv, Yv = x.x, X.v, Y.v
         phi = lambda a, w: self.phi_raw(a, w, y)
         eta = lambda a, w: self.eta_raw(a, w, y)

@@ -1,5 +1,10 @@
 """Shared test plumbing: collects acceptance-criterion outcomes and prints
-one line per criterion at the end of the run."""
+one line per criterion at the end of the run, and builds stacked points
+and tangent vectors from one-row ones and back."""
+
+import numpy as np
+
+from hkc.sphere3s import SpherePoint, TangentVector
 
 ACCEPTANCE_RESULTS = []
 
@@ -17,3 +22,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num, description, ok in sorted(ACCEPTANCE_RESULTS):
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"C{num:02d} {verdict} — {description}")
+
+
+def stack(values):
+    """One stacked point or tangent vector from a sequence of one-row
+    ones, each row at its own base point."""
+    if isinstance(values[0], SpherePoint):
+        return SpherePoint(np.array([p.x for p in values]))
+    return TangentVector(stack([V.base for V in values]),
+                         np.array([V.v for V in values]))
+
+
+def stack_rows(rows):
+    """Per-row tuples of points and tangent vectors, as one tuple of
+    stacks."""
+    return tuple(stack(col) for col in zip(*rows))
+
+
+def row(value, i):
+    """Row i of a stacked point or tangent vector, as a one-row value."""
+    if isinstance(value, SpherePoint):
+        return SpherePoint(value.x[i])
+    return TangentVector(row(value.base, i), value.v[i])

@@ -3,10 +3,23 @@ import itertools
 import numpy as np
 import pytest
 
-from hkc.numlin import DegenerateInputError, PreconditionError, dot, norm
+from hkc.numlin import (DegenerateInputError, PreconditionError, StructuralError,
+                        dot, norm)
 from hkc import sphere3s
-from hkc.connections import ConnectionKind, VectorField, curvature, curvature4
+from hkc.connections import (
+    ConnectionKind,
+    VectorField,
+    cov_deriv,
+    curvature,
+    curvature4,
+    h_form_gap,
+    lie_bracket,
+    nabla_bar_phi_defect,
+    sasaki_defect,
+    torsion,
+)
 from hkc.curvature import (
+    CurvatureSample,
     cor_xxx_data,
     cross_check_rbar,
     holomorphic_sectional_bar,
@@ -22,6 +35,8 @@ from hkc.curvature import (
 )
 from hkc.harness import _SUITE_FUNCS, RunConfig, cross_check_families
 from hkc.sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
+
+from conftest import row, stack, stack_rows
 
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
@@ -103,7 +118,7 @@ def test_algebraic_repeated_mixed_argument_equals_gap_form(struct, rng):
 # ============================================================
 
 def _cross(struct, samples):
-    return cross_check_rbar(struct, samples)
+    return cross_check_rbar(struct, stack_rows(samples))
 
 
 def test_routes_agree_on_h_triples(struct, rng):
@@ -112,8 +127,7 @@ def test_routes_agree_on_h_triples(struct, rng):
         x = rand_point(struct, rng)
         samples.append((x, *(rand_tv(struct, x, rng, in_h=True)
                              for _ in range(3))))
-    res = _cross(struct, samples)
-    assert max(s.residual for s in res) < 1e-9
+    assert np.max(_cross(struct, samples).residual) < 1e-9
 
 
 def test_routes_agree_on_reeb_tail_and_reeb_pairs(struct, rng):
@@ -126,8 +140,7 @@ def test_routes_agree_on_reeb_tail_and_reeb_pairs(struct, rng):
         samples += [(x, X, Y, xi[0]),
                     (x, xi[0], xi[1], X),
                     (x, xi[0], xi[1], xi[2])]
-    res = _cross(struct, samples)
-    assert max(s.residual for s in res) < 1e-9
+    assert np.max(_cross(struct, samples).residual) < 1e-9
 
 
 def test_routes_disagree_on_single_reeb_slot_by_exact_gap(struct, rng):
@@ -138,7 +151,7 @@ def test_routes_disagree_on_single_reeb_slot_by_exact_gap(struct, rng):
         X = rand_tv(struct, x, rng, in_h=True)
         Z = rand_tv(struct, x, rng, in_h=True)
         xi1 = reeb_tv(struct, 1, x)
-        (sample,) = _cross(struct, [(x, X, xi1, Z)])
+        sample = cross_check_rbar(struct, (x, X, xi1, Z))
         seen_disagreement = max(seen_disagreement, sample.residual)
         gap = two_route_gap_form(struct, X, xi1, Z)
         match = np.linalg.norm(
@@ -153,7 +166,7 @@ def test_routes_disagree_generically_by_exact_gap(struct, rng):
     for _ in range(6):
         x = rand_point(struct, rng)
         X, Y, Z = (rand_tv(struct, x, rng) for _ in range(3))
-        (sample,) = _cross(struct, [(x, X, Y, Z)])
+        sample = cross_check_rbar(struct, (x, X, Y, Z))
         gap = two_route_gap_form(struct, X, Y, Z)
         match = np.linalg.norm(
             sample.value_algebraic - sample.value_direct - gap.v)
@@ -167,7 +180,7 @@ def test_gap_form_n0_reeb_triple():
     s = ThreeSasakiStructure(n=0)
     x = SpherePoint.normalized(np.array([0.5, -0.5, 0.5, 0.5]))
     xi1, xi2 = reeb_tv(s, 1, x), reeb_tv(s, 2, x)
-    (sample,) = cross_check_rbar(s, [(x, xi1, xi2, xi1)])
+    sample = cross_check_rbar(s, (x, xi1, xi2, xi1))
     assert np.linalg.norm(sample.value_direct) < 1e-12
     assert sample.residual == pytest.approx(3.0, abs=1e-12)
     gap = two_route_gap_form(s, xi1, xi2, xi1)
@@ -179,16 +192,16 @@ def test_gap_form_n0_reeb_triple():
 # ============================================================
 
 def _route_triples(s, n):
+    """Stacked (point, X, Y, Z) triples."""
     if n == 0:
         # S^3: H = 0, so every argument is a combination of Reeb vectors
         rng = np.random.default_rng(3)
         points = [rand_point(s, rng) for _ in range(2)]
-        return [(x, *args) for x in points for args in
-                itertools.product([reeb_tv(s, a, x) for a in (1, 2, 3)],
-                                  repeat=3)]
+        return [stack_rows(
+            (x, *args) for x in points for args in
+            itertools.product([reeb_tv(s, a, x) for a in (1, 2, 3)], repeat=3))]
     # the five cross-check families, Reeb content in every slot
-    families = cross_check_families(s, RunConfig(n=n, points=3, seed=7))
-    return [t for samples in families.values() for t in samples]
+    return list(cross_check_families(s, RunConfig(n=n, points=3, seed=7)).values())
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -200,7 +213,7 @@ def test_routes_match_nested_curvature(n):
         nested = curvature(
             HC, *(VectorField.extension(s, V) for V in (X, Y, Z)), x)
         for route in (rbar_difference_tensor, rbar_quaternionic_projective):
-            gap = norm(route(s, X, Y, Z).v - nested.v)
+            gap = np.max(norm(route(s, X, Y, Z).v - nested.v))
             assert gap <= 1e-12, (route.__name__, gap)
 
 
@@ -342,6 +355,13 @@ def test_sectional_degenerate_plane(struct, rng):
     X = rand_tv(struct, x, rng)
     with pytest.raises(DegenerateInputError):
         sectional(struct, X, X)
+    # on a stack, the first degenerate row is named: row 1 (Gram
+    # determinant at rounding level), not row 2 (about 1e-12)
+    Y = rand_tv(struct, x, rng)
+    near = TangentVector(x, X.v + 1e-6 * Y.v)
+    with pytest.raises(DegenerateInputError) as err:
+        sectional(struct, stack([X, X, X]), stack([Y, X, near]))
+    assert abs(float(str(err.value).split()[-1].rstrip(")"))) < 1e-14
 
 
 def test_holomorphic_values_are_four(struct, rng):
@@ -445,7 +465,7 @@ def test_symmetry_families_on_h(struct, rng):
         x = rand_point(struct, rng)
         quads.append((x, *(rand_tv(struct, x, rng, in_h=True)
                            for _ in range(4))))
-    recs = verify_symmetries(struct, quads)
+    recs = verify_symmetries(struct, stack_rows(quads))
     assert len(recs) == 4
     for r in recs:
         assert r.passed, (r.id, r.max_residual)
@@ -468,47 +488,107 @@ def _sweep_vectors(s, count, rng):
     return out
 
 
+def _assert_row(stacked, alone, i):
+    """Row i of a stacked result has the bits of the one-row result."""
+    if isinstance(stacked, dict):
+        assert stacked.keys() == alone.keys()
+        for key in stacked:
+            _assert_row(stacked[key], alone[key], i)
+    elif isinstance(stacked, (list, tuple)):
+        assert len(stacked) == len(alone)
+        for a, b in zip(stacked, alone):
+            _assert_row(a, b, i)
+    elif isinstance(stacked, CurvatureSample):
+        for name in ("value_direct", "value_algebraic", "residual"):
+            _assert_row(getattr(stacked, name), getattr(alone, name), i)
+    elif isinstance(stacked, TangentVector):
+        assert np.array_equal(stacked.base.x[i], alone.base.x)
+        assert np.array_equal(stacked.v[i], alone.v)
+    else:
+        assert np.array_equal(stacked[i], np.reshape(alone, -1))
+
+
+def assert_rows_match_calls(f, *args):
+    """f on stacked points and tangent vectors gives, row for row, the
+    bits of f on each row alone."""
+    first = args[0]
+    count = len(first.x if isinstance(first, SpherePoint) else first.v)
+    out = f(*args)
+    for i in range(count):
+        _assert_row(out, f(*(row(a, i) for a in args)), i)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_stacked_rows_equal_one_at_a_time_calls(n):
     # every row of a stacked evaluation has the bits of the call on that
-    # row alone; each family includes a batch as long as the ambient
-    # dimension d, where a stack mistaken for a matrix keeps a valid shape
+    # row alone; each batch is as long as the ambient dimension d, where a
+    # stack mistaken for a matrix keeps a valid shape
     s = ThreeSasakiStructure(n=n)
     d = s.ambient_dim
     rng = np.random.default_rng(70 + n)
+    ext = lambda V: VectorField.extension(s, V)
 
-    families = cross_check_families(s, RunConfig(n=n, points=3))
-    triples = [t for rows in families.values() for t in rows]
-    assert len(triples) > d
-    for batch in (triples, triples[:d]):
-        gaps = two_route_gap_form(s, *([t[k] for t in batch] for k in (1, 2, 3)))
-        for t, row, gap in zip(batch, cross_check_rbar(s, batch), gaps):
-            (alone,) = cross_check_rbar(s, [t])
-            assert np.array_equal(row.value_direct, alone.value_direct)
-            assert np.array_equal(row.value_algebraic, alone.value_algebraic)
-            assert row.residual == alone.residual
-            assert np.array_equal(gap.v, two_route_gap_form(s, *t[1:]).v)
+    # first-order operations, at d points
+    x = stack([rand_point(s, rng) for _ in range(d)])
+    X, Y, Xh, Yh = (stack([rand_tv(s, row(x, i), rng, in_h=h) for i in range(d)])
+                    for h in (False, False, True, True))
+    xi2 = VectorField.reeb(s, 2)
+    for kind in (LC, HC):
+        assert_rows_match_calls(
+            lambda x, X, Y: cov_deriv(kind, ext(X), ext(Y), x), x, X, Y)
+        assert_rows_match_calls(
+            lambda x, X: cov_deriv(kind, ext(X), xi2, x), x, X)
+        assert_rows_match_calls(
+            lambda x, X, Y: torsion(kind, ext(X), ext(Y), x), x, X, Y)
+    assert_rows_match_calls(lambda x, X, Y: lie_bracket(ext(X), ext(Y), x), x, X, Y)
+    assert_rows_match_calls(lambda x, X, Y: h_form_gap(ext(X), ext(Y), x), x, X, Y)
+    for a in (1, 2, 3):
+        assert_rows_match_calls(
+            lambda x, X, Y: sasaki_defect(a, ext(X), ext(Y), x), x, X, Y)
+        assert_rows_match_calls(
+            lambda x, X, Y: nabla_bar_phi_defect(a, ext(X), ext(Y), x), x, Xh, Yh)
+        for b in (1, 2, 3):
+            assert_rows_match_calls(lambda X: s.h_tensor(a, b, X), X)
 
-    sweep = _sweep_vectors(s, d, rng)
-    for X, row in zip(sweep, theorem_sec_data(s, 1, sweep)):
-        assert row == theorem_sec_data(s, 1, X)
+    # closed forms and both curvature routes on the five cross-check
+    # families, d rows each and all 5d rows in one stack
+    families = cross_check_families(s, RunConfig(n=n, points=d))
+    together = stack_rows(tuple(row(V, i) for V in t)
+                          for t in families.values() for i in range(d))
+    for x, X, Y, Z in (*families.values(), together):
+        assert_rows_match_calls(
+            lambda x, X, Y, Z: cross_check_rbar(s, (x, X, Y, Z)), x, X, Y, Z)
+        assert_rows_match_calls(
+            lambda X, Y, Z: two_route_gap_form(s, X, Y, Z), X, Y, Z)
+        assert_rows_match_calls(
+            lambda X, Y, Z: rbar_quaternionic_projective(s, X, Y, Z), X, Y, Z)
 
-    Xh = [rand_tv(s, rand_point(s, rng), rng, in_h=True) for _ in range(d)]
-    rela = sec_rela_data(s, 2, Xh)
-    for X, row, cor in zip(Xh, rela, cor_xxx_data(s, Xh)):
-        assert row == sec_rela_data(s, 2, X)
-        assert cor == cor_xxx_data(s, X)
+    # plane values and the verifiers
+    assert_rows_match_calls(lambda X: theorem_sec_data(s, 1, X),
+                            stack(_sweep_vectors(s, d, rng)))
+    Xh = stack([rand_tv(s, rand_point(s, rng), rng, in_h=True) for _ in range(d)])
+    assert_rows_match_calls(lambda X: sec_rela_data(s, 2, X), Xh)
+    assert_rows_match_calls(lambda X: cor_xxx_data(s, X), Xh)
 
     quads = []
     for _ in range(d):
         x = rand_point(s, rng)
         quads.append((x, *(rand_tv(s, x, rng, in_h=True) for _ in range(4))))
-    fields = [VectorField.extension(s, [q[k] for q in quads]) for k in (1, 2, 3)]
-    stacked = curvature(HC, *fields, [q[0] for q in quads])
-    together = verify_symmetries(s, quads)
-    alone = [verify_symmetries(s, [q]) for q in quads]
-    for i, (x, X, Y, Z, _) in enumerate(quads):
-        want = curvature(HC, *(VectorField.extension(s, V) for V in (X, Y, Z)), x)
-        assert np.array_equal(stacked[i].v, want.v)
+    quad = stack_rows(quads)
+    assert_rows_match_calls(
+        lambda x, X, Y, Z: curvature(HC, ext(X), ext(Y), ext(Z), x), *quad[:4])
+    together = verify_symmetries(s, quad)
+    alone = [verify_symmetries(s, q) for q in quads]
     for k, record in enumerate(together):
+        assert record.samples == d
         assert record.max_residual == max(a[k].max_residual for a in alone)
+
+
+def test_ricci_rejects_a_stack(struct, rng):
+    # the trace's stack axis is its basis: a stacked argument would build
+    # a frame from mismatched shapes
+    x = stack([rand_point(struct, rng) for _ in range(2)])
+    X = stack([rand_tv(struct, row(x, i), rng, in_h=True) for i in range(2)])
+    for kind in (LC, HC):
+        with pytest.raises(StructuralError, match="one point per call"):
+            ricci(struct, kind, X, X)

@@ -35,7 +35,9 @@ from hkc.numlin import (
     StructuralError,
 )
 from hkc.records import registry_gaps
-from hkc.sphere3s import SpherePoint, ThreeSasakiStructure
+from hkc.sphere3s import ThreeSasakiStructure
+
+from conftest import stack_rows
 
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
@@ -398,14 +400,15 @@ def test_package_exports_are_not_modules():
 
 def _count_curvature(monkeypatch):
     """Count the nested curvature passes (calls) through every module
-    binding, and the values they carry per kind (one per point)."""
+    binding, and the values they return per kind (one per stacked row)."""
     passes, rows = [], {LC: 0, HC: 0}
     original = connections.curvature
 
-    def counted(kind, X, Y, Z, x, *args, **kwargs):
+    def counted(kind, *args, **kwargs):
         passes.append(kind)
-        rows[kind] += 1 if isinstance(x, SpherePoint) else len(x)
-        return original(kind, X, Y, Z, x, *args, **kwargs)
+        out = original(kind, *args, **kwargs)
+        rows[kind] += len(np.atleast_2d(out.v))
+        return out
 
     for module in (connections, curvature_module, harness):
         monkeypatch.setattr(module, "curvature", counted)
@@ -430,23 +433,45 @@ def test_each_curvature_value_is_evaluated_once(struct, monkeypatch):
     for _ in range(2):
         x = sample_point(struct, rng)
         quads.append((x, *(sample_unit_H(struct, x, rng) for _ in range(4))))
-    verify_symmetries(struct, quads)
+    verify_symmetries(struct, stack_rows(quads))
     assert passes == [HC] * 6
     assert rows == {LC: 0, HC: 2 * 6}
 
 
+def _count_cov(monkeypatch):
+    """Count the covariant-derivative passes (``_cov_raw`` calls) by
+    kind."""
+    kinds = []
+    original = connections._cov_raw
+
+    def counted(s, kind, *args):
+        kinds.append(kind)
+        return original(s, kind, *args)
+
+    monkeypatch.setattr(connections, "_cov_raw", counted)
+    return kinds
+
+
 @pytest.mark.parametrize("suite, lc, hc", [
+    # nested curvature passes
     ("curvature", 4, 12 + 6),
     ("cross-check", 1, 1),
     ("sectional", 5, 4),
     ("theorem-sec", 1, 1),
+    # covariant-derivative passes of the first-order suites
+    ("sasaki", 15, 0),
+    ("connection", 7, 14),
+    ("torsion", 2, 14),
 ])
 def test_nested_passes_do_not_grow_with_points(struct, monkeypatch, suite,
                                                lc, hc):
     # one stacked pass per connection and slot pattern, whatever the
     # number of sample points
     conventions = resolve_conventions(struct, seed=0)
-    passes, _ = _count_curvature(monkeypatch)
+    if suite in ("sasaki", "connection", "torsion"):
+        passes = _count_cov(monkeypatch)
+    else:
+        passes, _ = _count_curvature(monkeypatch)
     for points in (1, 4):
         passes.clear()
         harness._SUITE_FUNCS[suite](struct, RunConfig(points=points),
@@ -459,15 +484,8 @@ def test_definitional_form_is_evaluated_once_per_connection_sample(monkeypatch):
     # takes seven Levi-Civita derivatives: nabla_X Y, and nabla_X xi_a and
     # nabla_Y xi_a for a = 1, 2, 3.  Nothing else in the connection suite
     # takes one, so the Levi-Civita derivatives that the suite adds to a
-    # run count its evaluations of that form.
-    kinds = []
-    original = connections._cov_raw
-
-    def counted(s, kind, *args):
-        kinds.append(kind)
-        return original(s, kind, *args)
-
-    monkeypatch.setattr(connections, "_cov_raw", counted)
+    # run count its evaluations of that form: one, over all samples
+    kinds = _count_cov(monkeypatch)
     for points in (1, 3):
         lc = []
         for suites in (("axioms", "sasaki"), ("axioms", "sasaki", "connection")):
@@ -475,7 +493,7 @@ def test_definitional_form_is_evaluated_once_per_connection_sample(monkeypatch):
             rep = run_suites(RunConfig(points=points, suites=suites))
             assert {b["status"] for b in rep.suites.values()} == {"pass"}
             lc.append(kinds.count(LC))
-        assert lc[1] - lc[0] == 7 * points
+        assert lc[1] - lc[0] == 7
 
 
 def test_text_format_lists_every_record(small_report):
@@ -491,17 +509,36 @@ def test_text_format_lists_every_record(small_report):
 GOLDEN = Path(__file__).parent / "data"
 
 
+# the suites from connection on: on the two failing structures below the
+# foundation suites (axioms, sasaki) would fail and skip everything after
+_FAILING_PATH_SUITES = SUITE_ORDER[2:]
+
+# reports of failing records, each run on its own structure:
+# connection, curvature, cross-check, ricci, sectional and theorem-sec fail
+# under the wrong Reeb orientation, and connection, torsion, cross-check
+# and ricci with I2 negated
+_GOLDEN_STRUCTURES = {
+    "report_n1_points3_seed0_sign_plus": lambda: ThreeSasakiStructure(n=1, sign=+1),
+    "report_n1_points3_seed0_broken_i2": _broken,
+}
+
+
 @pytest.mark.parametrize("name, cfg", [
     ("report_n1_points4_seed0", RunConfig(n=1, points=4, seed=0)),
     ("report_n16_points2_seed1", RunConfig(n=16, points=2, seed=1)),
     ("report_n1_points3_seed0_fd1e-4", RunConfig(
         n=1, points=3, seed=0,
         scheme=DiffScheme("central-difference", 1e-4))),
+    ("report_n1_points3_seed0_sign_plus", RunConfig(
+        n=1, points=3, seed=0, suites=_FAILING_PATH_SUITES)),
+    ("report_n1_points3_seed0_broken_i2", RunConfig(
+        n=1, points=3, seed=0, suites=_FAILING_PATH_SUITES)),
 ])
 def test_report_matches_golden_bytes(name, cfg):
     # the reports were written by an earlier revision; any refactor must
     # reproduce them byte for byte, every residual to the 17th digit
-    got = run_suites(cfg).to_json()
+    structure = _GOLDEN_STRUCTURES.get(name)
+    got = run_suites(cfg, structure=structure and structure()).to_json()
     want = (GOLDEN / f"{name}.json").read_text()
     if got != want:
         diff = field_diff(json.loads(want), json.loads(got))

@@ -14,6 +14,7 @@ from hkc.numlin import (
     dot,
     gram_schmidt,
     matvec,
+    norm,
     quaternion_structures,
     value_and_derivative,
 )
@@ -93,6 +94,13 @@ def test_stacked_dot_and_matvec_match_rows(m):
                       (dot(U, V), [np.dot(u, v) for u, v in zip(U, V)])):
         assert got.shape == (m, 1)
         assert np.array_equal(got[:, 0], want)
+    # the length is per row as well, with the bits of a one-row call
+    # (which are those of the 1-D np.linalg.norm)
+    NU = norm(U)
+    assert NU.shape == (m, 1)
+    for got, u in zip(NU[:, 0], U):
+        assert got == norm(u) == np.linalg.norm(u)
+    assert type(norm(w)) is float
     MU = matvec(M, U)
     assert MU.shape == (m, d)
     for row, u in zip(MU, U):

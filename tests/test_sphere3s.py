@@ -9,6 +9,8 @@ from hkc.sphere3s import (
     ThreeSasakiStructure,
 )
 
+from conftest import stack_rows
+
 
 def rand_point(struct, rng):
     return SpherePoint.normalized(rng.standard_normal(struct.ambient_dim))
@@ -63,6 +65,11 @@ def test_sphere_point_must_be_unit():
         SpherePoint(np.array([1.0, 1.0, 0.0, 0.0]))
     p = SpherePoint.normalized(np.array([3.0, 4.0, 0.0, 0.0]))
     assert np.allclose(p.x, [0.6, 0.8, 0.0, 0.0])
+    # a stack checks every row, and the error names the first bad one
+    rows = np.array([[1.0, 0, 0, 0], [0, 2.0, 0, 0], [0, 0, 3.0, 0]])
+    with pytest.raises(StructuralError, match="point norm 2.0 "):
+        SpherePoint(rows)
+    assert np.allclose(SpherePoint.normalized(rows).x, np.eye(4)[:3])
 
 
 def test_tangent_vector_must_be_orthogonal():
@@ -71,6 +78,15 @@ def test_tangent_vector_must_be_orthogonal():
         TangentVector(p, np.array([0.5, 1.0, 0.0, 0.0]))
     t = TangentVector(p, np.array([0.0, 2.0, 0.0, 0.0]))
     assert t.norm() == pytest.approx(2.0)
+    # a stack at a stack of points: every row is checked, the error names
+    # the first bad one, and a single point does not stand for a stack
+    ps = SpherePoint(np.eye(4)[:3])
+    with pytest.raises(StructuralError, match="= 5.000e-01 "):
+        TangentVector(ps, np.array([[0, 1.0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.7, 0]]))
+    with pytest.raises(StructuralError, match="wrong ambient dimension"):
+        TangentVector(p, np.zeros((3, 4)))
+    ts = TangentVector(ps, np.array([[0, 3.0, 0, 0], [4.0, 0, 0, 0], [0, 0, 0, 1.0]]))
+    assert np.array_equal(ts.norm(), [[3.0], [4.0], [1.0]])
 
 
 # ============================================================
@@ -275,7 +291,7 @@ def _sample_triples(struct, rng, count):
     for _ in range(count):
         x = rand_point(struct, rng)
         out.append((x, rand_tangent(struct, x, rng), rand_tangent(struct, x, rng)))
-    return out
+    return stack_rows(out)
 
 
 def test_axiom_records_all_pass(struct, rng):
