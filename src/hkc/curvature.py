@@ -24,12 +24,11 @@ from the curvature by an exact eta-trilinear tensor,
 between the differential route and the stated expansion (see the README
 findings section).
 
-The closed forms, plane values and verifiers take tangent vectors that
-are one row or a stack of rows (each at its own point), and give one
-value per row: a stack in gives a stack out.  Each nested curvature value
-they need is one pass of ``connections.curvature`` over all rows, and
-each row has the bits of its one-row call.  :func:`ricci` alone takes one
-point per call; its stack axis is the trace basis.
+The closed forms, traces, plane values and verifiers take tangent
+vectors that are one row or a stack of rows (each at its own point), and
+give one value per row: a stack in gives a stack out.  Each nested
+curvature value they need is one nested pass over all rows, and each row
+has the bits of its one-row call.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .numlin import (
     EXACT_FORWARD,
     DegenerateInputError,
     PreconditionError,
-    StructuralError,
     dot,
     norm,
 )
@@ -57,7 +55,7 @@ from .connections import (
     curvature4,
     sphere_curvature_oracle,
 )
-from .records import make_record, worst_residuals
+from .records import build_records
 
 __all__ = [
     "CurvatureSample",
@@ -260,20 +258,18 @@ def cross_check_rbar(structure, sample, scheme=EXACT_FORWARD):
 # ============================================================
 
 def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
-          seed=0, scheme=EXACT_FORWARD) -> float:
+          seed=0, scheme=EXACT_FORWARD):
     """Trace of the curvature over an orthonormal basis (4n distribution
     vectors from a seeded frame plus the three Reeb vectors), in the slot
     convention S(X,Y) = sum_i g(R(E_i, X) Y, E_i).
 
-    The basis enters as one stacked extension field, so a single nested
-    curvature evaluation gives R(E_i, X)Y for every i; the terms are
-    summed in basis order.  ``X`` and ``Y`` are one row each: a stack
-    raises :class:`StructuralError`."""
+    The basis enters as one extension field stacked on the axis before
+    the last, so a single nested curvature evaluation gives R(E_i, X)Y
+    for every i (and every row of a stacked ``X``, ``Y``); the terms are
+    summed in basis order.  One row gives a float, a stack shape
+    ``(P, 1)``."""
     X._check_same_base(Y)
     x = X.base
-    if x.x.ndim != 1:
-        raise StructuralError(
-            "the trace takes one point per call; its stack axis is the basis")
     if kind is ConnectionKind.H_CONNECTION and not all(
             _in_H(structure, V) for V in (X, Y)):
         raise PreconditionError(
@@ -281,12 +277,14 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
             "inside the distribution H")
     basis = [E.v for E in structure.frame_H(x, seed)]
     basis += [structure.reeb_raw(a, x.x) for a in (1, 2, 3)]
-    Ef = structure.extension_raw(np.array(basis))
-    R = _curvature_raw(structure, kind, Ef, structure.extension_raw(X.v),
-                       structure.extension_raw(Y.v), x.x, scheme)
+    # the basis on axis -2; the point, X and Y get a length-1 axis there
+    Ef = structure.extension_raw(np.stack(basis, axis=-2))
+    Xf, Yf = (structure.extension_raw(V.v[..., None, :]) for V in (X, Y))
+    y = x.x[..., None, :]
+    R, E = _curvature_raw(structure, kind, Ef, Xf, Yf, y, scheme), Ef(y)
     total = 0.0
-    for r, e in zip(R, Ef(x.x)):
-        total += dot(r, e)
+    for i in range(len(basis)):
+        total = total + dot(R[..., i, :], E[..., i, :])
     return total
 
 
@@ -418,16 +416,10 @@ def verify_symmetries(structure, quad, tol=1e-6, scheme=EXACT_FORWARD):
          for key in ("XYZW", "YXZW", "XYWZ", "ZWXY", "YZWX", "ZXWY")}
 
     def residuals():
-        yield "first_pair", abs(q["XYZW"] + q["YXZW"])
-        yield "last_pair", abs(q["XYZW"] + q["XYWZ"])
-        yield "pair_swap", abs(q["XYZW"] - q["ZWXY"])
-        yield "bianchi", abs(q["XYWZ"] + q["YZWX"] + q["ZXWY"])
+        yield "curvature.sym_first_pair", abs(q["XYZW"] + q["YXZW"])
+        yield "curvature.sym_last_pair", abs(q["XYZW"] + q["XYWZ"])
+        yield "curvature.sym_pair_swap", abs(q["XYZW"] - q["ZWXY"])
+        yield "curvature.sym_bianchi", abs(q["XYWZ"] + q["YZWX"] + q["ZXWY"])
 
-    worst = worst_residuals(residuals(),
-                            ("first_pair", "last_pair", "pair_swap", "bianchi"))
-    return [
-        make_record(f"curvature.sym_{name}", suite="curvature", kind="check",
-                    passed=bool(res <= tol), max_residual=res, tolerance=tol,
-                    samples=len(np.atleast_2d(x.x)))
-        for name, res in worst.items()
-    ]
+    return build_records("curvature", len(np.atleast_2d(x.x)), residuals(),
+                         lambda worst: dict.fromkeys(worst, tol))

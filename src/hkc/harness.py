@@ -7,8 +7,7 @@ sampling is driven by counter-keyed seed sequences, so a report is a pure
 function of its configuration.  Each suite draws all its samples first,
 on its own lane, and stacks them; its checks then run once over the
 stack (one nested pass per connection and slot pattern for curvature)
-and yield one residual per sample row.  The ricci suite alone draws and
-traces one point at a time, since the trace's stack axis is its basis.
+and yield one residual per sample row.
 """
 
 import argparse
@@ -52,7 +51,7 @@ from .numlin import (
     dot,
     norm,
 )
-from .records import SCHEMA, VerificationReport, make_record, worst_residuals
+from .records import SCHEMA, VerificationReport, build_records
 from .sphere3s import (
     EVEN_PERMUTATIONS,
     SpherePoint,
@@ -150,22 +149,26 @@ def _suite_stream(cfg, suite, index):
     return _stream(cfg.seed, SUITE_ORDER.index(suite), index)
 
 
-def sample_point(structure, rng):
+def _draw_unit(structure, rng, project, make, what):
+    """``make(w / |w|)`` for the first of ten Gaussian draws whose
+    projection ``w`` is not too short."""
     for _ in range(10):
-        v = rng.standard_normal(structure.ambient_dim)
-        nv = norm(v)
-        if nv > 1e-6:
-            return SpherePoint.normalized(v / nv)
-    raise PreconditionError("could not draw a usable ambient direction")
+        w = project(rng.standard_normal(structure.ambient_dim))
+        nw = norm(w)
+        if nw > 1e-6:
+            return make(w / nw)
+    raise PreconditionError(f"could not draw a usable {what} direction")
+
+
+def sample_point(structure, rng):
+    return _draw_unit(structure, rng, lambda v: v, SpherePoint.normalized,
+                      "ambient")
 
 
 def sample_unit_tangent(structure, x, rng):
-    for _ in range(10):
-        w = structure.tangent_project_raw(rng.standard_normal(structure.ambient_dim), x.x)
-        nw = norm(w)
-        if nw > 1e-6:
-            return TangentVector(x, w / nw)
-    raise PreconditionError("could not draw a usable tangent direction")
+    return _draw_unit(structure, rng,
+                      lambda w: structure.tangent_project_raw(w, x.x),
+                      lambda w: TangentVector(x, w), "tangent")
 
 
 def sample_unit_H(structure, x, rng):
@@ -173,12 +176,8 @@ def sample_unit_H(structure, x, rng):
         raise PreconditionError(
             "the distribution H is zero-dimensional for n = 0; "
             "no unit direction can be drawn from it")
-    for _ in range(10):
-        w = structure.project_h_raw(rng.standard_normal(structure.ambient_dim), x.x)
-        nw = norm(w)
-        if nw > 1e-6:
-            return TangentVector(x, w / nw)
-    raise PreconditionError("could not draw a usable distribution direction")
+    return _draw_unit(structure, rng, lambda w: structure.project_h_raw(w, x.x),
+                      lambda w: TangentVector(x, w), "distribution")
 
 
 _ext = VectorField.extension
@@ -282,31 +281,6 @@ def _draws(s, cfg, suite, tangents, distribution=0):
     return _stacks(_samples(cfg, suite, draw))
 
 
-def _drive(cfg, suite, pairs, table):
-    """The suite driver: keep the worst residuals, build records.
-
-    ``pairs`` yields ``(key, residuals)``, one residual per sample row, in
-    the order of one sample's checks; the maxima are taken sample by
-    sample.  ``table`` maps each record id, in report order, to its
-    tolerance or to :func:`make_record` fields that override the defaults
-    (the worst residual under the id, its verdict against the tolerance,
-    ``cfg.points`` samples).  A callable ``table`` gets the worst
-    residuals once sampling is done.
-    """
-    worst = worst_residuals(pairs)
-    if callable(table):
-        table = table(worst)
-    records = []
-    for rid, spec in table.items():
-        spec = spec if isinstance(spec, dict) else {"tolerance": spec}
-        fields = {"max_residual": worst.get(rid, 0.0), "samples": cfg.points,
-                  **spec}
-        if "passed" not in fields:
-            fields["passed"] = bool(fields["max_residual"] <= fields["tolerance"])
-        records.append(make_record(rid, suite=suite, **fields))
-    return records
-
-
 def _suite_axioms(s, cfg, conventions):
     X, Y = _draws(s, cfg, "axioms", 2)
     return s.check_structure_axioms((X.base, X, Y), tol=cfg.tol_first)
@@ -329,7 +303,7 @@ def _suite_sasaki(s, cfg, conventions):
             yield "sasaki.reeb_on_reeb", norm(rr.v - s.reeb_raw(c, x.x))
             yield "sasaki.reeb_on_reeb", cov_deriv(LC, xa, xa, x, cfg.scheme).norm()
 
-    return _drive(cfg, "sasaki", residuals(), {
+    return build_records("sasaki", cfg.points, residuals(), {
         "sasaki.defect": cfg.tol_second,
         "sasaki.reeb_covariant": cfg.tol_first,
         "sasaki.reeb_bracket": cfg.tol_first,
@@ -366,11 +340,9 @@ def _suite_connection(s, cfg, conventions):
             yield "connection.reeb_parallel", cov_deriv(
                 HC, X, VectorField.reeb(s, a), x, cfg.scheme).norm()
 
-        # the worst of the three components on each row, by Python's max
         dY = cov_deriv(HC, X, Yh.project_H(), x, cfg.scheme)
-        eta = (np.ravel(abs(s.eta_raw(a, dY.v, x.x))).tolist()
-               for a in (1, 2, 3))
-        yield "connection.h_preserved", [max(row) for row in zip(*eta)]
+        for a in (1, 2, 3):
+            yield "connection.h_preserved", abs(s.eta_raw(a, dY.v, x.x))
 
         br = lie_bracket(X, Z, x, cfg.scheme)
         rhs_br = XZ.v - ZX.v
@@ -394,7 +366,7 @@ def _suite_connection(s, cfg, conventions):
             yield "connection.h_tensor_table", norm(
                 s.h_tensor(b, a, Xt, cfg.scheme).v + phi_c)
 
-    return _drive(cfg, "connection", residuals(), {
+    return build_records("connection", cfg.points, residuals(), {
         "connection.two_forms_agree": cfg.tol_first,
         "connection.metricity": cfg.tol_first,
         "connection.reeb_parallel": cfg.tol_first,
@@ -428,7 +400,7 @@ def _suite_torsion(s, cfg, conventions):
                          x, cfg.scheme)
             yield "torsion.reeb_pair", norm(tp.v + 2.0 * s.reeb_raw(c, x.x))
 
-    return _drive(cfg, "torsion", residuals(), dict.fromkeys(
+    return build_records("torsion", cfg.points, residuals(), dict.fromkeys(
         ("torsion.lc_zero", "torsion.h_pair", "torsion.mixed",
          "torsion.reeb_pair"), cfg.tol_first))
 
@@ -457,7 +429,7 @@ def _suite_curvature(s, cfg, conventions):
                 yield "curvature.annihilation_pair", curvature(
                     HC, xi[a], xi[b], last, x, cfg.scheme).norm()
 
-    records = _drive(cfg, "curvature", residuals(), dict.fromkeys(
+    records = build_records("curvature", cfg.points, residuals(), dict.fromkeys(
         ("curvature.oracle_gate", "curvature.reeb_curvature_lc",
          "curvature.annihilation_last", "curvature.annihilation_middle",
          "curvature.annihilation_pair"), cfg.tol_second))
@@ -525,28 +497,18 @@ def _suite_cross_check(s, cfg, conventions):
                                 "two arguments lie in H",
                     }}}
 
-    return _drive(cfg, "cross-check", residuals(), table)
+    return build_records("cross-check", cfg.points, residuals(), table)
 
 
 def _suite_ricci(s, cfg, conventions):
     c_lc = float(4 * s.n + 2)
     c_claim = float(4 * s.n + 5)
 
-    # ricci takes one point per call (its stack axis is the trace basis),
-    # so each sample is drawn and traced in turn
-    def sample(rng, i):
-        x = sample_point(s, rng)
-        Xt = sample_unit_tangent(s, x, rng)
-        Yt = sample_unit_tangent(s, x, rng)
-        lc = [ricci(s, LC, Xt, U, cfg.seed, cfg.scheme) for U in (Xt, Yt)]
-        Xh = sample_unit_H(s, x, rng)
-        Yh = sample_unit_H(s, x, rng)
-        hc = [ricci(s, HC, Xh, U, cfg.seed, cfg.scheme) for U in (Xh, Yh)]
-        return (*lc, *hc, dot(Xt.v, Yt.v), dot(Xh.v, Yh.v))
-
-    lc_diag, lc_off, diag, off, gxy_t, gxy = np.array(
-        list(_samples(cfg, "ricci", sample))).T
-    measured = diag[0]  # the adapted trace of the first sample sets the factor
+    Xt, Yt, Xh, Yh = _draws(s, cfg, "ricci", 2, 2)
+    lc_diag, lc_off = (ricci(s, LC, Xt, U, cfg.seed, cfg.scheme) for U in (Xt, Yt))
+    diag, off = (ricci(s, HC, Xh, U, cfg.seed, cfg.scheme) for U in (Xh, Yh))
+    gxy_t, gxy = dot(Xt.v, Yt.v), dot(Xh.v, Yh.v)
+    measured = diag[0, 0]  # the adapted trace of the first sample sets the factor
 
     def residuals():
         yield "ricci.einstein_lc", abs(lc_diag - c_lc)
@@ -556,7 +518,7 @@ def _suite_ricci(s, cfg, conventions):
         yield "ricci.h_connection_measured", abs(diag - measured)
         yield "ricci.h_connection_measured", abs(off - measured * gxy)
 
-    return _drive(cfg, "ricci", residuals(), {
+    return build_records("ricci", cfg.points, residuals(), {
         "ricci.einstein_lc": {"tolerance": cfg.tol_second,
                               "details": {"constant": c_lc}},
         "ricci.h_connection": {"tolerance": cfg.tol_second,
@@ -605,7 +567,7 @@ def _suite_sectional(s, cfg, conventions):
     }
     rows = [d for d in _samples(cfg, "sectional", draw) if d is not None]
     if not rows:
-        return _drive(cfg, "sectional", (), table)
+        return build_records("sectional", cfg.points, (), table)
     Xt, Yt, U, V, Xh = _stacks(rows)
     # the two spans of each sample in one round pass, then one
     # sec_rela_data call per structure for the holomorphic and phi_a-plane
@@ -631,7 +593,7 @@ def _suite_sectional(s, cfg, conventions):
         yield "sectional.tanno_sum", abs(tanno - 3.0)
         yield "sectional.cor_xxx", abs(lhs - rhs)
 
-    return _drive(cfg, "sectional", residuals(), table)
+    return build_records("sectional", cfg.points, residuals(), table)
 
 
 def _suite_theorem_sec(s, cfg, conventions):
@@ -706,7 +668,7 @@ def _suite_theorem_sec(s, cfg, conventions):
                 }},
         }
 
-    return _drive(cfg, "theorem-sec", residuals(), table)
+    return build_records("theorem-sec", cfg.points, residuals(), table)
 
 
 _SUITE_FUNCS = {

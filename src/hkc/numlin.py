@@ -7,10 +7,11 @@ with the same machinery.  That nesting is what makes curvature tensors
 (second covariant derivatives) evaluable to machine precision without
 finite-difference noise.
 
-A point or a direction may also be a stack of vectors along a leading
-axis (vector-mode forward differentiation): ``dot``, ``norm`` and
-``matvec`` act on the last axis, so one evaluation carries a value and a
-derivative per stacked row, each with the bits of its one-row call.
+A point or a direction may also be a stack of vectors along leading
+axes (vector-mode forward differentiation): ``dot``, ``norm``,
+``matvec`` and ``gram_schmidt`` act on the last axis, so one evaluation
+carries a value and a derivative per stacked row, each with the bits of
+its one-row call.
 """
 
 from __future__ import annotations
@@ -274,11 +275,11 @@ PIVOT_TOL = 1e-10
 
 def gram_schmidt(vectors):
     """Orthonormalize ``vectors`` with respect to the Euclidean inner
-    product.
+    product, each row of a stack of them on its own.
 
     Modified Gram-Schmidt.  Raises :class:`DegenerateInputError` naming
     the 1-based index of the first vector whose residual norm falls
-    below ``PIVOT_TOL``.
+    below ``PIVOT_TOL`` (on some row; the pivot shown is the first's).
     """
     out = []
     for i, v in enumerate(vectors):
@@ -286,10 +287,12 @@ def gram_schmidt(vectors):
         for u in out:
             w = w - dot(u, w) * u
         pivot = norm(w)
-        if pivot < PIVOT_TOL:
+        bad = np.ravel(pivot) < PIVOT_TOL
+        if bad.any():
             raise DegenerateInputError(
                 f"vector {i + 1} is linearly dependent on its predecessors "
-                f"(pivot {pivot:.3e} < {PIVOT_TOL:g})", index=i + 1)
+                f"(pivot {np.ravel(pivot)[bad][0]:.3e} < {PIVOT_TOL:g})",
+                index=i + 1)
         out.append(w / pivot)
     return out
 

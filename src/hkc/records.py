@@ -33,6 +33,7 @@ __all__ = [
     "IDENTITY_REGISTRY",
     "make_record",
     "worst_residuals",
+    "build_records",
     "canonical_json",
     "registry_gaps",
 ]
@@ -154,17 +155,39 @@ def make_record(rec_id, suite, kind="check", passed=None, max_residual=None,
     )
 
 
-def worst_residuals(pairs, keys=()):
-    """The largest residual under each key.  ``pairs`` yields ``(key,
-    residuals)``, one residual per sample row (a float for one sample);
-    the maxima run sample by sample, through the pairs in order.  ``keys``
-    come first, in their order, and stay 0.0 if no residual names them."""
-    worst = dict.fromkeys(keys, 0.0)
-    pairs = [(key, np.ravel(res).tolist()) for key, res in pairs]
-    for row in zip(*(res for _, res in pairs)):
-        for (key, _), res in zip(pairs, row):
-            worst[key] = max(worst.get(key, 0.0), res)
-    return worst
+def worst_residuals(pairs):
+    """The largest residual under each key, keys in the order of their
+    first pair.  ``pairs`` yields ``(key, residuals)``, one residual per
+    sample row (a float for one sample).  The maximum over floats is
+    exact and commutative, so the order of the pairs does not change a
+    value; a NaN residual propagates, so its record fails."""
+    worst = {}
+    for key, res in pairs:
+        worst[key] = np.maximum(worst.get(key, 0.0), np.max(res))
+    return {key: float(res) for key, res in worst.items()}
+
+
+def build_records(suite, samples, pairs, table):
+    """The records of one suite from its residual pairs.
+
+    ``pairs`` yields ``(key, residuals)`` as for :func:`worst_residuals`.
+    ``table`` maps each record id, in report order, to its tolerance or
+    to :func:`make_record` fields that override the defaults (the worst
+    residual under the id, its verdict against the tolerance, ``samples``
+    samples).  A callable ``table`` gets the worst residuals first.
+    """
+    worst = worst_residuals(pairs)
+    if callable(table):
+        table = table(worst)
+    records = []
+    for rid, spec in table.items():
+        spec = spec if isinstance(spec, dict) else {"tolerance": spec}
+        fields = {"max_residual": worst.get(rid, 0.0), "samples": samples,
+                  **spec}
+        if "passed" not in fields:
+            fields["passed"] = bool(fields["max_residual"] <= fields["tolerance"])
+        records.append(make_record(rid, suite=suite, **fields))
+    return records
 
 
 @dataclass

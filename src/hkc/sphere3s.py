@@ -38,7 +38,7 @@ from .numlin import (
     norm,
     quaternion_structures,
 )
-from .records import make_record, worst_residuals
+from .records import build_records
 
 __all__ = [
     "UNIT_TOL",
@@ -70,7 +70,8 @@ class SpherePoint:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         r = np.ravel(norm(self.x))
-        bad = np.abs(r - 1.0) > UNIT_TOL  # an error names the first bad row
+        # an error names the first bad row; a non-finite row is bad too
+        bad = ~(np.abs(r - 1.0) <= UNIT_TOL)
         if bad.any():
             raise StructuralError(f"point norm {float(r[bad][0])!r} deviates "
                                   f"from 1 by more than {UNIT_TOL:g}")
@@ -101,7 +102,7 @@ class TangentVector:
         if self.v.shape != self.base.x.shape:
             raise StructuralError("tangent vector has wrong ambient dimension")
         r = np.abs(np.ravel(dot(self.v, self.base.x)))
-        bad = r > TANGENT_TOL
+        bad = ~(r <= TANGENT_TOL)
         if bad.any():
             raise StructuralError(f"vector is not tangent: <v, x> = "
                                   f"{r[bad][0]:.3e} exceeds {TANGENT_TOL:g}")
@@ -140,7 +141,7 @@ class ThreeSasakiStructure:
                 f"structure matrices of size {self.triple.dim} do not match "
                 f"ambient dimension {4 * (self.n + 1)}")
         self._matrices = dict(zip((1, 2, 3), self.triple.as_tuple()))
-        self._last_frame = None  # ((point bytes, seed), orthonormal H-basis)
+        self._last_frame = None  # ((shape, bytes, seed), orthonormal H-basis)
 
     # ---------------- dimensions ----------------
 
@@ -192,15 +193,14 @@ class ThreeSasakiStructure:
 
     def frame_H(self, x, seed):
         """Deterministic orthonormal basis of H at ``x``: a tuple of 4n
-        tangent vectors.
+        tangent vectors, each a stack if ``x`` is (row i of each is the
+        basis at row i of ``x``).
 
-        The basis of the latest (point, seed) is kept, so repeated calls
-        there (one per trace in a Ricci sample) orthonormalize once; each
-        call returns fresh copies of its vectors.
+        The basis of the latest (points, seed) is kept, so repeated calls
+        there (the four traces of the Ricci suite) orthonormalize once;
+        each call returns fresh copies of its vectors.
         """
-        if self.n == 0:
-            return ()
-        key = (x.x.tobytes(), int(seed))
+        key = (x.x.shape, x.x.tobytes(), int(seed))
         if self._last_frame is None or self._last_frame[0] != key:
             self._last_frame = (key, self._orthonormal_H(x, seed))
         return tuple(TangentVector(x, v.copy()) for v in self._last_frame[1])
@@ -251,57 +251,49 @@ class ThreeSasakiStructure:
         or a stack.
         """
         x, X, Y = sample
-        worst = worst_residuals(
-            self._axiom_residuals(x, X, Y),
-            ("quaternion_products", "unit_reeb", "phi_square", "eta_reeb",
-             "compat", "omega_skew", "reeb_cross", "phi_compose", "eta_phi",
-             "projection"))
-        # matrix-level relations, once
+        return build_records("axioms", len(np.atleast_2d(x.x)),
+                             self._axiom_residuals(x, X, Y),
+                             lambda worst: dict.fromkeys(worst, tol))
+
+    def _axiom_residuals(self, x, X, Y):
+        """(record id, residuals) pairs, one residual per sample row; the
+        matrix-level relations come first, once."""
         I1, I2, I3 = self.triple.as_tuple()
         ident = np.eye(self.ambient_dim)
-        worst["quaternion_products"] = max(
+        yield "axioms.quaternion_products", max(
             float(np.max(np.abs(I1 @ I2 - I3))),
             float(np.max(np.abs(I2 @ I3 - I1))),
             float(np.max(np.abs(I3 @ I1 - I2))),
             *(float(np.max(np.abs(I @ I + ident))) for I in (I1, I2, I3)),
             *(float(np.max(np.abs(I.T + I))) for I in (I1, I2, I3)),
         )
-        return [
-            make_record(f"axioms.{key}", suite="axioms", kind="check",
-                        passed=bool(res <= tol), max_residual=res,
-                        tolerance=tol, samples=len(np.atleast_2d(x.x)))
-            for key, res in worst.items()
-        ]
-
-    def _axiom_residuals(self, x, X, Y):
-        """(axiom family, residuals) pairs, one residual per sample row."""
         y, Xv, Yv = x.x, X.v, Y.v
         phi = lambda a, w: self.phi_raw(a, w, y)
         eta = lambda a, w: self.eta_raw(a, w, y)
         xs = [self.reeb_raw(a, y) for a in (1, 2, 3)]
         for a in (1, 2, 3):
             xi = xs[a - 1]
-            yield "unit_reeb", abs(dot(xi, xi) - 1.0)
-            yield "unit_reeb", abs(dot(xi, y))
+            yield "axioms.unit_reeb", abs(dot(xi, xi) - 1.0)
+            yield "axioms.unit_reeb", abs(dot(xi, y))
             fX = phi(a, Xv)
-            yield "phi_square", norm(phi(a, fX) + Xv - eta(a, Xv) * xi)
+            yield "axioms.phi_square", norm(phi(a, fX) + Xv - eta(a, Xv) * xi)
             for b in (1, 2, 3):
                 dlt = 1.0 if a == b else 0.0
-                yield "eta_reeb", abs(eta(a, xs[b - 1]) - dlt)
-            yield "compat", abs(dot(fX, phi(a, Yv)) - dot(Xv, Yv)
-                                + eta(a, Xv) * eta(a, Yv))
-            yield "omega_skew", abs(self.omega_raw(a, Xv, Xv, y))
-            yield "omega_skew", abs(self.omega_raw(a, Xv, Yv, y)
-                                    + self.omega_raw(a, Yv, Xv, y))
+                yield "axioms.eta_reeb", abs(eta(a, xs[b - 1]) - dlt)
+            yield "axioms.compat", abs(dot(fX, phi(a, Yv)) - dot(Xv, Yv)
+                                       + eta(a, Xv) * eta(a, Yv))
+            yield "axioms.omega_skew", abs(self.omega_raw(a, Xv, Xv, y))
+            yield "axioms.omega_skew", abs(self.omega_raw(a, Xv, Yv, y)
+                                           + self.omega_raw(a, Yv, Xv, y))
         for beta, gamma, theta in EVEN_PERMUTATIONS:
-            yield "reeb_cross", norm(phi(beta, xs[gamma - 1]) - xs[theta - 1])
-            yield "reeb_cross", norm(phi(gamma, xs[beta - 1]) + xs[theta - 1])
+            yield "axioms.reeb_cross", norm(phi(beta, xs[gamma - 1]) - xs[theta - 1])
+            yield "axioms.reeb_cross", norm(phi(gamma, xs[beta - 1]) + xs[theta - 1])
             comp = phi(beta, phi(gamma, Xv)) - eta(gamma, Xv) * xs[beta - 1]
-            yield "phi_compose", norm(comp - phi(theta, Xv))
-            yield "eta_phi", abs(eta(theta, Xv) - eta(beta, phi(gamma, Xv)))
-            yield "eta_phi", abs(eta(theta, Xv) + eta(gamma, phi(beta, Xv)))
+            yield "axioms.phi_compose", norm(comp - phi(theta, Xv))
+            yield "axioms.eta_phi", abs(eta(theta, Xv) - eta(beta, phi(gamma, Xv)))
+            yield "axioms.eta_phi", abs(eta(theta, Xv) + eta(gamma, phi(beta, Xv)))
         pX = self.project_h_raw(Xv, y)
-        yield "projection", norm(self.project_h_raw(pX, y) - pX)
-        yield "projection", abs(dot(pX, Yv) - dot(Xv, self.project_h_raw(Yv, y)))
+        yield "axioms.projection", norm(self.project_h_raw(pX, y) - pX)
+        yield "axioms.projection", abs(dot(pX, Yv) - dot(Xv, self.project_h_raw(Yv, y)))
         for a in (1, 2, 3):
-            yield "projection", abs(eta(a, pX))
+            yield "axioms.projection", abs(eta(a, pX))

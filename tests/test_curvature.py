@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hkc.numlin import (DegenerateInputError, PreconditionError, StructuralError,
-                        dot, norm)
+from hkc.numlin import DegenerateInputError, PreconditionError, dot, norm
 from hkc import sphere3s
 from hkc.connections import (
     ConnectionKind,
@@ -301,20 +300,23 @@ def test_stacked_trace_equals_per_vector_sum(n):
 
 
 def test_ricci_sample_orthonormalizes_once(monkeypatch):
-    # the four traces of one ricci sample share one point and one seed
+    # the four traces of the ricci suite share one stack of points and
+    # one seed, so one frame serves them all, whatever the points
     calls = []
     real = sphere3s.gram_schmidt
     monkeypatch.setattr(sphere3s, "gram_schmidt",
                         lambda vs: calls.append(1) or real(vs))
     s = ThreeSasakiStructure(n=2)
-    records = _SUITE_FUNCS["ricci"](s, RunConfig(n=2, points=2, seed=4), {})
-    assert [r.id for r in records] == [
-        "ricci.einstein_lc", "ricci.h_connection", "ricci.h_connection_measured"]
-    assert len(calls) == 2
+    for points in (1, 4):
+        calls.clear()
+        records = _SUITE_FUNCS["ricci"](s, RunConfig(n=2, points=points, seed=4), {})
+        assert [r.id for r in records] == [
+            "ricci.einstein_lc", "ricci.h_connection", "ricci.h_connection_measured"]
+        assert len(calls) == 1, points
     # a repeated call returns equal, fresh vectors
     x = rand_point(s, np.random.default_rng(1))
     f1, f2 = s.frame_H(x, 3), s.frame_H(x, 3)
-    assert len(calls) == 3
+    assert len(calls) == 2
     for a, b in zip(f1, f2):
         assert np.array_equal(a.v, b.v) and a.v is not b.v
 
@@ -533,6 +535,9 @@ def test_stacked_rows_equal_one_at_a_time_calls(n):
     X, Y, Xh, Yh = (stack([rand_tv(s, row(x, i), rng, in_h=h) for i in range(d)])
                     for h in (False, False, True, True))
     xi2 = VectorField.reeb(s, 2)
+    # the trace: its stack is points by basis vectors
+    for kind, U, V in ((LC, X, Y), (HC, Xh, Yh)):
+        assert_rows_match_calls(lambda U, V: ricci(s, kind, U, V, seed=3), U, V)
     for kind in (LC, HC):
         assert_rows_match_calls(
             lambda x, X, Y: cov_deriv(kind, ext(X), ext(Y), x), x, X, Y)
@@ -583,12 +588,3 @@ def test_stacked_rows_equal_one_at_a_time_calls(n):
         assert record.samples == d
         assert record.max_residual == max(a[k].max_residual for a in alone)
 
-
-def test_ricci_rejects_a_stack(struct, rng):
-    # the trace's stack axis is its basis: a stacked argument would build
-    # a frame from mismatched shapes
-    x = stack([rand_point(struct, rng) for _ in range(2)])
-    X = stack([rand_tv(struct, row(x, i), rng, in_h=True) for i in range(2)])
-    for kind in (LC, HC):
-        with pytest.raises(StructuralError, match="one point per call"):
-            ricci(struct, kind, X, X)

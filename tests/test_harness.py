@@ -438,17 +438,17 @@ def test_each_curvature_value_is_evaluated_once(struct, monkeypatch):
     assert rows == {LC: 0, HC: 2 * 6}
 
 
-def _count_cov(monkeypatch):
-    """Count the covariant-derivative passes (``_cov_raw`` calls) by
-    kind."""
+def _count_raw(monkeypatch, module, name):
+    """Count the calls of the raw kernel ``module.name`` (a
+    covariant-derivative or nested curvature pass) by kind."""
     kinds = []
-    original = connections._cov_raw
+    original = getattr(module, name)
 
     def counted(s, kind, *args):
         kinds.append(kind)
         return original(s, kind, *args)
 
-    monkeypatch.setattr(connections, "_cov_raw", counted)
+    monkeypatch.setattr(module, name, counted)
     return kinds
 
 
@@ -458,6 +458,7 @@ def _count_cov(monkeypatch):
     ("cross-check", 1, 1),
     ("sectional", 5, 4),
     ("theorem-sec", 1, 1),
+    ("ricci", 2, 2),
     # covariant-derivative passes of the first-order suites
     ("sasaki", 15, 0),
     ("connection", 7, 14),
@@ -469,7 +470,9 @@ def test_nested_passes_do_not_grow_with_points(struct, monkeypatch, suite,
     # number of sample points
     conventions = resolve_conventions(struct, seed=0)
     if suite in ("sasaki", "connection", "torsion"):
-        passes = _count_cov(monkeypatch)
+        passes = _count_raw(monkeypatch, connections, "_cov_raw")
+    elif suite == "ricci":  # the trace calls the raw kernel
+        passes = _count_raw(monkeypatch, curvature_module, "_curvature_raw")
     else:
         passes, _ = _count_curvature(monkeypatch)
     for points in (1, 4):
@@ -485,7 +488,7 @@ def test_definitional_form_is_evaluated_once_per_connection_sample(monkeypatch):
     # nabla_Y xi_a for a = 1, 2, 3.  Nothing else in the connection suite
     # takes one, so the Levi-Civita derivatives that the suite adds to a
     # run count its evaluations of that form: one, over all samples
-    kinds = _count_cov(monkeypatch)
+    kinds = _count_raw(monkeypatch, connections, "_cov_raw")
     for points in (1, 3):
         lc = []
         for suites in (("axioms", "sasaki"), ("axioms", "sasaki", "connection")):

@@ -272,6 +272,30 @@ def test_gram_schmidt_orthonormality_bound():
         assert np.max(np.abs(gram - np.eye(5))) < 1e-12
 
 
+def test_stacked_gram_schmidt_matches_rows():
+    # each row position of stacked vectors is orthonormalized on its own,
+    # with the bits of its one-row call
+    rng = np.random.default_rng(4)
+    vs = list(rng.standard_normal((5, 8, 8)))
+    out = gram_schmidt(vs)
+    for i in range(8):
+        for a, b in zip(out, gram_schmidt([v[i] for v in vs])):
+            assert np.array_equal(a[i], b)
+    # rows 2 and 6 of vector 4 depend on their predecessors: the error
+    # names vector 4 and the pivot of row 2, as its one-row call does
+    vs[3][2] = vs[0][2] + 1e-12 * vs[1][2]
+    vs[3][6] = vs[1][6]
+    with pytest.raises(DegenerateInputError) as exc:
+        gram_schmidt(vs)
+    with pytest.raises(DegenerateInputError) as alone:
+        gram_schmidt([v[2] for v in vs])
+    assert exc.value.index == alone.value.index == 4
+    assert str(exc.value) == str(alone.value)
+    with pytest.raises(DegenerateInputError) as later:
+        gram_schmidt([v[6] for v in vs])
+    assert str(later.value) != str(exc.value)
+
+
 # ============================================================
 # quaternionic structure matrices
 # ============================================================

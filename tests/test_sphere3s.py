@@ -89,6 +89,18 @@ def test_tangent_vector_must_be_orthogonal():
     assert np.array_equal(ts.norm(), [[3.0], [4.0], [1.0]])
 
 
+def test_non_finite_values_fail_the_edge_checks():
+    with pytest.raises(StructuralError, match="point norm nan"):
+        SpherePoint(np.full(8, np.nan))
+    with pytest.raises(StructuralError, match="point norm inf"):
+        SpherePoint(np.array([[1.0, 0, 0, 0], [np.inf, 0, 0, 0]]))
+    with pytest.raises(StructuralError, match="point norm nan"):
+        SpherePoint.normalized(np.full(8, np.nan))
+    p = SpherePoint(np.eye(4)[0])
+    with pytest.raises(StructuralError, match="= nan "):
+        TangentVector(p, np.array([0.0, np.nan, 0.0, 0.0]))
+
+
 # ============================================================
 # the structure tensors
 # ============================================================
@@ -256,6 +268,17 @@ def test_frame_h_deterministic(struct, rng):
         assert np.array_equal(a.v, b.v)
 
 
+def test_frame_h_cache_keys_on_shape(struct, rng):
+    # the same point as one row and as a one-row stack: each call gets a
+    # frame of its own shape, with the same bits
+    x = rand_point(struct, rng)
+    stacked = struct.frame_H(SpherePoint(x.x[None, :]), seed=6)
+    alone = struct.frame_H(x, seed=6)
+    for a, b in zip(stacked, alone):
+        assert a.v.shape == (1, struct.ambient_dim)
+        assert np.array_equal(a.v[0], b.v) and b.base is x
+
+
 def test_frame_h_empty_for_n0():
     s = ThreeSasakiStructure(n=0)
     x = SpherePoint.normalized(np.array([0.5, 0.5, 0.5, 0.5]))
@@ -311,6 +334,20 @@ def test_axiom_records_fail_for_flipped_structure(rng):
     by_id = {r.id: r for r in recs}
     assert not by_id["axioms.quaternion_products"].passed
     assert by_id["axioms.quaternion_products"].max_residual == pytest.approx(2.0)
+
+
+def test_non_finite_structure_fails_every_axiom(rng):
+    # a NaN entry in I1 reaches every family through the Reeb fields and
+    # the projection; a NaN residual fails its record
+    base = ThreeSasakiStructure(n=1)
+    I1 = base.triple.I1.copy()
+    I1[0, 1] = np.nan
+    s = ThreeSasakiStructure(n=1, triple=ComplexStructureTriple(
+        I1=I1, I2=base.triple.I2, I3=base.triple.I3))
+    recs = s.check_structure_axioms(_sample_triples(s, rng, 3))
+    assert len(recs) == 10
+    for r in recs:
+        assert r.passed is False and np.isnan(r.max_residual), r.id
 
 
 def test_axioms_pass_for_n0(rng):
