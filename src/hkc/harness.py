@@ -4,10 +4,10 @@ Runs the identity suites against a freshly built structure, collects the
 residuals into a machine-readable report, and resolves the three sign
 conventions empirically before any curvature suite is interpreted.  All
 sampling is driven by counter-keyed seed sequences, so a report is a pure
-function of its configuration.  Each suite draws all its samples first,
-on its own lane, and stacks them; its checks then run once over the
-stack (one nested pass per connection and slot pattern for curvature)
-and yield one residual per sample row.
+function of its configuration.  Each suite draws its samples as a stack:
+one stream per sample on the suite's lane supplies the Gaussian rows,
+and the arithmetic runs once over all samples; its checks then run once
+over the stack and yield one residual per sample row.
 """
 
 import argparse
@@ -145,39 +145,60 @@ def _stream(seed, lane, index):
         np.random.SeedSequence(int(seed), spawn_key=(int(lane), int(index))))
 
 
-def _suite_stream(cfg, suite, index):
-    return _stream(cfg.seed, SUITE_ORDER.index(suite), index)
+def _lane(cfg, suite, first=0):
+    """The suite's sample generators, at lane indices first + p, p < points."""
+    lane = SUITE_ORDER.index(suite)
+    return [_stream(cfg.seed, lane, first + p) for p in range(cfg.points)]
 
 
-def _draw_unit(structure, rng, project, make, what):
-    """``make(w / |w|)`` for the first of ten Gaussian draws whose
-    projection ``w`` is not too short."""
+def _draw_units(structure, rngs, what, y=None):
+    """One unit row per generator: a Gaussian draw projected onto T_y
+    ("tangent"), onto H at y ("distribution") or not at all ("ambient",
+    then normalised twice, as ``SpherePoint.normalized`` would), over its
+    length; one stack for all rows, each with the bits of a one-row draw.
+    A projection no longer than 1e-6 is drawn again, ten draws at most."""
+    if what == "distribution" and structure.h_dim == 0:
+        raise PreconditionError(
+            "the distribution H is zero-dimensional for n = 0; "
+            "no unit direction can be drawn from it")
+    d = structure.ambient_dim
+    out, todo = np.empty((len(rngs), d)), np.arange(len(rngs))
     for _ in range(10):
-        w = project(rng.standard_normal(structure.ambient_dim))
+        w = np.array([rngs[p].standard_normal(d) for p in todo.tolist()])
+        if what != "ambient":
+            w = (structure.tangent_project_raw if what == "tangent"
+                 else structure.project_h_raw)(w, y[todo])
         nw = norm(w)
-        if nw > 1e-6:
-            return make(w / nw)
+        ok = np.ravel(nw > 1e-6)
+        u = w[ok] / nw[ok]
+        out[todo[ok]] = u / norm(u) if what == "ambient" else u
+        todo = todo[~ok]
+        if not len(todo):
+            return out
     raise PreconditionError(f"could not draw a usable {what} direction")
 
 
 def sample_point(structure, rng):
-    return _draw_unit(structure, rng, lambda v: v, SpherePoint.normalized,
-                      "ambient")
+    return SpherePoint(_draw_units(structure, [rng], "ambient")[0])
 
 
 def sample_unit_tangent(structure, x, rng):
-    return _draw_unit(structure, rng,
-                      lambda w: structure.tangent_project_raw(w, x.x),
-                      lambda w: TangentVector(x, w), "tangent")
+    return TangentVector(x, _draw_units(structure, [rng], "tangent",
+                                        x.x[None])[0])
 
 
 def sample_unit_H(structure, x, rng):
-    if structure.h_dim == 0:
-        raise PreconditionError(
-            "the distribution H is zero-dimensional for n = 0; "
-            "no unit direction can be drawn from it")
-    return _draw_unit(structure, rng, lambda w: structure.project_h_raw(w, x.x),
-                      lambda w: TangentVector(x, w), "distribution")
+    return TangentVector(x, _draw_units(structure, [rng], "distribution",
+                                        x.x[None])[0])
+
+
+def _draws(s, rngs, kinds):
+    """From each generator in turn, as the one-row samplers draw them: a
+    point, then a unit vector at it per letter of ``kinds`` (t: tangent,
+    h: in H); as the point stack and one vector stack per letter."""
+    x = SpherePoint(_draw_units(s, rngs, "ambient"))
+    return (x, *(TangentVector(x, _draw_units(
+        s, rngs, "tangent" if k == "t" else "distribution", x.x)) for k in kinds))
 
 
 _ext = VectorField.extension
@@ -253,11 +274,6 @@ def selected_plane_convention(conventions):
 # suites
 # ============================================================
 
-def _samples(cfg, suite, draw):
-    """``draw(rng, i)`` for each sample index i, on the suite's lane."""
-    return (draw(_suite_stream(cfg, suite, i), i) for i in range(cfg.points))
-
-
 def _stack(*vectors):
     """One stack of the rows of tangent vectors (each one row or a stack),
     in order, every row at its own base point."""
@@ -265,30 +281,14 @@ def _stack(*vectors):
     return TangentVector(x, np.vstack([V.v for V in vectors]))
 
 
-def _stacks(rows):
-    """Per-sample tuples of tangent vectors, stacked by tuple position."""
-    return [_stack(*col) for col in zip(*rows)]
-
-
-def _draws(s, cfg, suite, tangents, distribution=0):
-    """The suite's samples, stacked: at each sample point, ``tangents``
-    unit tangent vectors, then ``distribution`` unit vectors of H."""
-    def draw(rng, i):
-        x = sample_point(s, rng)
-        return (*(sample_unit_tangent(s, x, rng) for _ in range(tangents)),
-                *(sample_unit_H(s, x, rng) for _ in range(distribution)))
-
-    return _stacks(_samples(cfg, suite, draw))
-
-
 def _suite_axioms(s, cfg, conventions):
-    X, Y = _draws(s, cfg, "axioms", 2)
-    return s.check_structure_axioms((X.base, X, Y), tol=cfg.tol_first)
+    return s.check_structure_axioms(_draws(s, _lane(cfg, "axioms"), "tt"),
+                                    tol=cfg.tol_first)
 
 
 def _suite_sasaki(s, cfg, conventions):
-    Xt, Yt = _draws(s, cfg, "sasaki", 2)
-    x, X, Y = Xt.base, _ext(s, Xt), _ext(s, Yt)
+    x, Xt, Yt = _draws(s, _lane(cfg, "sasaki"), "tt")
+    X, Y = _ext(s, Xt), _ext(s, Yt)
 
     def residuals():
         for a in (1, 2, 3):
@@ -315,8 +315,8 @@ def _suite_sasaki(s, cfg, conventions):
 
 
 def _suite_connection(s, cfg, conventions):
-    Xt, Zt, Xh_t, Yh_t = _draws(s, cfg, "connection", 2, 2)
-    x, X, Z = Xt.base, _ext(s, Xt), _ext(s, Zt)
+    x, Xt, Zt, Xh_t, Yh_t = _draws(s, _lane(cfg, "connection"), "tthh")
+    X, Z = _ext(s, Xt), _ext(s, Zt)
     # nabla_bar_phi_defect projects its fields onto H itself
     Xh, Yh = _ext(s, Xh_t), _ext(s, Yh_t)
 
@@ -378,8 +378,8 @@ def _suite_connection(s, cfg, conventions):
 
 
 def _suite_torsion(s, cfg, conventions):
-    Xt, Yt, Xh_t, Yh_t = _draws(s, cfg, "torsion", 2, 2)
-    x, X, Y = Xt.base, _ext(s, Xt), _ext(s, Yt)
+    x, Xt, Yt, Xh_t, Yh_t = _draws(s, _lane(cfg, "torsion"), "tthh")
+    X, Y = _ext(s, Xt), _ext(s, Yt)
     Xh, Yh = _ext(s, Xh_t).project_H(), _ext(s, Yh_t).project_H()
 
     def residuals():
@@ -406,8 +406,8 @@ def _suite_torsion(s, cfg, conventions):
 
 
 def _suite_curvature(s, cfg, conventions):
-    Xt, Yt, Zt, *quad = _draws(s, cfg, "curvature", 3, 4)
-    x, y = Xt.base, Xt.base.x
+    x, Xt, Yt, Zt, *quad = _draws(s, _lane(cfg, "curvature"), "ttthhhh")
+    y = x.x
     X, Y, Z = (_ext(s, V) for V in (Xt, Yt, Zt))
     xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
 
@@ -441,22 +441,14 @@ def cross_check_families(s, cfg):
     """The five argument families of the cross-check suite, each a stacked
     (point, X, Y, Z) tuple of ``cfg.points`` rows drawn from the suite's
     own sampling lane: ``pure_h``, ``reeb_last``, ``reeb_pairs``,
-    ``single_reeb`` and ``generic``."""
-    def draw(rng, i):
-        x = sample_point(s, rng)
-        Xh = sample_unit_H(s, x, rng)
-        Yh = sample_unit_H(s, x, rng)
-        Zh = sample_unit_H(s, x, rng)
-        xi = lambda c: TangentVector(x, s.reeb_raw(c, x.x))
-        a = 1 + (i % 3)
-        b = 1 + ((i + 1) % 3)
-        pair_tail = xi(1 + ((i + 2) % 3)) if i % 3 == 2 else Zh
-        return (Xh, Yh, Zh, xi(a), xi(b), pair_tail,
-                *(sample_unit_tangent(s, x, rng) for _ in range(3)))
-
-    Xh, Yh, Zh, xa, xb, tail, *generic = _stacks(
-        _samples(cfg, "cross-check", draw))
-    x = Xh.base
+    ``single_reeb`` and ``generic``.  Sample p's Reeb vectors are xi_a,
+    xi_b (a = 1 + p % 3, b = a % 3 + 1) and, when p % 3 == 2, the third."""
+    x, Xh, Yh, Zh, *generic = _draws(s, _lane(cfg, "cross-check"), "hhhttt")
+    p = np.arange(cfg.points)
+    reeb = np.stack([s.reeb_raw(c, x.x) for c in (1, 2, 3)])
+    xa, xb = (TangentVector(x, reeb[(p + k) % 3, p]) for k in (0, 1))
+    tail = TangentVector(x, np.where((p % 3 == 2)[:, None],
+                                     reeb[(p + 2) % 3, p], Zh.v))
     return {
         "pure_h": (x, Xh, Yh, Zh),
         "reeb_last": (x, Xh, Yh, xa),
@@ -504,7 +496,7 @@ def _suite_ricci(s, cfg, conventions):
     c_lc = float(4 * s.n + 2)
     c_claim = float(4 * s.n + 5)
 
-    Xt, Yt, Xh, Yh = _draws(s, cfg, "ricci", 2, 2)
+    _, Xt, Yt, Xh, Yh = _draws(s, _lane(cfg, "ricci"), "tthh")
     lc_diag, lc_off = (ricci(s, LC, Xt, U, cfg.seed, cfg.scheme) for U in (Xt, Yt))
     diag, off = (ricci(s, HC, Xh, U, cfg.seed, cfg.scheme) for U in (Xh, Yh))
     gxy_t, gxy = dot(Xt.v, Yt.v), dot(Xh.v, Yh.v)
@@ -536,23 +528,32 @@ def _suite_ricci(s, cfg, conventions):
     })
 
 
+def _sectional_draws(s, cfg):
+    """The sectional suite's samples, stacked: unit tangent vectors X, Y,
+    combinations U, V of them by four coefficients of determinant at
+    least 0.1, and a unit vector of H.  A sample whose X and Y are nearly
+    parallel (|<X, Y>| > 0.999) is dropped before it draws the rest."""
+    rngs = _lane(cfg, "sectional")
+    x, X, Y = _draws(s, rngs, "tt")
+    keep = np.ravel(np.abs(dot(X.v, Y.v)) <= 0.999)
+    if not keep.any():
+        return None
+    rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+    x, X, Y, c = SpherePoint(x.x[keep]), X.v[keep], Y.v[keep], []
+    for rng in rngs:
+        c.append(rng.standard_normal(4))
+        while abs(c[-1][0] * c[-1][3] - c[-1][1] * c[-1][2]) < 0.1:
+            c[-1] = rng.standard_normal(4)
+    c = np.array(c)
+    return (TangentVector(x, X), TangentVector(x, Y),
+            TangentVector(x, c[:, :1] * X + c[:, 1:2] * Y),
+            TangentVector(x, c[:, 2:3] * X + c[:, 3:] * Y),
+            TangentVector(x, _draw_units(s, rngs, "distribution", x.x)))
+
+
 def _suite_sectional(s, cfg, conventions):
     sel = selected_plane_convention(conventions)
     sel_key = f"{sel:+d}"
-
-    def draw(rng, i):
-        x = sample_point(s, rng)
-        Xt = sample_unit_tangent(s, x, rng)
-        Yt = sample_unit_tangent(s, x, rng)
-        if abs(dot(Xt.v, Yt.v)) > 0.999:
-            return None
-        coeffs = rng.standard_normal(4)
-        while abs(coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2]) < 0.1:
-            coeffs = rng.standard_normal(4)
-        U = TangentVector(x, float(coeffs[0]) * Xt.v + float(coeffs[1]) * Yt.v)
-        V = TangentVector(x, float(coeffs[2]) * Xt.v + float(coeffs[3]) * Yt.v)
-        return Xt, Yt, U, V, sample_unit_H(s, x, rng)
-
     conv = {"tolerance": cfg.tol_second,
             "details": {"selected_convention": sel_key}}
     table = {
@@ -565,10 +566,10 @@ def _suite_sectional(s, cfg, conventions):
         "sectional.third_constant": conv,
         "sectional.cor_xxx": cfg.tol_second,
     }
-    rows = [d for d in _samples(cfg, "sectional", draw) if d is not None]
-    if not rows:
+    drawn = _sectional_draws(s, cfg)
+    if drawn is None:
         return build_records("sectional", cfg.points, (), table)
-    Xt, Yt, U, V, Xh = _stacks(rows)
+    Xt, Yt, U, V, Xh = drawn
     # the two spans of each sample in one round pass, then one
     # sec_rela_data call per structure for the holomorphic and phi_a-plane
     # values of each Xh
@@ -577,7 +578,7 @@ def _suite_sectional(s, cfg, conventions):
     lhs, rhs = cor_xxx_data(s, Xh, cfg.scheme)
 
     def residuals():
-        k, k2 = planes[:len(rows)], planes[len(rows):]
+        k, k2 = planes[:len(Xt.v)], planes[len(Xt.v):]
         yield "sectional.sphere_constant", abs(k - 1.0)
         yield "sectional.plane_invariance", abs(k - k2)
         total = tanno = 0.0
@@ -596,32 +597,28 @@ def _suite_sectional(s, cfg, conventions):
     return build_records("sectional", cfg.points, residuals(), table)
 
 
+def _theorem_sec_directions(s, cfg, axis):
+    """The seven theorem-sec directions, rows k*P .. (k+1)*P - 1 direction
+    k: the H case; the five sweep angles from H to the Reeb vector
+    ``axis``, drawn at lane indices 1000 + p; that axis, at 2000 + p."""
+    _, h_case = _draws(s, _lane(cfg, "theorem-sec"), "h")
+    x, u = _draws(s, _lane(cfg, "theorem-sec", 1000), "h")
+    sweep = []
+    for _, theta in _SWEEP_ANGLES:
+        co, si = float(np.cos(theta)), float(np.sin(theta))
+        X = co * u.v + si * s.reeb_raw(axis, x.x)
+        sweep.append(TangentVector(x, X / norm(X)))
+    x, = _draws(s, _lane(cfg, "theorem-sec", 2000), "")
+    return _stack(h_case, *sweep, TangentVector(x, s.reeb_raw(axis, x.x)))
+
+
 def _suite_theorem_sec(s, cfg, conventions):
     sel = selected_plane_convention(conventions)
     combo_sel = f"{sel:+d}/{sel:+d}"
     alpha, axis = 1, 2
 
-    def draw(rng, i):
-        # the H case, the five sweep angles and the Reeb axis; the sweep
-        # and the axis draw at sample indices 1000 + i and 2000 + i
-        x = sample_point(s, rng)
-        h_case = sample_unit_H(s, x, rng)
-        rng = _suite_stream(cfg, "theorem-sec", 1000 + i)
-        x = sample_point(s, rng)
-        u = sample_unit_H(s, x, rng)
-        sweep = []
-        for _, theta in _SWEEP_ANGLES:
-            co, si = float(np.cos(theta)), float(np.sin(theta))
-            X = co * u.v + si * s.reeb_raw(axis, x.x)
-            sweep.append(TangentVector(x, X / norm(X)))
-        x = sample_point(s, _suite_stream(cfg, "theorem-sec", 2000 + i))
-        return h_case, *sweep, TangentVector(x, s.reeb_raw(axis, x.x))
-
-    # all seven directions of every sample in one stack: rows k*P ..
-    # (k+1)*P - 1 are direction k
-    data = theorem_sec_data(
-        s, alpha, _stack(*_stacks(_samples(cfg, "theorem-sec", draw))),
-        cfg.scheme)
+    data = theorem_sec_data(s, alpha, _theorem_sec_directions(s, cfg, axis),
+                            cfg.scheme)
     at = [slice(k * cfg.points, (k + 1) * cfg.points) for k in range(7)]
 
     def residuals():

@@ -197,21 +197,24 @@ class ThreeSasakiStructure:
         basis at row i of ``x``).
 
         The basis of the latest (points, seed) is kept, so repeated calls
-        there (the four traces of the Ricci suite) orthonormalize once;
-        each call returns fresh copies of its vectors.
+        there (the four traces of the Ricci suite) orthonormalize and
+        validate once; they return the same tuple, of read-only vectors.
         """
         key = (x.x.shape, x.x.tobytes(), int(seed))
         if self._last_frame is None or self._last_frame[0] != key:
-            self._last_frame = (key, self._orthonormal_H(x, seed))
-        return tuple(TangentVector(x, v.copy()) for v in self._last_frame[1])
+            frame = tuple(TangentVector(x, v) for v in self._orthonormal_H(x, seed))
+            for E in frame:
+                E.v.flags.writeable = False
+            self._last_frame = (key, frame)
+        return self._last_frame[1]
 
     def _orthonormal_H(self, x, seed):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
         for _ in range(10):
-            raw = [self.project_h_raw(w, x.x)
-                   for w in rng.standard_normal((self.h_dim, self.ambient_dim))]
-            try:
-                return gram_schmidt(raw)
+            w = rng.standard_normal((self.h_dim, self.ambient_dim))
+            try:  # all 4n draws projected at once, each at every point
+                return gram_schmidt(self.project_h_raw(
+                    np.expand_dims(w, tuple(range(1, x.x.ndim))), x.x))
             except DegenerateInputError:
                 continue
         raise DegenerateInputError(

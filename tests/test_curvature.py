@@ -313,12 +313,14 @@ def test_ricci_sample_orthonormalizes_once(monkeypatch):
         assert [r.id for r in records] == [
             "ricci.einstein_lc", "ricci.h_connection", "ricci.h_connection_measured"]
         assert len(calls) == 1, points
-    # a repeated call returns equal, fresh vectors
+    # a repeated call returns the same validated frame, whose vectors
+    # cannot be written through
     x = rand_point(s, np.random.default_rng(1))
     f1, f2 = s.frame_H(x, 3), s.frame_H(x, 3)
-    assert len(calls) == 2
-    for a, b in zip(f1, f2):
-        assert np.array_equal(a.v, b.v) and a.v is not b.v
+    assert len(calls) == 2 and f1 is f2
+    for E in f1:
+        with pytest.raises(ValueError):
+            E.v[0] = 0.0
 
 
 def test_trace_is_basis_independent(struct, rng):

@@ -18,6 +18,7 @@ from hkc.curvature import verify_symmetries
 from hkc.harness import (
     SUITE_ORDER,
     RunConfig,
+    cross_check_families,
     format_text,
     main,
     resolve_conventions,
@@ -25,7 +26,11 @@ from hkc.harness import (
     sample_point,
     sample_unit_H,
     sample_unit_tangent,
+    _draws,
+    _lane,
+    _sectional_draws,
     _stream,
+    _theorem_sec_directions,
 )
 from hkc.numlin import (
     CENTRAL_DIFFERENCE,
@@ -33,9 +38,10 @@ from hkc.numlin import (
     DiffScheme,
     PreconditionError,
     StructuralError,
+    norm,
 )
 from hkc.records import registry_gaps
-from hkc.sphere3s import ThreeSasakiStructure
+from hkc.sphere3s import SpherePoint, ThreeSasakiStructure
 
 from conftest import stack_rows
 
@@ -139,6 +145,241 @@ def test_sample_unit_h_rejects_trivial_distribution():
     x = sample_point(s, rng)
     with pytest.raises(PreconditionError):
         sample_unit_H(s, x, rng)
+
+
+# ---------------- stacked drawing against one-row draws ----------------
+#
+# The references below draw each sample on its own, one row at a time,
+# in the order and with the arithmetic the suites have always used; the
+# stacked samplers must give every row with the same bits.
+
+def _lane_stream(cfg, suite, index):
+    return harness._stream(cfg.seed, SUITE_ORDER.index(suite), index)
+
+
+def _unit_row(s, rng, project):
+    """The first of ten Gaussian rows whose projection is longer than
+    1e-6, projected and over its length."""
+    for _ in range(10):
+        w = project(rng.standard_normal(s.ambient_dim))
+        if norm(w) > 1e-6:
+            return w / norm(w)
+    raise AssertionError("no usable draw")
+
+
+def _one_row(s, rng, kinds):
+    """A point (normalised once more, as ``SpherePoint.normalized``
+    does), then a unit vector at it per letter of ``kinds`` (t: tangent,
+    h: in H), drawn one row at a time; as plain rows."""
+    x = SpherePoint.normalized(_unit_row(s, rng, lambda w: w)).x
+    project = {"t": s.tangent_project_raw, "h": s.project_h_raw}
+    return [x, *(_unit_row(s, rng, lambda w, k=k: project[k](w, x))
+                 for k in kinds)]
+
+
+def _coeffs(rng):
+    c = rng.standard_normal(4)
+    while abs(c[0] * c[3] - c[1] * c[2]) < 0.1:
+        c = rng.standard_normal(4)
+    return c
+
+
+def _sectional_rows(s, cfg):
+    rows = []
+    for i in range(cfg.points):
+        rng = _lane_stream(cfg, "sectional", i)
+        x, X, Y = _one_row(s, rng, "tt")
+        if abs(float(np.dot(X, Y))) > 0.999:
+            continue
+        c = _coeffs(rng)
+        rows.append((X, Y, float(c[0]) * X + float(c[1]) * Y,
+                     float(c[2]) * X + float(c[3]) * Y,
+                     _unit_row(s, rng, lambda w: s.project_h_raw(w, x))))
+    return rows
+
+
+def _theorem_sec_rows(s, cfg, axis=2):
+    """Direction-major rows (seven directions, then the sample)."""
+    rows = []
+    for i in range(cfg.points):
+        _, h_case = _one_row(s, _lane_stream(cfg, "theorem-sec", i), "h")
+        x, u = _one_row(s, _lane_stream(cfg, "theorem-sec", 1000 + i), "h")
+        sweep = [np.cos(t) * u + np.sin(t) * s.reeb_raw(axis, x)
+                 for _, t in harness._SWEEP_ANGLES]
+        reeb_x, = _one_row(s, _lane_stream(cfg, "theorem-sec", 2000 + i), "")
+        rows.append([h_case, *(X / np.linalg.norm(X) for X in sweep),
+                     s.reeb_raw(axis, reeb_x)])
+    return [r for direction in zip(*rows) for r in direction]
+
+
+def _cross_check_rows(s, cfg):
+    rows = {name: [] for name in ("pure_h", "reeb_last", "reeb_pairs",
+                                  "single_reeb", "generic")}
+    for i in range(cfg.points):
+        x, Xh, Yh, Zh, *generic = _one_row(
+            s, _lane_stream(cfg, "cross-check", i), "hhhttt")
+        xa, xb = (s.reeb_raw(1 + (i + k) % 3, x) for k in (0, 1))
+        tail = s.reeb_raw(1 + (i + 2) % 3, x) if i % 3 == 2 else Zh
+        for name, row in (("pure_h", (x, Xh, Yh, Zh)),
+                          ("reeb_last", (x, Xh, Yh, xa)),
+                          ("reeb_pairs", (x, xa, xb, tail)),
+                          ("single_reeb", (x, Xh, xa, Zh)),
+                          ("generic", (x, *generic))):
+            rows[name].append(row)
+    return rows
+
+
+def _rows_of(values):
+    return [V.x if isinstance(V, SpherePoint) else V.v for V in values]
+
+
+def _assert_same_rows(stacks, rows):
+    """Stack k holds row k of every sample, bit for bit."""
+    assert len(stacks) == len(rows[0])
+    for k, stack in enumerate(_rows_of(stacks)):
+        assert stack.shape == (len(rows), len(rows[0][k]))
+        for i, row in enumerate(rows):
+            assert np.array_equal(stack[i], row[k]), (k, i)
+
+
+# the lanes and row kinds of the suites that draw through ``_draws``
+_DRAWN = (("axioms", "tt"), ("sasaki", "tt"), ("connection", "tthh"),
+          ("torsion", "tthh"), ("curvature", "ttthhhh"), ("ricci", "tthh"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_stacked_samplers_match_one_row_draws(n, seed):
+    s = ThreeSasakiStructure(n=n)
+    cfg = RunConfig(n=n, points=5, seed=seed)
+    for suite, kinds in _DRAWN:
+        rows = [_one_row(s, _lane_stream(cfg, suite, i), kinds)
+                for i in range(cfg.points)]
+        _assert_same_rows(_draws(s, _lane(cfg, suite), kinds), rows)
+
+    families = cross_check_families(s, cfg)
+    for name, rows in _cross_check_rows(s, cfg).items():
+        _assert_same_rows(families[name], rows)
+
+    rows = _sectional_rows(s, cfg)
+    _assert_same_rows(_sectional_draws(s, cfg), rows)
+
+    directions = _theorem_sec_directions(s, cfg, 2)
+    assert np.array_equal(directions.v, np.array(_theorem_sec_rows(s, cfg)))
+
+
+class _Forced:
+    """A sample stream whose draw number k (from 0, counting every call)
+    is replaced by ``overrides[k](earlier draws)``."""
+
+    def __init__(self, rng, overrides):
+        self.rng, self.overrides, self.draws = rng, overrides, []
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        if len(self.draws) in self.overrides:
+            out = self.overrides[len(self.draws)](self.draws)
+        self.draws.append(out)
+        return out
+
+
+def _force(monkeypatch, overrides):
+    """Force the streams of the sample indices that ``overrides`` maps to
+    their overrides, on every lane; returns the forced streams made, in
+    order."""
+    real, made = harness._stream, []
+
+    def stream(seed, lane, index):
+        rng = real(seed, lane, index)
+        if index in overrides:
+            made.append(_Forced(rng, overrides[index]))
+            return made[-1]
+        return rng
+
+    monkeypatch.setattr(harness, "_stream", stream)
+    return made
+
+
+@pytest.mark.parametrize("kinds", ["tthh", "hhhttt"])
+def test_short_projection_is_drawn_again_on_its_stream(monkeypatch, kinds):
+    # the first vector draw of sample 1 is radial: its projection onto
+    # T_x (or H) is rounding noise, so the sampler draws that row again
+    # from the same stream, as a one-row draw would
+    s = ThreeSasakiStructure(n=1)
+    cfg = RunConfig(points=3, seed=4)
+    _force(monkeypatch, {1: {1: lambda draws: 2.0 * draws[0]}})
+    rngs = _lane(cfg, "connection")
+    drawn = _draws(s, rngs, kinds)
+    assert len(rngs[1].draws) == len(kinds) + 2  # one retry
+    rows = [_one_row(s, _lane_stream(cfg, "connection", i), kinds)
+            for i in range(cfg.points)]
+    _assert_same_rows(drawn, rows)
+
+
+def test_sectional_rejection_and_coefficient_redraw(monkeypatch):
+    # sample 1 draws Y parallel to X and is dropped; sample 2's first
+    # coefficients are degenerate and are drawn again
+    s = ThreeSasakiStructure(n=1)
+    cfg = RunConfig(points=4, seed=2)
+    made = _force(monkeypatch, {1: {2: lambda draws: draws[1]},
+                                2: {3: lambda draws: np.zeros(4)}})
+    drawn = _sectional_draws(s, cfg)
+    # sample 1 stops after X, Y; sample 2 draws its coefficients twice
+    assert [len(rng.draws) for rng in made] == [3, 6]
+    rows = _sectional_rows(s, cfg)
+    assert len(rows) == 3
+    _assert_same_rows(drawn, rows)
+
+
+def test_sectional_draws_nothing_after_a_dropped_sample(monkeypatch):
+    # at n = 0 the unit vector of H cannot be drawn; a sample dropped as
+    # near-parallel never asks for it, so all-dropped is no error
+    s = ThreeSasakiStructure(n=0)
+    cfg = RunConfig(n=0, points=2, seed=3)
+    parallel = {2: lambda draws: draws[1]}
+    _force(monkeypatch, {0: parallel, 1: parallel})
+    assert _sectional_draws(s, cfg) is None
+    monkeypatch.undo()
+    _force(monkeypatch, {0: parallel})
+    with pytest.raises(PreconditionError, match="zero-dimensional"):
+        _sectional_draws(s, cfg)
+
+
+def test_h_samplers_reject_n0_with_one_message():
+    s = ThreeSasakiStructure(n=0)
+    cfg = RunConfig(n=0, points=3, seed=1)
+    message = ("the distribution H is zero-dimensional for n = 0; "
+               "no unit direction can be drawn from it")
+    for draw in (lambda: _draws(s, _lane(cfg, "connection"), "tthh"),
+                 lambda: cross_check_families(s, cfg),
+                 lambda: _sectional_draws(s, cfg),
+                 lambda: _theorem_sec_directions(s, cfg, 2),
+                 lambda: sample_unit_H(s, sample_point(s, _stream(0, 1, 0)),
+                                       _stream(0, 1, 0))):
+        with pytest.raises(PreconditionError) as err:
+            draw()
+        assert str(err.value) == message
+    # the tangent samplers still work there
+    x, X = _draws(s, _lane(cfg, "axioms"), "t")
+    assert X.v.shape == (3, 4)
+
+
+def test_one_row_sampler_calls_do_not_grow_with_points(monkeypatch):
+    # the suites draw their samples as stacks; the one-row samplers serve
+    # the convention resolution only (one point, two tangent vectors)
+    calls = {}
+    for name in ("sample_point", "sample_unit_tangent", "sample_unit_H"):
+        real = getattr(harness, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    for points in (2, 5):
+        calls.clear()
+        run_suites(RunConfig(points=points))
+        assert calls == {"sample_point": 1, "sample_unit_tangent": 2}, points
 
 
 # ============================================================

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hkc.numlin import ComplexStructureTriple, StructuralError, dot, norm
+from hkc.numlin import (ComplexStructureTriple, StructuralError, dot,
+                         gram_schmidt, norm)
 from hkc.sphere3s import (
     EVEN_PERMUTATIONS,
     SpherePoint,
@@ -277,6 +278,23 @@ def test_frame_h_cache_keys_on_shape(struct, rng):
     for a, b in zip(stacked, alone):
         assert a.v.shape == (1, struct.ambient_dim)
         assert np.array_equal(a.v[0], b.v) and b.base is x
+
+
+@pytest.mark.parametrize("n, points", [(1, None), (2, 3), (16, 2)])
+def test_frame_h_keeps_the_bits_of_one_projection_per_draw(n, points):
+    # the 4n draws are projected in one stacked call; each vector keeps
+    # the bits of its own projection, orthonormalized in draw order
+    s = ThreeSasakiStructure(n=n)
+    y = np.random.default_rng(n).standard_normal(
+        (s.ambient_dim,) if points is None else (points, s.ambient_dim))
+    x = SpherePoint.normalized(y)
+    draws = np.random.default_rng(np.random.SeedSequence([9])).standard_normal(
+        (s.h_dim, s.ambient_dim))
+    want = gram_schmidt([s.project_h_raw(w, x.x) for w in draws])
+    got = s.frame_H(x, seed=9)
+    assert len(got) == len(want)
+    for E, v in zip(got, want):
+        assert np.array_equal(E.v, v)
 
 
 def test_frame_h_empty_for_n0():
