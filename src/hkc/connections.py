@@ -47,6 +47,7 @@ from .numlin import (
     bracket_raw,
     directional_derivative,
     dot,
+    leafmap,
     norm,
     value_and_derivative,
 )
@@ -131,17 +132,13 @@ def _common_structure(*fields):
 
 def _a_raw(s: ThreeSasakiStructure, u, w, y):
     """The difference tensor A(u, w) at y, for ambient tangent values
-    (either argument may be a stack of vectors)."""
-    out = None
-    for a in (1, 2, 3):
-        xi = s.reeb_raw(a, y)
-        phi_w = s.phi_raw(a, w, y)
-        # Omega^a(u, w) = g(u, phi_a w)
-        term = (dot(xi, u) * phi_w
-                + dot(xi, w) * s.phi_raw(a, u, y)
-                + dot(u, phi_w) * xi)
-        out = term if out is None else out + term
-    return out
+    (either may be a stack): one pass with alpha on axis -2, its terms
+    summed in the order alpha = 1, 2, 3, as one pass each would be."""
+    xi, phi_w, phi_u = s.reeb_all_raw(y), s.phi_all_raw(w, y), s.phi_all_raw(u, y)
+    u, w = (leafmap(lambda a: a[..., None, :], v) for v in (u, w))
+    # Omega^a(u, w) = g(u, phi_a w)
+    t = dot(xi, u) * phi_w + dot(xi, w) * phi_u + dot(u, phi_w) * xi
+    return leafmap(lambda a: (a[..., 0, :] + a[..., 1, :]) + a[..., 2, :], t)
 
 
 def _cov_raw(s, kind, Xf, Yf, y, scheme):

@@ -257,6 +257,9 @@ def cross_check_rbar(structure, sample, scheme=EXACT_FORWARD):
 # traces
 # ============================================================
 
+RICCI_CHUNK = 4096  # floats per leaf of one trace pass: points x basis x d
+
+
 def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
           seed=0, scheme=EXACT_FORWARD):
     """Trace of the curvature over an orthonormal basis (4n distribution
@@ -266,8 +269,9 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
     The basis enters as one extension field stacked on the axis before
     the last, so a single nested curvature evaluation gives R(E_i, X)Y
     for every i (and every row of a stacked ``X``, ``Y``); the terms are
-    summed in basis order.  One row gives a float, a stack shape
-    ``(P, 1)``."""
+    summed in basis order, over chunks of whole points (``RICCI_CHUNK``
+    floats per leaf at most, one point at least) that share one basis.
+    One row gives a float, a stack shape ``(P, 1)``."""
     X._check_same_base(Y)
     x = X.base
     if kind is ConnectionKind.H_CONNECTION and not all(
@@ -276,16 +280,19 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
             "the adapted-connection trace is defined for arguments "
             "inside the distribution H")
     basis = [E.v for E in structure.frame_H(x, seed)]
-    basis += [structure.reeb_raw(a, x.x) for a in (1, 2, 3)]
-    # the basis on axis -2; the point, X and Y get a length-1 axis there
-    Ef = structure.extension_raw(np.stack(basis, axis=-2))
-    Xf, Yf = (structure.extension_raw(V.v[..., None, :]) for V in (X, Y))
-    y = x.x[..., None, :]
-    R, E = _curvature_raw(structure, kind, Ef, Xf, Yf, y, scheme), Ef(y)
-    total = 0.0
-    for i in range(len(basis)):
-        total = total + dot(R[..., i, :], E[..., i, :])
-    return total
+    basis += list(np.moveaxis(structure.reeb_all_raw(x.x), -2, 0))
+    step = max(1, RICCI_CHUNK // (len(basis) * structure.ambient_dim))
+    chunks = ([slice(i, i + step) for i in range(0, len(x.x), step)]
+              if x.x.ndim > 1 else [slice(None)])  # one row: one chunk
+    parts = []
+    for c in chunks:
+        # the basis on axis -2; the point, X and Y get a length-1 axis there
+        Ef = structure.extension_raw(np.stack([b[c] for b in basis], axis=-2))
+        Xf, Yf = (structure.extension_raw(V.v[c][..., None, :]) for V in (X, Y))
+        y = x.x[c][..., None, :]
+        R, E = _curvature_raw(structure, kind, Ef, Xf, Yf, y, scheme), Ef(y)
+        parts.append(sum(dot(R[..., i, :], E[..., i, :]) for i in range(len(basis))))
+    return np.concatenate(parts) if x.x.ndim > 1 else parts[0]
 
 
 # ============================================================

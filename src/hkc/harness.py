@@ -445,10 +445,10 @@ def cross_check_families(s, cfg):
     xi_b (a = 1 + p % 3, b = a % 3 + 1) and, when p % 3 == 2, the third."""
     x, Xh, Yh, Zh, *generic = _draws(s, _lane(cfg, "cross-check"), "hhhttt")
     p = np.arange(cfg.points)
-    reeb = np.stack([s.reeb_raw(c, x.x) for c in (1, 2, 3)])
-    xa, xb = (TangentVector(x, reeb[(p + k) % 3, p]) for k in (0, 1))
+    reeb = s.reeb_all_raw(x.x)
+    xa, xb = (TangentVector(x, reeb[p, (p + k) % 3]) for k in (0, 1))
     tail = TangentVector(x, np.where((p % 3 == 2)[:, None],
-                                     reeb[(p + 2) % 3, p], Zh.v))
+                                     reeb[p, (p + 2) % 3], Zh.v))
     return {
         "pure_h": (x, Xh, Yh, Zh),
         "reeb_last": (x, Xh, Yh, xa),

@@ -27,6 +27,7 @@ __all__ = [
     "PreconditionError",
     "InternalConsistencyError",
     "Dual",
+    "leafmap",
     "dot",
     "matvec",
     "norm",
@@ -129,11 +130,20 @@ class Dual:
         return Dual(-self.val, -self.dot)
 
 
+def leafmap(f, v):
+    """``f`` on every leaf of a (nested) dual, or on a plain ``v``: how a
+    new stacking axis enters a dual, or a reduction over one leaves it."""
+    if isinstance(v, Dual):
+        return Dual(leafmap(f, v.val), leafmap(f, v.dot))
+    return f(v)
+
+
 def dot(u, v):
     """Euclidean inner product over the last axis, bilinear through any
     nesting of duals.  Two 1-D (or scalar) leaves give a float; a stack
     of vectors on either side gives shape ``(..., 1)``, which broadcasts
-    against vectors."""
+    against vectors.  Row bits hold for C-contiguous stacks (``np.matmul``
+    picks its kernel by layout); a test holds every stacked leaf to that."""
     if isinstance(u, Dual):
         return Dual(dot(u.val, v.val if isinstance(v, Dual) else v),
                     dot(u.dot, v.val if isinstance(v, Dual) else v)
@@ -148,7 +158,7 @@ def dot(u, v):
 def matvec(M, v):
     """Apply a constant matrix to a vector, a stack of vectors (last
     axis), or a dual of either.  A stack is one matrix-vector product per
-    row, so each row has the bits of ``M @ row``."""
+    row, so each row has the bits of ``M @ row`` (layout: see :func:`dot`)."""
     if isinstance(v, Dual):
         return Dual(matvec(M, v.val), matvec(M, v.dot))
     if v.ndim > 1:

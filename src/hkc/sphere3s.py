@@ -19,6 +19,10 @@ happens where a value enters: :class:`SpherePoint` and
 check unit length and tangency of every row on construction.  The typed
 operations of ``connections`` and ``curvature`` take and return them; a
 stack in gives a stack out, row for row with the bits of one-row calls.
+
+``reeb_all_raw`` and ``phi_all_raw`` give all three structures at once
+(alpha on axis -2): a gather for a triple with one entry +-1 per row (the
+round model; the dense product's bits for finite input), else a matmul.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .numlin import (
     bracket_raw,
     dot,
     gram_schmidt,
+    leafmap,
     matvec,
     norm,
     quaternion_structures,
@@ -140,7 +145,11 @@ class ThreeSasakiStructure:
             raise StructuralError(
                 f"structure matrices of size {self.triple.dim} do not match "
                 f"ambient dimension {4 * (self.n + 1)}")
-        self._matrices = dict(zip((1, 2, 3), self.triple.as_tuple()))
+        self._stack = np.stack(self.triple.as_tuple())
+        nz = self._stack != 0  # a signed permutation: one entry +-1 per row
+        signed = np.all(nz.sum(-1) == 1) and np.all(np.abs(self._stack[nz]) == 1)
+        # (column, value) of each row's entry, (3, d) each; None: dense products
+        self._gather = (nz.argmax(-1), self._stack.sum(-1)) if signed else None
         self._last_frame = None  # ((shape, bytes, seed), orthonormal H-basis)
 
     # ---------------- dimensions ----------------
@@ -160,11 +169,28 @@ class ThreeSasakiStructure:
     # ---------------- structure maps ----------------
 
     def _I(self, alpha):
-        try:
-            return self._matrices[alpha]
-        except (KeyError, TypeError):
+        # a bool or a float equal to 1 must not pass for an index
+        if (isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer))
+                or alpha not in (1, 2, 3)):
             raise StructuralError(
-                f"structure index must be 1, 2, or 3; got {alpha!r}") from None
+                f"structure index must be 1, 2, or 3; got {alpha!r}")
+        return self._stack[alpha - 1]
+
+    def _apply_all(self, v):
+        """I_1 v, I_2 v, I_3 v for a plain (..., d) array, as (..., 3, d)."""
+        if self._gather is None:
+            return np.matmul(self._stack, v[..., None, :, None])[..., 0]
+        # the dense product's bits for finite v (its 0 * inf makes an inf in v
+        # nan in every other entry); + 0 turns -0 into the dense sum's +0
+        cols, vals = self._gather
+        return np.take(v, cols, axis=-1) * vals + 0
+
+    def reeb_all_raw(self, y):
+        return leafmap(lambda a: self.sign * self._apply_all(a), y)
+
+    def phi_all_raw(self, w, y):
+        return self.tangent_project_raw(leafmap(self._apply_all, w),
+                                        leafmap(lambda a: a[..., None, :], y))
 
     def reeb_raw(self, alpha, y):
         return self.sign * matvec(self._I(alpha), y)

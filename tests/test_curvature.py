@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hkc.numlin import DegenerateInputError, PreconditionError, dot, norm
-from hkc import sphere3s
+from hkc import curvature as curvature_module, sphere3s
 from hkc.connections import (
     ConnectionKind,
     VectorField,
@@ -321,6 +322,49 @@ def test_ricci_sample_orthonormalizes_once(monkeypatch):
     for E in f1:
         with pytest.raises(ValueError):
             E.v[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_chunked_trace_has_the_bits_of_one_pass(monkeypatch, n):
+    # chunks of 1 point, of 3 points (5 is no multiple) and of all points
+    # against one pass over all points; the basis is built once per call
+    s = ThreeSasakiStructure(n=n)
+    rng = np.random.default_rng(80 + n)
+    xs = [rand_point(s, rng) for _ in range(5)]
+    X, Y = (stack([rand_tv(s, x, rng, in_h=True) for x in xs]) for _ in range(2))
+    per_point = (4 * n + 3) * s.ambient_dim
+    monkeypatch.setattr(curvature_module, "RICCI_CHUNK", 5 * per_point)
+    one_pass = {kind: ricci(s, kind, X, Y, seed=3) for kind in (LC, HC)}
+    frames = []
+    real = s.frame_H
+    monkeypatch.setattr(s, "frame_H", lambda *a: frames.append(1) or real(*a))
+    for chunk in (1, 3 * per_point, 5 * per_point, 10 * per_point):
+        monkeypatch.setattr(curvature_module, "RICCI_CHUNK", chunk)
+        for kind in (LC, HC):
+            frames.clear()
+            got = ricci(s, kind, X, Y, seed=3)
+            assert got.shape == (5, 1) and len(frames) == 1
+            assert got.tobytes() == one_pass[kind].tobytes(), (chunk, kind)
+    # a one-row call still gives a float
+    assert type(ricci(s, HC, row(X, 0), row(Y, 0), seed=3)) is float
+
+
+def test_ricci_memory_does_not_grow_with_points():
+    # at n = 16 one point fills a chunk, so the suite's traced peak is
+    # about that of one point's nested pass, whatever the points
+    s = ThreeSasakiStructure(n=16)
+    run = lambda points: _SUITE_FUNCS["ricci"](
+        s, RunConfig(n=16, points=points, seed=4), {})
+    run(1)  # untraced: a first run allocates some state once only
+    peaks = []
+    for points in (2, 8):
+        tracemalloc.start()
+        try:
+            run(points)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_trace_is_basis_independent(struct, rng):

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hkc
+from hkc import connections, curvature, harness, numlin, sphere3s
+
 from hkc.numlin import (
     CENTRAL_DIFFERENCE,
     EXACT_FORWARD,
@@ -111,6 +114,31 @@ def test_stacked_dot_and_matvec_match_rows(m):
         row = dot(Dual(w, U[i]), Dual(w, V[i]))
         assert out.val == row.val
         assert out.dot[i, 0] == pytest.approx(row.dot, abs=1e-13)
+
+
+@pytest.mark.parametrize("n, points", [(1, 6), (4, 3)])
+def test_stacked_dot_bits_do_not_depend_on_layout(monkeypatch, n, points):
+    # np.matmul may pick another kernel for operands of another memory
+    # layout, and stacked rows keep the bits of one-row calls only on one
+    # kernel: every stacked leaf of a whole run must give the bits it
+    # gives on C-contiguous copies of its operands
+    real = numlin.dot
+    seen = {"stacked": 0, "strided": 0}
+
+    def guarded(u, v):
+        out = real(u, v)
+        if isinstance(out, np.ndarray):
+            seen["stacked"] += 1
+            seen["strided"] += not (u.flags.c_contiguous and v.flags.c_contiguous)
+            ref = real(np.ascontiguousarray(u), np.ascontiguousarray(v))
+            assert ref.tobytes() == out.tobytes(), (u.strides, v.strides)
+        return out
+
+    for module in (numlin, sphere3s, connections, curvature, harness):
+        monkeypatch.setattr(module, "dot", guarded)
+    rep = harness.run_suites(hkc.RunConfig(n=n, points=points))
+    assert rep.overall == "fail"  # the stated-value records stay red
+    assert seen["stacked"] > 0
 
 
 # ============================================================

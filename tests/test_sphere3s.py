@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from hkc.numlin import (ComplexStructureTriple, StructuralError, dot,
-                         gram_schmidt, norm)
+from hkc.numlin import (ComplexStructureTriple, Dual, StructuralError, dot,
+                         gram_schmidt, leafmap, matvec, norm,
+                         quaternion_structures)
 from hkc.sphere3s import (
     EVEN_PERMUTATIONS,
     SpherePoint,
@@ -239,9 +242,85 @@ def test_alpha_index_validated(struct, rng, stack):
             struct.reeb_raw(0, y)
         with pytest.raises(StructuralError):
             struct.reeb_raw(4, y)
-        for bad in ("1", None, [1], 1.5):
+        # True and 1.0 hash like 1 but are no structure index
+        for bad in ("1", None, [1], 1.5, True, 1.0, np.float64(2), np.bool_(True)):
             with pytest.raises(StructuralError):
                 struct.phi_raw(bad, struct.reeb_raw(1, y), y)
+            with pytest.raises(StructuralError):
+                struct.reeb_raw(bad, y)
+        for a in (1, 2, 3):
+            assert np.array_equal(struct.reeb_raw(np.int64(a), y), struct.reeb_raw(a, y))
+
+
+def _triple_with(n, **replace):
+    return dataclasses.replace(quaternion_structures(n), **replace)
+
+
+def _perturbed_i1(n):
+    I1 = quaternion_structures(n).I1.copy()
+    I1[0, 2] += 1e-6
+    return ThreeSasakiStructure(n=n, triple=_triple_with(n, I1=I1))
+
+
+@pytest.mark.parametrize("make, gathers", [
+    (lambda: ThreeSasakiStructure(n=0), True),
+    (lambda: ThreeSasakiStructure(n=1), True),
+    (lambda: ThreeSasakiStructure(n=16), True),
+    (lambda: ThreeSasakiStructure(n=1, triple=_triple_with(
+        1, I2=-quaternion_structures(1).I2)), True),
+    (lambda: _perturbed_i1(1), False),
+])
+def test_signed_permutation_triples_gather(make, gathers):
+    s = make()
+    assert (s._gather is not None) == gathers
+    if gathers:
+        # the gather reproduces every matrix entry
+        d = s.ambient_dim
+        dense = np.zeros((3, d, d))
+        cols, vals = s._gather
+        np.put_along_axis(dense, cols[..., None], vals[..., None], -1)
+        assert np.array_equal(dense, s._stack)
+
+
+def _leaves(v):
+    return [*_leaves(v.val), *_leaves(v.dot)] if isinstance(v, Dual) else [v]
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_all_structure_maps_have_the_bits_of_three_dense_products(perturbed):
+    # the gather (and the dense fallback) against one dense matvec per
+    # structure, compared by bytes: == cannot see the sign of a zero
+    s = _perturbed_i1(1) if perturbed else ThreeSasakiStructure(n=1)
+    rng = np.random.default_rng(11)
+    r = lambda *shape: rng.standard_normal((*shape, 8))
+    zeros = np.array([[0.0, -0.0, 1.5, 0.0, -2.0, -0.0, 0.0, 3.0]])
+    nested = Dual(Dual(r(4), r(4)), Dual(r(4), np.zeros((4, 8))))
+    for v in (r(), r(5), r(2, 3), zeros, nested):
+        got = leafmap(s._apply_all, v)
+        for leaf, out in zip(_leaves(v), _leaves(got)):
+            want = np.stack([matvec(I, leaf) for I in s.triple.as_tuple()], axis=-2)
+            assert out.tobytes() == want.tobytes() and out.shape == want.shape
+    # the all-structure forms against the per-structure ones
+    x = rand_point(s, rng)
+    w = rand_tangent(s, x, rng).v
+    for y, u in ((x.x, w), (x.x, zeros[0]), (Dual(x.x, w), Dual(w, zeros[0]))):
+        for got, want in ((s.reeb_all_raw(y), [s.reeb_raw(a, y) for a in (1, 2, 3)]),
+                          (s.phi_all_raw(u, y), [s.phi_raw(a, u, y) for a in (1, 2, 3)])):
+            for k, per in enumerate(want):
+                for out, leaf in zip(_leaves(got), _leaves(per)):
+                    assert out[..., k, :].tobytes() == np.asarray(leaf).tobytes()
+
+
+def test_gather_and_dense_products_part_on_non_finite_input():
+    # validated points and vectors are finite; on an inf the dense product
+    # makes 0 * inf = nan in every other entry, the gather keeps them finite
+    v = np.array([np.inf, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    got = ThreeSasakiStructure(n=1)._apply_all(v)
+    with np.errstate(invalid="ignore"):
+        dense = _perturbed_i1(1)._apply_all(v)
+    assert np.isinf(got).sum(-1).tolist() == [1, 1, 1]
+    assert np.isfinite(got).sum(-1).tolist() == [7, 7, 7]
+    assert np.isnan(dense).sum(-1).tolist() == [7, 7, 7]
 
 
 # ============================================================
