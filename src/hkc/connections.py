@@ -31,17 +31,22 @@ quadrilinear form uses the slot convention
 Every typed operation takes a point that is one row or a stack of rows,
 with fields of the same shape, and gives one value per row in one pass:
 a tangent vector of that shape, or floats of shape ``(P, 1)`` for a
-stack.
+stack.  The curvature suites go one step further: one nested pass per
+connection and chunk of rows serves all their slot patterns, each on its
+own row block (``_curvature_blocks``).
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
 from .numlin import (
     EXACT_FORWARD,
+    Dual,
     InternalConsistencyError,
     StructuralError,
     bracket_raw,
@@ -83,39 +88,59 @@ class VectorField:
 
     The closure must be dual-generic (accept :class:`~hkc.numlin.Dual`
     inputs), which every combinator here preserves.  Calling the field on
-    a raw array evaluates the closure.
+    a raw array evaluates the closure.  ``rows(c)`` is the field on the
+    rows ``c`` of the stack it was built on (a field built on none serves
+    any rows); ``vec`` (extension vectors) and ``alpha`` (Reeb index) tell
+    which row blocks of a fused pass evaluate as one.
     """
 
-    def __init__(self, structure, func):
+    def __init__(self, structure, func, rows=None, vec=None, alpha=None):
         self.structure = structure
         self._func = func
+        self._rows, self.vec, self.alpha = rows, vec, alpha
 
     def __call__(self, y):
         return self._func(y)
+
+    def rows(self, c):
+        return self if self._rows is None else self._rows(c)
 
     # ----- constructors -----
 
     @classmethod
     def extension(cls, structure, X):
-        """Canonical global extension y -> v - <v, y> y of a tangent vector;
-        a stack gives a field with one row per vector."""
-        return cls(structure, structure.extension_raw(X.v))
+        """Canonical global extension y -> v - <v, y> y of a tangent vector,
+        of its raw rows, or of ``X(c)``, the rows ``c`` as ``_cut`` gives
+        them, made when a chunk needs them; a stack gives one row per vector."""
+        if callable(X):
+            return cls(structure, lambda y: structure.extension_raw(X(None))(y),
+                       lambda c: cls.extension(structure, X(c)))
+        v = getattr(X, "v", X)
+        return cls(structure, structure.extension_raw(v),
+                   lambda c: cls.extension(structure, _cut(v, c)), vec=v)
 
     @classmethod
     def reeb(cls, structure, alpha):
-        return cls(structure, lambda y: structure.reeb_raw(alpha, y))
+        return cls(structure, lambda y: structure.reeb_raw(alpha, y), alpha=alpha)
 
     # ----- combinators -----
 
     def phi(self, alpha):
         s = self.structure
         f = self._func
-        return VectorField(s, lambda y: s.phi_raw(alpha, f(y), y))
+        return VectorField(s, lambda y: s.phi_raw(alpha, f(y), y),
+                           lambda c: self.rows(c).phi(alpha))
 
     def project_H(self):
         s = self.structure
         f = self._func
-        return VectorField(s, lambda y: s.project_h_raw(f(y), y))
+        return VectorField(s, lambda y: s.project_h_raw(f(y), y),
+                           lambda c: self.rows(c).project_H())
+
+
+def _cut(a, c):
+    """Rows ``c`` of ``a``, one row as a stack of one; None: all of ``a``."""
+    return a if c is None else np.atleast_2d(a)[c]
 
 
 def _common_structure(*fields):
@@ -255,6 +280,70 @@ def curvature4(kind: ConnectionKind, X, Y, Z, W, x, scheme=EXACT_FORWARD):
     """Quadrilinear curvature with slot convention g(R(X,Y)W, Z)."""
     _common_structure(X, Y, Z, W)
     return dot(curvature(kind, X, Y, W, x, scheme).v, Z(x.x))
+
+
+CURVATURE_CHUNK = 3200  # floats per leaf of one fused pass: rows x d (400 rows at n=1)
+
+
+def _blocks(s, fields, C):
+    """One field that is ``fields[k]`` on rows k*C .. (k+1)*C - 1: adjacent
+    extensions as one extension of their stacked vectors, adjacent Reeb
+    fields of one alpha as one, any other on a leafwise slice of the
+    point, the parts joined leafwise."""
+    parts, lo = [], 0
+    merge = lambda f: 0 if f.vec is not None else f.alpha or object()  # object(): alone
+    for key, fs in groupby(fields, merge):
+        fs = list(fs)
+        if key == 0 and len(fs) > 1:  # extensions
+            fs[0] = VectorField.extension(s, np.concatenate([g.vec for g in fs]))
+        parts.append((fs[0], lo, lo + len(fs) * C))
+        lo += len(fs) * C
+    if len(parts) == 1:
+        return parts[0][0]
+    return VectorField(s, lambda q: _join([f(leafmap(lambda a: a[i:j], q))
+                                           for f, i, j in parts]))
+
+
+def _join(parts):
+    """Duals of one nesting (or plain arrays) joined on axis 0, leaf by leaf."""
+    if isinstance(parts[0], Dual):
+        return Dual(_join([p.val for p in parts]), _join([p.dot for p in parts]))
+    return np.concatenate(parts)
+
+
+def _curvature_blocks(s, kind, patterns, y, scheme):
+    """One nested pass per chunk for many slot patterns (X, Y, Z, W) of
+    fields over the rows of the point ``y``: g(R(X,Y)Z, W) on each row,
+    or |R(X,Y)Z - W| for W an array of rows (None: zero).  A chunk of C
+    rows runs pattern k on rows k*C .. (k+1)*C - 1, each row with the
+    bits of its own call.  It holds at most ``CURVATURE_CHUNK`` floats per
+    leaf, and one row at least: of all patterns if they fit, else of as
+    many as fit, one at least.  One row gives floats, a stack ``(P, 1)``."""
+    y2, K = np.atleast_2d(y), len(patterns)
+    fields = {id(f): f for p in patterns for f in p if isinstance(f, VectorField)}
+    cut = lambda c: {i: f.rows(c) for i, f in fields.items()}  # each field once
+    width = math.prod(np.broadcast_shapes(s.ambient_dim, *(  # floats per row
+        f.vec.shape for f in cut(slice(0, 1)).values() if f.vec is not None)))
+    group = max(1, CURVATURE_CHUNK // width)  # patterns one row can hold
+    if K > group:
+        return [v for i in range(0, K, group) for v in _curvature_blocks(
+            s, kind, patterns[i:i + group], y, scheme)]
+    step = max(1, CURVATURE_CHUNK // (K * width))
+
+    def chunk(c):  # a chunk's pass and cut fields are freed before the next
+        yc, f = y2[c], cut(c)
+        C = len(yc)
+        R = _curvature_raw(s, kind, *(_blocks(s, [f[id(p[j])] for p in patterns], C)
+                                      for j in range(3)), np.concatenate([yc] * K), scheme)
+        values = []
+        for k, (*_, W) in enumerate(patterns):
+            Rk = R[k * C:(k + 1) * C]
+            values.append(dot(Rk, f[id(W)](yc)) if isinstance(W, VectorField)
+                          else norm(Rk if W is None else Rk - _cut(W, c)))
+        return values
+
+    out = zip(*(chunk(slice(i, i + step)) for i in range(0, len(y2), step)))
+    return [np.concatenate(v) if y.ndim > 1 else float(v[0][0, 0]) for v in out]
 
 
 def nabla_bar_phi_defect(alpha, X: VectorField, Y: VectorField,

@@ -26,9 +26,10 @@ findings section).
 
 The closed forms, traces, plane values and verifiers take tangent
 vectors that are one row or a stack of rows (each at its own point), and
-give one value per row: a stack in gives a stack out.  Each nested
-curvature value they need is one nested pass over all rows, and each row
-has the bits of its one-row call.
+give one value per row: a stack in gives a stack out.  The nested
+curvature values they need come from one nested pass per connection and
+chunk of rows, each slot pattern on its own row block, and each row has
+the bits of its one-row call.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from .connections import (
     VectorField,
     _a_raw,
     _cov_raw,
-    _curvature_raw,
+    _curvature_blocks,
+    _cut,
     curvature,
-    curvature4,
     sphere_curvature_oracle,
 )
 from .records import build_records
@@ -257,9 +258,6 @@ def cross_check_rbar(structure, sample, scheme=EXACT_FORWARD):
 # traces
 # ============================================================
 
-RICCI_CHUNK = 4096  # floats per leaf of one trace pass: points x basis x d
-
-
 def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
           seed=0, scheme=EXACT_FORWARD):
     """Trace of the curvature over an orthonormal basis (4n distribution
@@ -268,31 +266,32 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
 
     The basis enters as one extension field stacked on the axis before
     the last, so a single nested curvature evaluation gives R(E_i, X)Y
-    for every i (and every row of a stacked ``X``, ``Y``); the terms are
-    summed in basis order, over chunks of whole points (``RICCI_CHUNK``
-    floats per leaf at most, one point at least) that share one basis.
-    One row gives a float, a stack shape ``(P, 1)``."""
-    X._check_same_base(Y)
+    for every i (and every row of a stacked ``X``, ``Y``), in chunks of
+    whole points that share one basis; the terms are summed in basis
+    order.  One row gives a float, a stack shape ``(P, 1)``.  A list of
+    ``Y`` gives the list of their traces, each ``Y`` a slot pattern of the
+    same fused pass over the same basis."""
+    Ys = Y if isinstance(Y, list) else [Y]
+    X._check_same_base(*Ys)
     x = X.base
     if kind is ConnectionKind.H_CONNECTION and not all(
-            _in_H(structure, V) for V in (X, Y)):
+            _in_H(structure, V) for V in (X, *Ys)):
         raise PreconditionError(
             "the adapted-connection trace is defined for arguments "
             "inside the distribution H")
-    basis = [E.v for E in structure.frame_H(x, seed)]
-    basis += list(np.moveaxis(structure.reeb_all_raw(x.x), -2, 0))
-    step = max(1, RICCI_CHUNK // (len(basis) * structure.ambient_dim))
-    chunks = ([slice(i, i + step) for i in range(0, len(x.x), step)]
-              if x.x.ndim > 1 else [slice(None)])  # one row: one chunk
-    parts = []
-    for c in chunks:
-        # the basis on axis -2; the point, X and Y get a length-1 axis there
-        Ef = structure.extension_raw(np.stack([b[c] for b in basis], axis=-2))
-        Xf, Yf = (structure.extension_raw(V.v[c][..., None, :]) for V in (X, Y))
-        y = x.x[c][..., None, :]
-        R, E = _curvature_raw(structure, kind, Ef, Xf, Yf, y, scheme), Ef(y)
-        parts.append(sum(dot(R[..., i, :], E[..., i, :]) for i in range(len(basis))))
-    return np.concatenate(parts) if x.x.ndim > 1 else parts[0]
+    # a one-row call as a stack of one; the basis of a chunk's points on
+    # the axis before the last, where the point, X and Y have length 1
+    basis = [np.atleast_2d(E.v) for E in structure.frame_H(x, seed)]
+    basis += list(np.moveaxis(structure.reeb_all_raw(np.atleast_2d(x.x)), -2, 0))
+    Ef = VectorField.extension(structure, lambda c: np.stack(
+        [_cut(b, c) for b in basis], axis=-2))
+    Xf, *Yf = (VectorField.extension(structure, np.atleast_2d(V.v)[:, None])
+               for V in (X, *Ys))
+    S = [sum(t[:, i] for i in range(len(basis))) for t in _curvature_blocks(
+        structure, kind, [(Ef, Xf, F, Ef) for F in Yf], np.atleast_2d(x.x)[:, None],
+        scheme)]
+    S = S if x.x.ndim > 1 else [float(t[0, 0]) for t in S]
+    return S if isinstance(Y, list) else S[0]
 
 
 # ============================================================
@@ -311,9 +310,10 @@ def _signed(value):
     return {"+1": value, "-1": -value}
 
 
-def _plane_values(structure, kind, X, Y, scheme):
-    """-R4(X,Y,X,Y) / gram on each row, from one nested pass of the
-    connection ``kind`` over the extensions of the vectors."""
+def _plane(structure, X, Y, Yf=None):
+    """The pattern of R4(X,Y,X,Y) = g(R(X,Y)Y, X) on the extensions of the
+    vectors (``Yf``: that of Y, if given), and the Gram determinant, which
+    no row may let vanish."""
     X._check_same_base(Y)
     g = _gram(X, Y)
     gs = np.ravel(g)
@@ -322,8 +322,8 @@ def _plane_values(structure, kind, X, Y, scheme):
         raise DegenerateInputError(
             f"the two vectors do not span a plane (Gram determinant {gs[bad][0]:.3e})")
     Xf = VectorField.extension(structure, X)
-    Yf = VectorField.extension(structure, Y)
-    return -curvature4(kind, Xf, Yf, Xf, Yf, X.base, scheme) / g
+    Yf = Yf or VectorField.extension(structure, Y)
+    return (Xf, Yf, Yf, Xf), g
 
 
 def sectional(structure, X, Y, scheme=EXACT_FORWARD):
@@ -332,20 +332,28 @@ def sectional(structure, X, Y, scheme=EXACT_FORWARD):
     multiply by the report's measured ``plane-normalization`` sign, the
     one that makes round planes measure +1.
     """
-    return _plane_values(structure, LC, X, Y, scheme)
+    plane, g = _plane(structure, X, Y)
+    return -_curvature_blocks(structure, LC, [plane], X.base.x, scheme)[0] / g
 
 
 def holomorphic_sectional_bar(structure, alpha, X, scheme=EXACT_FORWARD):
     """The adapted-connection curvature R4-bar(X, phi_a X, X, phi_a X)
     for a unit distribution vector X: the adapted plane value under the
     selected normalization (-1), the unit Gram determinant left out."""
+    return _curvature_blocks(structure, HC, [_holomorphic(structure, alpha, X)],
+                             X.base.x, scheme)[0]
+
+
+def _holomorphic(structure, alpha, X):
+    """The pattern of R4-bar(X, phi_a X, X, phi_a X), for X of unit length
+    in H."""
     if np.any(np.abs(X.norm() - 1.0) > 1e-10):
         raise PreconditionError("X must have unit length")
     if not _in_H(structure, X):
         raise PreconditionError("X must lie in the distribution H")
     Xf = VectorField.extension(structure, X)
     Pf = Xf.phi(alpha)
-    return curvature4(HC, Xf, Pf, Xf, Pf, X.base, scheme)
+    return (Xf, Pf, Pf, Xf)
 
 
 # ============================================================
@@ -368,10 +376,15 @@ def sec_rela_data(structure, alpha, X, scheme=EXACT_FORWARD):
 def cor_xxx_data(structure, X, scheme=EXACT_FORWARD):
     """Both sides of the quadrilinear identity on (X, phi_1 X, phi_2 X,
     phi_3 X): the adapted and round-metric curvature forms agree there."""
+    return tuple(_curvature_blocks(structure, kind, [_cor_xxx(structure, X)],
+                                   X.base.x, scheme)[0] for kind in (HC, LC))
+
+
+def _cor_xxx(structure, X):
+    """The pattern of R4(X, phi_1 X, phi_2 X, phi_3 X)."""
     Xf = VectorField.extension(structure, X)
     f1, f2, f3 = (Xf.phi(a) for a in (1, 2, 3))
-    return (curvature4(HC, Xf, f1, f2, f3, X.base, scheme),
-            curvature4(LC, Xf, f1, f2, f3, X.base, scheme))
+    return (Xf, f1, f3, f2)
 
 
 def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
@@ -391,9 +404,12 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     """
     if np.any(np.abs(X.norm() - 1.0) > 1e-10):
         raise PreconditionError("X must have unit length")
-    P = TangentVector(X.base, structure.phi_raw(alpha, X.v, X.base.x))
-    kbar, k = (_signed(_plane_values(structure, kind, X, P, scheme))
-               for kind in (HC, LC))
+    # the passes make P = phi_a X again for each chunk
+    P = lambda c: structure.phi_raw(alpha, _cut(X.v, c), _cut(X.base.x, c))
+    plane, g = _plane(structure, X, TangentVector(X.base, P(None)),
+                      VectorField.extension(structure, P))
+    kbar, k = (_signed(-_curvature_blocks(structure, kind, [plane], X.base.x, scheme)[0]
+                       / g) for kind in (HC, LC))
     b, c = (i for i in (1, 2, 3) if i != alpha)
     eb, ec = (structure.eta_raw(i, X.v, X.base.x) for i in (b, c))
     # float powers as in _gram
@@ -409,18 +425,31 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     }
 
 
+_SYMMETRY_KEYS = ("XYZW", "YXZW", "XYWZ", "ZWXY", "YZWX", "ZXWY")
+
+
 def verify_symmetries(structure, quad, tol=1e-6, scheme=EXACT_FORWARD):
     """Residuals of the four quadrilinear symmetry families of the
     adapted curvature on distribution arguments.
 
     ``quad`` is a (point, X, Y, Z, W) tuple with all four tangent vectors
-    in H, one row or a stack.  Returns one record per family.
+    in H, one row or a stack.  Returns one record per family; the six
+    quadrilinear values come from one nested pass per chunk.
     """
     x, *args = quad
-    f = {c: VectorField.extension(structure, V) for c, V in zip("XYZW", args)}
-    # q["XYWZ"] is R4(X, Y, W, Z)
-    q = {key: curvature4(HC, *(f[c] for c in key), x, scheme)
-         for key in ("XYZW", "YXZW", "XYWZ", "ZWXY", "YZWX", "ZXWY")}
+    return _symmetry_records(len(np.atleast_2d(x.x)), tol, _curvature_blocks(
+        structure, HC, _symmetry_patterns(structure, args), x.x, scheme))
+
+
+def _symmetry_patterns(structure, args):
+    """R4 on the slots of each of ``_SYMMETRY_KEYS`` over (X, Y, Z, W):
+    "XYWZ" is R4(X, Y, W, Z) = g(R(X,Y)Z, W)."""
+    f = dict(zip("XYZW", (VectorField.extension(structure, V) for V in args)))
+    return [(f[k[0]], f[k[1]], f[k[3]], f[k[2]]) for k in _SYMMETRY_KEYS]
+
+
+def _symmetry_records(samples, tol, values):
+    q = dict(zip(_SYMMETRY_KEYS, values))
 
     def residuals():
         yield "curvature.sym_first_pair", abs(q["XYZW"] + q["YXZW"])
@@ -428,5 +457,5 @@ def verify_symmetries(structure, quad, tol=1e-6, scheme=EXACT_FORWARD):
         yield "curvature.sym_pair_swap", abs(q["XYZW"] - q["ZWXY"])
         yield "curvature.sym_bianchi", abs(q["XYWZ"] + q["YZWX"] + q["ZXWY"])
 
-    return build_records("curvature", len(np.atleast_2d(x.x)), residuals(),
+    return build_records("curvature", samples, residuals(),
                          lambda worst: dict.fromkeys(worst, tol))

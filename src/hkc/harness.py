@@ -7,7 +7,9 @@ sampling is driven by counter-keyed seed sequences, so a report is a pure
 function of its configuration.  Each suite draws its samples as a stack:
 one stream per sample on the suite's lane supplies the Gaussian rows,
 and the arithmetic runs once over all samples; its checks then run once
-over the stack and yield one residual per sample row.
+over the stack and yield one residual per sample row.  A curvature suite
+runs one nested pass per connection and chunk of samples, all its slot
+patterns side by side as row blocks.
 """
 
 import argparse
@@ -20,6 +22,7 @@ import numpy as np
 from .connections import (
     ConnectionKind,
     VectorField,
+    _curvature_blocks,
     cov_deriv,
     curvature,
     h_form_gap,
@@ -30,15 +33,17 @@ from .connections import (
     torsion,
 )
 from .curvature import (
-    cor_xxx_data,
+    _cor_xxx,
+    _holomorphic,
+    _plane,
+    _symmetry_patterns,
+    _symmetry_records,
     cross_check_rbar,
     holomorphic_sectional_bar,
     ricci,
-    sec_rela_data,
     sectional,
     theorem_sec_data,
     two_route_gap_form,
-    verify_symmetries,
 )
 from .numlin import (
     CENTRAL_DIFFERENCE,
@@ -107,9 +112,9 @@ class RunConfig:
             raise StructuralError(f"points must be a positive integer, got {self.points!r}")
         if int(self.seed) != self.seed or self.seed < 0:
             raise StructuralError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (0.0 < self.tol_first <= self.tol_second):
+        if not (0.0 < self.tol_first <= self.tol_second < np.inf):
             raise StructuralError(
-                f"tolerances must satisfy 0 < tol_first <= tol_second, got "
+                f"tolerances must be finite with 0 < tol_first <= tol_second, got "
                 f"{self.tol_first!r} and {self.tol_second!r}")
         if not isinstance(self.scheme, DiffScheme):
             raise StructuralError("scheme must be a DiffScheme")
@@ -410,31 +415,34 @@ def _suite_curvature(s, cfg, conventions):
     y = x.x
     X, Y, Z = (_ext(s, V) for V in (Xt, Yt, Zt))
     xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
+    # one nested pass per connection and chunk over every slot pattern:
+    # the round ones against their closed forms, the adapted ones against
+    # zero, then the six values of the symmetry families
+    want = [s.eta_raw(a, Yt.v, y) * Xt.v - s.eta_raw(a, Xt.v, y) * Yt.v
+            for a in (1, 2, 3)]
+    lc = _curvature_blocks(s, LC, [(X, Y, Z, sphere_curvature_oracle(Xt, Yt, Zt).v)]
+                           + [(X, Y, xi[a], want[a - 1]) for a in (1, 2, 3)],
+                           y, cfg.scheme)
+    hc = _curvature_blocks(s, HC, [(X, Y, xi[a], None) for a in (1, 2, 3)]
+                           + [(X, xi[a], Z, None) for a in (1, 2, 3)]
+                           + [(xi[a], xi[b], last, None)
+                              for a, b, c in EVEN_PERMUTATIONS for last in (Z, xi[c])]
+                           + _symmetry_patterns(s, quad), y, cfg.scheme)
 
     def residuals():
-        # one nested pass per connection and slot pattern, over all samples
-        oracle = sphere_curvature_oracle(Xt, Yt, Zt)
-        yield "curvature.oracle_gate", norm(
-            curvature(LC, X, Y, Z, x, cfg.scheme).v - oracle.v)
+        yield "curvature.oracle_gate", lc[0]
         for a in (1, 2, 3):
-            want = s.eta_raw(a, Yt.v, y) * Xt.v - s.eta_raw(a, Xt.v, y) * Yt.v
-            yield "curvature.reeb_curvature_lc", norm(
-                curvature(LC, X, Y, xi[a], x, cfg.scheme).v - want)
-            yield "curvature.annihilation_last", curvature(
-                HC, X, Y, xi[a], x, cfg.scheme).norm()
-            yield "curvature.annihilation_middle", curvature(
-                HC, X, xi[a], Z, x, cfg.scheme).norm()
-        for a, b, c in EVEN_PERMUTATIONS:
-            for last in (Z, xi[c]):
-                yield "curvature.annihilation_pair", curvature(
-                    HC, xi[a], xi[b], last, x, cfg.scheme).norm()
+            yield "curvature.reeb_curvature_lc", lc[a]
+            yield "curvature.annihilation_last", hc[a - 1]
+            yield "curvature.annihilation_middle", hc[a + 2]
+        for res in hc[6:12]:
+            yield "curvature.annihilation_pair", res
 
     records = build_records("curvature", cfg.points, residuals(), dict.fromkeys(
         ("curvature.oracle_gate", "curvature.reeb_curvature_lc",
          "curvature.annihilation_last", "curvature.annihilation_middle",
          "curvature.annihilation_pair"), cfg.tol_second))
-    return records + verify_symmetries(s, (x, *quad), tol=cfg.tol_second,
-                                       scheme=cfg.scheme)
+    return records + _symmetry_records(cfg.points, cfg.tol_second, hc[12:])
 
 
 def cross_check_families(s, cfg):
@@ -497,8 +505,9 @@ def _suite_ricci(s, cfg, conventions):
     c_claim = float(4 * s.n + 5)
 
     _, Xt, Yt, Xh, Yh = _draws(s, _lane(cfg, "ricci"), "tthh")
-    lc_diag, lc_off = (ricci(s, LC, Xt, U, cfg.seed, cfg.scheme) for U in (Xt, Yt))
-    diag, off = (ricci(s, HC, Xh, U, cfg.seed, cfg.scheme) for U in (Xh, Yh))
+    # both argument pairs of each kind in one trace call
+    lc_diag, lc_off = ricci(s, LC, Xt, [Xt, Yt], cfg.seed, cfg.scheme)
+    diag, off = ricci(s, HC, Xh, [Xh, Yh], cfg.seed, cfg.scheme)
     gxy_t, gxy = dot(Xt.v, Yt.v), dot(Xh.v, Yh.v)
     measured = diag[0, 0]  # the adapted trace of the first sample sets the factor
 
@@ -570,29 +579,33 @@ def _suite_sectional(s, cfg, conventions):
     if drawn is None:
         return build_records("sectional", cfg.points, (), table)
     Xt, Yt, U, V, Xh = drawn
-    # the two spans of each sample in one round pass, then one
-    # sec_rela_data call per structure for the holomorphic and phi_a-plane
-    # values of each Xh
-    planes = sel * sectional(s, _stack(Xt, U), _stack(Yt, V), cfg.scheme)
-    rela = {a: sec_rela_data(s, a, Xh, cfg.scheme) for a in (1, 2, 3)}
-    lhs, rhs = cor_xxx_data(s, Xh, cfg.scheme)
+    x = Xh.base
+    # one nested pass per connection and chunk: round, the two spans of each
+    # sample, the phi_a-planes of each Xh and the cross identity; adapted,
+    # the holomorphic values of each Xh and the cross identity
+    planes = [_plane(s, *pair) for pair in ((Xt, Yt), (U, V), *(
+        (Xh, TangentVector(x, s.phi_raw(a, Xh.v, x.x))) for a in (1, 2, 3)))]
+    cor = _cor_xxx(s, Xh)
+    hc = _curvature_blocks(s, HC, [_holomorphic(s, a, Xh) for a in (1, 2, 3)] + [cor],
+                           x.x, cfg.scheme)
+    lc = _curvature_blocks(s, LC, [p for p, _ in planes] + [cor], x.x, cfg.scheme)
+    # the selected sign times the plane value -R4 / gram, as ``sectional``
+    k = [sel * (-r / g) for r, (_, g) in zip(lc, planes)]
 
     def residuals():
-        k, k2 = planes[:len(Xt.v)], planes[len(Xt.v):]
-        yield "sectional.sphere_constant", abs(k - 1.0)
-        yield "sectional.plane_invariance", abs(k - k2)
+        yield "sectional.sphere_constant", abs(k[0] - 1.0)
+        yield "sectional.plane_invariance", abs(k[0] - k[1])
         total = tanno = 0.0
         for a in (1, 2, 3):
-            r = rela[a]
-            ka = r["K"][sel_key]
-            total += r["k"]
+            ka = k[a + 1]
+            total += hc[a - 1]
             tanno += ka
-            yield "sectional.holomorphic_constant", abs(r["k"] - 4.0)
-            yield "sectional.sec_rela", r["residual"][sel_key]
+            yield "sectional.holomorphic_constant", abs(hc[a - 1] - 4.0)
+            yield "sectional.sec_rela", abs(hc[a - 1] - 3.0 - ka)
             yield "sectional.third_constant", abs(ka - 1.0)
         yield "sectional.holomorphic_sum", abs(total - 12.0)
         yield "sectional.tanno_sum", abs(tanno - 3.0)
-        yield "sectional.cor_xxx", abs(lhs - rhs)
+        yield "sectional.cor_xxx", abs(hc[3] - lc[5])
 
     return build_records("sectional", cfg.points, residuals(), table)
 

@@ -4,8 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hkc.numlin import DegenerateInputError, PreconditionError, dot, norm
-from hkc import curvature as curvature_module, sphere3s
+from hkc.numlin import (
+    CENTRAL_DIFFERENCE,
+    EXACT_FORWARD,
+    DegenerateInputError,
+    DiffScheme,
+    PreconditionError,
+    dot,
+    norm,
+)
+from hkc import connections, curvature as curvature_module, sphere3s
 from hkc.connections import (
     ConnectionKind,
     VectorField,
@@ -33,7 +41,8 @@ from hkc.curvature import (
     two_route_gap_form,
     verify_symmetries,
 )
-from hkc.harness import _SUITE_FUNCS, RunConfig, cross_check_families
+from hkc import harness
+from hkc.harness import _SUITE_FUNCS, RunConfig, cross_check_families, resolve_conventions
 from hkc.sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
 
 from conftest import row, stack, stack_rows
@@ -333,13 +342,13 @@ def test_chunked_trace_has_the_bits_of_one_pass(monkeypatch, n):
     xs = [rand_point(s, rng) for _ in range(5)]
     X, Y = (stack([rand_tv(s, x, rng, in_h=True) for x in xs]) for _ in range(2))
     per_point = (4 * n + 3) * s.ambient_dim
-    monkeypatch.setattr(curvature_module, "RICCI_CHUNK", 5 * per_point)
+    monkeypatch.setattr(connections, "CURVATURE_CHUNK", 5 * per_point)
     one_pass = {kind: ricci(s, kind, X, Y, seed=3) for kind in (LC, HC)}
     frames = []
     real = s.frame_H
     monkeypatch.setattr(s, "frame_H", lambda *a: frames.append(1) or real(*a))
     for chunk in (1, 3 * per_point, 5 * per_point, 10 * per_point):
-        monkeypatch.setattr(curvature_module, "RICCI_CHUNK", chunk)
+        monkeypatch.setattr(connections, "CURVATURE_CHUNK", chunk)
         for kind in (LC, HC):
             frames.clear()
             got = ricci(s, kind, X, Y, seed=3)
@@ -347,6 +356,119 @@ def test_chunked_trace_has_the_bits_of_one_pass(monkeypatch, n):
             assert got.tobytes() == one_pass[kind].tobytes(), (chunk, kind)
     # a one-row call still gives a float
     assert type(ricci(s, HC, row(X, 0), row(Y, 0), seed=3)) is float
+
+
+# ============================================================
+# fused passes
+# ============================================================
+
+def _record_fused(monkeypatch):
+    """Record every outermost fused pass (structure, kind, patterns, point,
+    scheme and its values) through each module binding.  Setting
+    ``budget[0]`` to a function of (patterns, d) sets the chunk budget of
+    each later pass over rows of d floats (the trace's chunks are the
+    business of its own tests)."""
+    calls, budget, depth = [], [None], [0]
+    original, default = connections._curvature_blocks, connections.CURVATURE_CHUNK
+
+    def recorded(s, kind, patterns, y, scheme):
+        if budget[0] is not None and depth[0] == 0:
+            monkeypatch.setattr(connections, "CURVATURE_CHUNK", default if y.ndim > 2
+                                else budget[0](len(patterns), s.ambient_dim))
+        depth[0] += 1
+        try:
+            out = original(s, kind, patterns, y, scheme)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            calls.append((s, kind, patterns, y, scheme, out))
+        return out
+
+    for module in (connections, curvature_module, harness):
+        monkeypatch.setattr(module, "_curvature_blocks", recorded)
+    return calls, budget
+
+
+def _separate(s, kind, pattern, y, scheme):
+    """A pattern's value from its own nested pass over all rows, as
+    curvature4, or as the norm of the curvature minus a target."""
+    X, Y, Z, W = pattern
+    if y.ndim > 2:  # the trace's basis layout, which no tangent vector has
+        R = connections._curvature_raw(s, kind, X, Y, Z, y, scheme)
+    elif isinstance(W, VectorField):
+        return curvature4(kind, X, Y, W, Z, SpherePoint(y), scheme)
+    else:
+        R = curvature(kind, X, Y, Z, SpherePoint(y), scheme).v
+    if isinstance(W, VectorField):
+        return dot(R, W(y))
+    return norm(R if W is None else R - W)
+
+
+@pytest.mark.parametrize("n, scheme", [
+    (1, EXACT_FORWARD), (4, EXACT_FORWARD),
+    (1, DiffScheme(CENTRAL_DIFFERENCE.kind, 1e-4)),
+    (4, DiffScheme(CENTRAL_DIFFERENCE.kind, 1e-4))])
+def test_fused_passes_have_the_bits_of_separate_calls(monkeypatch, n, scheme):
+    # every pattern block of every fused pass of the nested suites against
+    # its own pass, in chunks of 1 sample, of 3 (5 is no multiple) and of
+    # all 5 samples, and with a budget of two patterns of one row, which
+    # splits the patterns over passes
+    s = ThreeSasakiStructure(n=n)
+    cfg = RunConfig(n=n, points=5, scheme=scheme)
+    conventions = resolve_conventions(s, 0, scheme)
+    calls, budget = _record_fused(monkeypatch)
+    bits = []
+    for budget[0] in (lambda K, d: 1, lambda K, d: 3 * K * d, lambda K, d: 5 * K * d,
+                      lambda K, d: 2 * d):
+        calls.clear()
+        for suite in ("curvature", "sectional", "theorem-sec", "ricci"):
+            _SUITE_FUNCS[suite](s, cfg, conventions)
+        bits.append([[v.tobytes() for v in out] for *_, out in calls])
+    assert len(calls) == 8 and bits[0] == bits[1] == bits[2] == bits[3]
+    for *args, patterns, y, scheme, out in calls:
+        for p, v in zip(patterns, out):
+            assert v.tobytes() == _separate(*args, p, y, scheme).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_one_row_fused_values_are_floats_of_separate_bits(monkeypatch, n):
+    s = ThreeSasakiStructure(n=n)
+    rng = np.random.default_rng(70 + n)
+    x = rand_point(s, rng)
+    X, Y, Z, W = (rand_tv(s, x, rng, in_h=True) for _ in range(4))
+    calls, _ = _record_fused(monkeypatch)
+    verify_symmetries(s, (x, X, Y, Z, W))
+    values = [sectional(s, X, Y), holomorphic_sectional_bar(s, 2, X),
+              *cor_xxx_data(s, X), *ricci(s, HC, X, [X, Y], seed=5),
+              *sec_rela_data(s, 3, X)["K"].values(),
+              *theorem_sec_data(s, 1, X)["kbar"].values()]
+    assert all(isinstance(v, float) for v in values)
+    assert len(calls) == 10
+    for *args, patterns, y, scheme, out in calls:
+        for p, v in zip(patterns, out):
+            want = _separate(*args, p, y, scheme)
+            if y.ndim == 1:
+                assert type(v) is float and v.hex() == want.hex()
+            else:  # the trace runs one row as a stack of one
+                assert v.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_ricci_pairs_in_one_call_have_the_bits_of_two_calls(monkeypatch, n):
+    # in one pass, and in one pass each where a row of both overflows the
+    # chunk budget
+    s = ThreeSasakiStructure(n=n)
+    rng = np.random.default_rng(60 + n)
+    xs = [rand_point(s, rng) for _ in range(3)]
+    X, Y = (stack([rand_tv(s, x, rng, in_h=True) for x in xs]) for _ in range(2))
+    for kind, budget in itertools.product((LC, HC), (3200, (4 * n + 3) * s.ambient_dim)):
+        monkeypatch.setattr(connections, "CURVATURE_CHUNK", budget)
+        for A, B in ((X, Y), (row(X, 1), row(Y, 1))):
+            both = ricci(s, kind, A, [A, B], seed=2)
+            apart = [ricci(s, kind, A, V, seed=2) for V in (A, B)]
+            assert [np.float64(v).tobytes() for v in both] == [
+                np.float64(v).tobytes() for v in apart]
+            assert {type(v) for v in both} == {type(apart[0])}
 
 
 def test_ricci_memory_does_not_grow_with_points():

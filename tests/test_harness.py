@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import contextlib
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from hkc import connections, harness
-from hkc import curvature as curvature_module
 from hkc.connections import ConnectionKind
 from hkc.curvature import verify_symmetries
 from hkc.harness import (
@@ -98,6 +98,10 @@ def test_config_validation():
         RunConfig(suites=())
     with pytest.raises(StructuralError):
         RunConfig(n=-1)
+    # an infinite or undefined tolerance would pass every residual
+    for tols in ((1e-9, np.inf), (np.inf, np.inf), (np.nan, 1e-7), (1e-9, np.nan)):
+        with pytest.raises(StructuralError):
+            RunConfig(tol_first=tols[0], tol_second=tols[1])
 
 
 def test_config_run_order_follows_suite_order():
@@ -540,6 +544,16 @@ def test_cli_structural_error_exits_two(capsys):
     assert "points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_cli_rejects_tolerances_that_pass_everything(tol, capsys):
+    # ricci.h_connection (residual 3) would otherwise pass, and the run
+    # exit 0
+    rc = main(["verify", "--suites", "ricci", "--points", "1",
+               "--tol-first", tol, "--tol-second", tol])
+    assert rc == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_bad_flag_exits_two():
     buf = io.StringIO()
     with contextlib.redirect_stderr(buf):
@@ -640,19 +654,19 @@ def test_package_exports_are_not_modules():
 
 
 def _count_curvature(monkeypatch):
-    """Count the nested curvature passes (calls) through every module
-    binding, and the values they return per kind (one per stacked row)."""
+    """Count the nested curvature passes (calls of the raw kernel, which
+    every curvature value goes through) by kind, and the rows they
+    return per kind."""
     passes, rows = [], {LC: 0, HC: 0}
-    original = connections.curvature
+    original = connections._curvature_raw
 
-    def counted(kind, *args, **kwargs):
+    def counted(s, kind, *args):
         passes.append(kind)
-        out = original(kind, *args, **kwargs)
-        rows[kind] += len(np.atleast_2d(out.v))
+        out = original(s, kind, *args)
+        rows[kind] += len(np.atleast_2d(out))
         return out
 
-    for module in (connections, curvature_module, harness):
-        monkeypatch.setattr(module, "curvature", counted)
+    monkeypatch.setattr(connections, "_curvature_raw", counted)
     return passes, rows
 
 
@@ -675,7 +689,7 @@ def test_each_curvature_value_is_evaluated_once(struct, monkeypatch):
         x = sample_point(struct, rng)
         quads.append((x, *(sample_unit_H(struct, x, rng) for _ in range(4))))
     verify_symmetries(struct, stack_rows(quads))
-    assert passes == [HC] * 6
+    assert passes == [HC]
     assert rows == {LC: 0, HC: 2 * 6}
 
 
@@ -695,11 +709,11 @@ def _count_raw(monkeypatch, module, name):
 
 @pytest.mark.parametrize("suite, lc, hc", [
     # nested curvature passes
-    ("curvature", 4, 12 + 6),
+    ("curvature", 1, 1),
     ("cross-check", 1, 1),
-    ("sectional", 5, 4),
+    ("sectional", 1, 1),
     ("theorem-sec", 1, 1),
-    ("ricci", 2, 2),
+    ("ricci", 1, 1),
     # covariant-derivative passes of the first-order suites
     ("sasaki", 15, 0),
     ("connection", 7, 14),
@@ -707,13 +721,11 @@ def _count_raw(monkeypatch, module, name):
 ])
 def test_nested_passes_do_not_grow_with_points(struct, monkeypatch, suite,
                                                lc, hc):
-    # one stacked pass per connection and slot pattern, whatever the
-    # number of sample points
+    # one stacked pass per connection (nested suites: all slot patterns in
+    # one pass per chunk) whatever the number of sample points
     conventions = resolve_conventions(struct, seed=0)
     if suite in ("sasaki", "connection", "torsion"):
         passes = _count_raw(monkeypatch, connections, "_cov_raw")
-    elif suite == "ricci":  # the trace calls the raw kernel
-        passes = _count_raw(monkeypatch, curvature_module, "_curvature_raw")
     else:
         passes, _ = _count_curvature(monkeypatch)
     for points in (1, 4):
@@ -721,6 +733,35 @@ def test_nested_passes_do_not_grow_with_points(struct, monkeypatch, suite,
         harness._SUITE_FUNCS[suite](struct, RunConfig(points=points),
                                     conventions)
         assert (passes.count(LC), passes.count(HC)) == (lc, hc), points
+
+
+def test_a_default_run_makes_twelve_nested_passes(monkeypatch):
+    # one pass per connection in each of the five nested suites, and two
+    # in the sign resolution (41 with one pass per slot pattern)
+    passes, _ = _count_curvature(monkeypatch)
+    run_suites(RunConfig(n=1, points=10))
+    assert len(passes) <= 12, len(passes)
+
+
+@pytest.mark.parametrize("suite", ["curvature", "sectional", "theorem-sec"])
+def test_fused_suite_memory_does_not_grow_with_points(suite):
+    # a chunk holds at most a fixed number of rows (at 100 points every
+    # pass already fills one), so the traced peak is about that of one
+    # chunk's pass plus the suite's own per-point data, whatever the points
+    s = ThreeSasakiStructure(n=1)
+    conventions = resolve_conventions(s, seed=0)
+    run = lambda points: harness._SUITE_FUNCS[suite](
+        s, RunConfig(points=points, seed=4), conventions)
+    run(100)  # untraced: a first run allocates some state once only
+    peaks = []
+    for points in (100, 400):
+        tracemalloc.start()
+        try:
+            run(points)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_definitional_form_is_evaluated_once_per_connection_sample(monkeypatch):
