@@ -259,38 +259,39 @@ def cross_check_rbar(structure, sample, scheme=EXACT_FORWARD):
 # ============================================================
 
 def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
-          seed=0, scheme=EXACT_FORWARD):
-    """Trace of the curvature over an orthonormal basis (4n distribution
-    vectors from a seeded frame plus the three Reeb vectors), in the slot
-    convention S(X,Y) = sum_i g(R(E_i, X) Y, E_i).
+          scheme=EXACT_FORWARD, *, seed=0):
+    """Trace of the curvature, S(X,Y) = sum_k g(R(P e_k, X) Y, P e_k),
+    over the d ambient unit vectors e_k projected to T_xM by P.  As
+    sum_k P e_k (x) P e_k = P, it is the trace over any orthonormal basis
+    of T_xM (Kobayashi-Nomizu I, ch. III), with no random draw.  ``seed``
+    is ignored; it is accepted so that callers passing it (the
+    benchmark's scaling sweep) still run.
 
-    The basis enters as one extension field stacked on the axis before
-    the last, so a single nested curvature evaluation gives R(E_i, X)Y
-    for every i (and every row of a stacked ``X``, ``Y``), in chunks of
-    whole points that share one basis; the terms are summed in basis
-    order.  One row gives a float, a stack shape ``(P, 1)``.  A list of
-    ``Y`` gives the list of their traces, each ``Y`` a slot pattern of the
-    same fused pass over the same basis."""
+    The basis is the extension field y -> e_k - <e_k, y> y of the
+    identity rows, made per chunk of points on the axis before the last,
+    so one nested curvature evaluation gives R(P e_k, X)Y for every k
+    (and every row of a stacked ``X``, ``Y``); the terms are summed in
+    the order k = 0 .. d - 1.  One row gives a float, a stack shape
+    ``(P, 1)``.  A list of ``Y`` gives the list of their traces, each
+    ``Y`` a slot pattern of the same fused pass over the same basis."""
     Ys = Y if isinstance(Y, list) else [Y]
     X._check_same_base(*Ys)
-    x = X.base
     if kind is ConnectionKind.H_CONNECTION and not all(
             _in_H(structure, V) for V in (X, *Ys)):
         raise PreconditionError(
             "the adapted-connection trace is defined for arguments "
             "inside the distribution H")
-    # a one-row call as a stack of one; the basis of a chunk's points on
-    # the axis before the last, where the point, X and Y have length 1
-    basis = [np.atleast_2d(E.v) for E in structure.frame_H(x, seed)]
-    basis += list(np.moveaxis(structure.reeb_all_raw(np.atleast_2d(x.x)), -2, 0))
-    Ef = VectorField.extension(structure, lambda c: np.stack(
-        [_cut(b, c) for b in basis], axis=-2))
+    # a one-row call as a stack of one; the basis on the axis before the
+    # last, where the point, X and Y have length 1
+    y = np.atleast_2d(X.base.x)[:, None]
+    eye = np.eye(structure.ambient_dim)
+    Ef = VectorField.extension(
+        structure, lambda c: np.tile(eye, (len(_cut(y, c)), 1, 1)))
     Xf, *Yf = (VectorField.extension(structure, np.atleast_2d(V.v)[:, None])
                for V in (X, *Ys))
-    S = [sum(t[:, i] for i in range(len(basis))) for t in _curvature_blocks(
-        structure, kind, [(Ef, Xf, F, Ef) for F in Yf], np.atleast_2d(x.x)[:, None],
-        scheme)]
-    S = S if x.x.ndim > 1 else [float(t[0, 0]) for t in S]
+    S = [sum(t[:, k] for k in range(len(eye))) for t in _curvature_blocks(
+        structure, kind, [(Ef, Xf, F, Ef) for F in Yf], y, scheme)]
+    S = S if X.v.ndim > 1 else [float(t[0, 0]) for t in S]
     return S if isinstance(Y, list) else S[0]
 
 

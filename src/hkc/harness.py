@@ -41,7 +41,6 @@ from .curvature import (
     cross_check_rbar,
     holomorphic_sectional_bar,
     ricci,
-    sectional,
     theorem_sec_data,
     two_route_gap_form,
 )
@@ -223,27 +222,29 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
     rng = _stream(seed, _CONVENTION_STREAM, 0)
     x = sample_point(structure, rng)
     u = sample_unit_tangent(structure, x, rng)
-    Xf = _ext(structure, u)
+    v = sample_unit_tangent(structure, x, rng)
+    w = v.v - dot(v.v, u.v) * u.v
+    v = TangentVector(x, w / norm(w))
+    # u, v orthonormal; _plane rejects a vanishing Gram determinant
+    (Uf, Vf, _, _), g = _plane(structure, u, v)
 
     # (1) orientation of the Reeb first-derivative law
-    d_xi = cov_deriv(LC, Xf, VectorField.reeb(structure, 1), x, scheme)
+    d_xi = cov_deriv(LC, Uf, VectorField.reeb(structure, 1), x, scheme)
     phi_u = structure.phi_raw(1, u.v, x.x)
     r_minus = norm(d_xi.v + phi_u)
     r_plus = norm(d_xi.v - phi_u)
     reeb_val = "-1" if r_minus <= r_plus else "+1"
 
-    # (2) sign of the round curvature operator, probed on an orthonormal
-    # tangent pair via R(X, Y)Y
-    v = sample_unit_tangent(structure, x, rng)
-    w = v.v - dot(v.v, u.v) * u.v
-    v = TangentVector(x, w / norm(w))
-    RXYY = curvature(LC, Xf, _ext(structure, v), _ext(structure, v), x, scheme)
+    # (2) sign of the round curvature operator, probed via R(u, v)v
+    RXYY = curvature(LC, Uf, Vf, Vf, x, scheme)
     c_plus = norm(RXYY.v - u.v)
     c_minus = norm(RXYY.v + u.v)
     curv_val = "+1" if c_plus <= c_minus else "-1"
 
-    # (3) plane normalization: the factor for which round planes measure +1
-    k = sectional(structure, u, v, scheme)
+    # (3) plane normalization: the factor for which round planes measure
+    # +1; the plane value -R4(u,v,u,v)/gram of ``sectional`` from the same
+    # nested pass
+    k = -dot(RXYY.v, Uf(x.x)) / g
     p_minus = abs(-k - 1.0)
     p_plus = abs(k - 1.0)
     plane_val = "-1" if p_minus <= p_plus else "+1"
@@ -506,8 +507,8 @@ def _suite_ricci(s, cfg, conventions):
 
     _, Xt, Yt, Xh, Yh = _draws(s, _lane(cfg, "ricci"), "tthh")
     # both argument pairs of each kind in one trace call
-    lc_diag, lc_off = ricci(s, LC, Xt, [Xt, Yt], cfg.seed, cfg.scheme)
-    diag, off = ricci(s, HC, Xh, [Xh, Yh], cfg.seed, cfg.scheme)
+    lc_diag, lc_off = ricci(s, LC, Xt, [Xt, Yt], cfg.scheme)
+    diag, off = ricci(s, HC, Xh, [Xh, Yh], cfg.scheme)
     gxy_t, gxy = dot(Xt.v, Yt.v), dot(Xh.v, Yh.v)
     measured = diag[0, 0]  # the adapted trace of the first sample sets the factor
 

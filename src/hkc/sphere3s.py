@@ -150,7 +150,6 @@ class ThreeSasakiStructure:
         signed = np.all(nz.sum(-1) == 1) and np.all(np.abs(self._stack[nz]) == 1)
         # (column, value) of each row's entry, (3, d) each; None: dense products
         self._gather = (nz.argmax(-1), self._stack.sum(-1)) if signed else None
-        self._last_frame = None  # ((shape, bytes, seed), orthonormal H-basis)
 
     # ---------------- dimensions ----------------
 
@@ -220,27 +219,19 @@ class ThreeSasakiStructure:
     def frame_H(self, x, seed):
         """Deterministic orthonormal basis of H at ``x``: a tuple of 4n
         tangent vectors, each a stack if ``x`` is (row i of each is the
-        basis at row i of ``x``).
+        basis at row i of ``x``), from 4n seeded Gaussian draws projected
+        to H and orthonormalized in draw order.
 
-        The basis of the latest (points, seed) is kept, so repeated calls
-        there (the four traces of the Ricci suite) orthonormalize and
-        validate once; they return the same tuple, of read-only vectors.
+        Not cached, and not used by the Ricci trace, which traces over
+        the projected ambient basis: it is an independent reference basis
+        for the tests that check that trace.
         """
-        key = (x.x.shape, x.x.tobytes(), int(seed))
-        if self._last_frame is None or self._last_frame[0] != key:
-            frame = tuple(TangentVector(x, v) for v in self._orthonormal_H(x, seed))
-            for E in frame:
-                E.v.flags.writeable = False
-            self._last_frame = (key, frame)
-        return self._last_frame[1]
-
-    def _orthonormal_H(self, x, seed):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
         for _ in range(10):
             w = rng.standard_normal((self.h_dim, self.ambient_dim))
             try:  # all 4n draws projected at once, each at every point
-                return gram_schmidt(self.project_h_raw(
-                    np.expand_dims(w, tuple(range(1, x.x.ndim))), x.x))
+                return tuple(TangentVector(x, v) for v in gram_schmidt(
+                    self.project_h_raw(np.expand_dims(w, tuple(range(1, x.x.ndim))), x.x)))
             except DegenerateInputError:
                 continue
         raise DegenerateInputError(

@@ -258,7 +258,7 @@ def test_difference_tensor_trace_is_four_n_plus_eight(n):
         assert max(abs(r) for r in reeb) <= 1e-12
         trace = h_part + sum(reeb)
         assert trace == pytest.approx((4 * n + 8) * dot(U.v, V.v), abs=1e-12)
-        assert trace == pytest.approx(ricci(s, HC, U, V, seed=5), abs=1e-12)
+        assert trace == pytest.approx(ricci(s, HC, U, V), abs=1e-12)
 
 
 # ============================================================
@@ -268,20 +268,20 @@ def test_difference_tensor_trace_is_four_n_plus_eight(n):
 def test_round_metric_trace_is_six_g(struct, rng):
     x = rand_point(struct, rng)
     X = rand_tv(struct, x, rng)
-    assert ricci(struct, LC, X, X, seed=2) == pytest.approx(6.0, abs=1e-10)
+    assert ricci(struct, LC, X, X) == pytest.approx(6.0, abs=1e-10)
     Y = rand_tv(struct, x, rng)
     gXY = dot(X.v, Y.v)
-    assert ricci(struct, LC, X, Y, seed=2) == pytest.approx(6.0 * gXY, abs=1e-10)
+    assert ricci(struct, LC, X, Y) == pytest.approx(6.0 * gXY, abs=1e-10)
 
 
 def test_adapted_trace_measures_twelve_g(struct, rng):
     # measured value on this model: (4n + 8) g, i.e. 12 g at n = 1
     x = rand_point(struct, rng)
     X = rand_tv(struct, x, rng, in_h=True)
-    assert ricci(struct, HC, X, X, seed=2) == pytest.approx(12.0, abs=1e-10)
+    assert ricci(struct, HC, X, X) == pytest.approx(12.0, abs=1e-10)
     Y = rand_tv(struct, x, rng, in_h=True)
     gXY = dot(X.v, Y.v)
-    assert ricci(struct, HC, X, Y, seed=2) == pytest.approx(12.0 * gXY, abs=1e-10)
+    assert ricci(struct, HC, X, Y) == pytest.approx(12.0 * gXY, abs=1e-10)
 
 
 def test_adapted_trace_rejects_non_distribution_arguments(struct, rng):
@@ -293,8 +293,9 @@ def test_adapted_trace_rejects_non_distribution_arguments(struct, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 16])
 def test_stacked_trace_equals_per_vector_sum(n):
-    # one nested pass over the stacked basis against one curvature4 call
-    # per basis vector, summed in the same order
+    # one nested pass over the projected ambient basis against one
+    # curvature4 call per vector of another orthonormal basis of T_x:
+    # frame_H and the Reeb vectors
     s = ThreeSasakiStructure(n=n)
     rng = np.random.default_rng(60 + n)
     x = rand_point(s, rng)
@@ -306,56 +307,36 @@ def test_stacked_trace_equals_per_vector_sum(n):
         for E in basis:
             Ef = VectorField.extension(s, E)
             per_vector += curvature4(kind, Ef, Xf, Ef, Yf, x)
-        assert ricci(s, kind, X, Y, seed=9) == pytest.approx(per_vector, abs=1e-12)
-
-
-def test_ricci_sample_orthonormalizes_once(monkeypatch):
-    # the four traces of the ricci suite share one stack of points and
-    # one seed, so one frame serves them all, whatever the points
-    calls = []
-    real = sphere3s.gram_schmidt
-    monkeypatch.setattr(sphere3s, "gram_schmidt",
-                        lambda vs: calls.append(1) or real(vs))
-    s = ThreeSasakiStructure(n=2)
-    for points in (1, 4):
-        calls.clear()
-        records = _SUITE_FUNCS["ricci"](s, RunConfig(n=2, points=points, seed=4), {})
-        assert [r.id for r in records] == [
-            "ricci.einstein_lc", "ricci.h_connection", "ricci.h_connection_measured"]
-        assert len(calls) == 1, points
-    # a repeated call returns the same validated frame, whose vectors
-    # cannot be written through
-    x = rand_point(s, np.random.default_rng(1))
-    f1, f2 = s.frame_H(x, 3), s.frame_H(x, 3)
-    assert len(calls) == 2 and f1 is f2
-    for E in f1:
-        with pytest.raises(ValueError):
-            E.v[0] = 0.0
+        assert ricci(s, kind, X, Y) == pytest.approx(per_vector, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_chunked_trace_has_the_bits_of_one_pass(monkeypatch, n):
     # chunks of 1 point, of 3 points (5 is no multiple) and of all points
-    # against one pass over all points; the basis is built once per call
+    # against one pass over all points; no frame, no orthonormalization
+    # and no random draw enters the trace
     s = ThreeSasakiStructure(n=n)
     rng = np.random.default_rng(80 + n)
     xs = [rand_point(s, rng) for _ in range(5)]
     X, Y = (stack([rand_tv(s, x, rng, in_h=True) for x in xs]) for _ in range(2))
-    per_point = (4 * n + 3) * s.ambient_dim
+    per_point = (4 * n + 4) * s.ambient_dim
     monkeypatch.setattr(connections, "CURVATURE_CHUNK", 5 * per_point)
-    one_pass = {kind: ricci(s, kind, X, Y, seed=3) for kind in (LC, HC)}
-    frames = []
-    real = s.frame_H
-    monkeypatch.setattr(s, "frame_H", lambda *a: frames.append(1) or real(*a))
+    one_pass = {kind: ricci(s, kind, X, Y) for kind in (LC, HC)}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the trace must not call this")
+
+    monkeypatch.setattr(ThreeSasakiStructure, "frame_H", forbidden)
+    monkeypatch.setattr(sphere3s, "gram_schmidt", forbidden)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
     for chunk in (1, 3 * per_point, 5 * per_point, 10 * per_point):
         monkeypatch.setattr(connections, "CURVATURE_CHUNK", chunk)
         for kind in (LC, HC):
-            frames.clear()
-            got = ricci(s, kind, X, Y, seed=3)
-            assert got.shape == (5, 1) and len(frames) == 1
+            got = ricci(s, kind, X, Y)
+            assert got.shape == (5, 1)
             assert got.tobytes() == one_pass[kind].tobytes(), (chunk, kind)
     # a one-row call still gives a float
-    assert type(ricci(s, HC, row(X, 0), row(Y, 0), seed=3)) is float
+    assert type(ricci(s, HC, row(X, 0), row(Y, 0))) is float
 
 
 # ============================================================
@@ -439,7 +420,7 @@ def test_one_row_fused_values_are_floats_of_separate_bits(monkeypatch, n):
     calls, _ = _record_fused(monkeypatch)
     verify_symmetries(s, (x, X, Y, Z, W))
     values = [sectional(s, X, Y), holomorphic_sectional_bar(s, 2, X),
-              *cor_xxx_data(s, X), *ricci(s, HC, X, [X, Y], seed=5),
+              *cor_xxx_data(s, X), *ricci(s, HC, X, [X, Y]),
               *sec_rela_data(s, 3, X)["K"].values(),
               *theorem_sec_data(s, 1, X)["kbar"].values()]
     assert all(isinstance(v, float) for v in values)
@@ -461,40 +442,53 @@ def test_ricci_pairs_in_one_call_have_the_bits_of_two_calls(monkeypatch, n):
     rng = np.random.default_rng(60 + n)
     xs = [rand_point(s, rng) for _ in range(3)]
     X, Y = (stack([rand_tv(s, x, rng, in_h=True) for x in xs]) for _ in range(2))
-    for kind, budget in itertools.product((LC, HC), (3200, (4 * n + 3) * s.ambient_dim)):
+    for kind, budget in itertools.product((LC, HC), (3200, (4 * n + 4) * s.ambient_dim)):
         monkeypatch.setattr(connections, "CURVATURE_CHUNK", budget)
         for A, B in ((X, Y), (row(X, 1), row(Y, 1))):
-            both = ricci(s, kind, A, [A, B], seed=2)
-            apart = [ricci(s, kind, A, V, seed=2) for V in (A, B)]
+            both = ricci(s, kind, A, [A, B])
+            apart = [ricci(s, kind, A, V) for V in (A, B)]
             assert [np.float64(v).tobytes() for v in both] == [
                 np.float64(v).tobytes() for v in apart]
             assert {type(v) for v in both} == {type(apart[0])}
 
 
 def test_ricci_memory_does_not_grow_with_points():
-    # at n = 16 one point fills a chunk, so the suite's traced peak is
-    # about that of one point's nested pass, whatever the points
-    s = ThreeSasakiStructure(n=16)
-    run = lambda points: _SUITE_FUNCS["ricci"](
-        s, RunConfig(n=16, points=points, seed=4), {})
-    run(1)  # untraced: a first run allocates some state once only
-    peaks = []
-    for points in (2, 8):
-        tracemalloc.start()
-        try:
-            run(points)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.25 * peaks[0], peaks
+    # the suite's traced peak is about that of one chunk's pass, whatever
+    # the points: at n = 16 one point fills a chunk, and at n = 1 every
+    # pass is full from 100 points on
+    for n, points in ((16, (2, 8)), (1, (100, 400))):
+        s = ThreeSasakiStructure(n=n)
+        run = lambda p: _SUITE_FUNCS["ricci"](s, RunConfig(n=n, points=p, seed=4), {})
+        run(1)  # untraced: a first run allocates some state once only
+        peaks = []
+        for p in points:
+            tracemalloc.start()
+            try:
+                run(p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], (n, peaks)
 
 
-def test_trace_is_basis_independent(struct, rng):
-    x = rand_point(struct, rng)
-    X = rand_tv(struct, x, rng, in_h=True)
-    a = ricci(struct, HC, X, X, seed=11)
-    b = ricci(struct, HC, X, X, seed=12)
-    assert a == pytest.approx(b, abs=1e-10)
+def test_trace_is_basis_independent():
+    # against one curvature4 call per vector of an orthonormal basis of
+    # T_x made here by a QR factorization of [x, random vectors]; the
+    # seed of a call does not enter the trace
+    for n in (1, 4):
+        s = ThreeSasakiStructure(n=n)
+        rng = np.random.default_rng(100 + n)
+        x = rand_point(s, rng)
+        q, _ = np.linalg.qr(np.column_stack(
+            [x.x, rng.standard_normal((s.ambient_dim, s.manifold_dim))]))
+        basis = [VectorField.extension(s, TangentVector(x, e)) for e in q.T[1:]]
+        for kind, in_h in ((LC, False), (HC, True)):
+            X, Y = (rand_tv(s, x, rng, in_h=in_h) for _ in range(2))
+            Xf, Yf = (VectorField.extension(s, V) for V in (X, Y))
+            for U, Uf in ((X, Xf), (Y, Yf)):
+                want = sum(curvature4(kind, E, Xf, E, Uf, x) for E in basis)
+                assert ricci(s, kind, X, U) == pytest.approx(want, abs=1e-12), (n, kind)
+            assert ricci(s, kind, X, Y, seed=11).hex() == ricci(s, kind, X, Y, seed=12).hex()
 
 
 # ============================================================

@@ -348,7 +348,7 @@ def test_frame_h_deterministic(struct, rng):
         assert np.array_equal(a.v, b.v)
 
 
-def test_frame_h_cache_keys_on_shape(struct, rng):
+def test_frame_h_of_a_one_row_stack_has_the_bits_of_one_row(struct, rng):
     # the same point as one row and as a one-row stack: each call gets a
     # frame of its own shape, with the same bits
     x = rand_point(struct, rng)
