@@ -5,11 +5,11 @@ residuals into a machine-readable report, and resolves the three sign
 conventions empirically before any curvature suite is interpreted.  All
 sampling is driven by counter-keyed seed sequences, so a report is a pure
 function of its configuration.  Each suite draws its samples as a stack:
-one stream per sample on the suite's lane supplies the Gaussian rows,
-and the arithmetic runs once over all samples; its checks then run once
-over the stack and yield one residual per sample row.  A curvature suite
-runs one nested pass per connection and chunk of samples, all its slot
-patterns side by side as row blocks.
+one generator per suite lane supplies all its Gaussian rows as one
+block, and the arithmetic runs once over all samples; its checks then
+run once over the stack and yield one residual per sample row.  A
+curvature suite runs one nested pass per connection and chunk of
+samples, all its slot patterns side by side as row blocks.
 """
 
 import argparse
@@ -142,67 +142,89 @@ class RunConfig:
 # deterministic sampling
 # ============================================================
 
-def _stream(seed, lane, index):
-    """Independent generator keyed by (seed, lane, index); the lane is a
-    suite position or a reserved constant, so no two records share draws."""
+def _stream(seed, *key):
+    """Independent generator keyed by (seed, *key): a suite lane (suite
+    position, sub-lane), its reserve (the lane's key, then 1) or a
+    reserved lane constant and 0, so no two draws share a stream."""
     return np.random.default_rng(
-        np.random.SeedSequence(int(seed), spawn_key=(int(lane), int(index))))
+        np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, key))))
 
 
-def _lane(cfg, suite, first=0):
-    """The suite's sample generators, at lane indices first + p, p < points."""
-    lane = SUITE_ORDER.index(suite)
-    return [_stream(cfg.seed, lane, first + p) for p in range(cfg.points)]
+def _lane(cfg, suite, sub=0):
+    """A suite lane's key, (seed, suite position, sub-lane).  Its one
+    generator draws all the suite's samples as one block, sample p's raw
+    Gaussians at [p]: numpy fills in C order, so they do not depend on the
+    number of points.  Its reserve, keyed (*key, 1), is made for the first
+    row drawn again."""
+    return cfg.seed, SUITE_ORDER.index(suite), sub
 
 
-def _draw_units(structure, rngs, what, y=None):
-    """One unit row per generator: a Gaussian draw projected onto T_y
-    ("tangent"), onto H at y ("distribution") or not at all ("ambient",
-    then normalised twice, as ``SpherePoint.normalized`` would), over its
-    length; one stack for all rows, each with the bits of a one-row draw.
-    A projection no longer than 1e-6 is drawn again, ten draws at most."""
-    if what == "distribution" and structure.h_dim == 0:
-        raise PreconditionError(
-            "the distribution H is zero-dimensional for n = 0; "
-            "no unit direction can be drawn from it")
-    d = structure.ambient_dim
-    out, todo = np.empty((len(rngs), d)), np.arange(len(rngs))
-    for _ in range(10):
-        w = np.array([rngs[p].standard_normal(d) for p in todo.tolist()])
-        if what != "ambient":
-            w = (structure.tangent_project_raw if what == "tangent"
-                 else structure.project_h_raw)(w, y[todo])
-        nw = norm(w)
-        ok = np.ravel(nw > 1e-6)
-        u = w[ok] / nw[ok]
-        out[todo[ok]] = u / norm(u) if what == "ambient" else u
-        todo = todo[~ok]
-        if not len(todo):
-            return out
-    raise PreconditionError(f"could not draw a usable {what} direction")
+def _units(s, w, kinds, rng=None, x=None):
+    """The unit rows of raw Gaussian rows w (P, len(kinds), d), as one
+    stack per row position k of kind ``kinds[k]``: a point ("p", then
+    normalised twice, as ``SpherePoint.normalized`` would), a unit vector
+    tangent at it ("t") or in H at it ("h"), each the row projected over
+    its length; and which samples have every row usable, its projection
+    longer than 1e-6.  Given rng, an unusable row is replaced, position by
+    position, by rows drawn from rng, ten draws at most; so a stack of one
+    sample draws as a one-row sampler does."""
+    out, ok = [], np.ones(len(w), dtype=bool)
+    for k, what in enumerate(kinds):
+        if what == "h" and s.h_dim == 0:
+            raise PreconditionError(
+                "the distribution H is zero-dimensional for n = 0; "
+                "no unit direction can be drawn from it")
+        for _ in range(10):
+            v = np.ascontiguousarray(w[:, k])  # row bits: see numlin.dot
+            if what != "p":
+                v = (s.tangent_project_raw if what == "t" else s.project_h_raw)(v, x)
+            nv = norm(v)
+            good = nv > 1e-6
+            u = v / np.where(good, nv, 1.0)
+            u = u / np.where(good, norm(u), 1.0) if what == "p" else u
+            bad = ~np.ravel(good)
+            if rng is None or not bad.any():
+                break
+            w[bad, k] = rng.standard_normal((int(bad.sum()), s.ambient_dim))
+        else:
+            raise PreconditionError("could not draw a usable sample row")
+        x = u if what == "p" else x
+        out.append(u)
+        ok &= ~bad
+    return out, ok
+
+
+def _one_row(s, rng, what, x=None):
+    (u,), _ = _units(s, rng.standard_normal((1, 1, s.ambient_dim)), what, rng, x)
+    return u[0]
 
 
 def sample_point(structure, rng):
-    return SpherePoint(_draw_units(structure, [rng], "ambient")[0])
+    return SpherePoint(_one_row(structure, rng, "p"))
 
 
 def sample_unit_tangent(structure, x, rng):
-    return TangentVector(x, _draw_units(structure, [rng], "tangent",
-                                        x.x[None])[0])
+    return TangentVector(x, _one_row(structure, rng, "t", x.x[None]))
 
 
 def sample_unit_H(structure, x, rng):
-    return TangentVector(x, _draw_units(structure, [rng], "distribution",
-                                        x.x[None])[0])
+    return TangentVector(x, _one_row(structure, rng, "h", x.x[None]))
 
 
-def _draws(s, rngs, kinds):
-    """From each generator in turn, as the one-row samplers draw them: a
-    point, then a unit vector at it per letter of ``kinds`` (t: tangent,
-    h: in H); as the point stack and one vector stack per letter."""
-    x = SpherePoint(_draw_units(s, rngs, "ambient"))
-    return (x, *(TangentVector(x, _draw_units(
-        s, rngs, "tangent" if k == "t" else "distribution", x.x)) for k in kinds))
+def _draws(s, cfg, suite, kinds, sub=0):
+    """A lane's samples, as the point stack and one vector stack per letter
+    of ``kinds``.  The samples with an unusable row are drawn again one at
+    a time, in sample order, so that sample p's rows, reserve rows
+    included, do not depend on the number of points."""
+    key = _lane(cfg, suite, sub)
+    w = _stream(*key).standard_normal((cfg.points, 1 + len(kinds), s.ambient_dim))
+    out, ok = _units(s, w, "p" + kinds)
+    reserve = None if ok.all() else _stream(*key, 1)
+    for p in np.flatnonzero(~ok):
+        for stack, row in zip(out, _units(s, w[p:p + 1], "p" + kinds, reserve)[0]):
+            stack[p] = row[0]
+    x = SpherePoint(out[0])
+    return (x, *(TangentVector(x, v) for v in out[1:]))
 
 
 _ext = VectorField.extension
@@ -288,12 +310,12 @@ def _stack(*vectors):
 
 
 def _suite_axioms(s, cfg, conventions):
-    return s.check_structure_axioms(_draws(s, _lane(cfg, "axioms"), "tt"),
+    return s.check_structure_axioms(_draws(s, cfg, "axioms", "tt"),
                                     tol=cfg.tol_first)
 
 
 def _suite_sasaki(s, cfg, conventions):
-    x, Xt, Yt = _draws(s, _lane(cfg, "sasaki"), "tt")
+    x, Xt, Yt = _draws(s, cfg, "sasaki", "tt")
     X, Y = _ext(s, Xt), _ext(s, Yt)
 
     def residuals():
@@ -321,7 +343,7 @@ def _suite_sasaki(s, cfg, conventions):
 
 
 def _suite_connection(s, cfg, conventions):
-    x, Xt, Zt, Xh_t, Yh_t = _draws(s, _lane(cfg, "connection"), "tthh")
+    x, Xt, Zt, Xh_t, Yh_t = _draws(s, cfg, "connection", "tthh")
     X, Z = _ext(s, Xt), _ext(s, Zt)
     # nabla_bar_phi_defect projects its fields onto H itself
     Xh, Yh = _ext(s, Xh_t), _ext(s, Yh_t)
@@ -384,7 +406,7 @@ def _suite_connection(s, cfg, conventions):
 
 
 def _suite_torsion(s, cfg, conventions):
-    x, Xt, Yt, Xh_t, Yh_t = _draws(s, _lane(cfg, "torsion"), "tthh")
+    x, Xt, Yt, Xh_t, Yh_t = _draws(s, cfg, "torsion", "tthh")
     X, Y = _ext(s, Xt), _ext(s, Yt)
     Xh, Yh = _ext(s, Xh_t).project_H(), _ext(s, Yh_t).project_H()
 
@@ -412,7 +434,7 @@ def _suite_torsion(s, cfg, conventions):
 
 
 def _suite_curvature(s, cfg, conventions):
-    x, Xt, Yt, Zt, *quad = _draws(s, _lane(cfg, "curvature"), "ttthhhh")
+    x, Xt, Yt, Zt, *quad = _draws(s, cfg, "curvature", "ttthhhh")
     y = x.x
     X, Y, Z = (_ext(s, V) for V in (Xt, Yt, Zt))
     xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
@@ -452,7 +474,7 @@ def cross_check_families(s, cfg):
     own sampling lane: ``pure_h``, ``reeb_last``, ``reeb_pairs``,
     ``single_reeb`` and ``generic``.  Sample p's Reeb vectors are xi_a,
     xi_b (a = 1 + p % 3, b = a % 3 + 1) and, when p % 3 == 2, the third."""
-    x, Xh, Yh, Zh, *generic = _draws(s, _lane(cfg, "cross-check"), "hhhttt")
+    x, Xh, Yh, Zh, *generic = _draws(s, cfg, "cross-check", "hhhttt")
     p = np.arange(cfg.points)
     reeb = s.reeb_all_raw(x.x)
     xa, xb = (TangentVector(x, reeb[p, (p + k) % 3]) for k in (0, 1))
@@ -505,7 +527,7 @@ def _suite_ricci(s, cfg, conventions):
     c_lc = float(4 * s.n + 2)
     c_claim = float(4 * s.n + 5)
 
-    _, Xt, Yt, Xh, Yh = _draws(s, _lane(cfg, "ricci"), "tthh")
+    _, Xt, Yt, Xh, Yh = _draws(s, cfg, "ricci", "tthh")
     # both argument pairs of each kind in one trace call
     lc_diag, lc_off = ricci(s, LC, Xt, [Xt, Yt], cfg.scheme)
     diag, off = ricci(s, HC, Xh, [Xh, Yh], cfg.scheme)
@@ -541,24 +563,36 @@ def _suite_ricci(s, cfg, conventions):
 def _sectional_draws(s, cfg):
     """The sectional suite's samples, stacked: unit tangent vectors X, Y,
     combinations U, V of them by four coefficients of determinant at
-    least 0.1, and a unit vector of H.  A sample whose X and Y are nearly
-    parallel (|<X, Y>| > 0.999) is dropped before it draws the rest."""
-    rngs = _lane(cfg, "sectional")
-    x, X, Y = _draws(s, rngs, "tt")
-    keep = np.ravel(np.abs(dot(X.v, Y.v)) <= 0.999)
+    least 0.1, and a unit vector of H; from one block, sample p's point,
+    X and Y rows, coefficients and H row, in the order of a one-row draw.
+    A sample whose X and Y are nearly parallel (|<X, Y>| > 0.999) is
+    dropped and redraws nothing."""
+    key, d = _lane(cfg, "sectional"), s.ambient_dim
+    block = _stream(*key).standard_normal((cfg.points, 4 * d + 4))
+    w, c, h = (block[:, :3 * d].reshape(-1, 3, d), block[:, 3 * d:3 * d + 4],
+               block[:, None, 3 * d + 4:])
+    (x, X, Y), ok = _units(s, w, "ptt")
+    keep = ok & np.ravel(np.abs(dot(X, Y)) <= 0.999)
+    (H,), usable = (_units(s, h, "h", x=x) if keep.any()
+                    else ((np.empty_like(x),), keep))
+    det = lambda c: np.abs(c[..., 0] * c[..., 3] - c[..., 1] * c[..., 2])
+    # as in _draws, the samples that redraw a row do so in sample order
+    redo = np.flatnonzero(~ok | keep & ~(usable & (det(c) >= 0.1)))
+    reserve = _stream(*key, 1) if len(redo) else None
+    for p in redo:
+        x[p], X[p], Y[p] = (u[0] for u in _units(s, w[p:p + 1], "ptt", reserve)[0])
+        keep[p] = abs(dot(X[p], Y[p])) <= 0.999
+        if keep[p]:
+            while det(c[p]) < 0.1:
+                c[p] = reserve.standard_normal(4)
+            H[p] = _units(s, h[p:p + 1], "h", reserve, x[p][None])[0][0][0]
     if not keep.any():
         return None
-    rngs = [rng for rng, kept in zip(rngs, keep) if kept]
-    x, X, Y, c = SpherePoint(x.x[keep]), X.v[keep], Y.v[keep], []
-    for rng in rngs:
-        c.append(rng.standard_normal(4))
-        while abs(c[-1][0] * c[-1][3] - c[-1][1] * c[-1][2]) < 0.1:
-            c[-1] = rng.standard_normal(4)
-    c = np.array(c)
+    x, X, Y, c = SpherePoint(x[keep]), X[keep], Y[keep], c[keep]
     return (TangentVector(x, X), TangentVector(x, Y),
             TangentVector(x, c[:, :1] * X + c[:, 1:2] * Y),
             TangentVector(x, c[:, 2:3] * X + c[:, 3:] * Y),
-            TangentVector(x, _draw_units(s, rngs, "distribution", x.x)))
+            TangentVector(x, H[keep]))
 
 
 def _suite_sectional(s, cfg, conventions):
@@ -614,15 +648,15 @@ def _suite_sectional(s, cfg, conventions):
 def _theorem_sec_directions(s, cfg, axis):
     """The seven theorem-sec directions, rows k*P .. (k+1)*P - 1 direction
     k: the H case; the five sweep angles from H to the Reeb vector
-    ``axis``, drawn at lane indices 1000 + p; that axis, at 2000 + p."""
-    _, h_case = _draws(s, _lane(cfg, "theorem-sec"), "h")
-    x, u = _draws(s, _lane(cfg, "theorem-sec", 1000), "h")
+    ``axis``, drawn on sub-lane 1; that axis, on sub-lane 2."""
+    _, h_case = _draws(s, cfg, "theorem-sec", "h")
+    x, u = _draws(s, cfg, "theorem-sec", "h", 1)
     sweep = []
     for _, theta in _SWEEP_ANGLES:
         co, si = float(np.cos(theta)), float(np.sin(theta))
         X = co * u.v + si * s.reeb_raw(axis, x.x)
         sweep.append(TangentVector(x, X / norm(X)))
-    x, = _draws(s, _lane(cfg, "theorem-sec", 2000), "")
+    x, = _draws(s, cfg, "theorem-sec", "", 2)
     return _stack(h_case, *sweep, TangentVector(x, s.reeb_raw(axis, x.x)))
 
 
@@ -660,8 +694,12 @@ def _suite_theorem_sec(s, cfg, conventions):
                 "details": {
                     "angles": list(sweep),
                     "residuals": sweep,
-                    "best_combination": {label: min(row, key=row.get)
-                                         for label, row in sweep.items()},
+                    # the first in the row's order within tolerance of its
+                    # least, so that rounding cannot break ties
+                    "best_combination": {label: next(
+                        combo for combo, res in row.items()
+                        if res - m <= cfg.tol_second)
+                        for (label, row), m in zip(sweep.items(), least)},
                     "note": "for mixed directions the measured plane "
                             "value follows 4 - 8 sin^2 t + 4 sin^4 t "
                             "under the selected convention, while the "

@@ -27,7 +27,6 @@ from hkc.harness import (
     sample_unit_H,
     sample_unit_tangent,
     _draws,
-    _lane,
     _sectional_draws,
     _stream,
     _theorem_sec_directions,
@@ -151,66 +150,70 @@ def test_sample_unit_h_rejects_trivial_distribution():
         sample_unit_H(s, x, rng)
 
 
-# ---------------- stacked drawing against one-row draws ----------------
+# ---------------- block drawing against one-row draws ----------------
 #
-# The references below draw each sample on its own, one row at a time,
-# in the order and with the arithmetic the suites have always used; the
-# stacked samplers must give every row with the same bits.
+# The references below walk a lane's block one sample and one row at a
+# time, in the order a one-row sampler draws them, and take the
+# replacement of an unusable row from the lane's reserve; the samplers
+# must give every row with the same bits.
 
-def _lane_stream(cfg, suite, index):
-    return harness._stream(cfg.seed, SUITE_ORDER.index(suite), index)
+def _lane_streams(cfg, suite, sub=0):
+    """The lane's block generator and its reserve."""
+    key = (cfg.seed, SUITE_ORDER.index(suite), sub)
+    return harness._stream(*key), harness._stream(*key, 1)
 
 
-def _unit_row(s, rng, project):
-    """The first of ten Gaussian rows whose projection is longer than
-    1e-6, projected and over its length."""
-    for _ in range(10):
-        w = project(rng.standard_normal(s.ambient_dim))
+def _unit_row(s, w, reserve, project):
+    """The first of ten raw rows, w and then reserve rows, whose
+    projection is longer than 1e-6, projected and over its length."""
+    for k in range(10):
+        w = project(w if k == 0 else reserve.standard_normal(s.ambient_dim))
         if norm(w) > 1e-6:
             return w / norm(w)
     raise AssertionError("no usable draw")
 
 
-def _one_row(s, rng, kinds):
+def _one_row(s, rng, reserve, kinds):
     """A point (normalised once more, as ``SpherePoint.normalized``
     does), then a unit vector at it per letter of ``kinds`` (t: tangent,
     h: in H), drawn one row at a time; as plain rows."""
-    x = SpherePoint.normalized(_unit_row(s, rng, lambda w: w)).x
+    d = s.ambient_dim
+    x = SpherePoint.normalized(
+        _unit_row(s, rng.standard_normal(d), reserve, lambda w: w)).x
     project = {"t": s.tangent_project_raw, "h": s.project_h_raw}
-    return [x, *(_unit_row(s, rng, lambda w, k=k: project[k](w, x))
-                 for k in kinds)]
+    return [x, *(_unit_row(s, rng.standard_normal(d), reserve,
+                           lambda w, k=k: project[k](w, x)) for k in kinds)]
 
 
-def _coeffs(rng):
-    c = rng.standard_normal(4)
-    while abs(c[0] * c[3] - c[1] * c[2]) < 0.1:
-        c = rng.standard_normal(4)
-    return c
+def _lane_rows(s, cfg, suite, kinds, sub=0):
+    rng, reserve = _lane_streams(cfg, suite, sub)
+    return [_one_row(s, rng, reserve, kinds) for _ in range(cfg.points)]
 
 
 def _sectional_rows(s, cfg):
+    rng, reserve = _lane_streams(cfg, "sectional")
     rows = []
-    for i in range(cfg.points):
-        rng = _lane_stream(cfg, "sectional", i)
-        x, X, Y = _one_row(s, rng, "tt")
+    for _ in range(cfg.points):
+        x, X, Y = _one_row(s, rng, reserve, "tt")
+        c, h = rng.standard_normal(4), rng.standard_normal(s.ambient_dim)
         if abs(float(np.dot(X, Y))) > 0.999:
             continue
-        c = _coeffs(rng)
+        while abs(c[0] * c[3] - c[1] * c[2]) < 0.1:
+            c = reserve.standard_normal(4)
         rows.append((X, Y, float(c[0]) * X + float(c[1]) * Y,
                      float(c[2]) * X + float(c[3]) * Y,
-                     _unit_row(s, rng, lambda w: s.project_h_raw(w, x))))
+                     _unit_row(s, h, reserve, lambda w: s.project_h_raw(w, x))))
     return rows
 
 
 def _theorem_sec_rows(s, cfg, axis=2):
     """Direction-major rows (seven directions, then the sample)."""
     rows = []
-    for i in range(cfg.points):
-        _, h_case = _one_row(s, _lane_stream(cfg, "theorem-sec", i), "h")
-        x, u = _one_row(s, _lane_stream(cfg, "theorem-sec", 1000 + i), "h")
+    for (_, h_case), (x, u), (reeb_x,) in zip(
+            *(_lane_rows(s, cfg, "theorem-sec", kinds, sub)
+              for sub, kinds in enumerate(("h", "h", "")))):
         sweep = [np.cos(t) * u + np.sin(t) * s.reeb_raw(axis, x)
                  for _, t in harness._SWEEP_ANGLES]
-        reeb_x, = _one_row(s, _lane_stream(cfg, "theorem-sec", 2000 + i), "")
         rows.append([h_case, *(X / np.linalg.norm(X) for X in sweep),
                      s.reeb_raw(axis, reeb_x)])
     return [r for direction in zip(*rows) for r in direction]
@@ -219,9 +222,8 @@ def _theorem_sec_rows(s, cfg, axis=2):
 def _cross_check_rows(s, cfg):
     rows = {name: [] for name in ("pure_h", "reeb_last", "reeb_pairs",
                                   "single_reeb", "generic")}
-    for i in range(cfg.points):
-        x, Xh, Yh, Zh, *generic = _one_row(
-            s, _lane_stream(cfg, "cross-check", i), "hhhttt")
+    for i, (x, Xh, Yh, Zh, *generic) in enumerate(
+            _lane_rows(s, cfg, "cross-check", "hhhttt")):
         xa, xb = (s.reeb_raw(1 + (i + k) % 3, x) for k in (0, 1))
         tail = s.reeb_raw(1 + (i + 2) % 3, x) if i % 3 == 2 else Zh
         for name, row in (("pure_h", (x, Xh, Yh, Zh)),
@@ -257,9 +259,8 @@ def test_stacked_samplers_match_one_row_draws(n, seed):
     s = ThreeSasakiStructure(n=n)
     cfg = RunConfig(n=n, points=5, seed=seed)
     for suite, kinds in _DRAWN:
-        rows = [_one_row(s, _lane_stream(cfg, suite, i), kinds)
-                for i in range(cfg.points)]
-        _assert_same_rows(_draws(s, _lane(cfg, suite), kinds), rows)
+        _assert_same_rows(_draws(s, cfg, suite, kinds),
+                          _lane_rows(s, cfg, suite, kinds))
 
     families = cross_check_families(s, cfg)
     for name, rows in _cross_check_rows(s, cfg).items():
@@ -273,65 +274,94 @@ def test_stacked_samplers_match_one_row_draws(n, seed):
 
 
 class _Forced:
-    """A sample stream whose draw number k (from 0, counting every call)
-    is replaced by ``overrides[k](earlier draws)``."""
+    """A generator whose normals, counted over all its calls whatever
+    their sizes, are those of ``rng``, except that the normals from
+    number ``at`` on are ``overrides[at](normals drawn before)``."""
 
     def __init__(self, rng, overrides):
-        self.rng, self.overrides, self.draws = rng, overrides, []
+        self.rng, self.overrides, self.drawn = rng, overrides, np.empty(0)
 
     def standard_normal(self, size):
         out = self.rng.standard_normal(size)
-        if len(self.draws) in self.overrides:
-            out = self.overrides[len(self.draws)](self.draws)
-        self.draws.append(out)
-        return out
+        start = len(self.drawn)
+        self.drawn = np.concatenate([self.drawn, np.ravel(out)])
+        for at, override in self.overrides.items():
+            if start <= at < len(self.drawn):
+                new = override(self.drawn[:at])
+                assert at + len(new) <= len(self.drawn), "spans two calls"
+                self.drawn[at:at + len(new)] = new
+        return self.drawn[start:].reshape(np.shape(out))
 
 
 def _force(monkeypatch, overrides):
-    """Force the streams of the sample indices that ``overrides`` maps to
-    their overrides, on every lane; returns the forced streams made, in
-    order."""
-    real, made = harness._stream, []
+    """Every stream made from now on, by its key (seed first), forced at
+    ``overrides[key]`` if given; returns that map of the streams made."""
+    real, made = harness._stream, {}
 
-    def stream(seed, lane, index):
-        rng = real(seed, lane, index)
-        if index in overrides:
-            made.append(_Forced(rng, overrides[index]))
-            return made[-1]
-        return rng
+    def stream(*key):
+        made[key] = _Forced(real(*key), overrides.get(key, {}))
+        return made[key]
 
     monkeypatch.setattr(harness, "_stream", stream)
     return made
 
 
+def _row_at(cfg, suite, sample, row, width, d):
+    """The number of the first normal of a row (of ``d`` normals) of a
+    lane's block of ``width`` normals per sample, and the lane's key."""
+    return (cfg.seed, SUITE_ORDER.index(suite), 0), sample * width + row * d
+
+
+def _radial(cfg, suite, sample, row, width, d):
+    """Overrides making a row of the block twice its sample's point row:
+    its projection onto T_x or H is rounding noise."""
+    key, at = _row_at(cfg, suite, sample, row, width, d)
+    first = sample * width
+    return key, {at: lambda drawn: 2.0 * drawn[first:first + d]}
+
+
 @pytest.mark.parametrize("kinds", ["tthh", "hhhttt"])
 def test_short_projection_is_drawn_again_on_its_stream(monkeypatch, kinds):
-    # the first vector draw of sample 1 is radial: its projection onto
-    # T_x (or H) is rounding noise, so the sampler draws that row again
-    # from the same stream, as a one-row draw would
+    # the first vector row of sample 1 is radial, so the sampler draws it
+    # again from the lane's reserve, and nothing else from there
     s = ThreeSasakiStructure(n=1)
     cfg = RunConfig(points=3, seed=4)
-    _force(monkeypatch, {1: {1: lambda draws: 2.0 * draws[0]}})
-    rngs = _lane(cfg, "connection")
-    drawn = _draws(s, rngs, kinds)
-    assert len(rngs[1].draws) == len(kinds) + 2  # one retry
-    rows = [_one_row(s, _lane_stream(cfg, "connection", i), kinds)
-            for i in range(cfg.points)]
-    _assert_same_rows(drawn, rows)
+    d, width = s.ambient_dim, (1 + len(kinds)) * s.ambient_dim
+    key, forced = _radial(cfg, "connection", 1, 1, width, d)
+    made = _force(monkeypatch, {key: forced})
+    drawn = _draws(s, cfg, "connection", kinds)
+    assert set(made) == {key, (*key, 1)}
+    assert len(made[(*key, 1)].drawn) == d  # one redraw
+    _assert_same_rows(drawn, _lane_rows(s, cfg, "connection", kinds))
+
+
+def _coefficients_at(cfg, sample, d, value):
+    key, at = _row_at(cfg, "sectional", sample, 3, 4 * d + 4, d)
+    return key, at, lambda drawn: value
 
 
 def test_sectional_rejection_and_coefficient_redraw(monkeypatch):
-    # sample 1 draws Y parallel to X and is dropped; sample 2's first
-    # coefficients are degenerate and are drawn again
+    # sample 1 draws Y parallel to X and is dropped; sample 2's
+    # coefficients are degenerate and are drawn again, once; sample 3's X
+    # is radial, and the reserve row that replaces it is its Y row, so it
+    # is dropped after a redraw.  The dropped samples' coefficients are
+    # degenerate too, and draw nothing
     s = ThreeSasakiStructure(n=1)
     cfg = RunConfig(points=4, seed=2)
-    made = _force(monkeypatch, {1: {2: lambda draws: draws[1]},
-                                2: {3: lambda draws: np.zeros(4)}})
+    d, width = s.ambient_dim, 4 * s.ambient_dim + 4
+    key, at_y = _row_at(cfg, "sectional", 1, 2, width, d)
+    y3 = harness._stream(*key).standard_normal((4, width))[3, 2 * d:3 * d]
+    _, radial = _radial(cfg, "sectional", 3, 1, width, d)
+    forced = {at_y: lambda drawn: drawn[at_y - d:at_y], **radial}
+    for sample in (1, 2, 3):
+        _, at, zeros = _coefficients_at(cfg, sample, d, np.zeros(4))
+        forced[at] = zeros
+    made = _force(monkeypatch, {key: forced, (*key, 1): {4: lambda drawn: y3}})
     drawn = _sectional_draws(s, cfg)
-    # sample 1 stops after X, Y; sample 2 draws its coefficients twice
-    assert [len(rng.draws) for rng in made] == [3, 6]
+    # sample 2's coefficients, then sample 3's X
+    assert len(made[(*key, 1)].drawn) == 4 + d
     rows = _sectional_rows(s, cfg)
-    assert len(rows) == 3
+    assert len(rows) == 2
     _assert_same_rows(drawn, rows)
 
 
@@ -340,13 +370,69 @@ def test_sectional_draws_nothing_after_a_dropped_sample(monkeypatch):
     # near-parallel never asks for it, so all-dropped is no error
     s = ThreeSasakiStructure(n=0)
     cfg = RunConfig(n=0, points=2, seed=3)
-    parallel = {2: lambda draws: draws[1]}
-    _force(monkeypatch, {0: parallel, 1: parallel})
+    d, width = s.ambient_dim, 4 * s.ambient_dim + 4
+    parallel = {}
+    for sample in (0, 1):  # Y's raw row is X's
+        key, at = _row_at(cfg, "sectional", sample, 2, width, d)
+        parallel[at] = lambda drawn, at=at: drawn[at - d:at]
+    _force(monkeypatch, {key: parallel})
     assert _sectional_draws(s, cfg) is None
     monkeypatch.undo()
-    _force(monkeypatch, {0: parallel})
+    del parallel[at]  # sample 1 is kept
+    _force(monkeypatch, {key: parallel})
     with pytest.raises(PreconditionError, match="zero-dimensional"):
         _sectional_draws(s, cfg)
+
+
+def _drawing_paths(s, cfg):
+    """Every drawing path, as stacks of rows whose axis 0 runs over the
+    samples (theorem-sec: one stack per direction)."""
+    out = [V for suite, kinds in _DRAWN for V in _draws(s, cfg, suite, kinds)]
+    out += [V for family in cross_check_families(s, cfg).values() for V in family]
+    out += list(_sectional_draws(s, cfg))
+    directions = _theorem_sec_directions(s, cfg, 2).v
+    return [_rows_of(out), np.split(directions, 7)]
+
+
+@pytest.mark.parametrize("n", [1, 16])
+def test_first_samples_do_not_depend_on_the_number_of_points(monkeypatch, n):
+    # sample p's rows, reserve rows included, are a function of (seed,
+    # lane, p): the first P samples of a run at P + 3 points are those of
+    # a run at P points.  Sample 4 (beyond P = 3) redraws a short point row
+    # ahead of sample 1's short last row, and sectional sample 4 a short
+    # X ahead of sample 1's degenerate coefficients; drawn position by
+    # position, the reserve would serve sample 4 first
+    s = ThreeSasakiStructure(n=n)
+    d = s.ambient_dim
+    forced = {}
+    for suite, kinds in (*_DRAWN, ("cross-check", "hhhttt")):
+        width = (1 + len(kinds)) * d
+        key, at = _row_at(RunConfig(), suite, 4, 0, width, d)
+        _, last = _radial(RunConfig(), suite, 1, len(kinds), width, d)
+        forced[key] = {at: lambda drawn: np.zeros(d), **last}
+    key, last = _radial(RunConfig(), "sectional", 4, 1, 4 * d + 4, d)
+    _, at, zeros = _coefficients_at(RunConfig(), 1, d, np.zeros(4))
+    forced[key] = {at: zeros, **last}
+    made = _force(monkeypatch, forced)
+    small = _drawing_paths(s, RunConfig(n=n, points=3))
+    assert [len(made[(*key, 1)].drawn) for key in forced] == [d] * 7 + [4]
+    large = _drawing_paths(s, RunConfig(n=n, points=6))
+    assert [len(made[(*key, 1)].drawn) for key in forced] == [2 * d] * 7 + [4 + d]
+    for a, b in zip(small, large):
+        for stack_a, stack_b in zip(a, b):
+            assert np.array_equal(stack_a, stack_b[:len(stack_a)])
+
+
+def test_theorem_sec_families_never_share_a_point():
+    # the H case, the sweep and the axis each draw on a sub-lane of their
+    # own, so no sample count makes them overlap (lane indices p, 1000 + p
+    # and 2000 + p did from 1001 points on)
+    s = ThreeSasakiStructure(n=1)
+    cfg = RunConfig(points=1001)
+    x = _theorem_sec_directions(s, cfg, 2).base.x
+    h_case, sweep, axis = (x[k * cfg.points:(k + 1) * cfg.points] for k in (0, 1, 6))
+    points = np.concatenate([h_case, sweep, axis])
+    assert len(np.unique(points, axis=0)) == 3 * cfg.points
 
 
 def test_h_samplers_reject_n0_with_one_message():
@@ -354,7 +440,7 @@ def test_h_samplers_reject_n0_with_one_message():
     cfg = RunConfig(n=0, points=3, seed=1)
     message = ("the distribution H is zero-dimensional for n = 0; "
                "no unit direction can be drawn from it")
-    for draw in (lambda: _draws(s, _lane(cfg, "connection"), "tthh"),
+    for draw in (lambda: _draws(s, cfg, "connection", "tthh"),
                  lambda: cross_check_families(s, cfg),
                  lambda: _sectional_draws(s, cfg),
                  lambda: _theorem_sec_directions(s, cfg, 2),
@@ -364,13 +450,16 @@ def test_h_samplers_reject_n0_with_one_message():
             draw()
         assert str(err.value) == message
     # the tangent samplers still work there
-    x, X = _draws(s, _lane(cfg, "axioms"), "t")
+    x, X = _draws(s, cfg, "axioms", "t")
     assert X.v.shape == (3, 4)
 
 
 def test_one_row_sampler_calls_do_not_grow_with_points(monkeypatch):
-    # the suites draw their samples as stacks; the one-row samplers serve
-    # the convention resolution only (one point, two tangent vectors)
+    # the suites draw their samples as blocks; the one-row samplers serve
+    # the convention resolution only (one point, two tangent vectors).  A
+    # run makes one generator per lane: nine suites, two more theorem-sec
+    # sub-lanes and the convention lane, all keyed apart, and a reserve
+    # only for a lane that redraws a row
     calls = {}
     for name in ("sample_point", "sample_unit_tangent", "sample_unit_H"):
         real = getattr(harness, name)
@@ -380,10 +469,23 @@ def test_one_row_sampler_calls_do_not_grow_with_points(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(harness, name, counted)
-    for points in (2, 5):
+    real_stream, keys = harness._stream, []
+    monkeypatch.setattr(harness, "_stream",
+                        lambda *key: keys.append(key) or real_stream(*key))
+    lanes, reserves = [], []
+    for points in (2, 50):
         calls.clear()
+        keys.clear()
         run_suites(RunConfig(points=points))
         assert calls == {"sample_point": 1, "sample_unit_tangent": 2}, points
+        assert len(set(keys)) == len(keys)
+        lanes.append(sorted(key for key in keys if len(key) == 3))
+        reserves.append([key for key in keys if len(key) == 4])
+    assert lanes[0] == lanes[1] and len(lanes[0]) == 12
+    # at 50 points some sectional samples draw degenerate coefficients
+    # (about one in ten) and take new ones from the lane's reserve
+    sectional = (0, SUITE_ORDER.index("sectional"), 0)
+    assert reserves == [[], [(*sectional, 1)]] and sectional in lanes[0]
 
 
 # ============================================================
@@ -460,6 +562,34 @@ def test_sweep_finding_documents_the_mismatch(small_report):
     assert reeb.details["convention_combination"] == "+1/+1"
     # findings never gate their suite
     assert small_report.suites["theorem-sec"]["status"] == "pass"
+
+
+def test_best_combination_does_not_move_with_rounding(struct, monkeypatch):
+    # the label is the first combination, in the row's order, within
+    # tol_second of the row's least residual; min() broke exact ties
+    # (0.5 and 0.5 at pi/4) and rounding-level ones (7.7e-16 and 2.8e-15
+    # at pi/2) by noise
+    conventions = resolve_conventions(struct, seed=0)
+    real = harness.theorem_sec_data
+
+    def labels():
+        records = harness._suite_theorem_sec(struct, RunConfig(points=2),
+                                             conventions)
+        sweep = next(r for r in records if r.id == "theorem_sec.sweep")
+        return sweep.details["best_combination"]
+
+    want = labels()
+    assert want == {"0": "-1/-1", "pi/6": "-1/-1", "pi/4": "+1/+1",
+                    "pi/3": "+1/+1", "pi/2": "+1/+1"}
+    for combo in ("+1/+1", "+1/-1", "-1/+1", "-1/-1"):
+        for delta in (-1e-15, 1e-15):
+            def perturbed(*args, combo=combo, delta=delta):
+                data = real(*args)
+                data["residual"][combo] = data["residual"][combo] + delta
+                return data
+
+            monkeypatch.setattr(harness, "theorem_sec_data", perturbed)
+            assert labels() == want, (combo, delta)
 
 
 def test_reports_are_byte_identical():
