@@ -31,9 +31,10 @@ quadrilinear form uses the slot convention
 Every typed operation takes a point that is one row or a stack of rows,
 with fields of the same shape, and gives one value per row in one pass:
 a tangent vector of that shape, or floats of shape ``(P, 1)`` for a
-stack.  The curvature suites go one step further: one nested pass per
-connection and chunk of rows serves all their slot patterns, each on its
-own row block (``_curvature_blocks``).
+stack.  Curvature is chunked: one nested pass per connection and chunk
+of rows serves many slot patterns, each on its own row block
+(``_curvature_blocks``), and ``curvature`` and ``curvature4`` are
+one-pattern calls of it, so no caller holds every row's duals at once.
 """
 
 from __future__ import annotations
@@ -271,15 +272,15 @@ def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,
               Z: VectorField, x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
     evaluated by nesting dual numbers through the field closures; one
-    nested pass for a stack of points."""
+    nested pass per chunk of a stack of points."""
     s = _common_structure(X, Y, Z)
-    return TangentVector(x, _curvature_raw(s, kind, X, Y, Z, x.x, scheme))
+    return TangentVector(x, _curvature_blocks(s, kind, [(X, Y, Z)], x.x, scheme)[0])
 
 
 def curvature4(kind: ConnectionKind, X, Y, Z, W, x, scheme=EXACT_FORWARD):
     """Quadrilinear curvature with slot convention g(R(X,Y)W, Z)."""
-    _common_structure(X, Y, Z, W)
-    return dot(curvature(kind, X, Y, W, x, scheme).v, Z(x.x))
+    s = _common_structure(X, Y, Z, W)
+    return _curvature_blocks(s, kind, [(X, Y, W, Z)], x.x, scheme)[0]
 
 
 CURVATURE_CHUNK = 3200  # floats per leaf of one fused pass: rows x d (400 rows at n=1)
@@ -312,13 +313,15 @@ def _join(parts):
 
 
 def _curvature_blocks(s, kind, patterns, y, scheme):
-    """One nested pass per chunk for many slot patterns (X, Y, Z, W) of
-    fields over the rows of the point ``y``: g(R(X,Y)Z, W) on each row,
-    or |R(X,Y)Z - W| for W an array of rows (None: zero).  A chunk of C
-    rows runs pattern k on rows k*C .. (k+1)*C - 1, each row with the
-    bits of its own call.  It holds at most ``CURVATURE_CHUNK`` floats per
-    leaf, and one row at least: of all patterns if they fit, else of as
-    many as fit, one at least.  One row gives floats, a stack ``(P, 1)``."""
+    """One nested pass per chunk for many slot patterns of fields over
+    the rows of the point ``y``: for (X, Y, Z) the rows of R(X,Y)Z; for
+    (X, Y, Z, W) g(R(X,Y)Z, W) on each row, or |R(X,Y)Z - W| for W an
+    array of rows (None: zero).  A chunk of C rows runs pattern k on rows
+    k*C .. (k+1)*C - 1, each row with the bits of a pass over all rows.
+    It holds at most ``CURVATURE_CHUNK`` floats per leaf, and one row at
+    least: of all patterns if they fit, else of as many as fit, one at
+    least.  One row gives a vector or a float, a stack ``(P, d)`` or
+    ``(P, 1)``."""
     y2, K = np.atleast_2d(y), len(patterns)
     fields = {id(f): f for p in patterns for f in p if isinstance(f, VectorField)}
     cut = lambda c: {i: f.rows(c) for i, f in fields.items()}  # each field once
@@ -336,14 +339,17 @@ def _curvature_blocks(s, kind, patterns, y, scheme):
         R = _curvature_raw(s, kind, *(_blocks(s, [f[id(p[j])] for p in patterns], C)
                                       for j in range(3)), np.concatenate([yc] * K), scheme)
         values = []
-        for k, (*_, W) in enumerate(patterns):
-            Rk = R[k * C:(k + 1) * C]
-            values.append(dot(Rk, f[id(W)](yc)) if isinstance(W, VectorField)
+        for k, p in enumerate(patterns):
+            Rk, W = R[k * C:(k + 1) * C], p[-1]
+            values.append(Rk if len(p) == 3
+                          else dot(Rk, f[id(W)](yc)) if isinstance(W, VectorField)
                           else norm(Rk if W is None else Rk - _cut(W, c)))
         return values
 
-    out = zip(*(chunk(slice(i, i + step)) for i in range(0, len(y2), step)))
-    return [np.concatenate(v) if y.ndim > 1 else float(v[0][0, 0]) for v in out]
+    out = [np.concatenate(v) for v in zip(
+        *(chunk(slice(i, i + step)) for i in range(0, len(y2), step)))]
+    return out if y.ndim > 1 else [v[0] if len(p) == 3 else float(v[0, 0])
+                                   for v, p in zip(out, patterns)]
 
 
 def nabla_bar_phi_defect(alpha, X: VectorField, Y: VectorField,

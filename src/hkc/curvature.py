@@ -29,7 +29,8 @@ vectors that are one row or a stack of rows (each at its own point), and
 give one value per row: a stack in gives a stack out.  The nested
 curvature values they need come from one nested pass per connection and
 chunk of rows, each slot pattern on its own row block, and each row has
-the bits of its one-row call.
+the bits of its one-row call; ``cross_check_rbar`` too, whose
+``connections.curvature`` calls are one-pattern passes of those chunks.
 """
 
 from __future__ import annotations

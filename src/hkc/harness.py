@@ -53,6 +53,7 @@ from .numlin import (
     StructuralError,
     directional_derivative,
     dot,
+    is_count,
     norm,
 )
 from .records import SCHEMA, VerificationReport, build_records
@@ -105,12 +106,11 @@ class RunConfig:
     suites: tuple = SUITE_ORDER
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 0:
-            raise StructuralError(f"n must be a non-negative integer, got {self.n!r}")
-        if int(self.points) != self.points or self.points < 1:
-            raise StructuralError(f"points must be a positive integer, got {self.points!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise StructuralError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, low, word in (("n", 0, "non-negative"), ("points", 1, "positive"),
+                                ("seed", 0, "non-negative")):
+            v = getattr(self, name)
+            if not is_count(v) or v < low:
+                raise StructuralError(f"{name} must be a {word} integer, got {v!r}")
         if not (0.0 < self.tol_first <= self.tol_second < np.inf):
             raise StructuralError(
                 f"tolerances must be finite with 0 < tol_first <= tol_second, got "

@@ -26,6 +26,7 @@ __all__ = [
     "DegenerateInputError",
     "PreconditionError",
     "InternalConsistencyError",
+    "is_count",
     "Dual",
     "leafmap",
     "dot",
@@ -37,7 +38,6 @@ __all__ = [
     "directional_derivative",
     "value_and_derivative",
     "gram_schmidt",
-    "ComplexStructureTriple",
     "quaternion_structures",
     "PIVOT_TOL",
 ]
@@ -73,6 +73,12 @@ class PreconditionError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """Two internal computation routes that must agree did not."""
+
+
+def is_count(v):
+    """An int or a numpy integer: a bool or a float equal to an integer
+    must not pass for a dimension, a count, a seed or an index."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 # ============================================================
@@ -330,31 +336,14 @@ _UNIT_BLOCKS = (
 )
 
 
-@dataclass(frozen=True)
-class ComplexStructureTriple:
-    """Three anticommuting orthogonal complex structures on R^{4(n+1)}."""
-
-    I1: np.ndarray
-    I2: np.ndarray
-    I3: np.ndarray
-
-    @property
-    def dim(self):
-        return self.I1.shape[0]
-
-    def as_tuple(self):
-        return (self.I1, self.I2, self.I3)
-
-
 def quaternion_structures(n):
-    """Block-diagonal complex-structure triple on R^{4(n+1)}.
+    """Block-diagonal complex-structure triple on R^{4(n+1)}, as one
+    ``(3, d, d)`` stack I1, I2, I3.
 
     Each factor R^4 carries right quaternion multiplication by the three
     units; the triple satisfies the even-permutation products I1@I2 = I3,
     I2@I3 = I1, I3@I1 = I2 exactly.
     """
-    if n < 0:
-        raise StructuralError("n must be a nonnegative integer")
-    eye = np.eye(n + 1)
-    I1, I2, I3 = (np.kron(eye, B) for B in _UNIT_BLOCKS)
-    return ComplexStructureTriple(I1=I1, I2=I2, I3=I3)
+    if not is_count(n) or n < 0:
+        raise StructuralError(f"n must be a nonnegative integer, got {n!r}")
+    return np.stack([np.kron(np.eye(n + 1), B) for B in _UNIT_BLOCKS])

@@ -38,6 +38,7 @@ from .numlin import (
     bracket_raw,
     dot,
     gram_schmidt,
+    is_count,
     leafmap,
     matvec,
     norm,
@@ -130,26 +131,29 @@ class ThreeSasakiStructure:
     ``sign`` picks the Reeb orientation xi_alpha(x) = sign * I_alpha x.
     The shipped default is the orientation under which the covariant
     derivative of each Reeb field is -phi_alpha (resolved empirically by
-    the harness; see ``harness.resolve_conventions``).
+    the harness; see ``harness.resolve_conventions``).  ``triple`` is any
+    three d x d matrices I1, I2, I3 (default: ``quaternion_structures``),
+    held as one ``(3, d, d)`` stack.
     """
 
     def __init__(self, n=1, sign=-1, triple=None):
         if sign not in (+1, -1):
             raise StructuralError("sign must be +1 or -1")
-        self.n = int(n)
-        if self.n < 0:
-            raise StructuralError("n must be a nonnegative integer")
-        self.sign = int(sign)
-        self.triple = triple if triple is not None else quaternion_structures(self.n)
-        if self.triple.dim != 4 * (self.n + 1):
-            raise StructuralError(
-                f"structure matrices of size {self.triple.dim} do not match "
-                f"ambient dimension {4 * (self.n + 1)}")
-        self._stack = np.stack(self.triple.as_tuple())
-        nz = self._stack != 0  # a signed permutation: one entry +-1 per row
-        signed = np.all(nz.sum(-1) == 1) and np.all(np.abs(self._stack[nz]) == 1)
+        if not is_count(n) or n < 0:
+            raise StructuralError(f"n must be a nonnegative integer, got {n!r}")
+        self.n, self.sign = int(n), int(sign)
+        d = self.ambient_dim
+        if triple is None:
+            triple = quaternion_structures(self.n)
+        shapes = [np.shape(I) for I in triple]
+        if shapes != [(d, d)] * 3:
+            raise StructuralError(f"need three {d} x {d} structure matrices, "
+                                  f"got shapes {shapes}")
+        self.triple = np.array(triple, dtype=float)
+        nz = self.triple != 0  # a signed permutation: one entry +-1 per row
+        signed = np.all(nz.sum(-1) == 1) and np.all(np.abs(self.triple[nz]) == 1)
         # (column, value) of each row's entry, (3, d) each; None: dense products
-        self._gather = (nz.argmax(-1), self._stack.sum(-1)) if signed else None
+        self._gather = (nz.argmax(-1), self.triple.sum(-1)) if signed else None
 
     # ---------------- dimensions ----------------
 
@@ -168,17 +172,15 @@ class ThreeSasakiStructure:
     # ---------------- structure maps ----------------
 
     def _I(self, alpha):
-        # a bool or a float equal to 1 must not pass for an index
-        if (isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer))
-                or alpha not in (1, 2, 3)):
+        if not is_count(alpha) or alpha not in (1, 2, 3):
             raise StructuralError(
                 f"structure index must be 1, 2, or 3; got {alpha!r}")
-        return self._stack[alpha - 1]
+        return self.triple[alpha - 1]
 
     def _apply_all(self, v):
         """I_1 v, I_2 v, I_3 v for a plain (..., d) array, as (..., 3, d)."""
         if self._gather is None:
-            return np.matmul(self._stack, v[..., None, :, None])[..., 0]
+            return np.matmul(self.triple, v[..., None, :, None])[..., 0]
         # the dense product's bits for finite v (its 0 * inf makes an inf in v
         # nan in every other entry); + 0 turns -0 into the dense sum's +0
         cols, vals = self._gather
@@ -278,7 +280,7 @@ class ThreeSasakiStructure:
     def _axiom_residuals(self, x, X, Y):
         """(record id, residuals) pairs, one residual per sample row; the
         matrix-level relations come first, once."""
-        I1, I2, I3 = self.triple.as_tuple()
+        I1, I2, I3 = self.triple
         ident = np.eye(self.ambient_dim)
         yield "axioms.quaternion_products", max(
             float(np.max(np.abs(I1 @ I2 - I3))),

@@ -371,15 +371,13 @@ def _record_fused(monkeypatch):
 
 
 def _separate(s, kind, pattern, y, scheme):
-    """A pattern's value from its own nested pass over all rows, as
-    curvature4, or as the norm of the curvature minus a target."""
-    X, Y, Z, W = pattern
-    if y.ndim > 2:  # the trace's basis layout, which no tangent vector has
-        R = connections._curvature_raw(s, kind, X, Y, Z, y, scheme)
-    elif isinstance(W, VectorField):
-        return curvature4(kind, X, Y, W, Z, SpherePoint(y), scheme)
-    else:
-        R = curvature(kind, X, Y, Z, SpherePoint(y), scheme).v
+    """A pattern's value from the kernel's own nested pass over all rows:
+    the curvature rows, their inner product with a field, or the norm of
+    the curvature minus a target."""
+    R = connections._curvature_raw(s, kind, *pattern[:3], y, scheme)
+    if len(pattern) == 3:
+        return R
+    W = pattern[3]
     if isinstance(W, VectorField):
         return dot(R, W(y))
     return norm(R if W is None else R - W)
@@ -391,9 +389,11 @@ def _separate(s, kind, pattern, y, scheme):
     (4, DiffScheme(CENTRAL_DIFFERENCE.kind, 1e-4))])
 def test_fused_passes_have_the_bits_of_separate_calls(monkeypatch, n, scheme):
     # every pattern block of every fused pass of the nested suites against
-    # its own pass, in chunks of 1 sample, of 3 (5 is no multiple) and of
-    # all 5 samples, and with a budget of two patterns of one row, which
-    # splits the patterns over passes
+    # the kernel's own pass over all rows, in chunks of 1 sample, of 3 (5
+    # is no multiple) and of all 5 samples, and with a budget of two
+    # patterns of one row, which splits the patterns over passes (the
+    # cross-check's one pattern runs over its 25 rows in chunks of 1, 3
+    # and 5 rows)
     s = ThreeSasakiStructure(n=n)
     cfg = RunConfig(n=n, points=5, scheme=scheme)
     conventions = resolve_conventions(s, 0, scheme)
@@ -402,10 +402,10 @@ def test_fused_passes_have_the_bits_of_separate_calls(monkeypatch, n, scheme):
     for budget[0] in (lambda K, d: 1, lambda K, d: 3 * K * d, lambda K, d: 5 * K * d,
                       lambda K, d: 2 * d):
         calls.clear()
-        for suite in ("curvature", "sectional", "theorem-sec", "ricci"):
+        for suite in ("curvature", "cross-check", "sectional", "theorem-sec", "ricci"):
             _SUITE_FUNCS[suite](s, cfg, conventions)
         bits.append([[v.tobytes() for v in out] for *_, out in calls])
-    assert len(calls) == 8 and bits[0] == bits[1] == bits[2] == bits[3]
+    assert len(calls) == 10 and bits[0] == bits[1] == bits[2] == bits[3]
     for *args, patterns, y, scheme, out in calls:
         for p, v in zip(patterns, out):
             assert v.tobytes() == _separate(*args, p, y, scheme).tobytes()
@@ -424,14 +424,43 @@ def test_one_row_fused_values_are_floats_of_separate_bits(monkeypatch, n):
               *sec_rela_data(s, 3, X)["K"].values(),
               *theorem_sec_data(s, 1, X)["kbar"].values()]
     assert all(isinstance(v, float) for v in values)
-    assert len(calls) == 10
+    fields = [VectorField.extension(s, V) for V in (X, Y, Z, W)]
+    assert curvature(HC, *fields[:3], x).v.shape == (s.ambient_dim,)
+    assert type(curvature4(LC, *fields, x)) is float
+    assert len(calls) == 12
     for *args, patterns, y, scheme, out in calls:
         for p, v in zip(patterns, out):
             want = _separate(*args, p, y, scheme)
-            if y.ndim == 1:
+            if isinstance(want, float):
                 assert type(v) is float and v.hex() == want.hex()
-            else:  # the trace runs one row as a stack of one
-                assert v.tobytes() == want.tobytes()
+            else:  # curvature rows, or the trace, which runs one row as a stack of one
+                assert v.shape == want.shape and v.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, budget, points", [(1, 160, 10), (16, None, 2)])
+def test_every_nested_pass_of_a_run_holds_the_chunk_budget(monkeypatch, n, budget, points):
+    # all nine suites and the sign resolution: a pass holds at most
+    # CURVATURE_CHUNK floats per leaf, or one row of one pattern where
+    # that alone is larger (the trace at n = 16: 68 x 68 floats); at n = 1
+    # a budget of 20 rows puts the cross-check's 50 rows over 3 passes
+    cfg = RunConfig(n=n, points=points, seed=2)
+    want = harness.run_suites(cfg).to_json()
+    if budget is not None:
+        monkeypatch.setattr(connections, "CURVATURE_CHUNK", budget)
+    passes, original = [], connections._curvature_raw
+
+    def sized(*args):
+        R = original(*args)
+        passes.append((len(np.atleast_2d(R)), R.size))
+        return R
+
+    monkeypatch.setattr(connections, "_curvature_raw", sized)
+    report = harness.run_suites(cfg)
+    assert report.to_json() == want
+    assert {body["status"] for body in report.suites.values()} <= {"pass", "fail"}
+    limit = connections.CURVATURE_CHUNK
+    assert [p for p in passes if p[0] > 1 and p[1] > limit] == []
+    assert any(p[1] > limit for p in passes) == (n == 16)
 
 
 @pytest.mark.parametrize("n", [1, 4])

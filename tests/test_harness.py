@@ -33,7 +33,6 @@ from hkc.harness import (
 )
 from hkc.numlin import (
     CENTRAL_DIFFERENCE,
-    ComplexStructureTriple,
     DiffScheme,
     PreconditionError,
     StructuralError,
@@ -59,10 +58,8 @@ def small_report(struct):
 
 
 def _broken(n=1):
-    base = ThreeSasakiStructure(n=n)
-    return ThreeSasakiStructure(
-        n=n, triple=ComplexStructureTriple(
-            I1=base.triple.I1, I2=-base.triple.I2, I3=base.triple.I3))
+    I1, I2, I3 = ThreeSasakiStructure(n=n).triple
+    return ThreeSasakiStructure(n=n, triple=(I1, -I2, I3))
 
 
 def _capture(argv):
@@ -97,6 +94,12 @@ def test_config_validation():
         RunConfig(suites=())
     with pytest.raises(StructuralError):
         RunConfig(n=-1)
+    # counts are ints or numpy integers: points=3.0 would error every suite
+    for name in ("n", "points", "seed"):
+        for bad in (3.0, 1.5, np.float64(2), True, "3"):
+            with pytest.raises(StructuralError, match=f"{name} must be"):
+                RunConfig(**{name: bad})
+        assert getattr(RunConfig(**{name: np.int64(2)}), name) == 2
     # an infinite or undefined tolerance would pass every residual
     for tols in ((1e-9, np.inf), (np.inf, np.inf), (np.nan, 1e-7), (1e-9, np.nan)):
         with pytest.raises(StructuralError):

@@ -330,24 +330,25 @@ def test_stacked_gram_schmidt_matches_rows():
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_quaternion_products_exact(n):
-    T = quaternion_structures(n)
-    assert np.array_equal(T.I1 @ T.I2, T.I3)
-    assert np.array_equal(T.I2 @ T.I3, T.I1)
-    assert np.array_equal(T.I3 @ T.I1, T.I2)
-    for I in T.as_tuple():
-        assert np.array_equal(I @ I, -np.eye(T.dim))
+    I1, I2, I3 = T = quaternion_structures(n)
+    assert T.shape == (3, 4 * n + 4, 4 * n + 4)
+    assert np.array_equal(I1 @ I2, I3)
+    assert np.array_equal(I2 @ I3, I1)
+    assert np.array_equal(I3 @ I1, I2)
+    for I in T:
+        assert np.array_equal(I @ I, -np.eye(4 * n + 4))
 
 
 def test_quaternion_block_structure_n1():
     T = quaternion_structures(1)
-    assert T.dim == 8
-    for I in T.as_tuple():
-        assert I.shape == (8, 8)
+    assert T.shape == (3, 8, 8)
+    for I in T:
         assert np.array_equal(I.T, -I)
         assert np.array_equal(I.T @ I, np.eye(8))
         assert set(np.unique(I)) <= {-1.0, 0.0, 1.0}
 
 
 def test_negative_n_rejected():
-    with pytest.raises(StructuralError):
-        quaternion_structures(-1)
+    for bad in (-1, 1.5, 1.0):
+        with pytest.raises(StructuralError):
+            quaternion_structures(bad)

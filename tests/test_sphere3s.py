@@ -1,9 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from hkc.numlin import (ComplexStructureTriple, Dual, StructuralError, dot,
+from hkc.numlin import (Dual, StructuralError, dot,
                          gram_schmidt, leafmap, matvec, norm,
                          quaternion_structures)
 from hkc.sphere3s import (
@@ -252,22 +250,38 @@ def test_alpha_index_validated(struct, rng, stack):
             assert np.array_equal(struct.reeb_raw(np.int64(a), y), struct.reeb_raw(a, y))
 
 
-def _triple_with(n, **replace):
-    return dataclasses.replace(quaternion_structures(n), **replace)
-
-
 def _perturbed_i1(n):
-    I1 = quaternion_structures(n).I1.copy()
-    I1[0, 2] += 1e-6
-    return ThreeSasakiStructure(n=n, triple=_triple_with(n, I1=I1))
+    triple = quaternion_structures(n)
+    triple[0, 0, 2] += 1e-6
+    return ThreeSasakiStructure(n=n, triple=triple)
+
+
+def _negated_i2(n):
+    I1, I2, I3 = quaternion_structures(n)
+    return ThreeSasakiStructure(n=n, triple=(I1, -I2, I3))
+
+
+def test_constructor_rejects_bad_n_and_triples():
+    # n is an int or a numpy integer: 1.5 would build n = 1, and 1.0 or
+    # True pass for 1 only by equality
+    for bad in (-1, 1.5, 1.0, np.float64(1), True, "1", None):
+        with pytest.raises(StructuralError, match="n must be"):
+            ThreeSasakiStructure(n=bad)
+    assert ThreeSasakiStructure(n=np.int64(1)).ambient_dim == 8
+    I1, I2, I3 = quaternion_structures(1)
+    for triple in ((I1, I2[:4, :4], I3), (I1, I2), quaternion_structures(2)):
+        with pytest.raises(StructuralError, match="need three 8 x 8 structure matrices"):
+            ThreeSasakiStructure(n=1, triple=triple)
+    # any three d x d matrices are held as one stack
+    s = ThreeSasakiStructure(n=1, triple=[I1, I2, I3])
+    assert s.triple.shape == (3, 8, 8) and np.array_equal(s.triple, quaternion_structures(1))
 
 
 @pytest.mark.parametrize("make, gathers", [
     (lambda: ThreeSasakiStructure(n=0), True),
     (lambda: ThreeSasakiStructure(n=1), True),
     (lambda: ThreeSasakiStructure(n=16), True),
-    (lambda: ThreeSasakiStructure(n=1, triple=_triple_with(
-        1, I2=-quaternion_structures(1).I2)), True),
+    (lambda: _negated_i2(1), True),
     (lambda: _perturbed_i1(1), False),
 ])
 def test_signed_permutation_triples_gather(make, gathers):
@@ -279,7 +293,7 @@ def test_signed_permutation_triples_gather(make, gathers):
         dense = np.zeros((3, d, d))
         cols, vals = s._gather
         np.put_along_axis(dense, cols[..., None], vals[..., None], -1)
-        assert np.array_equal(dense, s._stack)
+        assert np.array_equal(dense, s.triple)
 
 
 def _leaves(v):
@@ -298,7 +312,7 @@ def test_all_structure_maps_have_the_bits_of_three_dense_products(perturbed):
     for v in (r(), r(5), r(2, 3), zeros, nested):
         got = leafmap(s._apply_all, v)
         for leaf, out in zip(_leaves(v), _leaves(got)):
-            want = np.stack([matvec(I, leaf) for I in s.triple.as_tuple()], axis=-2)
+            want = np.stack([matvec(I, leaf) for I in s.triple], axis=-2)
             assert out.tobytes() == want.tobytes() and out.shape == want.shape
     # the all-structure forms against the per-structure ones
     x = rand_point(s, rng)
@@ -423,10 +437,7 @@ def test_axiom_records_all_pass(struct, rng):
 
 
 def test_axiom_records_fail_for_flipped_structure(rng):
-    base = ThreeSasakiStructure(n=1)
-    broken = ThreeSasakiStructure(
-        n=1, triple=ComplexStructureTriple(
-            I1=base.triple.I1, I2=-base.triple.I2, I3=base.triple.I3))
+    broken = _negated_i2(1)
     recs = broken.check_structure_axioms(_sample_triples(broken, rng, 5))
     by_id = {r.id: r for r in recs}
     assert not by_id["axioms.quaternion_products"].passed
@@ -436,11 +447,9 @@ def test_axiom_records_fail_for_flipped_structure(rng):
 def test_non_finite_structure_fails_every_axiom(rng):
     # a NaN entry in I1 reaches every family through the Reeb fields and
     # the projection; a NaN residual fails its record
-    base = ThreeSasakiStructure(n=1)
-    I1 = base.triple.I1.copy()
-    I1[0, 1] = np.nan
-    s = ThreeSasakiStructure(n=1, triple=ComplexStructureTriple(
-        I1=I1, I2=base.triple.I2, I3=base.triple.I3))
+    triple = quaternion_structures(1)
+    triple[0, 0, 1] = np.nan
+    s = ThreeSasakiStructure(n=1, triple=triple)
     recs = s.check_structure_axioms(_sample_triples(s, rng, 3))
     assert len(recs) == 10
     for r in recs:
