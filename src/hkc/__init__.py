@@ -43,7 +43,6 @@ from .connections import (
     ConnectionKind,
     VectorField,
     cov_deriv,
-    curvature4,
     h_form_gap,
     lie_bracket,
     nabla_bar_phi_defect,
@@ -53,14 +52,12 @@ from .connections import (
 )
 from .curvature import (
     CurvatureSample,
-    cor_xxx_data,
     cross_check_rbar,
     holomorphic_sectional_bar,
     rbar_algebraic,
     rbar_difference_tensor,
     rbar_quaternionic_projective,
     ricci,
-    sec_rela_data,
     sectional,
     theorem_sec_data,
     two_route_gap_form,

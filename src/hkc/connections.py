@@ -26,15 +26,18 @@ Curvature is evaluated literally as
 by pushing nested dual numbers through the field closures.  The
 quadrilinear form uses the slot convention
 
-    R4(X, Y, Z, W) := g(R(X, Y)W, Z).
+    R4(X, Y, Z, W) := g(R(X, Y)W, Z),
+
+the inner product of ``curvature(kind, X, Y, W, x)`` with Z.
 
 Every typed operation takes a point that is one row or a stack of rows,
 with fields of the same shape, and gives one value per row in one pass:
 a tangent vector of that shape, or floats of shape ``(P, 1)`` for a
 stack.  Curvature is chunked: one nested pass per connection and chunk
 of rows serves many slot patterns, each on its own row block
-(``_curvature_blocks``), and ``curvature`` and ``curvature4`` are
-one-pattern calls of it, so no caller holds every row's duals at once.
+(``_curvature_blocks``); a four-slot pattern (X, Y, Z, W) gives
+g(R(X,Y)Z, W) without handing back the curvature rows.  ``curvature`` is
+a one-pattern call of it, so no caller holds every row's duals at once.
 """
 
 from __future__ import annotations
@@ -58,19 +61,6 @@ from .numlin import (
     value_and_derivative,
 )
 from .sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
-
-__all__ = [
-    "ConnectionKind",
-    "VectorField",
-    "lie_bracket",
-    "cov_deriv",
-    "sasaki_defect",
-    "torsion",
-    "curvature",
-    "curvature4",
-    "nabla_bar_phi_defect",
-    "sphere_curvature_oracle",
-]
 
 BRACKET_TANGENCY_TOL = 1e-9
 
@@ -275,12 +265,6 @@ def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,
     nested pass per chunk of a stack of points."""
     s = _common_structure(X, Y, Z)
     return TangentVector(x, _curvature_blocks(s, kind, [(X, Y, Z)], x.x, scheme)[0])
-
-
-def curvature4(kind: ConnectionKind, X, Y, Z, W, x, scheme=EXACT_FORWARD):
-    """Quadrilinear curvature with slot convention g(R(X,Y)W, Z)."""
-    s = _common_structure(X, Y, Z, W)
-    return _curvature_blocks(s, kind, [(X, Y, W, Z)], x.x, scheme)[0]
 
 
 CURVATURE_CHUNK = 3200  # floats per leaf of one fused pass: rows x d (400 rows at n=1)

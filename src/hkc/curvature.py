@@ -59,22 +59,6 @@ from .connections import (
 )
 from .records import build_records
 
-__all__ = [
-    "CurvatureSample",
-    "rbar_algebraic",
-    "rbar_difference_tensor",
-    "rbar_quaternionic_projective",
-    "two_route_gap_form",
-    "cross_check_rbar",
-    "ricci",
-    "sectional",
-    "holomorphic_sectional_bar",
-    "sec_rela_data",
-    "cor_xxx_data",
-    "theorem_sec_data",
-    "verify_symmetries",
-]
-
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
 
@@ -314,8 +298,8 @@ def _signed(value):
 
 def _plane(structure, X, Y, Yf=None):
     """The pattern of R4(X,Y,X,Y) = g(R(X,Y)Y, X) on the extensions of the
-    vectors (``Yf``: that of Y, if given), and the Gram determinant, which
-    no row may let vanish."""
+    vectors (``Yf``: that of Y, if given), and the plane value r -> -r / gram
+    of its value r.  No row may let the Gram determinant vanish."""
     X._check_same_base(Y)
     g = _gram(X, Y)
     gs = np.ravel(g)
@@ -325,7 +309,13 @@ def _plane(structure, X, Y, Yf=None):
             f"the two vectors do not span a plane (Gram determinant {gs[bad][0]:.3e})")
     Xf = VectorField.extension(structure, X)
     Yf = Yf or VectorField.extension(structure, Y)
-    return (Xf, Yf, Yf, Xf), g
+    return (Xf, Yf, Yf, Xf), lambda r: -r / g
+
+
+def _require_unit(X):
+    """Reject X unless every row has unit length."""
+    if np.any(np.abs(X.norm() - 1.0) > 1e-10):
+        raise PreconditionError("X must have unit length")
 
 
 def sectional(structure, X, Y, scheme=EXACT_FORWARD):
@@ -334,8 +324,8 @@ def sectional(structure, X, Y, scheme=EXACT_FORWARD):
     multiply by the report's measured ``plane-normalization`` sign, the
     one that makes round planes measure +1.
     """
-    plane, g = _plane(structure, X, Y)
-    return -_curvature_blocks(structure, LC, [plane], X.base.x, scheme)[0] / g
+    plane, value = _plane(structure, X, Y)
+    return value(_curvature_blocks(structure, LC, [plane], X.base.x, scheme)[0])
 
 
 def holomorphic_sectional_bar(structure, alpha, X, scheme=EXACT_FORWARD):
@@ -349,37 +339,12 @@ def holomorphic_sectional_bar(structure, alpha, X, scheme=EXACT_FORWARD):
 def _holomorphic(structure, alpha, X):
     """The pattern of R4-bar(X, phi_a X, X, phi_a X), for X of unit length
     in H."""
-    if np.any(np.abs(X.norm() - 1.0) > 1e-10):
-        raise PreconditionError("X must have unit length")
+    _require_unit(X)
     if not _in_H(structure, X):
         raise PreconditionError("X must lie in the distribution H")
     Xf = VectorField.extension(structure, X)
     Pf = Xf.phi(alpha)
     return (Xf, Pf, Pf, Xf)
-
-
-# ============================================================
-# verifiers
-# ============================================================
-
-def sec_rela_data(structure, alpha, X, scheme=EXACT_FORWARD):
-    """The 'adapted holomorphic value = plane value + 3' relation on
-    span{X, phi_a X}.  ``"k"`` is :func:`holomorphic_sectional_bar`;
-    ``"K"`` maps each plane normalization (``"+1"``, ``"-1"``) to that
-    sign times :func:`sectional`, and ``"residual"`` to |k - 3 - K|.
-    """
-    k = holomorphic_sectional_bar(structure, alpha, X, scheme)
-    P = TangentVector(X.base, structure.phi_raw(alpha, X.v, X.base.x))
-    K = _signed(sectional(structure, X, P, scheme))
-    return {"k": k, "K": K,
-            "residual": {c: abs(k - 3.0 - Kc) for c, Kc in K.items()}}
-
-
-def cor_xxx_data(structure, X, scheme=EXACT_FORWARD):
-    """Both sides of the quadrilinear identity on (X, phi_1 X, phi_2 X,
-    phi_3 X): the adapted and round-metric curvature forms agree there."""
-    return tuple(_curvature_blocks(structure, kind, [_cor_xxx(structure, X)],
-                                   X.base.x, scheme)[0] for kind in (HC, LC))
 
 
 def _cor_xxx(structure, X):
@@ -388,6 +353,10 @@ def _cor_xxx(structure, X):
     f1, f2, f3 = (Xf.phi(a) for a in (1, 2, 3))
     return (Xf, f1, f3, f2)
 
+
+# ============================================================
+# verifiers
+# ============================================================
 
 def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     """Residual table for the plane-comparison polynomial on the plane
@@ -404,14 +373,13 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     ``"predicted"`` maps it to k plus the polynomial, and ``"residual"``
     each combination ``"adapted/round"`` to |kbar - predicted|.
     """
-    if np.any(np.abs(X.norm() - 1.0) > 1e-10):
-        raise PreconditionError("X must have unit length")
+    _require_unit(X)
     # the passes make P = phi_a X again for each chunk
     P = lambda c: structure.phi_raw(alpha, _cut(X.v, c), _cut(X.base.x, c))
-    plane, g = _plane(structure, X, TangentVector(X.base, P(None)),
-                      VectorField.extension(structure, P))
-    kbar, k = (_signed(-_curvature_blocks(structure, kind, [plane], X.base.x, scheme)[0]
-                       / g) for kind in (HC, LC))
+    plane, value = _plane(structure, X, TangentVector(X.base, P(None)),
+                          VectorField.extension(structure, P))
+    kbar, k = (_signed(value(_curvature_blocks(structure, kind, [plane], X.base.x,
+                                               scheme)[0])) for kind in (HC, LC))
     b, c = (i for i in (1, 2, 3) if i != alpha)
     eb, ec = (structure.eta_raw(i, X.v, X.base.x) for i in (b, c))
     # float powers as in _gram

@@ -248,7 +248,7 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
     w = v.v - dot(v.v, u.v) * u.v
     v = TangentVector(x, w / norm(w))
     # u, v orthonormal; _plane rejects a vanishing Gram determinant
-    (Uf, Vf, _, _), g = _plane(structure, u, v)
+    (Uf, Vf, _, _), plane_value = _plane(structure, u, v)
 
     # (1) orientation of the Reeb first-derivative law
     d_xi = cov_deriv(LC, Uf, VectorField.reeb(structure, 1), x, scheme)
@@ -264,9 +264,8 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
     curv_val = "+1" if c_plus <= c_minus else "-1"
 
     # (3) plane normalization: the factor for which round planes measure
-    # +1; the plane value -R4(u,v,u,v)/gram of ``sectional`` from the same
-    # nested pass
-    k = -dot(RXYY.v, Uf(x.x)) / g
+    # +1; the plane value of ``sectional`` from the same nested pass
+    k = plane_value(dot(RXYY.v, Uf(x.x)))
     p_minus = abs(-k - 1.0)
     p_plus = abs(k - 1.0)
     plane_val = "-1" if p_minus <= p_plus else "+1"
@@ -624,8 +623,8 @@ def _suite_sectional(s, cfg, conventions):
     hc = _curvature_blocks(s, HC, [_holomorphic(s, a, Xh) for a in (1, 2, 3)] + [cor],
                            x.x, cfg.scheme)
     lc = _curvature_blocks(s, LC, [p for p, _ in planes] + [cor], x.x, cfg.scheme)
-    # the selected sign times the plane value -R4 / gram, as ``sectional``
-    k = [sel * (-r / g) for r, (_, g) in zip(lc, planes)]
+    # the selected sign times the plane value, as ``sectional``
+    k = [sel * value(r) for r, (_, value) in zip(lc, planes)]
 
     def residuals():
         yield "sectional.sphere_constant", abs(k[0] - 1.0)
@@ -833,13 +832,13 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run identity suites and emit a report")
-    v.add_argument("--n", type=int, default=1)
-    v.add_argument("--points", type=int, default=25)
-    v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol-first", type=float, default=1e-9)
-    v.add_argument("--tol-second", type=float, default=1e-7)
+    v.add_argument("--n", type=int, default=RunConfig.n)
+    v.add_argument("--points", type=int, default=RunConfig.points)
+    v.add_argument("--seed", type=int, default=RunConfig.seed)
+    v.add_argument("--tol-first", type=float, default=RunConfig.tol_first)
+    v.add_argument("--tol-second", type=float, default=RunConfig.tol_second)
     v.add_argument("--scheme", choices=("exact", "fd"), default="exact")
-    v.add_argument("--fd-step", type=float, default=1e-5)
+    v.add_argument("--fd-step", type=float, default=CENTRAL_DIFFERENCE.step)
     v.add_argument("--suites", default=None,
                    help="comma-separated subset of: " + ", ".join(SUITE_ORDER))
     v.add_argument("--out", default=None, help="write the report to a file")
@@ -848,8 +847,8 @@ def _build_parser():
 
     c = sub.add_parser("curvature",
                        help="print the adapted holomorphic plane table")
-    c.add_argument("--n", type=int, default=1)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--n", type=int, default=RunConfig.n)
+    c.add_argument("--seed", type=int, default=RunConfig.seed)
     c.add_argument("--alpha", type=int, choices=(1, 2, 3), default=1)
     return p
 
@@ -873,6 +872,11 @@ def _cmd_verify(args) -> int:
     cfg = RunConfig(n=args.n, points=args.points, seed=_resolve_seed(args.seed),
                     tol_first=args.tol_first, tol_second=args.tol_second,
                     scheme=scheme, suites=suites)
+    if args.out:  # fail on an unwritable path before the run, truncating nothing
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise StructuralError(f"cannot write the report to {args.out}: {exc.strerror}")
     report = run_suites(cfg)
     payload = report.to_json() if args.fmt == "json" else format_text(report)
     if args.out:

@@ -20,28 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "StructuralError",
-    "NumericError",
-    "DegenerateInputError",
-    "PreconditionError",
-    "InternalConsistencyError",
-    "is_count",
-    "Dual",
-    "leafmap",
-    "dot",
-    "matvec",
-    "norm",
-    "DiffScheme",
-    "EXACT_FORWARD",
-    "CENTRAL_DIFFERENCE",
-    "directional_derivative",
-    "value_and_derivative",
-    "gram_schmidt",
-    "quaternion_structures",
-    "PIVOT_TOL",
-]
-
 
 # ============================================================
 # error taxonomy

@@ -26,18 +26,6 @@ import numpy as np
 
 SCHEMA = "hkc-report/1"
 
-__all__ = [
-    "SCHEMA",
-    "VerificationRecord",
-    "VerificationReport",
-    "IDENTITY_REGISTRY",
-    "make_record",
-    "worst_residuals",
-    "build_records",
-    "canonical_json",
-    "registry_gaps",
-]
-
 
 # ============================================================
 # static identity registry: record id -> anchor token
@@ -124,35 +112,20 @@ class VerificationRecord:
     details: dict = field(default_factory=dict)
 
     def as_dict(self):
-        return {
-            "id": self.id,
-            "anchor": self.anchor,
-            "suite": self.suite,
-            "kind": self.kind,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "samples": self.samples,
-            "details": self.details,
-        }
+        return dict(vars(self))
 
 
-def make_record(rec_id, suite, kind="check", passed=None, max_residual=None,
-                tolerance=None, samples=0, details=None):
-    """Build a record whose anchor comes from the static registry."""
+def make_record(rec_id, suite, **fields):
+    """Build a record whose anchor comes from the static registry; the
+    other fields are those of :class:`VerificationRecord`, the residual
+    and the tolerance as floats."""
     if rec_id not in IDENTITY_REGISTRY:
         raise KeyError(f"record id {rec_id!r} is not in the identity registry")
-    return VerificationRecord(
-        id=rec_id,
-        anchor=IDENTITY_REGISTRY[rec_id],
-        suite=suite,
-        kind=kind,
-        passed=passed,
-        max_residual=None if max_residual is None else float(max_residual),
-        tolerance=None if tolerance is None else float(tolerance),
-        samples=samples,
-        details=details or {},
-    )
+    for key in ("max_residual", "tolerance"):
+        if fields.get(key) is not None:
+            fields[key] = float(fields[key])
+    return VerificationRecord(id=rec_id, anchor=IDENTITY_REGISTRY[rec_id],
+                              suite=suite, **fields)
 
 
 def worst_residuals(pairs):

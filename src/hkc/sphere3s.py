@@ -46,15 +46,6 @@ from .numlin import (
 )
 from .records import build_records
 
-__all__ = [
-    "UNIT_TOL",
-    "TANGENT_TOL",
-    "SpherePoint",
-    "TangentVector",
-    "ThreeSasakiStructure",
-    "EVEN_PERMUTATIONS",
-]
-
 UNIT_TOL = 1e-12
 TANGENT_TOL = 1e-10
 
@@ -137,8 +128,8 @@ class ThreeSasakiStructure:
     """
 
     def __init__(self, n=1, sign=-1, triple=None):
-        if sign not in (+1, -1):
-            raise StructuralError("sign must be +1 or -1")
+        if not is_count(sign) or sign not in (+1, -1):
+            raise StructuralError(f"sign must be +1 or -1, got {sign!r}")
         if not is_count(n) or n < 0:
             raise StructuralError(f"n must be a nonnegative integer, got {n!r}")
         self.n, self.sign = int(n), int(sign)

@@ -15,7 +15,6 @@ from hkc.connections import (
     _cov_raw,
     cov_deriv,
     curvature,
-    curvature4,
     h_form_gap,
     lie_bracket,
     nabla_bar_phi_defect,
@@ -278,12 +277,12 @@ def test_adapted_curvature_annihilates_reeb_slots(struct, rng):
 
 def test_curvature4_slot_convention(struct, rng):
     # R4(X, Y, Z, W) = g(R(X,Y)W, Z); on the round sphere with the
-    # resolved sign, R4(X, Y, X, Y) = +1 for orthonormal X, Y
+    # resolved sign, R4(X, Y, X, Y) = g(R(X,Y)Y, X) = +1 for orthonormal X, Y
     x = rand_point(struct, rng)
     fr = struct.frame_H(x, seed=3)
     X = VectorField.extension(struct, fr[0])
     Y = VectorField.extension(struct, fr[1])
-    val = curvature4(LC, X, Y, X, Y, x)
+    val = dot(curvature(LC, X, Y, Y, x).v, fr[0].v)
     assert val == pytest.approx(1.0, abs=1e-11)
 
 

@@ -19,7 +19,6 @@ from hkc.connections import (
     VectorField,
     cov_deriv,
     curvature,
-    curvature4,
     h_form_gap,
     lie_bracket,
     nabla_bar_phi_defect,
@@ -28,14 +27,12 @@ from hkc.connections import (
 )
 from hkc.curvature import (
     CurvatureSample,
-    cor_xxx_data,
     cross_check_rbar,
     holomorphic_sectional_bar,
     rbar_algebraic,
     rbar_difference_tensor,
     rbar_quaternionic_projective,
     ricci,
-    sec_rela_data,
     sectional,
     theorem_sec_data,
     two_route_gap_form,
@@ -294,7 +291,7 @@ def test_adapted_trace_rejects_non_distribution_arguments(struct, rng):
 @pytest.mark.parametrize("n", [1, 2, 16])
 def test_stacked_trace_equals_per_vector_sum(n):
     # one nested pass over the projected ambient basis against one
-    # curvature4 call per vector of another orthonormal basis of T_x:
+    # g(R(E, X)Y, E) per vector E of another orthonormal basis of T_x:
     # frame_H and the Reeb vectors
     s = ThreeSasakiStructure(n=n)
     rng = np.random.default_rng(60 + n)
@@ -306,7 +303,7 @@ def test_stacked_trace_equals_per_vector_sum(n):
         per_vector = 0.0
         for E in basis:
             Ef = VectorField.extension(s, E)
-            per_vector += curvature4(kind, Ef, Xf, Ef, Yf, x)
+            per_vector += dot(curvature(kind, Ef, Xf, Yf, x).v, E.v)
         assert ricci(s, kind, X, Y) == pytest.approx(per_vector, abs=1e-12)
 
 
@@ -420,14 +417,12 @@ def test_one_row_fused_values_are_floats_of_separate_bits(monkeypatch, n):
     calls, _ = _record_fused(monkeypatch)
     verify_symmetries(s, (x, X, Y, Z, W))
     values = [sectional(s, X, Y), holomorphic_sectional_bar(s, 2, X),
-              *cor_xxx_data(s, X), *ricci(s, HC, X, [X, Y]),
-              *sec_rela_data(s, 3, X)["K"].values(),
+              *ricci(s, HC, X, [X, Y]),
               *theorem_sec_data(s, 1, X)["kbar"].values()]
     assert all(isinstance(v, float) for v in values)
-    fields = [VectorField.extension(s, V) for V in (X, Y, Z, W)]
-    assert curvature(HC, *fields[:3], x).v.shape == (s.ambient_dim,)
-    assert type(curvature4(LC, *fields, x)) is float
-    assert len(calls) == 12
+    fields = [VectorField.extension(s, V) for V in (X, Y, Z)]
+    assert curvature(HC, *fields, x).v.shape == (s.ambient_dim,)
+    assert len(calls) == 7
     for *args, patterns, y, scheme, out in calls:
         for p, v in zip(patterns, out):
             want = _separate(*args, p, y, scheme)
@@ -501,7 +496,7 @@ def test_ricci_memory_does_not_grow_with_points():
 
 
 def test_trace_is_basis_independent():
-    # against one curvature4 call per vector of an orthonormal basis of
+    # against one g(R(E, X)U, E) per vector E of an orthonormal basis of
     # T_x made here by a QR factorization of [x, random vectors]; the
     # seed of a call does not enter the trace
     for n in (1, 4):
@@ -515,7 +510,7 @@ def test_trace_is_basis_independent():
             X, Y = (rand_tv(s, x, rng, in_h=in_h) for _ in range(2))
             Xf, Yf = (VectorField.extension(s, V) for V in (X, Y))
             for U, Uf in ((X, Xf), (Y, Yf)):
-                want = sum(curvature4(kind, E, Xf, E, Uf, x) for E in basis)
+                want = sum(dot(curvature(kind, E, Xf, Uf, x).v, E(x.x)) for E in basis)
                 assert ricci(s, kind, X, U) == pytest.approx(want, abs=1e-12), (n, kind)
             assert ricci(s, kind, X, Y, seed=11).hex() == ricci(s, kind, X, Y, seed=12).hex()
 
@@ -580,21 +575,33 @@ def test_holomorphic_preconditions(struct, rng):
 # ============================================================
 
 def test_sec_rela_holds_under_flipped_convention(struct, rng):
+    # the adapted holomorphic value k is the round plane value K of
+    # span{X, phi_a X} plus 3, with K under each plane normalization
     x = rand_point(struct, rng)
     X = rand_tv(struct, x, rng, in_h=True)
     for a in (1, 2, 3):
-        data = sec_rela_data(struct, a, X)
-        assert data["k"] == pytest.approx(4.0, abs=1e-10)
-        assert data["residual"]["-1"] < 1e-10
-        assert data["residual"]["+1"] == pytest.approx(2.0, abs=1e-9)
-        best = min(data["residual"], key=data["residual"].get)
-        assert best == "-1" and data["residual"][best] <= 1e-6
+        k = holomorphic_sectional_bar(struct, a, X)
+        K = sectional(struct, X, phi_tv(struct, a, X))
+        residual = {c: abs(k - 3.0 - sign * K) for c, sign in (("+1", 1), ("-1", -1))}
+        assert k == pytest.approx(4.0, abs=1e-10)
+        assert residual["-1"] < 1e-10
+        assert residual["+1"] == pytest.approx(2.0, abs=1e-9)
+        best = min(residual, key=residual.get)
+        assert best == "-1" and residual[best] <= 1e-6
+
+
+def _cor_xxx_sides(s, X):
+    """R4(X, phi_1 X, phi_2 X, phi_3 X) = g(R(X, phi_1 X)phi_3 X, phi_2 X)
+    of the adapted and of the round connection."""
+    Xf = VectorField.extension(s, X)
+    return [dot(curvature(kind, Xf, Xf.phi(1), Xf.phi(3), X.base).v,
+                phi_tv(s, 2, X).v) for kind in (HC, LC)]
 
 
 def test_cor_xxx_both_sides_vanish(struct, rng):
     x = rand_point(struct, rng)
     X = rand_tv(struct, x, rng, in_h=True)
-    lhs, rhs = cor_xxx_data(struct, X)
+    lhs, rhs = _cor_xxx_sides(struct, X)
     assert abs(lhs) < 1e-10 and abs(rhs) < 1e-10
     assert abs(lhs - rhs) <= 1e-6
 
@@ -763,8 +770,9 @@ def test_stacked_rows_equal_one_at_a_time_calls(n):
     assert_rows_match_calls(lambda X: theorem_sec_data(s, 1, X),
                             stack(_sweep_vectors(s, d, rng)))
     Xh = stack([rand_tv(s, rand_point(s, rng), rng, in_h=True) for _ in range(d)])
-    assert_rows_match_calls(lambda X: sec_rela_data(s, 2, X), Xh)
-    assert_rows_match_calls(lambda X: cor_xxx_data(s, X), Xh)
+    assert_rows_match_calls(lambda X: holomorphic_sectional_bar(s, 2, X), Xh)
+    assert_rows_match_calls(lambda X: sectional(s, X, phi_tv(s, 2, X)), Xh)
+    assert_rows_match_calls(lambda X: _cor_xxx_sides(s, X), Xh)
 
     quads = []
     for _ in range(d):

@@ -656,6 +656,31 @@ def test_cli_default_run_exits_one(tmp_path):
     assert payload["overall"] == "fail"
 
 
+@pytest.mark.parametrize("where", ["a directory", "a missing parent"])
+def test_cli_unwritable_out_exits_two_before_the_run(where, tmp_path, monkeypatch,
+                                                     capsys):
+    # an unwritable --out is a configuration error, found before any
+    # suite runs; exit 1 is kept for a failed check
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "r.json"
+    runs, real = [], harness.run_suites
+    monkeypatch.setattr(harness, "run_suites", lambda cfg: runs.append(cfg) or real(cfg))
+    rc = main(["verify", "--points", "1", "--suites", "axioms", "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == "" and runs == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    for argv in (["verify"], ["curvature"]):
+        args = harness._build_parser().parse_args(argv)
+        assert (args.n, args.seed) == (RunConfig.n, RunConfig.seed)
+    args = harness._build_parser().parse_args(["verify"])
+    assert (args.points, args.tol_first, args.tol_second) == (
+        RunConfig.points, RunConfig.tol_first, RunConfig.tol_second)
+    assert args.fd_step == CENTRAL_DIFFERENCE.step
+
+
 def test_cli_green_subset_exits_zero():
     rc, stdout = _capture(["verify", "--points", "3",
                            "--suites", "axioms,sasaki,connection"])

@@ -277,6 +277,16 @@ def test_constructor_rejects_bad_n_and_triples():
     assert s.triple.shape == (3, 8, 8) and np.array_equal(s.triple, quaternion_structures(1))
 
 
+def test_constructor_rejects_a_sign_that_is_not_an_integer():
+    # True and 1.0 equal +1 and -1.0 equals -1, but a bool or a float must
+    # not pass for an orientation, as for n
+    for bad in (True, False, 1.0, -1.0, np.float64(-1), 0, 2, "1", None):
+        with pytest.raises(StructuralError, match="sign must be"):
+            ThreeSasakiStructure(n=1, sign=bad)
+    s = ThreeSasakiStructure(n=1, sign=np.int64(-1))
+    assert type(s.sign) is int and s.sign == -1
+
+
 @pytest.mark.parametrize("make, gathers", [
     (lambda: ThreeSasakiStructure(n=0), True),
     (lambda: ThreeSasakiStructure(n=1), True),
