@@ -307,6 +307,8 @@ def _curvature_blocks(s, kind, patterns, y, scheme):
     least.  One row gives a vector or a float, a stack ``(P, d)`` or
     ``(P, 1)``."""
     y2, K = np.atleast_2d(y), len(patterns)
+    if not K:
+        return []
     fields = {id(f): f for p in patterns for f in p if isinstance(f, VectorField)}
     cut = lambda c: {i: f.rows(c) for i, f in fields.items()}  # each field once
     width = math.prod(np.broadcast_shapes(s.ambient_dim, *(  # floats per row

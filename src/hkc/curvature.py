@@ -284,10 +284,15 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
 # sectional curvatures
 # ============================================================
 
+def _pow(v, k):
+    """v ** k with the bits of Python's float power on every row (numpy's
+    ``**`` differs in the last bit on some values); a float stays a float."""
+    p = np.float_power(v, k)
+    return p if np.ndim(p) else float(p)
+
+
 def _gram(X: TangentVector, Y: TangentVector):
-    # np.float_power has the bits of Python's float power on every row
-    # (numpy's ``**`` differs in the last bit on some values)
-    return dot(X.v, X.v) * dot(Y.v, Y.v) - np.float_power(dot(X.v, Y.v), 2)
+    return dot(X.v, X.v) * dot(Y.v, Y.v) - _pow(dot(X.v, Y.v), 2)
 
 
 def _signed(value):
@@ -382,10 +387,8 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
                                                scheme)[0])) for kind in (HC, LC))
     b, c = (i for i in (1, 2, 3) if i != alpha)
     eb, ec = (structure.eta_raw(i, X.v, X.base.x) for i in (b, c))
-    # float powers as in _gram
-    poly = (3.0 + 4.0 * np.float_power(eb * ec, 2)
-            + 6.0 * (np.float_power(eb, 4) + np.float_power(ec, 4))
-            - 8.0 * (np.float_power(eb, 2) + np.float_power(ec, 2)))
+    poly = (3.0 + 4.0 * _pow(eb * ec, 2) + 6.0 * (_pow(eb, 4) + _pow(ec, 4))
+            - 8.0 * (_pow(eb, 2) + _pow(ec, 2)))
     predicted = {ck: Kc + poly for ck, Kc in k.items()}
     return {
         "eta_components": [eb, ec],

@@ -6,10 +6,10 @@ conventions empirically before any curvature suite is interpreted.  All
 sampling is driven by counter-keyed seed sequences, so a report is a pure
 function of its configuration.  Each suite draws its samples as a stack:
 one generator per suite lane supplies all its Gaussian rows as one
-block, and the arithmetic runs once over all samples; its checks then
-run once over the stack and yield one residual per sample row.  A
-curvature suite runs one nested pass per connection and chunk of
-samples, all its slot patterns side by side as row blocks.
+block, each row used as drawn (the sectional suite alone redraws: its
+coefficients, from a reserve); its checks run once over the stack and
+yield one residual per sample row.  A curvature suite runs one nested
+pass per connection and chunk of samples, its slot patterns as row blocks.
 """
 
 import argparse
@@ -144,59 +144,40 @@ class RunConfig:
 
 def _stream(seed, *key):
     """Independent generator keyed by (seed, *key): a suite lane (suite
-    position, sub-lane), its reserve (the lane's key, then 1) or a
-    reserved lane constant and 0, so no two draws share a stream."""
+    position, sub-lane), the sectional lane's reserve (its key, then 1) or
+    a reserved lane constant and 0, so no two draws share a stream."""
     return np.random.default_rng(
         np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, key))))
 
 
-def _lane(cfg, suite, sub=0):
-    """A suite lane's key, (seed, suite position, sub-lane).  Its one
-    generator draws all the suite's samples as one block, sample p's raw
-    Gaussians at [p]: numpy fills in C order, so they do not depend on the
-    number of points.  Its reserve, keyed (*key, 1), is made for the first
-    row drawn again."""
-    return cfg.seed, SUITE_ORDER.index(suite), sub
-
-
-def _units(s, w, kinds, rng=None, x=None):
+def _units(s, w, kinds, x=None):
     """The unit rows of raw Gaussian rows w (P, len(kinds), d), as one
     stack per row position k of kind ``kinds[k]``: a point ("p", then
     normalised twice, as ``SpherePoint.normalized`` would), a unit vector
     tangent at it ("t") or in H at it ("h"), each the row projected over
-    its length; and which samples have every row usable, its projection
-    longer than 1e-6.  Given rng, an unusable row is replaced, position by
-    position, by rows drawn from rng, ten draws at most; so a stack of one
-    sample draws as a one-row sampler does."""
-    out, ok = [], np.ones(len(w), dtype=bool)
+    its length.  A row is used as drawn: a projection no longer than 1e-6
+    (by the chi law, a chance below 3e-19 a row) raises."""
+    out = []
     for k, what in enumerate(kinds):
         if what == "h" and s.h_dim == 0:
             raise PreconditionError(
                 "the distribution H is zero-dimensional for n = 0; "
                 "no unit direction can be drawn from it")
-        for _ in range(10):
-            v = np.ascontiguousarray(w[:, k])  # row bits: see numlin.dot
-            if what != "p":
-                v = (s.tangent_project_raw if what == "t" else s.project_h_raw)(v, x)
-            nv = norm(v)
-            good = nv > 1e-6
-            u = v / np.where(good, nv, 1.0)
-            u = u / np.where(good, norm(u), 1.0) if what == "p" else u
-            bad = ~np.ravel(good)
-            if rng is None or not bad.any():
-                break
-            w[bad, k] = rng.standard_normal((int(bad.sum()), s.ambient_dim))
-        else:
+        v = np.ascontiguousarray(w[:, k])  # row bits: see numlin.dot
+        if what != "p":
+            v = (s.tangent_project_raw if what == "t" else s.project_h_raw)(v, x)
+        nv = norm(v)
+        if not np.all(nv > 1e-6):
             raise PreconditionError("could not draw a usable sample row")
+        u = v / nv
+        u = u / norm(u) if what == "p" else u
         x = u if what == "p" else x
         out.append(u)
-        ok &= ~bad
-    return out, ok
+    return out
 
 
 def _one_row(s, rng, what, x=None):
-    (u,), _ = _units(s, rng.standard_normal((1, 1, s.ambient_dim)), what, rng, x)
-    return u[0]
+    return _units(s, rng.standard_normal((1, 1, s.ambient_dim)), what, x)[0][0]
 
 
 def sample_point(structure, rng):
@@ -213,18 +194,14 @@ def sample_unit_H(structure, x, rng):
 
 def _draws(s, cfg, suite, kinds, sub=0):
     """A lane's samples, as the point stack and one vector stack per letter
-    of ``kinds``.  The samples with an unusable row are drawn again one at
-    a time, in sample order, so that sample p's rows, reserve rows
-    included, do not depend on the number of points."""
-    key = _lane(cfg, suite, sub)
-    w = _stream(*key).standard_normal((cfg.points, 1 + len(kinds), s.ambient_dim))
-    out, ok = _units(s, w, "p" + kinds)
-    reserve = None if ok.all() else _stream(*key, 1)
-    for p in np.flatnonzero(~ok):
-        for stack, row in zip(out, _units(s, w[p:p + 1], "p" + kinds, reserve)[0]):
-            stack[p] = row[0]
-    x = SpherePoint(out[0])
-    return (x, *(TangentVector(x, v) for v in out[1:]))
+    of ``kinds``, drawn as one block by the lane's generator, keyed (seed,
+    suite position, sub-lane): sample p's raw Gaussians at [p], which numpy
+    fills in C order, so they do not depend on the number of points."""
+    w = _stream(cfg.seed, SUITE_ORDER.index(suite), sub).standard_normal(
+        (cfg.points, 1 + len(kinds), s.ambient_dim))
+    x, *vectors = _units(s, w, "p" + kinds)
+    x = SpherePoint(x)
+    return (x, *(TangentVector(x, v) for v in vectors))
 
 
 _ext = VectorField.extension
@@ -565,33 +542,28 @@ def _sectional_draws(s, cfg):
     least 0.1, and a unit vector of H; from one block, sample p's point,
     X and Y rows, coefficients and H row, in the order of a one-row draw.
     A sample whose X and Y are nearly parallel (|<X, Y>| > 0.999) is
-    dropped and redraws nothing."""
-    key, d = _lane(cfg, "sectional"), s.ambient_dim
+    dropped, its H row unused.  Coefficients of a kept sample whose
+    determinant is below 0.1 are drawn again, in sample order, from the
+    lane's reserve, made on first need."""
+    key, d = (cfg.seed, SUITE_ORDER.index("sectional"), 0), s.ambient_dim
     block = _stream(*key).standard_normal((cfg.points, 4 * d + 4))
-    w, c, h = (block[:, :3 * d].reshape(-1, 3, d), block[:, 3 * d:3 * d + 4],
-               block[:, None, 3 * d + 4:])
-    (x, X, Y), ok = _units(s, w, "ptt")
-    keep = ok & np.ravel(np.abs(dot(X, Y)) <= 0.999)
-    (H,), usable = (_units(s, h, "h", x=x) if keep.any()
-                    else ((np.empty_like(x),), keep))
-    det = lambda c: np.abs(c[..., 0] * c[..., 3] - c[..., 1] * c[..., 2])
-    # as in _draws, the samples that redraw a row do so in sample order
-    redo = np.flatnonzero(~ok | keep & ~(usable & (det(c) >= 0.1)))
-    reserve = _stream(*key, 1) if len(redo) else None
-    for p in redo:
-        x[p], X[p], Y[p] = (u[0] for u in _units(s, w[p:p + 1], "ptt", reserve)[0])
-        keep[p] = abs(dot(X[p], Y[p])) <= 0.999
-        if keep[p]:
-            while det(c[p]) < 0.1:
-                c[p] = reserve.standard_normal(4)
-            H[p] = _units(s, h[p:p + 1], "h", reserve, x[p][None])[0][0][0]
+    x, X, Y = _units(s, block[:, :3 * d].reshape(-1, 3, d), "ptt")
+    keep = np.ravel(np.abs(dot(X, Y)) <= 0.999)
     if not keep.any():
         return None
-    x, X, Y, c = SpherePoint(x[keep]), X[keep], Y[keep], c[keep]
+    x, X, Y, c = x[keep], X[keep], Y[keep], block[keep, 3 * d:3 * d + 4]
+    H, = _units(s, block[keep, None, 3 * d + 4:], "h", x)
+    det = lambda c: np.abs(c[..., 0] * c[..., 3] - c[..., 1] * c[..., 2])
+    redo = np.flatnonzero(det(c) < 0.1)
+    reserve = _stream(*key, 1) if len(redo) else None
+    for p in redo:
+        while det(c[p]) < 0.1:
+            c[p] = reserve.standard_normal(4)
+    x = SpherePoint(x)
     return (TangentVector(x, X), TangentVector(x, Y),
             TangentVector(x, c[:, :1] * X + c[:, 1:2] * Y),
             TangentVector(x, c[:, 2:3] * X + c[:, 3:] * Y),
-            TangentVector(x, H[keep]))
+            TangentVector(x, H))
 
 
 def _suite_sectional(s, cfg, conventions):
@@ -864,6 +836,14 @@ def _resolve_seed(cli_seed):
     return seed
 
 
+def _write(path, mode, text=""):
+    try:
+        with open(path, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StructuralError(f"cannot write the report to {path}: {exc.strerror}")
+
+
 def _cmd_verify(args) -> int:
     suites = (tuple(t.strip() for t in args.suites.split(",") if t.strip())
               if args.suites else SUITE_ORDER)
@@ -873,15 +853,11 @@ def _cmd_verify(args) -> int:
                     tol_first=args.tol_first, tol_second=args.tol_second,
                     scheme=scheme, suites=suites)
     if args.out:  # fail on an unwritable path before the run, truncating nothing
-        try:
-            open(args.out, "a").close()
-        except OSError as exc:
-            raise StructuralError(f"cannot write the report to {args.out}: {exc.strerror}")
+        _write(args.out, "a")
     report = run_suites(cfg)
     payload = report.to_json() if args.fmt == "json" else format_text(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        _write(args.out, "w", payload + "\n")
         print(f"overall: {report.overall}")
     else:
         print(payload)

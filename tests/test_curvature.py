@@ -416,10 +416,12 @@ def test_one_row_fused_values_are_floats_of_separate_bits(monkeypatch, n):
     X, Y, Z, W = (rand_tv(s, x, rng, in_h=True) for _ in range(4))
     calls, _ = _record_fused(monkeypatch)
     verify_symmetries(s, (x, X, Y, Z, W))
+    data = theorem_sec_data(s, 1, X)
     values = [sectional(s, X, Y), holomorphic_sectional_bar(s, 2, X),
               *ricci(s, HC, X, [X, Y]),
-              *theorem_sec_data(s, 1, X)["kbar"].values()]
-    assert all(isinstance(v, float) for v in values)
+              *(v for key in ("kbar", "k", "predicted", "residual")
+                for v in data[key].values())]
+    assert all(type(v) is float for v in values)
     fields = [VectorField.extension(s, V) for V in (X, Y, Z)]
     assert curvature(HC, *fields, x).v.shape == (s.ambient_dim,)
     assert len(calls) == 7
@@ -474,6 +476,7 @@ def test_ricci_pairs_in_one_call_have_the_bits_of_two_calls(monkeypatch, n):
             assert [np.float64(v).tobytes() for v in both] == [
                 np.float64(v).tobytes() for v in apart]
             assert {type(v) for v in both} == {type(apart[0])}
+            assert ricci(s, kind, A, []) == []  # no Y, no traces
 
 
 def test_ricci_memory_does_not_grow_with_points():

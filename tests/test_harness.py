@@ -156,48 +156,40 @@ def test_sample_unit_h_rejects_trivial_distribution():
 # ---------------- block drawing against one-row draws ----------------
 #
 # The references below walk a lane's block one sample and one row at a
-# time, in the order a one-row sampler draws them, and take the
-# replacement of an unusable row from the lane's reserve; the samplers
-# must give every row with the same bits.
+# time, in the order a one-row sampler draws them, each row used as
+# drawn, and take the sectional lane's new coefficients from its
+# reserve; the samplers must give every row with the same bits.
 
-def _lane_streams(cfg, suite, sub=0):
-    """The lane's block generator and its reserve."""
-    key = (cfg.seed, SUITE_ORDER.index(suite), sub)
-    return harness._stream(*key), harness._stream(*key, 1)
+def _lane_key(cfg, suite, sub=0):
+    return cfg.seed, SUITE_ORDER.index(suite), sub
 
 
-def _unit_row(s, w, reserve, project):
-    """The first of ten raw rows, w and then reserve rows, whose
-    projection is longer than 1e-6, projected and over its length."""
-    for k in range(10):
-        w = project(w if k == 0 else reserve.standard_normal(s.ambient_dim))
-        if norm(w) > 1e-6:
-            return w / norm(w)
-    raise AssertionError("no usable draw")
+def _unit_row(w):
+    """A projected raw row over its length."""
+    return w / norm(w)
 
 
-def _one_row(s, rng, reserve, kinds):
+def _one_row(s, rng, kinds):
     """A point (normalised once more, as ``SpherePoint.normalized``
     does), then a unit vector at it per letter of ``kinds`` (t: tangent,
     h: in H), drawn one row at a time; as plain rows."""
     d = s.ambient_dim
-    x = SpherePoint.normalized(
-        _unit_row(s, rng.standard_normal(d), reserve, lambda w: w)).x
+    x = SpherePoint.normalized(_unit_row(rng.standard_normal(d))).x
     project = {"t": s.tangent_project_raw, "h": s.project_h_raw}
-    return [x, *(_unit_row(s, rng.standard_normal(d), reserve,
-                           lambda w, k=k: project[k](w, x)) for k in kinds)]
+    return [x, *(_unit_row(project[k](rng.standard_normal(d), x)) for k in kinds)]
 
 
 def _lane_rows(s, cfg, suite, kinds, sub=0):
-    rng, reserve = _lane_streams(cfg, suite, sub)
-    return [_one_row(s, rng, reserve, kinds) for _ in range(cfg.points)]
+    rng = harness._stream(*_lane_key(cfg, suite, sub))
+    return [_one_row(s, rng, kinds) for _ in range(cfg.points)]
 
 
 def _sectional_rows(s, cfg):
-    rng, reserve = _lane_streams(cfg, "sectional")
+    key = _lane_key(cfg, "sectional")
+    rng, reserve = harness._stream(*key), harness._stream(*key, 1)
     rows = []
     for _ in range(cfg.points):
-        x, X, Y = _one_row(s, rng, reserve, "tt")
+        x, X, Y = _one_row(s, rng, "tt")
         c, h = rng.standard_normal(4), rng.standard_normal(s.ambient_dim)
         if abs(float(np.dot(X, Y))) > 0.999:
             continue
@@ -205,7 +197,7 @@ def _sectional_rows(s, cfg):
             c = reserve.standard_normal(4)
         rows.append((X, Y, float(c[0]) * X + float(c[1]) * Y,
                      float(c[2]) * X + float(c[3]) * Y,
-                     _unit_row(s, h, reserve, lambda w: s.project_h_raw(w, x))))
+                     _unit_row(s.project_h_raw(h, x))))
     return rows
 
 
@@ -312,30 +304,32 @@ def _force(monkeypatch, overrides):
 def _row_at(cfg, suite, sample, row, width, d):
     """The number of the first normal of a row (of ``d`` normals) of a
     lane's block of ``width`` normals per sample, and the lane's key."""
-    return (cfg.seed, SUITE_ORDER.index(suite), 0), sample * width + row * d
+    return _lane_key(cfg, suite), sample * width + row * d
 
 
-def _radial(cfg, suite, sample, row, width, d):
-    """Overrides making a row of the block twice its sample's point row:
-    its projection onto T_x or H is rounding noise."""
-    key, at = _row_at(cfg, suite, sample, row, width, d)
-    first = sample * width
-    return key, {at: lambda drawn: 2.0 * drawn[first:first + d]}
+def _radial(cfg, suite, sample, at, width, d):
+    """Overrides making the ``d`` normals from number ``at`` within a
+    sample's block twice its point row: its projection onto T_x or H is
+    rounding noise."""
+    key, first = _row_at(cfg, suite, sample, 0, width, d)
+    return key, {first + at: lambda drawn: 2.0 * drawn[first:first + d]}
 
 
-@pytest.mark.parametrize("kinds", ["tthh", "hhhttt"])
-def test_short_projection_is_drawn_again_on_its_stream(monkeypatch, kinds):
-    # the first vector row of sample 1 is radial, so the sampler draws it
-    # again from the lane's reserve, and nothing else from there
+_SHORT = "could not draw a usable sample row"
+
+
+@pytest.mark.parametrize("suite, kinds", [*_DRAWN, ("cross-check", "hhhttt")])
+def test_short_projection_raises_without_a_reserve(monkeypatch, suite, kinds):
+    # the first vector row of sample 1 is radial: the lane uses it as
+    # drawn and raises, making no reserve
     s = ThreeSasakiStructure(n=1)
     cfg = RunConfig(points=3, seed=4)
     d, width = s.ambient_dim, (1 + len(kinds)) * s.ambient_dim
-    key, forced = _radial(cfg, "connection", 1, 1, width, d)
+    key, forced = _radial(cfg, suite, 1, d, width, d)
     made = _force(monkeypatch, {key: forced})
-    drawn = _draws(s, cfg, "connection", kinds)
-    assert set(made) == {key, (*key, 1)}
-    assert len(made[(*key, 1)].drawn) == d  # one redraw
-    _assert_same_rows(drawn, _lane_rows(s, cfg, "connection", kinds))
+    with pytest.raises(PreconditionError, match=_SHORT):
+        _draws(s, cfg, suite, kinds)
+    assert set(made) == {key}
 
 
 def _coefficients_at(cfg, sample, d, value):
@@ -343,28 +337,53 @@ def _coefficients_at(cfg, sample, d, value):
     return key, at, lambda drawn: value
 
 
+@pytest.mark.parametrize("row", ["X", "H"])
+def test_short_sectional_row_raises_without_a_reserve(monkeypatch, row):
+    # sample 1's X row or H row is radial; sample 0's coefficients are
+    # degenerate, yet the short row raises before any is drawn again
+    s = ThreeSasakiStructure(n=1)
+    cfg = RunConfig(points=3, seed=4)
+    d = s.ambient_dim
+    key, forced = _radial(cfg, "sectional", 1, {"X": d, "H": 3 * d + 4}[row],
+                          4 * d + 4, d)
+    _, at, zeros = _coefficients_at(cfg, 0, d, np.zeros(4))
+    made = _force(monkeypatch, {key: {**forced, at: zeros}})
+    with pytest.raises(PreconditionError, match=_SHORT):
+        _sectional_draws(s, cfg)
+    assert set(made) == {key}
+
+
+def test_one_row_samplers_use_their_row_as_drawn(struct):
+    # a zero point row, or a radial vector row, raises after one draw
+    d = struct.ambient_dim
+    x = sample_point(struct, _stream(0, 1, 0))
+    for draw, row in ((lambda rng: sample_point(struct, rng), np.zeros(d)),
+                      (lambda rng: sample_unit_tangent(struct, x, rng), 2.0 * x.x),
+                      (lambda rng: sample_unit_H(struct, x, rng), 2.0 * x.x)):
+        rng = _Forced(_stream(0, 1, 0), {0: lambda drawn, row=row: row})
+        with pytest.raises(PreconditionError, match=_SHORT):
+            draw(rng)
+        assert len(rng.drawn) == d
+
+
 def test_sectional_rejection_and_coefficient_redraw(monkeypatch):
     # sample 1 draws Y parallel to X and is dropped; sample 2's
-    # coefficients are degenerate and are drawn again, once; sample 3's X
-    # is radial, and the reserve row that replaces it is its Y row, so it
-    # is dropped after a redraw.  The dropped samples' coefficients are
+    # coefficients are degenerate, and so are the reserve's first, so
+    # they are drawn again twice.  The dropped sample's coefficients are
     # degenerate too, and draw nothing
     s = ThreeSasakiStructure(n=1)
     cfg = RunConfig(points=4, seed=2)
     d, width = s.ambient_dim, 4 * s.ambient_dim + 4
     key, at_y = _row_at(cfg, "sectional", 1, 2, width, d)
-    y3 = harness._stream(*key).standard_normal((4, width))[3, 2 * d:3 * d]
-    _, radial = _radial(cfg, "sectional", 3, 1, width, d)
-    forced = {at_y: lambda drawn: drawn[at_y - d:at_y], **radial}
-    for sample in (1, 2, 3):
+    forced = {at_y: lambda drawn: drawn[at_y - d:at_y]}
+    for sample in (1, 2):
         _, at, zeros = _coefficients_at(cfg, sample, d, np.zeros(4))
         forced[at] = zeros
-    made = _force(monkeypatch, {key: forced, (*key, 1): {4: lambda drawn: y3}})
+    made = _force(monkeypatch, {key: forced, (*key, 1): {0: lambda drawn: np.zeros(4)}})
     drawn = _sectional_draws(s, cfg)
-    # sample 2's coefficients, then sample 3's X
-    assert len(made[(*key, 1)].drawn) == 4 + d
+    assert len(made[(*key, 1)].drawn) == 8
     rows = _sectional_rows(s, cfg)
-    assert len(rows) == 2
+    assert len(rows) == 3
     _assert_same_rows(drawn, rows)
 
 
@@ -401,26 +420,21 @@ def _drawing_paths(s, cfg):
 def test_first_samples_do_not_depend_on_the_number_of_points(monkeypatch, n):
     # sample p's rows, reserve rows included, are a function of (seed,
     # lane, p): the first P samples of a run at P + 3 points are those of
-    # a run at P points.  Sample 4 (beyond P = 3) redraws a short point row
-    # ahead of sample 1's short last row, and sectional sample 4 a short
-    # X ahead of sample 1's degenerate coefficients; drawn position by
-    # position, the reserve would serve sample 4 first
+    # a run at P points.  Sectional samples 1 (inside P = 3) and 4 (beyond
+    # it) draw degenerate coefficients; served in sample order, the
+    # reserve gives sample 1 the same new ones in both runs
     s = ThreeSasakiStructure(n=n)
     d = s.ambient_dim
     forced = {}
-    for suite, kinds in (*_DRAWN, ("cross-check", "hhhttt")):
-        width = (1 + len(kinds)) * d
-        key, at = _row_at(RunConfig(), suite, 4, 0, width, d)
-        _, last = _radial(RunConfig(), suite, 1, len(kinds), width, d)
-        forced[key] = {at: lambda drawn: np.zeros(d), **last}
-    key, last = _radial(RunConfig(), "sectional", 4, 1, 4 * d + 4, d)
-    _, at, zeros = _coefficients_at(RunConfig(), 1, d, np.zeros(4))
-    forced[key] = {at: zeros, **last}
-    made = _force(monkeypatch, forced)
+    for sample in (1, 4):
+        key, at, zeros = _coefficients_at(RunConfig(), sample, d, np.zeros(4))
+        forced[at] = zeros
+    made = _force(monkeypatch, {key: forced})
     small = _drawing_paths(s, RunConfig(n=n, points=3))
-    assert [len(made[(*key, 1)].drawn) for key in forced] == [d] * 7 + [4]
+    assert len(made[(*key, 1)].drawn) == 4
     large = _drawing_paths(s, RunConfig(n=n, points=6))
-    assert [len(made[(*key, 1)].drawn) for key in forced] == [2 * d] * 7 + [4 + d]
+    assert len(made[(*key, 1)].drawn) == 8
+    assert [k for k in made if len(k) == 4] == [(*key, 1)]
     for a, b in zip(small, large):
         for stack_a, stack_b in zip(a, b):
             assert np.array_equal(stack_a, stack_b[:len(stack_a)])
@@ -462,7 +476,7 @@ def test_one_row_sampler_calls_do_not_grow_with_points(monkeypatch):
     # the convention resolution only (one point, two tangent vectors).  A
     # run makes one generator per lane: nine suites, two more theorem-sec
     # sub-lanes and the convention lane, all keyed apart, and a reserve
-    # only for a lane that redraws a row
+    # only for the sectional lane, where it redraws coefficients
     calls = {}
     for name in ("sample_point", "sample_unit_tangent", "sample_unit_H"):
         real = getattr(harness, name)
@@ -669,6 +683,17 @@ def test_cli_unwritable_out_exits_two_before_the_run(where, tmp_path, monkeypatc
     assert rc == 2 and stdout == "" and runs == []
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_failed_report_write_exits_two(capsys):
+    # the path passes the check before the run and the write after it
+    # fails: one error line and exit 2, as for the check
+    rc = main(["verify", "--points", "1", "--suites", "axioms", "--out", "/dev/full"])
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write the report to /dev/full: ")
 
 
 def test_cli_defaults_are_the_library_defaults():
