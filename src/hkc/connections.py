@@ -31,13 +31,11 @@ quadrilinear form uses the slot convention
 the inner product of ``curvature(kind, X, Y, W, x)`` with Z.
 
 Every typed operation takes a point that is one row or a stack of rows,
-with fields of the same shape, and gives one value per row in one pass:
-a tangent vector of that shape, or floats of shape ``(P, 1)`` for a
-stack.  Curvature is chunked: one nested pass per connection and chunk
-of rows serves many slot patterns, each on its own row block
-(``_curvature_blocks``); a four-slot pattern (X, Y, Z, W) gives
-g(R(X,Y)Z, W) without handing back the curvature rows.  ``curvature`` is
-a one-pattern call of it, so no caller holds every row's duals at once.
+with fields of the same shape, and gives one value per row: a tangent
+vector of that shape, or floats of shape ``(P, 1)`` for a stack.  All run
+on one driver, ``_fused_pass``: one pass per kernel (a covariant
+derivative, the bracket, or the nested curvature) serves many slot
+patterns, each on its own row block with the bits of its own pass.
 """
 
 from __future__ import annotations
@@ -70,6 +68,10 @@ class ConnectionKind(Enum):
     H_CONNECTION = "h-connection"
 
 
+LC = ConnectionKind.LEVI_CIVITA
+HC = ConnectionKind.H_CONNECTION
+
+
 # ============================================================
 # vector fields
 # ============================================================
@@ -81,14 +83,15 @@ class VectorField:
     inputs), which every combinator here preserves.  Calling the field on
     a raw array evaluates the closure.  ``rows(c)`` is the field on the
     rows ``c`` of the stack it was built on (a field built on none serves
-    any rows); ``vec`` (extension vectors) and ``alpha`` (Reeb index) tell
-    which row blocks of a fused pass evaluate as one.
+    any rows).  ``vec`` (extension vectors), ``alpha`` (Reeb index, or a
+    map of each row's) and ``ops`` (the maps after them: a for phi_a, 0 for
+    the projection onto H) tell which row blocks of a fused pass are one field.
     """
 
-    def __init__(self, structure, func, rows=None, vec=None, alpha=None):
+    def __init__(self, structure, func, rows=None, vec=None, alpha=None, ops=()):
         self.structure = structure
         self._func = func
-        self._rows, self.vec, self.alpha = rows, vec, alpha
+        self._rows, self.vec, self.alpha, self.ops = rows, vec, alpha, ops
 
     def __call__(self, y):
         return self._func(y)
@@ -118,15 +121,17 @@ class VectorField:
 
     def phi(self, alpha):
         s = self.structure
-        f = self._func
-        return VectorField(s, lambda y: s.phi_raw(alpha, f(y), y),
-                           lambda c: self.rows(c).phi(alpha))
+        return self._then(alpha, lambda w, y: s.phi_raw(alpha, w, y),
+                          lambda f: f.phi(alpha))
 
     def project_H(self):
-        s = self.structure
+        return self._then(0, self.structure.project_h_raw, lambda f: f.project_H())
+
+    def _then(self, op, g, again):
         f = self._func
-        return VectorField(s, lambda y: s.project_h_raw(f(y), y),
-                           lambda c: self.rows(c).project_H())
+        return VectorField(self.structure, lambda y: g(f(y), y),
+                           lambda c: again(self.rows(c)),
+                           self.vec, self.alpha, self.ops + (op,))
 
 
 def _cut(a, c):
@@ -164,85 +169,11 @@ def _cov_raw(s, kind, Xf, Yf, y, scheme):
     evaluated once.  The lower slot is tensorial, so a fixed direction w
     enters as the constant closure ``lambda y: w``."""
     Xv = Xf(y)
-    if kind is ConnectionKind.LEVI_CIVITA:
+    if kind is LC:
         d = directional_derivative(Yf, y, Xv, scheme)
         return d - dot(d, y) * y
     Yv, d = value_and_derivative(Yf, y, Xv, scheme)
     return d - dot(d, y) * y + _a_raw(s, Xv, Yv, y)
-
-
-# ============================================================
-# typed operations
-# ============================================================
-
-def lie_bracket(X: VectorField, Y: VectorField, x: SpherePoint,
-                scheme=EXACT_FORWARD) -> TangentVector:
-    s = _common_structure(X, Y)
-    raw = bracket_raw(X, Y, x.x, scheme)
-    drift = np.abs(np.ravel(dot(raw, x.x)))
-    bad = drift >= BRACKET_TANGENCY_TOL
-    if bad.any():
-        raise InternalConsistencyError(
-            f"bracket of tangent fields drifted off the tangent space "
-            f"by {drift[bad][0]:.3e}")
-    return TangentVector(x, s.tangent_project_raw(raw, x.x))
-
-
-def cov_deriv(kind: ConnectionKind, X: VectorField, Y: VectorField,
-              x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
-    """Covariant derivative at a point.  The adapted connection is
-    evaluated through its closed form only; :func:`h_form_gap` measures
-    its agreement with the definitional form."""
-    s = _common_structure(X, Y)
-    out = _cov_raw(s, kind, X, Y, x.x, scheme)
-    return TangentVector(x, s.tangent_project_raw(out, x.x))
-
-
-def h_form_gap(X: VectorField, Y: VectorField, x: SpherePoint,
-               scheme=EXACT_FORWARD):
-    """Disagreement between the substituted and the definitional forms of
-    the adapted covariant derivative at x (zero when the structure's
-    first-derivative identities hold).  The definitional form writes the
-    adapted derivative through Levi-Civita derivatives of the Reeb fields
-    instead of the pointwise correction tensor."""
-    s = _common_structure(X, Y)
-    y, lc = x.x, ConnectionKind.LEVI_CIVITA
-    sub = _cov_raw(s, ConnectionKind.H_CONNECTION, X, Y, y, scheme)
-    defn = _cov_raw(s, lc, X, Y, y, scheme)
-    Xv, Yv = X(y), Y(y)
-    for a in (1, 2, 3):
-        xi_f = VectorField.reeb(s, a)
-        d_xi_X = _cov_raw(s, lc, X, xi_f, y, scheme)
-        d_xi_Y = _cov_raw(s, lc, Y, xi_f, y, scheme)
-        defn = (defn
-                - s.eta_raw(a, Xv, y) * d_xi_Y
-                - s.eta_raw(a, Yv, y) * d_xi_X
-                + s.omega_raw(a, Xv, Yv, y) * s.reeb_raw(a, y))
-    return norm(sub - defn)
-
-
-def sasaki_defect(alpha, X: VectorField, Y: VectorField, x: SpherePoint,
-                  scheme=EXACT_FORWARD) -> TangentVector:
-    """(nabla_X phi_a)Y - g(X,Y) xi_a + eta^a(Y) X at x; zero on the
-    round sphere certifies the a-th structure."""
-    s = _common_structure(X, Y)
-    lc = ConnectionKind.LEVI_CIVITA
-    d_phiY = _cov_raw(s, lc, X, Y.phi(alpha), x.x, scheme)
-    phi_dY = s.phi_raw(alpha, _cov_raw(s, lc, X, Y, x.x, scheme), x.x)
-    Xv, Yv = X(x.x), Y(x.x)
-    out = (d_phiY - phi_dY
-           - dot(Xv, Yv) * s.reeb_raw(alpha, x.x)
-           + s.eta_raw(alpha, Yv, x.x) * Xv)
-    return TangentVector(x, s.tangent_project_raw(out, x.x))
-
-
-def torsion(kind: ConnectionKind, X: VectorField, Y: VectorField,
-            x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
-    s = _common_structure(X, Y)
-    out = (_cov_raw(s, kind, X, Y, x.x, scheme)
-           - _cov_raw(s, kind, Y, X, x.x, scheme)
-           - bracket_raw(X, Y, x.x, scheme))
-    return TangentVector(x, s.tangent_project_raw(out, x.x))
 
 
 def _curvature_raw(s, kind, Xf, Yf, Zf, y, scheme):
@@ -258,30 +189,45 @@ def _curvature_raw(s, kind, Xf, Yf, Zf, y, scheme):
     return s.tangent_project_raw(t1 - t2 - t3, y)
 
 
-def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,
-              Z: VectorField, x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
-    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
-    evaluated by nesting dual numbers through the field closures; one
-    nested pass per chunk of a stack of points."""
-    s = _common_structure(X, Y, Z)
-    return TangentVector(x, _curvature_blocks(s, kind, [(X, Y, Z)], x.x, scheme)[0])
-
+# ============================================================
+# the fused pass
+# ============================================================
 
 CURVATURE_CHUNK = 3200  # floats per leaf of one fused pass: rows x d (400 rows at n=1)
 
 
-def _blocks(s, fields, C):
-    """One field that is ``fields[k]`` on rows k*C .. (k+1)*C - 1: adjacent
-    extensions as one extension of their stacked vectors, adjacent Reeb
-    fields of one alpha as one, any other on a leafwise slice of the
-    point, the parts joined leafwise."""
+def _form(f):
+    """A run of one form is one field: 0 extensions or 1 Reeb fields, through
+    maps of the same kinds (phi_a for any a, the projection onto H); any other
+    field is 2 with its id, so that only its repeats make a run."""
+    if f.vec is None and f.alpha is None:
+        return 2, (id(f),)
+    return int(f.vec is None), tuple(op == 0 for op in f.ops)
+
+
+def _merged(s, fs, C):
+    """The fields ``fs`` of one form, C rows each, as one field: their
+    stacked extension or Reeb field through their maps, alphas per row."""
+    def per_row(v):  # one alpha, or a map of each row's; every alpha checked
+        for a in v:
+            s._I(a)
+        return v[0] if len(set(v)) == 1 else s._per_row(np.repeat(v, C))
+
+    f = (VectorField.extension(s, np.concatenate([g.vec for g in fs]))
+         if fs[0].vec is not None else VectorField.reeb(s, per_row([g.alpha for g in fs])))
+    for i, op in enumerate(fs[0].ops):
+        f = f.project_H() if op == 0 else f.phi(per_row([g.ops[i] for g in fs]))
+    return f
+
+
+def _blocks(s, fields, forms, C):
+    """One field that is ``fields[k]`` on rows k*C .. (k+1)*C - 1: each run
+    of one form (``forms[k]``) one field on its slice of the point."""
     parts, lo = [], 0
-    merge = lambda f: 0 if f.vec is not None else f.alpha or object()  # object(): alone
-    for key, fs in groupby(fields, merge):
-        fs = list(fs)
-        if key == 0 and len(fs) > 1:  # extensions
-            fs[0] = VectorField.extension(s, np.concatenate([g.vec for g in fs]))
-        parts.append((fs[0], lo, lo + len(fs) * C))
+    for key, run in groupby(zip(fields, forms), lambda t: t[1]):
+        fs = [f for f, _ in run]
+        f = _each_row(fs[0]) if key[0] == 2 else fs[0] if len(fs) == 1 else _merged(s, fs, C)
+        parts.append((f, lo, lo + len(fs) * C))
         lo += len(fs) * C
     if len(parts) == 1:
         return parts[0][0]
@@ -289,65 +235,209 @@ def _blocks(s, fields, C):
                                            for f, i, j in parts]))
 
 
+def _each_row(f):
+    """The field ``f`` with a value for each row of its point, also where
+    its closure gives one vector for them all (a constant field)."""
+    def g(q):
+        p = q
+        while isinstance(p, Dual):
+            p = p.val
+        return leafmap(lambda a: np.broadcast_to(a, p.shape[:-1] + a.shape)
+                       if np.ndim(a) == 1 else a, f(q))
+    return VectorField(f.structure, g)
+
+
 def _join(parts):
-    """Duals of one nesting (or plain arrays) joined on axis 0, leaf by leaf."""
-    if isinstance(parts[0], Dual):
-        return Dual(_join([p.val for p in parts]), _join([p.dot for p in parts]))
+    """Duals of one nesting (or plain arrays) joined on axis 0, leaf by leaf;
+    a plain part among duals (a constant field's) has zero derivatives."""
+    if any(isinstance(p, Dual) for p in parts):
+        return Dual(_join([getattr(p, "val", p) for p in parts]),
+                    _join([p.dot if isinstance(p, Dual) else np.zeros_like(p)
+                           for p in parts]))
     return np.concatenate(parts)
 
 
-def _curvature_blocks(s, kind, patterns, y, scheme):
-    """One nested pass per chunk for many slot patterns of fields over
-    the rows of the point ``y``: for (X, Y, Z) the rows of R(X,Y)Z; for
-    (X, Y, Z, W) g(R(X,Y)Z, W) on each row, or |R(X,Y)Z - W| for W an
-    array of rows (None: zero).  A chunk of C rows runs pattern k on rows
-    k*C .. (k+1)*C - 1, each row with the bits of a pass over all rows.
-    It holds at most ``CURVATURE_CHUNK`` floats per leaf, and one row at
-    least: of all patterns if they fit, else of as many as fit, one at
-    least.  One row gives a vector or a float, a stack ``(P, d)`` or
-    ``(P, 1)``."""
+def _fused_pass(s, kind, patterns, y, scheme):
+    """The values of slot patterns of fields over the rows of the point
+    ``y``, all of one order: (X, Y) gives the rows of nabla_X Y (``kind``
+    a connection) or [X, Y] (``kind`` None), (X, Y, Z) those of R(X,Y)Z,
+    (X, Y, Z, W) g(R(X,Y)Z, W), or |R(X,Y)Z - W| for W rows (None: 0).
+    Ordered by the forms of their slots, as many patterns over all rows as
+    fit in ``CURVATURE_CHUNK`` floats per leaf make a pass (else one, in
+    chunks of rows), pattern k on rows k*C .. (k+1)*C - 1 of a chunk of C
+    rows.  One row gives a vector or a float, a stack (P, d) or (P, 1)."""
     y2, K = np.atleast_2d(y), len(patterns)
-    if not K:
-        return []
+    slots = 2 if K and len(patterns[0]) == 2 else 3
     fields = {id(f): f for p in patterns for f in p if isinstance(f, VectorField)}
-    cut = lambda c: {i: f.rows(c) for i, f in fields.items()}  # each field once
+    first = [f.rows(slice(0, 1)) for f in fields.values()]
     width = math.prod(np.broadcast_shapes(s.ambient_dim, *(  # floats per row
-        f.vec.shape for f in cut(slice(0, 1)).values() if f.vec is not None)))
-    group = max(1, CURVATURE_CHUNK // width)  # patterns one row can hold
-    if K > group:
-        return [v for i in range(0, K, group) for v in _curvature_blocks(
-            s, kind, patterns[i:i + group], y, scheme)]
-    step = max(1, CURVATURE_CHUNK // (K * width))
+        f.vec.shape for f in first if f.vec is not None)))
+    form = dict(zip(fields, map(_form, first)))
+    order = sorted(range(K), key=lambda k: [form[id(f)] for f in patterns[k][:slots]])
+    group = max(1, CURVATURE_CHUNK // (len(y2) * width))  # patterns a pass holds
+    step = max(1, CURVATURE_CHUNK // (group * width))  # rows a chunk holds
+    group = -(-K // -(-K // group)) if K else 1  # as many passes, evened out
 
-    def chunk(c):  # a chunk's pass and cut fields are freed before the next
-        yc, f = y2[c], cut(c)
+    def chunk(ps, c):  # a chunk's pass and cut fields are freed before the next
+        yc, f = y2[c], {id(g): g.rows(c) for p in ps for g in p
+                         if isinstance(g, VectorField)}
         C = len(yc)
-        R = _curvature_raw(s, kind, *(_blocks(s, [f[id(p[j])] for p in patterns], C)
-                                      for j in range(3)), np.concatenate([yc] * K), scheme)
-        values = []
-        for k, p in enumerate(patterns):
-            Rk, W = R[k * C:(k + 1) * C], p[-1]
-            values.append(Rk if len(p) == 3
-                          else dot(Rk, f[id(W)](yc)) if isinstance(W, VectorField)
-                          else norm(Rk if W is None else Rk - _cut(W, c)))
-        return values
+        F = [_blocks(s, [f[id(p[j])] for p in ps], [form[id(p[j])] for p in ps], C)
+             for j in range(slots)]
+        q = np.concatenate([yc] * len(ps))
+        R = (bracket_raw(*F, q, scheme) if kind is None else
+             (_cov_raw if slots == 2 else _curvature_raw)(s, kind, *F, q, scheme))
+        return [Rk if len(p) == slots
+                else dot(Rk, f[id(p[3])](yc)) if isinstance(p[3], VectorField)
+                else norm(Rk if p[3] is None else Rk - _cut(p[3], c))
+                for p, Rk in zip(ps, (R[k * C:(k + 1) * C] for k in range(len(ps))))]
 
-    out = [np.concatenate(v) for v in zip(
-        *(chunk(slice(i, i + step)) for i in range(0, len(y2), step)))]
-    return out if y.ndim > 1 else [v[0] if len(p) == 3 else float(v[0, 0])
+    out = {}
+    for g in range(0, K, group):
+        ps = [patterns[k] for k in order[g:g + group]]
+        chunks = [chunk(ps, slice(i, i + step)) for i in range(0, len(y2), step)]
+        out.update(zip(order[g:g + group], chunks[0] if len(chunks) == 1 else
+                       [np.concatenate(v) for v in zip(*chunks)]))
+    out = [out[k] for k in range(K)]
+    return out if y.ndim > 1 else [v[0] if len(p) == slots else float(v[0, 0])
                                    for v, p in zip(out, patterns)]
+
+
+# ============================================================
+# first-order plans: requests and how their rows combine
+# ============================================================
+
+def _run(s, groups, y, scheme):
+    """The values of groups of first-order plans at the rows of the point
+    ``y``, a list per group.  A plan is (requests, combine): ``combine(s,
+    y, *rows)`` maps the rows of its requests (kind, X, Y), each a pattern
+    of ``_fused_pass``, to its value.  Each distinct request (same kind,
+    same field objects) is evaluated once, those of one kind in one pass."""
+    passes = {}
+    for requests, _ in (plan for g in groups for plan in g):
+        for kind, *p in requests:
+            passes.setdefault(kind, {})[tuple(map(id, p))] = p
+    rows = {(kind, key): v for kind, ps in passes.items()
+            for key, v in zip(ps, _fused_pass(s, kind, list(ps.values()), y, scheme))}
+    return [[combine(s, y, *(rows[kind, tuple(map(id, p))] for kind, *p in requests))
+             for requests, combine in g] for g in groups]
+
+
+def _cov_plan(kind, X, Y):
+    return [(kind, X, Y)], lambda s, y, d: s.tangent_project_raw(d, y)
+
+
+def _bracket_plan(X, Y):
+    def tangent(s, y, raw):
+        drift = np.abs(np.ravel(dot(raw, y)))
+        bad = drift >= BRACKET_TANGENCY_TOL
+        if bad.any():
+            raise InternalConsistencyError(
+                f"bracket of tangent fields drifted off the tangent space "
+                f"by {drift[bad][0]:.3e}")
+        return s.tangent_project_raw(raw, y)
+    return [(None, X, Y)], tangent
+
+
+def _torsion_plan(kind, X, Y):
+    return ([(kind, X, Y), (kind, Y, X), (None, X, Y)],
+            lambda s, y, XY, YX, br: s.tangent_project_raw(XY - YX - br, y))
+
+
+def _sasaki_plan(alpha, X, Y):
+    def defect(s, y, d_phiY, dY):
+        Xv, Yv = X(y), Y(y)
+        out = (d_phiY - s.phi_raw(alpha, dY, y)
+               - dot(Xv, Yv) * s.reeb_raw(alpha, y)
+               + s.eta_raw(alpha, Yv, y) * Xv)
+        return s.tangent_project_raw(out, y)
+    return [(LC, X, Y.phi(alpha)), (LC, X, Y)], defect
+
+
+def _phi_parallel_plan(alpha, Xp, Yp):  # (nabla-bar_X phi_a)Y, Xp and Yp in H
+    return ([(HC, Xp, Yp.phi(alpha)), (HC, Xp, Yp)],
+            lambda s, y, d_phiY, dY: s.tangent_project_raw(
+                d_phiY - s.phi_raw(alpha, dY, y), y))
+
+
+def _form_gap_plan(X, Y):
+    def gap(s, y, sub, defn, *d_xi):  # d_xi: along X, then Y, of xi_1, xi_2, xi_3
+        Xv, Yv = X(y), Y(y)
+        for a, d_xi_X, d_xi_Y in zip((1, 2, 3), d_xi[::2], d_xi[1::2]):
+            defn = (defn
+                    - s.eta_raw(a, Xv, y) * d_xi_Y
+                    - s.eta_raw(a, Yv, y) * d_xi_X
+                    + s.omega_raw(a, Xv, Yv, y) * s.reeb_raw(a, y))
+        return norm(sub - defn)
+    xi = [VectorField.reeb(X.structure, a) for a in (1, 2, 3)]
+    return [(HC, X, Y), (LC, X, Y)] + [(LC, F, f) for f in xi for F in (X, Y)], gap
+
+
+def _h_tensor_plan(xi, beta, X):  # (L_xi phi_beta) X / 2, xi a Reeb field
+    return ([(None, xi, X.phi(beta)), (None, xi, X)],
+            lambda s, y, lie_phi, lie_x: s.tangent_project_raw(
+                0.5 * (lie_phi - s.phi_raw(beta, lie_x, y)), y))
+
+
+# ============================================================
+# typed operations
+# ============================================================
+
+def _at(plan, x, scheme):
+    """A plan's value at the point x."""
+    s = _common_structure(*(f for request in plan[0] for f in request[1:]))
+    return _run(s, [[plan]], x.x, scheme)[0][0]
+
+
+def lie_bracket(X: VectorField, Y: VectorField, x: SpherePoint,
+                scheme=EXACT_FORWARD) -> TangentVector:
+    return TangentVector(x, _at(_bracket_plan(X, Y), x, scheme))
+
+
+def cov_deriv(kind: ConnectionKind, X: VectorField, Y: VectorField,
+              x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
+    """Covariant derivative at a point.  The adapted connection is
+    evaluated through its closed form only; :func:`h_form_gap` measures
+    its agreement with the definitional form."""
+    return TangentVector(x, _at(_cov_plan(kind, X, Y), x, scheme))
+
+
+def h_form_gap(X: VectorField, Y: VectorField, x: SpherePoint,
+               scheme=EXACT_FORWARD):
+    """Disagreement between the substituted and the definitional forms of
+    the adapted covariant derivative at x (zero when the structure's
+    first-derivative identities hold): the definitional form goes through
+    Levi-Civita derivatives of the Reeb fields, not the tensor A."""
+    return _at(_form_gap_plan(X, Y), x, scheme)
+
+
+def sasaki_defect(alpha, X: VectorField, Y: VectorField, x: SpherePoint,
+                  scheme=EXACT_FORWARD) -> TangentVector:
+    """(nabla_X phi_a)Y - g(X,Y) xi_a + eta^a(Y) X at x; zero on the
+    round sphere certifies the a-th structure."""
+    return TangentVector(x, _at(_sasaki_plan(alpha, X, Y), x, scheme))
+
+
+def torsion(kind: ConnectionKind, X: VectorField, Y: VectorField,
+            x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
+    return TangentVector(x, _at(_torsion_plan(kind, X, Y), x, scheme))
 
 
 def nabla_bar_phi_defect(alpha, X: VectorField, Y: VectorField,
                          x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
     """(nabla-bar_X phi_a)Y for H-fields; the inputs are forced into H
     by projection before evaluation."""
-    s = _common_structure(X, Y)
-    Xp, Yp = X.project_H(), Y.project_H()
-    hk = ConnectionKind.H_CONNECTION
-    d_phiY = _cov_raw(s, hk, Xp, Yp.phi(alpha), x.x, scheme)
-    phi_dY = s.phi_raw(alpha, _cov_raw(s, hk, Xp, Yp, x.x, scheme), x.x)
-    return TangentVector(x, s.tangent_project_raw(d_phiY - phi_dY, x.x))
+    plan = _phi_parallel_plan(alpha, X.project_H(), Y.project_H())
+    return TangentVector(x, _at(plan, x, scheme))
+
+
+def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,
+              Z: VectorField, x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
+    """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
+    evaluated by nesting dual numbers through the field closures; one
+    nested pass per chunk of a stack of points."""
+    s = _common_structure(X, Y, Z)
+    return TangentVector(x, _fused_pass(s, kind, [(X, Y, Z)], x.x, scheme)[0])
 
 
 def sphere_curvature_oracle(X: TangentVector, Y: TangentVector,

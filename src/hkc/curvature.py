@@ -26,16 +26,12 @@ findings section).
 
 The closed forms, traces, plane values and verifiers take tangent
 vectors that are one row or a stack of rows (each at its own point), and
-give one value per row: a stack in gives a stack out.  The nested
-curvature values they need come from one nested pass per connection and
-chunk of rows, each slot pattern on its own row block, and each row has
-the bits of its one-row call; ``cross_check_rbar`` too, whose
-``connections.curvature`` calls are one-pattern passes of those chunks.
+give one value per row with the bits of its one-row call.  Their nested
+curvature values come from ``connections._fused_pass``, each slot
+pattern on its own row block.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,19 +44,18 @@ from .numlin import (
 )
 from .sphere3s import TANGENT_TOL, TangentVector, ThreeSasakiStructure
 from .connections import (
+    HC,
+    LC,
     ConnectionKind,
     VectorField,
     _a_raw,
     _cov_raw,
-    _curvature_blocks,
+    _fused_pass,
     _cut,
     curvature,
     sphere_curvature_oracle,
 )
 from .records import build_records
-
-LC = ConnectionKind.LEVI_CIVITA
-HC = ConnectionKind.H_CONNECTION
 
 _PAIRS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
 
@@ -69,14 +64,13 @@ _PAIRS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
 # sample containers
 # ============================================================
 
-@dataclass
 class CurvatureSample:
     """Both curvature routes on one argument triple, or on a stack of them
     (one row each)."""
 
-    value_direct: np.ndarray
-    value_algebraic: np.ndarray
-    residual: float | np.ndarray
+    def __init__(self, value_direct, value_algebraic, residual):
+        self.value_direct, self.value_algebraic = value_direct, value_algebraic
+        self.residual = residual  # a float, or (P, 1) for a stack
 
 
 # ============================================================
@@ -261,7 +255,7 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
     ``Y`` a slot pattern of the same fused pass over the same basis."""
     Ys = Y if isinstance(Y, list) else [Y]
     X._check_same_base(*Ys)
-    if kind is ConnectionKind.H_CONNECTION and not all(
+    if kind is HC and not all(
             _in_H(structure, V) for V in (X, *Ys)):
         raise PreconditionError(
             "the adapted-connection trace is defined for arguments "
@@ -274,7 +268,7 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
         structure, lambda c: np.tile(eye, (len(_cut(y, c)), 1, 1)))
     Xf, *Yf = (VectorField.extension(structure, np.atleast_2d(V.v)[:, None])
                for V in (X, *Ys))
-    S = [sum(t[:, k] for k in range(len(eye))) for t in _curvature_blocks(
+    S = [sum(t[:, k] for k in range(len(eye))) for t in _fused_pass(
         structure, kind, [(Ef, Xf, F, Ef) for F in Yf], y, scheme)]
     S = S if X.v.ndim > 1 else [float(t[0, 0]) for t in S]
     return S if isinstance(Y, list) else S[0]
@@ -330,15 +324,15 @@ def sectional(structure, X, Y, scheme=EXACT_FORWARD):
     one that makes round planes measure +1.
     """
     plane, value = _plane(structure, X, Y)
-    return value(_curvature_blocks(structure, LC, [plane], X.base.x, scheme)[0])
+    return value(_fused_pass(structure, LC, [plane], X.base.x, scheme)[0])
 
 
 def holomorphic_sectional_bar(structure, alpha, X, scheme=EXACT_FORWARD):
     """The adapted-connection curvature R4-bar(X, phi_a X, X, phi_a X)
     for a unit distribution vector X: the adapted plane value under the
     selected normalization (-1), the unit Gram determinant left out."""
-    return _curvature_blocks(structure, HC, [_holomorphic(structure, alpha, X)],
-                             X.base.x, scheme)[0]
+    return _fused_pass(structure, HC, [_holomorphic(structure, alpha, X)],
+                       X.base.x, scheme)[0]
 
 
 def _holomorphic(structure, alpha, X):
@@ -383,8 +377,8 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     P = lambda c: structure.phi_raw(alpha, _cut(X.v, c), _cut(X.base.x, c))
     plane, value = _plane(structure, X, TangentVector(X.base, P(None)),
                           VectorField.extension(structure, P))
-    kbar, k = (_signed(value(_curvature_blocks(structure, kind, [plane], X.base.x,
-                                               scheme)[0])) for kind in (HC, LC))
+    kbar, k = (_signed(value(_fused_pass(structure, kind, [plane], X.base.x,
+                                         scheme)[0])) for kind in (HC, LC))
     b, c = (i for i in (1, 2, 3) if i != alpha)
     eb, ec = (structure.eta_raw(i, X.v, X.base.x) for i in (b, c))
     poly = (3.0 + 4.0 * _pow(eb * ec, 2) + 6.0 * (_pow(eb, 4) + _pow(ec, 4))
@@ -410,7 +404,7 @@ def verify_symmetries(structure, quad, tol=1e-6, scheme=EXACT_FORWARD):
     quadrilinear values come from one nested pass per chunk.
     """
     x, *args = quad
-    return _symmetry_records(len(np.atleast_2d(x.x)), tol, _curvature_blocks(
+    return _symmetry_records(len(np.atleast_2d(x.x)), tol, _fused_pass(
         structure, HC, _symmetry_patterns(structure, args), x.x, scheme))
 
 

@@ -8,11 +8,11 @@ function of its configuration.  Each suite draws its samples as a stack:
 one generator per suite lane supplies all its Gaussian rows as one
 block, each row used as drawn (the sectional suite alone redraws: its
 coefficients, from a reserve); its checks run once over the stack and
-yield one residual per sample row.  A curvature suite runs one nested
-pass per connection and chunk of samples, its slot patterns as row blocks.
+yield one residual per sample row.  A suite runs one pass per kernel (a
+covariant derivative or the nested curvature of one connection, or the
+bracket), its slot patterns as row blocks, in chunks of samples.
 """
 
-import argparse
 import os
 import sys
 from dataclasses import dataclass
@@ -20,17 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import (
-    ConnectionKind,
+    HC,
+    LC,
     VectorField,
-    _curvature_blocks,
+    _bracket_plan,
+    _cov_plan,
+    _form_gap_plan,
+    _fused_pass,
+    _h_tensor_plan,
+    _phi_parallel_plan,
+    _run,
+    _sasaki_plan,
+    _torsion_plan,
     cov_deriv,
     curvature,
-    h_form_gap,
-    lie_bracket,
-    nabla_bar_phi_defect,
-    sasaki_defect,
     sphere_curvature_oracle,
-    torsion,
 )
 from .curvature import (
     _cor_xxx,
@@ -63,9 +67,6 @@ from .sphere3s import (
     TangentVector,
     ThreeSasakiStructure,
 )
-
-LC = ConnectionKind.LEVI_CIVITA
-HC = ConnectionKind.H_CONNECTION
 
 SUITE_ORDER = (
     "axioms",
@@ -292,20 +293,25 @@ def _suite_axioms(s, cfg, conventions):
 
 def _suite_sasaki(s, cfg, conventions):
     x, Xt, Yt = _draws(s, cfg, "sasaki", "tt")
+    y = x.x
     X, Y = _ext(s, Xt), _ext(s, Yt)
+    xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
+    # one pass per kernel: every Levi-Civita derivative, then every bracket
+    defect, d_xi, br, rr, r_self = _run(s, (
+        [_sasaki_plan(a, X, Y) for a in (1, 2, 3)],
+        [_cov_plan(LC, X, xi[a]) for a in (1, 2, 3)],
+        [_bracket_plan(xi[a], xi[b]) for a, b, _ in EVEN_PERMUTATIONS],
+        [_cov_plan(LC, xi[a], xi[b]) for a, b, _ in EVEN_PERMUTATIONS],
+        [_cov_plan(LC, xi[a], xi[a]) for a, _, _ in EVEN_PERMUTATIONS]), y, cfg.scheme)
 
     def residuals():
         for a in (1, 2, 3):
-            yield "sasaki.defect", sasaki_defect(a, X, Y, x, cfg.scheme).norm()
-            d = cov_deriv(LC, X, VectorField.reeb(s, a), x, cfg.scheme)
-            yield "sasaki.reeb_covariant", norm(d.v + s.phi_raw(a, X(x.x), x.x))
-        for (a, b, c) in EVEN_PERMUTATIONS:
-            xa, xb = VectorField.reeb(s, a), VectorField.reeb(s, b)
-            br = lie_bracket(xa, xb, x, cfg.scheme)
-            yield "sasaki.reeb_bracket", norm(br.v - 2.0 * s.reeb_raw(c, x.x))
-            rr = cov_deriv(LC, xa, xb, x, cfg.scheme)
-            yield "sasaki.reeb_on_reeb", norm(rr.v - s.reeb_raw(c, x.x))
-            yield "sasaki.reeb_on_reeb", cov_deriv(LC, xa, xa, x, cfg.scheme).norm()
+            yield "sasaki.defect", norm(defect[a - 1])
+            yield "sasaki.reeb_covariant", norm(d_xi[a - 1] + s.phi_raw(a, X(y), y))
+        for (a, b, c), bv, rv, sv in zip(EVEN_PERMUTATIONS, br, rr, r_self):
+            yield "sasaki.reeb_bracket", norm(bv - 2.0 * s.reeb_raw(c, y))
+            yield "sasaki.reeb_on_reeb", norm(rv - s.reeb_raw(c, y))
+            yield "sasaki.reeb_on_reeb", norm(sv)
 
     return build_records("sasaki", cfg.points, residuals(), {
         "sasaki.defect": cfg.tol_second,
@@ -320,55 +326,53 @@ def _suite_sasaki(s, cfg, conventions):
 
 def _suite_connection(s, cfg, conventions):
     x, Xt, Zt, Xh_t, Yh_t = _draws(s, cfg, "connection", "tthh")
+    y = x.x
     X, Z = _ext(s, Xt), _ext(s, Zt)
-    # nabla_bar_phi_defect projects its fields onto H itself
-    Xh, Yh = _ext(s, Xh_t), _ext(s, Yh_t)
+    Xh, Yh = _ext(s, Xh_t).project_H(), _ext(s, Yh_t).project_H()
+    xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
+    # one pass per kernel, shared rows evaluated once: nabla-bar_X Z, [xi_a, X]
+    h = {(a, b): _h_tensor_plan(xi[a], b, X) for a in xi for b in xi}
+    (gap, XX, XZ, ZX), reeb_par, (dY,), (br,), phi_par, h_values = _run(s, (
+        [_form_gap_plan(X, Z), _cov_plan(HC, X, X),
+         _cov_plan(HC, X, Z), _cov_plan(HC, Z, X)],
+        [_cov_plan(HC, X, xi[a]) for a in (1, 2, 3)],
+        [_cov_plan(HC, X, Yh)],
+        [_bracket_plan(X, Z)],
+        [_phi_parallel_plan(a, Xh, Yh) for a in (1, 2, 3)],
+        list(h.values())), y, cfg.scheme)
+    h = dict(zip(h, h_values))
 
     def residuals():
-        yield "connection.two_forms_agree", h_form_gap(X, Z, x, cfg.scheme)
+        yield "connection.two_forms_agree", gap
 
         # metric compatibility of the adapted derivative along itself:
         # differentiate g(X, Z) along X and compare with the product rule
-        dg = directional_derivative(lambda y: dot(X(y), Z(y)), x.x, Xt.v,
-                                    cfg.scheme)
-        XX = cov_deriv(HC, X, X, x, cfg.scheme)
-        XZ = cov_deriv(HC, X, Z, x, cfg.scheme)
-        yield "connection.metricity", abs(dg - (dot(XX.v, Zt.v)
-                                                + dot(Xt.v, XZ.v)))
-        dg2 = directional_derivative(lambda y: dot(X(y), X(y)), x.x, Zt.v,
-                                     cfg.scheme)
-        ZX = cov_deriv(HC, Z, X, x, cfg.scheme)
-        yield "connection.metricity", abs(dg2 - 2.0 * dot(ZX.v, Xt.v))
+        dg = directional_derivative(lambda q: dot(X(q), Z(q)), y, Xt.v, cfg.scheme)
+        yield "connection.metricity", abs(dg - (dot(XX, Zt.v) + dot(Xt.v, XZ)))
+        dg2 = directional_derivative(lambda q: dot(X(q), X(q)), y, Zt.v, cfg.scheme)
+        yield "connection.metricity", abs(dg2 - 2.0 * dot(ZX, Xt.v))
 
+        for d in reeb_par:
+            yield "connection.reeb_parallel", norm(d)
         for a in (1, 2, 3):
-            yield "connection.reeb_parallel", cov_deriv(
-                HC, X, VectorField.reeb(s, a), x, cfg.scheme).norm()
+            yield "connection.h_preserved", abs(s.eta_raw(a, dY, y))
 
-        dY = cov_deriv(HC, X, Yh.project_H(), x, cfg.scheme)
+        rhs_br = XZ - ZX
         for a in (1, 2, 3):
-            yield "connection.h_preserved", abs(s.eta_raw(a, dY.v, x.x))
+            rhs_br = rhs_br - 2.0 * s.omega_raw(a, Xt.v, Zt.v, y) * s.reeb_raw(a, y)
+        yield "connection.bracket3", norm(br - rhs_br)
 
-        br = lie_bracket(X, Z, x, cfg.scheme)
-        rhs_br = XZ.v - ZX.v
-        for a in (1, 2, 3):
-            rhs_br = rhs_br - 2.0 * s.omega_raw(a, Xt.v, Zt.v, x.x) * s.reeb_raw(a, x.x)
-        yield "connection.bracket3", norm(br.v - rhs_br)
-
-        for a in (1, 2, 3):
-            yield "connection.phi_parallel", nabla_bar_phi_defect(
-                a, Xh, Yh, x, cfg.scheme).norm()
+        for d in phi_par:
+            yield "connection.phi_parallel", norm(d)
 
         # the comparison table h_aa = 0, h_ab = phi_c = -h_ba for even
         # (a, b, c) is exact for any tangent argument
         for a in (1, 2, 3):
-            yield "connection.h_tensor_table", s.h_tensor(
-                a, a, Xt, cfg.scheme).norm()
+            yield "connection.h_tensor_table", norm(h[a, a])
         for (a, b, c) in EVEN_PERMUTATIONS:
-            phi_c = s.phi_raw(c, Xt.v, x.x)
-            yield "connection.h_tensor_table", norm(
-                s.h_tensor(a, b, Xt, cfg.scheme).v - phi_c)
-            yield "connection.h_tensor_table", norm(
-                s.h_tensor(b, a, Xt, cfg.scheme).v + phi_c)
+            phi_c = s.phi_raw(c, Xt.v, y)
+            yield "connection.h_tensor_table", norm(h[a, b] - phi_c)
+            yield "connection.h_tensor_table", norm(h[b, a] + phi_c)
 
     return build_records("connection", cfg.points, residuals(), {
         "connection.two_forms_agree": cfg.tol_first,
@@ -383,26 +387,29 @@ def _suite_connection(s, cfg, conventions):
 
 def _suite_torsion(s, cfg, conventions):
     x, Xt, Yt, Xh_t, Yh_t = _draws(s, cfg, "torsion", "tthh")
+    y = x.x
     X, Y = _ext(s, Xt), _ext(s, Yt)
     Xh, Yh = _ext(s, Xh_t).project_H(), _ext(s, Yh_t).project_H()
+    xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
+    # one pass per kernel: nabla_X Y and nabla_Y X of each pair, its bracket
+    (lc, t), mixed, reeb_pair = _run(s, (
+        [_torsion_plan(LC, X, Y), _torsion_plan(HC, Xh, Yh)],
+        [_torsion_plan(HC, Xh, xi[a]) for a in (1, 2, 3)],
+        [_torsion_plan(HC, xi[a], xi[b]) for a, b, _ in EVEN_PERMUTATIONS]), y, cfg.scheme)
 
     def residuals():
-        yield "torsion.lc_zero", torsion(LC, X, Y, x, cfg.scheme).norm()
+        yield "torsion.lc_zero", norm(lc)
 
-        t = torsion(HC, Xh, Yh, x, cfg.scheme)
         want = np.zeros(s.ambient_dim)
         for a in (1, 2, 3):
-            want = want + (2.0 * s.omega_raw(a, Xh_t.v, Yh_t.v, x.x)
-                           * s.reeb_raw(a, x.x))
-        yield "torsion.h_pair", norm(t.v - want)
+            want = want + (2.0 * s.omega_raw(a, Xh_t.v, Yh_t.v, y)
+                           * s.reeb_raw(a, y))
+        yield "torsion.h_pair", norm(t - want)
 
-        for a in (1, 2, 3):
-            yield "torsion.mixed", torsion(
-                HC, Xh, VectorField.reeb(s, a), x, cfg.scheme).norm()
-        for (a, b, c) in EVEN_PERMUTATIONS:
-            tp = torsion(HC, VectorField.reeb(s, a), VectorField.reeb(s, b),
-                         x, cfg.scheme)
-            yield "torsion.reeb_pair", norm(tp.v + 2.0 * s.reeb_raw(c, x.x))
+        for tm in mixed:
+            yield "torsion.mixed", norm(tm)
+        for (a, b, c), tp in zip(EVEN_PERMUTATIONS, reeb_pair):
+            yield "torsion.reeb_pair", norm(tp + 2.0 * s.reeb_raw(c, y))
 
     return build_records("torsion", cfg.points, residuals(), dict.fromkeys(
         ("torsion.lc_zero", "torsion.h_pair", "torsion.mixed",
@@ -419,14 +426,14 @@ def _suite_curvature(s, cfg, conventions):
     # zero, then the six values of the symmetry families
     want = [s.eta_raw(a, Yt.v, y) * Xt.v - s.eta_raw(a, Xt.v, y) * Yt.v
             for a in (1, 2, 3)]
-    lc = _curvature_blocks(s, LC, [(X, Y, Z, sphere_curvature_oracle(Xt, Yt, Zt).v)]
-                           + [(X, Y, xi[a], want[a - 1]) for a in (1, 2, 3)],
-                           y, cfg.scheme)
-    hc = _curvature_blocks(s, HC, [(X, Y, xi[a], None) for a in (1, 2, 3)]
-                           + [(X, xi[a], Z, None) for a in (1, 2, 3)]
-                           + [(xi[a], xi[b], last, None)
-                              for a, b, c in EVEN_PERMUTATIONS for last in (Z, xi[c])]
-                           + _symmetry_patterns(s, quad), y, cfg.scheme)
+    lc = _fused_pass(s, LC, [(X, Y, Z, sphere_curvature_oracle(Xt, Yt, Zt).v)]
+                     + [(X, Y, xi[a], want[a - 1]) for a in (1, 2, 3)],
+                     y, cfg.scheme)
+    hc = _fused_pass(s, HC, [(X, Y, xi[a], None) for a in (1, 2, 3)]
+                     + [(X, xi[a], Z, None) for a in (1, 2, 3)]
+                     + [(xi[a], xi[b], last, None)
+                        for a, b, c in EVEN_PERMUTATIONS for last in (Z, xi[c])]
+                     + _symmetry_patterns(s, quad), y, cfg.scheme)
 
     def residuals():
         yield "curvature.oracle_gate", lc[0]
@@ -592,9 +599,9 @@ def _suite_sectional(s, cfg, conventions):
     planes = [_plane(s, *pair) for pair in ((Xt, Yt), (U, V), *(
         (Xh, TangentVector(x, s.phi_raw(a, Xh.v, x.x))) for a in (1, 2, 3)))]
     cor = _cor_xxx(s, Xh)
-    hc = _curvature_blocks(s, HC, [_holomorphic(s, a, Xh) for a in (1, 2, 3)] + [cor],
-                           x.x, cfg.scheme)
-    lc = _curvature_blocks(s, LC, [p for p, _ in planes] + [cor], x.x, cfg.scheme)
+    hc = _fused_pass(s, HC, [_holomorphic(s, a, Xh) for a in (1, 2, 3)] + [cor],
+                     x.x, cfg.scheme)
+    lc = _fused_pass(s, LC, [p for p, _ in planes] + [cor], x.x, cfg.scheme)
     # the selected sign times the plane value, as ``sectional``
     k = [sel * value(r) for r, (_, value) in zip(lc, planes)]
 
@@ -797,6 +804,8 @@ def format_text(report: VerificationReport) -> str:
 # ============================================================
 
 def _build_parser():
+    import argparse  # only the command line needs it, not an import of hkc
+
     p = argparse.ArgumentParser(
         prog="hkc",
         description="verification tools for the adapted connection on the "
@@ -845,8 +854,8 @@ def _write(path, mode, text=""):
 
 
 def _cmd_verify(args) -> int:
-    suites = (tuple(t.strip() for t in args.suites.split(",") if t.strip())
-              if args.suites else SUITE_ORDER)
+    suites = (SUITE_ORDER if args.suites is None  # "" names no suite, as " , " does
+              else tuple(t.strip() for t in args.suites.split(",") if t.strip()))
     scheme = (EXACT_FORWARD if args.scheme == "exact"
               else DiffScheme(CENTRAL_DIFFERENCE.kind, step=args.fd_step))
     cfg = RunConfig(n=args.n, points=args.points, seed=_resolve_seed(args.seed),

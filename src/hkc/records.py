@@ -20,7 +20,6 @@ configuration produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,17 +98,13 @@ IDENTITY_REGISTRY = {
 }
 
 
-@dataclass
 class VerificationRecord:
-    id: str
-    anchor: str
-    suite: str
-    kind: str = "check"
-    passed: bool | None = None
-    max_residual: float | None = None
-    tolerance: float | None = None
-    samples: int = 0
-    details: dict = field(default_factory=dict)
+    def __init__(self, id, anchor, suite, kind="check", passed=None,
+                 max_residual=None, tolerance=None, samples=0, details=None):
+        self.id, self.anchor, self.suite, self.kind = id, anchor, suite, kind
+        self.passed, self.max_residual, self.tolerance = passed, max_residual, tolerance
+        self.samples = samples
+        self.details = {} if details is None else details
 
     def as_dict(self):
         return dict(vars(self))
@@ -163,13 +158,11 @@ def build_records(suite, samples, pairs, table):
     return records
 
 
-@dataclass
 class VerificationReport:
-    schema: str
-    config: dict
-    conventions: dict
-    suites: dict  # name -> {"status": str, "records": [VerificationRecord]}
-    overall: str
+    def __init__(self, schema, config, conventions, suites, overall):
+        # suites: name -> {"status": str, "records": [VerificationRecord]}
+        self.schema, self.config, self.conventions = schema, config, conventions
+        self.suites, self.overall = suites, overall
 
     def as_dict(self):
         return {

@@ -27,15 +27,12 @@ round model; the dense product's bits for finite input), else a matmul.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numlin import (
     EXACT_FORWARD,
     DegenerateInputError,
     StructuralError,
-    bracket_raw,
     dot,
     gram_schmidt,
     is_count,
@@ -57,21 +54,33 @@ EVEN_PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 # points and tangent vectors
 # ============================================================
 
-@dataclass(frozen=True)
-class SpherePoint:
+class _Frozen:
+    """Fields set once, in ``__init__``: assigning or deleting one raises
+    ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class SpherePoint(_Frozen):
     """A unit vector in the ambient space, or a stack of them (one per
     row)."""
 
-    x: np.ndarray
+    __slots__ = ("x",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        r = np.ravel(norm(self.x))
+    def __init__(self, x):
+        x = np.asarray(x, dtype=float)
+        r = np.ravel(norm(x))
         # an error names the first bad row; a non-finite row is bad too
         bad = ~(np.abs(r - 1.0) <= UNIT_TOL)
         if bad.any():
             raise StructuralError(f"point norm {float(r[bad][0])!r} deviates "
                                   f"from 1 by more than {UNIT_TOL:g}")
+        object.__setattr__(self, "x", x)
 
     @classmethod
     def normalized(cls, coords):
@@ -86,23 +95,23 @@ class SpherePoint:
                 and bool(np.all(norm(self.x - other.x) <= UNIT_TOL)))
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(_Frozen):
     """An ambient vector attached to a point and orthogonal to it, or a
     stack of them attached to a stack of points, row for row."""
 
-    base: SpherePoint
-    v: np.ndarray
+    __slots__ = ("base", "v")
 
-    def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.v.shape != self.base.x.shape:
+    def __init__(self, base: SpherePoint, v):
+        v = np.asarray(v, dtype=float)
+        if v.shape != base.x.shape:
             raise StructuralError("tangent vector has wrong ambient dimension")
-        r = np.abs(np.ravel(dot(self.v, self.base.x)))
+        r = np.abs(np.ravel(dot(v, base.x)))
         bad = ~(r <= TANGENT_TOL)
         if bad.any():
             raise StructuralError(f"vector is not tangent: <v, x> = "
                                   f"{r[bad][0]:.3e} exceeds {TANGENT_TOL:g}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "v", v)
 
     def norm(self):
         return norm(self.v)
@@ -184,11 +193,21 @@ class ThreeSasakiStructure:
         return self.tangent_project_raw(leafmap(self._apply_all, w),
                                         leafmap(lambda a: a[..., None, :], y))
 
+    def _apply(self, alpha, v):
+        """I_alpha v, or leafwise ``alpha(v)`` for an ``alpha`` of :meth:`_per_row`."""
+        return leafmap(alpha, v) if callable(alpha) else matvec(self._I(alpha), v)
+
+    def _per_row(self, alphas):
+        """v -> I_alphas[r] v_r on each row r of v, for checked indices: row r
+        of block alphas[r] of ``_apply_all`` (the bits of I_alphas[r] v_r)."""
+        r, k = np.arange(len(alphas)), np.asarray(alphas) - 1
+        return lambda a: self._apply_all(a)[r, ..., k, :]
+
     def reeb_raw(self, alpha, y):
-        return self.sign * matvec(self._I(alpha), y)
+        return self.sign * self._apply(alpha, y)
 
     def phi_raw(self, alpha, w, y):
-        Iw = matvec(self._I(alpha), w)
+        Iw = self._apply(alpha, w)
         return Iw - dot(Iw, y) * y
 
     def eta_raw(self, alpha, w, y):
@@ -239,18 +258,12 @@ class ThreeSasakiStructure:
         return lambda y: v - dot(v, y) * y
 
     def h_tensor(self, alpha, beta, X, scheme=EXACT_FORWARD):
-        """Half the Lie derivative of phi_beta along xi_alpha, applied to X.
-
-        Uses the canonical extension of X; the result is tensorial in X.
-        """
-        x = X.base
-        xi_field = lambda y, a=alpha: self.reeb_raw(a, y)
-        ext = self.extension_raw(X.v)
-        phi_ext = lambda y, b=beta: self.phi_raw(b, ext(y), y)
-        lie_phi = bracket_raw(xi_field, phi_ext, x.x, scheme)
-        lie_x = bracket_raw(xi_field, ext, x.x, scheme)
-        out = 0.5 * (lie_phi - self.phi_raw(beta, lie_x, x.x))
-        return TangentVector(x, self.tangent_project_raw(out, x.x))
+        """Half the Lie derivative of phi_beta along xi_alpha, applied to X
+        through its canonical extension (tensorial in X): one bracket pass."""
+        from .connections import VectorField, _at, _h_tensor_plan  # built on this module
+        plan = _h_tensor_plan(VectorField.reeb(self, alpha), beta,
+                              VectorField.extension(self, X))
+        return TangentVector(X.base, _at(plan, X.base, scheme))
 
     # ---------------- axiom checking ----------------
 

@@ -5,6 +5,8 @@ from hkc.numlin import (
     CENTRAL_DIFFERENCE,
     EXACT_FORWARD,
     InternalConsistencyError,
+    StructuralError,
+    bracket_raw,
     directional_derivative,
     dot,
     norm,
@@ -80,6 +82,35 @@ def test_bracket_guards_against_nontangent_fields(struct, rng):
     x = rand_point(struct, rng)
     with pytest.raises(InternalConsistencyError):
         lie_bracket(F, G, x)
+
+
+def test_constant_fields_serve_one_row_and_joined_passes(struct, rng):
+    # a closure that gives one vector for all rows (a constant field) is
+    # repeated on each row: on a one-row point, which a pass stacks, and
+    # beside another field's block in a joined pass (torsion's G, F then F, G)
+    c = rng.standard_normal(struct.ambient_dim)
+    x = rand_point(struct, rng)
+    F, G = VectorField(struct, lambda y: c), rand_field(struct, x, rng)
+    y, proj = x.x, lambda v: struct.tangent_project_raw(v, x.x)
+    cov = lambda kind, A, B: _cov_raw(struct, kind, A, B, y, EXACT_FORWARD)
+    xs = SpherePoint(np.stack([y, y]))
+    for kind in (LC, HC):
+        assert np.allclose(cov_deriv(kind, F, G, x).v, proj(cov(kind, F, G)),
+                           rtol=0, atol=1e-13)
+        T = torsion(kind, G, F, x).v
+        want = proj(cov(kind, G, F) - cov(kind, F, G) - bracket_raw(G, F, y))
+        assert np.allclose(T, want, rtol=0, atol=1e-13)
+        assert np.allclose(torsion(kind, G, F, xs).v, [T, T], rtol=0, atol=1e-13)
+
+
+def test_merged_reeb_fields_check_each_alpha(struct, rng):
+    # torsion's patterns (X, Y) and (Y, X) put xi_bad and xi_1 on adjacent
+    # blocks of one slot, one field with an alpha per row: each is checked
+    x = rand_point(struct, rng)
+    for bad in (0, -1, 4, 1.0):
+        with pytest.raises(StructuralError):
+            torsion(HC, VectorField.reeb(struct, bad), VectorField.reeb(struct, 1), x)
+
 
 
 # ============================================================

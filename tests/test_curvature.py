@@ -9,9 +9,12 @@ from hkc.numlin import (
     EXACT_FORWARD,
     DegenerateInputError,
     DiffScheme,
+    Dual,
     PreconditionError,
     dot,
+    leafmap,
     norm,
+    quaternion_structures,
 )
 from hkc import connections, curvature as curvature_module, sphere3s
 from hkc.connections import (
@@ -347,7 +350,7 @@ def _record_fused(monkeypatch):
     each later pass over rows of d floats (the trace's chunks are the
     business of its own tests)."""
     calls, budget, depth = [], [None], [0]
-    original, default = connections._curvature_blocks, connections.CURVATURE_CHUNK
+    original, default = connections._fused_pass, connections.CURVATURE_CHUNK
 
     def recorded(s, kind, patterns, y, scheme):
         if budget[0] is not None and depth[0] == 0:
@@ -363,7 +366,7 @@ def _record_fused(monkeypatch):
         return out
 
     for module in (connections, curvature_module, harness):
-        monkeypatch.setattr(module, "_curvature_blocks", recorded)
+        monkeypatch.setattr(module, "_fused_pass", recorded)
     return calls, budget
 
 
@@ -408,6 +411,94 @@ def test_fused_passes_have_the_bits_of_separate_calls(monkeypatch, n, scheme):
             assert v.tobytes() == _separate(*args, p, y, scheme).tobytes()
 
 
+def _rotated(n):
+    # the quaternion triple conjugated by a rotation: a 3-Sasakian
+    # structure whose maps are dense products, not a signed permutation
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4 * n + 4,) * 2))
+    s = ThreeSasakiStructure(n=n, triple=Q @ quaternion_structures(n) @ Q.T)
+    assert s._gather is None
+    return s
+
+
+@pytest.mark.parametrize("n, scheme, dense", [
+    (1, EXACT_FORWARD, False), (4, EXACT_FORWARD, False),
+    (1, DiffScheme(CENTRAL_DIFFERENCE.kind, 1e-4), False),
+    (4, DiffScheme(CENTRAL_DIFFERENCE.kind, 1e-4), False),
+    (1, EXACT_FORWARD, True), (1, DiffScheme(CENTRAL_DIFFERENCE.kind, 1e-4), True)])
+def test_fused_first_order_passes_have_the_bits_of_separate_calls(monkeypatch, n,
+                                                                  scheme, dense):
+    # every pattern block of every first-order pass of the sasaki,
+    # connection and torsion suites (one per kernel: a covariant
+    # derivative of each connection, the bracket) against the kernel's own
+    # pass over all rows, in chunks of 1 sample (a budget of 1 float: one
+    # pattern of one row a pass), of 1, of 3 (5 is no multiple) and of all
+    # 5 samples; dense: on a triple the structure maps multiply out
+    s = _rotated(n) if dense else ThreeSasakiStructure(n=n)
+    cfg = RunConfig(n=n, points=5, scheme=scheme)
+    conventions = resolve_conventions(s, 0, scheme)
+    calls, budget = _record_fused(monkeypatch)
+    bits = []
+    for budget[0] in (lambda K, d: 1, lambda K, d: K * d, lambda K, d: 3 * K * d,
+                      lambda K, d: 5 * K * d):
+        calls.clear()
+        for suite in ("sasaki", "connection", "torsion"):
+            _SUITE_FUNCS[suite](s, cfg, conventions)
+        bits.append([[v.tobytes() for v in out] for *_, out in calls])
+    assert [kind for _, kind, *_ in calls] == [LC, None, HC, LC, None, LC, None, HC]
+    assert bits[0] == bits[1] == bits[2] == bits[3]
+    for _, kind, patterns, y, scheme, out in calls:
+        for (X, Y), v in zip(patterns, out):
+            want = (connections.bracket_raw(X, Y, y, scheme) if kind is None
+                    else connections._cov_raw(s, kind, X, Y, y, scheme))
+            assert v.tobytes() == want.tobytes(), kind
+
+
+def _leaves(v):
+    return [*_leaves(v.val), *_leaves(v.dot)] if isinstance(v, Dual) else [v]
+
+
+@pytest.mark.parametrize("make", [lambda: ThreeSasakiStructure(n=1),
+                                  lambda: ThreeSasakiStructure(n=4),
+                                  lambda: _rotated(1)])
+def test_merged_fields_have_the_rows_of_one_alpha_each(make):
+    # Reeb fields of different alpha on adjacent row blocks, and phi_a of
+    # (projected) extensions, are one field over the stacked rows, whose
+    # block k has the bits of block k's own field, on plain points and on
+    # nested duals, gathered (a signed permutation) or multiplied out
+    s = make()
+    rng = np.random.default_rng(21)
+    alphas, C, d = (2, 1, 3, 3, 2), 3, s.ambient_dim
+    xs = [rand_point(s, rng) for _ in range(len(alphas) * C)]
+    y = np.stack([x.x for x in xs])
+    w = np.stack([rand_tv(s, x, rng).v for x in xs])
+    points = (y, Dual(y, w), Dual(Dual(y, w), Dual(w, np.zeros_like(y))))
+    V = [rng.standard_normal((C, d)) for _ in alphas]
+    for fields in ([VectorField.reeb(s, a) for a in alphas],
+                   [VectorField.extension(s, v).phi(a) for v, a in zip(V, alphas)],
+                   [VectorField.extension(s, v).project_H().phi(a)
+                    for v, a in zip(V, alphas)]):
+        merged = connections._blocks(s, fields, map(connections._form, fields), C)
+        # one field, its alpha a map of each row's structure
+        assert callable(merged.alpha if merged.vec is None else merged.ops[-1])
+        for q in points:
+            got = _leaves(merged(q))
+            for k, f in enumerate(fields):
+                rows = leafmap(lambda a: a[k * C:(k + 1) * C], q)
+                for g, want in zip(got, _leaves(f(rows))):
+                    assert g[k * C:(k + 1) * C].tobytes() == want.tobytes()
+    # a Reeb field's rows on points with an axis before the last, as a
+    # trace's points have
+    reeb = connections._blocks(s, [VectorField.reeb(s, a) for a in alphas],
+                               [(1, ())] * len(alphas), C)
+    got = reeb(y[:, None])
+    for k, a in enumerate(alphas):
+        want = s.reeb_raw(a, y[k * C:(k + 1) * C, None])
+        assert got[k * C:(k + 1) * C].tobytes() == want.tobytes()
+    # one alpha: the field of that alpha itself
+    same = connections._blocks(s, [VectorField.reeb(s, 2)] * 3, [(1, ())] * 3, C)
+    assert same.alpha == 2
+
+
 @pytest.mark.parametrize("n", [1, 4])
 def test_one_row_fused_values_are_floats_of_separate_bits(monkeypatch, n):
     s = ThreeSasakiStructure(n=n)
@@ -436,22 +527,28 @@ def test_one_row_fused_values_are_floats_of_separate_bits(monkeypatch, n):
 
 @pytest.mark.parametrize("n, budget, points", [(1, 160, 10), (16, None, 2)])
 def test_every_nested_pass_of_a_run_holds_the_chunk_budget(monkeypatch, n, budget, points):
-    # all nine suites and the sign resolution: a pass holds at most
-    # CURVATURE_CHUNK floats per leaf, or one row of one pattern where
-    # that alone is larger (the trace at n = 16: 68 x 68 floats); at n = 1
-    # a budget of 20 rows puts the cross-check's 50 rows over 3 passes
+    # all nine suites and the sign resolution: a pass, nested or first
+    # order (and each first derivative a nested pass takes on plain
+    # points), holds at most CURVATURE_CHUNK floats per leaf, or one row
+    # of one pattern where that alone is larger (the trace at n = 16:
+    # 68 x 68 floats); at n = 1 a budget of 20 rows puts the cross-check's
+    # 50 rows over 3 passes
     cfg = RunConfig(n=n, points=points, seed=2)
     want = harness.run_suites(cfg).to_json()
     if budget is not None:
         monkeypatch.setattr(connections, "CURVATURE_CHUNK", budget)
-    passes, original = [], connections._curvature_raw
+    passes = []
 
-    def sized(*args):
-        R = original(*args)
-        passes.append((len(np.atleast_2d(R)), R.size))
-        return R
+    def sized(kernel):
+        def recorded(*args):
+            R = kernel(*args)
+            if isinstance(R, np.ndarray):  # not a nested pass's inner derivative
+                passes.append((len(np.atleast_2d(R)), R.size))
+            return R
+        return recorded
 
-    monkeypatch.setattr(connections, "_curvature_raw", sized)
+    for name in ("_curvature_raw", "_cov_raw", "bracket_raw"):
+        monkeypatch.setattr(connections, name, sized(getattr(connections, name)))
     report = harness.run_suites(cfg)
     assert report.to_json() == want
     assert {body["status"] for body in report.suites.values()} <= {"pass", "fail"}

@@ -737,6 +737,26 @@ def test_cli_rejects_tolerances_that_pass_everything(tol, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("value", ["", " , "])
+def test_cli_empty_suite_list_exits_two(value, capsys):
+    # a --suites value that names no suite is an error, the empty string
+    # too: it must not run all nine
+    rc = main(["verify", "--points", "1", "--suites", value])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err == "error: at least one suite must be requested\n"
+
+
+def test_importing_hkc_leaves_out_argparse():
+    # only the command line parses arguments: a fresh interpreter's
+    # import of the package does not load argparse
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hkc; print('argparse' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 def test_cli_bad_flag_exits_two():
     buf = io.StringIO()
     with contextlib.redirect_stderr(buf):
@@ -876,18 +896,27 @@ def test_each_curvature_value_is_evaluated_once(struct, monkeypatch):
     assert rows == {LC: 0, HC: 2 * 6}
 
 
-def _count_raw(monkeypatch, module, name):
-    """Count the calls of the raw kernel ``module.name`` (a
-    covariant-derivative or nested curvature pass) by kind."""
-    kinds = []
-    original = getattr(module, name)
+def _count_raw(monkeypatch):
+    """Count the first-order passes, the calls of the raw covariant
+    derivative (by kind) and of ``numlin.bracket_raw`` (as None) in the
+    module that runs every pass, and per kind the rows of those on plain
+    points (not a nested pass's inner derivatives)."""
+    passes, rows = [], {}
 
-    def counted(s, kind, *args):
-        kinds.append(kind)
-        return original(s, kind, *args)
+    def counting(kernel, kind_and_point):
+        def counted(*args):
+            kind, y = kind_and_point(*args)
+            passes.append(kind)
+            if isinstance(y, np.ndarray):
+                rows[kind] = rows.get(kind, 0) + len(np.atleast_2d(y))
+            return kernel(*args)
+        return counted
 
-    monkeypatch.setattr(module, name, counted)
-    return kinds
+    monkeypatch.setattr(connections, "_cov_raw", counting(
+        connections._cov_raw, lambda s, kind, X, Y, y, scheme: (kind, y)))
+    monkeypatch.setattr(connections, "bracket_raw", counting(
+        connections.bracket_raw, lambda X, Y, y, scheme: (None, y)))
+    return passes, rows
 
 
 @pytest.mark.parametrize("suite, lc, hc", [
@@ -897,25 +926,26 @@ def _count_raw(monkeypatch, module, name):
     ("sectional", 1, 1),
     ("theorem-sec", 1, 1),
     ("ricci", 1, 1),
-    # covariant-derivative passes of the first-order suites
-    ("sasaki", 15, 0),
-    ("connection", 7, 14),
-    ("torsion", 2, 14),
+    # covariant-derivative passes of the first-order suites, each of
+    # which makes one bracket pass too
+    ("sasaki", 1, 0),
+    ("connection", 1, 1),
+    ("torsion", 1, 1),
 ])
 def test_nested_passes_do_not_grow_with_points(struct, monkeypatch, suite,
                                                lc, hc):
-    # one stacked pass per connection (nested suites: all slot patterns in
-    # one pass per chunk) whatever the number of sample points
+    # one stacked pass per connection (all slot patterns in one pass per
+    # chunk; first order: each distinct pattern once) whatever the number
+    # of sample points
     conventions = resolve_conventions(struct, seed=0)
-    if suite in ("sasaki", "connection", "torsion"):
-        passes = _count_raw(monkeypatch, connections, "_cov_raw")
-    else:
-        passes, _ = _count_curvature(monkeypatch)
+    first_order = suite in ("sasaki", "connection", "torsion")
+    passes, _ = (_count_raw if first_order else _count_curvature)(monkeypatch)
     for points in (1, 4):
         passes.clear()
         harness._SUITE_FUNCS[suite](struct, RunConfig(points=points),
                                     conventions)
         assert (passes.count(LC), passes.count(HC)) == (lc, hc), points
+        assert passes.count(None) == first_order, points
 
 
 def test_a_default_run_makes_eleven_nested_passes(monkeypatch):
@@ -951,17 +981,18 @@ def test_definitional_form_is_evaluated_once_per_connection_sample(monkeypatch):
     # one evaluation of the definitional form of the adapted derivative
     # takes seven Levi-Civita derivatives: nabla_X Y, and nabla_X xi_a and
     # nabla_Y xi_a for a = 1, 2, 3.  Nothing else in the connection suite
-    # takes one, so the Levi-Civita derivatives that the suite adds to a
-    # run count its evaluations of that form: one, over all samples
-    kinds = _count_raw(monkeypatch, connections, "_cov_raw")
+    # takes one, so the Levi-Civita rows that the suite adds to a run
+    # count its evaluations of that form: one per sample, in one pass
+    passes, rows = _count_raw(monkeypatch)
     for points in (1, 3):
         lc = []
         for suites in (("axioms", "sasaki"), ("axioms", "sasaki", "connection")):
-            kinds.clear()
+            passes.clear()
+            rows.clear()
             rep = run_suites(RunConfig(points=points, suites=suites))
             assert {b["status"] for b in rep.suites.values()} == {"pass"}
-            lc.append(kinds.count(LC))
-        assert lc[1] - lc[0] == 7
+            lc.append((passes.count(LC), rows[LC]))
+        assert (lc[1][0] - lc[0][0], lc[1][1] - lc[0][1]) == (1, 7 * points)
 
 
 def test_text_format_lists_every_record(small_report):

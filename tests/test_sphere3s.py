@@ -261,6 +261,17 @@ def _negated_i2(n):
     return ThreeSasakiStructure(n=n, triple=(I1, -I2, I3))
 
 
+def test_points_and_tangent_vectors_are_immutable(struct, rng):
+    x = rand_point(struct, rng)
+    X = rand_tangent(struct, x, rng)
+    for value, name in ((x, "x"), (X, "v"), (X, "base")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        getattr(value, name)  # still set
+
+
 def test_constructor_rejects_bad_n_and_triples():
     # n is an int or a numpy integer: 1.5 would build n = 1, and 1.0 or
     # True pass for 1 only by equality
