@@ -30,18 +30,26 @@ quadrilinear form uses the slot convention
 
 the inner product of ``curvature(kind, X, Y, W, x)`` with Z.
 
-Every typed operation takes a point that is one row or a stack of rows,
-with fields of the same shape, and gives one value per row: a tangent
-vector of that shape, or floats of shape ``(P, 1)`` for a stack.  All run
-on one driver, ``_fused_pass``: one pass per kernel (a covariant
-derivative, the bracket, or the nested curvature) serves many slot
-patterns, each on its own row block with the bits of its own pass.
+Every typed operation takes a point that is one row or a stack of rows
+and gives one value per row: a tangent vector of the point's shape, or
+floats of shape ``(P, 1)`` for a stack.  The row rule: a field's
+extension vectors are one row per row of the point, one row that serves
+every row, or a function of the rows; a closure serves any rows (a
+constant one's vector is repeated on each).  All run on one driver,
+``_fused_pass``: one pass per kernel (a covariant derivative, the
+bracket, or the nested curvature) serves many slot patterns, each on its
+own row block with the bits of its own pass.  It cuts the vectors to the
+rows of each chunk and merges the fields of one form on adjacent blocks,
+and raises ``StructuralError`` for a field of any other row count or of
+another structure; an index other than 1, 2, 3 raises it where the
+field is made.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -77,74 +85,71 @@ HC = ConnectionKind.H_CONNECTION
 # ============================================================
 
 class VectorField:
-    """A smooth tangent field given by a raw closure ``y -> ambient vector``.
+    """A smooth tangent field, held as its data: a raw closure ``y ->
+    ambient vector`` (``func``), extension vectors (``vec``, under the row
+    rule) or a Reeb index (``alpha``), then the maps ``ops`` (a for phi_a,
+    None for the projection onto H); a fused pass merges indices into an
+    integer array, one per row.  Calling the field evaluates the closure
+    built once from the data, which is dual-generic."""
 
-    The closure must be dual-generic (accept :class:`~hkc.numlin.Dual`
-    inputs), which every combinator here preserves.  Calling the field on
-    a raw array evaluates the closure.  ``rows(c)`` is the field on the
-    rows ``c`` of the stack it was built on (a field built on none serves
-    any rows).  ``vec`` (extension vectors), ``alpha`` (Reeb index, or a
-    map of each row's) and ``ops`` (the maps after them: a for phi_a, 0 for
-    the projection onto H) tell which row blocks of a fused pass are one field.
-    """
-
-    def __init__(self, structure, func, rows=None, vec=None, alpha=None, ops=()):
-        self.structure = structure
-        self._func = func
-        self._rows, self.vec, self.alpha, self.ops = rows, vec, alpha, ops
+    def __init__(self, structure, func=None, vec=None, alpha=None, ops=()):
+        s = self.structure = structure
+        self.func, self.vec, self.alpha, self.ops = func, vec, alpha, ops
+        for a in (alpha, *ops):  # not a merged integer array of each row's
+            if a is not None and not (isinstance(a, np.ndarray) and a.ndim):
+                s._I(a)
+        if callable(vec):  # uncut: all rows of the function
+            f = lambda y: s.extension_raw(vec(None))(y)
+        elif vec is not None:
+            f = s.extension_raw(vec)
+        elif alpha is not None:
+            f = lambda y: s.reeb_raw(alpha, y)
+        else:  # a closure's one vector (a constant field) on each row of y
+            def f(y):
+                p = y
+                while isinstance(p, Dual):
+                    p = p.val
+                return leafmap(lambda a: np.broadcast_to(a, p.shape[:-1] + a.shape).copy()
+                               if np.ndim(a) == 1 else a, func(y))  # as in _merged
+        for op in ops:  # each map after the closure before it, bound now
+            m = s.project_h_raw if op is None else partial(s.phi_raw, op)
+            f = lambda y, f=f, m=m: m(f(y), y)
+        self._func = f
 
     def __call__(self, y):
         return self._func(y)
 
     def rows(self, c):
-        return self if self._rows is None else self._rows(c)
-
-    # ----- constructors -----
+        """The field on the rows ``c`` of its point."""
+        v = self.vec
+        if callable(v) or v is not None and v.ndim > 1 and len(v) > 1:
+            return VectorField(self.structure, vec=v(c) if callable(v) else v[c],
+                               ops=self.ops)
+        return self
 
     @classmethod
     def extension(cls, structure, X):
-        """Canonical global extension y -> v - <v, y> y of a tangent vector,
-        of its raw rows, or of ``X(c)``, the rows ``c`` as ``_cut`` gives
-        them, made when a chunk needs them; a stack gives one row per vector."""
-        if callable(X):
-            return cls(structure, lambda y: structure.extension_raw(X(None))(y),
-                       lambda c: cls.extension(structure, X(c)))
-        v = getattr(X, "v", X)
-        return cls(structure, structure.extension_raw(v),
-                   lambda c: cls.extension(structure, _cut(v, c)), vec=v)
+        """Canonical global extension y -> v - <v, y> y of a tangent
+        vector, of raw rows, or of the rows ``X(c)`` of a function."""
+        return cls(structure, vec=X if callable(X) else
+                   np.asarray(getattr(X, "v", X), dtype=float))
 
     @classmethod
     def reeb(cls, structure, alpha):
-        return cls(structure, lambda y: structure.reeb_raw(alpha, y), alpha=alpha)
-
-    # ----- combinators -----
+        return cls(structure, alpha=alpha)
 
     def phi(self, alpha):
-        s = self.structure
-        return self._then(alpha, lambda w, y: s.phi_raw(alpha, w, y),
-                          lambda f: f.phi(alpha))
+        return VectorField(self.structure, self.func, self.vec, self.alpha,
+                           self.ops + (alpha,))
 
     def project_H(self):
-        return self._then(0, self.structure.project_h_raw, lambda f: f.project_H())
-
-    def _then(self, op, g, again):
-        f = self._func
-        return VectorField(self.structure, lambda y: g(f(y), y),
-                           lambda c: again(self.rows(c)),
-                           self.vec, self.alpha, self.ops + (op,))
+        return VectorField(self.structure, self.func, self.vec, self.alpha,
+                           self.ops + (None,))
 
 
 def _cut(a, c):
     """Rows ``c`` of ``a``, one row as a stack of one; None: all of ``a``."""
     return a if c is None else np.atleast_2d(a)[c]
-
-
-def _common_structure(*fields):
-    s = fields[0].structure
-    for f in fields[1:]:
-        if f.structure is not s:
-            raise StructuralError("vector fields belong to different structures")
-    return s
 
 
 # ============================================================
@@ -198,26 +203,27 @@ CURVATURE_CHUNK = 3200  # floats per leaf of one fused pass: rows x d (400 rows 
 
 def _form(f):
     """A run of one form is one field: 0 extensions or 1 Reeb fields, through
-    maps of the same kinds (phi_a for any a, the projection onto H); any other
-    field is 2 with its id, so that only its repeats make a run."""
-    if f.vec is None and f.alpha is None:
+    maps of the same kinds (phi_a for any a, the projection onto H); a
+    closure is 2 with its id, so that only its repeats make a run."""
+    if f.func is not None:
         return 2, (id(f),)
-    return int(f.vec is None), tuple(op == 0 for op in f.ops)
+    return int(f.vec is None), tuple(op is None for op in f.ops)
 
 
 def _merged(s, fs, C):
-    """The fields ``fs`` of one form, C rows each, as one field: their
-    stacked extension or Reeb field through their maps, alphas per row."""
-    def per_row(v):  # one alpha, or a map of each row's; every alpha checked
-        for a in v:
-            s._I(a)
-        return v[0] if len(set(v)) == 1 else s._per_row(np.repeat(v, C))
+    """The fields ``fs`` of one form on C rows each, as one field: their
+    extension vectors concatenated (a one-row one repeated on its C rows)
+    or their Reeb field, through their maps; an index that differs among
+    them, an integer array of each row's."""
+    def per_row(v):
+        return v[0] if len(set(v)) == 1 else np.repeat(v, C)
 
-    f = (VectorField.extension(s, np.concatenate([g.vec for g in fs]))
-         if fs[0].vec is not None else VectorField.reeb(s, per_row([g.alpha for g in fs])))
-    for i, op in enumerate(fs[0].ops):
-        f = f.project_H() if op == 0 else f.phi(per_row([g.ops[i] for g in fs]))
-    return f
+    # repeated, not broadcast: ``dot`` keeps row bits on C-contiguous rows only
+    vs = [np.atleast_2d(g.vec) for g in fs if g.vec is not None]
+    return VectorField(s, vec=np.concatenate([v if len(v) == C else np.repeat(v, C, axis=0)
+                                              for v in vs]) if vs else None,
+                       alpha=per_row([g.alpha for g in fs]),
+                       ops=tuple(map(per_row, zip(*(g.ops for g in fs)))))
 
 
 def _blocks(s, fields, forms, C):
@@ -226,25 +232,12 @@ def _blocks(s, fields, forms, C):
     parts, lo = [], 0
     for key, run in groupby(zip(fields, forms), lambda t: t[1]):
         fs = [f for f, _ in run]
-        f = _each_row(fs[0]) if key[0] == 2 else fs[0] if len(fs) == 1 else _merged(s, fs, C)
+        f = fs[0] if key[0] == 2 or len(fs) == 1 else _merged(s, fs, C)
         parts.append((f, lo, lo + len(fs) * C))
         lo += len(fs) * C
     if len(parts) == 1:
         return parts[0][0]
-    return VectorField(s, lambda q: _join([f(leafmap(lambda a: a[i:j], q))
-                                           for f, i, j in parts]))
-
-
-def _each_row(f):
-    """The field ``f`` with a value for each row of its point, also where
-    its closure gives one vector for them all (a constant field)."""
-    def g(q):
-        p = q
-        while isinstance(p, Dual):
-            p = p.val
-        return leafmap(lambda a: np.broadcast_to(a, p.shape[:-1] + a.shape)
-                       if np.ndim(a) == 1 else a, f(q))
-    return VectorField(f.structure, g)
+    return lambda q: _join([f(leafmap(lambda a: a[i:j], q)) for f, i, j in parts])
 
 
 def _join(parts):
@@ -269,6 +262,12 @@ def _fused_pass(s, kind, patterns, y, scheme):
     y2, K = np.atleast_2d(y), len(patterns)
     slots = 2 if K and len(patterns[0]) == 2 else 3
     fields = {id(f): f for p in patterns for f in p if isinstance(f, VectorField)}
+    for f in fields.values():
+        v = f.vec
+        if f.structure is not s:
+            raise StructuralError("vector fields belong to different structures")
+        if isinstance(v, np.ndarray) and v.ndim > 1 and len(v) not in (1, len(y2)):
+            raise StructuralError(f"a field of {len(v)} rows at a point of {len(y2)}")
     first = [f.rows(slice(0, 1)) for f in fields.values()]
     width = math.prod(np.broadcast_shapes(s.ambient_dim, *(  # floats per row
         f.vec.shape for f in first if f.vec is not None)))
@@ -385,8 +384,7 @@ def _h_tensor_plan(xi, beta, X):  # (L_xi phi_beta) X / 2, xi a Reeb field
 
 def _at(plan, x, scheme):
     """A plan's value at the point x."""
-    s = _common_structure(*(f for request in plan[0] for f in request[1:]))
-    return _run(s, [[plan]], x.x, scheme)[0][0]
+    return _run(plan[0][0][1].structure, [[plan]], x.x, scheme)[0][0]
 
 
 def lie_bracket(X: VectorField, Y: VectorField, x: SpherePoint,
@@ -436,8 +434,7 @@ def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
     evaluated by nesting dual numbers through the field closures; one
     nested pass per chunk of a stack of points."""
-    s = _common_structure(X, Y, Z)
-    return TangentVector(x, _fused_pass(s, kind, [(X, Y, Z)], x.x, scheme)[0])
+    return TangentVector(x, _fused_pass(X.structure, kind, [(X, Y, Z)], x.x, scheme)[0])
 
 
 def sphere_curvature_oracle(X: TangentVector, Y: TangentVector,

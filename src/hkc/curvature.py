@@ -247,8 +247,8 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
     benchmark's scaling sweep) still run.
 
     The basis is the extension field y -> e_k - <e_k, y> y of the
-    identity rows, made per chunk of points on the axis before the last,
-    so one nested curvature evaluation gives R(P e_k, X)Y for every k
+    identity rows, one row that serves every point, on the axis before
+    the last, so one nested curvature evaluation gives R(P e_k, X)Y for every k
     (and every row of a stacked ``X``, ``Y``); the terms are summed in
     the order k = 0 .. d - 1.  One row gives a float, a stack shape
     ``(P, 1)``.  A list of ``Y`` gives the list of their traces, each
@@ -263,12 +263,11 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
     # a one-row call as a stack of one; the basis on the axis before the
     # last, where the point, X and Y have length 1
     y = np.atleast_2d(X.base.x)[:, None]
-    eye = np.eye(structure.ambient_dim)
-    Ef = VectorField.extension(
-        structure, lambda c: np.tile(eye, (len(_cut(y, c)), 1, 1)))
+    d = structure.ambient_dim
+    Ef = VectorField.extension(structure, np.eye(d)[None])
     Xf, *Yf = (VectorField.extension(structure, np.atleast_2d(V.v)[:, None])
                for V in (X, *Ys))
-    S = [sum(t[:, k] for k in range(len(eye))) for t in _fused_pass(
+    S = [sum(t[:, k] for k in range(d)) for t in _fused_pass(
         structure, kind, [(Ef, Xf, F, Ef) for F in Yf], y, scheme)]
     S = S if X.v.ndim > 1 else [float(t[0, 0]) for t in S]
     return S if isinstance(Y, list) else S[0]
@@ -400,10 +399,12 @@ def verify_symmetries(structure, quad, tol=1e-6, scheme=EXACT_FORWARD):
     adapted curvature on distribution arguments.
 
     ``quad`` is a (point, X, Y, Z, W) tuple with all four tangent vectors
-    in H, one row or a stack.  Returns one record per family; the six
+    in H, one row or a stack (vectors at another point raise
+    ``StructuralError``).  Returns one record per family; the six
     quadrilinear values come from one nested pass per chunk.
     """
     x, *args = quad
+    args[0]._check_same_base(*args[1:], x)
     return _symmetry_records(len(np.atleast_2d(x.x)), tol, _fused_pass(
         structure, HC, _symmetry_patterns(structure, args), x.x, scheme))
 

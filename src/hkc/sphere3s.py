@@ -116,8 +116,8 @@ class TangentVector(_Frozen):
     def norm(self):
         return norm(self.v)
 
-    def _check_same_base(self, *others):
-        if not all(self.base.same_as(V.base) for V in others):
+    def _check_same_base(self, *others):  # tangent vectors, or points
+        if not all(self.base.same_as(getattr(V, "base", V)) for V in others):
             raise StructuralError("tangent vectors live at different base points")
 
 
@@ -194,14 +194,13 @@ class ThreeSasakiStructure:
                                         leafmap(lambda a: a[..., None, :], y))
 
     def _apply(self, alpha, v):
-        """I_alpha v, or leafwise ``alpha(v)`` for an ``alpha`` of :meth:`_per_row`."""
-        return leafmap(alpha, v) if callable(alpha) else matvec(self._I(alpha), v)
-
-    def _per_row(self, alphas):
-        """v -> I_alphas[r] v_r on each row r of v, for checked indices: row r
-        of block alphas[r] of ``_apply_all`` (the bits of I_alphas[r] v_r)."""
-        r, k = np.arange(len(alphas)), np.asarray(alphas) - 1
-        return lambda a: self._apply_all(a)[r, ..., k, :]
+        """I_alpha v; for an integer array ``alpha`` of checked indices, one
+        per row, I_alpha[r] v_r on each row r: row r of block alpha[r] of
+        ``_apply_all`` (the bits of I_alpha[r] v_r)."""
+        if not isinstance(alpha, np.ndarray):
+            return matvec(self._I(alpha), v)
+        r, k = np.arange(len(alpha)), alpha - 1
+        return leafmap(lambda a: self._apply_all(a)[r, ..., k, :], v)
 
     def reeb_raw(self, alpha, y):
         return self.sign * self._apply(alpha, y)
@@ -274,9 +273,10 @@ class ThreeSasakiStructure:
 
         ``sample`` is a (SpherePoint, TangentVector, TangentVector) triple
         supplying the points and two tangent directions at each, one row
-        or a stack.
+        or a stack; vectors at another point raise ``StructuralError``.
         """
         x, X, Y = sample
+        X._check_same_base(Y, x)
         return build_records("axioms", len(np.atleast_2d(x.x)),
                              self._axiom_residuals(x, X, Y),
                              lambda worst: dict.fromkeys(worst, tol))

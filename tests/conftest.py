@@ -1,10 +1,16 @@
 """Shared test plumbing: collects acceptance-criterion outcomes and prints
 one line per criterion at the end of the run, and builds stacked points
-and tangent vectors from one-row ones and back."""
+and tangent vectors from one-row ones and back.  Property tests draw the
+same examples on every run (a derandomized hypothesis profile, no example
+database), so a failing run reproduces."""
 
 import numpy as np
+from hypothesis import settings
 
 from hkc.sphere3s import SpherePoint, TangentVector
+
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 ACCEPTANCE_RESULTS = []
 

@@ -101,6 +101,14 @@ def test_constant_fields_serve_one_row_and_joined_passes(struct, rng):
         want = proj(cov(kind, G, F) - cov(kind, F, G) - bracket_raw(G, F, y))
         assert np.allclose(T, want, rtol=0, atol=1e-13)
         assert np.allclose(torsion(kind, G, F, xs).v, [T, T], rtol=0, atol=1e-13)
+    # two constant fields on adjacent blocks of a stack: each row has the
+    # bits of its one-row call
+    c2 = rng.standard_normal(struct.ambient_dim)
+    F2, x3 = VectorField(struct, lambda y: c2), _stacked(struct, rng, 3)[0]
+    for kind in (LC, HC):
+        T = torsion(kind, F, F2, x3).v
+        for i, xi in enumerate(_rows_of(x3, 0, 1, 2)):
+            assert T[i].tobytes() == torsion(kind, F, F2, xi).v.tobytes(), (kind, i)
 
 
 def test_merged_reeb_fields_check_each_alpha(struct, rng):
@@ -110,6 +118,61 @@ def test_merged_reeb_fields_check_each_alpha(struct, rng):
     for bad in (0, -1, 4, 1.0):
         with pytest.raises(StructuralError):
             torsion(HC, VectorField.reeb(struct, bad), VectorField.reeb(struct, 1), x)
+
+
+def _stacked(s, rng, rows):
+    x = SpherePoint.normalized(rng.standard_normal((rows, s.ambient_dim)))
+    w = s.tangent_project_raw(rng.standard_normal((rows, s.ambient_dim)), x.x)
+    return x, TangentVector(x, w)
+
+
+def _rows_of(x, *rows):
+    return [SpherePoint(x.x[i]) for i in rows]
+
+
+def test_one_vector_fields_serve_every_row_of_a_chunked_pass(struct, rng):
+    # X1, the extension of one vector, at 1000 rows, which a pass cuts
+    # into chunks of 400: rows of each chunk have the bits of one-row calls
+    X1 = rand_field(struct, rand_point(struct, rng), rng)
+    xi1 = VectorField.reeb(struct, 1)
+    x, _ = _stacked(struct, rng, 1000)
+    d, R = cov_deriv(LC, X1, xi1, x).v, curvature(LC, X1, xi1, X1, x).v
+    rows = (0, 399, 400, 799, 800, 999)
+    for i, xi in zip(rows, _rows_of(x, *rows)):
+        assert d[i].tobytes() == cov_deriv(LC, X1, xi1, xi).v.tobytes(), i
+        assert R[i].tobytes() == curvature(LC, X1, xi1, X1, xi).v.tobytes(), i
+
+
+def test_one_vector_fields_merge_with_stacked_fields(struct, rng):
+    # torsion's passes put X1 (one row) and Y (5 rows) on adjacent blocks
+    # of one slot: X1 is repeated on each of its rows
+    X1 = rand_field(struct, rand_point(struct, rng), rng)
+    x, Yt = _stacked(struct, rng, 5)
+    Y = VectorField.extension(struct, Yt)
+    for kind in (LC, HC):
+        T = torsion(kind, X1, Y, x).v
+        for i, xi in enumerate(_rows_of(x, *range(5))):
+            Yi = VectorField.extension(struct, Yt.v[i])
+            assert T[i].tobytes() == torsion(kind, X1, Yi, xi).v.tobytes(), (kind, i)
+
+
+def test_fields_of_other_rows_or_structures_are_rejected(struct, rng):
+    # a field of 5 rows serves only a point of 5 rows, and the fields of
+    # one call belong to one structure
+    _, Yt = _stacked(struct, rng, 5)
+    Y, xi1 = VectorField.extension(struct, Yt), VectorField.reeb(struct, 1)
+    other = VectorField.reeb(ThreeSasakiStructure(n=1), 2)
+    with pytest.raises(StructuralError):
+        cov_deriv(LC, other, xi1, rand_point(struct, rng))
+    for rows in (3, 1, 7):
+        x, _ = _stacked(struct, rng, rows)
+        for at in (x, SpherePoint(x.x[0])) if rows == 1 else (x,):
+            with pytest.raises(StructuralError):
+                cov_deriv(LC, Y, xi1, at)
+            with pytest.raises(StructuralError):
+                torsion(HC, xi1, Y, at)
+            with pytest.raises(StructuralError):
+                curvature(HC, xi1, xi1, Y, at)
 
 
 

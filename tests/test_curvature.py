@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkc.numlin import (
     CENTRAL_DIFFERENCE,
@@ -11,6 +12,7 @@ from hkc.numlin import (
     DiffScheme,
     Dual,
     PreconditionError,
+    StructuralError,
     dot,
     leafmap,
     norm,
@@ -453,6 +455,63 @@ def test_fused_first_order_passes_have_the_bits_of_separate_calls(monkeypatch, n
             assert v.tobytes() == want.tobytes(), kind
 
 
+_TYPED = (
+    lambda a, X, Y, Z, x: lie_bracket(X, Y, x),
+    *(lambda a, X, Y, Z, x, k=k: cov_deriv(k, X, Y, x) for k in (LC, HC)),
+    *(lambda a, X, Y, Z, x, k=k: torsion(k, X, Y, x) for k in (LC, HC)),
+    lambda a, X, Y, Z, x: sasaki_defect(a, X, Y, x),
+    lambda a, X, Y, Z, x: nabla_bar_phi_defect(a, X, Y, x),
+    lambda a, X, Y, Z, x: h_form_gap(X, Y, x),
+    *(lambda a, X, Y, Z, x, k=k: curvature(k, X, Y, Z, x) for k in (LC, HC)),
+)
+
+_field_specs = st.tuples(st.sampled_from(("one", "stack", "reeb", "closure")),
+                         st.integers(1, 3),
+                         st.lists(st.sampled_from((1, 2, 3, None)), max_size=2))
+
+
+@settings(max_examples=20)
+@given(dense=st.booleans(), specs=st.lists(_field_specs, min_size=3, max_size=3),
+       alpha=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_typed_operations_on_stacks_have_the_bits_of_one_row_calls(dense, specs,
+                                                                   alpha, seed):
+    # the row rule: X, Y, Z each the extension of one vector or of a
+    # stack, a Reeb field or a closure, through phi_a and the projection
+    # onto H; every typed operation on 3 rows against its one-row calls,
+    # with a chunk budget of 2 rows (chunks of 2 and 1 rows, one pattern
+    # a pass) and the default (the patterns of a pass merged)
+    s = _rotated(1) if dense else ThreeSasakiStructure(n=1)
+    rng = np.random.default_rng(seed)
+    P, d = 3, s.ambient_dim
+    x = SpherePoint.normalized(rng.standard_normal((P, d)))
+    V = rng.standard_normal((len(specs), P, d))
+    c, c2 = rng.standard_normal((2, d))
+    closure = VectorField(s, lambda y: s.tangent_project_raw(dot(y, c) * c2, y))
+
+    def field(k, i):  # spec k's field on every row (i None), or for row i
+        kind, a, ops = specs[k]
+        if kind == "one":
+            f = VectorField.extension(s, V[k, 0])
+        elif kind == "stack":
+            f = VectorField.extension(s, V[k] if i is None else V[k, i])
+        else:
+            f = VectorField.reeb(s, a) if kind == "reeb" else closure
+        for op in ops:
+            f = f.project_H() if op is None else f.phi(op)
+        return f
+
+    value = lambda r: np.asarray(getattr(r, "v", r))  # rows, a vector or a float
+    with pytest.MonkeyPatch.context() as mp:
+        for budget in (2 * d, connections.CURVATURE_CHUNK):
+            mp.setattr(connections, "CURVATURE_CHUNK", budget)
+            for op in _TYPED:
+                got = value(op(alpha, *(field(k, None) for k in range(3)), x))
+                for i in range(P):
+                    want = value(op(alpha, *(field(k, i) for k in range(3)),
+                                    SpherePoint(x.x[i])))
+                    assert got[i].tobytes() == want.tobytes(), (op, i)
+
+
 def _leaves(v):
     return [*_leaves(v.val), *_leaves(v.dot)] if isinstance(v, Dual) else [v]
 
@@ -478,8 +537,6 @@ def test_merged_fields_have_the_rows_of_one_alpha_each(make):
                    [VectorField.extension(s, v).project_H().phi(a)
                     for v, a in zip(V, alphas)]):
         merged = connections._blocks(s, fields, map(connections._form, fields), C)
-        # one field, its alpha a map of each row's structure
-        assert callable(merged.alpha if merged.vec is None else merged.ops[-1])
         for q in points:
             got = _leaves(merged(q))
             for k, f in enumerate(fields):
@@ -770,6 +827,21 @@ def test_symmetry_families_on_h(struct, rng):
     for r in recs:
         assert r.passed, (r.id, r.max_residual)
         assert r.max_residual < 1e-10
+
+
+def test_sample_tuples_must_hold_vectors_at_their_point(struct, rng):
+    # distribution vectors at another 4-point stack than the sample's
+    # point: neither the axioms nor the symmetry families may read them
+    x, elsewhere = (stack([rand_point(struct, rng) for _ in range(4)]) for _ in range(2))
+    X, Y, Z, W = (stack([rand_tv(struct, row(elsewhere, i), rng, in_h=True)
+                         for i in range(4)]) for _ in range(4))
+    with pytest.raises(StructuralError):
+        struct.check_structure_axioms((x, X, Y))
+    with pytest.raises(StructuralError):
+        verify_symmetries(struct, (x, X, Y, Z, W))
+    # at their own point both run
+    assert len(struct.check_structure_axioms((elsewhere, X, Y))) == 10
+    assert len(verify_symmetries(struct, (elsewhere, X, Y, Z, W))) == 4
 
 
 # ============================================================
