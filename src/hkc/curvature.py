@@ -405,8 +405,11 @@ def verify_symmetries(structure, quad, tol=1e-6, scheme=EXACT_FORWARD):
     """
     x, *args = quad
     args[0]._check_same_base(*args[1:], x)
-    return _symmetry_records(len(np.atleast_2d(x.x)), tol, _fused_pass(
-        structure, HC, _symmetry_patterns(structure, args), x.x, scheme))
+    values = _fused_pass(structure, HC, _symmetry_patterns(structure, args),
+                         x.x, scheme)
+    return [r for r in build_records("curvature", len(np.atleast_2d(x.x)),
+                                     _symmetry_residuals(values), (tol, tol))
+            if r.id.startswith("curvature.sym_")]
 
 
 def _symmetry_patterns(structure, args):
@@ -416,14 +419,11 @@ def _symmetry_patterns(structure, args):
     return [(f[k[0]], f[k[1]], f[k[3]], f[k[2]]) for k in _SYMMETRY_KEYS]
 
 
-def _symmetry_records(samples, tol, values):
+def _symmetry_residuals(values):
+    """The residual pairs of the four symmetry families from the six
+    values of ``_symmetry_patterns``."""
     q = dict(zip(_SYMMETRY_KEYS, values))
-
-    def residuals():
-        yield "curvature.sym_first_pair", abs(q["XYZW"] + q["YXZW"])
-        yield "curvature.sym_last_pair", abs(q["XYZW"] + q["XYWZ"])
-        yield "curvature.sym_pair_swap", abs(q["XYZW"] - q["ZWXY"])
-        yield "curvature.sym_bianchi", abs(q["XYWZ"] + q["YZWX"] + q["ZXWY"])
-
-    return build_records("curvature", samples, residuals(),
-                         lambda worst: dict.fromkeys(worst, tol))
+    yield "curvature.sym_first_pair", abs(q["XYZW"] + q["YXZW"])
+    yield "curvature.sym_last_pair", abs(q["XYZW"] + q["XYWZ"])
+    yield "curvature.sym_pair_swap", abs(q["XYZW"] - q["ZWXY"])
+    yield "curvature.sym_bianchi", abs(q["XYWZ"] + q["YZWX"] + q["ZXWY"])

@@ -41,7 +41,7 @@ from .curvature import (
     _holomorphic,
     _plane,
     _symmetry_patterns,
-    _symmetry_records,
+    _symmetry_residuals,
     cross_check_rbar,
     holomorphic_sectional_bar,
     ricci,
@@ -228,47 +228,36 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
     # u, v orthonormal; _plane rejects a vanishing Gram determinant
     (Uf, Vf, _, _), plane_value = _plane(structure, u, v)
 
-    # (1) orientation of the Reeb first-derivative law
     d_xi = cov_deriv(LC, Uf, VectorField.reeb(structure, 1), x, scheme)
     phi_u = structure.phi_raw(1, u.v, x.x)
-    r_minus = norm(d_xi.v + phi_u)
-    r_plus = norm(d_xi.v - phi_u)
-    reeb_val = "-1" if r_minus <= r_plus else "+1"
-
-    # (2) sign of the round curvature operator, probed via R(u, v)v
     RXYY = curvature(LC, Uf, Vf, Vf, x, scheme)
-    c_plus = norm(RXYY.v - u.v)
-    c_minus = norm(RXYY.v + u.v)
-    curv_val = "+1" if c_plus <= c_minus else "-1"
-
-    # (3) plane normalization: the factor for which round planes measure
-    # +1; the plane value of ``sectional`` from the same nested pass
+    # the plane value of ``sectional`` from the same nested pass
     k = plane_value(dot(RXYY.v, Uf(x.x)))
-    p_minus = abs(-k - 1.0)
-    p_plus = abs(k - 1.0)
-    plane_val = "-1" if p_minus <= p_plus else "+1"
-
     return {
-        "reeb-orientation": {
-            "value": reeb_val,
-            "residual": float(min(r_minus, r_plus)),
-            "meaning": "first derivative of each Reeb field along X equals "
-                       "(value) * phi_a X",
-        },
-        "curvature-sign": {
-            "value": curv_val,
-            "residual": float(min(c_plus, c_minus)),
-            "meaning": "round curvature operator equals (value) * "
-                       "(g(Y,Z) X - g(X,Z) Y); the quadrilinear table is "
-                       "r(X,Y,Z,W) = g(R(X,Y)W, Z)",
-        },
-        "plane-normalization": {
-            "value": plane_val,
-            "residual": float(min(p_minus, p_plus)),
-            "meaning": "plane measure = (value) * (-r(X,Y,X,Y)) / gram(X,Y); "
-                       "the selected value makes round planes measure +1",
-        },
+        # orientation of the Reeb first-derivative law
+        "reeb-orientation": _choose(
+            "-1", norm(d_xi.v + phi_u), norm(d_xi.v - phi_u),
+            "first derivative of each Reeb field along X equals "
+            "(value) * phi_a X"),
+        # sign of the round curvature operator, probed via R(u, v)v
+        "curvature-sign": _choose(
+            "+1", norm(RXYY.v - u.v), norm(RXYY.v + u.v),
+            "round curvature operator equals (value) * "
+            "(g(Y,Z) X - g(X,Z) Y); the quadrilinear table is "
+            "r(X,Y,Z,W) = g(R(X,Y)W, Z)"),
+        # the factor for which round planes measure +1
+        "plane-normalization": _choose(
+            "-1", abs(-k - 1.0), abs(k - 1.0),
+            "plane measure = (value) * (-r(X,Y,X,Y)) / gram(X,Y); "
+            "the selected value makes round planes measure +1"),
     }
+
+
+def _choose(value, residual, other, meaning):
+    """A convention entry: the sign ``value`` when its residual is at most
+    ``other``, the residual of the opposite sign, else that sign."""
+    return {"value": value if residual <= other else f"{-int(value):+d}",
+            "residual": float(min(residual, other)), "meaning": meaning}
 
 
 def selected_plane_convention(conventions):
@@ -313,15 +302,10 @@ def _suite_sasaki(s, cfg, conventions):
             yield "sasaki.reeb_on_reeb", norm(rv - s.reeb_raw(c, y))
             yield "sasaki.reeb_on_reeb", norm(sv)
 
-    return build_records("sasaki", cfg.points, residuals(), {
-        "sasaki.defect": cfg.tol_second,
-        "sasaki.reeb_covariant": cfg.tol_first,
-        "sasaki.reeb_bracket": cfg.tol_first,
-        "sasaki.reeb_on_reeb": cfg.tol_first,
-        "sasaki.conventions": {
-            "kind": "info", "passed": True, "samples": 1, "details": conventions,
-            "max_residual": max(v["residual"] for v in conventions.values())},
-    })
+    info = {"kind": "info", "passed": True, "samples": 1, "details": conventions,
+            "max_residual": max(v["residual"] for v in conventions.values())}
+    return build_records("sasaki", cfg.points, residuals(),
+                         (cfg.tol_first, cfg.tol_second), {"sasaki.conventions": info})
 
 
 def _suite_connection(s, cfg, conventions):
@@ -374,15 +358,8 @@ def _suite_connection(s, cfg, conventions):
             yield "connection.h_tensor_table", norm(h[a, b] - phi_c)
             yield "connection.h_tensor_table", norm(h[b, a] + phi_c)
 
-    return build_records("connection", cfg.points, residuals(), {
-        "connection.two_forms_agree": cfg.tol_first,
-        "connection.metricity": cfg.tol_first,
-        "connection.reeb_parallel": cfg.tol_first,
-        "connection.h_preserved": cfg.tol_first,
-        "connection.bracket3": cfg.tol_first,
-        "connection.phi_parallel": cfg.tol_second,
-        "connection.h_tensor_table": cfg.tol_first,
-    })
+    return build_records("connection", cfg.points, residuals(),
+                         (cfg.tol_first, cfg.tol_second))
 
 
 def _suite_torsion(s, cfg, conventions):
@@ -411,9 +388,8 @@ def _suite_torsion(s, cfg, conventions):
         for (a, b, c), tp in zip(EVEN_PERMUTATIONS, reeb_pair):
             yield "torsion.reeb_pair", norm(tp + 2.0 * s.reeb_raw(c, y))
 
-    return build_records("torsion", cfg.points, residuals(), dict.fromkeys(
-        ("torsion.lc_zero", "torsion.h_pair", "torsion.mixed",
-         "torsion.reeb_pair"), cfg.tol_first))
+    return build_records("torsion", cfg.points, residuals(),
+                         (cfg.tol_first, cfg.tol_second))
 
 
 def _suite_curvature(s, cfg, conventions):
@@ -443,12 +419,10 @@ def _suite_curvature(s, cfg, conventions):
             yield "curvature.annihilation_middle", hc[a + 2]
         for res in hc[6:12]:
             yield "curvature.annihilation_pair", res
+        yield from _symmetry_residuals(hc[12:])
 
-    records = build_records("curvature", cfg.points, residuals(), dict.fromkeys(
-        ("curvature.oracle_gate", "curvature.reeb_curvature_lc",
-         "curvature.annihilation_last", "curvature.annihilation_middle",
-         "curvature.annihilation_pair"), cfg.tol_second))
-    return records + _symmetry_records(cfg.points, cfg.tol_second, hc[12:])
+    return build_records("curvature", cfg.points, residuals(),
+                         (cfg.tol_first, cfg.tol_second))
 
 
 def cross_check_families(s, cfg):
@@ -487,23 +461,21 @@ def _suite_cross_check(s, cfg, conventions):
             yield "gap", gap[at]
 
     def table(worst):
-        family = {rid: res for rid, res in worst.items() if rid != "gap"}
-        return {**dict.fromkeys(family, cfg.tol_second),
-                "cross_check.gap_structure": {
-                    "kind": "info", "max_residual": worst["gap"],
-                    "tolerance": 1e-9, "samples": 5 * cfg.points,
-                    "details": {
-                        "family_residuals": {rid.split(".")[1]: float(res)
-                                             for rid, res in family.items()},
-                        "note": "the difference between the algebraic "
-                                "expansion and the differential evaluation "
-                                "is reproduced exactly by a closed-form "
-                                "tensor built from the Reeb components of "
-                                "the arguments; it vanishes when the first "
-                                "two arguments lie in H",
-                    }}}
+        return {"cross_check.gap_structure": {
+            "kind": "info", "max_residual": worst["gap"],
+            "samples": 5 * cfg.points,
+            "details": {
+                "family_residuals": {name: worst[f"cross_check.{name}"]
+                                     for name in families},
+                "note": "the difference between the algebraic expansion "
+                        "and the differential evaluation is reproduced "
+                        "exactly by a closed-form tensor built from the "
+                        "Reeb components of the arguments; it vanishes "
+                        "when the first two arguments lie in H",
+            }}}
 
-    return build_records("cross-check", cfg.points, residuals(), table)
+    return build_records("cross-check", cfg.points, residuals(),
+                         (cfg.tol_first, cfg.tol_second), table)
 
 
 def _suite_ricci(s, cfg, conventions):
@@ -525,14 +497,12 @@ def _suite_ricci(s, cfg, conventions):
         yield "ricci.h_connection_measured", abs(diag - measured)
         yield "ricci.h_connection_measured", abs(off - measured * gxy)
 
-    return build_records("ricci", cfg.points, residuals(), {
-        "ricci.einstein_lc": {"tolerance": cfg.tol_second,
-                              "details": {"constant": c_lc}},
-        "ricci.h_connection": {"tolerance": cfg.tol_second,
-                               "details": {"stated_constant": c_claim}},
+    return build_records("ricci", cfg.points, residuals(),
+                         (cfg.tol_first, cfg.tol_second), {
+        "ricci.einstein_lc": {"details": {"constant": c_lc}},
+        "ricci.h_connection": {"details": {"stated_constant": c_claim}},
         "ricci.h_connection_measured": {
-            "kind": "info", "tolerance": cfg.tol_second,
-            "details": {
+            "kind": "info", "details": {
                 "measured_constant": float(measured),
                 "stated_constant": c_claim,
                 "note": "the adapted trace on distribution arguments "
@@ -575,22 +545,14 @@ def _sectional_draws(s, cfg):
 
 def _suite_sectional(s, cfg, conventions):
     sel = selected_plane_convention(conventions)
-    sel_key = f"{sel:+d}"
-    conv = {"tolerance": cfg.tol_second,
-            "details": {"selected_convention": sel_key}}
-    table = {
-        "sectional.sphere_constant": conv,
-        "sectional.plane_invariance": cfg.tol_second,
-        "sectional.sec_rela": conv,
-        "sectional.holomorphic_constant": cfg.tol_second,
-        "sectional.holomorphic_sum": cfg.tol_second,
-        "sectional.tanno_sum": conv,
-        "sectional.third_constant": conv,
-        "sectional.cor_xxx": cfg.tol_second,
-    }
+    tol = (cfg.tol_first, cfg.tol_second)
+    table = dict.fromkeys(
+        ("sectional.sphere_constant", "sectional.sec_rela",
+         "sectional.tanno_sum", "sectional.third_constant"),
+        {"details": {"selected_convention": f"{sel:+d}"}})
     drawn = _sectional_draws(s, cfg)
-    if drawn is None:
-        return build_records("sectional", cfg.points, (), table)
+    if drawn is None:  # every sample dropped: none is checked
+        return build_records("sectional", 0, (), tol, table)
     Xt, Yt, U, V, Xh = drawn
     x = Xh.base
     # one nested pass per connection and chunk: round, the two spans of each
@@ -620,7 +582,7 @@ def _suite_sectional(s, cfg, conventions):
         yield "sectional.tanno_sum", abs(tanno - 3.0)
         yield "sectional.cor_xxx", abs(hc[3] - lc[5])
 
-    return build_records("sectional", cfg.points, residuals(), table)
+    return build_records("sectional", len(x.x), residuals(), tol, table)
 
 
 def _theorem_sec_directions(s, cfg, axis):
@@ -662,12 +624,9 @@ def _suite_theorem_sec(s, cfg, conventions):
                 sweep[key[0]][key[1]] = float(res)
         least = [min(row.values()) for row in sweep.values()]
         return {
-            "theorem_sec.h_case": {
-                "tolerance": cfg.tol_second,
-                "details": {"convention_combination": combo_sel}},
+            "theorem_sec.h_case": {"details": {"convention_combination": combo_sel}},
             "theorem_sec.sweep": {
-                "kind": "finding", "tolerance": cfg.tol_second,
-                "passed": all(m <= cfg.tol_second for m in least),
+                "kind": "finding", "passed": all(m <= cfg.tol_second for m in least),
                 "max_residual": max(least), "samples": 5 * cfg.points,
                 "details": {
                     "angles": list(sweep),
@@ -686,8 +645,7 @@ def _suite_theorem_sec(s, cfg, conventions):
                             "the gap away from the endpoints",
                 }},
             "theorem_sec.reeb_case": {
-                "kind": "finding", "tolerance": cfg.tol_second,
-                "details": {
+                "kind": "finding", "details": {
                     "convention_combination": "+1/+1",
                     "note": "along a pure Reeb axis the two sides agree "
                             "only when both plane measures are taken "
@@ -695,7 +653,8 @@ def _suite_theorem_sec(s, cfg, conventions):
                 }},
         }
 
-    return build_records("theorem-sec", cfg.points, residuals(), table)
+    return build_records("theorem-sec", cfg.points, residuals(),
+                         (cfg.tol_first, cfg.tol_second), table)
 
 
 _SUITE_FUNCS = {
@@ -713,7 +672,6 @@ _SUITE_FUNCS = {
 # a failing or errored foundation skips every later suite, for this reason
 _FOUNDATIONS = {"axioms": "structure axioms did not hold",
                 "sasaki": "first-derivative structure identities did not hold"}
-_ORACLE_GATED = ("cross-check", "ricci", "sectional", "theorem-sec")
 
 
 # ============================================================
@@ -726,7 +684,7 @@ def run_suites(config: RunConfig, structure=None) -> VerificationReport:
     A failing foundation gates everything it supports: broken axioms skip
     all later suites, a broken first-derivative layer skips the
     connection layer onward, and a failing curvature oracle gate skips
-    every suite that interprets second derivatives.
+    every later suite, each of which interprets second derivatives.
     """
     s = structure if structure is not None else ThreeSasakiStructure(n=config.n)
     conventions = resolve_conventions(s, config.seed, config.scheme)
@@ -749,18 +707,18 @@ def run_suites(config: RunConfig, structure=None) -> VerificationReport:
             results[name] = {"status": "errored", "records": [],
                              "reason": f"{type(exc).__name__}: {exc}"}
 
-        status = results[name]["status"]
+        status, reason = results[name]["status"], None
         if name in _FOUNDATIONS and status in ("fail", "errored"):
-            for later in order[order.index(name) + 1:]:
-                blocked.setdefault(later, _FOUNDATIONS[name])
-        if name == "curvature":
+            reason = _FOUNDATIONS[name]
+        elif name == "curvature":
             gate = next((r for r in results[name]["records"]
                          if r.id == "curvature.oracle_gate"), None)
             if gate is None or gate.passed is not True:
                 reason = ("the curvature suite errored" if status == "errored"
                           else "the curvature oracle gate did not pass")
-                for later in _ORACLE_GATED:
-                    blocked.setdefault(later, reason)
+        if reason:  # an earlier reason takes precedence
+            for later in order[order.index(name) + 1:]:
+                blocked.setdefault(later, reason)
 
     overall = ("pass" if all(b["status"] in ("pass", "skipped")
                              for b in results.values()) else "fail")

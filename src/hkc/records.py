@@ -3,6 +3,8 @@
 A record is one verified identity family: an id, an opaque cross-reference
 ``anchor`` token (stable identifiers consumed by downstream tooling), the
 worst residual seen, the tolerance it was held to, and the verdict.
+Each record's anchor and tolerance order are declared once, in
+:data:`IDENTITY_REGISTRY`, whose order is the report order.
 
 Record kinds:
 
@@ -27,74 +29,75 @@ SCHEMA = "hkc-report/1"
 
 
 # ============================================================
-# static identity registry: record id -> anchor token
+# static identity registry: record id -> (anchor token, tolerance order);
+# order 1 is tol_first, 2 is tol_second, None no tolerance
 # ============================================================
 
 IDENTITY_REGISTRY = {
     # structure axioms
-    "axioms.quaternion_products": "3-structure",
-    "axioms.unit_reeb": "3-structure",
-    "axioms.phi_square": "almost-contact",
-    "axioms.eta_reeb": "almost-contact",
-    "axioms.compat": "compat",
-    "axioms.omega_skew": "fundamental-2form",
-    "axioms.reeb_cross": "3-structure",
-    "axioms.phi_compose": "3-structure",
-    "axioms.eta_phi": "3-structure",
-    "axioms.projection": "splitting",
+    "axioms.quaternion_products": ("3-structure", 1),
+    "axioms.unit_reeb": ("3-structure", 1),
+    "axioms.phi_square": ("almost-contact", 1),
+    "axioms.eta_reeb": ("almost-contact", 1),
+    "axioms.compat": ("compat", 1),
+    "axioms.omega_skew": ("fundamental-2form", 1),
+    "axioms.reeb_cross": ("3-structure", 1),
+    "axioms.phi_compose": ("3-structure", 1),
+    "axioms.eta_phi": ("3-structure", 1),
+    "axioms.projection": ("splitting", 1),
     # single-structure differential identities
-    "sasaki.defect": "sasaki-condition",
-    "sasaki.reeb_covariant": "sas pro",
-    "sasaki.reeb_bracket": "bracket xi",
-    "sasaki.reeb_on_reeb": "levi1",
-    "sasaki.conventions": "sas pro",
+    "sasaki.defect": ("sasaki-condition", 2),
+    "sasaki.reeb_covariant": ("sas pro", 1),
+    "sasaki.reeb_bracket": ("bracket xi", 1),
+    "sasaki.reeb_on_reeb": ("levi1", 1),
+    "sasaki.conventions": ("sas pro", None),
     # the distribution-adapted connection
-    "connection.two_forms_agree": "new conn",
-    "connection.metricity": "new comp.",
-    "connection.reeb_parallel": "new comp.",
-    "connection.h_preserved": "new comp.",
-    "connection.bracket3": "bracket3",
-    "connection.phi_parallel": "varphi",
-    "connection.h_tensor_table": "h-table",
+    "connection.two_forms_agree": ("new conn", 1),
+    "connection.metricity": ("new comp.", 1),
+    "connection.reeb_parallel": ("new comp.", 1),
+    "connection.h_preserved": ("new comp.", 1),
+    "connection.bracket3": ("bracket3", 1),
+    "connection.phi_parallel": ("varphi", 2),
+    "connection.h_tensor_table": ("h-table", 1),
     # torsion
-    "torsion.lc_zero": "torsion",
-    "torsion.h_pair": "torsion",
-    "torsion.mixed": "torsion",
-    "torsion.reeb_pair": "torsion",
+    "torsion.lc_zero": ("torsion", 1),
+    "torsion.h_pair": ("torsion", 1),
+    "torsion.mixed": ("torsion", 1),
+    "torsion.reeb_pair": ("torsion", 1),
     # curvature of both connections
-    "curvature.oracle_gate": "cur1",
-    "curvature.reeb_curvature_lc": "sas pro",
-    "curvature.annihilation_last": "curvature",
-    "curvature.annihilation_middle": "curvature1",
-    "curvature.annihilation_pair": "curvature1",
-    "curvature.sym_first_pair": "cur pro",
-    "curvature.sym_last_pair": "cur pro",
-    "curvature.sym_pair_swap": "curvature2",
-    "curvature.sym_bianchi": "curvature2",
+    "curvature.oracle_gate": ("cur1", 2),
+    "curvature.reeb_curvature_lc": ("sas pro", 2),
+    "curvature.annihilation_last": ("curvature", 2),
+    "curvature.annihilation_middle": ("curvature1", 2),
+    "curvature.annihilation_pair": ("curvature1", 2),
+    "curvature.sym_first_pair": ("cur pro", 2),
+    "curvature.sym_last_pair": ("cur pro", 2),
+    "curvature.sym_pair_swap": ("curvature2", 2),
+    "curvature.sym_bianchi": ("curvature2", 2),
     # algebraic vs differential curvature routes
-    "cross_check.pure_h": "cur1 2",
-    "cross_check.reeb_last": "cur1 2",
-    "cross_check.reeb_pairs": "cur1 2",
-    "cross_check.single_reeb": "cur1 2",
-    "cross_check.generic": "cur1 2",
-    "cross_check.gap_structure": "cur1 2",
+    "cross_check.pure_h": ("cur1 2", 2),
+    "cross_check.reeb_last": ("cur1 2", 2),
+    "cross_check.reeb_pairs": ("cur1 2", 2),
+    "cross_check.single_reeb": ("cur1 2", 2),
+    "cross_check.generic": ("cur1 2", 2),
+    "cross_check.gap_structure": ("cur1 2", 1),
     # traces
-    "ricci.einstein_lc": "ric",
-    "ricci.h_connection": "ric",
-    "ricci.h_connection_measured": "Ricci",
+    "ricci.einstein_lc": ("ric", 2),
+    "ricci.h_connection": ("ric", 2),
+    "ricci.h_connection_measured": ("Ricci", 2),
     # sectional / holomorphic sectional
-    "sectional.sphere_constant": "sectional-def",
-    "sectional.plane_invariance": "sectional-def",
-    "sectional.sec_rela": "sec rela",
-    "sectional.holomorphic_constant": "sum H",
-    "sectional.holomorphic_sum": "sum H",
-    "sectional.tanno_sum": "tanno",
-    "sectional.third_constant": "cons2",
-    "sectional.cor_xxx": "X X1 X2 X3",
+    "sectional.sphere_constant": ("sectional-def", 2),
+    "sectional.plane_invariance": ("sectional-def", 2),
+    "sectional.sec_rela": ("sec rela", 2),
+    "sectional.holomorphic_constant": ("sum H", 2),
+    "sectional.holomorphic_sum": ("sum H", 2),
+    "sectional.tanno_sum": ("tanno", 2),
+    "sectional.third_constant": ("cons2", 2),
+    "sectional.cor_xxx": ("X X1 X2 X3", 2),
     # the plane-comparison polynomial
-    "theorem_sec.h_case": "sec",
-    "theorem_sec.sweep": "sec",
-    "theorem_sec.reeb_case": "sec",
+    "theorem_sec.h_case": ("sec", 2),
+    "theorem_sec.sweep": ("sec", 2),
+    "theorem_sec.reeb_case": ("sec", 2),
 }
 
 
@@ -119,7 +122,7 @@ def make_record(rec_id, suite, **fields):
     for key in ("max_residual", "tolerance"):
         if fields.get(key) is not None:
             fields[key] = float(fields[key])
-    return VerificationRecord(id=rec_id, anchor=IDENTITY_REGISTRY[rec_id],
+    return VerificationRecord(id=rec_id, anchor=IDENTITY_REGISTRY[rec_id][0],
                               suite=suite, **fields)
 
 
@@ -135,23 +138,27 @@ def worst_residuals(pairs):
     return {key: float(res) for key, res in worst.items()}
 
 
-def build_records(suite, samples, pairs, table):
-    """The records of one suite from its residual pairs.
+def build_records(suite, samples, pairs, tol, table=None):
+    """The records of one suite: every registry id under its prefix
+    (``cross-check`` -> ``cross_check.``), in registry order.
 
     ``pairs`` yields ``(key, residuals)`` as for :func:`worst_residuals`.
-    ``table`` maps each record id, in report order, to its tolerance or
-    to :func:`make_record` fields that override the defaults (the worst
-    residual under the id, its verdict against the tolerance, ``samples``
-    samples).  A callable ``table`` gets the worst residuals first.
+    A record holds the worst residual under its id (0.0 if none), the
+    tolerance of its order from ``tol = (tol_first, tol_second)``, its
+    verdict against that tolerance, and ``samples`` samples.  ``table``
+    maps an id to :func:`make_record` fields that override these; a
+    callable ``table`` gets the worst residuals first.
     """
     worst = worst_residuals(pairs)
-    if callable(table):
-        table = table(worst)
+    table = table(worst) if callable(table) else table or {}
+    prefix = suite.replace("-", "_") + "."
     records = []
-    for rid, spec in table.items():
-        spec = spec if isinstance(spec, dict) else {"tolerance": spec}
+    for rid, (_, order) in IDENTITY_REGISTRY.items():
+        if not rid.startswith(prefix):
+            continue
         fields = {"max_residual": worst.get(rid, 0.0), "samples": samples,
-                  **spec}
+                  "tolerance": None if order is None else tol[order - 1],
+                  **table.get(rid, {})}
         if "passed" not in fields:
             fields["passed"] = bool(fields["max_residual"] <= fields["tolerance"])
         records.append(make_record(rid, suite=suite, **fields))

@@ -278,8 +278,7 @@ class ThreeSasakiStructure:
         x, X, Y = sample
         X._check_same_base(Y, x)
         return build_records("axioms", len(np.atleast_2d(x.x)),
-                             self._axiom_residuals(x, X, Y),
-                             lambda worst: dict.fromkeys(worst, tol))
+                             self._axiom_residuals(x, X, Y), (tol, tol))
 
     def _axiom_residuals(self, x, X, Y):
         """(record id, residuals) pairs, one residual per sample row; the

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hkc import connections, harness
+from hkc import connections, harness, sphere3s
 from hkc.connections import ConnectionKind
 from hkc.curvature import verify_symmetries
 from hkc.harness import (
@@ -38,7 +38,7 @@ from hkc.numlin import (
     StructuralError,
     norm,
 )
-from hkc.records import registry_gaps
+from hkc.records import IDENTITY_REGISTRY, build_records, registry_gaps
 from hkc.sphere3s import SpherePoint, ThreeSasakiStructure
 
 from conftest import stack_rows
@@ -406,6 +406,23 @@ def test_sectional_draws_nothing_after_a_dropped_sample(monkeypatch):
         _sectional_draws(s, cfg)
 
 
+@pytest.mark.parametrize("dropped", [(1,), (0, 1, 2)])
+def test_sectional_records_count_the_samples_they_checked(monkeypatch, dropped):
+    # a sample whose Y is drawn parallel to X is dropped, and not counted;
+    # with every sample dropped all eight records remain, in registry order
+    cfg = RunConfig(points=3, seed=2, suites=("sectional",))
+    d = ThreeSasakiStructure(n=1).ambient_dim
+    parallel = {}
+    for sample in dropped:  # Y's raw row is X's
+        key, at = _row_at(cfg, "sectional", sample, 2, 4 * d + 4, d)
+        parallel[at] = lambda drawn, at=at: drawn[at - d:at]
+    _force(monkeypatch, {key: parallel})
+    recs = run_suites(cfg).suites["sectional"]["records"]
+    assert [r.id for r in recs] == [rid for rid in IDENTITY_REGISTRY
+                                    if rid.startswith("sectional.")]
+    assert {r.samples for r in recs} == {3 - len(dropped)}
+
+
 def _drawing_paths(s, cfg):
     """Every drawing path, as stacks of rows whose axis 0 runs over the
     samples (theorem-sec: one stack per direction)."""
@@ -536,6 +553,30 @@ def test_full_run_statuses(small_report):
 
 def test_full_run_covers_registry(small_report):
     assert registry_gaps(small_report) == []
+
+
+def test_every_yielded_key_names_a_record_of_its_suite(monkeypatch):
+    # a key is a registry id of its suite, or an auxiliary key that the
+    # suite's table reads: a misspelt id cannot leave its record at 0.0
+    yielded = {}
+
+    def spy(suite, samples, pairs, tol, table=None):
+        pairs = list(pairs)
+        yielded[suite] = {key for key, _ in pairs}
+        return build_records(suite, samples, pairs, tol, table)
+
+    for module in (harness, sphere3s):
+        monkeypatch.setattr(module, "build_records", spy)
+    run_suites(RunConfig())
+    assert list(yielded) == list(SUITE_ORDER)
+    combos = {f"{a}/{b}" for a in ("+1", "-1") for b in ("+1", "-1")}
+    auxiliary = {"cross-check": {"gap"}, "theorem-sec": {
+        (label, combo) for label, _ in harness._SWEEP_ANGLES for combo in combos}}
+    for suite, keys in yielded.items():
+        prefix = suite.replace("-", "_") + "."
+        ids = {rid for rid in IDENTITY_REGISTRY if rid.startswith(prefix)}
+        assert keys <= ids | auxiliary.get(suite, set()), suite
+        assert auxiliary.get(suite, set()) <= keys, suite
 
 
 def test_expected_failures_are_the_known_ones(small_report):
@@ -835,6 +876,27 @@ def test_cli_errored_suites_exit_two(capsys):
         "theorem-sec": "skipped"}
     for name in ("cross-check", "ricci", "sectional", "theorem-sec"):
         assert report["suites"][name]["reason"] == "the curvature suite errored"
+
+
+@pytest.mark.parametrize("suites, gated", [
+    (None, ("cross-check", "ricci", "sectional", "theorem-sec")),
+    ("curvature,ricci", ("ricci",))])
+def test_cli_failing_oracle_gate_skips_every_later_suite(capsys, suites, gated):
+    # a difference step of 1e-5 leaves the round-curvature oracle above
+    # tol_second: the gate fails, and every suite after it says so
+    argv = ["verify", "--n", "1", "--points", "3", "--seed", "0",
+            "--scheme", "fd", "--fd-step", "1e-5"]
+    assert main(argv + (["--suites", suites] if suites else [])) == 1
+    report = json.loads(capsys.readouterr().out)
+    gate, = (r for r in report["suites"]["curvature"]["records"]
+             if r["id"] == "curvature.oracle_gate")
+    assert gate["passed"] is False and gate["max_residual"] > 1e-7
+    later = SUITE_ORDER[SUITE_ORDER.index("curvature") + 1:]
+    assert tuple(name for name in later if name in report["suites"]) == gated
+    for name in gated:
+        body = report["suites"][name]
+        assert body["status"] == "skipped" and body["records"] == []
+        assert body["reason"] == "the curvature oracle gate did not pass"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -23,8 +23,8 @@ def test_nan_residual_fails_its_record():
     pairs = [("axioms.unit_reeb", [1e-17, np.nan]), ("axioms.compat", 1e-17),
              ("axioms.unit_reeb", 0.0)]
     assert np.isnan(worst_residuals(pairs)["axioms.unit_reeb"])
-    reeb, compat = build_records("axioms", 2, pairs,
-                                 lambda worst: dict.fromkeys(worst, 1e-9))
+    recs = {r.id: r for r in build_records("axioms", 2, pairs, (1e-9, 1e-9))}
+    reeb, compat = recs["axioms.unit_reeb"], recs["axioms.compat"]
     assert reeb.passed is False and np.isnan(reeb.max_residual)
     assert compat.passed is True and compat.samples == 2
     assert '"max_residual": "nan"' in canonical_json(reeb.as_dict())
