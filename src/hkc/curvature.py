@@ -95,15 +95,18 @@ def rbar_algebraic(structure: ThreeSasakiStructure, X, Y, Z, R=None):
     exceeds :func:`rbar_difference_tensor` by exactly
     :func:`two_route_gap_form`."""
     X._check_same_base(Y, Z, *(() if R is None else (R,)))
-    s, y, Xv, Yv, Zv = structure, X.base.x, X.v, Y.v, Z.v
-    et = lambda a, w: s.eta_raw(a, w, y)
-    om = lambda a, u, w: s.omega_raw(a, u, w, y)
-    phi = lambda a, w: s.phi_raw(a, w, y)
-    xi = lambda a: s.reeb_raw(a, y)
+    parts = structure.chunks(X.base.x, X.v, Y.v, Z.v, None if R is None else R.v)
+    return TangentVector(X.base, np.concatenate([_rbar_rows(structure, *c) for c in parts]))
+
+
+def _rbar_rows(s, y, Xv, Yv, Zv, Rv):
+    """:func:`rbar_algebraic` on one chunk of rows, from its table."""
+    m = s.maps(y)
+    et, om, phi, xi = m.eta, m.omega, m.phi, m.xi
     gXZ = dot(Xv, Zv)
     gYZ = dot(Yv, Zv)
 
-    out = gYZ * Xv - gXZ * Yv if R is None else R.v
+    out = gYZ * Xv - gXZ * Yv if Rv is None else Rv
     for a in (1, 2, 3):
         out = out - 2.0 * om(a, Yv, Xv) * phi(a, Zv) \
                   - om(a, Zv, Xv) * phi(a, Yv) \
@@ -121,7 +124,7 @@ def rbar_algebraic(structure: ThreeSasakiStructure, X, Y, Z, R=None):
                   + et(a, Zv) * et(b, phi(a, Yv)) * phi(b, Xv)
         out = out - et(a, Xv) * et(b, phi(a, Zv)) * phi(b, Yv) \
                   - et(a, Zv) * et(b, phi(a, Xv)) * phi(b, Yv)
-    return TangentVector(X.base, s.tangent_project_raw(out, y))
+    return s.tangent_project_raw(out, y)
 
 
 def rbar_difference_tensor(structure: ThreeSasakiStructure, X: TangentVector,
@@ -200,9 +203,14 @@ def two_route_gap_form(structure: ThreeSasakiStructure, X, Y, Z):
     agree.
     """
     X._check_same_base(Y, Z)
-    s, y, Xv, Yv, Zv = structure, X.base.x, X.v, Y.v, Z.v
-    et = lambda a, w: s.eta_raw(a, w, y)
-    xi = lambda a: s.reeb_raw(a, y)
+    parts = structure.chunks(X.base.x, X.v, Y.v, Z.v)
+    return TangentVector(X.base, np.concatenate([_gap_rows(structure, *c) for c in parts]))
+
+
+def _gap_rows(s, y, Xv, Yv, Zv):
+    """:func:`two_route_gap_form` on one chunk of rows, from its table."""
+    m = s.maps(y)
+    et, xi = m.eta, m.xi
     gXZ = dot(Xv, Zv)
     gYZ = dot(Yv, Zv)
     out = np.zeros_like(y)
@@ -213,7 +221,7 @@ def two_route_gap_form(structure: ThreeSasakiStructure, X, Y, Z):
                                              + et(b, Zv) * xi(a))
         out = out + et(a, Zv) * (et(b, Yv) * et(a, Xv)
                                  + et(a, Yv) * et(b, Xv)) * xi(b)
-    return TangentVector(X.base, out)
+    return out
 
 
 def cross_check_rbar(structure, sample, scheme=EXACT_FORWARD):

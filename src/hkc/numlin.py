@@ -126,8 +126,8 @@ def dot(u, v):
     """Euclidean inner product over the last axis, bilinear through any
     nesting of duals.  Two 1-D (or scalar) leaves give a float; a stack
     of vectors on either side gives shape ``(..., 1)``, which broadcasts
-    against vectors.  Row bits hold for C-contiguous stacks (``np.matmul``
-    picks its kernel by layout); a test holds every stacked leaf to that."""
+    against vectors.  A stacked leaf is one ``np.vecdot``: one BLAS dot
+    per row, each with the bits of ``np.dot`` on that row, in any layout."""
     if isinstance(u, Dual):
         return Dual(dot(u.val, v.val if isinstance(v, Dual) else v),
                     dot(u.dot, v.val if isinstance(v, Dual) else v)
@@ -135,7 +135,7 @@ def dot(u, v):
     if isinstance(v, Dual):
         return Dual(dot(u, v.val), dot(u, v.dot))
     if getattr(u, "ndim", 0) > 1 or getattr(v, "ndim", 0) > 1:
-        return np.matmul(u[..., None, :], v[..., :, None])[..., 0]
+        return np.vecdot(u, v)[..., None]
     return float(np.dot(u, v))
 
 
@@ -160,7 +160,7 @@ def norm(u):
 def _all_finite(obj):
     if isinstance(obj, Dual):
         return _all_finite(obj.val) and _all_finite(obj.dot)
-    return bool(np.all(np.isfinite(obj)))
+    return np.isfinite(obj).all()
 
 
 # ============================================================

@@ -21,7 +21,8 @@ configuration produce byte-identical documents.
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -207,9 +208,9 @@ def registry_gaps(report):
 # ============================================================
 
 def _fmt_float(x):
-    if np.isnan(x):
+    if math.isnan(x):
         return '"nan"'
-    if np.isinf(x):
+    if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
     return format(x, ".17g")
 
@@ -228,7 +229,7 @@ def canonical_json(obj, indent=0):
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, np.ndarray):
         return canonical_json(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
@@ -241,7 +242,7 @@ def canonical_json(obj, indent=0):
             return "{}"
         items = []
         for k in sorted(obj):
-            items.append(inner + json.dumps(str(k)) + ": "
+            items.append(inner + encode_basestring_ascii(str(k)) + ": "
                          + canonical_json(obj[k], indent + 1))
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     raise TypeError(f"cannot canonicalize value of type {type(obj).__name__}")

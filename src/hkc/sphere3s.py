@@ -13,8 +13,9 @@ distribution H is the joint kernel of the three eta^alpha.
 
 Each structure map has one form, ``*_raw``, acting on plain ambient
 arrays, stacks of them (one row per vector) or dual numbers; vector-field
-closures, nested differentiation and the suites all call it.  Validation
-happens where a value enters: :class:`SpherePoint` and
+closures, nested differentiation and the suites all call it, the closed
+forms and the axioms through one table per point (:class:`StructureMaps`).
+Validation happens where a value enters: :class:`SpherePoint` and
 :class:`TangentVector` hold one row ``(d,)`` or a stack ``(P, d)`` and
 check unit length and tangency of every row on construction.  The typed
 operations of ``connections`` and ``curvature`` take and return them; a
@@ -125,6 +126,33 @@ class TangentVector(_Frozen):
 # the structure
 # ============================================================
 
+class StructureMaps:
+    """The structure-map values at the point ``y`` on plain arrays, each
+    computed on first use as its ``*_raw`` operation computes it, bit for
+    bit; arguments are told apart by identity and held, so no id is reused."""
+
+    def __init__(self, s, y):
+        self.s, self.y, self._values = s, y, {}
+
+    def _memo(self, key, make, *held):
+        hit = self._values.get(key)
+        if hit is None:
+            hit = self._values[key] = make(), held
+        return hit[0]
+
+    def xi(self, a):
+        return self._memo(("xi", a), lambda: self.s.reeb_raw(a, self.y))
+
+    def eta(self, a, w):
+        return self._memo(("eta", a, id(w)), lambda: dot(self.xi(a), w), w)
+
+    def phi(self, a, w):
+        return self._memo(("phi", a, id(w)), lambda: self.s.phi_raw(a, w, self.y), w)
+
+    def omega(self, a, u, w):
+        return self._memo(("omega", a, id(u), id(w)), lambda: dot(u, self.phi(a, w)), u, w)
+
+
 class ThreeSasakiStructure:
     """The three linked contact structures on the round sphere.
 
@@ -184,7 +212,7 @@ class ThreeSasakiStructure:
         # the dense product's bits for finite v (its 0 * inf makes an inf in v
         # nan in every other entry); + 0 turns -0 into the dense sum's +0
         cols, vals = self._gather
-        return np.take(v, cols, axis=-1) * vals + 0
+        return v.take(cols, axis=-1) * vals + 0
 
     def reeb_all_raw(self, y):
         return leafmap(lambda a: self.sign * self._apply_all(a), y)
@@ -214,6 +242,21 @@ class ThreeSasakiStructure:
 
     def omega_raw(self, alpha, u, w, y):
         return dot(u, self.phi_raw(alpha, w, y))
+
+    def maps(self, y):
+        """The table of structure-map values at the point ``y``."""
+        return StructureMaps(self, y)
+
+    def chunks(self, y, *vs):
+        """``(y, *vs)`` in chunks of ``connections.CURVATURE_CHUNK // d`` rows
+        of the stack ``y`` (None stays None; one row is one chunk), which
+        bound the working set of a :meth:`maps` table."""
+        from .connections import CURVATURE_CHUNK  # built on this module
+        if y.ndim < 2:
+            return [(y, *vs)]
+        step = max(1, CURVATURE_CHUNK // self.ambient_dim)
+        return [tuple(None if a is None else a[i:i + step] for a in (y, *vs))
+                for i in range(0, len(y), step)]
 
     def tangent_project_raw(self, w, y):
         return w - dot(w, y) * y
@@ -292,33 +335,31 @@ class ThreeSasakiStructure:
             *(float(np.max(np.abs(I @ I + ident))) for I in (I1, I2, I3)),
             *(float(np.max(np.abs(I.T + I))) for I in (I1, I2, I3)),
         )
-        y, Xv, Yv = x.x, X.v, Y.v
-        phi = lambda a, w: self.phi_raw(a, w, y)
-        eta = lambda a, w: self.eta_raw(a, w, y)
-        xs = [self.reeb_raw(a, y) for a in (1, 2, 3)]
-        for a in (1, 2, 3):
-            xi = xs[a - 1]
-            yield "axioms.unit_reeb", abs(dot(xi, xi) - 1.0)
-            yield "axioms.unit_reeb", abs(dot(xi, y))
-            fX = phi(a, Xv)
-            yield "axioms.phi_square", norm(phi(a, fX) + Xv - eta(a, Xv) * xi)
-            for b in (1, 2, 3):
-                dlt = 1.0 if a == b else 0.0
-                yield "axioms.eta_reeb", abs(eta(a, xs[b - 1]) - dlt)
-            yield "axioms.compat", abs(dot(fX, phi(a, Yv)) - dot(Xv, Yv)
-                                       + eta(a, Xv) * eta(a, Yv))
-            yield "axioms.omega_skew", abs(self.omega_raw(a, Xv, Xv, y))
-            yield "axioms.omega_skew", abs(self.omega_raw(a, Xv, Yv, y)
-                                           + self.omega_raw(a, Yv, Xv, y))
-        for beta, gamma, theta in EVEN_PERMUTATIONS:
-            yield "axioms.reeb_cross", norm(phi(beta, xs[gamma - 1]) - xs[theta - 1])
-            yield "axioms.reeb_cross", norm(phi(gamma, xs[beta - 1]) + xs[theta - 1])
-            comp = phi(beta, phi(gamma, Xv)) - eta(gamma, Xv) * xs[beta - 1]
-            yield "axioms.phi_compose", norm(comp - phi(theta, Xv))
-            yield "axioms.eta_phi", abs(eta(theta, Xv) - eta(beta, phi(gamma, Xv)))
-            yield "axioms.eta_phi", abs(eta(theta, Xv) + eta(gamma, phi(beta, Xv)))
-        pX = self.project_h_raw(Xv, y)
-        yield "axioms.projection", norm(self.project_h_raw(pX, y) - pX)
-        yield "axioms.projection", abs(dot(pX, Yv) - dot(Xv, self.project_h_raw(Yv, y)))
-        for a in (1, 2, 3):
-            yield "axioms.projection", abs(eta(a, pX))
+        for y, Xv, Yv in self.chunks(x.x, X.v, Y.v):  # the maps act row by row
+            m = self.maps(y)
+            phi, eta, xs = m.phi, m.eta, [m.xi(a) for a in (1, 2, 3)]
+            for a in (1, 2, 3):
+                xi = xs[a - 1]
+                yield "axioms.unit_reeb", abs(dot(xi, xi) - 1.0)
+                yield "axioms.unit_reeb", abs(dot(xi, y))
+                fX = phi(a, Xv)
+                yield "axioms.phi_square", norm(phi(a, fX) + Xv - eta(a, Xv) * xi)
+                for b in (1, 2, 3):
+                    dlt = 1.0 if a == b else 0.0
+                    yield "axioms.eta_reeb", abs(eta(a, xs[b - 1]) - dlt)
+                yield "axioms.compat", abs(dot(fX, phi(a, Yv)) - dot(Xv, Yv)
+                                           + eta(a, Xv) * eta(a, Yv))
+                yield "axioms.omega_skew", abs(m.omega(a, Xv, Xv))
+                yield "axioms.omega_skew", abs(m.omega(a, Xv, Yv) + m.omega(a, Yv, Xv))
+            for beta, gamma, theta in EVEN_PERMUTATIONS:
+                yield "axioms.reeb_cross", norm(phi(beta, xs[gamma - 1]) - xs[theta - 1])
+                yield "axioms.reeb_cross", norm(phi(gamma, xs[beta - 1]) + xs[theta - 1])
+                comp = phi(beta, phi(gamma, Xv)) - eta(gamma, Xv) * xs[beta - 1]
+                yield "axioms.phi_compose", norm(comp - phi(theta, Xv))
+                yield "axioms.eta_phi", abs(eta(theta, Xv) - eta(beta, phi(gamma, Xv)))
+                yield "axioms.eta_phi", abs(eta(theta, Xv) + eta(gamma, phi(beta, Xv)))
+            pX = self.project_h_raw(Xv, y)
+            yield "axioms.projection", norm(self.project_h_raw(pX, y) - pX)
+            yield "axioms.projection", abs(dot(pX, Yv) - dot(Xv, self.project_h_raw(Yv, y)))
+            for a in (1, 2, 3):
+                yield "axioms.projection", abs(eta(a, pX))

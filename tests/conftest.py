@@ -1,13 +1,15 @@
 """Shared test plumbing: collects acceptance-criterion outcomes and prints
-one line per criterion at the end of the run, and builds stacked points
-and tangent vectors from one-row ones and back.  Property tests draw the
-same examples on every run (a derandomized hypothesis profile, no example
-database), so a failing run reproduces."""
+one line per criterion at the end of the run, builds stacked points and
+tangent vectors from one-row ones and back, and a structure with dense
+maps.  Property tests draw the same examples on every run (a
+derandomized hypothesis profile, no example database), so a failing run
+reproduces."""
 
 import numpy as np
 from hypothesis import settings
 
-from hkc.sphere3s import SpherePoint, TangentVector
+from hkc.numlin import quaternion_structures
+from hkc.sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
@@ -50,3 +52,12 @@ def row(value, i):
     if isinstance(value, SpherePoint):
         return SpherePoint(value.x[i])
     return TangentVector(row(value.base, i), value.v[i])
+
+
+def rotated(n):
+    """The quaternion triple conjugated by a rotation: a 3-Sasakian
+    structure whose maps are dense products, not a signed permutation."""
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4 * n + 4,) * 2))
+    s = ThreeSasakiStructure(n=n, triple=Q @ quaternion_structures(n) @ Q.T)
+    assert s._gather is None
+    return s

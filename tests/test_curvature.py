@@ -16,7 +16,6 @@ from hkc.numlin import (
     dot,
     leafmap,
     norm,
-    quaternion_structures,
 )
 from hkc import connections, curvature as curvature_module, sphere3s
 from hkc.connections import (
@@ -47,7 +46,7 @@ from hkc import harness
 from hkc.harness import _SUITE_FUNCS, RunConfig, cross_check_families, resolve_conventions
 from hkc.sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
 
-from conftest import row, stack, stack_rows
+from conftest import rotated, row, stack, stack_rows
 
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
@@ -413,13 +412,30 @@ def test_fused_passes_have_the_bits_of_separate_calls(monkeypatch, n, scheme):
             assert v.tobytes() == _separate(*args, p, y, scheme).tobytes()
 
 
-def _rotated(n):
-    # the quaternion triple conjugated by a rotation: a 3-Sasakian
-    # structure whose maps are dense products, not a signed permutation
-    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4 * n + 4,) * 2))
-    s = ThreeSasakiStructure(n=n, triple=Q @ quaternion_structures(n) @ Q.T)
-    assert s._gather is None
-    return s
+@pytest.mark.parametrize("dense", [False, True])
+def test_closed_forms_and_axioms_keep_their_bits_across_row_chunks(monkeypatch, dense):
+    # the stated expansion (with and without R), the gap form and the axiom
+    # records on 7 rows, in chunks of 2, 2, 2 and 1 rows (a budget of 2 d
+    # floats) against one chunk of all 7
+    s = rotated(1) if dense else ThreeSasakiStructure(n=1)
+    rng = np.random.default_rng(17)
+    rows = []
+    for _ in range(7):
+        x = rand_point(s, rng)
+        rows.append((x, *(rand_tv(s, x, rng) for _ in range(4))))
+    x, X, Y, Z, R = stack_rows(rows)
+
+    def values():
+        return ([V.v.tobytes() for V in (rbar_algebraic(s, X, Y, Z),
+                                         rbar_algebraic(s, X, Y, Z, R=R),
+                                         two_route_gap_form(s, X, Y, Z))]
+                + [repr(r.as_dict()) for r in s.check_structure_axioms((x, X, Y))])
+
+    whole = values()
+    assert len(s.chunks(x.x)) == 1
+    monkeypatch.setattr(connections, "CURVATURE_CHUNK", 2 * s.ambient_dim)
+    assert [len(c[0]) for c in s.chunks(x.x)] == [2, 2, 2, 1]
+    assert values() == whole
 
 
 @pytest.mark.parametrize("n, scheme, dense", [
@@ -435,7 +451,7 @@ def test_fused_first_order_passes_have_the_bits_of_separate_calls(monkeypatch, n
     # pass over all rows, in chunks of 1 sample (a budget of 1 float: one
     # pattern of one row a pass), of 1, of 3 (5 is no multiple) and of all
     # 5 samples; dense: on a triple the structure maps multiply out
-    s = _rotated(n) if dense else ThreeSasakiStructure(n=n)
+    s = rotated(n) if dense else ThreeSasakiStructure(n=n)
     cfg = RunConfig(n=n, points=5, scheme=scheme)
     conventions = resolve_conventions(s, 0, scheme)
     calls, budget = _record_fused(monkeypatch)
@@ -480,7 +496,7 @@ def test_typed_operations_on_stacks_have_the_bits_of_one_row_calls(dense, specs,
     # onto H; every typed operation on 3 rows against its one-row calls,
     # with a chunk budget of 2 rows (chunks of 2 and 1 rows, one pattern
     # a pass) and the default (the patterns of a pass merged)
-    s = _rotated(1) if dense else ThreeSasakiStructure(n=1)
+    s = rotated(1) if dense else ThreeSasakiStructure(n=1)
     rng = np.random.default_rng(seed)
     P, d = 3, s.ambient_dim
     x = SpherePoint.normalized(rng.standard_normal((P, d)))
@@ -518,7 +534,7 @@ def _leaves(v):
 
 @pytest.mark.parametrize("make", [lambda: ThreeSasakiStructure(n=1),
                                   lambda: ThreeSasakiStructure(n=4),
-                                  lambda: _rotated(1)])
+                                  lambda: rotated(1)])
 def test_merged_fields_have_the_rows_of_one_alpha_each(make):
     # Reeb fields of different alpha on adjacent row blocks, and phi_a of
     # (projected) extensions, are one field over the stacked rows, whose

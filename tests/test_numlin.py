@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,12 +121,47 @@ def test_stacked_dot_and_matvec_match_rows(m):
         assert out.dot[i, 0] == pytest.approx(row.dot, abs=1e-13)
 
 
+def _assert_dot_rows(d):
+    """Each row of a stacked ``dot`` on broadcast and strided operands has
+    the bits of ``np.dot`` on that row."""
+    rng = np.random.default_rng(d)
+    r = lambda *shape: rng.standard_normal(shape)
+    for u, v in ((r(5, 1, 3, d), r(5, d, 1, d)),  # the alpha-stacked A on a basis
+                 (r(5, 2 * d)[:, ::2], r(5, d, 3)[:, :, 1]),  # strided rows
+                 (r(10, d)[::2], r(d)), (r(d), r(d, 5).T)):  # against one vector
+        got = dot(u, v)
+        U, V = np.broadcast_arrays(u, v)
+        assert got.shape == U.shape[:-1] + (1,)
+        for i in np.ndindex(U.shape[:-1]):
+            assert got[i].tobytes() == np.dot(U[i], V[i]).tobytes(), (d, u.shape, i)
+
+
+@pytest.mark.parametrize("d", [4, 8, 68])
+def test_stacked_dot_rows_on_broadcast_and_strided_operands(d):
+    _assert_dot_rows(d)
+
+
+@pytest.mark.parametrize("coretype, core", [("Haswell", "Haswell"), ("Prescott", "Katmai")])
+def test_stacked_dot_rows_under_other_blas_kernels(coretype, core):
+    # the same check in a process whose OpenBLAS runs another kernel (it
+    # names the kernel it loads on standard error at OPENBLAS_VERBOSE=2)
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_VERBOSE="2",
+               PYTHONPATH=os.pathsep.join([str(here), str(here.parent / "src")]))
+    code = "import test_numlin as t\nfor d in (4, 8, 68): t._assert_dot_rows(d)\nprint('ok')"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    if f"Core: {core}" not in out.stderr.splitlines():
+        pytest.skip(f"OpenBLAS kernel {core} does not load here")
+    assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
+
+
 @pytest.mark.parametrize("n, points", [(1, 6), (4, 3)])
 def test_stacked_dot_bits_do_not_depend_on_layout(monkeypatch, n, points):
-    # np.matmul may pick another kernel for operands of another memory
-    # layout, and stacked rows keep the bits of one-row calls only on one
-    # kernel: every stacked leaf of a whole run must give the bits it
-    # gives on C-contiguous copies of its operands
+    # every stacked leaf of a whole run must give the bits it gives on
+    # C-contiguous copies of its operands: a reduction whose kernel
+    # followed the memory layout would keep the bits of one-row calls on
+    # one layout only
     real = numlin.dot
     seen = {"stacked": 0, "strided": 0}
 

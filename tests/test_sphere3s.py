@@ -11,7 +11,7 @@ from hkc.sphere3s import (
     ThreeSasakiStructure,
 )
 
-from conftest import stack_rows
+from conftest import rotated, stack_rows
 
 
 def rand_point(struct, rng):
@@ -356,6 +356,34 @@ def test_gather_and_dense_products_part_on_non_finite_input():
     assert np.isinf(got).sum(-1).tolist() == [1, 1, 1]
     assert np.isfinite(got).sum(-1).tolist() == [7, 7, 7]
     assert np.isnan(dense).sum(-1).tolist() == [7, 7, 7]
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("rows", [0, slice(None)])
+def test_maps_table_has_the_bits_of_the_raw_maps(stack, dense, rows):
+    # every value of the table, when computed and when read back, against
+    # its *_raw call by bytes (== cannot see the sign of a zero), at one
+    # row and at a stack; nested arguments are values of the table
+    s = rotated(1) if dense else ThreeSasakiStructure(n=1)
+    y, w, u = (stack[k][rows] for k in "ywu")
+    m = s.maps(y)
+    as_bytes = lambda v: (type(v), np.asarray(v).tobytes())
+    for _ in range(2):
+        for a in (1, 2, 3):
+            pw = m.phi(a, w)
+            assert as_bytes(m.xi(a)) == as_bytes(s.reeb_raw(a, y))
+            assert as_bytes(pw) == as_bytes(s.phi_raw(a, w, y))
+            for b in (1, 2, 3):
+                assert as_bytes(m.phi(b, pw)) == as_bytes(s.phi_raw(b, pw, y))
+                assert as_bytes(m.eta(b, pw)) == as_bytes(s.eta_raw(b, pw, y))
+                assert as_bytes(m.eta(a, m.xi(b))) == as_bytes(s.eta_raw(a, s.reeb_raw(b, y), y))
+            for U, W in ((u, w), (w, u), (w, w), (u, pw)):
+                assert as_bytes(m.eta(a, W)) == as_bytes(s.eta_raw(a, W, y))
+                assert as_bytes(m.omega(a, U, W)) == as_bytes(s.omega_raw(a, U, W, y))
+    # a value is read back for the same argument object, and an equal
+    # copy is a new argument with a value of its own
+    assert m.phi(1, w) is m.phi(1, w) and m.phi(1, w) is not m.phi(2, w)
+    assert m.phi(1, w.copy()) is not m.phi(1, w)
 
 
 # ============================================================
