@@ -38,8 +38,9 @@ every row, or a function of the rows; a closure serves any rows (a
 constant one's vector is repeated on each).  All run on one driver,
 ``_fused_pass``: one pass per kernel (a covariant derivative, the
 bracket, or the nested curvature) serves many slot patterns, each on its
-own row block with the bits of its own pass.  It cuts the vectors to the
-rows of each chunk and merges the fields of one form on adjacent blocks,
+own row block with the bits of its own pass.  It uses the fields as
+given in a pass of one chunk, else cuts the vectors to the rows of each
+chunk, and merges the fields of one form on adjacent blocks,
 and raises ``StructuralError`` for a field of any other row count or of
 another structure; an index other than 1, 2, 3 raises it where the
 field is made.
@@ -50,7 +51,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import partial
-from itertools import groupby
+from itertools import groupby, zip_longest
 
 import numpy as np
 
@@ -268,18 +269,20 @@ def _fused_pass(s, kind, patterns, y, scheme):
             raise StructuralError("vector fields belong to different structures")
         if isinstance(v, np.ndarray) and v.ndim > 1 and len(v) not in (1, len(y2)):
             raise StructuralError(f"a field of {len(v)} rows at a point of {len(y2)}")
-    first = [f.rows(slice(0, 1)) for f in fields.values()]
-    width = math.prod(np.broadcast_shapes(s.ambient_dim, *(  # floats per row
-        f.vec.shape for f in first if f.vec is not None)))
-    form = dict(zip(fields, map(_form, first)))
+    # floats per row: the broadcast of each vector's row shape (a function's: d)
+    width = math.prod(map(max, zip_longest(*(
+        f.vec.shape[f.vec.ndim > 1:][::-1] if isinstance(f.vec, np.ndarray) else ()
+        for f in fields.values()), (s.ambient_dim,), fillvalue=1)))
+    form = {k: _form(f) for k, f in fields.items()}
     order = sorted(range(K), key=lambda k: [form[id(f)] for f in patterns[k][:slots]])
     group = max(1, CURVATURE_CHUNK // (len(y2) * width))  # patterns a pass holds
     step = max(1, CURVATURE_CHUNK // (group * width))  # rows a chunk holds
     group = -(-K // -(-K // group)) if K else 1  # as many passes, evened out
 
     def chunk(ps, c):  # a chunk's pass and cut fields are freed before the next
-        yc, f = y2[c], {id(g): g.rows(c) for p in ps for g in p
-                         if isinstance(g, VectorField)}
+        # one chunk of all rows: the fields as given (a function's rows made once)
+        yc, f = y2[c], {id(g): g if step >= len(y2) and not callable(g.vec) else g.rows(c)
+                         for p in ps for g in p if isinstance(g, VectorField)}
         C = len(yc)
         F = [_blocks(s, [f[id(p[j])] for p in ps], [form[id(p[j])] for p in ps], C)
              for j in range(slots)]

@@ -275,8 +275,10 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
     Ef = VectorField.extension(structure, np.eye(d)[None])
     Xf, *Yf = (VectorField.extension(structure, np.atleast_2d(V.v)[:, None])
                for V in (X, *Ys))
-    S = [sum(t[:, k] for k in range(d)) for t in _fused_pass(
-        structure, kind, [(Ef, Xf, F, Ef) for F in Yf], y, scheme)]
+    traces = _fused_pass(structure, kind, [(Ef, Xf, F, Ef) for F in Yf], y, scheme)
+    # 0 + t_0 + t_1 + ... as one sequential fold over the basis axis
+    S = [np.add.accumulate(np.concatenate([np.zeros_like(t[:, :1]), t], 1), 1)[:, -1]
+         for t in traces]
     S = S if X.v.ndim > 1 else [float(t[0, 0]) for t in S]
     return S if isinstance(Y, list) else S[0]
 

@@ -153,27 +153,32 @@ def _stream(seed, *key):
 
 def _units(s, w, kinds, x=None):
     """The unit rows of raw Gaussian rows w (P, len(kinds), d), as one
-    stack per row position k of kind ``kinds[k]``: a point ("p", then
-    normalised twice, as ``SpherePoint.normalized`` would), a unit vector
-    tangent at it ("t") or in H at it ("h"), each the row projected over
-    its length.  A row is used as drawn: a projection no longer than 1e-6
-    (by the chi law, a chance below 3e-19 a row) raises."""
-    out = []
-    for k, what in enumerate(kinds):
-        if what == "h" and s.h_dim == 0:
-            raise PreconditionError(
-                "the distribution H is zero-dimensional for n = 0; "
-                "no unit direction can be drawn from it")
-        v = np.ascontiguousarray(w[:, k])  # row bits: see numlin.dot
+    stack per row position k of kind ``kinds[k]``: a point ("p", first if
+    any, then normalised twice, as ``SpherePoint.normalized`` would), a
+    unit vector tangent at it ("t") or in H at it ("h"), each the row
+    projected over its length; the rows of one kind as one stack.  A row
+    is used as drawn: a projection no longer than 1e-6 (by the chi law, a
+    chance below 3e-19 a row) raises."""
+    if "h" in kinds and s.h_dim == 0:
+        raise PreconditionError(
+            "the distribution H is zero-dimensional for n = 0; "
+            "no unit direction can be drawn from it")
+    out = [None] * len(kinds)
+    for what in "pth":
+        ks = [k for k, c in enumerate(kinds) if c == what]
+        if not ks:
+            continue
+        v = w[:, ks]
         if what != "p":
-            v = (s.tangent_project_raw if what == "t" else s.project_h_raw)(v, x)
+            v = (s.tangent_project_raw if what == "t" else s.project_h_raw)(v, x[:, None])
         nv = norm(v)
         if not np.all(nv > 1e-6):
             raise PreconditionError("could not draw a usable sample row")
         u = v / nv
         u = u / norm(u) if what == "p" else u
-        x = u if what == "p" else x
-        out.append(u)
+        x = u[:, 0] if what == "p" else x
+        for j, k in enumerate(ks):
+            out[k] = u[:, j]
     return out
 
 

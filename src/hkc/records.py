@@ -135,7 +135,9 @@ def worst_residuals(pairs):
     value; a NaN residual propagates, so its record fails."""
     worst = {}
     for key, res in pairs:
-        worst[key] = np.maximum(worst.get(key, 0.0), np.max(res))
+        m = res if isinstance(res, float) else np.asarray(res).max()
+        w = worst.get(key, 0.0)
+        worst[key] = m if m > w or m != m else w  # a NaN wins and then stays
     return {key: float(res) for key, res in worst.items()}
 
 
@@ -218,8 +220,21 @@ def _fmt_float(x):
 def canonical_json(obj, indent=0):
     """Deterministic JSON: sorted object keys, floats at 17 significant
     digits, two-space indentation.  Byte-identical for equal inputs."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    t = type(obj)  # the common cases by exact type, then the general chain
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is float:
+        return _fmt_float(obj)
+    if t is dict or t is list:
+        if not obj:
+            return "{}" if t is dict else "[]"
+        pad, inner = "  " * indent, "  " * (indent + 1)
+        if t is list:
+            items = [inner + canonical_json(v, indent + 1) for v in obj]
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        items = [inner + encode_basestring_ascii(str(k)) + ": "
+                 + canonical_json(obj[k], indent + 1) for k in sorted(obj)]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -232,17 +247,6 @@ def canonical_json(obj, indent=0):
         return encode_basestring_ascii(obj)
     if isinstance(obj, np.ndarray):
         return canonical_json(obj.tolist(), indent)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [inner + canonical_json(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k in sorted(obj):
-            items.append(inner + encode_basestring_ascii(str(k)) + ": "
-                         + canonical_json(obj[k], indent + 1))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple, dict)):
+        return canonical_json((dict if isinstance(obj, dict) else list)(obj), indent)
     raise TypeError(f"cannot canonicalize value of type {type(obj).__name__}")

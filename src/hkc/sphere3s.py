@@ -262,9 +262,9 @@ class ThreeSasakiStructure:
         return w - dot(w, y) * y
 
     def project_h_raw(self, w, y):
-        out = self.tangent_project_raw(w, y)
-        for alpha in (1, 2, 3):
-            xi = self.reeb_raw(alpha, y)
+        out, xs = self.tangent_project_raw(w, y), self.reeb_all_raw(y)
+        for a in range(3):
+            xi = leafmap(lambda v: v[..., a, :], xs)
             out = out - dot(xi, out) * xi
         return out
 

@@ -15,6 +15,7 @@ from hkc.connections import (
     ConnectionKind,
     VectorField,
     _cov_raw,
+    _fused_pass,
     cov_deriv,
     curvature,
     h_form_gap,
@@ -24,6 +25,7 @@ from hkc.connections import (
     sphere_curvature_oracle,
     torsion,
 )
+from hkc import connections
 from hkc.sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
 
 LC = ConnectionKind.LEVI_CIVITA
@@ -154,6 +156,31 @@ def test_one_vector_fields_merge_with_stacked_fields(struct, rng):
         for i, xi in enumerate(_rows_of(x, *range(5))):
             Yi = VectorField.extension(struct, Yt.v[i])
             assert T[i].tobytes() == torsion(kind, X1, Yi, xi).v.tobytes(), (kind, i)
+
+
+def test_a_one_chunk_pass_uses_its_fields_as_given(struct, rng, monkeypatch):
+    # a pass whose one chunk spans all rows makes no field: none cut to a
+    # first row, none cut to the chunk's rows; its rows have the bits of
+    # one-row chunks, where every field is cut
+    x, Yt = _stacked(struct, rng, 5)
+    X1, Y = rand_field(struct, rand_point(struct, rng), rng), VectorField.extension(struct, Yt)
+    xi1, Z = VectorField.reeb(struct, 1), Y.project_H()
+    passes = ((LC, [(X1, Y)]), (HC, [(Y, xi1), (xi1, Y)]), (None, [(xi1, Z)]),
+              (HC, [(Y, xi1, Z)]), (LC, [(X1, Y, Z, xi1)]))
+    made, init = [], VectorField.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VectorField, "__init__", counted)
+    whole = [_fused_pass(struct, kind, ps, x.x, EXACT_FORWARD) for kind, ps in passes]
+    assert made == []
+    monkeypatch.setattr(connections, "CURVATURE_CHUNK", 1)
+    for (kind, ps), values in zip(passes, whole):
+        for got, want in zip(_fused_pass(struct, kind, ps, x.x, EXACT_FORWARD), values):
+            assert got.tobytes() == want.tobytes(), kind
+    assert made
 
 
 def test_fields_of_other_rows_or_structures_are_rejected(struct, rng):

@@ -30,6 +30,7 @@ from hkc.harness import (
     _sectional_draws,
     _stream,
     _theorem_sec_directions,
+    _units,
 )
 from hkc.numlin import (
     CENTRAL_DIFFERENCE,
@@ -486,6 +487,26 @@ def test_h_samplers_reject_n0_with_one_message():
     # the tangent samplers still work there
     x, X = _draws(s, cfg, "axioms", "t")
     assert X.v.shape == (3, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_units_of_a_mixed_block_have_the_bits_of_one_call_per_kind(n):
+    # the rows of one kind are projected and normalised as one stack: each
+    # row position, stacked or one row, has the bytes of a call on it alone
+    s = ThreeSasakiStructure(n=n)
+    for points in (1, 6):
+        w = np.random.default_rng(points + n).standard_normal((points, 5, s.ambient_dim))
+        got = _units(s, w, "ptthh")
+        x, = _units(s, w[:, :1], "p")
+        want = [x] + [_units(s, w[:, k:k + 1], kind, x)[0]
+                      for k, kind in enumerate("tthh", 1)]
+        for g, v in zip(got, want):
+            assert g.shape == v.shape == (points, s.ambient_dim)
+            assert g.tobytes() == v.tobytes()
+    with pytest.raises(PreconditionError) as err:
+        _units(ThreeSasakiStructure(n=0), w[:, :, :4], "ptthh")
+    assert str(err.value) == ("the distribution H is zero-dimensional for n = 0; "
+                              "no unit direction can be drawn from it")
 
 
 def test_one_row_sampler_calls_do_not_grow_with_points(monkeypatch):

@@ -28,3 +28,26 @@ def test_nan_residual_fails_its_record():
     assert reeb.passed is False and np.isnan(reeb.max_residual)
     assert compat.passed is True and compat.samples == 2
     assert '"max_residual": "nan"' in canonical_json(reeb.as_dict())
+
+
+def test_canonical_json_of_numpy_scalars_containers_and_non_finite_floats():
+    # the writer's other branches, which no golden reaches: numpy scalars,
+    # a tuple and an ndarray are written as their Python counterparts
+    cases = [
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.int64(-7), "-7"),
+        (np.bool_(True), "true"),
+        (np.bool_(False), "false"),
+        ((1, "a", None), '[\n  1,\n  "a",\n  null\n]'),
+        (np.array([[1.0, 2.5], [3.0, -0.0]]),
+         "[\n  [\n    1,\n    2.5\n  ],\n  [\n    3,\n    -0\n  ]\n]"),
+        (float("nan"), '"nan"'),
+        (float("inf"), '"inf"'),
+        (-float("inf"), '"-inf"'),
+        (np.float64("-inf"), '"-inf"'),
+        ({}, "{}"),
+        ([], "[]"),
+        ({"b": [], "a": {}}, '{\n  "a": {},\n  "b": []\n}'),
+    ]
+    for value, want in cases:
+        assert canonical_json(value) == want, value
