@@ -36,14 +36,14 @@ floats of shape ``(P, 1)`` for a stack.  The row rule: a field's
 extension vectors are one row per row of the point, one row that serves
 every row, or a function of the rows; a closure serves any rows (a
 constant one's vector is repeated on each).  All run on one driver,
-``_fused_pass``: one pass per kernel (a covariant derivative, the
-bracket, or the nested curvature) serves many slot patterns, each on its
-own row block with the bits of its own pass.  It uses the fields as
-given in a pass of one chunk, else cuts the vectors to the rows of each
-chunk, and merges the fields of one form on adjacent blocks,
-and raises ``StructuralError`` for a field of any other row count or of
-another structure; an index other than 1, 2, 3 raises it where the
-field is made.
+``_fused_pass``: one pass per kernel (the first derivatives D_X Y, or
+the nested curvature, whose [X, Y] is read off its nested terms) serves
+many slot patterns, each on its own row block with the bits of its own
+pass.  It uses the fields as given in a pass of one chunk, else cuts the
+vectors to the rows of each chunk, and merges the fields of one form on
+adjacent blocks, and raises ``StructuralError`` for a field of any other
+row count or of another structure; an index other than 1, 2, 3 raises
+it where the field is made.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .numlin import (
     Dual,
     InternalConsistencyError,
     StructuralError,
-    bracket_raw,
+    derivative_of,
     directional_derivative,
     dot,
     leafmap,
@@ -179,18 +179,32 @@ def _cov_raw(s, kind, Xf, Yf, y, scheme):
         d = directional_derivative(Yf, y, Xv, scheme)
         return d - dot(d, y) * y
     Yv, d = value_and_derivative(Yf, y, Xv, scheme)
-    return d - dot(d, y) * y + _a_raw(s, Xv, Yv, y)
+    a = _a_raw(s, Xv, Yv, y)  # before the projection: less is held while A is made
+    return d - dot(d, y) * y + a
+
+
+def _derivative_raw(s, Xf, Yf, y, scheme, hc, lc):
+    """D_X Y at y (kind None), and off it, as :func:`_cov_raw` makes them,
+    nabla_X Y on the first ``lc`` rows and nabla-bar_X Y on the first ``hc``."""
+    Xv = Xf(y)
+    Yv, d = value_and_derivative(Yf, y, Xv, scheme)
+    lc = d[:lc] - dot(d[:lc], y[:lc]) * y[:lc]
+    return {None: d, LC: lc, HC: lc[:hc] + _a_raw(s, Xv[:hc], Yv[:hc], y[:hc]) if hc else None}
 
 
 def _curvature_raw(s, kind, Xf, Yf, Zf, y, scheme):
     """R(X,Y)Z at y as an ambient vector.  Dual-generic in y; Xf may
     return a stack of directions, giving a stack of curvature values in
-    one nested pass."""
-    inner_YZ = lambda q: _cov_raw(s, kind, Yf, Zf, q, scheme)
-    inner_XZ = lambda q: _cov_raw(s, kind, Xf, Zf, q, scheme)
-    t1 = _cov_raw(s, kind, Xf, inner_YZ, y, scheme)
-    t2 = _cov_raw(s, kind, Yf, inner_XZ, y, scheme)
-    br = s.tangent_project_raw(bracket_raw(Xf, Yf, y, scheme), y)
+    one nested pass.  [X, Y] is read off the evaluations of Y inside
+    nabla_X nabla_Y Z and of X inside nabla_Y nabla_X Z."""
+    def term(Fv, G):  # nabla_F nabla_G Z (F(y) = Fv), and D_F G off G's evaluations in it
+        seen = []
+        t = _cov_raw(s, kind, lambda _: Fv, lambda q: _cov_raw(
+            s, kind, lambda p: seen.append(G(p)) or seen[-1], Zf, q, scheme), y, scheme)
+        return t, derivative_of(seen, y, Fv, scheme)
+
+    (t1, d_xy), (t2, d_yx) = term(Xf(y), Yf), term(Yf(y), Xf)
+    br = s.tangent_project_raw(d_xy - d_yx, y)
     t3 = _cov_raw(s, kind, lambda q: br, Zf, y, scheme)
     return s.tangent_project_raw(t1 - t2 - t3, y)
 
@@ -253,15 +267,17 @@ def _join(parts):
 
 def _fused_pass(s, kind, patterns, y, scheme):
     """The values of slot patterns of fields over the rows of the point
-    ``y``, all of one order: (X, Y) gives the rows of nabla_X Y (``kind``
-    a connection) or [X, Y] (``kind`` None), (X, Y, Z) those of R(X,Y)Z,
-    (X, Y, Z, W) g(R(X,Y)Z, W), or |R(X,Y)Z - W| for W rows (None: 0).
-    Ordered by the forms of their slots, as many patterns over all rows as
+    ``y``, all of one order: (X, Y, reads) (``kind`` None) a tuple, off one
+    D_X Y, of the rows read: D_X Y (None), nabla_X Y (LC), nabla-bar_X Y
+    (HC); (X, Y, Z) the rows of R(X,Y)Z, (X, Y, Z, W) g(R(X,Y)Z, W), or
+    |R(X,Y)Z - W| for W rows (None: 0).  Ordered by what they read (HC,
+    LC, D) and the forms of their slots, as many patterns over all rows as
     fit in ``CURVATURE_CHUNK`` floats per leaf make a pass (else one, in
     chunks of rows), pattern k on rows k*C .. (k+1)*C - 1 of a chunk of C
     rows.  One row gives a vector or a float, a stack (P, d) or (P, 1)."""
     y2, K = np.atleast_2d(y), len(patterns)
-    slots = 2 if K and len(patterns[0]) == 2 else 3
+    slots = 2 if kind is None else 3
+    rank = [min(map((HC, LC, None).index, p[2])) if kind is None else 0 for p in patterns]
     fields = {id(f): f for p in patterns for f in p if isinstance(f, VectorField)}
     for f in fields.values():
         v = f.vec
@@ -274,21 +290,27 @@ def _fused_pass(s, kind, patterns, y, scheme):
         f.vec.shape[f.vec.ndim > 1:][::-1] if isinstance(f.vec, np.ndarray) else ()
         for f in fields.values()), (s.ambient_dim,), fillvalue=1)))
     form = {k: _form(f) for k, f in fields.items()}
-    order = sorted(range(K), key=lambda k: [form[id(f)] for f in patterns[k][:slots]])
+    order = sorted(range(K), key=lambda k: (rank[k],
+                                            [form[id(f)] for f in patterns[k][:slots]]))
     group = max(1, CURVATURE_CHUNK // (len(y2) * width))  # patterns a pass holds
     step = max(1, CURVATURE_CHUNK // (group * width))  # rows a chunk holds
     group = -(-K // -(-K // group)) if K else 1  # as many passes, evened out
 
-    def chunk(ps, c):  # a chunk's pass and cut fields are freed before the next
+    def chunk(ks, c):  # a chunk's pass and cut fields are freed before the next
+        ps = [patterns[k] for k in ks]
         # one chunk of all rows: the fields as given (a function's rows made once)
         yc, f = y2[c], {id(g): g if step >= len(y2) and not callable(g.vec) else g.rows(c)
                          for p in ps for g in p if isinstance(g, VectorField)}
         C = len(yc)
         F = [_blocks(s, [f[id(p[j])] for p in ps], [form[id(p[j])] for p in ps], C)
              for j in range(slots)]
-        q = np.concatenate([yc] * len(ps))
-        R = (bracket_raw(*F, q, scheme) if kind is None else
-             (_cov_raw if slots == 2 else _curvature_raw)(s, kind, *F, q, scheme))
+        q = yc if len(ps) == 1 else np.concatenate([yc] * len(ps))
+        if kind is None:  # each read as an array of its own
+            R = _derivative_raw(s, *F, q, scheme, *(C * sum(rank[k] <= r for k in ks)
+                                                    for r in (0, 1)))
+            return [tuple(R[r][k * C:(k + 1) * C].copy() for r in p[2])
+                    for k, p in enumerate(ps)]
+        R = _curvature_raw(s, kind, *F, q, scheme)
         return [Rk if len(p) == slots
                 else dot(Rk, f[id(p[3])](yc)) if isinstance(p[3], VectorField)
                 else norm(Rk if p[3] is None else Rk - _cut(p[3], c))
@@ -296,12 +318,14 @@ def _fused_pass(s, kind, patterns, y, scheme):
 
     out = {}
     for g in range(0, K, group):
-        ps = [patterns[k] for k in order[g:g + group]]
-        chunks = [chunk(ps, slice(i, i + step)) for i in range(0, len(y2), step)]
-        out.update(zip(order[g:g + group], chunks[0] if len(chunks) == 1 else
-                       [np.concatenate(v) for v in zip(*chunks)]))
+        ks = order[g:g + group]
+        chunks = [chunk(ks, slice(i, i + step)) for i in range(0, len(y2), step)]
+        out.update(zip(ks, chunks[0] if len(chunks) == 1 else
+                       [tuple(map(np.concatenate, zip(*v))) if kind is None
+                        else np.concatenate(v) for v in zip(*chunks)]))
     out = [out[k] for k in range(K)]
-    return out if y.ndim > 1 else [v[0] if len(p) == slots else float(v[0, 0])
+    return out if y.ndim > 1 else [tuple(r[0] for r in v) if kind is None
+                                   else v[0] if len(p) == slots else float(v[0, 0])
                                    for v, p in zip(out, patterns)]
 
 
@@ -312,25 +336,32 @@ def _fused_pass(s, kind, patterns, y, scheme):
 def _run(s, groups, y, scheme):
     """The values of groups of first-order plans at the rows of the point
     ``y``, a list per group.  A plan is (requests, combine): ``combine(s,
-    y, *rows)`` maps the rows of its requests (kind, X, Y), each a pattern
-    of ``_fused_pass``, to its value.  Each distinct request (same kind,
-    same field objects) is evaluated once, those of one kind in one pass."""
-    passes = {}
-    for requests, _ in (plan for g in groups for plan in g):
-        for kind, *p in requests:
-            passes.setdefault(kind, {})[tuple(map(id, p))] = p
-    rows = {(kind, key): v for kind, ps in passes.items()
-            for key, v in zip(ps, _fused_pass(s, kind, list(ps.values()), y, scheme))}
-    return [[combine(s, y, *(rows[kind, tuple(map(id, p))] for kind, *p in requests))
-             for requests, combine in g] for g in groups]
+    y, *rows)`` maps the rows of its requests (kind, X, Y), nabla_X Y of a
+    connection or D_X Y (``kind`` None), to its value.  Each distinct pair
+    of fields (same objects) is differentiated once, all in one pass; its
+    rows are dropped once the plans that read them are combined."""
+    plans = [plan for g in groups for plan in g]
+    keys = [[(id(kind), id(X), id(Y)) for kind, X, Y in requests] for requests, _ in plans]
+    last, pairs = {k: (i, j) for i, ks in enumerate(keys) for j, k in enumerate(ks)}, {}
+    for (requests, _), ks in zip(plans, keys):
+        for (kind, X, Y), k in zip(requests, ks):
+            pairs.setdefault(k[1:], (X, Y, {}))[2][kind] = None
+    rows = {(id(kind), *key): v for key, (_, _, r), vs in zip(
+        pairs, pairs.values(), _fused_pass(s, None, list(pairs.values()), y, scheme))
+            for kind, v in zip(r, vs)}
+    values = iter([combine(s, y, *[rows.pop(k) if last[k] == (i, j) else rows[k]
+                                   for j, k in enumerate(ks)])
+                   for i, ((_, combine), ks) in enumerate(zip(plans, keys))])
+    return [[next(values) for _ in g] for g in groups]
 
 
 def _cov_plan(kind, X, Y):
     return [(kind, X, Y)], lambda s, y, d: s.tangent_project_raw(d, y)
 
 
-def _bracket_plan(X, Y):
-    def tangent(s, y, raw):
+def _bracket_plan(X, Y):  # [X, Y] = D_X Y - D_Y X
+    def tangent(s, y, d_xy, d_yx):
+        raw = d_xy - d_yx
         drift = np.abs(np.ravel(dot(raw, y)))
         bad = drift >= BRACKET_TANGENCY_TOL
         if bad.any():
@@ -338,12 +369,12 @@ def _bracket_plan(X, Y):
                 f"bracket of tangent fields drifted off the tangent space "
                 f"by {drift[bad][0]:.3e}")
         return s.tangent_project_raw(raw, y)
-    return [(None, X, Y)], tangent
+    return [(None, X, Y), (None, Y, X)], tangent
 
 
 def _torsion_plan(kind, X, Y):
-    return ([(kind, X, Y), (kind, Y, X), (None, X, Y)],
-            lambda s, y, XY, YX, br: s.tangent_project_raw(XY - YX - br, y))
+    return ([(kind, X, Y), (kind, Y, X), (None, X, Y), (None, Y, X)],
+            lambda s, y, XY, YX, d_xy, d_yx: s.tangent_project_raw(XY - YX - (d_xy - d_yx), y))
 
 
 def _sasaki_plan(alpha, X, Y):
@@ -376,9 +407,10 @@ def _form_gap_plan(X, Y):
 
 
 def _h_tensor_plan(xi, beta, X):  # (L_xi phi_beta) X / 2, xi a Reeb field
-    return ([(None, xi, X.phi(beta)), (None, xi, X)],
-            lambda s, y, lie_phi, lie_x: s.tangent_project_raw(
-                0.5 * (lie_phi - s.phi_raw(beta, lie_x, y)), y))
+    P = X.phi(beta)
+    return ([(None, xi, P), (None, P, xi), (None, xi, X), (None, X, xi)],
+            lambda s, y, a, b, c, d: s.tangent_project_raw(
+                0.5 * ((a - b) - s.phi_raw(beta, c - d, y)), y))
 
 
 # ============================================================

@@ -8,9 +8,9 @@ function of its configuration.  Each suite draws its samples as a stack:
 one generator per suite lane supplies all its Gaussian rows as one
 block, each row used as drawn (the sectional suite alone redraws: its
 coefficients, from a reserve); its checks run once over the stack and
-yield one residual per sample row.  A suite runs one pass per kernel (a
-covariant derivative or the nested curvature of one connection, or the
-bracket), its slot patterns as row blocks, in chunks of samples.
+yield one residual per sample row.  A first-order suite takes each
+distinct derivative D_X Y once, in one pass, a nested one a pass per
+connection, their slot patterns as row blocks, in chunks of samples.
 """
 
 import os
@@ -290,7 +290,6 @@ def _suite_sasaki(s, cfg, conventions):
     y = x.x
     X, Y = _ext(s, Xt), _ext(s, Yt)
     xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
-    # one pass per kernel: every Levi-Civita derivative, then every bracket
     defect, d_xi, br, rr, r_self = _run(s, (
         [_sasaki_plan(a, X, Y) for a in (1, 2, 3)],
         [_cov_plan(LC, X, xi[a]) for a in (1, 2, 3)],
@@ -319,7 +318,6 @@ def _suite_connection(s, cfg, conventions):
     X, Z = _ext(s, Xt), _ext(s, Zt)
     Xh, Yh = _ext(s, Xh_t).project_H(), _ext(s, Yh_t).project_H()
     xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
-    # one pass per kernel, shared rows evaluated once: nabla-bar_X Z, [xi_a, X]
     h = {(a, b): _h_tensor_plan(xi[a], b, X) for a in xi for b in xi}
     (gap, XX, XZ, ZX), reeb_par, (dY,), (br,), phi_par, h_values = _run(s, (
         [_form_gap_plan(X, Z), _cov_plan(HC, X, X),
@@ -373,7 +371,6 @@ def _suite_torsion(s, cfg, conventions):
     X, Y = _ext(s, Xt), _ext(s, Yt)
     Xh, Yh = _ext(s, Xh_t).project_H(), _ext(s, Yh_t).project_H()
     xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
-    # one pass per kernel: nabla_X Y and nabla_Y X of each pair, its bracket
     (lc, t), mixed, reeb_pair = _run(s, (
         [_torsion_plan(LC, X, Y), _torsion_plan(HC, Xh, Yh)],
         [_torsion_plan(HC, Xh, xi[a]) for a in (1, 2, 3)],
@@ -824,8 +821,11 @@ def _cmd_verify(args) -> int:
     cfg = RunConfig(n=args.n, points=args.points, seed=_resolve_seed(args.seed),
                     tol_first=args.tol_first, tol_second=args.tol_second,
                     scheme=scheme, suites=suites)
-    if args.out:  # fail on an unwritable path before the run, truncating nothing
+    if args.out:  # fail on an unwritable path before the run, changing nothing
+        new = not os.path.lexists(args.out)
         _write(args.out, "a")
+        if new:  # nor leaving a file: the report makes it
+            os.remove(args.out)
     report = run_suites(cfg)
     payload = report.to_json() if args.fmt == "json" else format_text(report)
     if args.out:

@@ -195,21 +195,26 @@ def _point_and_direction(x, v):
     """Plain arrays for plain inputs; ``v`` may be a stack of directions
     (its last axis matches the point)."""
     if isinstance(x, Dual) or isinstance(v, Dual):
-        return x, v, False
+        return x, v
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if x.shape[-1:] != v.shape[-1:]:
         raise StructuralError(
             f"point and direction shapes differ: {x.shape} vs {v.shape}")
-    return x, v, True
+    return x, v
 
 
-def _central(f, x, v, step):
-    return (f(x + step * v) - f(x - step * v)) / (2.0 * step)
-
-
-def _checked(out, plain, x, v, scheme):
-    if plain and not _all_finite(out):
+def derivative_of(values, x, v, scheme=EXACT_FORWARD):
+    """The derivative along ``v`` at ``x`` that :func:`value_and_derivative`
+    forms from its evaluations ``values`` of a function: the dual part of
+    the one (zeros for a plain one: the function is locally constant), or
+    the central difference of the last two; non-finite at a plain x raises."""
+    if scheme.kind == "exact-forward":
+        out = values[-1]
+        out = out.dot if isinstance(out, Dual) else np.zeros_like(np.asarray(out, dtype=float))
+    else:
+        out = (values[-2] - values[-1]) / (2.0 * scheme.step)
+    if not isinstance(x, Dual) and not isinstance(v, Dual) and not _all_finite(out):
         raise NumericError(
             f"directional derivative produced non-finite values "
             f"(scheme={scheme.kind}, |x|={norm(x.ravel()):.3e}, "
@@ -224,17 +229,12 @@ def value_and_derivative(f, x, v, scheme=EXACT_FORWARD):
     ``f`` on a dual input.  Under central difference the value costs one
     evaluation more than the stencil.
     """
-    x, v, plain = _point_and_direction(x, v)
+    x, v = _point_and_direction(x, v)
     if scheme.kind == "exact-forward":
         out = f(Dual(x, v))
-        if isinstance(out, Dual):
-            value, out = out.val, out.dot
-        else:
-            # f ignored the dual part, i.e. it is locally constant
-            value, out = out, np.zeros_like(np.asarray(out, dtype=float))
-    else:
-        value, out = f(x), _central(f, x, v, scheme.step)
-    return value, _checked(out, plain, x, v, scheme)
+        return getattr(out, "val", out), derivative_of([out], x, v, scheme)
+    values = [f(x), f(x + scheme.step * v), f(x - scheme.step * v)]
+    return values[0], derivative_of(values, x, v, scheme)
 
 
 def directional_derivative(f, x, v, scheme=EXACT_FORWARD):
@@ -249,15 +249,8 @@ def directional_derivative(f, x, v, scheme=EXACT_FORWARD):
     """
     if scheme.kind == "exact-forward":
         return value_and_derivative(f, x, v, scheme)[1]
-    x, v, plain = _point_and_direction(x, v)
-    return _checked(_central(f, x, v, scheme.step), plain, x, v, scheme)
-
-
-def bracket_raw(F, G, y, scheme=EXACT_FORWARD):
-    """Lie bracket [F, G](y) of two ambient field closures:
-    the derivative of G along F minus that of F along G."""
-    return (directional_derivative(G, y, F(y), scheme)
-            - directional_derivative(F, y, G(y), scheme))
+    x, v = _point_and_direction(x, v)
+    return derivative_of([f(x + scheme.step * v), f(x - scheme.step * v)], x, v, scheme)
 
 
 # ============================================================

@@ -13,9 +13,11 @@ from hkc.numlin import (
     Dual,
     PreconditionError,
     StructuralError,
+    directional_derivative,
     dot,
     leafmap,
     norm,
+    value_and_derivative,
 )
 from hkc import connections, curvature as curvature_module, sphere3s
 from hkc.connections import (
@@ -445,12 +447,13 @@ def test_closed_forms_and_axioms_keep_their_bits_across_row_chunks(monkeypatch, 
     (1, EXACT_FORWARD, True), (1, DiffScheme(CENTRAL_DIFFERENCE.kind, 1e-4), True)])
 def test_fused_first_order_passes_have_the_bits_of_separate_calls(monkeypatch, n,
                                                                   scheme, dense):
-    # every pattern block of every first-order pass of the sasaki,
-    # connection and torsion suites (one per kernel: a covariant
-    # derivative of each connection, the bracket) against the kernel's own
-    # pass over all rows, in chunks of 1 sample (a budget of 1 float: one
-    # pattern of one row a pass), of 1, of 3 (5 is no multiple) and of all
-    # 5 samples; dense: on a triple the structure maps multiply out
+    # every read of every pattern block of the first-order pass of the
+    # sasaki, connection and torsion suites (one a suite: D_X Y, and off it
+    # nabla_X Y of either connection) against an unfused pass over all rows,
+    # in chunks of 1 sample (a budget of 1 float: one pattern of one row a
+    # pass), of 1, of 3 (5 is no multiple) and of all 5 samples, and each
+    # bracket the plans read off two patterns against two unfused
+    # derivatives; dense: on a triple the structure maps multiply out
     s = rotated(n) if dense else ThreeSasakiStructure(n=n)
     cfg = RunConfig(n=n, points=5, scheme=scheme)
     conventions = resolve_conventions(s, 0, scheme)
@@ -461,14 +464,55 @@ def test_fused_first_order_passes_have_the_bits_of_separate_calls(monkeypatch, n
         calls.clear()
         for suite in ("sasaki", "connection", "torsion"):
             _SUITE_FUNCS[suite](s, cfg, conventions)
-        bits.append([[v.tobytes() for v in out] for *_, out in calls])
-    assert [kind for _, kind, *_ in calls] == [LC, None, HC, LC, None, LC, None, HC]
+        bits.append([[r.tobytes() for v in out for r in v] for *_, out in calls])
+    assert [kind for _, kind, *_ in calls] == [None, None, None]
     assert bits[0] == bits[1] == bits[2] == bits[3]
+    brackets = 0
     for _, kind, patterns, y, scheme, out in calls:
-        for (X, Y), v in zip(patterns, out):
-            want = (connections.bracket_raw(X, Y, y, scheme) if kind is None
-                    else connections._cov_raw(s, kind, X, Y, y, scheme))
-            assert v.tobytes() == want.tobytes(), kind
+        d = {}
+        for (X, Y, reads), values in zip(patterns, out):
+            for r, v in zip(reads, values):
+                want = (value_and_derivative(Y, y, X(y), scheme)[1] if r is None
+                        else connections._cov_raw(s, r, X, Y, y, scheme))
+                assert v.tobytes() == want.tobytes(), r
+                if r is None:
+                    d[X, Y] = v
+        for (X, Y), v in d.items():
+            if (Y, X) in d:
+                brackets += 1
+                want = (directional_derivative(Y, y, X(y), scheme)
+                        - directional_derivative(X, y, Y(y), scheme))
+                assert (v - d[Y, X]).tobytes() == want.tobytes()
+    assert brackets == 2 * (3 + 13 + 8)  # sasaki, connection, torsion
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("scheme", [EXACT_FORWARD, DiffScheme(CENTRAL_DIFFERENCE.kind, 1e-4)])
+def test_curvature_reads_the_bracket_off_its_nested_terms(monkeypatch, n, scheme):
+    # the bracket inside a nested pass, formed from the evaluations of Y
+    # and X its two nested terms made (under central difference the last
+    # two of each; the adapted kind evaluates f(y) first), has the bytes
+    # of D_X Y - D_Y X from two directional derivatives: for an extension,
+    # a Reeb field, an H-projected phi field and a constant closure (a plain
+    # evaluation: zero derivative), on one row and on a stack
+    s = ThreeSasakiStructure(n=n)
+    rng = np.random.default_rng(90 + n)
+    made, real = [], connections.derivative_of
+    monkeypatch.setattr(connections, "derivative_of",
+                        lambda *args: made.append(real(*args)) or made[-1])
+    for shape in ((), (3,)):
+        y = SpherePoint.normalized(rng.standard_normal(shape + (s.ambient_dim,))).x
+        U, V, W = (VectorField.extension(s, s.tangent_project_raw(
+            rng.standard_normal(y.shape), y)) for _ in range(3))
+        c = rng.standard_normal(s.ambient_dim)
+        fields = (U, VectorField.reeb(s, 2), V.phi(1).project_H(),
+                  VectorField(s, lambda q: c))
+        for (X, Y), kind in itertools.product(itertools.permutations(fields, 2), (LC, HC)):
+            made.clear()
+            connections._curvature_raw(s, kind, X, Y, W, y, scheme)
+            want = (directional_derivative(Y, y, X(y), scheme)
+                    - directional_derivative(X, y, Y(y), scheme))
+            assert len(made) == 2 and (made[0] - made[1]).tobytes() == want.tobytes()
 
 
 _TYPED = (
@@ -615,12 +659,13 @@ def test_every_nested_pass_of_a_run_holds_the_chunk_budget(monkeypatch, n, budge
     def sized(kernel):
         def recorded(*args):
             R = kernel(*args)
-            if isinstance(R, np.ndarray):  # not a nested pass's inner derivative
-                passes.append((len(np.atleast_2d(R)), R.size))
+            D = R[None] if isinstance(R, dict) else R  # a first-order pass: its D_X Y
+            if isinstance(D, np.ndarray):  # not a nested pass's inner derivative
+                passes.append((len(np.atleast_2d(D)), D.size))
             return R
         return recorded
 
-    for name in ("_curvature_raw", "_cov_raw", "bracket_raw"):
+    for name in ("_curvature_raw", "_cov_raw", "_derivative_raw"):
         monkeypatch.setattr(connections, name, sized(getattr(connections, name)))
     report = harness.run_suites(cfg)
     assert report.to_json() == want

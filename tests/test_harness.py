@@ -747,6 +747,21 @@ def test_cli_unwritable_out_exits_two_before_the_run(where, tmp_path, monkeypatc
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_cli_failed_run_leaves_the_out_path_as_it_was(tmp_path, capsys, existing):
+    # a run that exits before writing its report (an overflowing difference
+    # step) leaves no file it made, and an existing file keeps its bytes
+    out = tmp_path / "NEW.json"
+    if existing:
+        out.write_bytes(b"kept\n")
+    rc = main(["verify", "--points", "1", "--suites", "axioms", "--scheme", "fd",
+               "--fd-step", "1e300", "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 2 and stdout == "" and len(err.splitlines()) == 1
+    assert out.read_bytes() == b"kept\n" if existing else not out.exists()
+    assert sorted(tmp_path.iterdir()) == ([out] if existing else [])
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_cli_failed_report_write_exits_two(capsys):
     # the path passes the check before the run and the write after it
@@ -980,25 +995,24 @@ def test_each_curvature_value_is_evaluated_once(struct, monkeypatch):
 
 
 def _count_raw(monkeypatch):
-    """Count the first-order passes, the calls of the raw covariant
-    derivative (by kind) and of ``numlin.bracket_raw`` (as None) in the
-    module that runs every pass, and per kind the rows of those on plain
-    points (not a nested pass's inner derivatives)."""
+    """Count the first-order passes (as None: one derivative kernel serves
+    every kind) and their derivative rows (as None), and the rows that
+    read a derivative of each connection (by kind)."""
     passes, rows = [], {}
+    kernel, fused = connections._derivative_raw, connections._fused_pass
 
-    def counting(kernel, kind_and_point):
-        def counted(*args):
-            kind, y = kind_and_point(*args)
-            passes.append(kind)
-            if isinstance(y, np.ndarray):
-                rows[kind] = rows.get(kind, 0) + len(np.atleast_2d(y))
-            return kernel(*args)
-        return counted
+    def counted(s, Xf, Yf, y, *args):
+        passes.append(None)
+        rows[None] = rows.get(None, 0) + len(y)
+        return kernel(s, Xf, Yf, y, *args)
 
-    monkeypatch.setattr(connections, "_cov_raw", counting(
-        connections._cov_raw, lambda s, kind, X, Y, y, scheme: (kind, y)))
-    monkeypatch.setattr(connections, "bracket_raw", counting(
-        connections.bracket_raw, lambda X, Y, y, scheme: (None, y)))
+    def reads(s, kind, patterns, y, scheme):
+        for k in (LC, HC) if kind is None else ():
+            rows[k] = rows.get(k, 0) + sum(k in p[2] for p in patterns) * len(np.atleast_2d(y))
+        return fused(s, kind, patterns, y, scheme)
+
+    monkeypatch.setattr(connections, "_derivative_raw", counted)
+    monkeypatch.setattr(connections, "_fused_pass", reads)
     return passes, rows
 
 
@@ -1009,8 +1023,8 @@ def _count_raw(monkeypatch):
     ("sectional", 1, 1),
     ("theorem-sec", 1, 1),
     ("ricci", 1, 1),
-    # covariant-derivative passes of the first-order suites, each of
-    # which makes one bracket pass too
+    # the first-order suites: one derivative pass each, which reads the
+    # covariant derivatives of the Levi-Civita and of the adapted connection
     ("sasaki", 1, 0),
     ("connection", 1, 1),
     ("torsion", 1, 1),
@@ -1018,17 +1032,22 @@ def _count_raw(monkeypatch):
 def test_nested_passes_do_not_grow_with_points(struct, monkeypatch, suite,
                                                lc, hc):
     # one stacked pass per connection (all slot patterns in one pass per
-    # chunk; first order: each distinct pattern once) whatever the number
-    # of sample points
+    # chunk; first order: one pass, each distinct pair once) whatever the
+    # number of sample points
     conventions = resolve_conventions(struct, seed=0)
     first_order = suite in ("sasaki", "connection", "torsion")
-    passes, _ = (_count_raw if first_order else _count_curvature)(monkeypatch)
+    passes, rows = (_count_raw if first_order else _count_curvature)(monkeypatch)
     for points in (1, 4):
         passes.clear()
+        rows.update(dict.fromkeys(rows, 0))
         harness._SUITE_FUNCS[suite](struct, RunConfig(points=points),
                                     conventions)
-        assert (passes.count(LC), passes.count(HC)) == (lc, hc), points
-        assert passes.count(None) == first_order, points
+        if first_order:
+            assert passes == [None], points
+            assert (bool(rows.get(LC)), bool(rows.get(HC))) == (lc, hc), points
+        else:
+            assert (passes.count(LC), passes.count(HC)) == (lc, hc), points
+            assert passes.count(None) == 0, points
 
 
 def test_a_default_run_makes_eleven_nested_passes(monkeypatch):
@@ -1062,10 +1081,10 @@ def test_fused_suite_memory_does_not_grow_with_points(suite):
 
 def test_definitional_form_is_evaluated_once_per_connection_sample(monkeypatch):
     # one evaluation of the definitional form of the adapted derivative
-    # takes seven Levi-Civita derivatives: nabla_X Y, and nabla_X xi_a and
+    # reads seven Levi-Civita derivatives: nabla_X Y, and nabla_X xi_a and
     # nabla_Y xi_a for a = 1, 2, 3.  Nothing else in the connection suite
-    # takes one, so the Levi-Civita rows that the suite adds to a run
-    # count its evaluations of that form: one per sample, in one pass
+    # reads one, so the Levi-Civita rows that the suite adds to a run
+    # count its evaluations of that form: one per sample, in its one pass
     passes, rows = _count_raw(monkeypatch)
     for points in (1, 3):
         lc = []
@@ -1074,8 +1093,25 @@ def test_definitional_form_is_evaluated_once_per_connection_sample(monkeypatch):
             rows.clear()
             rep = run_suites(RunConfig(points=points, suites=suites))
             assert {b["status"] for b in rep.suites.values()} == {"pass"}
-            lc.append((passes.count(LC), rows[LC]))
+            lc.append((len(passes), rows[LC]))
         assert (lc[1][0] - lc[0][0], lc[1][1] - lc[0][1]) == (1, 7 * points)
+
+
+@pytest.mark.parametrize("points", [1, 4, 10])
+def test_each_distinct_derivative_is_taken_once(struct, monkeypatch, points):
+    # derivative rows per sample: each distinct pair of fields once (a
+    # bracket's two orientations included), 16, 38 and 16 against 19, 44
+    # and 32 with a pass per kernel; one first-order pass a suite, 3 in all
+    conventions = resolve_conventions(struct, seed=0)
+    passes, rows = _count_raw(monkeypatch)
+    for suite, want in (("sasaki", 16), ("connection", 38), ("torsion", 16)):
+        passes.clear()
+        rows.clear()
+        harness._SUITE_FUNCS[suite](struct, RunConfig(points=points), conventions)
+        assert (len(passes), rows[None]) == (1, want * points), suite
+    passes.clear()
+    run_suites(RunConfig(points=points, suites=("sasaki", "connection", "torsion")))
+    assert len(passes) == 1 + 3  # and the sign resolution's one
 
 
 def test_text_format_lists_every_record(small_report):
