@@ -14,7 +14,6 @@ from hkc import (
     ThreeSasakiStructure,
     VectorField,
     cov_deriv,
-    nabla_bar_phi_defect,
     torsion,
 )
 
@@ -53,11 +52,15 @@ print("\nADAPTED derivative of an H-valued field:")
 print("  eta components:",
       ", ".join(f"{s.eta_raw(a, d.v, x.x):+.1e}" for a in (1, 2, 3)))
 
-# the structure tensors are parallel along H for the adapted connection
+# the structure tensors are parallel along H for the adapted connection:
+# (D_X phi_a)Y = D_X (phi_a Y) - phi_a (D_X Y), tangent part
 print("\nstructure-tensor parallelism on H-pairs:")
+Xh = X.project_H()
 for a in (1, 2, 3):
-    defect = nabla_bar_phi_defect(a, X.project_H(), Yh, x)
-    print(f"  a={a}:  |(D phi_a)| = {defect.norm():.2e}")
+    defect = s.tangent_project_raw(
+        cov_deriv(HC, Xh, Yh.phi(a), x).v - s.phi_raw(a, cov_deriv(HC, Xh, Yh, x).v, x.x),
+        x.x)
+    print(f"  a={a}:  |(D phi_a)| = {np.linalg.norm(defect):.2e}")
 
 # torsion: zero for the round connection, prescribed for the adapted one
 print("\ntorsion:")

@@ -45,8 +45,6 @@ from .connections import (
     cov_deriv,
     h_form_gap,
     lie_bracket,
-    nabla_bar_phi_defect,
-    sasaki_defect,
     sphere_curvature_oracle,
     torsion,
 )

@@ -16,8 +16,11 @@ Two connections act on the model:
 (summation over a = 1, 2, 3).  Every derivative of ``nabla-bar`` uses
 this closed form, which is cheap and dual-generic.  Its definitional form,
 through Levi-Civita derivatives of the Reeb fields, is evaluated only by
-:func:`h_form_gap`, which measures how far the two forms disagree (the
-harness records that gap once per connection sample).
+the plan that measures how far the two forms disagree (``_form_gap_plan``:
+:func:`h_form_gap`, and the connection suite, which records that gap once
+per sample).  Both connections come out of one covariant-derivative
+kernel, ``_cov_raw``: one D_X Y, and nabla_X Y and nabla-bar_X Y read
+off it on row prefixes.
 
 Curvature is evaluated literally as
 
@@ -131,9 +134,8 @@ class VectorField:
     @classmethod
     def extension(cls, structure, X):
         """Canonical global extension y -> v - <v, y> y of a tangent
-        vector, of raw rows, or of the rows ``X(c)`` of a function."""
-        return cls(structure, vec=X if callable(X) else
-                   np.asarray(getattr(X, "v", X), dtype=float))
+        vector or of raw rows."""
+        return cls(structure, vec=np.asarray(getattr(X, "v", X), dtype=float))
 
     @classmethod
     def reeb(cls, structure, alpha):
@@ -146,11 +148,6 @@ class VectorField:
     def project_H(self):
         return VectorField(self.structure, self.func, self.vec, self.alpha,
                            self.ops + (None,))
-
-
-def _cut(a, c):
-    """Rows ``c`` of ``a``, one row as a stack of one; None: all of ``a``."""
-    return a if c is None else np.atleast_2d(a)[c]
 
 
 # ============================================================
@@ -168,28 +165,28 @@ def _a_raw(s: ThreeSasakiStructure, u, w, y):
     return leafmap(lambda a: (a[..., 0, :] + a[..., 1, :]) + a[..., 2, :], t)
 
 
-def _cov_raw(s, kind, Xf, Yf, y, scheme):
-    """Covariant derivative of the field closure Yf along the field
-    closure Xf, at y.  Dual-generic in y; Xf may return a stack of
-    directions, giving a stack of derivatives.  Each closure is
-    evaluated once.  The lower slot is tensorial, so a fixed direction w
-    enters as the constant closure ``lambda y: w``."""
-    Xv = Xf(y)
-    if kind is LC:
+def _cov_raw(s, Xv, Yf, y, scheme, lc=None, hc=None):
+    """D_X Y at y (key None) for the value Xv of X at y and the field
+    closure Yf, and off it nabla_X Y (LC) on the first ``lc`` rows and
+    nabla-bar_X Y (HC) on the first ``hc`` (None: all rows; 0: none, and
+    Y's value and A are not made).  The lower slot is tensorial, so X
+    enters by its value alone.  Dual-generic in y; Xv may be a stack of
+    directions, giving a stack of derivatives.  Yf is evaluated as the
+    scheme needs (once, exact-forward), at y itself only for A."""
+    if hc == 0:
         d = directional_derivative(Yf, y, Xv, scheme)
-        return d - dot(d, y) * y
-    Yv, d = value_and_derivative(Yf, y, Xv, scheme)
-    a = _a_raw(s, Xv, Yv, y)  # before the projection: less is held while A is made
-    return d - dot(d, y) * y + a
+    else:  # A before the projection: less is held while it is made
+        Yv, d = value_and_derivative(Yf, y, Xv, scheme)
+        a = _a_raw(s, _head(Xv, hc), _head(Yv, hc), _head(y, hc))
+    dl, yl = _head(d, lc), _head(y, lc)
+    out = {None: d, LC: dl - dot(dl, yl) * yl}
+    out[HC] = None if hc == 0 else _head(out[LC], hc) + a
+    return out
 
 
-def _derivative_raw(s, Xf, Yf, y, scheme, hc, lc):
-    """D_X Y at y (kind None), and off it, as :func:`_cov_raw` makes them,
-    nabla_X Y on the first ``lc`` rows and nabla-bar_X Y on the first ``hc``."""
-    Xv = Xf(y)
-    Yv, d = value_and_derivative(Yf, y, Xv, scheme)
-    lc = d[:lc] - dot(d[:lc], y[:lc]) * y[:lc]
-    return {None: d, LC: lc, HC: lc[:hc] + _a_raw(s, Xv[:hc], Yv[:hc], y[:hc]) if hc else None}
+def _head(v, k):
+    """The first ``k`` rows of every leaf of v (None: v itself)."""
+    return v if k is None else leafmap(lambda a: a[:k], v)
 
 
 def _curvature_raw(s, kind, Xf, Yf, Zf, y, scheme):
@@ -197,15 +194,17 @@ def _curvature_raw(s, kind, Xf, Yf, Zf, y, scheme):
     return a stack of directions, giving a stack of curvature values in
     one nested pass.  [X, Y] is read off the evaluations of Y inside
     nabla_X nabla_Y Z and of X inside nabla_Y nabla_X Z."""
+    def nabla(Fv, G, q):  # nabla_F G of ``kind`` at q (F(q) = Fv), all rows
+        return _cov_raw(s, Fv, G, q, scheme, hc=None if kind is HC else 0)[kind]
+
     def term(Fv, G):  # nabla_F nabla_G Z (F(y) = Fv), and D_F G off G's evaluations in it
         seen = []
-        t = _cov_raw(s, kind, lambda _: Fv, lambda q: _cov_raw(
-            s, kind, lambda p: seen.append(G(p)) or seen[-1], Zf, q, scheme), y, scheme)
+        t = nabla(Fv, lambda q: nabla(seen.append(G(q)) or seen[-1], Zf, q), y)
         return t, derivative_of(seen, y, Fv, scheme)
 
     (t1, d_xy), (t2, d_yx) = term(Xf(y), Yf), term(Yf(y), Xf)
     br = s.tangent_project_raw(d_xy - d_yx, y)
-    t3 = _cov_raw(s, kind, lambda q: br, Zf, y, scheme)
+    t3 = nabla(br, Zf, y)
     return s.tangent_project_raw(t1 - t2 - t3, y)
 
 
@@ -306,14 +305,14 @@ def _fused_pass(s, kind, patterns, y, scheme):
              for j in range(slots)]
         q = yc if len(ps) == 1 else np.concatenate([yc] * len(ps))
         if kind is None:  # each read as an array of its own
-            R = _derivative_raw(s, *F, q, scheme, *(C * sum(rank[k] <= r for k in ks)
-                                                    for r in (0, 1)))
+            R = _cov_raw(s, F[0](q), F[1], q, scheme, *(C * sum(rank[k] <= r for k in ks)
+                                                        for r in (1, 0)))
             return [tuple(R[r][k * C:(k + 1) * C].copy() for r in p[2])
                     for k, p in enumerate(ps)]
         R = _curvature_raw(s, kind, *F, q, scheme)
         return [Rk if len(p) == slots
                 else dot(Rk, f[id(p[3])](yc)) if isinstance(p[3], VectorField)
-                else norm(Rk if p[3] is None else Rk - _cut(p[3], c))
+                else norm(Rk if p[3] is None else Rk - np.atleast_2d(p[3])[c])
                 for p, Rk in zip(ps, (R[k * C:(k + 1) * C] for k in range(len(ps))))]
 
     out = {}
@@ -393,7 +392,7 @@ def _phi_parallel_plan(alpha, Xp, Yp):  # (nabla-bar_X phi_a)Y, Xp and Yp in H
                 d_phiY - s.phi_raw(alpha, dY, y), y))
 
 
-def _form_gap_plan(X, Y):
+def _form_gap_plan(X, Y, xi):  # xi: the Reeb fields xi_1, xi_2, xi_3
     def gap(s, y, sub, defn, *d_xi):  # d_xi: along X, then Y, of xi_1, xi_2, xi_3
         Xv, Yv = X(y), Y(y)
         for a, d_xi_X, d_xi_Y in zip((1, 2, 3), d_xi[::2], d_xi[1::2]):
@@ -402,7 +401,6 @@ def _form_gap_plan(X, Y):
                     - s.eta_raw(a, Yv, y) * d_xi_X
                     + s.omega_raw(a, Xv, Yv, y) * s.reeb_raw(a, y))
         return norm(sub - defn)
-    xi = [VectorField.reeb(X.structure, a) for a in (1, 2, 3)]
     return [(HC, X, Y), (LC, X, Y)] + [(LC, F, f) for f in xi for F in (X, Y)], gap
 
 
@@ -441,27 +439,13 @@ def h_form_gap(X: VectorField, Y: VectorField, x: SpherePoint,
     the adapted covariant derivative at x (zero when the structure's
     first-derivative identities hold): the definitional form goes through
     Levi-Civita derivatives of the Reeb fields, not the tensor A."""
-    return _at(_form_gap_plan(X, Y), x, scheme)
-
-
-def sasaki_defect(alpha, X: VectorField, Y: VectorField, x: SpherePoint,
-                  scheme=EXACT_FORWARD) -> TangentVector:
-    """(nabla_X phi_a)Y - g(X,Y) xi_a + eta^a(Y) X at x; zero on the
-    round sphere certifies the a-th structure."""
-    return TangentVector(x, _at(_sasaki_plan(alpha, X, Y), x, scheme))
+    xi = [VectorField.reeb(X.structure, a) for a in (1, 2, 3)]
+    return _at(_form_gap_plan(X, Y, xi), x, scheme)
 
 
 def torsion(kind: ConnectionKind, X: VectorField, Y: VectorField,
             x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
     return TangentVector(x, _at(_torsion_plan(kind, X, Y), x, scheme))
-
-
-def nabla_bar_phi_defect(alpha, X: VectorField, Y: VectorField,
-                         x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
-    """(nabla-bar_X phi_a)Y for H-fields; the inputs are forced into H
-    by projection before evaluation."""
-    plan = _phi_parallel_plan(alpha, X.project_H(), Y.project_H())
-    return TangentVector(x, _at(plan, x, scheme))
 
 
 def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,

@@ -51,7 +51,6 @@ from .connections import (
     _a_raw,
     _cov_raw,
     _fused_pass,
-    _cut,
     curvature,
     sphere_curvature_oracle,
 )
@@ -150,7 +149,7 @@ def rbar_difference_tensor(structure: ThreeSasakiStructure, X: TangentVector,
     def nabla_A(U, V, W):
         Vf, Wf = s.extension_raw(V.v), s.extension_raw(W.v)
         field = lambda q: _a_raw(s, Vf(q), Wf(q), q)
-        return _cov_raw(s, LC, lambda q: U.v, field, y, EXACT_FORWARD)
+        return _cov_raw(s, U.v, field, y, EXACT_FORWARD, hc=0)[LC]
 
     A = lambda u, w: _a_raw(s, u, w, y)
     out = (R.v + nabla_A(X, Y, Z) - nabla_A(Y, X, Z)
@@ -382,10 +381,13 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     each combination ``"adapted/round"`` to |kbar - predicted|.
     """
     _require_unit(X)
-    # the passes make P = phi_a X again for each chunk
-    P = lambda c: structure.phi_raw(alpha, _cut(X.v, c), _cut(X.base.x, c))
+    # P = phi_a X on the rows c (None: all), made again for each chunk of
+    # a pass: held for all rows, it would grow the suite's peak with them
+    def P(c):
+        return structure.phi_raw(alpha, *(a if c is None else np.atleast_2d(a)[c]
+                                          for a in (X.v, X.base.x)))
     plane, value = _plane(structure, X, TangentVector(X.base, P(None)),
-                          VectorField.extension(structure, P))
+                          VectorField(structure, vec=P))
     kbar, k = (_signed(value(_fused_pass(structure, kind, [plane], X.base.x,
                                          scheme)[0])) for kind in (HC, LC))
     b, c = (i for i in (1, 2, 3) if i != alpha)

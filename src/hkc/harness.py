@@ -320,7 +320,7 @@ def _suite_connection(s, cfg, conventions):
     xi = {a: VectorField.reeb(s, a) for a in (1, 2, 3)}
     h = {(a, b): _h_tensor_plan(xi[a], b, X) for a in xi for b in xi}
     (gap, XX, XZ, ZX), reeb_par, (dY,), (br,), phi_par, h_values = _run(s, (
-        [_form_gap_plan(X, Z), _cov_plan(HC, X, X),
+        [_form_gap_plan(X, Z, list(xi.values())), _cov_plan(HC, X, X),
          _cov_plan(HC, X, Z), _cov_plan(HC, Z, X)],
         [_cov_plan(HC, X, xi[a]) for a in (1, 2, 3)],
         [_cov_plan(HC, X, Yh)],

@@ -274,22 +274,18 @@ class ThreeSasakiStructure:
         """Deterministic orthonormal basis of H at ``x``: a tuple of 4n
         tangent vectors, each a stack if ``x`` is (row i of each is the
         basis at row i of ``x``), from 4n seeded Gaussian draws projected
-        to H and orthonormalized in draw order.
+        to H and orthonormalized in draw order.  The one draw is used as
+        drawn: a degenerate one raises ``DegenerateInputError``.
 
         Not cached, and not used by the Ricci trace, which traces over
         the projected ambient basis: it is an independent reference basis
         for the tests that check that trace.
         """
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
-        for _ in range(10):
-            w = rng.standard_normal((self.h_dim, self.ambient_dim))
-            try:  # all 4n draws projected at once, each at every point
-                return tuple(TangentVector(x, v) for v in gram_schmidt(
-                    self.project_h_raw(np.expand_dims(w, tuple(range(1, x.x.ndim))), x.x)))
-            except DegenerateInputError:
-                continue
-        raise DegenerateInputError(
-            "could not assemble an orthonormal H-basis after 10 attempts")
+        w = rng.standard_normal((self.h_dim, self.ambient_dim))
+        # all 4n draws projected at once, each at every point
+        return tuple(TangentVector(x, v) for v in gram_schmidt(
+            self.project_h_raw(np.expand_dims(w, tuple(range(1, x.x.ndim))), x.x)))
 
     # ---------------- derived tensors ----------------
 

@@ -23,12 +23,14 @@ from hkc import connections, curvature as curvature_module, sphere3s
 from hkc.connections import (
     ConnectionKind,
     VectorField,
+    _a_raw,
+    _at,
+    _phi_parallel_plan,
+    _sasaki_plan,
     cov_deriv,
     curvature,
     h_form_gap,
     lie_bracket,
-    nabla_bar_phi_defect,
-    sasaki_defect,
     torsion,
 )
 from hkc.curvature import (
@@ -449,11 +451,13 @@ def test_fused_first_order_passes_have_the_bits_of_separate_calls(monkeypatch, n
                                                                   scheme, dense):
     # every read of every pattern block of the first-order pass of the
     # sasaki, connection and torsion suites (one a suite: D_X Y, and off it
-    # nabla_X Y of either connection) against an unfused pass over all rows,
-    # in chunks of 1 sample (a budget of 1 float: one pattern of one row a
-    # pass), of 1, of 3 (5 is no multiple) and of all 5 samples, and each
-    # bracket the plans read off two patterns against two unfused
-    # derivatives; dense: on a triple the structure maps multiply out
+    # nabla_X Y of either connection) against its definition on one row at
+    # a time (D_X Y from value_and_derivative, nabla its tangent projection,
+    # nabla-bar that plus A(X, Y)), in chunks of 1 sample (a budget of 1
+    # float: one pattern of one row a pass), of 1, of 3 (5 is no multiple)
+    # and of all 5 samples, and each bracket the plans read off two
+    # patterns against two unfused derivatives; dense: on a triple the
+    # structure maps multiply out
     s = rotated(n) if dense else ThreeSasakiStructure(n=n)
     cfg = RunConfig(n=n, points=5, scheme=scheme)
     conventions = resolve_conventions(s, 0, scheme)
@@ -471,12 +475,15 @@ def test_fused_first_order_passes_have_the_bits_of_separate_calls(monkeypatch, n
     for _, kind, patterns, y, scheme, out in calls:
         d = {}
         for (X, Y, reads), values in zip(patterns, out):
-            for r, v in zip(reads, values):
-                want = (value_and_derivative(Y, y, X(y), scheme)[1] if r is None
-                        else connections._cov_raw(s, r, X, Y, y, scheme))
-                assert v.tobytes() == want.tobytes(), r
-                if r is None:
-                    d[X, Y] = v
+            for i in range(len(y)):
+                c = slice(i, i + 1)
+                yi, Xi, Yi = y[c], X.rows(c), Y.rows(c)
+                Yv, D = value_and_derivative(Yi, yi, Xi(yi), scheme)
+                want = {None: D, LC: s.tangent_project_raw(D, yi)}
+                want[HC] = want[LC] + _a_raw(s, Xi(yi), Yv, yi)
+                for r, v in zip(reads, values):
+                    assert v[c].tobytes() == want[r].tobytes(), r
+            d.update({(X, Y): v for r, v in zip(reads, values) if r is None})
         for (X, Y), v in d.items():
             if (Y, X) in d:
                 brackets += 1
@@ -519,8 +526,9 @@ _TYPED = (
     lambda a, X, Y, Z, x: lie_bracket(X, Y, x),
     *(lambda a, X, Y, Z, x, k=k: cov_deriv(k, X, Y, x) for k in (LC, HC)),
     *(lambda a, X, Y, Z, x, k=k: torsion(k, X, Y, x) for k in (LC, HC)),
-    lambda a, X, Y, Z, x: sasaki_defect(a, X, Y, x),
-    lambda a, X, Y, Z, x: nabla_bar_phi_defect(a, X, Y, x),
+    lambda a, X, Y, Z, x: _at(_sasaki_plan(a, X, Y), x, EXACT_FORWARD),
+    lambda a, X, Y, Z, x: _at(_phi_parallel_plan(a, X.project_H(), Y.project_H()),
+                              x, EXACT_FORWARD),
     lambda a, X, Y, Z, x: h_form_gap(X, Y, x),
     *(lambda a, X, Y, Z, x, k=k: curvature(k, X, Y, Z, x) for k in (LC, HC)),
 )
@@ -657,15 +665,15 @@ def test_every_nested_pass_of_a_run_holds_the_chunk_budget(monkeypatch, n, budge
     passes = []
 
     def sized(kernel):
-        def recorded(*args):
-            R = kernel(*args)
+        def recorded(*args, **kwargs):
+            R = kernel(*args, **kwargs)
             D = R[None] if isinstance(R, dict) else R  # a first-order pass: its D_X Y
             if isinstance(D, np.ndarray):  # not a nested pass's inner derivative
                 passes.append((len(np.atleast_2d(D)), D.size))
             return R
         return recorded
 
-    for name in ("_curvature_raw", "_cov_raw", "_derivative_raw"):
+    for name in ("_curvature_raw", "_cov_raw"):
         monkeypatch.setattr(connections, name, sized(getattr(connections, name)))
     report = harness.run_suites(cfg)
     assert report.to_json() == want
@@ -979,10 +987,10 @@ def test_stacked_rows_equal_one_at_a_time_calls(n):
     assert_rows_match_calls(lambda x, X, Y: lie_bracket(ext(X), ext(Y), x), x, X, Y)
     assert_rows_match_calls(lambda x, X, Y: h_form_gap(ext(X), ext(Y), x), x, X, Y)
     for a in (1, 2, 3):
-        assert_rows_match_calls(
-            lambda x, X, Y: sasaki_defect(a, ext(X), ext(Y), x), x, X, Y)
-        assert_rows_match_calls(
-            lambda x, X, Y: nabla_bar_phi_defect(a, ext(X), ext(Y), x), x, Xh, Yh)
+        assert_rows_match_calls(lambda x, X, Y: _at(
+            _sasaki_plan(a, ext(X), ext(Y)), x, EXACT_FORWARD), x, X, Y)
+        assert_rows_match_calls(lambda x, X, Y: _at(_phi_parallel_plan(
+            a, ext(X).project_H(), ext(Y).project_H()), x, EXACT_FORWARD), x, Xh, Yh)
         for b in (1, 2, 3):
             assert_rows_match_calls(lambda X: s.h_tensor(a, b, X), X)
 

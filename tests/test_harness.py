@@ -997,21 +997,27 @@ def test_each_curvature_value_is_evaluated_once(struct, monkeypatch):
 def _count_raw(monkeypatch):
     """Count the first-order passes (as None: one derivative kernel serves
     every kind) and their derivative rows (as None), and the rows that
-    read a derivative of each connection (by kind)."""
-    passes, rows = [], {}
-    kernel, fused = connections._derivative_raw, connections._fused_pass
+    read a derivative of each connection (by kind).  The kernel's calls
+    inside a first-order pass count; those of a nested pass do not."""
+    passes, rows, first = [], {}, [False]
+    kernel, fused = connections._cov_raw, connections._fused_pass
 
-    def counted(s, Xf, Yf, y, *args):
-        passes.append(None)
-        rows[None] = rows.get(None, 0) + len(y)
-        return kernel(s, Xf, Yf, y, *args)
+    def counted(s, Xf, Yf, y, *args, **kwargs):
+        if first[0]:
+            passes.append(None)
+            rows[None] = rows.get(None, 0) + len(y)
+        return kernel(s, Xf, Yf, y, *args, **kwargs)
 
     def reads(s, kind, patterns, y, scheme):
         for k in (LC, HC) if kind is None else ():
             rows[k] = rows.get(k, 0) + sum(k in p[2] for p in patterns) * len(np.atleast_2d(y))
-        return fused(s, kind, patterns, y, scheme)
+        first[0] = kind is None
+        try:
+            return fused(s, kind, patterns, y, scheme)
+        finally:
+            first[0] = False
 
-    monkeypatch.setattr(connections, "_derivative_raw", counted)
+    monkeypatch.setattr(connections, "_cov_raw", counted)
     monkeypatch.setattr(connections, "_fused_pass", reads)
     return passes, rows
 
@@ -1097,21 +1103,24 @@ def test_definitional_form_is_evaluated_once_per_connection_sample(monkeypatch):
         assert (lc[1][0] - lc[0][0], lc[1][1] - lc[0][1]) == (1, 7 * points)
 
 
-@pytest.mark.parametrize("points", [1, 4, 10])
+@pytest.mark.parametrize("points", [1, 4, 10, 100])
 def test_each_distinct_derivative_is_taken_once(struct, monkeypatch, points):
     # derivative rows per sample: each distinct pair of fields once (a
-    # bracket's two orientations included), 16, 38 and 16 against 19, 44
-    # and 32 with a pass per kernel; one first-order pass a suite, 3 in all
+    # bracket's two orientations included, and the connection suite's
+    # Reeb fields shared by all its plans), 16, 35 and 16; one first-order
+    # pass a suite up to 10 points, and at 100 points as many as the chunk
+    # budget needs
+    groups = (1, 1, 1) if points <= 10 else (4, 9, 4)
     conventions = resolve_conventions(struct, seed=0)
     passes, rows = _count_raw(monkeypatch)
-    for suite, want in (("sasaki", 16), ("connection", 38), ("torsion", 16)):
+    for suite, want, k in zip(("sasaki", "connection", "torsion"), (16, 35, 16), groups):
         passes.clear()
         rows.clear()
         harness._SUITE_FUNCS[suite](struct, RunConfig(points=points), conventions)
-        assert (len(passes), rows[None]) == (1, want * points), suite
+        assert (len(passes), rows[None]) == (k, want * points), suite
     passes.clear()
     run_suites(RunConfig(points=points, suites=("sasaki", "connection", "torsion")))
-    assert len(passes) == 1 + 3  # and the sign resolution's one
+    assert len(passes) == sum(groups) + 1  # and the sign resolution's one
 
 
 def test_text_format_lists_every_record(small_report):

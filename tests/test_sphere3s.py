@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hkc.numlin import (Dual, StructuralError, dot,
+from hkc.numlin import (DegenerateInputError, Dual, StructuralError, dot,
                          gram_schmidt, leafmap, matvec, norm,
                          quaternion_structures)
 from hkc.sphere3s import (
@@ -437,6 +437,23 @@ def test_frame_h_keeps_the_bits_of_one_projection_per_draw(n, points):
     assert len(got) == len(want)
     for E, v in zip(got, want):
         assert np.array_equal(E.v, v)
+
+
+def test_frame_h_uses_its_one_draw_as_drawn(struct, rng, monkeypatch):
+    # a degenerate draw (every row the same vector) raises, naming the
+    # first dependent vector, and no second draw is made in its place
+    x = rand_point(struct, rng)
+    draws, make = [], np.random.default_rng
+
+    class Degenerate:
+        def standard_normal(self, shape):
+            draws.append(shape)
+            return np.broadcast_to(make(0).standard_normal(shape[-1]), shape).copy()
+
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: Degenerate())
+    with pytest.raises(DegenerateInputError) as err:
+        struct.frame_H(x, seed=3)
+    assert err.value.index == 2 and len(draws) == 1
 
 
 def test_frame_h_empty_for_n0():

@@ -1,11 +1,14 @@
 """The test configuration itself: under the repository's warning filters
-a failing property test still reports its falsifying example."""
+a failing property test still reports its falsifying example; and the
+package source holds no private module-level name that nothing reads."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = PYPROJECT.parent / "src" / "hkc"
 
 
 def test_failing_property_test_prints_its_example(tmp_path):
@@ -24,3 +27,41 @@ def test_failing_property_test_prints_its_example(tmp_path):
     out = proc.stdout + proc.stderr
     assert proc.returncode == 1, out
     assert "Falsifying example" in out and "INTERNALERROR" not in out
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level private function, class or
+    assignment of a module (dunder names are not private)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _reads(node):
+    """Every name read under ``node``: a loaded name or an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_private_module_name_is_read_elsewhere():
+    # a private name that no other top-level statement of the package reads
+    # (an import is no read) is a leftover of a change that removed its use
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    dead = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            if not any(name in _reads(other) for t in trees.values()
+                       for other in t.body if other is not node):
+                dead.append(f"{module}:{name}")
+    assert dead == []
