@@ -214,6 +214,11 @@ def _curvature_raw(s, kind, Xf, Yf, Zf, y, scheme):
 
 CURVATURE_CHUNK = 3200  # floats per leaf of one fused pass: rows x d (400 rows at n=1)
 
+# The passes build their tuples from lists.  A tuple built from an iterator
+# starts at ten slots and is cut to size in a new block, which once freed
+# stays in CPython's free list for its size (up to 2000 a size) until a
+# full collection: memory would creep run after run.
+
 
 def _form(f):
     """A run of one form is one field: 0 extensions or 1 Reeb fields, through
@@ -221,7 +226,7 @@ def _form(f):
     closure is 2 with its id, so that only its repeats make a run."""
     if f.func is not None:
         return 2, (id(f),)
-    return int(f.vec is None), tuple(op is None for op in f.ops)
+    return int(f.vec is None), tuple([op is None for op in f.ops])
 
 
 def _merged(s, fs, C):
@@ -237,7 +242,7 @@ def _merged(s, fs, C):
     return VectorField(s, vec=np.concatenate([v if len(v) == C else np.repeat(v, C, axis=0)
                                               for v in vs]) if vs else None,
                        alpha=per_row([g.alpha for g in fs]),
-                       ops=tuple(map(per_row, zip(*(g.ops for g in fs)))))
+                       ops=tuple([per_row(v) for v in zip(*[g.ops for g in fs])]))
 
 
 def _blocks(s, fields, forms, C):
@@ -307,7 +312,7 @@ def _fused_pass(s, kind, patterns, y, scheme):
         if kind is None:  # each read as an array of its own
             R = _cov_raw(s, F[0](q), F[1], q, scheme, *(C * sum(rank[k] <= r for k in ks)
                                                         for r in (1, 0)))
-            return [tuple(R[r][k * C:(k + 1) * C].copy() for r in p[2])
+            return [tuple([R[r][k * C:(k + 1) * C].copy() for r in p[2]])
                     for k, p in enumerate(ps)]
         R = _curvature_raw(s, kind, *F, q, scheme)
         return [Rk if len(p) == slots
@@ -320,10 +325,10 @@ def _fused_pass(s, kind, patterns, y, scheme):
         ks = order[g:g + group]
         chunks = [chunk(ks, slice(i, i + step)) for i in range(0, len(y2), step)]
         out.update(zip(ks, chunks[0] if len(chunks) == 1 else
-                       [tuple(map(np.concatenate, zip(*v))) if kind is None
+                       [tuple([np.concatenate(c) for c in zip(*v)]) if kind is None
                         else np.concatenate(v) for v in zip(*chunks)]))
     out = [out[k] for k in range(K)]
-    return out if y.ndim > 1 else [tuple(r[0] for r in v) if kind is None
+    return out if y.ndim > 1 else [tuple([r[0] for r in v]) if kind is None
                                    else v[0] if len(p) == slots else float(v[0, 0])
                                    for v, p in zip(out, patterns)]
 

@@ -1064,6 +1064,23 @@ def test_a_default_run_makes_eleven_nested_passes(monkeypatch):
     assert len(passes) <= 11, len(passes)
 
 
+@pytest.mark.parametrize("suite", ["connection", "curvature"])
+def test_repeated_suite_runs_leave_few_blocks_behind(suite):
+    # a tuple built from an iterator is cut to size in a new block, which
+    # stays in CPython's free list for its size once freed; passes that
+    # build theirs so leave some 12 (curvature) to 40 (connection) more
+    # blocks a run, and a long-running process's memory creeps
+    s = ThreeSasakiStructure(n=1)
+    conventions = resolve_conventions(s, seed=0)
+    run = lambda: harness._SUITE_FUNCS[suite](s, RunConfig(points=2, seed=4), conventions)
+    for _ in range(3):
+        run()
+    before = sys.getallocatedblocks()
+    for _ in range(100):
+        run()
+    assert sys.getallocatedblocks() - before < 1000
+
+
 @pytest.mark.parametrize("suite", ["curvature", "sectional", "theorem-sec"])
 def test_fused_suite_memory_does_not_grow_with_points(suite):
     # a chunk holds at most a fixed number of rows (at 100 points every
