@@ -26,7 +26,7 @@ Curvature is evaluated literally as
 
     R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
 
-by pushing nested dual numbers through the field closures.  The
+by pushing nested dual numbers through the fields.  The
 quadrilinear form uses the slot convention
 
     R4(X, Y, Z, W) := g(R(X, Y)W, Z),
@@ -36,17 +36,16 @@ the inner product of ``curvature(kind, X, Y, W, x)`` with Z.
 Every typed operation takes a point that is one row or a stack of rows
 and gives one value per row: a tangent vector of the point's shape, or
 floats of shape ``(P, 1)`` for a stack.  The row rule: a field's
-extension vectors are one row per row of the point, one row that serves
-every row, or a function of the rows; a closure serves any rows (a
-constant one's vector is repeated on each).  All run on one driver,
-``_fused_pass``: one pass per kernel (the first derivatives D_X Y, or
-the nested curvature, whose [X, Y] is read off its nested terms) serves
-many slot patterns, each on its own row block with the bits of its own
-pass.  It uses the fields as given in a pass of one chunk, else cuts the
-vectors to the rows of each chunk, and merges the fields of one form on
-adjacent blocks, and raises ``StructuralError`` for a field of any other
-row count or of another structure; an index other than 1, 2, 3 raises
-it where the field is made.
+extension vectors are one row per row of the point, or one row that
+serves every row.  All run on one driver, ``_fused_pass``: one pass per
+kernel (the first derivatives D_X Y, or the nested curvature, whose
+[X, Y] is read off its nested terms) serves many slot patterns, each on
+its own row block with the bits of its own pass.  It uses the fields as
+given in a pass of one chunk, else cuts the vectors to the rows of each
+chunk, and merges the fields of one form on adjacent blocks, and raises
+``StructuralError`` for a field of any other row count or of another
+structure; an index other than 1, 2, 3 raises it where the field is
+made.
 """
 
 from __future__ import annotations
@@ -89,32 +88,20 @@ HC = ConnectionKind.H_CONNECTION
 # ============================================================
 
 class VectorField:
-    """A smooth tangent field, held as its data: a raw closure ``y ->
-    ambient vector`` (``func``), extension vectors (``vec``, under the row
-    rule) or a Reeb index (``alpha``), then the maps ``ops`` (a for phi_a,
-    None for the projection onto H); a fused pass merges indices into an
-    integer array, one per row.  Calling the field evaluates the closure
-    built once from the data, which is dual-generic."""
+    """A smooth tangent field, held as its data: extension vectors (``vec``,
+    under the row rule) or a Reeb index (``alpha``), then the maps ``ops``
+    (a for phi_a, None for the projection onto H).  The identities checked
+    here differentiate no other field, so a function is none (``TypeError``).
+    A fused pass merges indices into an integer array, one per row.  Calling
+    the field evaluates the closure built once from the data (dual-generic)."""
 
-    def __init__(self, structure, func=None, vec=None, alpha=None, ops=()):
+    def __init__(self, structure, *, vec=None, alpha=None, ops=()):
         s = self.structure = structure
-        self.func, self.vec, self.alpha, self.ops = func, vec, alpha, ops
+        self.vec, self.alpha, self.ops = vec, alpha, ops
         for a in (alpha, *ops):  # not a merged integer array of each row's
             if a is not None and not (isinstance(a, np.ndarray) and a.ndim):
                 s._I(a)
-        if callable(vec):  # uncut: all rows of the function
-            f = lambda y: s.extension_raw(vec(None))(y)
-        elif vec is not None:
-            f = s.extension_raw(vec)
-        elif alpha is not None:
-            f = lambda y: s.reeb_raw(alpha, y)
-        else:  # a closure's one vector (a constant field) on each row of y
-            def f(y):
-                p = y
-                while isinstance(p, Dual):
-                    p = p.val
-                return leafmap(lambda a: np.broadcast_to(a, p.shape[:-1] + a.shape).copy()
-                               if np.ndim(a) == 1 else a, func(y))  # as in _merged
+        f = s.extension_raw(vec) if vec is not None else lambda y: s.reeb_raw(alpha, y)
         for op in ops:  # each map after the closure before it, bound now
             m = s.project_h_raw if op is None else partial(s.phi_raw, op)
             f = lambda y, f=f, m=m: m(f(y), y)
@@ -126,9 +113,8 @@ class VectorField:
     def rows(self, c):
         """The field on the rows ``c`` of its point."""
         v = self.vec
-        if callable(v) or v is not None and v.ndim > 1 and len(v) > 1:
-            return VectorField(self.structure, vec=v(c) if callable(v) else v[c],
-                               ops=self.ops)
+        if v is not None and v.ndim > 1 and len(v) > 1:
+            return VectorField(self.structure, vec=v[c], ops=self.ops)
         return self
 
     @classmethod
@@ -142,12 +128,12 @@ class VectorField:
         return cls(structure, alpha=alpha)
 
     def phi(self, alpha):
-        return VectorField(self.structure, self.func, self.vec, self.alpha,
-                           self.ops + (alpha,))
+        return VectorField(self.structure, vec=self.vec, alpha=self.alpha,
+                           ops=self.ops + (alpha,))
 
     def project_H(self):
-        return VectorField(self.structure, self.func, self.vec, self.alpha,
-                           self.ops + (None,))
+        return VectorField(self.structure, vec=self.vec, alpha=self.alpha,
+                           ops=self.ops + (None,))
 
 
 # ============================================================
@@ -222,10 +208,7 @@ CURVATURE_CHUNK = 3200  # floats per leaf of one fused pass: rows x d (400 rows 
 
 def _form(f):
     """A run of one form is one field: 0 extensions or 1 Reeb fields, through
-    maps of the same kinds (phi_a for any a, the projection onto H); a
-    closure is 2 with its id, so that only its repeats make a run."""
-    if f.func is not None:
-        return 2, (id(f),)
+    maps of the same kinds (phi_a for any a, the projection onto H)."""
     return int(f.vec is None), tuple([op is None for op in f.ops])
 
 
@@ -249,9 +232,9 @@ def _blocks(s, fields, forms, C):
     """One field that is ``fields[k]`` on rows k*C .. (k+1)*C - 1: each run
     of one form (``forms[k]``) one field on its slice of the point."""
     parts, lo = [], 0
-    for key, run in groupby(zip(fields, forms), lambda t: t[1]):
+    for _, run in groupby(zip(fields, forms), lambda t: t[1]):
         fs = [f for f, _ in run]
-        f = fs[0] if key[0] == 2 or len(fs) == 1 else _merged(s, fs, C)
+        f = fs[0] if len(fs) == 1 else _merged(s, fs, C)
         parts.append((f, lo, lo + len(fs) * C))
         lo += len(fs) * C
     if len(parts) == 1:
@@ -260,12 +243,9 @@ def _blocks(s, fields, forms, C):
 
 
 def _join(parts):
-    """Duals of one nesting (or plain arrays) joined on axis 0, leaf by leaf;
-    a plain part among duals (a constant field's) has zero derivatives."""
-    if any(isinstance(p, Dual) for p in parts):
-        return Dual(_join([getattr(p, "val", p) for p in parts]),
-                    _join([p.dot if isinstance(p, Dual) else np.zeros_like(p)
-                           for p in parts]))
+    """Duals of one nesting (or plain arrays) joined on axis 0, leaf by leaf."""
+    if isinstance(parts[0], Dual):
+        return Dual(_join([p.val for p in parts]), _join([p.dot for p in parts]))
     return np.concatenate(parts)
 
 
@@ -287,11 +267,11 @@ def _fused_pass(s, kind, patterns, y, scheme):
         v = f.vec
         if f.structure is not s:
             raise StructuralError("vector fields belong to different structures")
-        if isinstance(v, np.ndarray) and v.ndim > 1 and len(v) not in (1, len(y2)):
+        if v is not None and v.ndim > 1 and len(v) not in (1, len(y2)):
             raise StructuralError(f"a field of {len(v)} rows at a point of {len(y2)}")
-    # floats per row: the broadcast of each vector's row shape (a function's: d)
+    # floats per row: the broadcast of each vector's row shape
     width = math.prod(map(max, zip_longest(*(
-        f.vec.shape[f.vec.ndim > 1:][::-1] if isinstance(f.vec, np.ndarray) else ()
+        f.vec.shape[f.vec.ndim > 1:][::-1] if f.vec is not None else ()
         for f in fields.values()), (s.ambient_dim,), fillvalue=1)))
     form = {k: _form(f) for k, f in fields.items()}
     order = sorted(range(K), key=lambda k: (rank[k],
@@ -302,8 +282,8 @@ def _fused_pass(s, kind, patterns, y, scheme):
 
     def chunk(ks, c):  # a chunk's pass and cut fields are freed before the next
         ps = [patterns[k] for k in ks]
-        # one chunk of all rows: the fields as given (a function's rows made once)
-        yc, f = y2[c], {id(g): g if step >= len(y2) and not callable(g.vec) else g.rows(c)
+        # one chunk of all rows: the fields as given
+        yc, f = y2[c], {id(g): g if step >= len(y2) else g.rows(c)
                          for p in ps for g in p if isinstance(g, VectorField)}
         C = len(yc)
         F = [_blocks(s, [f[id(p[j])] for p in ps], [form[id(p[j])] for p in ps], C)
@@ -456,7 +436,7 @@ def torsion(kind: ConnectionKind, X: VectorField, Y: VectorField,
 def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,
               Z: VectorField, x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
-    evaluated by nesting dual numbers through the field closures; one
+    evaluated by nesting dual numbers through the fields; one
     nested pass per chunk of a stack of points."""
     return TangentVector(x, _fused_pass(X.structure, kind, [(X, Y, Z)], x.x, scheme)[0])
 

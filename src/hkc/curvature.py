@@ -42,7 +42,7 @@ from .numlin import (
     dot,
     norm,
 )
-from .sphere3s import TANGENT_TOL, TangentVector, ThreeSasakiStructure
+from .sphere3s import TANGENT_TOL, SpherePoint, TangentVector, ThreeSasakiStructure
 from .connections import (
     HC,
     LC,
@@ -303,10 +303,10 @@ def _signed(value):
     return {"+1": value, "-1": -value}
 
 
-def _plane(structure, X, Y, Yf=None):
+def _plane(structure, X, Y):
     """The pattern of R4(X,Y,X,Y) = g(R(X,Y)Y, X) on the extensions of the
-    vectors (``Yf``: that of Y, if given), and the plane value r -> -r / gram
-    of its value r.  No row may let the Gram determinant vanish."""
+    vectors, and the plane value r -> -r / gram of its value r.  No row may
+    let the Gram determinant vanish."""
     X._check_same_base(Y)
     g = _gram(X, Y)
     gs = np.ravel(g)
@@ -314,8 +314,7 @@ def _plane(structure, X, Y, Yf=None):
     if bad.any():
         raise DegenerateInputError(
             f"the two vectors do not span a plane (Gram determinant {gs[bad][0]:.3e})")
-    Xf = VectorField.extension(structure, X)
-    Yf = Yf or VectorField.extension(structure, Y)
+    Xf, Yf = (VectorField.extension(structure, V) for V in (X, Y))
     return (Xf, Yf, Yf, Xf), lambda r: -r / g
 
 
@@ -381,15 +380,17 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     each combination ``"adapted/round"`` to |kbar - predicted|.
     """
     _require_unit(X)
-    # P = phi_a X on the rows c (None: all), made again for each chunk of
-    # a pass: held for all rows, it would grow the suite's peak with them
-    def P(c):
-        return structure.phi_raw(alpha, *(a if c is None else np.atleast_2d(a)[c]
-                                          for a in (X.v, X.base.x)))
-    plane, value = _plane(structure, X, TangentVector(X.base, P(None)),
-                          VectorField(structure, vec=P))
-    kbar, k = (_signed(value(_fused_pass(structure, kind, [plane], X.base.x,
-                                         scheme)[0])) for kind in (HC, LC))
+    # P = phi_a X on one row chunk at a time, the rows a one-pattern pass
+    # holds: held for all rows, it would grow the suite's peak with them
+    planes = {HC: [], LC: []}
+    for y, Xv in structure.chunks(X.base.x, X.v):
+        x = SpherePoint(y)
+        plane, value = _plane(structure, TangentVector(x, Xv),
+                              TangentVector(x, structure.phi_raw(alpha, Xv, y)))
+        for kind, v in planes.items():
+            v.append(value(_fused_pass(structure, kind, [plane], y, scheme)[0]))
+    kbar, k = (_signed(v[0] if len(v) == 1 else np.concatenate(v))
+               for v in planes.values())
     b, c = (i for i in (1, 2, 3) if i != alpha)
     eb, ec = (structure.eta_raw(i, X.v, X.base.x) for i in (b, c))
     poly = (3.0 + 4.0 * _pow(eb * ec, 2) + 6.0 * (_pow(eb, 4) + _pow(ec, 4))

@@ -110,6 +110,9 @@ class Dual:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):  # a plain divisor, as a stencil's
+        return Dual(self.val / other, self.dot / other)
+
     def __neg__(self):
         return Dual(-self.val, -self.dot)
 

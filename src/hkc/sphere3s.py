@@ -12,8 +12,8 @@ with g the round metric (ambient dot product).  The 4n-dimensional
 distribution H is the joint kernel of the three eta^alpha.
 
 Each structure map has one form, ``*_raw``, acting on plain ambient
-arrays, stacks of them (one row per vector) or dual numbers; vector-field
-closures, nested differentiation and the suites all call it, the closed
+arrays, stacks of them (one row per vector) or dual numbers; vector
+fields, nested differentiation and the suites all call it, the closed
 forms and the axioms through one table per point (:class:`StructureMaps`).
 Validation happens where a value enters: :class:`SpherePoint` and
 :class:`TangentVector` hold one row ``(d,)`` or a stack ``(P, d)`` and

@@ -77,42 +77,24 @@ def test_bracket_antisymmetry(struct, rng):
     assert norm(fwd.v + rev.v) < 1e-13
 
 
-def test_bracket_guards_against_nontangent_fields(struct, rng):
+def test_bracket_guards_against_nontangent_fields(struct, rng, monkeypatch):
+    # the extension of c bound where F is made is the constant field c,
+    # which is not tangent: its bracket with a Reeb field leaves the
+    # tangent space
     c = rng.standard_normal(struct.ambient_dim)
-    c2 = rng.standard_normal(struct.ambient_dim)
-    F = VectorField(struct, lambda y: c)  # deliberately not tangent
-    G = VectorField(struct, lambda y: dot(y, c) * c2)
     x = rand_point(struct, rng)
+    monkeypatch.setattr(struct, "extension_raw", lambda v: lambda y: v + 0.0 * y)
+    F = VectorField.extension(struct, c)
     with pytest.raises(InternalConsistencyError):
-        lie_bracket(F, G, x)
+        lie_bracket(F, VectorField.reeb(struct, 1), x)
 
 
-def test_constant_fields_serve_one_row_and_joined_passes(struct, rng):
-    # a closure that gives one vector for all rows (a constant field) is
-    # repeated on each row: on a one-row point, which a pass stacks, and
-    # beside another field's block in a joined pass (torsion's G, F then F, G)
-    c = rng.standard_normal(struct.ambient_dim)
-    x = rand_point(struct, rng)
-    F, G = VectorField(struct, lambda y: c), rand_field(struct, x, rng)
-    y, proj = x.x, lambda v: struct.tangent_project_raw(v, x.x)
-    cov = lambda kind, A, B: _cov_raw(struct, A(y), B, y, EXACT_FORWARD)[kind]
-    d = lambda A, B: directional_derivative(B, y, A(y))  # D_A B
-    xs = SpherePoint(np.stack([y, y]))
-    for kind in (LC, HC):
-        assert np.allclose(cov_deriv(kind, F, G, x).v, proj(cov(kind, F, G)),
-                           rtol=0, atol=1e-13)
-        T = torsion(kind, G, F, x).v
-        want = proj(cov(kind, G, F) - cov(kind, F, G) - (d(G, F) - d(F, G)))
-        assert np.allclose(T, want, rtol=0, atol=1e-13)
-        assert np.allclose(torsion(kind, G, F, xs).v, [T, T], rtol=0, atol=1e-13)
-    # two constant fields on adjacent blocks of a stack: each row has the
-    # bits of its one-row call
-    c2 = rng.standard_normal(struct.ambient_dim)
-    F2, x3 = VectorField(struct, lambda y: c2), _stacked(struct, rng, 3)[0]
-    for kind in (LC, HC):
-        T = torsion(kind, F, F2, x3).v
-        for i, xi in enumerate(_rows_of(x3, 0, 1, 2)):
-            assert T[i].tobytes() == torsion(kind, F, F2, xi).v.tobytes(), (kind, i)
+def test_vector_fields_take_no_closure(struct):
+    # a field is extension vectors or a Reeb index, not a function
+    with pytest.raises(TypeError):
+        VectorField(struct, lambda y: y)
+    with pytest.raises(TypeError):
+        VectorField(struct, vec=lambda y: y)
 
 
 def test_merged_reeb_fields_check_each_alpha(struct, rng):
@@ -259,16 +241,15 @@ def test_covariant_derivative_evaluates_each_field_once(struct, rng, scheme,
     # kernel X's value
     x = rand_point(struct, rng)
     X, Y = rand_field(struct, x, rng), rand_field(struct, x, rng)
+    calls = {}
+    for name, field in (("X", X), ("Y", Y)):
+        def counted(y, name=name, f=field._func):
+            calls[name] += 1
+            return f(y)
+        field._func = counted
     for kind, want in evaluations.items():
-        calls = {"X": 0, "Y": 0}
-
-        def counted(name, field):
-            def f(y):
-                calls[name] += 1
-                return field(y)
-            return VectorField(struct, f)
-
-        cov_deriv(kind, counted("X", X), counted("Y", Y), x, scheme)
+        calls.update(X=0, Y=0)
+        cov_deriv(kind, X, Y, x, scheme)
         assert (calls["X"], calls["Y"]) == want
 
 

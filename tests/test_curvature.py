@@ -394,8 +394,10 @@ def _separate(s, kind, pattern, y, scheme):
     (4, DiffScheme(CENTRAL_DIFFERENCE.kind, 1e-4))])
 def test_fused_passes_have_the_bits_of_separate_calls(monkeypatch, n, scheme):
     # every pattern block of every fused pass of the nested suites against
-    # the kernel's own pass over all rows, in chunks of 1 sample, of 3 (5
-    # is no multiple) and of all 5 samples, and with a budget of two
+    # the kernel's own pass over all rows; each suite's values of each
+    # pattern, joined over its passes of one kind (theorem-sec makes one a
+    # row chunk), at the default budget against chunks of 1 sample, of 3
+    # (5 is no multiple) and of all 5 samples, and against a budget of two
     # patterns of one row, which splits the patterns over passes (the
     # cross-check's one pattern runs over its 25 rows in chunks of 1, 3
     # and 5 rows)
@@ -403,14 +405,21 @@ def test_fused_passes_have_the_bits_of_separate_calls(monkeypatch, n, scheme):
     cfg = RunConfig(n=n, points=5, scheme=scheme)
     conventions = resolve_conventions(s, 0, scheme)
     calls, budget = _record_fused(monkeypatch)
-    bits = []
-    for budget[0] in (lambda K, d: 1, lambda K, d: 3 * K * d, lambda K, d: 5 * K * d,
-                      lambda K, d: 2 * d):
+    default, bits, passes = connections.CURVATURE_CHUNK, [], []
+    for budget[0] in (lambda K, d: default, lambda K, d: 1, lambda K, d: 3 * K * d,
+                      lambda K, d: 5 * K * d, lambda K, d: 2 * d):
         calls.clear()
+        bits.append([])
         for suite in ("curvature", "cross-check", "sectional", "theorem-sec", "ricci"):
+            start = len(calls)
             _SUITE_FUNCS[suite](s, cfg, conventions)
-        bits.append([[v.tobytes() for v in out] for *_, out in calls])
-    assert len(calls) == 10 and bits[0] == bits[1] == bits[2] == bits[3]
+            joined = {}
+            for _, kind, *_, out in calls[start:]:
+                joined.setdefault(kind, []).append(out)
+            bits[-1].append({kind: [np.concatenate(v).tobytes() for v in zip(*outs)]
+                             for kind, outs in joined.items()})
+        passes.append(len(calls))
+    assert passes[0] == 10 and all(b == bits[0] for b in bits)
     for *args, patterns, y, scheme, out in calls:
         for p, v in zip(patterns, out):
             assert v.tobytes() == _separate(*args, p, y, scheme).tobytes()
@@ -418,9 +427,10 @@ def test_fused_passes_have_the_bits_of_separate_calls(monkeypatch, n, scheme):
 
 @pytest.mark.parametrize("dense", [False, True])
 def test_closed_forms_and_axioms_keep_their_bits_across_row_chunks(monkeypatch, dense):
-    # the stated expansion (with and without R), the gap form and the axiom
-    # records on 7 rows, in chunks of 2, 2, 2 and 1 rows (a budget of 2 d
-    # floats) against one chunk of all 7
+    # the stated expansion (with and without R), the gap form, the axiom
+    # records and the plane values and residuals of theorem-sec on 7 rows,
+    # in chunks of 2, 2, 2 and 1 rows (a budget of 2 d floats) against one
+    # chunk of all 7
     s = rotated(1) if dense else ThreeSasakiStructure(n=1)
     rng = np.random.default_rng(17)
     rows = []
@@ -433,7 +443,9 @@ def test_closed_forms_and_axioms_keep_their_bits_across_row_chunks(monkeypatch, 
         return ([V.v.tobytes() for V in (rbar_algebraic(s, X, Y, Z),
                                          rbar_algebraic(s, X, Y, Z, R=R),
                                          two_route_gap_form(s, X, Y, Z))]
-                + [repr(r.as_dict()) for r in s.check_structure_axioms((x, X, Y))])
+                + [repr(r.as_dict()) for r in s.check_structure_axioms((x, X, Y))]
+                + [v.tobytes() for key in ("kbar", "k", "residual")
+                   for v in theorem_sec_data(s, 2, X)[key].values()])
 
     whole = values()
     assert len(s.chunks(x.x)) == 1
@@ -500,8 +512,7 @@ def test_curvature_reads_the_bracket_off_its_nested_terms(monkeypatch, n, scheme
     # and X its two nested terms made (under central difference the last
     # two of each; the adapted kind evaluates f(y) first), has the bytes
     # of D_X Y - D_Y X from two directional derivatives: for an extension,
-    # a Reeb field, an H-projected phi field and a constant closure (a plain
-    # evaluation: zero derivative), on one row and on a stack
+    # a Reeb field and an H-projected phi field, on one row and on a stack
     s = ThreeSasakiStructure(n=n)
     rng = np.random.default_rng(90 + n)
     made, real = [], connections.derivative_of
@@ -511,9 +522,7 @@ def test_curvature_reads_the_bracket_off_its_nested_terms(monkeypatch, n, scheme
         y = SpherePoint.normalized(rng.standard_normal(shape + (s.ambient_dim,))).x
         U, V, W = (VectorField.extension(s, s.tangent_project_raw(
             rng.standard_normal(y.shape), y)) for _ in range(3))
-        c = rng.standard_normal(s.ambient_dim)
-        fields = (U, VectorField.reeb(s, 2), V.phi(1).project_H(),
-                  VectorField(s, lambda q: c))
+        fields = (U, VectorField.reeb(s, 2), V.phi(1).project_H())
         for (X, Y), kind in itertools.product(itertools.permutations(fields, 2), (LC, HC)):
             made.clear()
             connections._curvature_raw(s, kind, X, Y, W, y, scheme)
@@ -533,7 +542,7 @@ _TYPED = (
     *(lambda a, X, Y, Z, x, k=k: curvature(k, X, Y, Z, x) for k in (LC, HC)),
 )
 
-_field_specs = st.tuples(st.sampled_from(("one", "stack", "reeb", "closure")),
+_field_specs = st.tuples(st.sampled_from(("one", "stack", "reeb")),
                          st.integers(1, 3),
                          st.lists(st.sampled_from((1, 2, 3, None)), max_size=2))
 
@@ -544,7 +553,7 @@ _field_specs = st.tuples(st.sampled_from(("one", "stack", "reeb", "closure")),
 def test_typed_operations_on_stacks_have_the_bits_of_one_row_calls(dense, specs,
                                                                    alpha, seed):
     # the row rule: X, Y, Z each the extension of one vector or of a
-    # stack, a Reeb field or a closure, through phi_a and the projection
+    # stack, or a Reeb field, through phi_a and the projection
     # onto H; every typed operation on 3 rows against its one-row calls,
     # with a chunk budget of 2 rows (chunks of 2 and 1 rows, one pattern
     # a pass) and the default (the patterns of a pass merged)
@@ -553,8 +562,6 @@ def test_typed_operations_on_stacks_have_the_bits_of_one_row_calls(dense, specs,
     P, d = 3, s.ambient_dim
     x = SpherePoint.normalized(rng.standard_normal((P, d)))
     V = rng.standard_normal((len(specs), P, d))
-    c, c2 = rng.standard_normal((2, d))
-    closure = VectorField(s, lambda y: s.tangent_project_raw(dot(y, c) * c2, y))
 
     def field(k, i):  # spec k's field on every row (i None), or for row i
         kind, a, ops = specs[k]
@@ -563,7 +570,7 @@ def test_typed_operations_on_stacks_have_the_bits_of_one_row_calls(dense, specs,
         elif kind == "stack":
             f = VectorField.extension(s, V[k] if i is None else V[k, i])
         else:
-            f = VectorField.reeb(s, a) if kind == "reeb" else closure
+            f = VectorField.reeb(s, a)
         for op in ops:
             f = f.project_H() if op is None else f.phi(op)
         return f

@@ -215,6 +215,21 @@ def test_nested_second_derivative_hand_value():
     assert out == pytest.approx(2.0 * np.dot(v, c) ** 2, abs=1e-10)
 
 
+def test_central_difference_nests_on_a_dual_point():
+    # the stencil divided at a dual point: its value leaf has the bits of
+    # the stencil at the plain point
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal(4)
+    f = lambda y: dot(y, a) * dot(y, y) * y
+    x, v = rng.standard_normal((2, 4))
+    plain = directional_derivative(f, x, v, CENTRAL_DIFFERENCE)
+    nested = directional_derivative(f, Dual(x, v), v, CENTRAL_DIFFERENCE)
+    assert nested.val.tobytes() == plain.tobytes()
+    value, deriv = value_and_derivative(f, Dual(x, v), v, CENTRAL_DIFFERENCE)
+    assert deriv.val.tobytes() == plain.tobytes()
+    assert value.val.tobytes() == f(x).tobytes()
+
+
 def test_exact_and_central_agree_on_low_degree_polynomials():
     rng = np.random.default_rng(29)
     a, b, c = rng.standard_normal((3, 4))

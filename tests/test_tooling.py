@@ -1,6 +1,7 @@
 """The test configuration itself: under the repository's warning filters
 a failing property test still reports its falsifying example; and the
-package source holds no private module-level name that nothing reads."""
+package source holds no private module-level name that nothing reads and
+no import that its module does not read."""
 
 import ast
 import subprocess
@@ -65,3 +66,27 @@ def test_every_private_module_name_is_read_elsewhere():
                        for other in t.body if other is not node):
                 dead.append(f"{module}:{name}")
     assert dead == []
+
+
+def _imported_names(tree):
+    """Each name an import statement of a module binds (``__future__``
+    features aside)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                node, "module", None) != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # an import its module never reads is a leftover of a change that
+    # removed its use; the package's __init__ imports to re-export
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text())
+            reads = {sub.id for sub in ast.walk(tree)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{name}" for name in _imported_names(tree)
+                       if name not in reads]
+    assert unread == []
