@@ -89,14 +89,16 @@ HC = ConnectionKind.H_CONNECTION
 
 class VectorField:
     """A smooth tangent field, held as its data: extension vectors (``vec``,
-    under the row rule) or a Reeb index (``alpha``), then the maps ``ops``
-    (a for phi_a, None for the projection onto H).  The identities checked
-    here differentiate no other field, so a function is none (``TypeError``).
-    A fused pass merges indices into an integer array, one per row.  Calling
-    the field evaluates the closure built once from the data (dual-generic)."""
+    taken as a float array, under the row rule) or a Reeb index (``alpha``),
+    then the maps ``ops`` (a for phi_a, None for the projection onto H).  The
+    identities checked here differentiate no other field, so a function is
+    none (``TypeError``).  A fused pass merges indices into an integer array,
+    one per row.  Calling the field evaluates the closure built once from the
+    data (dual-generic)."""
 
     def __init__(self, structure, *, vec=None, alpha=None, ops=()):
         s = self.structure = structure
+        vec = None if vec is None else np.asarray(vec, dtype=float)
         self.vec, self.alpha, self.ops = vec, alpha, ops
         for a in (alpha, *ops):  # not a merged integer array of each row's
             if a is not None and not (isinstance(a, np.ndarray) and a.ndim):
@@ -121,7 +123,7 @@ class VectorField:
     def extension(cls, structure, X):
         """Canonical global extension y -> v - <v, y> y of a tangent
         vector or of raw rows."""
-        return cls(structure, vec=np.asarray(getattr(X, "v", X), dtype=float))
+        return cls(structure, vec=getattr(X, "v", X))
 
     @classmethod
     def reeb(cls, structure, alpha):

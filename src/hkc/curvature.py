@@ -55,6 +55,7 @@ from .connections import (
     sphere_curvature_oracle,
 )
 from .records import build_records
+from . import connections
 
 _PAIRS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
 
@@ -253,32 +254,37 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
     is ignored; it is accepted so that callers passing it (the
     benchmark's scaling sweep) still run.
 
-    The basis is the extension field y -> e_k - <e_k, y> y of the
-    identity rows, one row that serves every point, on the axis before
-    the last, so one nested curvature evaluation gives R(P e_k, X)Y for every k
-    (and every row of a stacked ``X``, ``Y``); the terms are summed in
-    the order k = 0 .. d - 1.  One row gives a float, a stack shape
-    ``(P, 1)``.  A list of ``Y`` gives the list of their traces, each
-    ``Y`` a slot pattern of the same fused pass over the same basis."""
+    A list of ``Y`` gives the list of their traces (none: ``[]``), the J
+    of them on axis 1 of one field, so what depends only on the basis
+    and on X is made once for all.  The basis is the extension field
+    y -> e_k - <e_k, y> y of identity rows, one row that serves every
+    point, on axis 2, in blocks of max(CURVATURE_CHUNK, d^2) // (J d)
+    vectors, so no pass holds more floats per point than one Y's whole
+    basis: one nested pass per block gives R(P e_k, X) Y_j for each k of
+    it and every j.  One fold 0 + t_0 + t_1 + ... over k = 0 .. d - 1
+    runs on across the blocks.  One row gives a float, a stack (P, 1)."""
     Ys = Y if isinstance(Y, list) else [Y]
     X._check_same_base(*Ys)
-    if kind is HC and not all(
-            _in_H(structure, V) for V in (X, *Ys)):
+    if kind is HC and not all(_in_H(structure, V) for V in (X, *Ys)):
         raise PreconditionError(
             "the adapted-connection trace is defined for arguments "
             "inside the distribution H")
-    # a one-row call as a stack of one; the basis on the axis before the
-    # last, where the point, X and Y have length 1
-    y = np.atleast_2d(X.base.x)[:, None]
-    d = structure.ambient_dim
-    Ef = VectorField.extension(structure, np.eye(d)[None])
-    Xf, *Yf = (VectorField.extension(structure, np.atleast_2d(V.v)[:, None])
-               for V in (X, *Ys))
-    traces = _fused_pass(structure, kind, [(Ef, Xf, F, Ef) for F in Yf], y, scheme)
-    # 0 + t_0 + t_1 + ... as one sequential fold over the basis axis
-    S = [np.add.accumulate(np.concatenate([np.zeros_like(t[:, :1]), t], 1), 1)[:, -1]
-         for t in traces]
-    S = S if X.v.ndim > 1 else [float(t[0, 0]) for t in S]
+    if not Ys:
+        return []
+    # a one-row call as a stack of one; the point and X of length 1 on axes 1, 2
+    y = np.atleast_2d(X.base.x)[:, None, None]
+    d, J = structure.ambient_dim, len(Ys)
+    Xf = VectorField.extension(structure, np.atleast_2d(X.v)[:, None, None])
+    Yf = VectorField.extension(structure, np.stack(
+        [np.atleast_2d(V.v) for V in Ys], 1)[:, :, None])
+    b = max(1, max(connections.CURVATURE_CHUNK, d * d) // (J * d))
+    S = np.zeros((len(y), J, 1))  # 0 + t_0 + t_1 + ..., folded block by block
+    for k in range(0, d, b):  # the rows e_k .. e_{k+b-1} of the identity
+        Ef = VectorField.extension(structure, np.eye(min(b, d - k), d, k)[None, None])
+        t = _fused_pass(structure, kind, [(Ef, Xf, Yf, Ef)], y, scheme)[0]
+        for i in range(t.shape[2]):
+            S = S + t[:, :, i]
+    S = list(S.swapaxes(0, 1)) if X.v.ndim > 1 else [float(v) for v in S[0, :, 0]]
     return S if isinstance(Y, list) else S[0]
 
 

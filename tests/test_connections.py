@@ -97,6 +97,14 @@ def test_vector_fields_take_no_closure(struct):
         VectorField(struct, vec=lambda y: y)
 
 
+def test_a_field_of_listed_vectors_is_the_field_of_their_array(struct, rng):
+    # vec as a list is taken as its float array where the field is made
+    x = rand_point(struct, rng)
+    v = struct.tangent_project_raw(rng.standard_normal(struct.ambient_dim), x.x)
+    F, G = VectorField(struct, vec=v.tolist()), VectorField(struct, vec=v)
+    assert cov_deriv(HC, F, F, x).v.tobytes() == cov_deriv(HC, G, G, x).v.tobytes()
+
+
 def test_merged_reeb_fields_check_each_alpha(struct, rng):
     # torsion's patterns (X, Y) and (Y, X) put xi_bad and xi_1 on adjacent
     # blocks of one slot, one field with an alpha per row: each is checked

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -411,6 +412,8 @@ def test_fused_passes_have_the_bits_of_separate_calls(monkeypatch, n, scheme):
         calls.clear()
         bits.append([])
         for suite in ("curvature", "cross-check", "sectional", "theorem-sec", "ricci"):
+            if suite == "ricci":  # its basis blocks follow the budget it is called at
+                monkeypatch.setattr(connections, "CURVATURE_CHUNK", default)
             start = len(calls)
             _SUITE_FUNCS[suite](s, cfg, conventions)
             joined = {}
@@ -662,9 +665,10 @@ def test_every_nested_pass_of_a_run_holds_the_chunk_budget(monkeypatch, n, budge
     # all nine suites and the sign resolution: a pass, nested or first
     # order (and each first derivative a nested pass takes on plain
     # points), holds at most CURVATURE_CHUNK floats per leaf, or one row
-    # of one pattern where that alone is larger (the trace at n = 16:
-    # 68 x 68 floats); at n = 1 a budget of 20 rows puts the cross-check's
-    # 50 rows over 3 passes
+    # where that alone is larger, and never more than d^2 (the trace at
+    # n = 16: one row of a block of 34 basis vectors and 2 Ys, 68 x 68
+    # floats); at n = 1 a budget of 20 rows puts the cross-check's 50 rows
+    # over 3 passes
     cfg = RunConfig(n=n, points=points, seed=2)
     want = harness.run_suites(cfg).to_json()
     if budget is not None:
@@ -685,28 +689,63 @@ def test_every_nested_pass_of_a_run_holds_the_chunk_budget(monkeypatch, n, budge
     report = harness.run_suites(cfg)
     assert report.to_json() == want
     assert {body["status"] for body in report.suites.values()} <= {"pass", "fail"}
-    limit = connections.CURVATURE_CHUNK
+    limit, d = connections.CURVATURE_CHUNK, 4 * n + 4
     assert [p for p in passes if p[0] > 1 and p[1] > limit] == []
     assert any(p[1] > limit for p in passes) == (n == 16)
+    assert max(p[1] for p in passes) <= max(limit, d * d)
 
 
-@pytest.mark.parametrize("n", [1, 4])
-def test_ricci_pairs_in_one_call_have_the_bits_of_two_calls(monkeypatch, n):
-    # in one pass, and in one pass each where a row of both overflows the
-    # chunk budget
-    s = ThreeSasakiStructure(n=n)
+@pytest.mark.parametrize("n, dense, points", [
+    pytest.param(1, False, 3, id="1"), pytest.param(4, False, 3, id="4"),
+    pytest.param(16, False, 1, id="16"), pytest.param(1, True, 3, id="1-dense"),
+    pytest.param(4, True, 3, id="4-dense")])
+def test_ricci_pairs_in_one_call_have_the_bits_of_two_calls(monkeypatch, n, dense, points):
+    # in one pass, and over two basis blocks where one Y's basis fills the
+    # budget (at n = 16 at any budget: 2 blocks of 34), with the default
+    # triple and a dense one
+    s = rotated(n) if dense else ThreeSasakiStructure(n=n)
     rng = np.random.default_rng(60 + n)
-    xs = [rand_point(s, rng) for _ in range(3)]
+    xs = [rand_point(s, rng) for _ in range(points)]
     X, Y = (stack([rand_tv(s, x, rng, in_h=True) for x in xs]) for _ in range(2))
     for kind, budget in itertools.product((LC, HC), (3200, (4 * n + 4) * s.ambient_dim)):
         monkeypatch.setattr(connections, "CURVATURE_CHUNK", budget)
-        for A, B in ((X, Y), (row(X, 1), row(Y, 1))):
+        for A, B in ((X, Y), (row(X, points // 2), row(Y, points // 2))):
             both = ricci(s, kind, A, [A, B])
             apart = [ricci(s, kind, A, V) for V in (A, B)]
             assert [np.float64(v).tobytes() for v in both] == [
                 np.float64(v).tobytes() for v in apart]
             assert {type(v) for v in both} == {type(apart[0])}
             assert ricci(s, kind, A, []) == []  # no Y, no traces
+
+
+@pytest.mark.parametrize("n, points, blocks", [(16, 3, [34, 34]), (1, 10, [8])])
+def test_ricci_passes_are_one_per_basis_block_and_row_chunk(monkeypatch, n, points, blocks):
+    # both Ys on one axis of each pass: at n = 16 each pass is one row of
+    # one basis block, d^2 floats per leaf, so 2 P passes per connection;
+    # at n = 1 the whole basis and all rows are one pass per connection
+    s = ThreeSasakiStructure(n=n)
+    rng = np.random.default_rng(30 + n)
+    xs = [rand_point(s, rng) for _ in range(points)]
+    X, Y = (stack([rand_tv(s, x, rng, in_h=True) for x in xs]) for _ in range(2))
+    d, shapes = s.ambient_dim, []
+    kernel = connections._curvature_raw
+
+    def recorded(*args):
+        R = kernel(*args)
+        shapes.append(R.shape)
+        return R
+
+    monkeypatch.setattr(connections, "_curvature_raw", recorded)
+    for kind in (LC, HC):
+        shapes.clear()
+        ricci(s, kind, X, [X, Y])
+        rows = 1 if n == 16 else points
+        assert shapes == [(rows, 2, b, d) for b in blocks for _ in range(points // rows)]
+        assert max(map(math.prod, shapes)) <= max(connections.CURVATURE_CHUNK, d * d)
+    if n == 1:  # a run of every suite at n = 1 keeps its 11 nested passes
+        shapes.clear()
+        harness.run_suites(RunConfig(n=n, points=points))
+        assert len(shapes) == 11
 
 
 def test_ricci_memory_does_not_grow_with_points():
