@@ -40,12 +40,11 @@ extension vectors are one row per row of the point, or one row that
 serves every row.  All run on one driver, ``_fused_pass``: one pass per
 kernel (the first derivatives D_X Y, or the nested curvature, whose
 [X, Y] is read off its nested terms) serves many slot patterns, each on
-its own row block with the bits of its own pass.  It uses the fields as
-given in a pass of one chunk, else cuts the vectors to the rows of each
-chunk, and merges the fields of one form on adjacent blocks, and raises
-``StructuralError`` for a field of any other row count or of another
-structure; an index other than 1, 2, 3 raises it where the field is
-made.
+its own row block with the bits of its own pass.  It cuts each field's
+data to the rows of a chunk, merges the data of one form on adjacent
+blocks and evaluates it, and raises ``StructuralError`` for a field of
+any other row count or of another structure; a field's own data is
+checked where the field is made.
 """
 
 from __future__ import annotations
@@ -89,35 +88,29 @@ HC = ConnectionKind.H_CONNECTION
 
 class VectorField:
     """A smooth tangent field, held as its data: extension vectors (``vec``,
-    taken as a float array, under the row rule) or a Reeb index (``alpha``),
-    then the maps ``ops`` (a for phi_a, None for the projection onto H).  The
-    identities checked here differentiate no other field, so a function is
-    none (``TypeError``).  A fused pass merges indices into an integer array,
-    one per row.  Calling the field evaluates the closure built once from the
-    data (dual-generic)."""
+    a float array whose last axis is the ambient dimension, under the row
+    rule) or a Reeb index (``alpha``), exactly one of them, then the maps
+    ``ops`` (a for phi_a, None for the projection onto H).  The identities
+    checked here differentiate no other field, so a function is none
+    (``TypeError``).  The data is checked where the field is made, every
+    index a count 1, 2 or 3 (``StructuralError``).  Calling the field
+    evaluates its data (dual-generic); a field hashes by identity."""
 
     def __init__(self, structure, *, vec=None, alpha=None, ops=()):
-        s = self.structure = structure
-        vec = None if vec is None else np.asarray(vec, dtype=float)
-        self.vec, self.alpha, self.ops = vec, alpha, ops
-        for a in (alpha, *ops):  # not a merged integer array of each row's
-            if a is not None and not (isinstance(a, np.ndarray) and a.ndim):
-                s._I(a)
-        f = s.extension_raw(vec) if vec is not None else lambda y: s.reeb_raw(alpha, y)
-        for op in ops:  # each map after the closure before it, bound now
-            m = s.project_h_raw if op is None else partial(s.phi_raw, op)
-            f = lambda y, f=f, m=m: m(f(y), y)
-        self._func = f
+        if (vec is None) == (alpha is None):
+            raise StructuralError("a field is extension vectors or a Reeb index: give one")
+        d = structure.ambient_dim
+        if vec is not None:
+            vec = np.asarray(vec, dtype=float)
+            if vec.shape[-1:] != (d,):
+                raise StructuralError(f"extension vectors {vec.shape} in dimension {d}")
+        for a in (alpha, *ops):
+            if a is not None:
+                structure._I(a)
+        self.structure, self.vec, self.alpha, self.ops = structure, vec, alpha, ops
 
     def __call__(self, y):
-        return self._func(y)
-
-    def rows(self, c):
-        """The field on the rows ``c`` of its point."""
-        v = self.vec
-        if v is not None and v.ndim > 1 and len(v) > 1:
-            return VectorField(self.structure, vec=v[c], ops=self.ops)
-        return self
+        return _value(self.structure, self.vec, self.alpha, self.ops, y)
 
     @classmethod
     def extension(cls, structure, X):
@@ -136,6 +129,16 @@ class VectorField:
     def project_H(self):
         return VectorField(self.structure, vec=self.vec, alpha=self.alpha,
                            ops=self.ops + (None,))
+
+
+def _value(s, vec, alpha, ops, y):
+    """The value at y of a field's data: the extension y -> v - <v, y> y of
+    the vectors, or the Reeb field, then each map in order.  Dual-generic;
+    in a pass alpha and an op may be an integer array of each row's."""
+    v = s.reeb_raw(alpha, y) if vec is None else s.tangent_project_raw(vec, y)
+    for op in ops:
+        v = s.project_h_raw(v, y) if op is None else s.phi_raw(op, v, y)
+    return v
 
 
 # ============================================================
@@ -209,36 +212,36 @@ CURVATURE_CHUNK = 3200  # floats per leaf of one fused pass: rows x d (400 rows 
 
 
 def _form(f):
-    """A run of one form is one field: 0 extensions or 1 Reeb fields, through
-    maps of the same kinds (phi_a for any a, the projection onto H)."""
+    """A run of one form is evaluated as one: 0 extensions or 1 Reeb fields,
+    through maps of the same kinds (phi_a for any a, the projection onto H)."""
     return int(f.vec is None), tuple([op is None for op in f.ops])
 
 
-def _merged(s, fs, C):
-    """The fields ``fs`` of one form on C rows each, as one field: their
-    extension vectors concatenated (a one-row one repeated on its C rows)
-    or their Reeb field, through their maps; an index that differs among
-    them, an integer array of each row's."""
+def _merged(s, ds, C):
+    """An evaluator of the field data ``ds`` (vec, alpha, ops) of one form on C
+    rows each, over their stacked rows: their vectors concatenated (a one-row
+    one repeated on its C rows) or their Reeb field, through their maps; an
+    index that differs among them, an integer array of each row's."""
     def per_row(v):
         return v[0] if len(set(v)) == 1 else np.repeat(v, C)
 
     # repeated, not broadcast: ``dot`` keeps row bits on C-contiguous rows only
-    vs = [np.atleast_2d(g.vec) for g in fs if g.vec is not None]
-    return VectorField(s, vec=np.concatenate([v if len(v) == C else np.repeat(v, C, axis=0)
+    vs = [np.atleast_2d(v) for v, _, _ in ds if v is not None]
+    return partial(_value, s, np.concatenate([v if len(v) == C else np.repeat(v, C, axis=0)
                                               for v in vs]) if vs else None,
-                       alpha=per_row([g.alpha for g in fs]),
-                       ops=tuple([per_row(v) for v in zip(*[g.ops for g in fs])]))
+                   per_row([a for _, a, _ in ds]),
+                   tuple([per_row(v) for v in zip(*[ops for *_, ops in ds])]))
 
 
-def _blocks(s, fields, forms, C):
-    """One field that is ``fields[k]`` on rows k*C .. (k+1)*C - 1: each run
-    of one form (``forms[k]``) one field on its slice of the point."""
+def _blocks(s, data, forms, C):
+    """An evaluator of the field data ``data[k]`` on rows k*C .. (k+1)*C - 1:
+    each run of one form (``forms[k]``) merged on its slice of the point."""
     parts, lo = [], 0
-    for _, run in groupby(zip(fields, forms), lambda t: t[1]):
-        fs = [f for f, _ in run]
-        f = fs[0] if len(fs) == 1 else _merged(s, fs, C)
-        parts.append((f, lo, lo + len(fs) * C))
-        lo += len(fs) * C
+    for _, run in groupby(zip(data, forms), lambda t: t[1]):
+        ds = [d for d, _ in run]
+        parts.append((partial(_value, s, *ds[0]) if len(ds) == 1 else _merged(s, ds, C),
+                      lo, lo + len(ds) * C))
+        lo += len(ds) * C
     if len(parts) == 1:
         return parts[0][0]
     return lambda q: _join([f(leafmap(lambda a: a[i:j], q)) for f, i, j in parts])
@@ -264,8 +267,8 @@ def _fused_pass(s, kind, patterns, y, scheme):
     y2, K = np.atleast_2d(y), len(patterns)
     slots = 2 if kind is None else 3
     rank = [min(map((HC, LC, None).index, p[2])) if kind is None else 0 for p in patterns]
-    fields = {id(f): f for p in patterns for f in p if isinstance(f, VectorField)}
-    for f in fields.values():
+    fields = dict.fromkeys([f for p in patterns for f in p if isinstance(f, VectorField)])
+    for f in fields:
         v = f.vec
         if f.structure is not s:
             raise StructuralError("vector fields belong to different structures")
@@ -274,21 +277,21 @@ def _fused_pass(s, kind, patterns, y, scheme):
     # floats per row: the broadcast of each vector's row shape
     width = math.prod(map(max, zip_longest(*(
         f.vec.shape[f.vec.ndim > 1:][::-1] if f.vec is not None else ()
-        for f in fields.values()), (s.ambient_dim,), fillvalue=1)))
-    form = {k: _form(f) for k, f in fields.items()}
-    order = sorted(range(K), key=lambda k: (rank[k],
-                                            [form[id(f)] for f in patterns[k][:slots]]))
+        for f in fields), (s.ambient_dim,), fillvalue=1)))
+    form = {f: _form(f) for f in fields}
+    order = sorted(range(K), key=lambda k: (rank[k], [form[f] for f in patterns[k][:slots]]))
     group = max(1, CURVATURE_CHUNK // (len(y2) * width))  # patterns a pass holds
     step = max(1, CURVATURE_CHUNK // (group * width))  # rows a chunk holds
     group = -(-K // -(-K // group)) if K else 1  # as many passes, evened out
 
-    def chunk(ks, c):  # a chunk's pass and cut fields are freed before the next
+    def chunk(ks, c):  # a chunk's pass and cut data are freed before the next
         ps = [patterns[k] for k in ks]
-        # one chunk of all rows: the fields as given
-        yc, f = y2[c], {id(g): g if step >= len(y2) else g.rows(c)
-                         for p in ps for g in p if isinstance(g, VectorField)}
+        # each field's data on the chunk's rows: views, a one-row vector as it is
+        yc, cut = y2[c], {g: (g.vec[c] if g.vec is not None and g.vec.ndim > 1
+                              and len(g.vec) > 1 else g.vec, g.alpha, g.ops)
+                          for p in ps for g in p if isinstance(g, VectorField)}
         C = len(yc)
-        F = [_blocks(s, [f[id(p[j])] for p in ps], [form[id(p[j])] for p in ps], C)
+        F = [_blocks(s, [cut[p[j]] for p in ps], [form[p[j]] for p in ps], C)
              for j in range(slots)]
         q = yc if len(ps) == 1 else np.concatenate([yc] * len(ps))
         if kind is None:  # each read as an array of its own
@@ -298,7 +301,7 @@ def _fused_pass(s, kind, patterns, y, scheme):
                     for k, p in enumerate(ps)]
         R = _curvature_raw(s, kind, *F, q, scheme)
         return [Rk if len(p) == slots
-                else dot(Rk, f[id(p[3])](yc)) if isinstance(p[3], VectorField)
+                else dot(Rk, _value(s, *cut[p[3]], yc)) if isinstance(p[3], VectorField)
                 else norm(Rk if p[3] is None else Rk - np.atleast_2d(p[3])[c])
                 for p, Rk in zip(ps, (R[k * C:(k + 1) * C] for k in range(len(ps))))]
 
@@ -327,17 +330,16 @@ def _run(s, groups, y, scheme):
     of fields (same objects) is differentiated once, all in one pass; its
     rows are dropped once the plans that read them are combined."""
     plans = [plan for g in groups for plan in g]
-    keys = [[(id(kind), id(X), id(Y)) for kind, X, Y in requests] for requests, _ in plans]
-    last, pairs = {k: (i, j) for i, ks in enumerate(keys) for j, k in enumerate(ks)}, {}
-    for (requests, _), ks in zip(plans, keys):
-        for (kind, X, Y), k in zip(requests, ks):
-            pairs.setdefault(k[1:], (X, Y, {}))[2][kind] = None
-    rows = {(id(kind), *key): v for key, (_, _, r), vs in zip(
-        pairs, pairs.values(), _fused_pass(s, None, list(pairs.values()), y, scheme))
+    last, pairs = {k: (i, j) for i, (ks, _) in enumerate(plans) for j, k in enumerate(ks)}, {}
+    for requests, _ in plans:
+        for kind, X, Y in requests:
+            pairs.setdefault((X, Y), (X, Y, {}))[2][kind] = None
+    rows = {(kind, X, Y): v for (X, Y, r), vs in zip(
+        pairs.values(), _fused_pass(s, None, list(pairs.values()), y, scheme))
             for kind, v in zip(r, vs)}
     values = iter([combine(s, y, *[rows.pop(k) if last[k] == (i, j) else rows[k]
                                    for j, k in enumerate(ks)])
-                   for i, ((_, combine), ks) in enumerate(zip(plans, keys))])
+                   for i, (ks, combine) in enumerate(plans)])
     return [[next(values) for _ in g] for g in groups]
 
 

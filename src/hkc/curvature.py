@@ -88,25 +88,26 @@ def rbar_algebraic(structure: ThreeSasakiStructure, X, Y, Z, R=None):
     applied to (X, Y)Z, transcribed literally: three single-index blocks
     summed over a = 1..3 and four double-index blocks summed over ordered
     pairs a != b.  ``R`` is the round-metric curvature value R(X,Y)Z;
-    when omitted it comes from the constant-curvature closed form.
+    when omitted it is :func:`connections.sphere_curvature_oracle`.
 
     The expansion is exact for X, Y in H.  When X or Y carries Reeb
     components it is not the curvature of the adapted connection: it
     exceeds :func:`rbar_difference_tensor` by exactly
     :func:`two_route_gap_form`."""
-    X._check_same_base(Y, Z, *(() if R is None else (R,)))
-    parts = structure.chunks(X.base.x, X.v, Y.v, Z.v, None if R is None else R.v)
+    R = sphere_curvature_oracle(X, Y, Z) if R is None else R
+    X._check_same_base(Y, Z, R)
+    parts = structure.chunks(X.base.x, X.v, Y.v, Z.v, R.v)
     return TangentVector(X.base, np.concatenate([_rbar_rows(structure, *c) for c in parts]))
 
 
-def _rbar_rows(s, y, Xv, Yv, Zv, Rv):
-    """:func:`rbar_algebraic` on one chunk of rows, from its table."""
+def _rbar_rows(s, y, Xv, Yv, Zv, out):
+    """:func:`rbar_algebraic` on one chunk of rows, from its table: the
+    blocks summed onto ``out``, the rows of R(X,Y)Z."""
     m = s.maps(y)
     et, om, phi, xi = m.eta, m.omega, m.phi, m.xi
     gXZ = dot(Xv, Zv)
     gYZ = dot(Yv, Zv)
 
-    out = gYZ * Xv - gXZ * Yv if Rv is None else Rv
     for a in (1, 2, 3):
         out = out - 2.0 * om(a, Yv, Xv) * phi(a, Zv) \
                   - om(a, Zv, Xv) * phi(a, Yv) \
@@ -148,7 +149,7 @@ def rbar_difference_tensor(structure: ThreeSasakiStructure, X: TangentVector,
     y = X.base.x
 
     def nabla_A(U, V, W):
-        Vf, Wf = s.extension_raw(V.v), s.extension_raw(W.v)
+        Vf, Wf = VectorField.extension(s, V), VectorField.extension(s, W)
         field = lambda q: _a_raw(s, Vf(q), Wf(q), q)
         return _cov_raw(s, U.v, field, y, EXACT_FORWARD, hc=0)[LC]
 

@@ -76,6 +76,8 @@ class SpherePoint(_Frozen):
     def __init__(self, x):
         x = np.asarray(x, dtype=float)
         r = np.ravel(norm(x))
+        if not len(r):
+            raise StructuralError("a stack of no points")
         # an error names the first bad row; a non-finite row is bad too
         bad = ~(np.abs(r - 1.0) <= UNIT_TOL)
         if bad.any():
@@ -288,12 +290,6 @@ class ThreeSasakiStructure:
             self.project_h_raw(np.expand_dims(w, tuple(range(1, x.x.ndim))), x.x)))
 
     # ---------------- derived tensors ----------------
-
-    def extension_raw(self, v):
-        """The canonical global extension of a tangent vector: the field
-        y -> v - <v, y> y, which reproduces v at the base point."""
-        v = np.asarray(v, dtype=float)
-        return lambda y: v - dot(v, y) * y
 
     def h_tensor(self, alpha, beta, X, scheme=EXACT_FORWARD):
         """Half the Lie derivative of phi_beta along xi_alpha, applied to X

@@ -78,12 +78,12 @@ def test_bracket_antisymmetry(struct, rng):
 
 
 def test_bracket_guards_against_nontangent_fields(struct, rng, monkeypatch):
-    # the extension of c bound where F is made is the constant field c,
-    # which is not tangent: its bracket with a Reeb field leaves the
-    # tangent space
+    # with the tangent projection taken out, the extension of c is the
+    # constant field c, which is not tangent: its bracket with a Reeb field
+    # leaves the tangent space
     c = rng.standard_normal(struct.ambient_dim)
     x = rand_point(struct, rng)
-    monkeypatch.setattr(struct, "extension_raw", lambda v: lambda y: v + 0.0 * y)
+    monkeypatch.setattr(struct, "tangent_project_raw", lambda w, y: w + 0.0 * y)
     F = VectorField.extension(struct, c)
     with pytest.raises(InternalConsistencyError):
         lie_bracket(F, VectorField.reeb(struct, 1), x)
@@ -97,6 +97,22 @@ def test_vector_fields_take_no_closure(struct):
         VectorField(struct, vec=lambda y: y)
 
 
+@pytest.mark.parametrize("make", [
+    # an index array: -1 once wrapped to the last block, so this was xi_3
+    lambda s: VectorField(s, alpha=np.array([0, 0])),
+    lambda s: VectorField.reeb(s, 1).phi(np.array([1, 2])),
+    lambda s: VectorField(s, vec=np.ones(s.ambient_dim), alpha=1),  # both
+    lambda s: VectorField(s),  # neither
+    lambda s: VectorField(s, vec=np.ones(12)),  # 12 is no ambient dimension at n = 1
+    lambda s: VectorField(s, vec=np.ones((3, 4))),
+    lambda s: VectorField(s, vec=1.0),
+], ids=["alpha-array", "phi-array", "vec-and-alpha", "no-data", "vec-of-12", "rows-of-4",
+        "scalar-vec"])
+def test_a_field_is_checked_where_it_is_made(struct, make):
+    with pytest.raises(StructuralError):
+        make(struct)
+
+
 def test_a_field_of_listed_vectors_is_the_field_of_their_array(struct, rng):
     # vec as a list is taken as its float array where the field is made
     x = rand_point(struct, rng)
@@ -106,8 +122,9 @@ def test_a_field_of_listed_vectors_is_the_field_of_their_array(struct, rng):
 
 
 def test_merged_reeb_fields_check_each_alpha(struct, rng):
-    # torsion's patterns (X, Y) and (Y, X) put xi_bad and xi_1 on adjacent
-    # blocks of one slot, one field with an alpha per row: each is checked
+    # torsion's patterns (X, Y) and (Y, X) would put xi_bad and xi_1 on
+    # adjacent blocks of one slot, one alpha a row: a bad alpha is stopped
+    # where its field is made, before any pass
     x = rand_point(struct, rng)
     for bad in (0, -1, 4, 1.0):
         with pytest.raises(StructuralError):
@@ -150,10 +167,10 @@ def test_one_vector_fields_merge_with_stacked_fields(struct, rng):
             assert T[i].tobytes() == torsion(kind, X1, Yi, xi).v.tobytes(), (kind, i)
 
 
-def test_a_one_chunk_pass_uses_its_fields_as_given(struct, rng, monkeypatch):
-    # a pass whose one chunk spans all rows makes no field: none cut to a
-    # first row, none cut to the chunk's rows; its rows have the bits of
-    # one-row chunks, where every field is cut
+def test_no_pass_makes_a_field_chunked_or_not(struct, rng, monkeypatch):
+    # a pass cuts, merges and evaluates the data of its fields itself: it
+    # makes no field, whether its one chunk spans all rows or its chunks
+    # are one row each, and its rows have the bits of one-row chunks
     x, Yt = _stacked(struct, rng, 5)
     X1, Y = rand_field(struct, rand_point(struct, rng), rng), VectorField.extension(struct, Yt)
     xi1, Z = VectorField.reeb(struct, 1), Y.project_H()
@@ -172,7 +189,7 @@ def test_a_one_chunk_pass_uses_its_fields_as_given(struct, rng, monkeypatch):
     for (kind, ps), values in zip(passes, whole):
         for got, want in zip(_fused_pass(struct, kind, ps, x.x, EXACT_FORWARD), values):
             assert np.array(got).tobytes() == np.array(want).tobytes(), kind
-    assert made
+    assert made == []
 
 
 def test_fields_of_other_rows_or_structures_are_rejected(struct, rng):
@@ -243,18 +260,19 @@ def test_adapted_connection_forms_disagree_for_wrong_orientation(rng):
     # connection needs its value too
     (CENTRAL_DIFFERENCE, {LC: (1, 2), HC: (1, 3)}),
 ])
-def test_covariant_derivative_evaluates_each_field_once(struct, rng, scheme,
+def test_covariant_derivative_evaluates_each_field_once(struct, rng, monkeypatch, scheme,
                                                         evaluations):
     # through the typed operation: its pass evaluates X once and hands the
     # kernel X's value
     x = rand_point(struct, rng)
     X, Y = rand_field(struct, x, rng), rand_field(struct, x, rng)
-    calls = {}
-    for name, field in (("X", X), ("Y", Y)):
-        def counted(y, name=name, f=field._func):
-            calls[name] += 1
-            return f(y)
-        field._func = counted
+    calls, value = {}, connections._value
+
+    def counted(s, vec, *data):  # each field's one-row vector, as the pass holds it
+        calls["X" if vec is X.vec else "Y" if vec is Y.vec else None] += 1
+        return value(s, vec, *data)
+
+    monkeypatch.setattr(connections, "_value", counted)
     for kind, want in evaluations.items():
         calls.update(X=0, Y=0)
         cov_deriv(kind, X, Y, x, scheme)

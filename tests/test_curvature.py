@@ -457,6 +457,15 @@ def test_closed_forms_and_axioms_keep_their_bits_across_row_chunks(monkeypatch, 
     assert values() == whole
 
 
+def _on_rows(F, c):
+    """The field F on the rows ``c`` of its point: F itself if its vectors
+    are one row, which serves every row."""
+    v = F.vec
+    if v is None or v.ndim < 2 or len(v) == 1:
+        return F
+    return VectorField(F.structure, vec=v[c], ops=F.ops)
+
+
 @pytest.mark.parametrize("n, scheme, dense", [
     (1, EXACT_FORWARD, False), (4, EXACT_FORWARD, False),
     (1, DiffScheme(CENTRAL_DIFFERENCE.kind, 1e-4), False),
@@ -492,7 +501,7 @@ def test_fused_first_order_passes_have_the_bits_of_separate_calls(monkeypatch, n
         for (X, Y, reads), values in zip(patterns, out):
             for i in range(len(y)):
                 c = slice(i, i + 1)
-                yi, Xi, Yi = y[c], X.rows(c), Y.rows(c)
+                yi, Xi, Yi = y[c], _on_rows(X, c), _on_rows(Y, c)
                 Yv, D = value_and_derivative(Yi, yi, Xi(yi), scheme)
                 want = {None: D, LC: s.tangent_project_raw(D, yi)}
                 want[HC] = want[LC] + _a_raw(s, Xi(yi), Yv, yi)
@@ -594,14 +603,19 @@ def _leaves(v):
     return [*_leaves(v.val), *_leaves(v.dot)] if isinstance(v, Dual) else [v]
 
 
+def _data(f):
+    return f.vec, f.alpha, f.ops
+
+
 @pytest.mark.parametrize("make", [lambda: ThreeSasakiStructure(n=1),
                                   lambda: ThreeSasakiStructure(n=4),
                                   lambda: rotated(1)])
 def test_merged_fields_have_the_rows_of_one_alpha_each(make):
-    # Reeb fields of different alpha on adjacent row blocks, and phi_a of
-    # (projected) extensions, are one field over the stacked rows, whose
-    # block k has the bits of block k's own field, on plain points and on
-    # nested duals, gathered (a signed permutation) or multiplied out
+    # the data of Reeb fields of different alpha on adjacent row blocks,
+    # and of phi_a of (projected) extensions, is one evaluator over the
+    # stacked rows, whose block k has the bits of block k's own field, on
+    # plain points and on nested duals, gathered (a signed permutation) or
+    # multiplied out
     s = make()
     rng = np.random.default_rng(21)
     alphas, C, d = (2, 1, 3, 3, 2), 3, s.ambient_dim
@@ -614,7 +628,8 @@ def test_merged_fields_have_the_rows_of_one_alpha_each(make):
                    [VectorField.extension(s, v).phi(a) for v, a in zip(V, alphas)],
                    [VectorField.extension(s, v).project_H().phi(a)
                     for v, a in zip(V, alphas)]):
-        merged = connections._blocks(s, fields, map(connections._form, fields), C)
+        merged = connections._blocks(s, [_data(f) for f in fields],
+                                     map(connections._form, fields), C)
         for q in points:
             got = _leaves(merged(q))
             for k, f in enumerate(fields):
@@ -623,15 +638,14 @@ def test_merged_fields_have_the_rows_of_one_alpha_each(make):
                     assert g[k * C:(k + 1) * C].tobytes() == want.tobytes()
     # a Reeb field's rows on points with an axis before the last, as a
     # trace's points have
-    reeb = connections._blocks(s, [VectorField.reeb(s, a) for a in alphas],
-                               [(1, ())] * len(alphas), C)
+    reeb = connections._blocks(s, [(None, a, ()) for a in alphas], [(1, ())] * len(alphas), C)
     got = reeb(y[:, None])
     for k, a in enumerate(alphas):
         want = s.reeb_raw(a, y[k * C:(k + 1) * C, None])
         assert got[k * C:(k + 1) * C].tobytes() == want.tobytes()
-    # one alpha: the field of that alpha itself
-    same = connections._blocks(s, [VectorField.reeb(s, 2)] * 3, [(1, ())] * 3, C)
-    assert same.alpha == 2
+    # one alpha: the data of that alpha itself, not an array of each row's
+    same = connections._blocks(s, [(None, 2, ())] * 3, [(1, ())] * 3, C)
+    assert same.args[1:] == (None, 2, ())
 
 
 @pytest.mark.parametrize("n", [1, 4])

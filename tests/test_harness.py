@@ -600,6 +600,72 @@ def test_every_yielded_key_names_a_record_of_its_suite(monkeypatch):
         assert auxiliary.get(suite, set()) <= keys, suite
 
 
+def _residual_arrays(monkeypatch, cfg, budget=None):
+    """The report of ``run_suites(cfg)`` under a ``CURVATURE_CHUNK`` of
+    ``budget`` floats (None: the default), and the residuals that
+    ``build_records`` receives in it, as (suite, key, arrays) in the order
+    of the first yield of each key: the j-th array is the j-th residual
+    under that key of each sample, one row a sample (a float for a
+    residual of the whole run).  A suite that yields row chunk by row chunk
+    (the axioms) yields the same m arrays a chunk, so the j-th of a chunk
+    is its rows of array j."""
+    got = []
+
+    def spy(suite, samples, pairs, tol, table=None):
+        pairs, arrays = list(pairs), {}
+        for key, v in pairs:
+            arrays.setdefault(key, []).append(np.array(v))
+        for key, vs in arrays.items():
+            m = sum(map(len, vs)) // samples if vs[0].ndim else 1
+            got.append((suite, key, [np.concatenate(vs[j::m]) if vs[j].ndim else vs[j]
+                                     for j in range(m)]))
+        return build_records(suite, samples, pairs, tol, table)
+
+    with monkeypatch.context() as mp:
+        for module in (harness, sphere3s):
+            mp.setattr(module, "build_records", spy)
+        if budget is not None:
+            mp.setattr(connections, "CURVATURE_CHUNK", budget)
+        return run_suites(cfg), got
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_run_on_fewer_points_is_a_prefix_of_one_on_more(monkeypatch, n):
+    # R1: at 4 points every residual array is the first rows of the one at
+    # 13, bit for bit, so no record's worst residual falls as points grow.
+    # Sample p's draws do not depend on the number of points; the stacked
+    # families of cross-check and theorem-sec (rows k*P .. (k+1)*P - 1,
+    # family k) are yielded one family at a time, each in sample order;
+    # sectional's rows are its kept samples, and whether a sample is kept,
+    # and what its reserve redraws, is settled in sample order; ricci's
+    # measured constant reads sample 0.  A budget of 8 rows of d floats
+    # puts the 13-point passes in cut chunks and the 4-point ones in one.
+    d = 4 * n + 4
+    small, few = _residual_arrays(monkeypatch, RunConfig(n=n, points=4, seed=5), 8 * d)
+    large, many = _residual_arrays(monkeypatch, RunConfig(n=n, points=13, seed=5), 8 * d)
+    assert [(s, k, len(v)) for s, k, v in few] == [(s, k, len(v)) for s, k, v in many]
+    for (suite, key, a), (_, _, b) in zip(few, many):
+        for u, v in zip(a, b):
+            assert u.tobytes() == (v[:len(u)] if u.ndim else v).tobytes(), (suite, key)
+    worst = {r.id: r.max_residual for r in large.iter_records()}
+    for r in small.iter_records():
+        assert r.max_residual <= worst[r.id], r.id
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_run_has_the_bits_of_any_chunk_budget(monkeypatch, n):
+    # R3: every residual array of a run is the same under a budget of 24
+    # floats, of 56 and of 8 rows of d floats as under the default: how the
+    # passes cut and merge their rows moves no bit of any record
+    cfg, d = RunConfig(n=n, points=9, seed=2), 4 * n + 4
+    _, want = _residual_arrays(monkeypatch, cfg)
+    for budget in (24, 56, 8 * d):
+        _, got = _residual_arrays(monkeypatch, cfg, budget)
+        assert [(s, k, len(v)) for s, k, v in got] == [(s, k, len(v)) for s, k, v in want]
+        for (suite, key, a), (_, _, b) in zip(got, want):
+            assert [u.tobytes() for u in a] == [v.tobytes() for v in b], (budget, suite, key)
+
+
 def test_expected_failures_are_the_known_ones(small_report):
     failed = sorted(r.id for r in small_report.iter_records()
                     if r.kind == "check" and not r.passed)

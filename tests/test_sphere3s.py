@@ -103,6 +103,17 @@ def test_non_finite_values_fail_the_edge_checks():
         TangentVector(p, np.array([0.0, np.nan, 0.0, 0.0]))
 
 
+def test_an_empty_stack_of_points_is_rejected_where_it_enters():
+    # a stack of no rows has no row to check; unchecked, it would reach the
+    # operations, which divide a pass budget by its row count or join no
+    # chunks, or return empty records
+    for rows in (np.empty((0, 8)), np.empty((0, 4))):
+        with pytest.raises(StructuralError, match="no points"):
+            SpherePoint(rows)
+        with pytest.raises(StructuralError, match="no points"):
+            SpherePoint.normalized(rows)
+
+
 # ============================================================
 # the structure tensors
 # ============================================================

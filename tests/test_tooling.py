@@ -1,11 +1,12 @@
 """The test configuration itself: under the repository's warning filters
 a failing property test still reports its falsifying example; and the
-package source holds no private module-level name that nothing reads and
-no import that its module does not read."""
+package source holds no private name (module-level, or a method of a
+class) that nothing reads and no import that its module does not read."""
 
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -32,7 +33,8 @@ def test_failing_property_test_prints_its_example(tmp_path):
 
 def _private_definitions(tree):
     """(name, node) of each module-level private function, class or
-    assignment of a module (dunder names are not private)."""
+    assignment of a module, and of each private method of its module-level
+    classes (dunder names are not private)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -44,6 +46,9 @@ def _private_definitions(tree):
         for name in names:
             if name.startswith("_") and not name.startswith("__"):
                 yield name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f.name, f) for f in node.body if isinstance(f, ast.FunctionDef)
+                        and f.name.startswith("_") and not f.name.startswith("__"))
 
 
 def _reads(node):
@@ -56,15 +61,14 @@ def _reads(node):
 
 
 def test_every_private_module_name_is_read_elsewhere():
-    # a private name that no other top-level statement of the package reads
-    # (an import is no read) is a leftover of a change that removed its use
+    # a private name, module-level or a method, that nothing in the package
+    # reads outside its own definition (an import is no read) is a leftover
+    # of a change that removed its use
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    dead = []
-    for module, tree in trees.items():
-        for name, node in _private_definitions(tree):
-            if not any(name in _reads(other) for t in trees.values()
-                       for other in t.body if other is not node):
-                dead.append(f"{module}:{name}")
+    everywhere = Counter(name for tree in trees.values() for name in _reads(tree))
+    dead = [f"{module}:{name}" for module, tree in trees.items()
+            for name, node in _private_definitions(tree)
+            if everywhere[name] == Counter(_reads(node))[name]]
     assert dead == []
 
 
