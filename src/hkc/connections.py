@@ -19,8 +19,8 @@ through Levi-Civita derivatives of the Reeb fields, is evaluated only by
 the plan that measures how far the two forms disagree (``_form_gap_plan``:
 :func:`h_form_gap`, and the connection suite, which records that gap once
 per sample).  Both connections come out of one covariant-derivative
-kernel, ``_cov_raw``: one D_X Y, and nabla_X Y and nabla-bar_X Y read
-off it on row prefixes.
+kernel, ``_cov_raw``: one D_X Y, and nabla_X Y and (where it is read)
+nabla-bar_X Y off it, on every row.
 
 Curvature is evaluated literally as
 
@@ -156,28 +156,21 @@ def _a_raw(s: ThreeSasakiStructure, u, w, y):
     return leafmap(lambda a: (a[..., 0, :] + a[..., 1, :]) + a[..., 2, :], t)
 
 
-def _cov_raw(s, Xv, Yf, y, scheme, lc=None, hc=None):
+def _cov_raw(s, Xv, Yf, y, scheme, adapted):
     """D_X Y at y (key None) for the value Xv of X at y and the field
-    closure Yf, and off it nabla_X Y (LC) on the first ``lc`` rows and
-    nabla-bar_X Y (HC) on the first ``hc`` (None: all rows; 0: none, and
-    Y's value and A are not made).  The lower slot is tensorial, so X
-    enters by its value alone.  Dual-generic in y; Xv may be a stack of
-    directions, giving a stack of derivatives.  Yf is evaluated as the
-    scheme needs (once, exact-forward), at y itself only for A."""
-    if hc == 0:
+    closure Yf, and off it nabla_X Y (LC) and, if ``adapted``,
+    nabla-bar_X Y (HC; else None, and Y's value and A are not made), all
+    on every row.  The lower slot is tensorial, so X enters by its value
+    alone.  Dual-generic in y; Xv may be a stack of directions, giving a
+    stack of derivatives.  Yf is evaluated as the scheme needs (once,
+    exact-forward), at y itself only for A."""
+    if not adapted:
         d = directional_derivative(Yf, y, Xv, scheme)
     else:  # A before the projection: less is held while it is made
         Yv, d = value_and_derivative(Yf, y, Xv, scheme)
-        a = _a_raw(s, _head(Xv, hc), _head(Yv, hc), _head(y, hc))
-    dl, yl = _head(d, lc), _head(y, lc)
-    out = {None: d, LC: dl - dot(dl, yl) * yl}
-    out[HC] = None if hc == 0 else _head(out[LC], hc) + a
-    return out
-
-
-def _head(v, k):
-    """The first ``k`` rows of every leaf of v (None: v itself)."""
-    return v if k is None else leafmap(lambda a: a[:k], v)
+        a = _a_raw(s, Xv, Yv, y)
+    lc = d - dot(d, y) * y
+    return {None: d, LC: lc, HC: lc + a if adapted else None}
 
 
 def _curvature_raw(s, kind, Xf, Yf, Zf, y, scheme):
@@ -186,7 +179,7 @@ def _curvature_raw(s, kind, Xf, Yf, Zf, y, scheme):
     one nested pass.  [X, Y] is read off the evaluations of Y inside
     nabla_X nabla_Y Z and of X inside nabla_Y nabla_X Z."""
     def nabla(Fv, G, q):  # nabla_F G of ``kind`` at q (F(q) = Fv), all rows
-        return _cov_raw(s, Fv, G, q, scheme, hc=None if kind is HC else 0)[kind]
+        return _cov_raw(s, Fv, G, q, scheme, kind is HC)[kind]
 
     def term(Fv, G):  # nabla_F nabla_G Z (F(y) = Fv), and D_F G off G's evaluations in it
         seen = []
@@ -263,7 +256,8 @@ def _fused_pass(s, kind, patterns, y, scheme):
     LC, D) and the forms of their slots, as many patterns over all rows as
     fit in ``CURVATURE_CHUNK`` floats per leaf make a pass (else one, in
     chunks of rows), pattern k on rows k*C .. (k+1)*C - 1 of a chunk of C
-    rows.  One row gives a vector or a float, a stack (P, d) or (P, 1)."""
+    rows; a first-order pass makes A only if one of its patterns reads HC.
+    One row gives a vector or a float, a stack (P, d) or (P, 1)."""
     y2, K = np.atleast_2d(y), len(patterns)
     slots = 2 if kind is None else 3
     rank = [min(map((HC, LC, None).index, p[2])) if kind is None else 0 for p in patterns]
@@ -295,8 +289,7 @@ def _fused_pass(s, kind, patterns, y, scheme):
              for j in range(slots)]
         q = yc if len(ps) == 1 else np.concatenate([yc] * len(ps))
         if kind is None:  # each read as an array of its own
-            R = _cov_raw(s, F[0](q), F[1], q, scheme, *(C * sum(rank[k] <= r for k in ks)
-                                                        for r in (1, 0)))
+            R = _cov_raw(s, F[0](q), F[1], q, scheme, any(rank[k] == 0 for k in ks))
             return [tuple([R[r][k * C:(k + 1) * C].copy() for r in p[2]])
                     for k, p in enumerate(ps)]
         R = _curvature_raw(s, kind, *F, q, scheme)

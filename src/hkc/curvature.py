@@ -151,7 +151,7 @@ def rbar_difference_tensor(structure: ThreeSasakiStructure, X: TangentVector,
     def nabla_A(U, V, W):
         Vf, Wf = VectorField.extension(s, V), VectorField.extension(s, W)
         field = lambda q: _a_raw(s, Vf(q), Wf(q), q)
-        return _cov_raw(s, U.v, field, y, EXACT_FORWARD, hc=0)[LC]
+        return _cov_raw(s, U.v, field, y, EXACT_FORWARD, False)[LC]
 
     A = lambda u, w: _a_raw(s, u, w, y)
     out = (R.v + nabla_A(X, Y, Z) - nabla_A(Y, X, Z)

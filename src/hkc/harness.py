@@ -455,29 +455,26 @@ def _suite_cross_check(s, cfg, conventions):
     r = cross_check_rbar(s, (X.base, X, Y, Z), cfg.scheme)
     gap = norm(r.value_algebraic - r.value_direct
                - two_route_gap_form(s, X, Y, Z).v)
+    at = [slice(k * cfg.points, (k + 1) * cfg.points) for k in range(len(families))]
 
     def residuals():
-        for k, name in enumerate(families):
-            at = slice(k * cfg.points, (k + 1) * cfg.points)
-            yield f"cross_check.{name}", r.residual[at]
-            yield "gap", gap[at]
+        for name, rows in zip(families, at):
+            yield f"cross_check.{name}", r.residual[rows]
+            yield "cross_check.gap_structure", gap[rows]
 
-    def table(worst):
-        return {"cross_check.gap_structure": {
-            "kind": "info", "max_residual": worst["gap"],
-            "samples": 5 * cfg.points,
+    return build_records("cross-check", cfg.points, residuals(),
+                         (cfg.tol_first, cfg.tol_second), {
+        "cross_check.gap_structure": {
+            "kind": "info", "samples": 5 * cfg.points,
             "details": {
-                "family_residuals": {name: worst[f"cross_check.{name}"]
-                                     for name in families},
+                "family_residuals": {name: float(np.max(r.residual[rows]))
+                                     for name, rows in zip(families, at)},
                 "note": "the difference between the algebraic expansion "
                         "and the differential evaluation is reproduced "
                         "exactly by a closed-form tensor built from the "
                         "Reeb components of the arguments; it vanishes "
                         "when the first two arguments lie in H",
-            }}}
-
-    return build_records("cross-check", cfg.points, residuals(),
-                         (cfg.tol_first, cfg.tol_second), table)
+            }}})
 
 
 def _suite_ricci(s, cfg, conventions):
@@ -607,56 +604,48 @@ def _suite_theorem_sec(s, cfg, conventions):
     combo_sel = f"{sel:+d}/{sel:+d}"
     alpha, axis = 1, 2
 
-    data = theorem_sec_data(s, alpha, _theorem_sec_directions(s, cfg, axis),
-                            cfg.scheme)
+    res = theorem_sec_data(s, alpha, _theorem_sec_directions(s, cfg, axis),
+                           cfg.scheme)["residual"]
     at = [slice(k * cfg.points, (k + 1) * cfg.points) for k in range(7)]
+    # the worst residual of each combination at each sweep angle
+    sweep = {label: {combo: float(np.max(r[rows])) for combo, r in res.items()}
+             for (label, _), rows in zip(_SWEEP_ANGLES, at[1:6])}
+    least = [min(row.values()) for row in sweep.values()]
 
     def residuals():
-        yield "theorem_sec.h_case", data["residual"][combo_sel][at[0]]
-        # the sweep keys are (angle, combination)
-        for (label, _), rows in zip(_SWEEP_ANGLES, at[1:6]):
-            for combo, res in data["residual"].items():
-                yield (label, combo), res[rows]
-        yield "theorem_sec.reeb_case", data["residual"]["+1/+1"][at[6]]
-
-    def table(worst):
-        sweep = {label: {} for label, _ in _SWEEP_ANGLES}
-        for key, res in worst.items():
-            if isinstance(key, tuple):
-                sweep[key[0]][key[1]] = float(res)
-        least = [min(row.values()) for row in sweep.values()]
-        return {
-            "theorem_sec.h_case": {"details": {"convention_combination": combo_sel}},
-            "theorem_sec.sweep": {
-                "kind": "finding", "passed": all(m <= cfg.tol_second for m in least),
-                "max_residual": max(least), "samples": 5 * cfg.points,
-                "details": {
-                    "angles": list(sweep),
-                    "residuals": sweep,
-                    # the first in the row's order within tolerance of its
-                    # least, so that rounding cannot break ties
-                    "best_combination": {label: next(
-                        combo for combo, res in row.items()
-                        if res - m <= cfg.tol_second)
-                        for (label, row), m in zip(sweep.items(), least)},
-                    "note": "for mixed directions the measured plane "
-                            "value follows 4 - 8 sin^2 t + 4 sin^4 t "
-                            "under the selected convention, while the "
-                            "prediction carries a 6 sin^4 t quartic "
-                            "term; no convention combination closes "
-                            "the gap away from the endpoints",
-                }},
-            "theorem_sec.reeb_case": {
-                "kind": "finding", "details": {
-                    "convention_combination": "+1/+1",
-                    "note": "along a pure Reeb axis the two sides agree "
-                            "only when both plane measures are taken "
-                            "with the unflipped factor",
-                }},
-        }
+        yield "theorem_sec.h_case", res[combo_sel][at[0]]
+        yield "theorem_sec.reeb_case", res["+1/+1"][at[6]]
 
     return build_records("theorem-sec", cfg.points, residuals(),
-                         (cfg.tol_first, cfg.tol_second), table)
+                         (cfg.tol_first, cfg.tol_second), {
+        "theorem_sec.h_case": {"details": {"convention_combination": combo_sel}},
+        "theorem_sec.sweep": {
+            "kind": "finding", "passed": all(m <= cfg.tol_second for m in least),
+            "max_residual": max(least), "samples": 5 * cfg.points,
+            "details": {
+                "angles": list(sweep),
+                "residuals": sweep,
+                # the first in the row's order within tolerance of its
+                # least, so that rounding cannot break ties
+                "best_combination": {label: next(
+                    combo for combo, r in row.items()
+                    if r - m <= cfg.tol_second)
+                    for (label, row), m in zip(sweep.items(), least)},
+                "note": "for mixed directions the measured plane "
+                        "value follows 4 - 8 sin^2 t + 4 sin^4 t "
+                        "under the selected convention, while the "
+                        "prediction carries a 6 sin^4 t quartic "
+                        "term; no convention combination closes "
+                        "the gap away from the endpoints",
+            }},
+        "theorem_sec.reeb_case": {
+            "kind": "finding", "details": {
+                "convention_combination": "+1/+1",
+                "note": "along a pure Reeb axis the two sides agree "
+                        "only when both plane measures are taken "
+                        "with the unflipped factor",
+            }},
+    })
 
 
 _SUITE_FUNCS = {

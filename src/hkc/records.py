@@ -145,20 +145,22 @@ def build_records(suite, samples, pairs, tol, table=None):
     """The records of one suite: every registry id under its prefix
     (``cross-check`` -> ``cross_check.``), in registry order.
 
-    ``pairs`` yields ``(key, residuals)`` as for :func:`worst_residuals`.
-    A record holds the worst residual under its id (0.0 if none), the
-    tolerance of its order from ``tol = (tol_first, tol_second)``, its
-    verdict against that tolerance, and ``samples`` samples.  ``table``
-    maps an id to :func:`make_record` fields that override these; a
-    callable ``table`` gets the worst residuals first.
+    ``pairs`` yields ``(key, residuals)`` as for :func:`worst_residuals`,
+    each key one of those ids (else ``KeyError``: a misspelt id would
+    leave its record at 0.0).  A record holds the worst residual under
+    its id (0.0 if none), the tolerance of its order from ``tol =
+    (tol_first, tol_second)``, its verdict against that tolerance, and
+    ``samples`` samples.  ``table`` maps an id to :func:`make_record`
+    fields that override these.
     """
-    worst = worst_residuals(pairs)
-    table = table(worst) if callable(table) else table or {}
-    prefix = suite.replace("-", "_") + "."
+    worst, table = worst_residuals(pairs), table or {}
+    ids = [rid for rid in IDENTITY_REGISTRY if rid.startswith(suite.replace("-", "_") + ".")]
+    stray = [key for key in worst if key not in ids]
+    if stray:
+        raise KeyError(f"residuals under {stray[0]!r}, no record id of suite {suite!r}")
     records = []
-    for rid, (_, order) in IDENTITY_REGISTRY.items():
-        if not rid.startswith(prefix):
-            continue
+    for rid in ids:
+        order = IDENTITY_REGISTRY[rid][1]
         fields = {"max_residual": worst.get(rid, 0.0), "samples": samples,
                   "tolerance": None if order is None else tol[order - 1],
                   **table.get(rid, {})}

@@ -54,10 +54,10 @@ def row(value, i):
     return TangentVector(row(value.base, i), value.v[i])
 
 
-def rotated(n):
+def rotated(n, sign=-1):
     """The quaternion triple conjugated by a rotation: a 3-Sasakian
     structure whose maps are dense products, not a signed permutation."""
     Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4 * n + 4,) * 2))
-    s = ThreeSasakiStructure(n=n, triple=Q @ quaternion_structures(n) @ Q.T)
+    s = ThreeSasakiStructure(n=n, sign=sign, triple=Q @ quaternion_structures(n) @ Q.T)
     assert s._gather is None
     return s

@@ -283,12 +283,11 @@ def _leaves(v):
     return [*_leaves(v.val), *_leaves(v.dot)] if isinstance(v, Dual) else [v]
 
 
-def test_kernel_row_prefix_reads_on_a_nested_point_have_full_row_bits(struct):
+def test_kernel_reads_without_the_adapted_one_have_its_call_bits(struct, monkeypatch):
     # on a dual point, as inside an exact-forward nested pass (a stencil's
-    # points are plain), the kernel's reads of nabla_X Y on the first lc
-    # rows and nabla-bar_X Y on the first hc rows have the bits of those
-    # rows of its reads over all rows; D_X Y is read over all rows either
-    # way, and hc = 0 makes no adapted read
+    # points are plain), the kernel's reads of D_X Y and nabla_X Y on every
+    # row have the bits of those of the adapted call, which reads
+    # nabla-bar_X Y too; without it neither that read nor A is made
     scheme = EXACT_FORWARD
     rng = np.random.default_rng(23)
     P, d = 5, struct.ambient_dim
@@ -297,18 +296,16 @@ def test_kernel_row_prefix_reads_on_a_nested_point_have_full_row_bits(struct):
     y = Dual(x.x, tangent())
     X = VectorField.extension(struct, tangent())
     for Y in (VectorField.extension(struct, tangent()).phi(2), VectorField.reeb(struct, 3)):
-        full = _cov_raw(struct, X(y), Y, y, scheme)
-        for lc, hc in ((5, 5), (4, 2), (3, 0), (0, 0)):
-            part = _cov_raw(struct, X(y), Y, y, scheme, lc, hc)
-            for kind, rows in ((None, P), (LC, lc), (HC, hc)):
-                if kind is HC and hc == 0:
-                    assert part[HC] is None
-                    continue
-                got, want = _leaves(part[kind]), _leaves(full[kind])
-                assert len(got) == len(want) == 2
-                for g, w in zip(got, want):
-                    assert g.shape == (rows, d)
-                    assert g.tobytes() == w[:rows].tobytes(), (kind, lc, hc)
+        full = _cov_raw(struct, X(y), Y, y, scheme, True)
+        with monkeypatch.context() as mp:
+            mp.setattr(connections, "_a_raw", None)  # a call would raise
+            part = _cov_raw(struct, X(y), Y, y, scheme, False)
+        assert part[HC] is None
+        for kind in (None, LC, HC):
+            assert [g.shape for g in _leaves(full[kind])] == [(P, d)] * 2
+        for kind in (None, LC):
+            got, want = _leaves(part[kind]), _leaves(full[kind])
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], kind
 
 
 def test_metricity_of_both_connections(struct, rng):

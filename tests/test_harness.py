@@ -42,7 +42,7 @@ from hkc.numlin import (
 from hkc.records import IDENTITY_REGISTRY, build_records, registry_gaps
 from hkc.sphere3s import SpherePoint, ThreeSasakiStructure
 
-from conftest import stack_rows
+from conftest import rotated, stack_rows
 
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
@@ -577,8 +577,8 @@ def test_full_run_covers_registry(small_report):
 
 
 def test_every_yielded_key_names_a_record_of_its_suite(monkeypatch):
-    # a key is a registry id of its suite, or an auxiliary key that the
-    # suite's table reads: a misspelt id cannot leave its record at 0.0
+    # a key is a registry id of its suite: a misspelt id cannot leave its
+    # record at 0.0, and no table reads a key of its own
     yielded = {}
 
     def spy(suite, samples, pairs, tol, table=None):
@@ -590,14 +590,21 @@ def test_every_yielded_key_names_a_record_of_its_suite(monkeypatch):
         monkeypatch.setattr(module, "build_records", spy)
     run_suites(RunConfig())
     assert list(yielded) == list(SUITE_ORDER)
-    combos = {f"{a}/{b}" for a in ("+1", "-1") for b in ("+1", "-1")}
-    auxiliary = {"cross-check": {"gap"}, "theorem-sec": {
-        (label, combo) for label, _ in harness._SWEEP_ANGLES for combo in combos}}
     for suite, keys in yielded.items():
         prefix = suite.replace("-", "_") + "."
-        ids = {rid for rid in IDENTITY_REGISTRY if rid.startswith(prefix)}
-        assert keys <= ids | auxiliary.get(suite, set()), suite
-        assert auxiliary.get(suite, set()) <= keys, suite
+        assert keys <= {rid for rid in IDENTITY_REGISTRY if rid.startswith(prefix)}, suite
+
+
+@pytest.mark.parametrize("suite, key", [
+    ("torsion", "torsion.lc_zer0"),  # misspelt
+    ("torsion", "connection.metricity"),  # another suite's
+    ("cross-check", "gap"),
+    ("theorem-sec", ("0", "+1/+1")),
+], ids=["misspelt", "other-suite", "gap", "sweep-pair"])
+def test_a_residual_under_no_record_id_of_its_suite_raises(suite, key):
+    # it was dropped without a word, and its record read 0.0 and passed
+    with pytest.raises(KeyError, match="no record id"):
+        build_records(suite, 3, [(key, 5.0)], (1e-9, 1e-7))
 
 
 def _residual_arrays(monkeypatch, cfg, budget=None):
@@ -664,6 +671,84 @@ def test_a_run_has_the_bits_of_any_chunk_budget(monkeypatch, n):
         assert [(s, k, len(v)) for s, k, v in got] == [(s, k, len(v)) for s, k, v in want]
         for (suite, key, a), (_, _, b) in zip(got, want):
             assert [u.tobytes() for u in a] == [v.tobytes() for v in b], (budget, suite, key)
+
+
+def _records(body):
+    return body["status"], [r.as_dict() for r in body["records"]]
+
+
+# every suite alone, and two subsets that move every suite's place in the run
+_SUBSETS = [(name,) for name in SUITE_ORDER] + [
+    ("sasaki", "torsion", "sectional"), ("connection", "cross-check", "ricci", "theorem-sec")]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_suite_subset_gives_the_records_of_the_full_run(n):
+    # R2: a suite's lane is keyed by its place in SUITE_ORDER, not by its
+    # place in the run, so the suites a run leaves out move none of its
+    # records (no gate applies on the default structure)
+    full = run_suites(RunConfig(n=n, points=5, seed=3))
+    for suites in _SUBSETS:
+        rep = run_suites(RunConfig(n=n, points=5, seed=3, suites=suites))
+        assert rep.conventions == full.conventions
+        assert list(rep.suites) == list(suites)
+        for name, body in rep.suites.items():
+            assert _records(body) == _records(full.suites[name]), (suites, name)
+
+
+_GATE_REASONS = {"axioms": "structure axioms did not hold",
+                 "sasaki": "first-derivative structure identities did not hold"}
+
+
+def test_a_suite_subset_on_a_broken_structure_is_gated_as_documented():
+    # R2 where a gate applies: with I2 negated the axioms and the sasaki
+    # suite fail, and the first of them in a run skips every later suite
+    # with its reason; a suite that runs has the records it has alone
+    s, cfg = _broken(), lambda suites: RunConfig(n=1, points=5, seed=3, suites=suites)
+    alone = {name: _records(run_suites(cfg((name,)), structure=s).suites[name])
+             for name in SUITE_ORDER}
+    assert alone["axioms"][0] == alone["sasaki"][0] == "fail"
+    for suites, gate in ((SUITE_ORDER, "axioms"), (SUITE_ORDER[1:], "sasaki"),
+                         (_SUBSETS[-2], "sasaki"), (SUITE_ORDER[2:], None)):
+        rep = run_suites(cfg(suites), structure=s)
+        for i, name in enumerate(suites):
+            if gate in suites[:i]:
+                assert rep.suites[name] == {"status": "skipped", "records": [],
+                                            "reason": _GATE_REASONS[gate]}, (suites, name)
+            else:
+                assert _records(rep.suites[name]) == alone[name], (suites, name)
+
+
+def _signature(report):
+    """What a report concludes: each suite's status, gate reason and
+    record verdicts, the selected conventions and the overall verdict."""
+    return ({k: c["value"] for k, c in report.conventions.items()}, report.overall,
+            {name: (body["status"], body.get("reason"),
+                    [(r.id, r.kind, r.passed) for r in body["records"]])
+             for name, body in report.suites.items()})
+
+
+def _small_residuals(report):
+    return {**{k: c["residual"] for k, c in report.conventions.items()},
+            **{r.id: r.max_residual for r in report.iter_records()
+               if r.max_residual is not None}}
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_an_isometric_structure_gets_the_same_conclusions(n, sign):
+    # R4: the triple Q I_a Q^T, Q orthogonal, is a 3-Sasakian structure on
+    # the same sphere, isometric to the default one: the same verdicts,
+    # and every residual that is rounding moves by rounding only
+    cfg = RunConfig(n=n, points=5, seed=3)
+    want = run_suites(cfg, structure=ThreeSasakiStructure(n=n, sign=sign))
+    got = run_suites(cfg, structure=rotated(n, sign))
+    assert _signature(got) == _signature(want)
+    small, moved = _small_residuals(want), _small_residuals(got)
+    assert small.keys() == moved.keys()
+    for key, r in small.items():
+        if r < 1e-3:
+            assert abs(moved[key] - r) <= 1e-12, (key, r, moved[key])
 
 
 def test_expected_failures_are_the_known_ones(small_report):
@@ -1204,6 +1289,41 @@ def test_each_distinct_derivative_is_taken_once(struct, monkeypatch, points):
     passes.clear()
     run_suites(RunConfig(points=points, suites=("sasaki", "connection", "torsion")))
     assert len(passes) == sum(groups) + 1  # and the sign resolution's one
+
+
+@pytest.mark.parametrize("points, want", [
+    (10, {"sasaki": (0, 0), "connection": (1, 350), "torsion": (1, 160)}),
+    (100, {"sasaki": (0, 0), "connection": (3, 1200), "torsion": (4, 1600)}),
+])
+def test_a_is_made_only_in_passes_that_read_the_adapted_connection(struct, monkeypatch,
+                                                                     points, want):
+    # a first-order pass sorts its K distinct pairs by what they read, the h
+    # that read nabla-bar first, into passes of an even group of pairs;
+    # only a pass that holds one of them makes A, on all its rows: the
+    # first ceil(h / group) passes, once a chunk of rows each.  The calls
+    # and rows of _a_raw follow from the suite's plans and the budget
+    conventions = resolve_conventions(struct, seed=0)
+    made, plans = [], []
+    a_raw, run = connections._a_raw, harness._run
+    monkeypatch.setattr(connections, "_a_raw",
+                        lambda s, u, w, y: made.append(len(y)) or a_raw(s, u, w, y))
+    monkeypatch.setattr(harness, "_run",
+                        lambda s, groups, y, scheme: plans.extend(groups) or run(s, groups, y, scheme))
+    budget, d = connections.CURVATURE_CHUNK, struct.ambient_dim
+    for suite in want:
+        made.clear()
+        plans.clear()
+        harness._SUITE_FUNCS[suite](struct, RunConfig(points=points), conventions)
+        pairs = {}
+        for requests, _ in (plan for group in plans for plan in group):
+            for kind, X, Y in requests:
+                pairs.setdefault((X, Y), set()).add(kind)
+        K, h = len(pairs), sum(HC in kinds for kinds in pairs.values())
+        group = -(-K // -(-K // max(1, budget // (points * d))))
+        chunks = -(-points // max(1, budget // (group * d)))
+        passes = -(-h // group)
+        derived = (passes * chunks, min(passes * group, K) * points)
+        assert (len(made), sum(made)) == derived == want[suite], suite
 
 
 def test_text_format_lists_every_record(small_report):
