@@ -256,7 +256,8 @@ def _fused_pass(s, kind, patterns, y, scheme):
     LC, D) and the forms of their slots, as many patterns over all rows as
     fit in ``CURVATURE_CHUNK`` floats per leaf make a pass (else one, in
     chunks of rows), pattern k on rows k*C .. (k+1)*C - 1 of a chunk of C
-    rows; a first-order pass makes A only if one of its patterns reads HC.
+    rows; passes are evened out, and first-order ones, if more than one,
+    cut where the patterns that read HC (and make A) end, each run evened.
     One row gives a vector or a float, a stack (P, d) or (P, 1)."""
     y2, K = np.atleast_2d(y), len(patterns)
     slots = 2 if kind is None else 3
@@ -276,7 +277,9 @@ def _fused_pass(s, kind, patterns, y, scheme):
     order = sorted(range(K), key=lambda k: (rank[k], [form[f] for f in patterns[k][:slots]]))
     group = max(1, CURVATURE_CHUNK // (len(y2) * width))  # patterns a pass holds
     step = max(1, CURVATURE_CHUNK // (group * width))  # rows a chunk holds
-    group = -(-K // -(-K // group)) if K else 1  # as many passes, evened out
+    h = rank.count(0) if K > group else K  # the patterns before the cut (nested: all)
+    passes = [r[i:i + e] for r in (order[:h], order[h:]) if r  # as many passes, evened out
+              for e in [-(-len(r) // -(-len(r) // group))] for i in range(0, len(r), e)]
 
     def chunk(ks, c):  # a chunk's pass and cut data are freed before the next
         ps = [patterns[k] for k in ks]
@@ -299,8 +302,7 @@ def _fused_pass(s, kind, patterns, y, scheme):
                 for p, Rk in zip(ps, (R[k * C:(k + 1) * C] for k in range(len(ps))))]
 
     out = {}
-    for g in range(0, K, group):
-        ks = order[g:g + group]
+    for ks in passes:
         chunks = [chunk(ks, slice(i, i + step)) for i in range(0, len(y2), step)]
         out.update(zip(ks, chunks[0] if len(chunks) == 1 else
                        [tuple([np.concatenate(c) for c in zip(*v)]) if kind is None

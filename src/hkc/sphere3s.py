@@ -22,8 +22,8 @@ operations of ``connections`` and ``curvature`` take and return them; a
 stack in gives a stack out, row for row with the bits of one-row calls.
 
 ``reeb_all_raw`` and ``phi_all_raw`` give all three structures at once
-(alpha on axis -2): a gather for a triple with one entry +-1 per row (the
-round model; the dense product's bits for finite input), else a matmul.
+(alpha on axis -2).  A triple with one entry +-1 per row (the round model)
+is a gather of the blocks read, no BLAS call; any other, a dense product.
 """
 
 from __future__ import annotations
@@ -155,6 +155,10 @@ class StructureMaps:
         return self._memo(("omega", a, id(u), id(w)), lambda: dot(u, self.phi(a, w)), u, w)
 
 
+def _signed(out, vals):  # a gather times its signs, + 0, in place (see _apply_all)
+    return np.add(np.multiply(out, vals, out=out), 0, out=out)
+
+
 class ThreeSasakiStructure:
     """The three linked contact structures on the round sphere.
 
@@ -213,8 +217,7 @@ class ThreeSasakiStructure:
             return np.matmul(self.triple, v[..., None, :, None])[..., 0]
         # the dense product's bits for finite v (its 0 * inf makes an inf in v
         # nan in every other entry); + 0 turns -0 into the dense sum's +0
-        cols, vals = self._gather
-        return v.take(cols, axis=-1) * vals + 0
+        return _signed(v.take(self._gather[0], axis=-1), self._gather[1])
 
     def reeb_all_raw(self, y):
         return leafmap(lambda a: self.sign * self._apply_all(a), y)
@@ -224,13 +227,23 @@ class ThreeSasakiStructure:
                                         leafmap(lambda a: a[..., None, :], y))
 
     def _apply(self, alpha, v):
-        """I_alpha v; for an integer array ``alpha`` of checked indices, one
-        per row, I_alpha[r] v_r on each row r: row r of block alpha[r] of
-        ``_apply_all`` (the bits of I_alpha[r] v_r)."""
+        """I_alpha v, or for an integer array ``alpha`` of checked indices
+        I_alpha[r] v_r on each row r (axis 0): a gather of that block alone (an
+        array's by one flat index a call a leaf shape), else dense products."""
         if not isinstance(alpha, np.ndarray):
-            return matvec(self._I(alpha), v)
-        r, k = np.arange(len(alpha)), alpha - 1
-        return leafmap(lambda a: self._apply_all(a)[r, ..., k, :], v)
+            M, k = self._I(alpha), alpha - 1
+            return matvec(M, v) if self._gather is None else leafmap(
+                lambda a: _signed(a.take(self._gather[0][k], axis=-1), self._gather[1][k]), v)
+        at = {}  # leaf shape -> (each row's block,) or (flat index, signs)
+
+        def per_row(a):
+            if a.shape not in at:
+                k = (alpha - 1).reshape(-1, *[1] * (a.ndim - 2))
+                at[a.shape] = (k,) if self._gather is None else (self._gather[0][k] + np.arange(
+                    0, a.size, a.shape[-1]).reshape(*a.shape[:-1], 1), self._gather[1][k])
+            i, *vals = at[a.shape]
+            return _signed(a.take(i), *vals) if vals else np.matmul(self.triple[i], a[..., None])[..., 0]
+        return leafmap(per_row, v)
 
     def reeb_raw(self, alpha, y):
         return self.sign * self._apply(alpha, y)

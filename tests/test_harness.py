@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hkc import connections, harness, sphere3s
+from hkc import connections, harness, numlin, sphere3s
 from hkc.connections import ConnectionKind
 from hkc.curvature import verify_symmetries
 from hkc.harness import (
@@ -1277,8 +1277,9 @@ def test_each_distinct_derivative_is_taken_once(struct, monkeypatch, points):
     # bracket's two orientations included, and the connection suite's
     # Reeb fields shared by all its plans), 16, 35 and 16; one first-order
     # pass a suite up to 10 points, and at 100 points as many as the chunk
-    # budget needs
-    groups = (1, 1, 1) if points <= 10 else (4, 9, 4)
+    # budget needs, cut where the pairs that read nabla-bar end (torsion's
+    # 14 of 16 in four passes, its other two in a fifth)
+    groups = (1, 1, 1) if points <= 10 else (4, 9, 5)
     conventions = resolve_conventions(struct, seed=0)
     passes, rows = _count_raw(monkeypatch)
     for suite, want, k in zip(("sasaki", "connection", "torsion"), (16, 35, 16), groups):
@@ -1293,15 +1294,17 @@ def test_each_distinct_derivative_is_taken_once(struct, monkeypatch, points):
 
 @pytest.mark.parametrize("points, want", [
     (10, {"sasaki": (0, 0), "connection": (1, 350), "torsion": (1, 160)}),
-    (100, {"sasaki": (0, 0), "connection": (3, 1200), "torsion": (4, 1600)}),
+    (100, {"sasaki": (0, 0), "connection": (3, 1100), "torsion": (4, 1400)}),
 ])
 def test_a_is_made_only_in_passes_that_read_the_adapted_connection(struct, monkeypatch,
                                                                      points, want):
     # a first-order pass sorts its K distinct pairs by what they read, the h
-    # that read nabla-bar first, into passes of an even group of pairs;
-    # only a pass that holds one of them makes A, on all its rows: the
-    # first ceil(h / group) passes, once a chunk of rows each.  The calls
-    # and rows of _a_raw follow from the suite's plans and the budget
+    # that read nabla-bar first; only a pass that holds one of them makes
+    # A, on all its rows.  K pairs within the budget's group make one pass;
+    # more are cut where the h end, each run evened, so A is made on exactly
+    # the rows of the h, in ceil(h / group) passes, once a chunk of rows
+    # each.  The calls and rows of _a_raw follow from the suite's plans and
+    # the budget
     conventions = resolve_conventions(struct, seed=0)
     made, plans = [], []
     a_raw, run = connections._a_raw, harness._run
@@ -1319,11 +1322,29 @@ def test_a_is_made_only_in_passes_that_read_the_adapted_connection(struct, monke
             for kind, X, Y in requests:
                 pairs.setdefault((X, Y), set()).add(kind)
         K, h = len(pairs), sum(HC in kinds for kinds in pairs.values())
-        group = -(-K // -(-K // max(1, budget // (points * d))))
+        group = max(1, budget // (points * d))
         chunks = -(-points // max(1, budget // (group * d)))
-        passes = -(-h // group)
-        derived = (passes * chunks, min(passes * group, K) * points)
+        passes, rows = (-(-h // group), h) if K > group else (int(h > 0), K if h else 0)
+        derived = (passes * chunks, rows * points)
         assert (len(made), sum(made)) == derived == want[suite], suite
+        if K > group:  # A's rows are the rows that read nabla-bar
+            assert sum(made) == h * points, suite
+
+
+@pytest.mark.parametrize("n", [1, 16])
+def test_the_default_triple_makes_no_blas_matvec(monkeypatch, n):
+    # the default triple is a signed permutation, so every structure map
+    # gathers, on one row and on a stack of any size: the first-order
+    # suites at 100 points call no matvec.  A dense triple's one-alpha maps
+    # do call it, so the count sees a call that is made
+    calls, mv = [], sphere3s.matvec
+    for module in (numlin, sphere3s):  # its own name and the structure's
+        monkeypatch.setattr(module, "matvec", lambda M, v: calls.append(M) or mv(M, v))
+    rep = run_suites(RunConfig(n=n, points=100,
+                               suites=("axioms", "sasaki", "connection", "torsion")))
+    assert rep.overall == "pass" and calls == []
+    rotated(n).reeb_raw(1, np.eye(1, 4 * n + 4))
+    assert len(calls) == 1
 
 
 def test_text_format_lists_every_record(small_report):

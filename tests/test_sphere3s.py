@@ -357,16 +357,55 @@ def test_all_structure_maps_have_the_bits_of_three_dense_products(perturbed):
                     assert out[..., k, :].tobytes() == np.asarray(leaf).tobytes()
 
 
+def _dense_rows(s, alpha, leaf):
+    """I_alpha on each row vector of ``leaf`` by one dense matvec, alpha one
+    index or one per row of axis 0."""
+    out = np.empty_like(leaf)
+    for i in np.ndindex(leaf.shape[:-1]):
+        out[i] = matvec(s.triple[(alpha if np.ndim(alpha) == 0 else alpha[i[0]]) - 1], leaf[i])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 16])
+@pytest.mark.parametrize("dense", [False, True])
+def test_one_and_per_row_alpha_have_the_bits_of_one_dense_matvec_per_row(n, dense):
+    # I_alpha v for one alpha and for an array of one alpha per row (axis
+    # 0), against one dense matvec per row vector, compared by bytes (==
+    # cannot see the sign of a zero): one row, small and large stacks, a
+    # middle axis, nested duals, a dual whose leaves differ in shape, and
+    # rows of signed zeros; on the gather and on the dense fallback
+    s = rotated(n) if dense else ThreeSasakiStructure(n=n)
+    d, rng = s.ambient_dim, np.random.default_rng(12)
+    r = lambda *shape: rng.standard_normal((*shape, d))
+    zeros = np.resize([0.0, -0.0, 1.5, 0.0, -2.0, -0.0, 0.0, 3.0], d)
+    nested = Dual(Dual(r(4), r(4)), Dual(r(4), np.zeros((4, d))))
+    per = lambda R: rng.integers(1, 4, R)
+    cases = [(a, v) for a in (1, 2, 3)
+             for v in (r(), zeros, r(2), r(400), r(2, 3), zeros[None], nested)]
+    cases += [(per(5), r(5)), (per(400), r(400)), (per(4), r(4, 3)),
+              (np.array([1, 2, 3]), np.array([zeros, -zeros, zeros])),
+              (per(4), nested), (per(4), Dual(r(4), r(4, 3)))]
+    for alpha, v in cases:
+        got = s._apply(alpha, v)
+        for leaf, out in zip(_leaves(v), _leaves(got)):
+            want = _dense_rows(s, alpha, leaf)
+            assert out.tobytes() == want.tobytes() and out.shape == want.shape, (alpha, leaf.shape)
+
+
 def test_gather_and_dense_products_part_on_non_finite_input():
     # validated points and vectors are finite; on an inf the dense product
-    # makes 0 * inf = nan in every other entry, the gather keeps them finite
+    # makes 0 * inf = nan in every other entry, the gather keeps them
+    # finite: for all three structures, one alpha and one alpha per row
     v = np.array([np.inf, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
-    got = ThreeSasakiStructure(n=1)._apply_all(v)
-    with np.errstate(invalid="ignore"):
-        dense = _perturbed_i1(1)._apply_all(v)
-    assert np.isinf(got).sum(-1).tolist() == [1, 1, 1]
-    assert np.isfinite(got).sum(-1).tolist() == [7, 7, 7]
-    assert np.isnan(dense).sum(-1).tolist() == [7, 7, 7]
+    s, p = ThreeSasakiStructure(n=1), _perturbed_i1(1)
+    for form in (lambda t: t._apply_all(v), lambda t: np.array([t._apply(a, v) for a in (1, 2, 3)]),
+                 lambda t: t._apply(np.array([1, 2, 3]), np.array([v, v, v]))):
+        got = form(s)
+        with np.errstate(invalid="ignore"):
+            dense = form(p)
+        assert np.isinf(got).sum(-1).tolist() == [1, 1, 1]
+        assert np.isfinite(got).sum(-1).tolist() == [7, 7, 7]
+        assert np.isnan(dense).sum(-1).tolist() == [7, 7, 7]
 
 
 @pytest.mark.parametrize("dense", [False, True])
