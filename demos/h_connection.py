@@ -50,7 +50,7 @@ Yh = Y.project_H()
 d = cov_deriv(HC, X, Yh, x)
 print("\nADAPTED derivative of an H-valued field:")
 print("  eta components:",
-      ", ".join(f"{s.eta_raw(a, d.v, x.x):+.1e}" for a in (1, 2, 3)))
+      ", ".join(f"{s.eta_raw(a, d.v, x.x)[0]:+.1e}" for a in (1, 2, 3)))
 
 # the structure tensors are parallel along H for the adapted connection:
 # (D_X phi_a)Y = D_X (phi_a Y) - phi_a (D_X Y), tangent part

@@ -24,9 +24,9 @@ print("\nReeb vectors:")
 xi = {a: s.reeb_raw(a, y) for a in (1, 2, 3)}
 for a in (1, 2, 3):
     print(f"  |xi_{a}| = {np.linalg.norm(xi[a]):.15f}   <xi_{a}, x> = "
-          f"{dot(xi[a], y):+.2e}")
+          f"{dot(xi[a], y)[0]:+.2e}")
 for a, b in ((1, 2), (2, 3), (3, 1)):
-    print(f"  <xi_{a}, xi_{b}> = {dot(xi[a], xi[b]):+.2e}")
+    print(f"  <xi_{a}, xi_{b}> = {dot(xi[a], xi[b])[0]:+.2e}")
 
 # phi_a kills its own Reeb vector and rotates the other two
 print("\nphi action on the Reeb span:")
@@ -43,9 +43,9 @@ PPX = s.phi_raw(1, PX, y)
 print("\nfor a unit X in the distribution H:")
 print(f"  |phi_1 X|            = {np.linalg.norm(PX):.15f}")
 print(f"  |phi_1^2 X + X|      = {np.linalg.norm(PPX + X):.2e}")
-print(f"  Omega^1(X, phi_1 X)  = {s.omega_raw(1, X, PX, y):+.15f}")
+print(f"  Omega^1(X, phi_1 X)  = {s.omega_raw(1, X, PX, y)[0]:+.15f}")
 print(f"  eta^a(X)             = "
-      + ", ".join(f"{s.eta_raw(a, X, y):+.1e}" for a in (1, 2, 3)))
+      + ", ".join(f"{s.eta_raw(a, X, y)[0]:+.1e}" for a in (1, 2, 3)))
 
 # the composition law phi_1 phi_2 = phi_3 modulo Reeb terms
 comp = s.phi_raw(1, s.phi_raw(2, X, y), y) - s.phi_raw(3, X, y)
@@ -53,6 +53,6 @@ print(f"  |phi_1 phi_2 X - phi_3 X| = {np.linalg.norm(comp):.2e}")
 
 # a deterministic orthonormal frame of H
 frame = s.frame_H(x, seed=0)
-G = np.array([[dot(u.v, w.v) for w in frame] for u in frame])
+G = np.array([[dot(u.v, w.v)[0] for w in frame] for u in frame])
 print(f"\nframe of H: {len(frame)} vectors, "
       f"|G - I| = {np.abs(G - np.eye(len(frame))).max():.2e}")

@@ -35,16 +35,18 @@ the inner product of ``curvature(kind, X, Y, W, x)`` with Z.
 
 Every typed operation takes a point that is one row or a stack of rows
 and gives one value per row: a tangent vector of the point's shape, or
-floats of shape ``(P, 1)`` for a stack.  The row rule: a field's
-extension vectors are one row per row of the point, or one row that
-serves every row.  All run on one driver, ``_fused_pass``: one pass per
+floats of shape ``(P, 1)`` for a stack (a float for one row).  Below
+them everything takes and gives stacks; one row enters as a stack of
+one (``sphere3s.on_stacks``).  The row rule: a field's extension vectors
+are one row per row of the point, or one row that serves every row.  All
+run on one driver, ``_fused_pass``: one pass per
 kernel (the first derivatives D_X Y, or the nested curvature, whose
 [X, Y] is read off its nested terms) serves many slot patterns, each on
 its own row block with the bits of its own pass.  It cuts each field's
 data to the rows of a chunk, merges the data of one form on adjacent
 blocks and evaluates it, and raises ``StructuralError`` for a field of
 any other row count or of another structure; a field's own data is
-checked where the field is made.
+checked where the field is made, finite and of the ambient dimension.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .numlin import (
     norm,
     value_and_derivative,
 )
-from .sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
+from .sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure, on_stacks
 
 BRACKET_TANGENCY_TOL = 1e-9
 
@@ -92,9 +94,10 @@ class VectorField:
     rule) or a Reeb index (``alpha``), exactly one of them, then the maps
     ``ops`` (a for phi_a, None for the projection onto H).  The identities
     checked here differentiate no other field, so a function is none
-    (``TypeError``).  The data is checked where the field is made, every
-    index a count 1, 2 or 3 (``StructuralError``).  Calling the field
-    evaluates its data (dual-generic); a field hashes by identity."""
+    (``TypeError``).  The data is checked where the field is made, the
+    vectors finite and every index a count 1, 2 or 3 (``StructuralError``).
+    Calling the field evaluates its data (dual-generic); a field hashes by
+    identity."""
 
     def __init__(self, structure, *, vec=None, alpha=None, ops=()):
         if (vec is None) == (alpha is None):
@@ -104,6 +107,8 @@ class VectorField:
             vec = np.asarray(vec, dtype=float)
             if vec.shape[-1:] != (d,):
                 raise StructuralError(f"extension vectors {vec.shape} in dimension {d}")
+            if not np.isfinite(vec).all():
+                raise StructuralError("extension vectors are not finite")
         for a in (alpha, *ops):
             if a is not None:
                 structure._I(a)
@@ -258,8 +263,8 @@ def _fused_pass(s, kind, patterns, y, scheme):
     chunks of rows), pattern k on rows k*C .. (k+1)*C - 1 of a chunk of C
     rows; passes are evened out, and first-order ones, if more than one,
     cut where the patterns that read HC (and make A) end, each run evened.
-    One row gives a vector or a float, a stack (P, d) or (P, 1)."""
-    y2, K = np.atleast_2d(y), len(patterns)
+    The point is a stack (P, d); a value is (P, d) or (P, 1)."""
+    K = len(patterns)
     slots = 2 if kind is None else 3
     rank = [min(map((HC, LC, None).index, p[2])) if kind is None else 0 for p in patterns]
     fields = dict.fromkeys([f for p in patterns for f in p if isinstance(f, VectorField)])
@@ -267,15 +272,15 @@ def _fused_pass(s, kind, patterns, y, scheme):
         v = f.vec
         if f.structure is not s:
             raise StructuralError("vector fields belong to different structures")
-        if v is not None and v.ndim > 1 and len(v) not in (1, len(y2)):
-            raise StructuralError(f"a field of {len(v)} rows at a point of {len(y2)}")
+        if v is not None and v.ndim > 1 and len(v) not in (1, len(y)):
+            raise StructuralError(f"a field of {len(v)} rows at a point of {len(y)}")
     # floats per row: the broadcast of each vector's row shape
     width = math.prod(map(max, zip_longest(*(
         f.vec.shape[f.vec.ndim > 1:][::-1] if f.vec is not None else ()
         for f in fields), (s.ambient_dim,), fillvalue=1)))
     form = {f: _form(f) for f in fields}
     order = sorted(range(K), key=lambda k: (rank[k], [form[f] for f in patterns[k][:slots]]))
-    group = max(1, CURVATURE_CHUNK // (len(y2) * width))  # patterns a pass holds
+    group = max(1, CURVATURE_CHUNK // (len(y) * width))  # patterns a pass holds
     step = max(1, CURVATURE_CHUNK // (group * width))  # rows a chunk holds
     h = rank.count(0) if K > group else K  # the patterns before the cut (nested: all)
     passes = [r[i:i + e] for r in (order[:h], order[h:]) if r  # as many passes, evened out
@@ -284,7 +289,7 @@ def _fused_pass(s, kind, patterns, y, scheme):
     def chunk(ks, c):  # a chunk's pass and cut data are freed before the next
         ps = [patterns[k] for k in ks]
         # each field's data on the chunk's rows: views, a one-row vector as it is
-        yc, cut = y2[c], {g: (g.vec[c] if g.vec is not None and g.vec.ndim > 1
+        yc, cut = y[c], {g: (g.vec[c] if g.vec is not None and g.vec.ndim > 1
                               and len(g.vec) > 1 else g.vec, g.alpha, g.ops)
                           for p in ps for g in p if isinstance(g, VectorField)}
         C = len(yc)
@@ -303,14 +308,11 @@ def _fused_pass(s, kind, patterns, y, scheme):
 
     out = {}
     for ks in passes:
-        chunks = [chunk(ks, slice(i, i + step)) for i in range(0, len(y2), step)]
+        chunks = [chunk(ks, slice(i, i + step)) for i in range(0, len(y), step)]
         out.update(zip(ks, chunks[0] if len(chunks) == 1 else
                        [tuple([np.concatenate(c) for c in zip(*v)]) if kind is None
                         else np.concatenate(v) for v in zip(*chunks)]))
-    out = [out[k] for k in range(K)]
-    return out if y.ndim > 1 else [tuple([r[0] for r in v]) if kind is None
-                                   else v[0] if len(p) == slots else float(v[0, 0])
-                                   for v, p in zip(out, patterns)]
+    return [out[k] for k in range(K)]
 
 
 # ============================================================
@@ -400,15 +402,17 @@ def _h_tensor_plan(xi, beta, X):  # (L_xi phi_beta) X / 2, xi a Reeb field
 # ============================================================
 
 def _at(plan, x, scheme):
-    """A plan's value at the point x."""
+    """A plan's value at the stack of points x."""
     return _run(plan[0][0][1].structure, [[plan]], x.x, scheme)[0][0]
 
 
+@on_stacks
 def lie_bracket(X: VectorField, Y: VectorField, x: SpherePoint,
                 scheme=EXACT_FORWARD) -> TangentVector:
     return TangentVector(x, _at(_bracket_plan(X, Y), x, scheme))
 
 
+@on_stacks
 def cov_deriv(kind: ConnectionKind, X: VectorField, Y: VectorField,
               x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
     """Covariant derivative at a point.  The adapted connection is
@@ -417,6 +421,7 @@ def cov_deriv(kind: ConnectionKind, X: VectorField, Y: VectorField,
     return TangentVector(x, _at(_cov_plan(kind, X, Y), x, scheme))
 
 
+@on_stacks
 def h_form_gap(X: VectorField, Y: VectorField, x: SpherePoint,
                scheme=EXACT_FORWARD):
     """Disagreement between the substituted and the definitional forms of
@@ -427,11 +432,13 @@ def h_form_gap(X: VectorField, Y: VectorField, x: SpherePoint,
     return _at(_form_gap_plan(X, Y, xi), x, scheme)
 
 
+@on_stacks
 def torsion(kind: ConnectionKind, X: VectorField, Y: VectorField,
             x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
     return TangentVector(x, _at(_torsion_plan(kind, X, Y), x, scheme))
 
 
+@on_stacks
 def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,
               Z: VectorField, x: SpherePoint, scheme=EXACT_FORWARD) -> TangentVector:
     """R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
@@ -440,11 +447,11 @@ def curvature(kind: ConnectionKind, X: VectorField, Y: VectorField,
     return TangentVector(x, _fused_pass(X.structure, kind, [(X, Y, Z)], x.x, scheme)[0])
 
 
+@on_stacks
 def sphere_curvature_oracle(X: TangentVector, Y: TangentVector,
                             Z: TangentVector) -> TangentVector:
     """Closed-form curvature of the unit sphere,
     R(X,Y)Z = g(Y,Z) X - g(X,Z) Y, in the convention of :func:`curvature`
     (the report's ``curvature-sign`` entry measures that convention).
     """
-    X._check_same_base(Y, Z)
     return TangentVector(X.base, dot(Y.v, Z.v) * X.v - dot(X.v, Z.v) * Y.v)

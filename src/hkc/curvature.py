@@ -26,12 +26,15 @@ findings section).
 
 The closed forms, traces, plane values and verifiers take tangent
 vectors that are one row or a stack of rows (each at its own point), and
-give one value per row with the bits of its one-row call.  Their nested
-curvature values come from ``connections._fused_pass``, each slot
-pattern on its own row block.
+give one value per row with the bits of its one-row call; their bodies
+run on stacks, one row lifted to a stack of one by
+``sphere3s.on_stacks``.  Their nested curvature values come from
+``connections._fused_pass``, each slot pattern on its own row block.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .numlin import (
     dot,
     norm,
 )
-from .sphere3s import TANGENT_TOL, SpherePoint, TangentVector, ThreeSasakiStructure
+from .sphere3s import TANGENT_TOL, TangentVector, ThreeSasakiStructure, on_stacks
 from .connections import (
     HC,
     LC,
@@ -64,13 +67,13 @@ _PAIRS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b]
 # sample containers
 # ============================================================
 
-class CurvatureSample:
+class CurvatureSample(NamedTuple):
     """Both curvature routes on one argument triple, or on a stack of them
     (one row each)."""
 
-    def __init__(self, value_direct, value_algebraic, residual):
-        self.value_direct, self.value_algebraic = value_direct, value_algebraic
-        self.residual = residual  # a float, or (P, 1) for a stack
+    value_direct: np.ndarray
+    value_algebraic: np.ndarray
+    residual: object  # a float, or (P, 1) for a stack
 
 
 # ============================================================
@@ -83,6 +86,7 @@ def _in_H(s, U):
     return bool(np.all(np.abs(eta) <= TANGENT_TOL))
 
 
+@on_stacks
 def rbar_algebraic(structure: ThreeSasakiStructure, X, Y, Z, R=None):
     """The stated closed-form expansion of the adapted curvature operator
     applied to (X, Y)Z, transcribed literally: three single-index blocks
@@ -95,7 +99,6 @@ def rbar_algebraic(structure: ThreeSasakiStructure, X, Y, Z, R=None):
     exceeds :func:`rbar_difference_tensor` by exactly
     :func:`two_route_gap_form`."""
     R = sphere_curvature_oracle(X, Y, Z) if R is None else R
-    X._check_same_base(Y, Z, R)
     parts = structure.chunks(X.base.x, X.v, Y.v, Z.v, R.v)
     return TangentVector(X.base, np.concatenate([_rbar_rows(structure, *c) for c in parts]))
 
@@ -128,6 +131,7 @@ def _rbar_rows(s, y, Xv, Yv, Zv, out):
     return s.tangent_project_raw(out, y)
 
 
+@on_stacks
 def rbar_difference_tensor(structure: ThreeSasakiStructure, X: TangentVector,
                            Y: TangentVector, Z: TangentVector) -> TangentVector:
     """The adapted curvature R-bar(X,Y)Z from the difference tensor A of
@@ -159,6 +163,7 @@ def rbar_difference_tensor(structure: ThreeSasakiStructure, X: TangentVector,
     return TangentVector(X.base, s.tangent_project_raw(out, y))
 
 
+@on_stacks
 def rbar_quaternionic_projective(structure: ThreeSasakiStructure,
                                  X: TangentVector, Y: TangentVector,
                                  Z: TangentVector) -> TangentVector:
@@ -178,7 +183,6 @@ def rbar_quaternionic_projective(structure: ThreeSasakiStructure,
 
     with X, Y, Z replaced by their H-parts.
     """
-    X._check_same_base(Y, Z)
     s, y = structure, X.base.x
     Xv, Yv, Zv = (s.project_h_raw(V.v, y) for V in (X, Y, Z))
     out = dot(Yv, Zv) * Xv - dot(Xv, Zv) * Yv
@@ -189,6 +193,7 @@ def rbar_quaternionic_projective(structure: ThreeSasakiStructure,
     return TangentVector(X.base, out)
 
 
+@on_stacks
 def two_route_gap_form(structure: ThreeSasakiStructure, X, Y, Z):
     """The closed form of (stated expansion - adapted curvature).
 
@@ -203,7 +208,6 @@ def two_route_gap_form(structure: ThreeSasakiStructure, X, Y, Z):
     triple-Reeb argument families, which is exactly where the two routes
     agree.
     """
-    X._check_same_base(Y, Z)
     parts = structure.chunks(X.base.x, X.v, Y.v, Z.v)
     return TangentVector(X.base, np.concatenate([_gap_rows(structure, *c) for c in parts]))
 
@@ -225,6 +229,7 @@ def _gap_rows(s, y, Xv, Yv, Zv):
     return out
 
 
+@on_stacks
 def cross_check_rbar(structure, sample, scheme=EXACT_FORWARD):
     """Compare the differential and algebraic curvature routes.
 
@@ -246,6 +251,7 @@ def cross_check_rbar(structure, sample, scheme=EXACT_FORWARD):
 # traces
 # ============================================================
 
+@on_stacks
 def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
           scheme=EXACT_FORWARD, *, seed=0):
     """Trace of the curvature, S(X,Y) = sum_k g(R(P e_k, X) Y, P e_k),
@@ -265,19 +271,17 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
     it and every j.  One fold 0 + t_0 + t_1 + ... over k = 0 .. d - 1
     runs on across the blocks.  One row gives a float, a stack (P, 1)."""
     Ys = Y if isinstance(Y, list) else [Y]
-    X._check_same_base(*Ys)
     if kind is HC and not all(_in_H(structure, V) for V in (X, *Ys)):
         raise PreconditionError(
             "the adapted-connection trace is defined for arguments "
             "inside the distribution H")
     if not Ys:
         return []
-    # a one-row call as a stack of one; the point and X of length 1 on axes 1, 2
-    y = np.atleast_2d(X.base.x)[:, None, None]
+    # the point and X of length 1 on axes 1, 2
+    y = X.base.x[:, None, None]
     d, J = structure.ambient_dim, len(Ys)
-    Xf = VectorField.extension(structure, np.atleast_2d(X.v)[:, None, None])
-    Yf = VectorField.extension(structure, np.stack(
-        [np.atleast_2d(V.v) for V in Ys], 1)[:, :, None])
+    Xf = VectorField.extension(structure, X.v[:, None, None])
+    Yf = VectorField.extension(structure, np.stack([V.v for V in Ys], 1)[:, :, None])
     b = max(1, max(connections.CURVATURE_CHUNK, d * d) // (J * d))
     S = np.zeros((len(y), J, 1))  # 0 + t_0 + t_1 + ..., folded block by block
     for k in range(0, d, b):  # the rows e_k .. e_{k+b-1} of the identity
@@ -285,7 +289,7 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
         t = _fused_pass(structure, kind, [(Ef, Xf, Yf, Ef)], y, scheme)[0]
         for i in range(t.shape[2]):
             S = S + t[:, :, i]
-    S = list(S.swapaxes(0, 1)) if X.v.ndim > 1 else [float(v) for v in S[0, :, 0]]
+    S = list(S.swapaxes(0, 1))
     return S if isinstance(Y, list) else S[0]
 
 
@@ -293,15 +297,10 @@ def ricci(structure, kind: ConnectionKind, X: TangentVector, Y: TangentVector,
 # sectional curvatures
 # ============================================================
 
-def _pow(v, k):
-    """v ** k with the bits of Python's float power on every row (numpy's
-    ``**`` differs in the last bit on some values); a float stays a float."""
-    p = np.float_power(v, k)
-    return p if np.ndim(p) else float(p)
-
-
-def _gram(X: TangentVector, Y: TangentVector):
-    return dot(X.v, X.v) * dot(Y.v, Y.v) - _pow(dot(X.v, Y.v), 2)
+# np.float_power, not numpy's ``**``, which differs from Python's float
+# power in the last bit on some values: float_power has its bits on every row
+def _gram(Xv, Yv):
+    return dot(Xv, Xv) * dot(Yv, Yv) - np.float_power(dot(Xv, Yv), 2)
 
 
 def _signed(value):
@@ -310,18 +309,17 @@ def _signed(value):
     return {"+1": value, "-1": -value}
 
 
-def _plane(structure, X, Y):
+def _plane(structure, Xv, Yv):
     """The pattern of R4(X,Y,X,Y) = g(R(X,Y)Y, X) on the extensions of the
-    vectors, and the plane value r -> -r / gram of its value r.  No row may
-    let the Gram determinant vanish."""
-    X._check_same_base(Y)
-    g = _gram(X, Y)
+    rows Xv, Yv, and the plane value r -> -r / gram of its value r.  No row
+    may let the Gram determinant vanish."""
+    g = _gram(Xv, Yv)
     gs = np.ravel(g)
     bad = gs <= 1e-10
     if bad.any():
         raise DegenerateInputError(
             f"the two vectors do not span a plane (Gram determinant {gs[bad][0]:.3e})")
-    Xf, Yf = (VectorField.extension(structure, V) for V in (X, Y))
+    Xf, Yf = (VectorField.extension(structure, v) for v in (Xv, Yv))
     return (Xf, Yf, Yf, Xf), lambda r: -r / g
 
 
@@ -331,16 +329,18 @@ def _require_unit(X):
         raise PreconditionError("X must have unit length")
 
 
+@on_stacks
 def sectional(structure, X, Y, scheme=EXACT_FORWARD):
     """The round-metric plane value of span{X, Y}, taken literally:
     -R4(X,Y,X,Y) / gram, which is -1 on every round plane.  Callers
     multiply by the report's measured ``plane-normalization`` sign, the
     one that makes round planes measure +1.
     """
-    plane, value = _plane(structure, X, Y)
+    plane, value = _plane(structure, X.v, Y.v)
     return value(_fused_pass(structure, LC, [plane], X.base.x, scheme)[0])
 
 
+@on_stacks
 def holomorphic_sectional_bar(structure, alpha, X, scheme=EXACT_FORWARD):
     """The adapted-connection curvature R4-bar(X, phi_a X, X, phi_a X)
     for a unit distribution vector X: the adapted plane value under the
@@ -371,6 +371,7 @@ def _cor_xxx(structure, X):
 # verifiers
 # ============================================================
 
+@on_stacks
 def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     """Residual table for the plane-comparison polynomial on the plane
     span{X, phi_a X} for a unit vector X (arbitrary Reeb content).
@@ -391,17 +392,16 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
     # holds: held for all rows, it would grow the suite's peak with them
     planes = {HC: [], LC: []}
     for y, Xv in structure.chunks(X.base.x, X.v):
-        x = SpherePoint(y)
-        plane, value = _plane(structure, TangentVector(x, Xv),
-                              TangentVector(x, structure.phi_raw(alpha, Xv, y)))
+        plane, value = _plane(structure, Xv, structure.phi_raw(alpha, Xv, y))
         for kind, v in planes.items():
             v.append(value(_fused_pass(structure, kind, [plane], y, scheme)[0]))
     kbar, k = (_signed(v[0] if len(v) == 1 else np.concatenate(v))
                for v in planes.values())
     b, c = (i for i in (1, 2, 3) if i != alpha)
     eb, ec = (structure.eta_raw(i, X.v, X.base.x) for i in (b, c))
-    poly = (3.0 + 4.0 * _pow(eb * ec, 2) + 6.0 * (_pow(eb, 4) + _pow(ec, 4))
-            - 8.0 * (_pow(eb, 2) + _pow(ec, 2)))
+    pw = np.float_power  # as in _gram
+    poly = (3.0 + 4.0 * pw(eb * ec, 2) + 6.0 * (pw(eb, 4) + pw(ec, 4))
+            - 8.0 * (pw(eb, 2) + pw(ec, 2)))
     predicted = {ck: Kc + poly for ck, Kc in k.items()}
     return {
         "eta_components": [eb, ec],
@@ -414,6 +414,7 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
 _SYMMETRY_KEYS = ("XYZW", "YXZW", "XYWZ", "ZWXY", "YZWX", "ZXWY")
 
 
+@on_stacks
 def verify_symmetries(structure, quad, tol=1e-6, scheme=EXACT_FORWARD):
     """Residuals of the four quadrilinear symmetry families of the
     adapted curvature on distribution arguments.
@@ -424,10 +425,9 @@ def verify_symmetries(structure, quad, tol=1e-6, scheme=EXACT_FORWARD):
     quadrilinear values come from one nested pass per chunk.
     """
     x, *args = quad
-    args[0]._check_same_base(*args[1:], x)
     values = _fused_pass(structure, HC, _symmetry_patterns(structure, args),
                          x.x, scheme)
-    return [r for r in build_records("curvature", len(np.atleast_2d(x.x)),
+    return [r for r in build_records("curvature", len(x.x),
                                      _symmetry_residuals(values), (tol, tol))
             if r.id.startswith("curvature.sym_")]
 

@@ -96,6 +96,12 @@ _CLI_STREAM = 98         # spawn-key lane for the curvature subcommand
 # configuration
 # ============================================================
 
+def _count(name, v, low=0, word="non-negative"):
+    """Reject ``v`` unless it is an integer (see ``is_count``) of at least ``low``."""
+    if not is_count(v) or v < low:
+        raise StructuralError(f"{name} must be a {word} integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     n: int = 1
@@ -109,9 +115,7 @@ class RunConfig:
     def __post_init__(self):
         for name, low, word in (("n", 0, "non-negative"), ("points", 1, "positive"),
                                 ("seed", 0, "non-negative")):
-            v = getattr(self, name)
-            if not is_count(v) or v < low:
-                raise StructuralError(f"{name} must be a {word} integer, got {v!r}")
+            _count(name, getattr(self, name), low, word)
         if not (0.0 < self.tol_first <= self.tol_second < np.inf):
             raise StructuralError(
                 f"tolerances must be finite with 0 < tol_first <= tol_second, got "
@@ -222,8 +226,10 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
 
     Each entry records the selected value, the residual it leaves, and a
     plain statement of what the value means.  Resolution happens on a
-    dedicated sampling lane so it never perturbs suite draws.
+    dedicated sampling lane so it never perturbs suite draws.  The seed
+    is a non-negative integer, as ``RunConfig``'s (else ``StructuralError``).
     """
+    _count("seed", seed)
     rng = _stream(seed, _CONVENTION_STREAM, 0)
     x = sample_point(structure, rng)
     u = sample_unit_tangent(structure, x, rng)
@@ -231,7 +237,7 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
     w = v.v - dot(v.v, u.v) * u.v
     v = TangentVector(x, w / norm(w))
     # u, v orthonormal; _plane rejects a vanishing Gram determinant
-    (Uf, Vf, _, _), plane_value = _plane(structure, u, v)
+    (Uf, Vf, _, _), plane_value = _plane(structure, u.v, v.v)
 
     d_xi = cov_deriv(LC, Uf, VectorField.reeb(structure, 1), x, scheme)
     phi_u = structure.phi_raw(1, u.v, x.x)
@@ -260,9 +266,11 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
 
 def _choose(value, residual, other, meaning):
     """A convention entry: the sign ``value`` when its residual is at most
-    ``other``, the residual of the opposite sign, else that sign."""
+    ``other``, the residual of the opposite sign, else that sign (each
+    residual one row, shape (1,))."""
+    residual, other = residual.item(), other.item()
     return {"value": value if residual <= other else f"{-int(value):+d}",
-            "residual": float(min(residual, other)), "meaning": meaning}
+            "residual": min(residual, other), "meaning": meaning}
 
 
 def selected_plane_convention(conventions):
@@ -557,8 +565,8 @@ def _suite_sectional(s, cfg, conventions):
     # one nested pass per connection and chunk: round, the two spans of each
     # sample, the phi_a-planes of each Xh and the cross identity; adapted,
     # the holomorphic values of each Xh and the cross identity
-    planes = [_plane(s, *pair) for pair in ((Xt, Yt), (U, V), *(
-        (Xh, TangentVector(x, s.phi_raw(a, Xh.v, x.x))) for a in (1, 2, 3)))]
+    planes = [_plane(s, *pair) for pair in ((Xt.v, Yt.v), (U.v, V.v), *(
+        (Xh.v, s.phi_raw(a, Xh.v, x.x)) for a in (1, 2, 3)))]
     cor = _cor_xxx(s, Xh)
     hc = _fused_pass(s, HC, [_holomorphic(s, a, Xh) for a in (1, 2, 3)] + [cor],
                      x.x, cfg.scheme)
@@ -789,8 +797,7 @@ def _resolve_seed(cli_seed):
         seed = int(env) if env else cli_seed
     except ValueError:
         raise StructuralError(f"HKC_SEED must be an integer, got {env!r}")
-    if seed < 0:
-        raise StructuralError(f"seed must be a non-negative integer, got {seed!r}")
+    _count("seed", seed)
     return seed
 
 

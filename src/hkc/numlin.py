@@ -11,7 +11,9 @@ A point or a direction may also be a stack of vectors along leading
 axes (vector-mode forward differentiation): ``dot``, ``norm``,
 ``matvec`` and ``gram_schmidt`` act on the last axis, so one evaluation
 carries a value and a derivative per stacked row, each with the bits of
-its one-row call.
+its one-row call.  A reduction keeps its axis: ``dot`` and ``norm`` give
+shape ``(..., 1)``, ``(1,)`` for one row, which broadcasts against the
+vectors it scales.
 """
 
 from __future__ import annotations
@@ -127,37 +129,36 @@ def leafmap(f, v):
 
 def dot(u, v):
     """Euclidean inner product over the last axis, bilinear through any
-    nesting of duals.  Two 1-D (or scalar) leaves give a float; a stack
-    of vectors on either side gives shape ``(..., 1)``, which broadcasts
-    against vectors.  A stacked leaf is one ``np.vecdot``: one BLAS dot
-    per row, each with the bits of ``np.dot`` on that row, in any layout."""
+    nesting of duals: shape ``(..., 1)``, ``(1,)`` for two vectors, which
+    broadcasts against vectors.  A leaf is one ``np.vecdot``: one BLAS dot
+    per row, each with the bits of ``np.dot`` on that row, in any layout.
+    A Python-scalar leaf, as in a hand-built dual, is a vector of one
+    entry."""
     if isinstance(u, Dual):
         return Dual(dot(u.val, v.val if isinstance(v, Dual) else v),
                     dot(u.dot, v.val if isinstance(v, Dual) else v)
                     + (dot(u.val, v.dot) if isinstance(v, Dual) else 0.0))
     if isinstance(v, Dual):
         return Dual(dot(u, v.val), dot(u, v.dot))
-    if getattr(u, "ndim", 0) > 1 or getattr(v, "ndim", 0) > 1:
+    try:
         return np.vecdot(u, v)[..., None]
-    return float(np.dot(u, v))
+    except ValueError:  # no last axis: a scalar (else the mismatch raises again)
+        return np.vecdot([u], [v])[..., None]
 
 
 def matvec(M, v):
-    """Apply a constant matrix to a vector, a stack of vectors (last
-    axis), or a dual of either.  A stack is one matrix-vector product per
+    """Apply a constant matrix to each row of a vector or a stack of them
+    (last axis), or of a dual of either: one matrix-vector product per
     row, so each row has the bits of ``M @ row`` (layout: see :func:`dot`)."""
     if isinstance(v, Dual):
         return Dual(matvec(M, v.val), matvec(M, v.dot))
-    if v.ndim > 1:
-        return np.matmul(M, v[..., None])[..., 0]
-    return M @ v
+    return np.matmul(M, v[..., None])[..., 0]
 
 
 def norm(u):
-    """Euclidean length over the last axis, per row as in :func:`dot`: a
-    float for one vector, shape ``(..., 1)`` for a stack."""
-    sq = dot(u, u)
-    return np.sqrt(sq) if isinstance(sq, np.ndarray) else float(np.sqrt(sq))
+    """Euclidean length over the last axis, per row as in :func:`dot`:
+    shape ``(..., 1)``."""
+    return np.sqrt(dot(u, u))
 
 
 def _all_finite(obj):
@@ -220,8 +221,8 @@ def derivative_of(values, x, v, scheme=EXACT_FORWARD):
     if not isinstance(x, Dual) and not isinstance(v, Dual) and not _all_finite(out):
         raise NumericError(
             f"directional derivative produced non-finite values "
-            f"(scheme={scheme.kind}, |x|={norm(x.ravel()):.3e}, "
-            f"|v|={norm(v.ravel()):.3e})")
+            f"(scheme={scheme.kind}, |x|={norm(x.ravel())[0]:.3e}, "
+            f"|v|={norm(v.ravel())[0]:.3e})")
     return out
 
 

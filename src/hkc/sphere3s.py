@@ -20,6 +20,8 @@ Validation happens where a value enters: :class:`SpherePoint` and
 check unit length and tangency of every row on construction.  The typed
 operations of ``connections`` and ``curvature`` take and return them; a
 stack in gives a stack out, row for row with the bits of one-row calls.
+Below them everything runs on stacks: :func:`on_stacks` lifts one row to
+a stack of one on entry and unwraps the result on exit.
 
 ``reeb_all_raw`` and ``phi_all_raw`` give all three structures at once
 (alpha on axis -2).  A triple with one entry +-1 per row (the round model)
@@ -27,6 +29,8 @@ is a gather of the blocks read, no BLAS call; any other, a dense product.
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 import numpy as np
 
@@ -54,6 +58,54 @@ EVEN_PERMUTATIONS = ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 # ============================================================
 # points and tangent vectors
 # ============================================================
+
+def _each(f, a):
+    """``f`` on each leaf of ``a`` through lists, tuples (a named tuple
+    stays one) and dicts."""
+    if isinstance(a, dict):
+        return {k: _each(f, v) for k, v in a.items()}
+    if not isinstance(a, (list, tuple)):
+        return f(a)
+    items = [_each(f, b) for b in a]
+    return a._make(items) if hasattr(a, "_make") else type(a)(items)
+
+
+def on_stacks(op):
+    """``op``, a typed operation on stacks, also on one row.  The points
+    and tangent vectors among the arguments (in lists and tuples too) must
+    be at one point (else ``StructuralError``), of the ambient dimension of
+    the structure among them, itself or a field's.  One row enters as a
+    stack of one, and the result leaves as one row: a tangent vector at the
+    caller's point, a float for a value of one entry, else the row."""
+    @wraps(op)
+    def typed(*args, **kwargs):
+        s = next((t for a in args for t in (a, getattr(a, "structure", None))
+                  if isinstance(t, ThreeSasakiStructure)), None)
+        at = []  # the point, and its stack of one if it is one row
+
+        def lift(a):
+            x = getattr(a, "base", a)
+            if not isinstance(x, SpherePoint):
+                return a
+            if not at:
+                if s is not None and x.x.shape[-1] != s.ambient_dim:
+                    raise StructuralError(f"a point of dimension {x.x.shape[-1]} for a "
+                                          f"structure of ambient dimension {s.ambient_dim}")
+                at[:] = x, SpherePoint(x.x[None]) if x.x.ndim == 1 else None
+            elif not (x is at[0] or at[0].same_as(x)):
+                raise StructuralError("tangent vectors live at different base points")
+            p = at[1]
+            return a if p is None else p if a is x else TangentVector(p, a.v[None])
+
+        args, kwargs = _each(lift, (args, kwargs))
+        out = op(*args, **kwargs)
+        if not at or at[1] is None:
+            return out
+        return _each(lambda v: TangentVector(at[0], v.v[0]) if isinstance(v, TangentVector)
+                     else (v.item() if v.size == 1 else v[0]) if isinstance(v, np.ndarray)
+                     else v, out)
+    return typed
+
 
 class _Frozen:
     """Fields set once, in ``__init__``: assigning or deleting one raises
@@ -89,6 +141,9 @@ class SpherePoint(_Frozen):
     def normalized(cls, coords):
         coords = np.asarray(coords, dtype=float)
         r = norm(coords)
+        bad = ~np.isfinite(r)
+        if bad.any():  # before the division, which would warn
+            raise StructuralError(f"point norm {float(r[bad][0])!r} is not finite")
         if np.any(r < 1e-12):
             raise DegenerateInputError("cannot normalize the zero vector")
         return cls(coords / r)
@@ -108,7 +163,8 @@ class TangentVector(_Frozen):
         v = np.asarray(v, dtype=float)
         if v.shape != base.x.shape:
             raise StructuralError("tangent vector has wrong ambient dimension")
-        r = np.abs(np.ravel(dot(v, base.x)))
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite: caught below
+            r = np.abs(np.ravel(dot(v, base.x)))
         bad = ~(r <= TANGENT_TOL)
         if bad.any():
             raise StructuralError(f"vector is not tangent: <v, x> = "
@@ -116,12 +172,9 @@ class TangentVector(_Frozen):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "v", v)
 
+    @on_stacks
     def norm(self):
         return norm(self.v)
-
-    def _check_same_base(self, *others):  # tangent vectors, or points
-        if not all(self.base.same_as(getattr(V, "base", V)) for V in others):
-            raise StructuralError("tangent vectors live at different base points")
 
 
 # ============================================================
@@ -264,11 +317,9 @@ class ThreeSasakiStructure:
 
     def chunks(self, y, *vs):
         """``(y, *vs)`` in chunks of ``connections.CURVATURE_CHUNK // d`` rows
-        of the stack ``y`` (None stays None; one row is one chunk), which
-        bound the working set of a :meth:`maps` table."""
+        of the stack ``y`` (None stays None), which bound the working set of
+        a :meth:`maps` table."""
         from .connections import CURVATURE_CHUNK  # built on this module
-        if y.ndim < 2:
-            return [(y, *vs)]
         step = max(1, CURVATURE_CHUNK // self.ambient_dim)
         return [tuple(None if a is None else a[i:i + step] for a in (y, *vs))
                 for i in range(0, len(y), step)]
@@ -285,6 +336,7 @@ class ThreeSasakiStructure:
 
     # ---------------- frames ----------------
 
+    @on_stacks
     def frame_H(self, x, seed):
         """Deterministic orthonormal basis of H at ``x``: a tuple of 4n
         tangent vectors, each a stack if ``x`` is (row i of each is the
@@ -298,12 +350,13 @@ class ThreeSasakiStructure:
         """
         rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1)]))
         w = rng.standard_normal((self.h_dim, self.ambient_dim))
-        # all 4n draws projected at once, each at every point
+        # all 4n draws projected at once, each at every point (axis 1)
         return tuple(TangentVector(x, v) for v in gram_schmidt(
-            self.project_h_raw(np.expand_dims(w, tuple(range(1, x.x.ndim))), x.x)))
+            self.project_h_raw(w[:, None], x.x)))
 
     # ---------------- derived tensors ----------------
 
+    @on_stacks
     def h_tensor(self, alpha, beta, X, scheme=EXACT_FORWARD):
         """Half the Lie derivative of phi_beta along xi_alpha, applied to X
         through its canonical extension (tensorial in X): one bracket pass."""
@@ -314,6 +367,7 @@ class ThreeSasakiStructure:
 
     # ---------------- axiom checking ----------------
 
+    @on_stacks
     def check_structure_axioms(self, sample, tol=1e-9):
         """Evaluate every pointwise structure axiom at the given sample
         points.  Returns one record per axiom family; failures are data,
@@ -324,8 +378,7 @@ class ThreeSasakiStructure:
         or a stack; vectors at another point raise ``StructuralError``.
         """
         x, X, Y = sample
-        X._check_same_base(Y, x)
-        return build_records("axioms", len(np.atleast_2d(x.x)),
+        return build_records("axioms", len(x.x),
                              self._axiom_residuals(x, X, Y), (tol, tol))
 
     def _axiom_residuals(self, x, X, Y):

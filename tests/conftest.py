@@ -47,6 +47,12 @@ def stack_rows(rows):
     return tuple(stack(col) for col in zip(*rows))
 
 
+def stacked(x):
+    """A point as a stack, one row as a stack of one: the engine below the
+    typed operations takes stacks only."""
+    return x if x.x.ndim > 1 else SpherePoint(x.x[None])
+
+
 def row(value, i):
     """Row i of a stacked point or tangent vector, as a one-row value."""
     if isinstance(value, SpherePoint):

@@ -28,6 +28,7 @@ from hkc.connections import (
 )
 from hkc import connections
 from hkc.sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
+from conftest import stacked
 
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
@@ -346,7 +347,7 @@ def test_first_derivative_defect_small_and_sign_sensitive(struct, rng):
     x = rand_point(struct, rng)
     X = rand_field(struct, x, rng)
     Y = rand_field(struct, x, rng)
-    defect = lambda a, X, Y, x: norm(_at(_sasaki_plan(a, X, Y), x, EXACT_FORWARD))
+    defect = lambda a, X, Y, x: norm(_at(_sasaki_plan(a, X, Y), stacked(x), EXACT_FORWARD))
     for a in (1, 2, 3):
         assert defect(a, X, Y, x) < 1e-12
     # flipped orientation: for X = Y unit the defect has norm 2 exactly
@@ -454,7 +455,7 @@ def test_phi_parallel_on_h(struct, rng):
     Y = rand_field(struct, x, rng, in_h=True)
     # the inputs forced into H by projection, as the connection suite's are
     defect = lambda a, X, Y: norm(_at(_phi_parallel_plan(a, X.project_H(), Y.project_H()),
-                                      x, EXACT_FORWARD))
+                                      stacked(x), EXACT_FORWARD))
     for a in (1, 2, 3):
         assert defect(a, X, Y) < 1e-11
         assert defect(a, X, X.phi(a)) < 1e-11

@@ -51,7 +51,7 @@ from hkc import harness
 from hkc.harness import _SUITE_FUNCS, RunConfig, cross_check_families, resolve_conventions
 from hkc.sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
 
-from conftest import rotated, row, stack, stack_rows
+from conftest import rotated, row, stack, stack_rows, stacked
 
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
@@ -547,9 +547,9 @@ _TYPED = (
     lambda a, X, Y, Z, x: lie_bracket(X, Y, x),
     *(lambda a, X, Y, Z, x, k=k: cov_deriv(k, X, Y, x) for k in (LC, HC)),
     *(lambda a, X, Y, Z, x, k=k: torsion(k, X, Y, x) for k in (LC, HC)),
-    lambda a, X, Y, Z, x: _at(_sasaki_plan(a, X, Y), x, EXACT_FORWARD),
+    lambda a, X, Y, Z, x: _at(_sasaki_plan(a, X, Y), stacked(x), EXACT_FORWARD),
     lambda a, X, Y, Z, x: _at(_phi_parallel_plan(a, X.project_H(), Y.project_H()),
-                              x, EXACT_FORWARD),
+                              stacked(x), EXACT_FORWARD),
     lambda a, X, Y, Z, x: h_form_gap(X, Y, x),
     *(lambda a, X, Y, Z, x, k=k: curvature(k, X, Y, Z, x) for k in (LC, HC)),
 )
@@ -597,6 +597,63 @@ def test_typed_operations_on_stacks_have_the_bits_of_one_row_calls(dense, specs,
                     want = value(op(alpha, *(field(k, i) for k in range(3)),
                                     SpherePoint(x.x[i])))
                     assert got[i].tobytes() == want.tobytes(), (op, i)
+
+
+# every typed operation: (structure, point, four unit vectors in H at it,
+# three fields of the structure) -> its value
+_ALL_TYPED = {
+    "lie_bracket": lambda s, x, V, F: lie_bracket(F[0], F[1], x),
+    "cov_deriv": lambda s, x, V, F: cov_deriv(HC, F[0], F[1], x),
+    "torsion": lambda s, x, V, F: torsion(HC, F[0], F[1], x),
+    "h_form_gap": lambda s, x, V, F: h_form_gap(F[0], F[1], x),
+    "curvature": lambda s, x, V, F: curvature(HC, *F, x),
+    "ricci": lambda s, x, V, F: ricci(s, HC, V[0], V[1]),
+    "sectional": lambda s, x, V, F: sectional(s, V[0], V[1]),
+    "holomorphic_sectional_bar": lambda s, x, V, F: holomorphic_sectional_bar(s, 1, V[0]),
+    "theorem_sec_data": lambda s, x, V, F: theorem_sec_data(s, 1, V[0]),
+    "verify_symmetries": lambda s, x, V, F: verify_symmetries(s, (x, *V)),
+    "rbar_algebraic": lambda s, x, V, F: rbar_algebraic(s, *V[:3]),
+    "rbar_difference_tensor": lambda s, x, V, F: rbar_difference_tensor(s, *V[:3]),
+    "rbar_quaternionic_projective":
+        lambda s, x, V, F: rbar_quaternionic_projective(s, *V[:3]),
+    "two_route_gap_form": lambda s, x, V, F: two_route_gap_form(s, *V[:3]),
+    "cross_check_rbar": lambda s, x, V, F: cross_check_rbar(s, (x, *V[:3])),
+    "frame_H": lambda s, x, V, F: s.frame_H(x, 0),
+    "h_tensor": lambda s, x, V, F: s.h_tensor(1, 2, V[0]),
+    "check_structure_axioms": lambda s, x, V, F: s.check_structure_axioms((x, *V[:2])),
+}
+
+
+@pytest.mark.parametrize("name", _ALL_TYPED)
+def test_typed_operations_check_dimension_and_point_where_they_enter(name):
+    # n = 1 fields at an n = 2 point, or n = 2 vectors given to an n = 1
+    # structure, one row or a stack, raise StructuralError before numpy
+    # sees them; so does a second vector at another point
+    op, s = _ALL_TYPED[name], ThreeSasakiStructure(n=1)
+    rng = np.random.default_rng(3)
+    F = [VectorField.reeb(s, 1), VectorField.extension(s, rng.standard_normal(8)),
+         VectorField.reeb(s, 2).phi(3)]
+
+    def unit_h(t, x):
+        v = t.project_h_raw(rng.standard_normal(x.x.shape), x.x)
+        return TangentVector(x, v / norm(v))
+
+    for n, points in ((1, None), (2, None), (2, 3)):
+        t = ThreeSasakiStructure(n=n)
+        x = SpherePoint.normalized(rng.standard_normal(
+            (points, t.ambient_dim) if points else t.ambient_dim))
+        V = [unit_h(t, x) for _ in range(4)]
+        if n > 1:
+            with pytest.raises(StructuralError, match="dimension"):
+                op(s, x, V, F)
+            continue
+        op(s, x, V, F)  # it runs where the dimensions agree
+        V[1] = unit_h(t, SpherePoint.normalized(rng.standard_normal(8)))
+        if name in ("ricci", "sectional", "verify_symmetries", "rbar_algebraic",
+                    "rbar_difference_tensor", "rbar_quaternionic_projective",
+                    "two_route_gap_form", "cross_check_rbar", "check_structure_axioms"):
+            with pytest.raises(StructuralError, match="different base points"):
+                op(s, x, V, F)
 
 
 def _leaves(v):
@@ -665,13 +722,12 @@ def test_one_row_fused_values_are_floats_of_separate_bits(monkeypatch, n):
     fields = [VectorField.extension(s, V) for V in (X, Y, Z)]
     assert curvature(HC, *fields, x).v.shape == (s.ambient_dim,)
     assert len(calls) == 7
+    # below the typed operations every pass runs the one row as a stack of one
     for *args, patterns, y, scheme, out in calls:
+        assert y.shape[0] == 1 and y.ndim in (2, 4)  # the trace's: (1, 1, 1, d)
         for p, v in zip(patterns, out):
             want = _separate(*args, p, y, scheme)
-            if isinstance(want, float):
-                assert type(v) is float and v.hex() == want.hex()
-            else:  # curvature rows, or the trace, which runs one row as a stack of one
-                assert v.shape == want.shape and v.tobytes() == want.tobytes()
+            assert v.shape == want.shape and v.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, budget, points", [(1, 160, 10), (16, None, 2)])
@@ -1048,9 +1104,9 @@ def test_stacked_rows_equal_one_at_a_time_calls(n):
     assert_rows_match_calls(lambda x, X, Y: h_form_gap(ext(X), ext(Y), x), x, X, Y)
     for a in (1, 2, 3):
         assert_rows_match_calls(lambda x, X, Y: _at(
-            _sasaki_plan(a, ext(X), ext(Y)), x, EXACT_FORWARD), x, X, Y)
+            _sasaki_plan(a, ext(X), ext(Y)), stacked(x), EXACT_FORWARD), x, X, Y)
         assert_rows_match_calls(lambda x, X, Y: _at(_phi_parallel_plan(
-            a, ext(X).project_H(), ext(Y).project_H()), x, EXACT_FORWARD), x, Xh, Yh)
+            a, ext(X).project_H(), ext(Y).project_H()), stacked(x), EXACT_FORWARD), x, Xh, Yh)
         for b in (1, 2, 3):
             assert_rows_match_calls(lambda X: s.h_tensor(a, b, X), X)
 

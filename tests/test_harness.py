@@ -107,6 +107,15 @@ def test_config_validation():
             RunConfig(tol_first=tols[0], tol_second=tols[1])
 
 
+def test_resolve_conventions_takes_its_seed_under_the_config_rule():
+    # -1 reached numpy's SeedSequence (ValueError) and 1.5 ran as seed 1
+    s = ThreeSasakiStructure(n=1)
+    for bad in (-1, 1.5, np.float64(2), True):
+        with pytest.raises(StructuralError, match="seed must be a non-negative integer"):
+            resolve_conventions(s, bad)
+    assert resolve_conventions(s, np.int64(1)) == resolve_conventions(s, 1)
+
+
 def test_config_run_order_follows_suite_order():
     cfg = RunConfig(suites=("ricci", "axioms"))
     assert cfg.run_order() == ("axioms", "ricci")

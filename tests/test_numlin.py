@@ -75,11 +75,14 @@ def test_matvec_passes_through_duals():
 
 
 def test_dot_accepts_python_scalar_leaves():
+    # a scalar leaf is a vector of one entry, so each leaf is shape (1,)
     u = Dual(Dual(1.0, 2.0), Dual(3.0, 4.0))
     s = dot(u, u)
     # (a + b e1 + c e2 + d e1 e2)^2 with a, b, c, d = 1, 2, 3, 4
-    assert (s.val.val, s.val.dot, s.dot.val, s.dot.dot) == (1.0, 4.0, 6.0, 20.0)
-    assert dot(2.0, 3.5) == 7.0
+    leaves = (s.val.val, s.val.dot, s.dot.val, s.dot.dot)
+    assert [v.shape for v in leaves] == [(1,)] * 4
+    assert np.array_equal(np.concatenate(leaves), [1.0, 4.0, 6.0, 20.0])
+    assert dot(2.0, 3.5).shape == (1,) and dot(2.0, 3.5)[0] == 7.0
 
 
 @pytest.mark.parametrize("m", [3, 8])
@@ -92,8 +95,9 @@ def test_stacked_dot_and_matvec_match_rows(m):
     U = rng.standard_normal((m, d))
     V = rng.standard_normal((m, d))
     w = rng.standard_normal(d)
-    # unstacked operands keep their plain numpy evaluation
-    assert dot(w, w) == float(np.dot(w, w))
+    # one row is a stack of one: a reduction keeps its axis, with the bits
+    # of the plain numpy evaluation
+    assert dot(w, w).shape == (1,) and dot(w, w)[0] == np.dot(w, w)
     assert np.array_equal(matvec(M, w), M @ w)
     # each stacked row has the bits of its unstacked evaluation, also for
     # a dense matrix, where the summation order shows in the last bits
@@ -107,8 +111,8 @@ def test_stacked_dot_and_matvec_match_rows(m):
     NU = norm(U)
     assert NU.shape == (m, 1)
     for got, u in zip(NU[:, 0], U):
-        assert got == norm(u) == np.linalg.norm(u)
-    assert type(norm(w)) is float
+        assert got == norm(u)[0] == np.linalg.norm(u)
+    assert norm(w).shape == (1,)
     MU = matvec(M, U)
     assert MU.shape == (m, d)
     for row, u in zip(MU, U):

@@ -10,6 +10,7 @@ from hkc.sphere3s import (
     TangentVector,
     ThreeSasakiStructure,
 )
+from hkc.connections import VectorField
 
 from conftest import rotated, stack_rows
 
@@ -101,6 +102,13 @@ def test_non_finite_values_fail_the_edge_checks():
     p = SpherePoint(np.eye(4)[0])
     with pytest.raises(StructuralError, match="= nan "):
         TangentVector(p, np.array([0.0, np.nan, 0.0, 0.0]))
+    # rejected where they enter, before a division or a dot that would warn
+    with pytest.raises(StructuralError, match="point norm inf is not finite"):
+        SpherePoint.normalized(np.full(8, np.inf))
+    with pytest.raises(StructuralError, match="= inf "):
+        TangentVector(SpherePoint.normalized(np.ones(8)), np.full(8, 1e308))
+    with pytest.raises(StructuralError, match="not finite"):
+        VectorField.extension(ThreeSasakiStructure(n=1), np.full(8, np.inf))
 
 
 def test_an_empty_stack_of_points_is_rejected_where_it_enters():

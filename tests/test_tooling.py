@@ -72,6 +72,17 @@ def test_every_private_module_name_is_read_elsewhere():
     assert dead == []
 
 
+def test_the_engine_calls_no_float():
+    # below the typed operations one row is a stack of one, so the engine
+    # has no one-row path that makes a Python float of a value: such a
+    # float() drops what a float cannot hold (extended precision, or the
+    # imaginary part of a complex step)
+    calls = [f"{name}:{node.lineno}" for name in ("numlin.py", "connections.py", "curvature.py")
+             for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"]
+    assert calls == []
+
+
 def _imported_names(tree):
     """Each name an import statement of a module binds (``__future__``
     features aside)."""
