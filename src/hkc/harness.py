@@ -15,7 +15,7 @@ connection, their slot patterns as row blocks, in chunks of samples.
 
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,24 +60,12 @@ from .numlin import (
     is_count,
     norm,
 )
-from .records import SCHEMA, VerificationReport, build_records
+from .records import SCHEMA, VerificationReport, build_records, worst_residuals
 from .sphere3s import (
     EVEN_PERMUTATIONS,
     SpherePoint,
     TangentVector,
     ThreeSasakiStructure,
-)
-
-SUITE_ORDER = (
-    "axioms",
-    "sasaki",
-    "connection",
-    "torsion",
-    "curvature",
-    "cross-check",
-    "ricci",
-    "sectional",
-    "theorem-sec",
 )
 
 _SWEEP_ANGLES = (
@@ -90,57 +78,6 @@ _SWEEP_ANGLES = (
 
 _CONVENTION_STREAM = 97  # spawn-key lane reserved for sign resolution
 _CLI_STREAM = 98         # spawn-key lane for the curvature subcommand
-
-
-# ============================================================
-# configuration
-# ============================================================
-
-def _count(name, v, low=0, word="non-negative"):
-    """Reject ``v`` unless it is an integer (see ``is_count``) of at least ``low``."""
-    if not is_count(v) or v < low:
-        raise StructuralError(f"{name} must be a {word} integer, got {v!r}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    n: int = 1
-    points: int = 25
-    seed: int = 0
-    tol_first: float = 1e-9
-    tol_second: float = 1e-7
-    scheme: DiffScheme = EXACT_FORWARD
-    suites: tuple = SUITE_ORDER
-
-    def __post_init__(self):
-        for name, low, word in (("n", 0, "non-negative"), ("points", 1, "positive"),
-                                ("seed", 0, "non-negative")):
-            _count(name, getattr(self, name), low, word)
-        if not (0.0 < self.tol_first <= self.tol_second < np.inf):
-            raise StructuralError(
-                f"tolerances must be finite with 0 < tol_first <= tol_second, got "
-                f"{self.tol_first!r} and {self.tol_second!r}")
-        if not isinstance(self.scheme, DiffScheme):
-            raise StructuralError("scheme must be a DiffScheme")
-        unknown = [s for s in self.suites if s not in SUITE_ORDER]
-        if unknown:
-            raise StructuralError(f"unknown suites: {unknown}")
-        if not self.suites:
-            raise StructuralError("at least one suite must be requested")
-
-    def run_order(self):
-        return tuple(name for name in SUITE_ORDER if name in self.suites)
-
-    def as_dict(self):
-        return {
-            "n": int(self.n),
-            "points": int(self.points),
-            "seed": int(self.seed),
-            "tol_first": float(self.tol_first),
-            "tol_second": float(self.tol_second),
-            "scheme": {"kind": self.scheme.kind, "step": float(self.scheme.step)},
-            "suites": list(self.run_order()),
-        }
 
 
 # ============================================================
@@ -313,11 +250,11 @@ def _suite_sasaki(s, cfg, conventions):
             yield "sasaki.reeb_bracket", norm(bv - 2.0 * s.reeb_raw(c, y))
             yield "sasaki.reeb_on_reeb", norm(rv - s.reeb_raw(c, y))
             yield "sasaki.reeb_on_reeb", norm(sv)
+        for v in conventions.values():
+            yield "sasaki.conventions", v["residual"]
 
-    info = {"kind": "info", "passed": True, "samples": 1, "details": conventions,
-            "max_residual": max(v["residual"] for v in conventions.values())}
-    return build_records("sasaki", cfg.points, residuals(),
-                         (cfg.tol_first, cfg.tol_second), {"sasaki.conventions": info})
+    return build_records("sasaki", cfg.points, residuals(), (cfg.tol_first, cfg.tol_second),
+                         {"sasaki.conventions": {"samples": 1, "details": conventions}})
 
 
 def _suite_connection(s, cfg, conventions):
@@ -473,10 +410,10 @@ def _suite_cross_check(s, cfg, conventions):
     return build_records("cross-check", cfg.points, residuals(),
                          (cfg.tol_first, cfg.tol_second), {
         "cross_check.gap_structure": {
-            "kind": "info", "samples": 5 * cfg.points,
+            "samples": 5 * cfg.points,
             "details": {
-                "family_residuals": {name: float(np.max(r.residual[rows]))
-                                     for name, rows in zip(families, at)},
+                "family_residuals": worst_residuals(
+                    (name, r.residual[rows]) for name, rows in zip(families, at)),
                 "note": "the difference between the algebraic expansion "
                         "and the differential evaluation is reproduced "
                         "exactly by a closed-form tensor built from the "
@@ -509,7 +446,7 @@ def _suite_ricci(s, cfg, conventions):
         "ricci.einstein_lc": {"details": {"constant": c_lc}},
         "ricci.h_connection": {"details": {"stated_constant": c_claim}},
         "ricci.h_connection_measured": {
-            "kind": "info", "details": {
+            "details": {
                 "measured_constant": float(measured),
                 "stated_constant": c_claim,
                 "note": "the adapted trace on distribution arguments "
@@ -615,29 +552,31 @@ def _suite_theorem_sec(s, cfg, conventions):
     res = theorem_sec_data(s, alpha, _theorem_sec_directions(s, cfg, axis),
                            cfg.scheme)["residual"]
     at = [slice(k * cfg.points, (k + 1) * cfg.points) for k in range(7)]
-    # the worst residual of each combination at each sweep angle
-    sweep = {label: {combo: float(np.max(r[rows])) for combo, r in res.items()}
+    # the worst residual of each combination at each sweep angle, and the
+    # least of them (NaN if any is NaN)
+    sweep = {label: worst_residuals((combo, r[rows]) for combo, r in res.items())
              for (label, _), rows in zip(_SWEEP_ANGLES, at[1:6])}
-    least = [min(row.values()) for row in sweep.values()]
+    least = [np.min([*row.values()]) for row in sweep.values()]
 
     def residuals():
         yield "theorem_sec.h_case", res[combo_sel][at[0]]
+        for m in least:
+            yield "theorem_sec.sweep", m
         yield "theorem_sec.reeb_case", res["+1/+1"][at[6]]
 
     return build_records("theorem-sec", cfg.points, residuals(),
                          (cfg.tol_first, cfg.tol_second), {
         "theorem_sec.h_case": {"details": {"convention_combination": combo_sel}},
         "theorem_sec.sweep": {
-            "kind": "finding", "passed": all(m <= cfg.tol_second for m in least),
-            "max_residual": max(least), "samples": 5 * cfg.points,
+            "samples": 5 * cfg.points,
             "details": {
                 "angles": list(sweep),
                 "residuals": sweep,
                 # the first in the row's order within tolerance of its
-                # least, so that rounding cannot break ties
+                # least, so that rounding cannot break ties; none (null)
+                # at an angle whose least is NaN
                 "best_combination": {label: next(
-                    combo for combo, r in row.items()
-                    if r - m <= cfg.tol_second)
+                    (combo for combo, r in row.items() if r - m <= cfg.tol_second), None)
                     for (label, row), m in zip(sweep.items(), least)},
                 "note": "for mixed directions the measured plane "
                         "value follows 4 - 8 sin^2 t + 4 sin^4 t "
@@ -647,7 +586,7 @@ def _suite_theorem_sec(s, cfg, conventions):
                         "the gap away from the endpoints",
             }},
         "theorem_sec.reeb_case": {
-            "kind": "finding", "details": {
+            "details": {
                 "convention_combination": "+1/+1",
                 "note": "along a pure Reeb axis the two sides agree "
                         "only when both plane measures are taken "
@@ -656,6 +595,7 @@ def _suite_theorem_sec(s, cfg, conventions):
     })
 
 
+# the suites, in run order: a suite's position keys its sampling lane
 _SUITE_FUNCS = {
     "axioms": _suite_axioms,
     "sasaki": _suite_sasaki,
@@ -667,10 +607,62 @@ _SUITE_FUNCS = {
     "sectional": _suite_sectional,
     "theorem-sec": _suite_theorem_sec,
 }
+SUITE_ORDER = tuple(_SUITE_FUNCS)
 
 # a failing or errored foundation skips every later suite, for this reason
 _FOUNDATIONS = {"axioms": "structure axioms did not hold",
                 "sasaki": "first-derivative structure identities did not hold"}
+
+
+# ============================================================
+# configuration
+# ============================================================
+
+def _count(name, v, low=0, word="non-negative"):
+    """Reject ``v`` unless it is an integer (see ``is_count``) of at least ``low``."""
+    if not is_count(v) or v < low:
+        raise StructuralError(f"{name} must be a {word} integer, got {v!r}")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    n: int = 1
+    points: int = 25
+    seed: int = 0
+    tol_first: float = 1e-9
+    tol_second: float = 1e-7
+    scheme: DiffScheme = EXACT_FORWARD
+    suites: tuple = SUITE_ORDER
+
+    def __post_init__(self):
+        for name, low, word in (("n", 0, "non-negative"), ("points", 1, "positive"),
+                                ("seed", 0, "non-negative")):
+            _count(name, getattr(self, name), low, word)
+        if not (0.0 < self.tol_first <= self.tol_second < np.inf):
+            raise StructuralError(
+                f"tolerances must be finite with 0 < tol_first <= tol_second, got "
+                f"{self.tol_first!r} and {self.tol_second!r}")
+        if not isinstance(self.scheme, DiffScheme):
+            raise StructuralError("scheme must be a DiffScheme")
+        unknown = [s for s in self.suites if s not in SUITE_ORDER]
+        if unknown:
+            raise StructuralError(f"unknown suites: {unknown}")
+        if not self.suites:
+            raise StructuralError("at least one suite must be requested")
+
+    def run_order(self):
+        return tuple(name for name in SUITE_ORDER if name in self.suites)
+
+    def as_dict(self):
+        return {
+            "n": int(self.n),
+            "points": int(self.points),
+            "seed": int(self.seed),
+            "tol_first": float(self.tol_first),
+            "tol_second": float(self.tol_second),
+            "scheme": dict(asdict(self.scheme), step=float(self.scheme.step)),
+            "suites": list(self.run_order()),
+        }
 
 
 # ============================================================

@@ -3,8 +3,9 @@
 A record is one verified identity family: an id, an opaque cross-reference
 ``anchor`` token (stable identifiers consumed by downstream tooling), the
 worst residual seen, the tolerance it was held to, and the verdict.
-Each record's anchor and tolerance order are declared once, in
-:data:`IDENTITY_REGISTRY`, whose order is the report order.
+Each record's anchor, tolerance order and kind are declared once, in
+:data:`IDENTITY_REGISTRY`, whose order is the report order, and every
+worst residual and verdict is taken in one place, :func:`build_records`.
 
 Record kinds:
 
@@ -12,7 +13,6 @@ Record kinds:
 * ``info``    - measured quantities reported for the record, never gating.
 * ``finding`` - a documented analysis outcome (e.g. residuals that no
                 convention choice reconciles); never gating.
-* ``skip``    - the suite or case did not run; never gating.
 
 Reports serialize deterministically: sorted keys, floats at 17
 significant digits, no timestamps.  Two runs with identical
@@ -30,81 +30,81 @@ SCHEMA = "hkc-report/1"
 
 
 # ============================================================
-# static identity registry: record id -> (anchor token, tolerance order);
-# order 1 is tol_first, 2 is tol_second, None no tolerance
+# static identity registry: record id -> (anchor token, tolerance order,
+# kind); order 1 is tol_first, 2 is tol_second, None no tolerance
 # ============================================================
 
 IDENTITY_REGISTRY = {
     # structure axioms
-    "axioms.quaternion_products": ("3-structure", 1),
-    "axioms.unit_reeb": ("3-structure", 1),
-    "axioms.phi_square": ("almost-contact", 1),
-    "axioms.eta_reeb": ("almost-contact", 1),
-    "axioms.compat": ("compat", 1),
-    "axioms.omega_skew": ("fundamental-2form", 1),
-    "axioms.reeb_cross": ("3-structure", 1),
-    "axioms.phi_compose": ("3-structure", 1),
-    "axioms.eta_phi": ("3-structure", 1),
-    "axioms.projection": ("splitting", 1),
+    "axioms.quaternion_products": ("3-structure", 1, "check"),
+    "axioms.unit_reeb": ("3-structure", 1, "check"),
+    "axioms.phi_square": ("almost-contact", 1, "check"),
+    "axioms.eta_reeb": ("almost-contact", 1, "check"),
+    "axioms.compat": ("compat", 1, "check"),
+    "axioms.omega_skew": ("fundamental-2form", 1, "check"),
+    "axioms.reeb_cross": ("3-structure", 1, "check"),
+    "axioms.phi_compose": ("3-structure", 1, "check"),
+    "axioms.eta_phi": ("3-structure", 1, "check"),
+    "axioms.projection": ("splitting", 1, "check"),
     # single-structure differential identities
-    "sasaki.defect": ("sasaki-condition", 2),
-    "sasaki.reeb_covariant": ("sas pro", 1),
-    "sasaki.reeb_bracket": ("bracket xi", 1),
-    "sasaki.reeb_on_reeb": ("levi1", 1),
-    "sasaki.conventions": ("sas pro", None),
+    "sasaki.defect": ("sasaki-condition", 2, "check"),
+    "sasaki.reeb_covariant": ("sas pro", 1, "check"),
+    "sasaki.reeb_bracket": ("bracket xi", 1, "check"),
+    "sasaki.reeb_on_reeb": ("levi1", 1, "check"),
+    "sasaki.conventions": ("sas pro", None, "info"),
     # the distribution-adapted connection
-    "connection.two_forms_agree": ("new conn", 1),
-    "connection.metricity": ("new comp.", 1),
-    "connection.reeb_parallel": ("new comp.", 1),
-    "connection.h_preserved": ("new comp.", 1),
-    "connection.bracket3": ("bracket3", 1),
-    "connection.phi_parallel": ("varphi", 2),
-    "connection.h_tensor_table": ("h-table", 1),
+    "connection.two_forms_agree": ("new conn", 1, "check"),
+    "connection.metricity": ("new comp.", 1, "check"),
+    "connection.reeb_parallel": ("new comp.", 1, "check"),
+    "connection.h_preserved": ("new comp.", 1, "check"),
+    "connection.bracket3": ("bracket3", 1, "check"),
+    "connection.phi_parallel": ("varphi", 2, "check"),
+    "connection.h_tensor_table": ("h-table", 1, "check"),
     # torsion
-    "torsion.lc_zero": ("torsion", 1),
-    "torsion.h_pair": ("torsion", 1),
-    "torsion.mixed": ("torsion", 1),
-    "torsion.reeb_pair": ("torsion", 1),
+    "torsion.lc_zero": ("torsion", 1, "check"),
+    "torsion.h_pair": ("torsion", 1, "check"),
+    "torsion.mixed": ("torsion", 1, "check"),
+    "torsion.reeb_pair": ("torsion", 1, "check"),
     # curvature of both connections
-    "curvature.oracle_gate": ("cur1", 2),
-    "curvature.reeb_curvature_lc": ("sas pro", 2),
-    "curvature.annihilation_last": ("curvature", 2),
-    "curvature.annihilation_middle": ("curvature1", 2),
-    "curvature.annihilation_pair": ("curvature1", 2),
-    "curvature.sym_first_pair": ("cur pro", 2),
-    "curvature.sym_last_pair": ("cur pro", 2),
-    "curvature.sym_pair_swap": ("curvature2", 2),
-    "curvature.sym_bianchi": ("curvature2", 2),
+    "curvature.oracle_gate": ("cur1", 2, "check"),
+    "curvature.reeb_curvature_lc": ("sas pro", 2, "check"),
+    "curvature.annihilation_last": ("curvature", 2, "check"),
+    "curvature.annihilation_middle": ("curvature1", 2, "check"),
+    "curvature.annihilation_pair": ("curvature1", 2, "check"),
+    "curvature.sym_first_pair": ("cur pro", 2, "check"),
+    "curvature.sym_last_pair": ("cur pro", 2, "check"),
+    "curvature.sym_pair_swap": ("curvature2", 2, "check"),
+    "curvature.sym_bianchi": ("curvature2", 2, "check"),
     # algebraic vs differential curvature routes
-    "cross_check.pure_h": ("cur1 2", 2),
-    "cross_check.reeb_last": ("cur1 2", 2),
-    "cross_check.reeb_pairs": ("cur1 2", 2),
-    "cross_check.single_reeb": ("cur1 2", 2),
-    "cross_check.generic": ("cur1 2", 2),
-    "cross_check.gap_structure": ("cur1 2", 1),
+    "cross_check.pure_h": ("cur1 2", 2, "check"),
+    "cross_check.reeb_last": ("cur1 2", 2, "check"),
+    "cross_check.reeb_pairs": ("cur1 2", 2, "check"),
+    "cross_check.single_reeb": ("cur1 2", 2, "check"),
+    "cross_check.generic": ("cur1 2", 2, "check"),
+    "cross_check.gap_structure": ("cur1 2", 1, "info"),
     # traces
-    "ricci.einstein_lc": ("ric", 2),
-    "ricci.h_connection": ("ric", 2),
-    "ricci.h_connection_measured": ("Ricci", 2),
+    "ricci.einstein_lc": ("ric", 2, "check"),
+    "ricci.h_connection": ("ric", 2, "check"),
+    "ricci.h_connection_measured": ("Ricci", 2, "info"),
     # sectional / holomorphic sectional
-    "sectional.sphere_constant": ("sectional-def", 2),
-    "sectional.plane_invariance": ("sectional-def", 2),
-    "sectional.sec_rela": ("sec rela", 2),
-    "sectional.holomorphic_constant": ("sum H", 2),
-    "sectional.holomorphic_sum": ("sum H", 2),
-    "sectional.tanno_sum": ("tanno", 2),
-    "sectional.third_constant": ("cons2", 2),
-    "sectional.cor_xxx": ("X X1 X2 X3", 2),
+    "sectional.sphere_constant": ("sectional-def", 2, "check"),
+    "sectional.plane_invariance": ("sectional-def", 2, "check"),
+    "sectional.sec_rela": ("sec rela", 2, "check"),
+    "sectional.holomorphic_constant": ("sum H", 2, "check"),
+    "sectional.holomorphic_sum": ("sum H", 2, "check"),
+    "sectional.tanno_sum": ("tanno", 2, "check"),
+    "sectional.third_constant": ("cons2", 2, "check"),
+    "sectional.cor_xxx": ("X X1 X2 X3", 2, "check"),
     # the plane-comparison polynomial
-    "theorem_sec.h_case": ("sec", 2),
-    "theorem_sec.sweep": ("sec", 2),
-    "theorem_sec.reeb_case": ("sec", 2),
+    "theorem_sec.h_case": ("sec", 2, "check"),
+    "theorem_sec.sweep": ("sec", 2, "finding"),
+    "theorem_sec.reeb_case": ("sec", 2, "finding"),
 }
 
 
 class VerificationRecord:
-    def __init__(self, id, anchor, suite, kind="check", passed=None,
-                 max_residual=None, tolerance=None, samples=0, details=None):
+    def __init__(self, id, anchor, suite, kind, passed=None, max_residual=None,
+                 tolerance=None, samples=0, details=None):
         self.id, self.anchor, self.suite, self.kind = id, anchor, suite, kind
         self.passed, self.max_residual, self.tolerance = passed, max_residual, tolerance
         self.samples = samples
@@ -115,16 +115,12 @@ class VerificationRecord:
 
 
 def make_record(rec_id, suite, **fields):
-    """Build a record whose anchor comes from the static registry; the
-    other fields are those of :class:`VerificationRecord`, the residual
-    and the tolerance as floats."""
+    """Build a record whose anchor and kind come from the static registry;
+    the other fields are those of :class:`VerificationRecord`."""
     if rec_id not in IDENTITY_REGISTRY:
         raise KeyError(f"record id {rec_id!r} is not in the identity registry")
-    for key in ("max_residual", "tolerance"):
-        if fields.get(key) is not None:
-            fields[key] = float(fields[key])
-    return VerificationRecord(id=rec_id, anchor=IDENTITY_REGISTRY[rec_id][0],
-                              suite=suite, **fields)
+    anchor, _, kind = IDENTITY_REGISTRY[rec_id]
+    return VerificationRecord(id=rec_id, anchor=anchor, suite=suite, kind=kind, **fields)
 
 
 def worst_residuals(pairs):
@@ -142,16 +138,18 @@ def worst_residuals(pairs):
 
 
 def build_records(suite, samples, pairs, tol, table=None):
-    """The records of one suite: every registry id under its prefix
-    (``cross-check`` -> ``cross_check.``), in registry order.
+    """The records of one suite, the one place where worst residuals and
+    verdicts are made: every registry id under its prefix (``cross-check``
+    -> ``cross_check.``), in registry order.
 
     ``pairs`` yields ``(key, residuals)`` as for :func:`worst_residuals`,
     each key one of those ids (else ``KeyError``: a misspelt id would
     leave its record at 0.0).  A record holds the worst residual under
     its id (0.0 if none), the tolerance of its order from ``tol =
-    (tol_first, tol_second)``, its verdict against that tolerance, and
-    ``samples`` samples.  ``table`` maps an id to :func:`make_record`
-    fields that override these.
+    (tol_first, tol_second)`` and ``samples`` samples; it passes when
+    that residual is at most its tolerance (any but NaN with none).
+    ``table`` maps an id to its record's ``samples`` and ``details``
+    alone (another field raises ``TypeError``).
     """
     worst, table = worst_residuals(pairs), table or {}
     ids = [rid for rid in IDENTITY_REGISTRY if rid.startswith(suite.replace("-", "_") + ".")]
@@ -160,13 +158,11 @@ def build_records(suite, samples, pairs, tol, table=None):
         raise KeyError(f"residuals under {stray[0]!r}, no record id of suite {suite!r}")
     records = []
     for rid in ids:
-        order = IDENTITY_REGISTRY[rid][1]
-        fields = {"max_residual": worst.get(rid, 0.0), "samples": samples,
-                  "tolerance": None if order is None else tol[order - 1],
-                  **table.get(rid, {})}
-        if "passed" not in fields:
-            fields["passed"] = bool(fields["max_residual"] <= fields["tolerance"])
-        records.append(make_record(rid, suite=suite, **fields))
+        order, res = IDENTITY_REGISTRY[rid][1], worst.get(rid, 0.0)
+        limit = math.inf if order is None else float(tol[order - 1])
+        records.append(make_record(rid, suite, max_residual=res, passed=bool(res <= limit),
+                                   tolerance=None if order is None else limit,
+                                   **{"samples": samples, **table.get(rid, {})}))
     return records
 
 

@@ -140,13 +140,13 @@ class SpherePoint(_Frozen):
     @classmethod
     def normalized(cls, coords):
         coords = np.asarray(coords, dtype=float)
-        r = norm(coords)
+        r, m = _scaled_norm(coords)
         bad = ~np.isfinite(r)
         if bad.any():  # before the division, which would warn
             raise StructuralError(f"point norm {float(r[bad][0])!r} is not finite")
         if np.any(r < 1e-12):
             raise DegenerateInputError("cannot normalize the zero vector")
-        return cls(coords / r)
+        return cls(coords / m / r)
 
     def same_as(self, other):
         return (self.x.shape == other.x.shape
@@ -174,7 +174,21 @@ class TangentVector(_Frozen):
 
     @on_stacks
     def norm(self):
-        return norm(self.v)
+        r, m = _scaled_norm(self.v)
+        with np.errstate(over="ignore"):  # past the largest float a norm is inf
+            return m * r
+
+
+def _scaled_norm(v):
+    """``norm(v / m)`` and ``m``: the divisor of a row whose norm overflows
+    though its entries are finite is its largest |entry|; of any other, 1."""
+    with np.errstate(over="ignore"):
+        r = norm(v)
+    big = ~np.isfinite(r) & np.isfinite(v).all(axis=-1, keepdims=True)
+    if not big.any():
+        return r, 1.0
+    m = np.where(big, np.abs(v).max(axis=-1, keepdims=True), 1.0)
+    return norm(v / m), m
 
 
 # ============================================================
@@ -386,13 +400,9 @@ class ThreeSasakiStructure:
         matrix-level relations come first, once."""
         I1, I2, I3 = self.triple
         ident = np.eye(self.ambient_dim)
-        yield "axioms.quaternion_products", max(
-            float(np.max(np.abs(I1 @ I2 - I3))),
-            float(np.max(np.abs(I2 @ I3 - I1))),
-            float(np.max(np.abs(I3 @ I1 - I2))),
-            *(float(np.max(np.abs(I @ I + ident))) for I in (I1, I2, I3)),
-            *(float(np.max(np.abs(I.T + I))) for I in (I1, I2, I3)),
-        )
+        for gap in (I1 @ I2 - I3, I2 @ I3 - I1, I3 @ I1 - I2,
+                    *(I @ I + ident for I in self.triple), *(I.T + I for I in self.triple)):
+            yield "axioms.quaternion_products", np.abs(gap).max()
         for y, Xv, Yv in self.chunks(x.x, X.v, Y.v):  # the maps act row by row
             m = self.maps(y)
             phi, eta, xs = m.phi, m.eta, [m.xi(a) for a in (1, 2, 3)]

@@ -1,14 +1,16 @@
 """Shared test plumbing: collects acceptance-criterion outcomes and prints
-one line per criterion at the end of the run, builds stacked points and
-tangent vectors from one-row ones and back, and a structure with dense
-maps.  Property tests draw the same examples on every run (a
-derandomized hypothesis profile, no example database), so a failing run
-reproduces."""
+one line per criterion at the end of the run, gives each module one n = 1
+structure (``struct``), draws a random point, lists a dual number's
+leaves, builds stacked points and tangent vectors from one-row ones and
+back, and a structure with dense maps.  Property tests draw the same
+examples on every run (a derandomized hypothesis profile, no example
+database), so a failing run reproduces."""
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
-from hkc.numlin import quaternion_structures
+from hkc.numlin import Dual, quaternion_structures
 from hkc.sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
@@ -30,6 +32,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num, description, ok in sorted(ACCEPTANCE_RESULTS):
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"C{num:02d} {verdict} — {description}")
+
+
+@pytest.fixture(scope="module")
+def struct():
+    return ThreeSasakiStructure(n=1)
+
+
+def rand_point(s, rng):
+    return SpherePoint.normalized(rng.standard_normal(s.ambient_dim))
+
+
+def leaves(v):
+    """The array leaves of a dual number, value before derivative, or
+    ``[v]`` for a plain value."""
+    return [*leaves(v.val), *leaves(v.dot)] if isinstance(v, Dual) else [v]
 
 
 def stack(values):

@@ -28,24 +28,15 @@ from hkc.connections import (
 )
 from hkc import connections
 from hkc.sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
-from conftest import stacked
+from conftest import leaves, rand_point, stacked
 
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
 
 
 @pytest.fixture(scope="module")
-def struct():
-    return ThreeSasakiStructure(n=1)
-
-
-@pytest.fixture(scope="module")
 def rng():
     return np.random.default_rng(416)
-
-
-def rand_point(s, rng):
-    return SpherePoint.normalized(rng.standard_normal(s.ambient_dim))
 
 
 def rand_field(s, x, rng, in_h=False):
@@ -280,10 +271,6 @@ def test_covariant_derivative_evaluates_each_field_once(struct, rng, monkeypatch
         assert (calls["X"], calls["Y"]) == want
 
 
-def _leaves(v):
-    return [*_leaves(v.val), *_leaves(v.dot)] if isinstance(v, Dual) else [v]
-
-
 def test_kernel_reads_without_the_adapted_one_have_its_call_bits(struct, monkeypatch):
     # on a dual point, as inside an exact-forward nested pass (a stencil's
     # points are plain), the kernel's reads of D_X Y and nabla_X Y on every
@@ -303,9 +290,9 @@ def test_kernel_reads_without_the_adapted_one_have_its_call_bits(struct, monkeyp
             part = _cov_raw(struct, X(y), Y, y, scheme, False)
         assert part[HC] is None
         for kind in (None, LC, HC):
-            assert [g.shape for g in _leaves(full[kind])] == [(P, d)] * 2
+            assert [g.shape for g in leaves(full[kind])] == [(P, d)] * 2
         for kind in (None, LC):
-            got, want = _leaves(part[kind]), _leaves(full[kind])
+            got, want = leaves(part[kind]), leaves(full[kind])
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want], kind
 
 

@@ -51,24 +51,15 @@ from hkc import harness
 from hkc.harness import _SUITE_FUNCS, RunConfig, cross_check_families, resolve_conventions
 from hkc.sphere3s import SpherePoint, TangentVector, ThreeSasakiStructure
 
-from conftest import rotated, row, stack, stack_rows, stacked
+from conftest import leaves, rand_point, rotated, row, stack, stack_rows, stacked
 
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
 
 
 @pytest.fixture(scope="module")
-def struct():
-    return ThreeSasakiStructure(n=1)
-
-
-@pytest.fixture(scope="module")
 def rng():
     return np.random.default_rng(90125)
-
-
-def rand_point(s, rng):
-    return SpherePoint.normalized(rng.standard_normal(s.ambient_dim))
 
 
 def reeb_tv(s, a, x):
@@ -656,10 +647,6 @@ def test_typed_operations_check_dimension_and_point_where_they_enter(name):
                 op(s, x, V, F)
 
 
-def _leaves(v):
-    return [*_leaves(v.val), *_leaves(v.dot)] if isinstance(v, Dual) else [v]
-
-
 def _data(f):
     return f.vec, f.alpha, f.ops
 
@@ -688,10 +675,10 @@ def test_merged_fields_have_the_rows_of_one_alpha_each(make):
         merged = connections._blocks(s, [_data(f) for f in fields],
                                      map(connections._form, fields), C)
         for q in points:
-            got = _leaves(merged(q))
+            got = leaves(merged(q))
             for k, f in enumerate(fields):
                 rows = leafmap(lambda a: a[k * C:(k + 1) * C], q)
-                for g, want in zip(got, _leaves(f(rows))):
+                for g, want in zip(got, leaves(f(rows))):
                     assert g[k * C:(k + 1) * C].tobytes() == want.tobytes()
     # a Reeb field's rows on points with an axis before the last, as a
     # trace's points have

@@ -39,18 +39,13 @@ from hkc.numlin import (
     StructuralError,
     norm,
 )
-from hkc.records import IDENTITY_REGISTRY, build_records, registry_gaps
+from hkc.records import IDENTITY_REGISTRY, build_records, canonical_json, registry_gaps
 from hkc.sphere3s import SpherePoint, ThreeSasakiStructure
 
 from conftest import rotated, stack_rows
 
 LC = ConnectionKind.LEVI_CIVITA
 HC = ConnectionKind.H_CONNECTION
-
-
-@pytest.fixture(scope="module")
-def struct():
-    return ThreeSasakiStructure(n=1)
 
 
 @pytest.fixture(scope="module")
@@ -604,6 +599,36 @@ def test_every_yielded_key_names_a_record_of_its_suite(monkeypatch):
         assert keys <= {rid for rid in IDENTITY_REGISTRY if rid.startswith(prefix)}, suite
 
 
+@pytest.mark.parametrize("cfg, make", [
+    (RunConfig(), None),
+    (RunConfig(scheme=DiffScheme("central-difference", 1e-4)), None),
+    (RunConfig(), _broken),
+    (RunConfig(), lambda: ThreeSasakiStructure(n=1, sign=+1)),
+    (RunConfig(n=0), None),
+], ids=["default", "fd1e-4", "broken-i2", "sign-plus", "n0"])
+def test_every_record_is_judged_by_build_records_alone(monkeypatch, cfg, make):
+    # a suite table gives a record its samples and details only; its kind
+    # comes from the registry, and its worst residual and verdict from
+    # build_records: passed is max_residual <= tolerance, so NaN fails
+    tables = []
+
+    def spy(suite, samples, pairs, tol, table=None):
+        tables.append((suite, table or {}))
+        return build_records(suite, samples, pairs, tol, table)
+
+    for module in (harness, sphere3s):
+        monkeypatch.setattr(module, "build_records", spy)
+    report = run_suites(cfg, structure=make and make())
+    assert tables
+    for suite, table in tables:
+        for rid, fields in table.items():
+            assert set(fields) <= {"samples", "details"}, (suite, rid)
+    for r in report.iter_records():
+        assert r.kind == IDENTITY_REGISTRY[r.id][2], r.id
+        tol = np.inf if r.tolerance is None else r.tolerance
+        assert r.passed is bool(r.max_residual <= tol), r.id
+
+
 @pytest.mark.parametrize("suite, key", [
     ("torsion", "torsion.lc_zer0"),  # misspelt
     ("torsion", "connection.metricity"),  # another suite's
@@ -829,6 +854,50 @@ def test_best_combination_does_not_move_with_rounding(struct, monkeypatch):
 
             monkeypatch.setattr(harness, "theorem_sec_data", perturbed)
             assert labels() == want, (combo, delta)
+
+
+def test_a_nan_in_the_sweep_fails_its_record_and_errors_no_suite(monkeypatch):
+    # NaN rows at two sweep angles: at pi/6 in every row of the first
+    # combination, where min() kept the NaN, no combination was within
+    # tolerance of it, and the suite errored with StopIteration; at pi/3
+    # in the last row of the last one, where min() dropped it
+    real, P = harness.theorem_sec_data, 3
+
+    def with_nan(*args):
+        data = real(*args)
+        res = data["residual"]
+        first, *_, last = res
+        res[first], res[last] = res[first].copy(), res[last].copy()
+        res[first][2 * P:3 * P] = np.nan
+        res[last][5 * P - 1] = np.nan
+        return data
+
+    cfg = RunConfig(points=P, suites=("theorem-sec",))
+    want = {r.id: r for r in run_suites(cfg).iter_records()}
+    monkeypatch.setattr(harness, "theorem_sec_data", with_nan)
+    report = run_suites(cfg)
+    body = report.suites["theorem-sec"]
+    assert body["status"] != "errored", body.get("reason")
+    got = {r.id: r for r in body["records"]}
+    sweep = got["theorem_sec.sweep"]
+    assert np.isnan(sweep.max_residual) and sweep.passed is False
+    assert '"max_residual": "nan"' in canonical_json(sweep.as_dict())
+    best = want["theorem_sec.sweep"].details["best_combination"]
+    assert sweep.details["best_combination"] == {**best, "pi/6": None, "pi/3": None}
+    for rid in ("theorem_sec.h_case", "theorem_sec.reeb_case"):
+        assert got[rid].as_dict() == want[rid].as_dict()
+
+
+def test_a_nan_convention_residual_fails_the_convention_record(struct):
+    # max() over the three residuals dropped a NaN that was not first
+    conventions = resolve_conventions(struct, seed=0)
+    conventions["curvature-sign"] = {**conventions["curvature-sign"],
+                                     "residual": float("nan")}
+    rec, = [r for r in harness._suite_sasaki(struct, RunConfig(points=2), conventions)
+            if r.id == "sasaki.conventions"]
+    assert rec.kind == "info" and rec.tolerance is None and rec.samples == 1
+    assert np.isnan(rec.max_residual) and rec.passed is False
+    assert '"max_residual": "nan"' in canonical_json(rec.as_dict())
 
 
 def test_reports_are_byte_identical():

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from hkc.records import build_records, canonical_json, worst_residuals
+from hkc.records import IDENTITY_REGISTRY, build_records, canonical_json, worst_residuals
 
 
 def test_worst_residuals_do_not_depend_on_pair_order():
@@ -28,6 +29,35 @@ def test_nan_residual_fails_its_record():
     assert reeb.passed is False and np.isnan(reeb.max_residual)
     assert compat.passed is True and compat.samples == 2
     assert '"max_residual": "nan"' in canonical_json(reeb.as_dict())
+
+
+def test_the_registry_declares_each_record_kind():
+    # anchor, tolerance order and kind, declared once; five records do not gate
+    kinds = {rid: kind for rid, (anchor, order, kind) in IDENTITY_REGISTRY.items()
+             if isinstance(anchor, str) and order in (1, 2, None)}
+    assert list(kinds) == list(IDENTITY_REGISTRY)
+    assert {rid: k for rid, k in kinds.items() if k != "check"} == {
+        "sasaki.conventions": "info", "cross_check.gap_structure": "info",
+        "ricci.h_connection_measured": "info", "theorem_sec.sweep": "finding",
+        "theorem_sec.reeb_case": "finding"}
+    for suite in ("sasaki", "theorem-sec"):
+        for r in build_records(suite, 1, (), (1e-9, 1e-7)):
+            assert r.kind == kinds[r.id], r.id
+
+
+def test_a_record_without_a_tolerance_passes_unless_its_residual_is_nan():
+    for res, passed in ((0.25, True), (np.inf, True), (np.nan, False)):
+        rec, = [r for r in build_records("sasaki", 1, [("sasaki.conventions", res)],
+                                         (1e-9, 1e-7)) if r.id == "sasaki.conventions"]
+        assert rec.tolerance is None and rec.passed is passed, res
+
+
+@pytest.mark.parametrize("field", ["kind", "passed", "max_residual", "tolerance"])
+def test_a_table_gives_a_record_only_its_samples_and_details(field):
+    # the verdict, the worst residual and the kind are build_records's alone
+    table = {"theorem_sec.sweep": {"samples": 5, "details": {}, field: 0.0}}
+    with pytest.raises(TypeError):
+        build_records("theorem-sec", 1, (), (1e-9, 1e-7), table)
 
 
 def test_canonical_json_of_numpy_scalars_containers_and_non_finite_floats():

@@ -12,22 +12,13 @@ from hkc.sphere3s import (
 )
 from hkc.connections import VectorField
 
-from conftest import rotated, stack_rows
-
-
-def rand_point(struct, rng):
-    return SpherePoint.normalized(rng.standard_normal(struct.ambient_dim))
+from conftest import leaves, rand_point, rotated, stack_rows
 
 
 def rand_tangent(struct, x, rng, in_h=False):
     w = rng.standard_normal(struct.ambient_dim)
     w = struct.project_h_raw(w, x.x) if in_h else struct.tangent_project_raw(w, x.x)
     return TangentVector(x, w / np.linalg.norm(w))
-
-
-@pytest.fixture(scope="module")
-def struct():
-    return ThreeSasakiStructure(n=1)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +100,27 @@ def test_non_finite_values_fail_the_edge_checks():
         TangentVector(SpherePoint.normalized(np.ones(8)), np.full(8, 1e308))
     with pytest.raises(StructuralError, match="not finite"):
         VectorField.extension(ThreeSasakiStructure(n=1), np.full(8, np.inf))
+
+
+def test_a_finite_row_whose_norm_overflows_is_scaled_first():
+    # the norm of entries of 1e200 overflows (a warning, then "point norm
+    # inf is not finite"); such a row is divided by its largest |entry|
+    # before its norm, and no other row moves a bit
+    assert np.array_equal(SpherePoint.normalized(np.full(8, 1e200)).x,
+                          np.full(8, 1 / np.sqrt(8)))
+    rows = np.array([[3.0, 4.0, 0.0, 0.0], [1e300, 0.0, 0.0, -1e300]])
+    got = SpherePoint.normalized(rows).x
+    assert np.array_equal(got[0], SpherePoint.normalized(rows[0]).x)
+    assert np.array_equal(got[1], np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2))
+    x = SpherePoint(np.eye(8)[0])
+    big = TangentVector(x, np.r_[0.0, np.full(7, 1e200)])
+    assert big.norm() == pytest.approx(np.sqrt(7) * 1e200, rel=1e-15)
+    assert TangentVector(x, np.r_[0.0, np.full(7, 1e308)]).norm() == np.inf
+    # a non-finite coordinate is not scaled, and still raises
+    for bad in (np.r_[np.inf, np.full(7, 1e200)], np.r_[np.nan, np.full(7, 1e200)],
+                np.array([[1.0, 0, 0, 0], [-np.inf, 1e300, 0, 0]])):
+        with pytest.raises(StructuralError, match="is not finite"):
+            SpherePoint.normalized(bad)
 
 
 def test_an_empty_stack_of_points_is_rejected_where_it_enters():
@@ -336,10 +348,6 @@ def test_signed_permutation_triples_gather(make, gathers):
         assert np.array_equal(dense, s.triple)
 
 
-def _leaves(v):
-    return [*_leaves(v.val), *_leaves(v.dot)] if isinstance(v, Dual) else [v]
-
-
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_all_structure_maps_have_the_bits_of_three_dense_products(perturbed):
     # the gather (and the dense fallback) against one dense matvec per
@@ -351,7 +359,7 @@ def test_all_structure_maps_have_the_bits_of_three_dense_products(perturbed):
     nested = Dual(Dual(r(4), r(4)), Dual(r(4), np.zeros((4, 8))))
     for v in (r(), r(5), r(2, 3), zeros, nested):
         got = leafmap(s._apply_all, v)
-        for leaf, out in zip(_leaves(v), _leaves(got)):
+        for leaf, out in zip(leaves(v), leaves(got)):
             want = np.stack([matvec(I, leaf) for I in s.triple], axis=-2)
             assert out.tobytes() == want.tobytes() and out.shape == want.shape
     # the all-structure forms against the per-structure ones
@@ -361,7 +369,7 @@ def test_all_structure_maps_have_the_bits_of_three_dense_products(perturbed):
         for got, want in ((s.reeb_all_raw(y), [s.reeb_raw(a, y) for a in (1, 2, 3)]),
                           (s.phi_all_raw(u, y), [s.phi_raw(a, u, y) for a in (1, 2, 3)])):
             for k, per in enumerate(want):
-                for out, leaf in zip(_leaves(got), _leaves(per)):
+                for out, leaf in zip(leaves(got), leaves(per)):
                     assert out[..., k, :].tobytes() == np.asarray(leaf).tobytes()
 
 
@@ -395,7 +403,7 @@ def test_one_and_per_row_alpha_have_the_bits_of_one_dense_matvec_per_row(n, dens
               (per(4), nested), (per(4), Dual(r(4), r(4, 3)))]
     for alpha, v in cases:
         got = s._apply(alpha, v)
-        for leaf, out in zip(_leaves(v), _leaves(got)):
+        for leaf, out in zip(leaves(v), leaves(got)):
             want = _dense_rows(s, alpha, leaf)
             assert out.tobytes() == want.tobytes() and out.shape == want.shape, (alpha, leaf.shape)
 

@@ -105,3 +105,28 @@ def test_every_imported_name_is_read_in_its_module():
             unread += [f"{path.name}:{name}" for name in _imported_names(tree)
                        if name not in reads]
     assert unread == []
+
+
+def test_the_harness_sets_no_record_verdict():
+    # a record's kind comes from the registry and its worst residual,
+    # tolerance and verdict from records.build_records: no dict of the
+    # harness holds one of those fields
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    keys = [f"{key.value}:{key.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for key in node.keys if isinstance(key, ast.Constant)
+            and key.value in ("kind", "passed", "max_residual", "tolerance")]
+    assert keys == []
+
+
+def test_the_suite_list_is_written_once():
+    # SUITE_ORDER is read off the dispatch table, so no second list of the
+    # nine suite names can fall out of step with it
+    from hkc import harness
+
+    assert harness.SUITE_ORDER == tuple(harness._SUITE_FUNCS)
+    names = set(harness.SUITE_ORDER)
+    lists = [node.lineno for node in ast.walk(ast.parse((PACKAGE / "harness.py").read_text()))
+             if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.Tuple))
+             and names <= {getattr(e, "value", None) for e in (
+                 node.keys if isinstance(node, ast.Dict) else node.elts)}]
+    assert len(lists) == 1, lists
