@@ -104,30 +104,35 @@ def rbar_algebraic(structure: ThreeSasakiStructure, X, Y, Z, R=None):
 
 
 def _rbar_rows(s, y, Xv, Yv, Zv, out):
-    """:func:`rbar_algebraic` on one chunk of rows, from its table: the
-    blocks summed onto ``out``, the rows of R(X,Y)Z."""
-    m = s.maps(y)
-    et, om, phi, xi = m.eta, m.omega, m.phi, m.xi
+    """:func:`rbar_algebraic` on one chunk of rows, each map value made once
+    and named as the paper's term reads it (``ppX[a, b]`` is phi_b phi_a X,
+    ``epX[a, b]`` is eta^b(phi_a X)): the blocks summed onto ``out``, the
+    rows of R(X,Y)Z."""
+    xi = {a: s.reeb_raw(a, y) for a in (1, 2, 3)}
+    eX, eY, eZ = ({a: dot(xi[a], w) for a in (1, 2, 3)} for w in (Xv, Yv, Zv))
+    pX, pY, pZ = ({a: s.phi_raw(a, w, y) for a in (1, 2, 3)} for w in (Xv, Yv, Zv))
+    ppX, ppY, ppZ = ({(a, b): s.phi_raw(b, p[a], y) for a, b in _PAIRS} for p in (pX, pY, pZ))
+    epX, epY, epZ = ({(a, b): dot(xi[b], p[a]) for a, b in _PAIRS} for p in (pX, pY, pZ))
     gXZ = dot(Xv, Zv)
     gYZ = dot(Yv, Zv)
 
     for a in (1, 2, 3):
-        out = out - 2.0 * om(a, Yv, Xv) * phi(a, Zv) \
-                  - om(a, Zv, Xv) * phi(a, Yv) \
-                  + om(a, Zv, Yv) * phi(a, Xv)
-        out = out + et(a, Xv) * et(a, Zv) * Yv - et(a, Yv) * et(a, Zv) * Xv
-        out = out + 2.0 * et(a, Yv) * gXZ * xi(a) - 2.0 * et(a, Xv) * gYZ * xi(a)
+        out = out - 2.0 * dot(Yv, pX[a]) * pZ[a] \
+                  - dot(Zv, pX[a]) * pY[a] \
+                  + dot(Zv, pY[a]) * pX[a]
+        out = out + eX[a] * eZ[a] * Yv - eY[a] * eZ[a] * Xv
+        out = out + 2.0 * eY[a] * gXZ * xi[a] - 2.0 * eX[a] * gYZ * xi[a]
     for a, b in _PAIRS:
-        out = out - et(a, Zv) * et(b, Yv) * phi(b, phi(a, Xv)) \
-                  + et(a, Zv) * et(b, Xv) * phi(b, phi(a, Yv))
-        out = out + 2.0 * et(a, Yv) * et(b, Xv) * phi(b, phi(a, Zv)) \
-                  + 2.0 * et(a, Zv) * om(b, Xv, phi(a, Yv)) * xi(b)
-        out = out - et(a, Xv) * om(b, Yv, phi(a, Zv)) * xi(b) \
-                  + et(a, Yv) * om(b, Xv, phi(a, Zv)) * xi(b)
-        out = out + et(a, Yv) * et(b, phi(a, Zv)) * phi(b, Xv) \
-                  + et(a, Zv) * et(b, phi(a, Yv)) * phi(b, Xv)
-        out = out - et(a, Xv) * et(b, phi(a, Zv)) * phi(b, Yv) \
-                  - et(a, Zv) * et(b, phi(a, Xv)) * phi(b, Yv)
+        out = out - eZ[a] * eY[b] * ppX[a, b] \
+                  + eZ[a] * eX[b] * ppY[a, b]
+        out = out + 2.0 * eY[a] * eX[b] * ppZ[a, b] \
+                  + 2.0 * eZ[a] * dot(Xv, ppY[a, b]) * xi[b]
+        out = out - eX[a] * dot(Yv, ppZ[a, b]) * xi[b] \
+                  + eY[a] * dot(Xv, ppZ[a, b]) * xi[b]
+        out = out + eY[a] * epZ[a, b] * pX[b] \
+                  + eZ[a] * epY[a, b] * pX[b]
+        out = out - eX[a] * epZ[a, b] * pY[b] \
+                  - eZ[a] * epX[a, b] * pY[b]
     return s.tangent_project_raw(out, y)
 
 
@@ -213,19 +218,18 @@ def two_route_gap_form(structure: ThreeSasakiStructure, X, Y, Z):
 
 
 def _gap_rows(s, y, Xv, Yv, Zv):
-    """:func:`two_route_gap_form` on one chunk of rows, from its table."""
-    m = s.maps(y)
-    et, xi = m.eta, m.xi
+    """:func:`two_route_gap_form` on one chunk of rows, each map value made
+    once."""
+    xi = {a: s.reeb_raw(a, y) for a in (1, 2, 3)}
+    eX, eY, eZ = ({a: dot(xi[a], w) for a in (1, 2, 3)} for w in (Xv, Yv, Zv))
     gXZ = dot(Xv, Zv)
     gYZ = dot(Yv, Zv)
     out = np.zeros_like(y)
     for a in (1, 2, 3):
-        out = out + (et(a, Yv) * gXZ - et(a, Xv) * gYZ) * xi(a)
+        out = out + (eY[a] * gXZ - eX[a] * gYZ) * xi[a]
     for a, b in _PAIRS:
-        out = out + et(a, Yv) * et(b, Xv) * (et(a, Zv) * xi(b)
-                                             + et(b, Zv) * xi(a))
-        out = out + et(a, Zv) * (et(b, Yv) * et(a, Xv)
-                                 + et(a, Yv) * et(b, Xv)) * xi(b)
+        out = out + eY[a] * eX[b] * (eZ[a] * xi[b] + eZ[b] * xi[a])
+        out = out + eZ[a] * (eY[b] * eX[a] + eY[a] * eX[b]) * xi[b]
     return out
 
 

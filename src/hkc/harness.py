@@ -95,9 +95,10 @@ def _stream(seed, *key):
 def _units(s, w, kinds, x=None):
     """The unit rows of raw Gaussian rows w (P, len(kinds), d), as one
     stack per row position k of kind ``kinds[k]``: a point ("p", first if
-    any, then normalised twice, as ``SpherePoint.normalized`` would), a
-    unit vector tangent at it ("t") or in H at it ("h"), each the row
-    projected over its length; the rows of one kind as one stack.  A row
+    any), a unit vector tangent at it ("t") or in H at it ("h"), each the
+    row projected over its length; the rows of one kind as one stack.  A
+    point is divided by its length once more, for the bits of the one-row
+    draws this replaced (v / |v|, then ``SpherePoint.normalized``).  A row
     is used as drawn: a projection no longer than 1e-6 (by the chi law, a
     chance below 3e-19 a row) raises."""
     if "h" in kinds and s.h_dim == 0:
@@ -681,12 +682,11 @@ def run_suites(config: RunConfig, structure=None) -> VerificationReport:
     conventions = resolve_conventions(s, config.seed, config.scheme)
     order = config.run_order()
     results = {}
-    blocked = {}
+    skip = None  # the first gate's reason: it skips every later suite
 
     for name in order:
-        if name in blocked:
-            results[name] = {"status": "skipped", "records": [],
-                             "reason": blocked[name]}
+        if skip:
+            results[name] = {"status": "skipped", "records": [], "reason": skip}
             continue
         try:
             records = _SUITE_FUNCS[name](s, config, conventions)
@@ -698,18 +698,15 @@ def run_suites(config: RunConfig, structure=None) -> VerificationReport:
             results[name] = {"status": "errored", "records": [],
                              "reason": f"{type(exc).__name__}: {exc}"}
 
-        status, reason = results[name]["status"], None
+        status = results[name]["status"]
         if name in _FOUNDATIONS and status in ("fail", "errored"):
-            reason = _FOUNDATIONS[name]
+            skip = _FOUNDATIONS[name]
         elif name == "curvature":
             gate = next((r for r in results[name]["records"]
                          if r.id == "curvature.oracle_gate"), None)
             if gate is None or gate.passed is not True:
-                reason = ("the curvature suite errored" if status == "errored"
-                          else "the curvature oracle gate did not pass")
-        if reason:  # an earlier reason takes precedence
-            for later in order[order.index(name) + 1:]:
-                blocked.setdefault(later, reason)
+                skip = ("the curvature suite errored" if status == "errored"
+                        else "the curvature oracle gate did not pass")
 
     overall = ("pass" if all(b["status"] in ("pass", "skipped")
                              for b in results.values()) else "fail")

@@ -13,8 +13,8 @@ distribution H is the joint kernel of the three eta^alpha.
 
 Each structure map has one form, ``*_raw``, acting on plain ambient
 arrays, stacks of them (one row per vector) or dual numbers; vector
-fields, nested differentiation and the suites all call it, the closed
-forms and the axioms through one table per point (:class:`StructureMaps`).
+fields, nested differentiation, the closed forms, the axioms and the
+suites all call it.
 Validation happens where a value enters: :class:`SpherePoint` and
 :class:`TangentVector` hold one row ``(d,)`` or a stack ``(P, d)`` and
 check unit length and tangency of every row on construction.  The typed
@@ -195,33 +195,6 @@ def _scaled_norm(v):
 # the structure
 # ============================================================
 
-class StructureMaps:
-    """The structure-map values at the point ``y`` on plain arrays, each
-    computed on first use as its ``*_raw`` operation computes it, bit for
-    bit; arguments are told apart by identity and held, so no id is reused."""
-
-    def __init__(self, s, y):
-        self.s, self.y, self._values = s, y, {}
-
-    def _memo(self, key, make, *held):
-        hit = self._values.get(key)
-        if hit is None:
-            hit = self._values[key] = make(), held
-        return hit[0]
-
-    def xi(self, a):
-        return self._memo(("xi", a), lambda: self.s.reeb_raw(a, self.y))
-
-    def eta(self, a, w):
-        return self._memo(("eta", a, id(w)), lambda: dot(self.xi(a), w), w)
-
-    def phi(self, a, w):
-        return self._memo(("phi", a, id(w)), lambda: self.s.phi_raw(a, w, self.y), w)
-
-    def omega(self, a, u, w):
-        return self._memo(("omega", a, id(u), id(w)), lambda: dot(u, self.phi(a, w)), u, w)
-
-
 def _signed(out, vals):  # a gather times its signs, + 0, in place (see _apply_all)
     return np.add(np.multiply(out, vals, out=out), 0, out=out)
 
@@ -325,14 +298,11 @@ class ThreeSasakiStructure:
     def omega_raw(self, alpha, u, w, y):
         return dot(u, self.phi_raw(alpha, w, y))
 
-    def maps(self, y):
-        """The table of structure-map values at the point ``y``."""
-        return StructureMaps(self, y)
-
     def chunks(self, y, *vs):
         """``(y, *vs)`` in chunks of ``connections.CURVATURE_CHUNK // d`` rows
         of the stack ``y`` (None stays None), which bound the working set of
-        a :meth:`maps` table."""
+        the map values that the stated expansion, its gap tensor and the
+        axioms make once per chunk."""
         from .connections import CURVATURE_CHUNK  # built on this module
         step = max(1, CURVATURE_CHUNK // self.ambient_dim)
         return [tuple(None if a is None else a[i:i + step] for a in (y, *vs))
@@ -404,30 +374,28 @@ class ThreeSasakiStructure:
                     *(I @ I + ident for I in self.triple), *(I.T + I for I in self.triple)):
             yield "axioms.quaternion_products", np.abs(gap).max()
         for y, Xv, Yv in self.chunks(x.x, X.v, Y.v):  # the maps act row by row
-            m = self.maps(y)
-            phi, eta, xs = m.phi, m.eta, [m.xi(a) for a in (1, 2, 3)]
+            xi = {a: self.reeb_raw(a, y) for a in (1, 2, 3)}
+            eX, eY = ({a: dot(xi[a], w) for a in (1, 2, 3)} for w in (Xv, Yv))
+            pX, pY = ({a: self.phi_raw(a, w, y) for a in (1, 2, 3)} for w in (Xv, Yv))
             for a in (1, 2, 3):
-                xi = xs[a - 1]
-                yield "axioms.unit_reeb", abs(dot(xi, xi) - 1.0)
-                yield "axioms.unit_reeb", abs(dot(xi, y))
-                fX = phi(a, Xv)
-                yield "axioms.phi_square", norm(phi(a, fX) + Xv - eta(a, Xv) * xi)
+                yield "axioms.unit_reeb", abs(dot(xi[a], xi[a]) - 1.0)
+                yield "axioms.unit_reeb", abs(dot(xi[a], y))
+                yield "axioms.phi_square", norm(self.phi_raw(a, pX[a], y) + Xv - eX[a] * xi[a])
                 for b in (1, 2, 3):
                     dlt = 1.0 if a == b else 0.0
-                    yield "axioms.eta_reeb", abs(eta(a, xs[b - 1]) - dlt)
-                yield "axioms.compat", abs(dot(fX, phi(a, Yv)) - dot(Xv, Yv)
-                                           + eta(a, Xv) * eta(a, Yv))
-                yield "axioms.omega_skew", abs(m.omega(a, Xv, Xv))
-                yield "axioms.omega_skew", abs(m.omega(a, Xv, Yv) + m.omega(a, Yv, Xv))
+                    yield "axioms.eta_reeb", abs(dot(xi[a], xi[b]) - dlt)
+                yield "axioms.compat", abs(dot(pX[a], pY[a]) - dot(Xv, Yv) + eX[a] * eY[a])
+                yield "axioms.omega_skew", abs(dot(Xv, pX[a]))
+                yield "axioms.omega_skew", abs(dot(Xv, pY[a]) + dot(Yv, pX[a]))
             for beta, gamma, theta in EVEN_PERMUTATIONS:
-                yield "axioms.reeb_cross", norm(phi(beta, xs[gamma - 1]) - xs[theta - 1])
-                yield "axioms.reeb_cross", norm(phi(gamma, xs[beta - 1]) + xs[theta - 1])
-                comp = phi(beta, phi(gamma, Xv)) - eta(gamma, Xv) * xs[beta - 1]
-                yield "axioms.phi_compose", norm(comp - phi(theta, Xv))
-                yield "axioms.eta_phi", abs(eta(theta, Xv) - eta(beta, phi(gamma, Xv)))
-                yield "axioms.eta_phi", abs(eta(theta, Xv) + eta(gamma, phi(beta, Xv)))
-            pX = self.project_h_raw(Xv, y)
-            yield "axioms.projection", norm(self.project_h_raw(pX, y) - pX)
-            yield "axioms.projection", abs(dot(pX, Yv) - dot(Xv, self.project_h_raw(Yv, y)))
+                yield "axioms.reeb_cross", norm(self.phi_raw(beta, xi[gamma], y) - xi[theta])
+                yield "axioms.reeb_cross", norm(self.phi_raw(gamma, xi[beta], y) + xi[theta])
+                comp = self.phi_raw(beta, pX[gamma], y) - eX[gamma] * xi[beta]
+                yield "axioms.phi_compose", norm(comp - pX[theta])
+                yield "axioms.eta_phi", abs(eX[theta] - dot(xi[beta], pX[gamma]))
+                yield "axioms.eta_phi", abs(eX[theta] + dot(xi[gamma], pX[beta]))
+            hX = self.project_h_raw(Xv, y)
+            yield "axioms.projection", norm(self.project_h_raw(hX, y) - hX)
+            yield "axioms.projection", abs(dot(hX, Yv) - dot(Xv, self.project_h_raw(Yv, y)))
             for a in (1, 2, 3):
-                yield "axioms.projection", abs(eta(a, pX))
+                yield "axioms.projection", abs(dot(xi[a], hX))

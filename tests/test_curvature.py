@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hkc.numlin import (
     norm,
     value_and_derivative,
 )
-from hkc import connections, curvature as curvature_module, sphere3s
+from hkc import connections, curvature as curvature_module, numlin, sphere3s
 from hkc.connections import (
     ConnectionKind,
     VectorField,
@@ -419,19 +420,25 @@ def test_fused_passes_have_the_bits_of_separate_calls(monkeypatch, n, scheme):
             assert v.tobytes() == _separate(*args, p, y, scheme).tobytes()
 
 
-@pytest.mark.parametrize("dense", [False, True])
-def test_closed_forms_and_axioms_keep_their_bits_across_row_chunks(monkeypatch, dense):
-    # the stated expansion (with and without R), the gap form, the axiom
-    # records and the plane values and residuals of theorem-sec on 7 rows,
-    # in chunks of 2, 2, 2 and 1 rows (a budget of 2 d floats) against one
-    # chunk of all 7
+def _seven_rows(dense):
+    """A structure (dense maps or the gather) and 7 rows (x, X, Y, Z, R)
+    of stacked tangent vectors, each row at its own point."""
     s = rotated(1) if dense else ThreeSasakiStructure(n=1)
     rng = np.random.default_rng(17)
     rows = []
     for _ in range(7):
         x = rand_point(s, rng)
         rows.append((x, *(rand_tv(s, x, rng) for _ in range(4))))
-    x, X, Y, Z, R = stack_rows(rows)
+    return s, stack_rows(rows)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_closed_forms_and_axioms_keep_their_bits_across_row_chunks(monkeypatch, dense):
+    # the stated expansion (with and without R), the gap form, the axiom
+    # records and the plane values and residuals of theorem-sec on 7 rows,
+    # in chunks of 2, 2, 2 and 1 rows (a budget of 2 d floats) against one
+    # chunk of all 7
+    s, (x, X, Y, Z, R) = _seven_rows(dense)
 
     def values():
         return ([V.v.tobytes() for V in (rbar_algebraic(s, X, Y, Z),
@@ -446,6 +453,44 @@ def test_closed_forms_and_axioms_keep_their_bits_across_row_chunks(monkeypatch, 
     monkeypatch.setattr(connections, "CURVATURE_CHUNK", 2 * s.ambient_dim)
     assert [len(c[0]) for c in s.chunks(x.x)] == [2, 2, 2, 1]
     assert values() == whole
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("dense", [False, True])
+def test_closed_forms_and_axioms_make_each_map_value_once_a_chunk(monkeypatch, dense, chunked):
+    # the phi_raw, reeb_raw, project_h_raw and dot calls of the stated
+    # expansion (given R), the gap form and the axiom records on 7 rows, in
+    # one chunk or in 4 (a budget of 2 d floats): so many a chunk, plus the
+    # dots made once a call (the norm of each vector's point checked
+    # against the first, the result's tangency check), on the gather and
+    # on dense maps
+    s, (x, X, Y, Z, R) = _seven_rows(dense)
+    if chunked:
+        monkeypatch.setattr(connections, "CURVATURE_CHUNK", 2 * s.ambient_dim)
+    chunks = len(s.chunks(x.x))
+    assert chunks == (4 if chunked else 1)
+    calls = Counter()
+
+    def counted(owner, name):
+        f = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, count)
+    for name in ("phi_raw", "reeb_raw", "project_h_raw"):
+        counted(ThreeSasakiStructure, name)
+    for module in (numlin, sphere3s, curvature_module):  # norm's dot is numlin's
+        counted(module, "dot")
+    # (phi_raw, reeb_raw, project_h_raw, dot) a chunk, and dots once a call
+    for run, per_chunk, once in (
+            (lambda: rbar_algebraic(s, X, Y, Z, R=R), (27, 3, 0, 84), 4),
+            (lambda: two_route_gap_form(s, X, Y, Z), (0, 3, 0, 11), 3),
+            (lambda: s.check_structure_axioms((x, X, Y)), (18, 3, 3, 90), 2)):
+        calls.clear()
+        run()
+        got = tuple(calls[k] for k in ("phi_raw", "reeb_raw", "project_h_raw", "dot"))
+        assert got == (*(chunks * c for c in per_chunk[:3]), chunks * per_chunk[3] + once)
 
 
 def _on_rows(F, c):

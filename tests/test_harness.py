@@ -90,6 +90,8 @@ def test_config_validation():
         RunConfig(suites=())
     with pytest.raises(StructuralError):
         RunConfig(n=-1)
+    with pytest.raises(StructuralError, match="scheme must be a DiffScheme"):
+        RunConfig(scheme="exact")
     # counts are ints or numpy integers: points=3.0 would error every suite
     for name in ("n", "points", "seed"):
         for bad in (3.0, 1.5, np.float64(2), True, "3"):
@@ -1025,6 +1027,18 @@ def test_cli_text_format():
     assert rc == 0
     assert "suite axioms: pass" in stdout
     assert "overall: pass" in stdout
+
+
+def test_cli_text_format_names_skip_and_error_reasons():
+    # at n = 0 the suites that draw from H error, and the curvature suite's
+    # error skips every later suite: each head line gives its reason
+    rc, stdout = _capture(["verify", "--n", "0", "--points", "2", "--format", "text"])
+    assert rc == 2
+    lines = stdout.splitlines()
+    assert ("suite connection: errored  (PreconditionError: the distribution H is "
+            "zero-dimensional for n = 0; no unit direction can be drawn from it)") in lines
+    assert "suite cross-check: skipped  (the curvature suite errored)" in lines
+    assert lines[-1] == "overall: fail"
 
 
 def test_cli_structural_error_exits_two(capsys):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hkc.records import IDENTITY_REGISTRY, build_records, canonical_json, worst_residuals
+from hkc.records import (IDENTITY_REGISTRY, build_records, canonical_json, make_record,
+                         worst_residuals)
 
 
 def test_worst_residuals_do_not_depend_on_pair_order():
@@ -43,6 +44,9 @@ def test_the_registry_declares_each_record_kind():
     for suite in ("sasaki", "theorem-sec"):
         for r in build_records(suite, 1, (), (1e-9, 1e-7)):
             assert r.kind == kinds[r.id], r.id
+    # an id the registry does not declare has no record
+    with pytest.raises(KeyError, match="'no.such.id' is not in the identity registry"):
+        make_record("no.such.id", "axioms")
 
 
 def test_a_record_without_a_tolerance_passes_unless_its_residual_is_nan():
@@ -81,3 +85,6 @@ def test_canonical_json_of_numpy_scalars_containers_and_non_finite_floats():
     ]
     for value, want in cases:
         assert canonical_json(value) == want, value
+    # a value of any other type has no canonical form
+    with pytest.raises(TypeError, match="cannot canonicalize value of type object"):
+        canonical_json(object())

@@ -1,7 +1,8 @@
 """The test configuration itself: under the repository's warning filters
 a failing property test still reports its falsifying example; and the
 package source holds no private name (module-level, or a method of a
-class) that nothing reads and no import that its module does not read."""
+class) that nothing reads, no import that its module does not read and
+no ``id`` call."""
 
 import ast
 import subprocess
@@ -80,6 +81,16 @@ def test_the_engine_calls_no_float():
     calls = [f"{name}:{node.lineno}" for name in ("numlin.py", "connections.py", "curvature.py")
              for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"]
+    assert calls == []
+
+
+def test_the_package_calls_no_id():
+    # a cache keyed by object identity is right only while it holds its
+    # keys alive, else a freed key's id is reused: each map value is a
+    # named local where it is read, and no value is keyed by id
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "id"]
     assert calls == []
 
 
