@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import partial
-from itertools import groupby, zip_longest
+from itertools import groupby
 
 import numpy as np
 
@@ -225,8 +225,8 @@ def _merged(s, ds, C):
 
     # repeated, not broadcast: ``dot`` keeps row bits on C-contiguous rows only
     vs = [np.atleast_2d(v) for v, _, _ in ds if v is not None]
-    return partial(_value, s, np.concatenate([v if len(v) == C else np.repeat(v, C, axis=0)
-                                              for v in vs]) if vs else None,
+    return partial(_value, s, _join([v if len(v) == C else np.repeat(v, C, axis=0)
+                                     for v in vs]) if vs else None,
                    per_row([a for _, a, _ in ds]),
                    tuple([per_row(v) for v in zip(*[ops for *_, ops in ds])]))
 
@@ -246,9 +246,14 @@ def _blocks(s, data, forms, C):
 
 
 def _join(parts):
-    """Duals of one nesting (or plain arrays) joined on axis 0, leaf by leaf."""
+    """Rows joined on axis 0, the one rule: one part as it is, arrays
+    concatenated, duals leaf by leaf, lists or tuples item by item (of their type)."""
+    if len(parts) == 1:
+        return parts[0]
     if isinstance(parts[0], Dual):
         return Dual(_join([p.val for p in parts]), _join([p.dot for p in parts]))
+    if isinstance(parts[0], (list, tuple)):
+        return type(parts[0])([_join(items) for items in zip(*parts)])
     return np.concatenate(parts)
 
 
@@ -263,7 +268,8 @@ def _fused_pass(s, kind, patterns, y, scheme):
     chunks of rows), pattern k on rows k*C .. (k+1)*C - 1 of a chunk of C
     rows; passes are evened out, and first-order ones, if more than one,
     cut where the patterns that read HC (and make A) end, each run evened.
-    The point is a stack (P, d); a value is (P, d) or (P, 1)."""
+    The point and W rows are stacks (P, d), a value is (P, d) or (P, 1),
+    and rows (the point's copies, the chunks' values) join by :func:`_join`."""
     K = len(patterns)
     slots = 2 if kind is None else 3
     rank = [min(map((HC, LC, None).index, p[2])) if kind is None else 0 for p in patterns]
@@ -275,9 +281,8 @@ def _fused_pass(s, kind, patterns, y, scheme):
         if v is not None and v.ndim > 1 and len(v) not in (1, len(y)):
             raise StructuralError(f"a field of {len(v)} rows at a point of {len(y)}")
     # floats per row: the broadcast of each vector's row shape
-    width = math.prod(map(max, zip_longest(*(
-        f.vec.shape[f.vec.ndim > 1:][::-1] if f.vec is not None else ()
-        for f in fields), (s.ambient_dim,), fillvalue=1)))
+    width = math.prod(np.broadcast_shapes(*[f.vec.shape[f.vec.ndim > 1:] for f in fields
+                                            if f.vec is not None], (s.ambient_dim,)))
     form = {f: _form(f) for f in fields}
     order = sorted(range(K), key=lambda k: (rank[k], [form[f] for f in patterns[k][:slots]]))
     group = max(1, CURVATURE_CHUNK // (len(y) * width))  # patterns a pass holds
@@ -295,7 +300,7 @@ def _fused_pass(s, kind, patterns, y, scheme):
         C = len(yc)
         F = [_blocks(s, [cut[p[j]] for p in ps], [form[p[j]] for p in ps], C)
              for j in range(slots)]
-        q = yc if len(ps) == 1 else np.concatenate([yc] * len(ps))
+        q = _join([yc] * len(ps))
         if kind is None:  # each read as an array of its own
             R = _cov_raw(s, F[0](q), F[1], q, scheme, any(rank[k] == 0 for k in ks))
             return [tuple([R[r][k * C:(k + 1) * C].copy() for r in p[2]])
@@ -303,15 +308,13 @@ def _fused_pass(s, kind, patterns, y, scheme):
         R = _curvature_raw(s, kind, *F, q, scheme)
         return [Rk if len(p) == slots
                 else dot(Rk, _value(s, *cut[p[3]], yc)) if isinstance(p[3], VectorField)
-                else norm(Rk if p[3] is None else Rk - np.atleast_2d(p[3])[c])
+                else norm(Rk if p[3] is None else Rk - p[3][c])
                 for p, Rk in zip(ps, (R[k * C:(k + 1) * C] for k in range(len(ps))))]
 
     out = {}
     for ks in passes:
-        chunks = [chunk(ks, slice(i, i + step)) for i in range(0, len(y), step)]
-        out.update(zip(ks, chunks[0] if len(chunks) == 1 else
-                       [tuple([np.concatenate(c) for c in zip(*v)]) if kind is None
-                        else np.concatenate(v) for v in zip(*chunks)]))
+        out.update(zip(ks, _join([chunk(ks, slice(i, i + step))
+                                  for i in range(0, len(y), step)])))
     return [out[k] for k in range(K)]
 
 

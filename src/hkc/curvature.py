@@ -54,6 +54,7 @@ from .connections import (
     _a_raw,
     _cov_raw,
     _fused_pass,
+    _join,
     curvature,
     sphere_curvature_oracle,
 )
@@ -100,7 +101,7 @@ def rbar_algebraic(structure: ThreeSasakiStructure, X, Y, Z, R=None):
     :func:`two_route_gap_form`."""
     R = sphere_curvature_oracle(X, Y, Z) if R is None else R
     parts = structure.chunks(X.base.x, X.v, Y.v, Z.v, R.v)
-    return TangentVector(X.base, np.concatenate([_rbar_rows(structure, *c) for c in parts]))
+    return TangentVector(X.base, _join([_rbar_rows(structure, *c) for c in parts]))
 
 
 def _rbar_rows(s, y, Xv, Yv, Zv, out):
@@ -214,7 +215,7 @@ def two_route_gap_form(structure: ThreeSasakiStructure, X, Y, Z):
     agree.
     """
     parts = structure.chunks(X.base.x, X.v, Y.v, Z.v)
-    return TangentVector(X.base, np.concatenate([_gap_rows(structure, *c) for c in parts]))
+    return TangentVector(X.base, _join([_gap_rows(structure, *c) for c in parts]))
 
 
 def _gap_rows(s, y, Xv, Yv, Zv):
@@ -399,8 +400,7 @@ def theorem_sec_data(structure, alpha, X, scheme=EXACT_FORWARD):
         plane, value = _plane(structure, Xv, structure.phi_raw(alpha, Xv, y))
         for kind, v in planes.items():
             v.append(value(_fused_pass(structure, kind, [plane], y, scheme)[0]))
-    kbar, k = (_signed(v[0] if len(v) == 1 else np.concatenate(v))
-               for v in planes.values())
+    kbar, k = (_signed(_join(v)) for v in planes.values())
     b, c = (i for i in (1, 2, 3) if i != alpha)
     eb, ec = (structure.eta_raw(i, X.v, X.base.x) for i in (b, c))
     pw = np.float_power  # as in _gram

@@ -28,6 +28,7 @@ from .connections import (
     _form_gap_plan,
     _fused_pass,
     _h_tensor_plan,
+    _join,
     _phi_parallel_plan,
     _run,
     _sasaki_plan,
@@ -164,21 +165,21 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
 
     Each entry records the selected value, the residual it leaves, and a
     plain statement of what the value means.  Resolution happens on a
-    dedicated sampling lane so it never perturbs suite draws.  The seed
+    dedicated sampling lane so it never perturbs suite draws, its point and
+    two unit tangent vectors drawn as one block, a stack of one.  The seed
     is a non-negative integer, as ``RunConfig``'s (else ``StructuralError``).
     """
     _count("seed", seed)
-    rng = _stream(seed, _CONVENTION_STREAM, 0)
-    x = sample_point(structure, rng)
-    u = sample_unit_tangent(structure, x, rng)
-    v = sample_unit_tangent(structure, x, rng)
-    w = v.v - dot(v.v, u.v) * u.v
-    v = TangentVector(x, w / norm(w))
+    w = _stream(seed, _CONVENTION_STREAM, 0).standard_normal((1, 3, structure.ambient_dim))
+    x, u, v = _units(structure, w, "ptt")
+    x = SpherePoint(x)
+    w = v - dot(v, u) * u
+    v = w / norm(w)
     # u, v orthonormal; _plane rejects a vanishing Gram determinant
-    (Uf, Vf, _, _), plane_value = _plane(structure, u.v, v.v)
+    (Uf, Vf, _, _), plane_value = _plane(structure, u, v)
 
     d_xi = cov_deriv(LC, Uf, VectorField.reeb(structure, 1), x, scheme)
-    phi_u = structure.phi_raw(1, u.v, x.x)
+    phi_u = structure.phi_raw(1, u, x.x)
     RXYY = curvature(LC, Uf, Vf, Vf, x, scheme)
     # the plane value of ``sectional`` from the same nested pass
     k = plane_value(dot(RXYY.v, Uf(x.x)))
@@ -190,7 +191,7 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
             "(value) * phi_a X"),
         # sign of the round curvature operator, probed via R(u, v)v
         "curvature-sign": _choose(
-            "+1", norm(RXYY.v - u.v), norm(RXYY.v + u.v),
+            "+1", norm(RXYY.v - u), norm(RXYY.v + u),
             "round curvature operator equals (value) * "
             "(g(Y,Z) X - g(X,Z) Y); the quadrilinear table is "
             "r(X,Y,Z,W) = g(R(X,Y)W, Z)"),
@@ -205,7 +206,7 @@ def resolve_conventions(structure, seed, scheme=EXACT_FORWARD):
 def _choose(value, residual, other, meaning):
     """A convention entry: the sign ``value`` when its residual is at most
     ``other``, the residual of the opposite sign, else that sign (each
-    residual one row, shape (1,))."""
+    residual a stack of one, shape (1, 1))."""
     residual, other = residual.item(), other.item()
     return {"value": value if residual <= other else f"{-int(value):+d}",
             "residual": min(residual, other), "meaning": meaning}
@@ -220,10 +221,10 @@ def selected_plane_convention(conventions):
 # ============================================================
 
 def _stack(*vectors):
-    """One stack of the rows of tangent vectors (each one row or a stack),
-    in order, every row at its own base point."""
-    x = SpherePoint(np.vstack([V.base.x for V in vectors]))
-    return TangentVector(x, np.vstack([V.v for V in vectors]))
+    """One stack of the rows of stacks of tangent vectors, in order, every
+    row at its own base point."""
+    x = SpherePoint(_join([V.base.x for V in vectors]))
+    return TangentVector(x, _join([V.v for V in vectors]))
 
 
 def _suite_axioms(s, cfg, conventions):
@@ -676,9 +677,12 @@ def run_suites(config: RunConfig, structure=None) -> VerificationReport:
     A failing foundation gates everything it supports: broken axioms skip
     all later suites, a broken first-derivative layer skips the
     connection layer onward, and a failing curvature oracle gate skips
-    every later suite, each of which interprets second derivatives.
+    every later suite, each of which interprets second derivatives.  A
+    ``structure`` given is of the configuration's n (else ``StructuralError``).
     """
     s = structure if structure is not None else ThreeSasakiStructure(n=config.n)
+    if s.n != config.n:
+        raise StructuralError(f"a structure of n = {s.n} under a config of n = {config.n}")
     conventions = resolve_conventions(s, config.seed, config.scheme)
     order = config.run_order()
     results = {}
@@ -825,17 +829,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_curvature(args) -> int:
     s = ThreeSasakiStructure(n=args.n)
-    rng = _stream(_resolve_seed(args.seed), _CLI_STREAM, 0)
-    x = sample_point(s, rng)
-    X = sample_unit_H(s, x, rng)
-    vals = {a: holomorphic_sectional_bar(s, a, X) for a in (1, 2, 3)}
+    w = _stream(_resolve_seed(args.seed), _CLI_STREAM, 0).standard_normal((1, 2, s.ambient_dim))
+    x, X = _units(s, w, "ph")
+    X = TangentVector(SpherePoint(x), X)
+    vals = {a: holomorphic_sectional_bar(s, a, X).item() for a in (1, 2, 3)}
     total = sum(vals.values())
     print(f"adapted holomorphic plane values at a sampled point (n={args.n}):")
     for a in (1, 2, 3):
         mark = " *" if a == args.alpha else ""
         print(f"  alpha={a}: {vals[a]:+.12f}{mark}")
-    ok = all(abs(v - 4.0) <= 1e-6 for v in vals.values())
-    ok = ok and abs(total - 12.0) <= 1e-6
+    ok = all(abs(v - 4.0) <= 1e-6 for v in vals.values()) and abs(total - 12.0) <= 1e-6
     print(f"  sum: {total:+.12f} (expected +12) -> {'ok' if ok else 'MISMATCH'}")
     return 0 if ok else 1
 

@@ -177,14 +177,8 @@ class VerificationReport:
             "schema": self.schema,
             "config": self.config,
             "conventions": self.conventions,
-            "suites": {
-                name: {
-                    "status": body["status"],
-                    "records": [r.as_dict() for r in body["records"]],
-                    **({"reason": body["reason"]} if "reason" in body else {}),
-                }
-                for name, body in self.suites.items()
-            },
+            "suites": {name: dict(body, records=[r.as_dict() for r in body["records"]])
+                       for name, body in self.suites.items()},
             "overall": self.overall,
         }
 

@@ -17,6 +17,7 @@ from hkc.connections import (
     _at,
     _cov_raw,
     _fused_pass,
+    _join,
     _phi_parallel_plan,
     _sasaki_plan,
     cov_deriv,
@@ -202,6 +203,35 @@ def test_fields_of_other_rows_or_structures_are_rejected(struct, rng):
             with pytest.raises(StructuralError):
                 curvature(HC, xi1, xi1, Y, at)
 
+
+
+def test_join_is_the_one_rule_for_rows(rng):
+    # one part comes back as it is; arrays are concatenated on axis 0;
+    # nested duals are joined leaf by leaf, lists and tuples item by item
+    a, b = rng.standard_normal((2, 4)), rng.standard_normal((3, 4))
+    for part in (a, Dual(a, b[:2]), [a, (b,)], (a,)):
+        assert _join([part]) is part
+    ab = _join([a, b])
+    assert type(ab) is np.ndarray and ab.tobytes() == np.vstack([a, b]).tobytes()
+
+    def dual(u, v):  # a second-order dual of two rows
+        return Dual(Dual(u, 2 * u), Dual(3 * v, v - u))
+    d = _join([dual(a, a + 1), dual(b[:1], b[1:2])])
+    assert isinstance(d, Dual) and isinstance(d.val, Dual) and isinstance(d.dot, Dual)
+    for got, u, v in zip(leaves(d), leaves(dual(a, a + 1)), leaves(dual(b[:1], b[1:2]))):
+        assert got.tobytes() == np.concatenate([u, v]).tobytes()
+    for seq in (list, tuple):
+        got = _join([seq([a, b]), seq([b, a])])
+        assert type(got) is seq and len(got) == 2
+        assert got[0].tobytes() == np.concatenate([a, b]).tobytes()
+        assert got[1].tobytes() == np.concatenate([b, a]).tobytes()
+    # as a first-order fused pass hands its chunks in: per chunk a list
+    # of each pattern's tuple of reads
+    chunks = [[(a[:1], b[:1]), (a[:1] + 1,)], [(a[1:], b[1:2]), (a[1:] + 1,)]]
+    got = _join(chunks)
+    assert type(got) is list and [type(t) for t in got] == [tuple, tuple]
+    assert [[v.tobytes() for v in t] for t in got] == [
+        [a.tobytes(), b[:2].tobytes()], [(a + 1).tobytes()]]
 
 
 # ============================================================

@@ -516,11 +516,11 @@ def test_units_of_a_mixed_block_have_the_bits_of_one_call_per_kind(n):
 
 
 def test_one_row_sampler_calls_do_not_grow_with_points(monkeypatch):
-    # the suites draw their samples as blocks; the one-row samplers serve
-    # the convention resolution only (one point, two tangent vectors).  A
-    # run makes one generator per lane: nine suites, two more theorem-sec
-    # sub-lanes and the convention lane, all keyed apart, and a reserve
-    # only for the sectional lane, where it redraws coefficients
+    # the suites and the convention resolution draw their samples as
+    # blocks: a run calls no one-row sampler.  A run makes one generator
+    # per lane: nine suites, two more theorem-sec sub-lanes and the
+    # convention lane, all keyed apart, and a reserve only for the
+    # sectional lane, where it redraws coefficients
     calls = {}
     for name in ("sample_point", "sample_unit_tangent", "sample_unit_H"):
         real = getattr(harness, name)
@@ -538,7 +538,7 @@ def test_one_row_sampler_calls_do_not_grow_with_points(monkeypatch):
         calls.clear()
         keys.clear()
         run_suites(RunConfig(points=points))
-        assert calls == {"sample_point": 1, "sample_unit_tangent": 2}, points
+        assert calls == {}, points
         assert len(set(keys)) == len(keys)
         lanes.append(sorted(key for key in keys if len(key) == 3))
         reserves.append([key for key in keys if len(key) == 4])
@@ -547,6 +547,24 @@ def test_one_row_sampler_calls_do_not_grow_with_points(monkeypatch):
     # (about one in ten) and take new ones from the lane's reserve
     sectional = (0, SUITE_ORDER.index("sectional"), 0)
     assert reserves == [[], [(*sectional, 1)]] and sectional in lanes[0]
+
+
+def test_a_verify_run_makes_no_one_row_point(monkeypatch):
+    # every point a run or ``hkc curvature`` makes is a stack: their
+    # samples are drawn as blocks, one sample a stack of one, so no typed
+    # call lifts a row
+    made, init = [], SpherePoint.__init__
+
+    def recorded(self, x):
+        init(self, x)
+        made.append(self.x.ndim)
+
+    monkeypatch.setattr(SpherePoint, "__init__", recorded)
+    run_suites(RunConfig(points=2))
+    assert made and set(made) == {2}
+    made.clear()
+    assert _capture(["curvature", "--n", "1"])[0] == 0
+    assert made and set(made) == {2}
 
 
 # ============================================================
@@ -936,6 +954,15 @@ def test_broken_structure_gates_downstream():
         assert body["status"] == "skipped", name
         assert body["records"] == []
         assert "axioms" in body["reason"]
+
+
+def test_a_structure_of_another_n_is_rejected():
+    # the report states the config's n; a structure of n = 2 under n = 1
+    # wrote "n": 1 beside the ricci constants of n = 2 (10, 13, measured 16)
+    with pytest.raises(StructuralError, match="n = 2 .* n = 1"):
+        run_suites(RunConfig(n=1, points=2), structure=ThreeSasakiStructure(n=2))
+    with pytest.raises(StructuralError, match="n = 0 .* n = 1"):
+        run_suites(RunConfig(points=2, suites=("axioms",)), structure=ThreeSasakiStructure(n=0))
 
 
 def test_wrong_reeb_orientation_fails_two_forms_agree():

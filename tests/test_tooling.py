@@ -94,6 +94,22 @@ def test_the_package_calls_no_id():
     assert calls == []
 
 
+def test_rows_are_joined_only_by_join():
+    # connections._join is the one rule that joins rows on axis 0 (one part
+    # as it is, duals leaf by leaf, lists and tuples item by item): no
+    # concatenate, vstack or hstack of the engine or the harness is outside it
+    calls = []
+    for name in ("connections.py", "curvature.py", "harness.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_join"
+                  for node in ast.walk(fn)}
+        calls += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                      "concatenate", "vstack", "hstack") and id(node) not in inside]
+    assert calls == []
+
+
 def _imported_names(tree):
     """Each name an import statement of a module binds (``__future__``
     features aside)."""
